@@ -13,6 +13,7 @@ timings are printed to standard output only, never into the report file.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -32,6 +33,7 @@ from .suites import run_all_suites
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
+EXIT_BROKEN_PIPE = 128 + 13  # as if killed by SIGPIPE
 
 
 def _load(args) -> tuple[PhanFamily, str]:
@@ -143,7 +145,7 @@ def cmd_homology(args) -> int:
     verts, complex_, stats = _geometry_stats(family)
     target = args.target_dim if args.target_dim is not None else family.n - 1
     rep = reduced_homology(complex_)
-    verdict = sphericity_verdict(complex_, target, check_pi1=args.pi1)
+    verdict = sphericity_verdict(complex_, rep, target, check_pi1=args.pi1)
     doc = _base_report("homology", digest, bound)
     doc["geometry"] = stats
     doc["homology"] = _homology_doc(rep)
@@ -169,7 +171,7 @@ def cmd_cm(args) -> int:
     t0 = time.perf_counter()
     verts, complex_, stats = _geometry_stats(family)
     try:
-        cm = cohen_macaulay_check(complex_, threads=args.threads, check_pi1=args.pi1)
+        cm = cohen_macaulay_check(complex_, check_pi1=args.pi1)
     except ValueError as exc:
         _die(str(exc))
     doc = _base_report("cm-check", digest, bound)
@@ -292,12 +294,12 @@ def _parser() -> argparse.ArgumentParser:
         if spec:
             p.add_argument("--spec", required=True, help="geometry description file (JSON)")
         p.add_argument("--out", help="write the JSON report to this file")
+
+    def force(p):
         p.add_argument("--force", action="store_true",
                        help="run even when the sufficient bound fails")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker cap for independent link computations")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized property suites")
+
+    def pi1(p):
         p.add_argument("--pi1", action="store_true",
                        help="attempt the bounded fundamental-group check (dim >= 2)")
 
@@ -307,16 +309,21 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("homology", help="reduced integral homology and sphericity verdict")
     common(p)
+    force(p)
+    pi1(p)
     p.add_argument("--target-dim", type=int, default=None,
                    help="sphericity target dimension (default n-1)")
     p.set_defaults(func=cmd_homology)
 
     p = sub.add_parser("cm-check", help="Cohen-Macaulay link sweep")
     common(p)
+    force(p)
+    pi1(p)
     p.set_defaults(func=cmd_cm)
 
     p = sub.add_parser("filtration-verify", help="verify the inductive filtration stage by stage")
     common(p)
+    force(p)
     p.add_argument("--negative-control", action="store_true",
                    help="deliberately violate the pivot hypothesis and expect a witness")
     p.set_defaults(func=cmd_filtration)
@@ -330,6 +337,8 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lemma-tests", help="run the structural-lemma property suites")
     common(p, spec=False)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for randomized property suites")
     p.add_argument("--count", type=int, default=100,
                    help="instances per randomized suite")
     p.set_defaults(func=cmd_lemma_tests)
@@ -340,11 +349,10 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit:
-        raise
     except BrokenPipeError:
-        return EXIT_INPUT
-    return EXIT_INPUT
+        # the reader went away; silence the flush at interpreter exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
 
-from .homology import reduced_betti, reduced_homology, sphericity_verdict
+from .homology import HomologyReport, reduced_homology, sphericity_verdict
 from .linalg import Subspace
 from .phan import (
     GeometryVertexSet,
@@ -91,10 +91,18 @@ class FiltrationState:
     pivot: Subspace
     geometry: GeometryVertexSet
     levels: tuple[tuple[Subspace, ...], ...]  # Y_0 .. Y_n, sorted
+    _complexes: dict = dfield(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
         return self.family.n
+
+    def level_complex(self, i: int) -> tuple[SimplicialComplex, HomologyReport]:
+        """|Y_i| and its reduced homology, built and reduced once per state."""
+        if i not in self._complexes:
+            k = order_complex(self.levels[i])
+            self._complexes[i] = (k, reduced_homology(k))
+        return self._complexes[i]
 
 
 @dataclass
@@ -178,8 +186,7 @@ def verify_y0_contractible(state: FiltrationState) -> list[CheckResult]:
     checks = []
     y0 = state.levels[0]
     p = state.pivot
-    k0 = order_complex(y0)
-    rep = reduced_homology(k0)
+    k0, rep = state.level_complex(0)
     checks.append(
         CheckResult(
             "y0_acyclic",
@@ -217,14 +224,15 @@ def verify_y0_contractible(state: FiltrationState) -> list[CheckResult]:
     return checks
 
 
-def _spherical_check(k: SimplicialComplex, d: int) -> tuple[bool, str | None]:
+def _spherical_check(k: SimplicialComplex, report: HomologyReport,
+                     d: int) -> tuple[bool, str | None]:
     """Homology-level d-sphericity with the (-1)-dimensional convention: the
     empty complex is exactly the (-1)-sphere wedge."""
     if d == -1:
         return (k.is_empty(), None if k.is_empty() else "expected empty complex")
     if k.is_empty():
         return False, f"empty complex cannot be {d}-spherical"
-    v = sphericity_verdict(k, d)
+    v = sphericity_verdict(k, report, d)
     if v.spherical:
         return True, None
     return False, f"concentrated={v.homology_concentrated} torsion_free={v.torsion_free_top}"
@@ -253,8 +261,8 @@ def verify_stage(state: FiltrationState, i: int) -> StageReport:
         report.checks.append(CheckResult("vacuous_stage", True))
         return report
 
-    k_cur = order_complex(cur)
-    b_complex = order_complex(prev) if prev else SimplicialComplex((), ())
+    k_cur, cur_homology = state.level_complex(i)
+    b_complex, b_homology = state.level_complex(i - 1)
     prev_set = set(prev)
     gamma = set(state.geometry.members)
     p = state.pivot
@@ -317,8 +325,9 @@ def verify_stage(state: FiltrationState, i: int) -> StageReport:
             a_cap_b.is_empty() and expected.is_empty()
         ):
             bad_join = u
-        ok, why = _spherical_check(a_cap_b, n - 2)
-        boundary_betti[u] = reduced_betti(a_cap_b, n - 2)
+        a_cap_b_homology = reduced_homology(a_cap_b)
+        ok, why = _spherical_check(a_cap_b, a_cap_b_homology, n - 2)
+        boundary_betti[u] = a_cap_b_homology.betti_number(n - 2)
         if not ok and bad_sphere is None:
             bad_sphere = (u, why)
     report.boundary_rank_sum = sum(boundary_betti.values())
@@ -371,8 +380,8 @@ def verify_stage(state: FiltrationState, i: int) -> StageReport:
     )
 
     # Mayer-Vietoris rank bookkeeping at degree n-1
-    lhs = reduced_betti(k_cur, n - 1)
-    rhs = reduced_betti(b_complex, n - 1) + sum(boundary_betti.values())
+    lhs = cur_homology.betti_number(n - 1)
+    rhs = b_homology.betti_number(n - 1) + sum(boundary_betti.values())
     report.checks.append(
         CheckResult(
             "mayer_vietoris_rank_balance", lhs == rhs,
@@ -418,19 +427,18 @@ def run_verification(family: PhanFamily, pivot: Subspace | None = None,
     # Y_0 contributes nothing (acyclic); each stage adds its boundary ranks
     predicted = sum(s.boundary_rank_sum for s in stages)
 
-    gamma_complex = order_complex(state.geometry.members)
-    direct_report = reduced_homology(gamma_complex)
-    direct = direct_report.betti_number(n - 1)
+    # Y_n holds every member, so |Y_n| is the geometry complex
+    gamma_complex, gamma_homology = state.level_complex(n)
+    direct = gamma_homology.betti_number(n - 1)
     final = []
-    verdict = sphericity_verdict(gamma_complex, n - 1) if not gamma_complex.is_empty() \
-        else None
+    verdict = sphericity_verdict(gamma_complex, gamma_homology, n - 1)
     final.append(
         CheckResult(
             "final_sphere_count_agreement", predicted == direct,
             None if predicted == direct else f"predicted {predicted}, direct {direct}",
         )
     )
-    ok = verdict is not None and verdict.spherical and verdict.sphere_count >= 1
+    ok = verdict.spherical and verdict.sphere_count >= 1
     final.append(
         CheckResult(
             "gamma_spherical_nontrivial", ok,

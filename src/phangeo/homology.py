@@ -4,14 +4,13 @@ and an optional bounded fundamental-group triviality check.
 
 All arithmetic is exact over arbitrary-precision ints.  Reduced degree 0 is
 handled by the augmentation map (the 1 x n_0 all-ones boundary), never by a
-special-cased connectivity count.  The Smith engine diagonalizes with a
-fill-minimizing sparse elimination, falling back to dense elimination below
-200 columns, and normalizes the diagonal multiset into invariant factors.
+special-cased connectivity count.  Smith normal forms come from one
+fill-minimizing sparse elimination, whose diagonal multiset is normalized
+into invariant factors.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import gcd
 
@@ -25,14 +24,10 @@ __all__ = [
     "boundary_matrices",
     "smith_invariant_factors",
     "reduced_homology",
-    "reduced_betti",
     "sphericity_verdict",
     "cohen_macaulay_check",
     "pi1_trivial_bounded",
 ]
-
-DENSE_COLUMN_LIMIT = 200
-
 
 @dataclass(frozen=True)
 class IntegerMatrix:
@@ -41,12 +36,6 @@ class IntegerMatrix:
     nrows: int
     ncols: int
     entries: tuple[tuple[int, int, int], ...]  # (row, col, value)
-
-    def to_dense(self) -> list[list[int]]:
-        rows = [[0] * self.ncols for _ in range(self.nrows)]
-        for r, c, v in self.entries:
-            rows[r][c] = v
-        return rows
 
     def multiply(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if self.ncols != other.nrows:
@@ -108,71 +97,9 @@ def _normalize_divisors(diag: list[int]) -> list[int]:
     return ds
 
 
-def _snf_dense(rows: list[list[int]]) -> list[int]:
-    """Plain dense integer elimination to a diagonal form."""
-    nr = len(rows)
-    nc = len(rows[0]) if rows else 0
-    diag = []
-    top = 0
-    while True:
-        best = None
-        for i in range(top, nr):
-            ri = rows[i]
-            for j in range(top, nc):
-                v = ri[j]
-                if v != 0 and (best is None or abs(v) < best[0]):
-                    best = (abs(v), i, j)
-                    if abs(v) == 1:
-                        break
-            if best is not None and best[0] == 1:
-                break
-        if best is None:
-            break
-        _, bi, bj = best
-        rows[top], rows[bi] = rows[bi], rows[top]
-        if bj != top:
-            for r in rows:
-                r[top], r[bj] = r[bj], r[top]
-        while True:
-            piv = rows[top][top]
-            dirty = False
-            for i in range(top + 1, nr):
-                v = rows[i][top]
-                if v != 0:
-                    qd = v // piv
-                    if qd:
-                        ri, rt = rows[i], rows[top]
-                        for j in range(top, nc):
-                            ri[j] -= qd * rt[j]
-                    if rows[i][top] != 0:
-                        rows[top], rows[i] = rows[i], rows[top]
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            for j in range(top + 1, nc):
-                v = rows[top][j]
-                if v != 0:
-                    qd = v // piv
-                    if qd:
-                        for r in rows:
-                            r[j] -= qd * r[top]
-                    if rows[top][j] != 0:
-                        for r in rows:
-                            r[top], r[j] = r[j], r[top]
-                        dirty = True
-                        break
-            if not dirty:
-                break
-        diag.append(abs(rows[top][top]))
-        top += 1
-        if top >= nr or top >= nc:
-            break
-    return _normalize_divisors(diag)
-
-
-def _snf_sparse(mat: IntegerMatrix) -> list[int]:
-    """Sparse elimination with pivot selection minimizing fill."""
+def smith_invariant_factors(mat: IntegerMatrix) -> list[int]:
+    """Positive invariant factors d_1 | d_2 | ... of an integer matrix, by
+    sparse elimination with pivot selection minimizing fill."""
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
     for r, c, v in mat.entries:
@@ -238,17 +165,6 @@ def _snf_sparse(mat: IntegerMatrix) -> list[int]:
     return _normalize_divisors(diag)
 
 
-def smith_invariant_factors(mat: IntegerMatrix, engine: str = "auto") -> list[int]:
-    """Positive invariant factors d_1 | d_2 | ... of an integer matrix."""
-    if engine == "auto":
-        engine = "dense" if mat.ncols < DENSE_COLUMN_LIMIT else "sparse"
-    if engine == "dense":
-        return _snf_dense(mat.to_dense())
-    if engine == "sparse":
-        return _snf_sparse(mat)
-    raise ValueError(f"unknown SNF engine {engine!r}")
-
-
 # -- homology ------------------------------------------------------------------
 
 
@@ -263,6 +179,10 @@ class HomologyReport:
     top_dim: int
 
     def betti_number(self, d: int) -> int:
+        """Reduced Betti number, with the degree -1 convention: H~_(-1) has
+        rank 1 exactly for the empty complex."""
+        if d == -1:
+            return 1 if self.top_dim == -1 else 0
         if 0 <= d <= self.top_dim:
             return self.betti[d]
         return 0
@@ -297,16 +217,6 @@ def reduced_homology(k: SimplicialComplex) -> HomologyReport:
     return HomologyReport(tuple(betti), tuple(torsion), euler, k.dim)
 
 
-def reduced_betti(k: SimplicialComplex, d: int) -> int:
-    """Reduced Betti number, with the degree -1 convention for the empty
-    complex (the rank of H~_(-1) of the empty complex is 1)."""
-    if d == -1:
-        return 1 if k.is_empty() else 0
-    if k.is_empty():
-        return 0
-    return reduced_homology(k).betti_number(d)
-
-
 @dataclass(frozen=True)
 class SphericityVerdict:
     """Homology-level certificate that a complex is a wedge of d-spheres.
@@ -329,15 +239,16 @@ class SphericityVerdict:
         return self.homology_concentrated and self.torsion_free_top
 
 
-def sphericity_verdict(k: SimplicialComplex, d: int,
+def sphericity_verdict(k: SimplicialComplex, report: HomologyReport, d: int,
                        check_pi1: bool = False) -> SphericityVerdict:
+    """Verdict for K from its reduced homology ``report``; K itself is read
+    only by the optional fundamental-group attempt."""
     if d < 0:
         raise ValueError("sphericity target dimension must be >= 0")
-    if k.dim > d:
-        raise ValueError(f"complex of dimension {k.dim} exceeds target {d}")
-    if k.is_empty():
+    if report.top_dim > d:
+        raise ValueError(f"complex of dimension {report.top_dim} exceeds target {d}")
+    if report.top_dim == -1:
         return SphericityVerdict(d, False, True, False, 0, "not_applicable")
-    report = reduced_homology(k)
     concentrated = all(report.betti_number(i) == 0 and not report.torsion_at(i)
                        for i in range(d))
     torsion_free = not report.torsion_at(d)
@@ -363,8 +274,7 @@ class CMReport:
     failures: tuple[CMFailure, ...]
 
 
-def cohen_macaulay_check(k: SimplicialComplex, threads: int = 1,
-                         check_pi1: bool = False) -> CMReport:
+def cohen_macaulay_check(k: SimplicialComplex, check_pi1: bool = False) -> CMReport:
     """Check that the link of every simplex (the empty one included, read as
     the complex itself) is spherical at the homology level in the forced
     dimension dim(K) - |s|; links of facets must be empty."""
@@ -382,7 +292,7 @@ def cohen_macaulay_check(k: SimplicialComplex, threads: int = 1,
             if sub.is_empty():
                 return None
             return CMFailure(s, target, "link of a facet is non-empty")
-        v = sphericity_verdict(sub, target, check_pi1=check_pi1)
+        v = sphericity_verdict(sub, reduced_homology(sub), target, check_pi1=check_pi1)
         if v.spherical:
             return None
         if not v.nonempty:
@@ -393,12 +303,7 @@ def cohen_macaulay_check(k: SimplicialComplex, threads: int = 1,
             else "torsion in top homology",
         )
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(check, simplices))
-    else:
-        results = [check(s) for s in simplices]
-    failures = tuple(r for r in results if r is not None)
+    failures = tuple(f for f in map(check, simplices) if f is not None)
     return CMReport(not failures, d, len(simplices), failures)
 
 

@@ -150,7 +150,7 @@ class PhanSpec:
         return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _members_of(spec: PhanSpec) -> tuple[Subspace, ...]:
     out = []
     for k in range(1, spec.ambient.dim):
@@ -251,14 +251,11 @@ class PhanFamily:
 
 
 class GeometryVertexSet:
-    """The vertex set of a family's geometry with cached k_U values."""
+    """The vertex set of a family's geometry."""
 
     def __init__(self, family: PhanFamily, members: tuple[Subspace, ...]):
         self.family = family
         self.members = members
-        self.k_values = {
-            u: tuple(spec.k_of(u) for spec in family.specs) for u in members
-        }
 
     def __len__(self) -> int:
         return len(self.members)

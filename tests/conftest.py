@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -90,3 +91,22 @@ def random_hermitian_gram(rng: random.Random, field: Field, k: int):
 @pytest.fixture
 def rng():
     return random.Random(12345)
+
+
+@pytest.fixture
+def homology_calls(monkeypatch):
+    """Count reduced_homology calls per complex, wherever phangeo calls it."""
+    import phangeo.cli
+    import phangeo.filtration
+    import phangeo.homology
+
+    original = phangeo.homology.reduced_homology
+    calls = Counter()
+
+    def counted(k):
+        calls[k] += 1
+        return original(k)
+
+    for module in (phangeo.homology, phangeo.cli, phangeo.filtration):
+        monkeypatch.setattr(module, "reduced_homology", counted)
+    return calls

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from phangeo.cli import main
+from phangeo.cli import EXIT_BROKEN_PIPE, main
 from phangeo.field import make_field
 from phangeo.phan import PhanFamily
 from phangeo.specfile import SpecFileError, dump_family, family_to_dict, load_family, parse_family
@@ -88,10 +88,11 @@ def test_bound_gate_refusal_and_force(tmp_path, spec_q4id, capsys):
     assert doc["bound"]["forced"] is True
 
 
-def test_homology_command(tmp_path, spec_q5):
+def test_homology_command(tmp_path, spec_q5, homology_calls):
     out = tmp_path / "r.json"
     rc = main(["homology", "--spec", spec_q5, "--out", str(out)])
     assert rc == 0
+    assert sum(homology_calls.values()) == 1  # the verdict reuses the report
     doc = json.loads(out.read_text())
     assert doc["homology"]["betti"] == [0, 71]
     assert doc["sphericity"]["spherical"] is True
@@ -176,3 +177,28 @@ def test_console_script_entry_point(spec_q5, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "verdict=pass" in proc.stdout
+
+
+def test_subcommands_register_only_their_flags(tmp_path, spec_q5, capsys):
+    for argv in (["build", "--spec", spec_q5, "--force"],
+                 ["filtration-verify", "--spec", spec_q5, "--pi1"],
+                 ["cm-check", "--spec", spec_q5, "--threads", "2"],
+                 ["homology", "--spec", spec_q5, "--seed", "1"],
+                 ["bounds-table", "--force"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_broken_pipe_is_not_an_input_error():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "phangeo.cli", "bounds-table", "--max-n", "8",
+         "--max-q", "400", "--max-m", "4"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()  # the reader goes away long before the output ends
+    err = proc.stderr.read().decode()
+    assert proc.wait() == EXIT_BROKEN_PIPE
+    assert "Traceback" not in err and "Exception ignored" not in err

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from phangeo.field import make_field
@@ -13,11 +15,13 @@ from phangeo.filtration import (
 )
 from phangeo.linalg import Subspace
 from phangeo.phan import PhanFamily, vertices
+from phangeo.specfile import load_family
 from phangeo.suites import chamber_spec, diagonal_spec, standard_spec
 
 F3 = make_field(3, 1)
 F5 = make_field(5, 1)
 F9 = make_field(3, 2, 2)
+SPECS = Path(__file__).resolve().parent.parent / "specs"
 
 
 def test_choose_pivot_first_hit():
@@ -131,3 +135,9 @@ def test_stage_index_validation():
         verify_stage(state, 0)
     with pytest.raises(ValueError):
         verify_stage(state, 5)
+
+
+def test_verification_reduces_each_complex_once(homology_calls):
+    family, _ = load_family(str(SPECS / "t0_q5_dim3.json"))
+    assert run_verification(family).passed
+    assert homology_calls and set(homology_calls.values()) == {1}
