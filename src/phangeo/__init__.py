@@ -6,7 +6,7 @@ Library layout:
 - :mod:`phangeo.linalg`: canonical subspaces, flags, complements, quotients
 - :mod:`phangeo.forms`: sigma-hermitian forms, radicals, extension, projection
 - :mod:`phangeo.phan`: geometries, membership, residues, restricted families
-- :mod:`phangeo.simplicial`: order complexes, links, stars, joins
+- :mod:`phangeo.simplicial`: order complexes on integer vertices, links, stars
 - :mod:`phangeo.homology`: Smith normal form, Betti numbers, sphericity,
   Cohen-Macaulay sweep, bounded pi_1 check
 - :mod:`phangeo.filtration`: the inductive filtration and its stage checks

@@ -181,7 +181,7 @@ def cmd_cm(args) -> int:
         "dim": cm.dim,
         "simplices_checked": cm.simplices_checked,
         "failures": [
-            {"simplex": [[list(r) for r in u.basis] for u in f.simplex],
+            {"simplex": [[list(r) for r in complex_.vertices[i].basis] for i in f.simplex],
              "target_dim": f.target_dim, "reason": f.reason}
             for f in cm.failures
         ],

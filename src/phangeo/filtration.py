@@ -267,9 +267,8 @@ def verify_stage(state: FiltrationState, i: int) -> StageReport:
     gamma = set(state.geometry.members)
     p = state.pivot
 
-    stars = {}
-    for u in new:
-        stars[u] = star_closure(k_cur, u)
+    index = {u: j for j, u in enumerate(k_cur.vertices)}
+    stars = {u: star_closure(k_cur, index[u]) for u in new}
 
     # (a) pairwise star intersections land in B
     bad = None
@@ -277,8 +276,9 @@ def verify_stage(state: FiltrationState, i: int) -> StageReport:
         for b in range(a + 1, len(new)):
             inter = intersect_complexes(stars[new[a]], stars[new[b]])
             for f in inter.facets:
-                if not all(v in prev_set for v in f):
-                    bad = (new[a], new[b], f)
+                labels = [inter.vertices[v] for v in f]
+                if not all(v in prev_set for v in labels):
+                    bad = (new[a], new[b], labels)
                     break
             if bad:
                 break
@@ -295,14 +295,14 @@ def verify_stage(state: FiltrationState, i: int) -> StageReport:
     # (b) every star is a cone with apex its vertex, A_j = U_j * link(U_j)
     bad = None
     for u in new:
-        st = stars[u]
-        if not all(u in f for f in st.facets):
+        star = stars[u].facet_sets()
+        if not all(u in f for f in star):
             bad = (u, "facet without the apex")
             break
-        lk = link(k_cur, (u,))
-        rebuilt = frozenset(frozenset(f) | {u} for f in lk.facets) if not lk.is_empty() \
+        lk = link(k_cur, (index[u],))
+        rebuilt = frozenset(f | {u} for f in lk.facet_sets()) if not lk.is_empty() \
             else frozenset({frozenset({u})})
-        if rebuilt != st.facet_sets():
+        if rebuilt != star:
             bad = (u, "star is not the cone over its link")
             break
     report.checks.append(

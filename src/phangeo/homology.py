@@ -37,22 +37,6 @@ class IntegerMatrix:
     ncols: int
     entries: tuple[tuple[int, int, int], ...]  # (row, col, value)
 
-    def multiply(self, other: "IntegerMatrix") -> "IntegerMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch")
-        rows: dict[int, dict[int, int]] = {}
-        by_row: dict[int, list[tuple[int, int]]] = {}
-        for r, c, v in other.entries:
-            by_row.setdefault(r, []).append((c, v))
-        for r, c, v in self.entries:
-            for c2, v2 in by_row.get(c, ()):
-                row = rows.setdefault(r, {})
-                row[c2] = row.get(c2, 0) + v * v2
-        ents = tuple(
-            (r, c, v) for r, row in rows.items() for c, v in row.items() if v != 0
-        )
-        return IntegerMatrix(self.nrows, other.ncols, ents)
-
     def is_zero(self) -> bool:
         return not self.entries
 
@@ -199,8 +183,8 @@ class HomologyReport:
 def reduced_homology(k: SimplicialComplex) -> HomologyReport:
     if k.is_empty():
         return HomologyReport((), (), 0, -1)
-    counts = k.face_counts()
     mats = boundary_matrices(k)
+    counts = [m.ncols for m in mats]
     factors = [smith_invariant_factors(m) for m in mats]
     ranks = [len(f) for f in factors] + [0]
     betti = []
@@ -261,7 +245,7 @@ def sphericity_verdict(k: SimplicialComplex, report: HomologyReport, d: int,
 
 @dataclass(frozen=True)
 class CMFailure:
-    simplex: tuple
+    simplex: tuple[int, ...]  # vertex indices of the checked complex
     target_dim: int
     reason: str
 
@@ -339,10 +323,8 @@ def pi1_trivial_bounded(k: SimplicialComplex, max_rounds: int = 64) -> str:
     "unknown" (never guesses)."""
     if k.is_empty():
         return "unknown"
-    verts = list(k.vertices)
-    index = {v: i for i, v in enumerate(verts)}
-    edges = [tuple(index[v] for v in s) for s in k.simplices(1)]
-    adj: dict[int, list[tuple[int, int]]] = {i: [] for i in range(len(verts))}
+    edges = k.simplices(1)
+    adj: dict[int, list[tuple[int, int]]] = {i: [] for i in range(k.num_vertices)}
     for eid, (a, b) in enumerate(edges):
         adj[a].append((b, eid))
         adj[b].append((a, eid))
@@ -356,7 +338,7 @@ def pi1_trivial_bounded(k: SimplicialComplex, max_rounds: int = 64) -> str:
                 seen.add(nxt)
                 tree.add(eid)
                 stack.append(nxt)
-    if len(seen) != len(verts):
+    if len(seen) != k.num_vertices:
         return "unknown"  # disconnected
     edge_id = {e: i for i, e in enumerate(edges)}
     gens = [i for i in range(len(edges)) if i not in tree]
@@ -371,7 +353,7 @@ def pi1_trivial_bounded(k: SimplicialComplex, max_rounds: int = 64) -> str:
 
     relations = []
     for s in k.simplices(2):
-        a, b, c = (index[v] for v in s)
+        a, b, c = s
         # edge-path loop around the triangle bounds the 2-cell
         rel = _free_reduce(word_for(a, b) + word_for(b, c) + word_for(c, a))
         if rel:

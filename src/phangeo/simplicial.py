@@ -1,10 +1,15 @@
-"""Abstract simplicial complexes represented by their facets: order
-complexes of subspace posets, links, closed stars, joins, purity.
+"""Abstract simplicial complexes on integer vertices: order complexes of
+subspace posets, links, closed stars, intersections, purity, facet export.
 
-A complex stores a vertex tuple in a fixed canonical order and its
-inclusion-maximal simplices as tuples of vertex labels sorted by vertex
-index.  Downward closure is implicit in the facet representation.  Complexes
-are immutable; operations return new complexes.
+A complex on n vertices stores its inclusion-maximal simplices as sorted
+tuples of the vertex indices 0..n-1, in sorted order; vertex i carries the
+label ``vertices[i]`` (a Subspace for an order complex, any hashable value
+elsewhere).  Every operation works on the indices.  Labels are read only
+where a complex meets the outside: ``facet_sets``, equality and hashing
+compare labels, so complexes listing the same vertices in different orders
+are equal, and ``intersect_complexes`` matches vertices by label.  Downward
+closure is implicit in the facet representation.  Complexes are immutable;
+operations return new complexes.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ __all__ = [
     "order_complex",
     "link",
     "star_closure",
-    "join",
     "purity_and_dimension",
     "intersect_complexes",
     "export_facets",
@@ -26,40 +30,39 @@ __all__ = [
 
 
 def _maximalize(simps):
-    """Inclusion-maximal members of a collection of frozensets."""
-    by_size = sorted(set(simps), key=len, reverse=True)
+    """Inclusion-maximal members of a collection of non-empty frozensets.
+    A set is compared only with the kept sets through its least element."""
+    through = {}  # vertex -> kept sets containing it
     out = []
-    for s in by_size:
-        if not any(s < t or s == t for t in out):
+    for s in sorted(set(simps), key=len, reverse=True):
+        if not any(s <= t for t in through.get(min(s), ())):
             out.append(s)
+            for v in s:
+                through.setdefault(v, []).append(s)
     return out
 
 
 class SimplicialComplex:
-    """Finite abstract simplicial complex given by vertices and facets."""
+    """Finite abstract simplicial complex on the vertex indices
+    0..len(vertices)-1.  ``vertices[i]`` is the label of vertex i, and
+    ``facets`` holds the maximal simplices as sorted index tuples, in sorted
+    order.  The constructor takes facets as iterables of indices."""
 
     def __init__(self, vertices, facets):
         self.vertices = tuple(vertices)
-        if len(set(self.vertices)) != len(self.vertices):
+        n = len(self.vertices)
+        if len(set(self.vertices)) != n:
             raise ValueError("duplicate vertices")
-        self._index = {v: i for i, v in enumerate(self.vertices)}
-        fs = []
-        covered = set()
-        for f in facets:
-            fv = frozenset(f)
-            if not fv <= set(self.vertices):
-                raise ValueError("facet uses unknown vertices")
-            fs.append(fv)
-            covered |= fv
-        # every vertex is a simplex; uncovered ones stand alone as facets
-        fs.extend(frozenset((v,)) for v in self.vertices if v not in covered)
-        maximal = _maximalize(fs)
-        self.facets = tuple(
-            sorted(
-                (tuple(sorted(f, key=self._index.__getitem__)) for f in maximal),
-                key=lambda t: tuple(self._index[v] for v in t),
-            )
-        )
+        fs = [frozenset(f) for f in facets]
+        covered = set().union(*fs)
+        indices = range(n)
+        if not all(v in indices for v in covered):
+            raise ValueError("facet uses unknown vertices")
+        # the empty simplex is implicit; every vertex is a simplex, and
+        # uncovered ones stand alone as facets
+        fs = [f for f in fs if f]
+        fs.extend(frozenset((v,)) for v in indices if v not in covered)
+        self.facets = tuple(sorted(tuple(sorted(f)) for f in _maximalize(fs)))
 
     # -- basic queries -------------------------------------------------------
 
@@ -74,23 +77,9 @@ class SimplicialComplex:
     def dim(self) -> int:
         return max((len(f) for f in self.facets), default=0) - 1
 
-    def index_of(self, v) -> int:
-        return self._index[v]
-
-    def has_simplex(self, s) -> bool:
-        sv = frozenset(s)
-        if not sv:
-            return True
-        return any(sv <= frozenset(f) for f in self.facets)
-
-    def simplices(self, k: int) -> list[tuple]:
-        """All k-simplices, sorted by vertex-index tuples."""
-        seen = set()
-        for f in self.facets:
-            if len(f) >= k + 1:
-                for c in combinations(f, k + 1):
-                    seen.add(c)
-        return sorted(seen, key=lambda t: tuple(self._index[v] for v in t))
+    def simplices(self, k: int) -> list[tuple[int, ...]]:
+        """All k-simplices as sorted index tuples, in sorted order."""
+        return sorted({c for f in self.facets if len(f) > k for c in combinations(f, k + 1)})
 
     def face_counts(self) -> list[int]:
         """Number of k-simplices for k = 0..dim."""
@@ -100,7 +89,9 @@ class SimplicialComplex:
         return sum((-1) ** k * c for k, c in enumerate(self.face_counts()))
 
     def facet_sets(self) -> frozenset:
-        return frozenset(frozenset(f) for f in self.facets)
+        """The facets as sets of vertex labels."""
+        vs = self.vertices
+        return frozenset(frozenset(vs[i] for i in f) for f in self.facets)
 
     def __eq__(self, other) -> bool:
         return (
@@ -117,6 +108,15 @@ class SimplicialComplex:
             f"SimplicialComplex({self.num_vertices} vertices, "
             f"{len(self.facets)} facets, dim {self.dim})"
         )
+
+
+def _restrict(k: SimplicialComplex, facets) -> SimplicialComplex:
+    """The complex with the given index sets of k as facets, on the vertices
+    of k that they cover, re-indexed in k's vertex order."""
+    used = sorted(set().union(*facets))
+    new = {v: i for i, v in enumerate(used)}
+    return SimplicialComplex([k.vertices[v] for v in used],
+                             [[new[v] for v in f] for f in facets])
 
 
 def order_complex(subspaces) -> SimplicialComplex:
@@ -147,7 +147,7 @@ def order_complex(subspaces) -> SimplicialComplex:
     def extend(chain):
         last = chain[-1]
         if not covers[last]:
-            facets.append(tuple(verts[i] for i in chain))
+            facets.append(chain)
             return
         for j in covers[last]:
             extend(chain + [j])
@@ -159,37 +159,21 @@ def order_complex(subspaces) -> SimplicialComplex:
 
 
 def link(k: SimplicialComplex, s) -> SimplicialComplex:
-    """{t : t ∩ s = ∅ and t ∪ s ∈ K}."""
+    """{t : t ∩ s = ∅ and t ∪ s ∈ K} for a simplex s given by vertex indices."""
     sv = frozenset(s)
-    if not k.has_simplex(sv):
+    through = [f for f in k.facets if sv.issubset(f)]
+    if sv and not through:
         raise ValueError("link of a non-simplex")
-    new_facets = [frozenset(f) - sv for f in k.facets if sv <= frozenset(f)]
-    verts = [v for v in k.vertices if any(v in f for f in new_facets)]
-    return SimplicialComplex(verts, [f for f in new_facets if f])
+    return _restrict(k, [frozenset(f) - sv for f in through])
 
 
-def star_closure(k: SimplicialComplex, v) -> SimplicialComplex:
-    """All simplices contained in a simplex through v (the closed star)."""
-    if v not in k._index:
-        raise ValueError("star of a non-vertex")
+def star_closure(k: SimplicialComplex, v: int) -> SimplicialComplex:
+    """All simplices contained in a simplex through vertex index v (the
+    closed star)."""
     facets = [f for f in k.facets if v in f]
-    verts = [w for w in k.vertices if any(w in f for f in facets)]
-    return SimplicialComplex(verts, facets)
-
-
-def join(k1: SimplicialComplex, k2: SimplicialComplex) -> SimplicialComplex:
-    """Join with disjointness enforced by tagging vertices with a side label."""
-    v1 = [(0, v) for v in k1.vertices]
-    v2 = [(1, v) for v in k2.vertices]
-    f1 = [tuple((0, v) for v in f) for f in k1.facets]
-    f2 = [tuple((1, v) for v in f) for f in k2.facets]
-    if not f1:
-        facets = f2
-    elif not f2:
-        facets = f1
-    else:
-        facets = [a + b for a in f1 for b in f2]
-    return SimplicialComplex(v1 + v2, facets)
+    if not facets:
+        raise ValueError("star of a non-vertex")
+    return _restrict(k, facets)
 
 
 def purity_and_dimension(k: SimplicialComplex) -> tuple[bool, int]:
@@ -201,17 +185,18 @@ def purity_and_dimension(k: SimplicialComplex) -> tuple[bool, int]:
 
 
 def intersect_complexes(k1: SimplicialComplex, k2: SimplicialComplex) -> SimplicialComplex:
-    """The subcomplex of simplices common to both (shared vertex labels)."""
-    common = set(k1.vertices) & set(k2.vertices)
+    """The subcomplex of simplices common to both, vertices matched by label,
+    on k1's vertex order."""
+    index1 = {v: i for i, v in enumerate(k1.vertices)}
+    to1 = [index1.get(v) for v in k2.vertices]
+    gs = [frozenset(to1[v] for v in g if to1[v] is not None) for g in k2.facets]
     inters = []
     for f in k1.facets:
-        fv = frozenset(f) & common
-        for g in k2.facets:
-            cut = fv & frozenset(g)
+        for g in gs:
+            cut = g.intersection(f)
             if cut:
                 inters.append(cut)
-    verts = [v for v in k1.vertices if v in common and any(v in f for f in inters)]
-    return SimplicialComplex(verts, inters)
+    return _restrict(k1, inters)
 
 
 def export_facets(k: SimplicialComplex) -> str:
@@ -219,5 +204,5 @@ def export_facets(k: SimplicialComplex) -> str:
     line carrying the vertex count."""
     lines = [str(k.num_vertices)]
     for f in k.facets:
-        lines.append(" ".join(str(k.index_of(v)) for v in f))
+        lines.append(" ".join(map(str, f)))
     return "\n".join(lines) + "\n"

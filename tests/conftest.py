@@ -4,6 +4,8 @@ from collections import Counter
 import pytest
 
 from phangeo.field import Field
+from phangeo.homology import IntegerMatrix
+from phangeo.simplicial import SimplicialComplex
 
 
 def naive_smith(rows: list[list[int]]) -> list[int]:
@@ -110,3 +112,34 @@ def homology_calls(monkeypatch):
     for module in (phangeo.homology, phangeo.cli, phangeo.filtration):
         monkeypatch.setattr(module, "reduced_homology", counted)
     return calls
+
+
+def multiply(a: IntegerMatrix, b: IntegerMatrix) -> IntegerMatrix:
+    """Sparse product a * b."""
+    if a.ncols != b.nrows:
+        raise ValueError("shape mismatch")
+    rows: dict[int, dict[int, int]] = {}
+    by_row: dict[int, list[tuple[int, int]]] = {}
+    for r, c, v in b.entries:
+        by_row.setdefault(r, []).append((c, v))
+    for r, c, v in a.entries:
+        for c2, v2 in by_row.get(c, ()):
+            row = rows.setdefault(r, {})
+            row[c2] = row.get(c2, 0) + v * v2
+    ents = tuple((r, c, v) for r, row in rows.items() for c, v in row.items() if v != 0)
+    return IntegerMatrix(a.nrows, b.ncols, ents)
+
+
+def join(k1: SimplicialComplex, k2: SimplicialComplex) -> SimplicialComplex:
+    """Join, kept disjoint by tagging each vertex label with its side (0 or 1);
+    k2's vertex indices follow k1's."""
+    shift = k1.num_vertices
+    f2 = [tuple(shift + v for v in f) for f in k2.facets]
+    if not k1.facets:
+        facets = f2
+    elif not f2:
+        facets = list(k1.facets)
+    else:
+        facets = [a + b for a in k1.facets for b in f2]
+    return SimplicialComplex([(0, v) for v in k1.vertices] + [(1, v) for v in k2.vertices],
+                             facets)

@@ -50,7 +50,7 @@ def _report(num: int, desc: str, passed: bool, extra: str = ""):
 
 def _components(complex_) -> int:
     """Union-find over the 1-skeleton; independent of the SNF path."""
-    parent = {v: v for v in complex_.vertices}
+    parent = list(range(complex_.num_vertices))
 
     def find(x):
         while parent[x] != x:
@@ -61,7 +61,7 @@ def _components(complex_) -> int:
     for f in complex_.facets:
         for a, b in zip(f, f[1:]):
             parent[find(a)] = find(b)
-    return len({find(v) for v in complex_.vertices})
+    return len({find(v) for v in range(complex_.num_vertices)})
 
 
 def _graph_cycle_rank(complex_) -> int:

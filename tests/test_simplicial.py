@@ -1,12 +1,16 @@
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phangeo.field import make_field
+from phangeo.homology import cohen_macaulay_check
 from phangeo.linalg import Subspace
 from phangeo.simplicial import (
     SimplicialComplex,
     export_facets,
     intersect_complexes,
-    join,
     link,
     order_complex,
     purity_and_dimension,
@@ -14,6 +18,8 @@ from phangeo.simplicial import (
 )
 from phangeo.suites import standard_spec
 from phangeo.phan import PhanFamily, vertices
+
+from conftest import join
 
 F3 = make_field(3, 1)
 F5 = make_field(5, 1)
@@ -60,7 +66,8 @@ def test_order_complex_of_phan_geometry_is_pure():
     k = order_complex(vs.members)
     assert purity_and_dimension(k) == (True, 1)
     # incidence = inclusion: every facet is a point inside a plane
-    for a, b in k.facets:
+    for f in k.facets:
+        a, b = (k.vertices[i] for i in f)
         assert a.dim == 1 and b.dim == 2 and b.contains_subspace(a)
 
 
@@ -77,8 +84,9 @@ def test_link_examples():
 def test_link_of_vertex_is_below_join_above():
     vs = vertices(PhanFamily((standard_spec(F3, 3),)))
     k = order_complex(vs.members)
-    for u in vs.members:
-        lk = link(k, (u,))
+    assert set(k.vertices) == set(vs.members)
+    for i, u in enumerate(k.vertices):
+        lk = link(k, (i,))
         below_above = {
             x for x in vs.members
             if (x.dim < u.dim and u.contains_subspace(x))
@@ -90,13 +98,13 @@ def test_link_of_vertex_is_below_join_above():
 def test_star_closure_is_cone_over_link():
     vs = vertices(PhanFamily((standard_spec(F3, 3),)))
     k = order_complex(vs.members)
-    for u in vs.members[:10]:
-        st = star_closure(k, u)
-        lk = link(k, (u,))
-        rebuilt = frozenset(frozenset(f) | {u} for f in lk.facets) if not lk.is_empty() \
+    for i, u in enumerate(k.vertices[:10]):
+        star = star_closure(k, i)
+        lk = link(k, (i,))
+        rebuilt = frozenset(f | {u} for f in lk.facet_sets()) if not lk.is_empty() \
             else frozenset({frozenset({u})})
-        assert st.facet_sets() == rebuilt
-        assert len(st.facets) == sum(1 for f in k.facets if u in f)
+        assert star.facet_sets() == rebuilt
+        assert len(star.facets) == sum(1 for f in k.facet_sets() if u in f)
 
 
 def test_star_of_isolated_vertex():
@@ -110,23 +118,111 @@ def test_join_identities():
     tri = SimplicialComplex([0, 1, 2], [(0, 1), (0, 2), (1, 2)])
     cone = join(pt, tri)
     assert cone.dim == tri.dim + 1
-    assert all((0, "apex") in f for f in cone.facets)
+    assert all((0, "apex") in f for f in cone.facet_sets())
     empty = SimplicialComplex([], [])
     assert join(empty, tri).facet_sets() == frozenset(
-        frozenset((1, v) for v in f) for f in tri.facets
+        frozenset((1, v) for v in f) for f in tri.facet_sets()
     )
 
 
 def test_intersect_complexes():
     a = SimplicialComplex([0, 1, 2], [(0, 1, 2)])
-    b = SimplicialComplex([1, 2, 3], [(1, 2, 3)])
+    b = SimplicialComplex([1, 2, 3], [(0, 1, 2)])
     inter = intersect_complexes(a, b)
     assert inter.facet_sets() == frozenset({frozenset({1, 2})})
+    assert inter.vertices == (1, 2) and inter.facets == ((0, 1),)
 
 
 def test_export_format():
-    k = SimplicialComplex(["a", "b", "c"], [("a", "b"), ("c",)])
+    k = SimplicialComplex(["a", "b", "c"], [(0, 1), (2,)])
     text = export_facets(k)
     lines = text.strip().split("\n")
     assert lines[0] == "3"
     assert set(lines[1:]) == {"0 1", "2"}
+
+
+# -- property test against a label-level oracle ---------------------------------
+
+
+def _closure(facets):
+    """Every non-empty face of the given label sets."""
+    return {frozenset(c) for f in facets for r in range(1, len(f) + 1)
+            for c in combinations(sorted(f), r)}
+
+
+def _maximal(simplices):
+    return frozenset(s for s in simplices if not any(s < t for t in simplices))
+
+
+def _oracle(labels, facets):
+    """All simplices, by labels, of the complex on `labels` spanned by the
+    index sets `facets`; every label is a vertex."""
+    return _closure([{labels[i] for i in f} for f in facets] + [{v} for v in labels])
+
+
+def _covered_in_order(labels, simplices):
+    used = set().union(*simplices)
+    return tuple(v for v in labels if v in used)
+
+
+@st.composite
+def _labelled_complexes(draw, pool="abcdefg"):
+    labels = draw(st.permutations(pool))[:draw(st.integers(0, len(pool)))]
+    if not labels:
+        return labels, []
+    facets = draw(st.lists(st.sets(st.integers(0, len(labels) - 1), min_size=1, max_size=4),
+                           max_size=6))
+    return labels, facets
+
+
+@settings(max_examples=150, deadline=None)
+@given(_labelled_complexes(), _labelled_complexes(), st.data())
+def test_operations_match_label_oracle(c1, c2, data):
+    (labels, facets), (labels2, facets2) = c1, c2
+    k = SimplicialComplex(labels, facets)
+    simps = _oracle(labels, facets)
+    assert k.vertices == tuple(labels)
+    assert k.facet_sets() == _maximal(simps)
+    assert all(list(f) == sorted(set(f)) for f in k.facets) and list(k.facets) == sorted(k.facets)
+    for d in range(-1, 5):
+        got = k.simplices(d) if d >= 0 else []
+        assert got == sorted(got)
+        assert {frozenset(labels[i] for i in s) for s in got} == \
+            {s for s in simps if len(s) == d + 1}
+    if not labels:
+        return
+
+    s = data.draw(st.sampled_from(sorted(simps, key=sorted)))
+    lk = link(k, [labels.index(v) for v in s])
+    expected = {t - s for t in simps if s < t}
+    assert lk.facet_sets() == _maximal(expected)
+    assert lk.vertices == _covered_in_order(labels, expected)
+
+    v = data.draw(st.sampled_from(labels))
+    star = star_closure(k, labels.index(v))
+    expected = {t for t in simps if t | {v} in simps}
+    assert star.facet_sets() == _maximal(expected)
+    assert star.vertices == _covered_in_order(labels, expected)
+
+    other = SimplicialComplex(labels2, facets2)
+    expected = simps & _oracle(labels2, facets2)
+    inter = intersect_complexes(k, other)
+    assert inter.facet_sets() == _maximal(expected)
+    assert inter.vertices == _covered_in_order(labels, expected)
+
+    outside = frozenset(labels) - set().union(*(t for t in simps if s <= t))
+    if outside:
+        with pytest.raises(ValueError):
+            link(k, [labels.index(v) for v in s | {min(outside)}])
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.permutations("abcde"))
+def test_bowtie_fails_at_labelled_middle_vertex(order):
+    """Two triangles a-b-c and c-d-e glued at c, on shuffled vertex orders:
+    the Cohen-Macaulay sweep fails exactly at the index of label c."""
+    at = {v: i for i, v in enumerate(order)}
+    bowtie = SimplicialComplex(order, [[at[v] for v in "abc"], [at[v] for v in "cde"]])
+    rep = cohen_macaulay_check(bowtie)
+    assert [f.simplex for f in rep.failures] == [(at["c"],)]
+    assert bowtie.vertices[rep.failures[0].simplex[0]] == "c"
