@@ -312,15 +312,19 @@ def verify_stage(state: FiltrationState, i: int) -> StageReport:
         )
     )
 
+    # the below and above sets in Y_(i-1) of each new vertex, read by (c) and (d)
+    below_prev = {u: [w for w in prev if u.contains_subspace(w) and w.dim < u.dim]
+                  for u in new}
+    above_prev = {u: [w for w in prev if w.contains_subspace(u) and w.dim > u.dim]
+                  for u in new}
+
     # (c) star boundaries: join decomposition and (n-2)-sphericity
     bad_join = None
     bad_sphere = None
     boundary_betti = {}
     for u in new:
-        below = [w for w in prev if u.contains_subspace(w) and w.dim < u.dim]
-        above = [w for w in prev if w.contains_subspace(u) and w.dim > u.dim]
         a_cap_b = intersect_complexes(stars[u], b_complex)
-        expected = order_complex(below + above)
+        expected = order_complex(below_prev[u] + above_prev[u])
         if a_cap_b.facet_sets() != expected.facet_sets() and not (
             a_cap_b.is_empty() and expected.is_empty()
         ):
@@ -350,13 +354,11 @@ def verify_stage(state: FiltrationState, i: int) -> StageReport:
     bad_below = None
     bad_delta = None
     for u in new:
-        above_prev = {w for w in prev if w.contains_subspace(u) and w.dim > u.dim}
         above_gamma = {w for w in gamma if w.contains_subspace(u) and w.dim > u.dim}
-        if above_prev != above_gamma and bad_above is None:
+        if set(above_prev[u]) != above_gamma and bad_above is None:
             bad_above = u
-        below_prev = {w for w in prev if u.contains_subspace(w) and w.dim < u.dim}
         below_y0 = {w for w in y0_set if u.contains_subspace(w) and w.dim < u.dim}
-        if below_prev != below_y0 and bad_below is None:
+        if set(below_prev[u]) != below_y0 and bad_below is None:
             bad_below = u
         if bad_delta is None:
             bad_delta = _delta_comparison(state, u, below_y0)

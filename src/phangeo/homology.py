@@ -4,14 +4,16 @@ and an optional bounded fundamental-group triviality check.
 
 All arithmetic is exact over arbitrary-precision ints.  Reduced degree 0 is
 handled by the augmentation map (the 1 x n_0 all-ones boundary), never by a
-special-cased connectivity count.  Smith normal forms come from one
-fill-minimizing sparse elimination, whose diagonal multiset is normalized
-into invariant factors.
+special-cased connectivity count.  Smith normal forms come from one sparse
+elimination whose pivots are served from a per-row queue keyed by least
+|value| and row length (Markowitz-style selection), so no pivot rescans the
+matrix; the diagonal multiset is then normalized into invariant factors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from math import gcd
 
 from .simplicial import SimplicialComplex, link, purity_and_dimension
@@ -66,8 +68,12 @@ def boundary_matrices(k: SimplicialComplex) -> list[IntegerMatrix]:
 
 
 def _normalize_divisors(diag: list[int]) -> list[int]:
-    """Redistribute a diagonal multiset into invariant factors d_1 | d_2 | ..."""
+    """Redistribute a diagonal multiset into invariant factors d_1 | d_2 | ...
+    Units divide everything, so they are set aside before the pairwise gcd
+    pass over the other entries and put back in front."""
     ds = sorted(abs(d) for d in diag if d != 0)
+    units = ds.count(1)
+    ds = ds[units:]
     changed = True
     while changed:
         changed = False
@@ -78,12 +84,22 @@ def _normalize_divisors(diag: list[int]) -> list[int]:
                     ds[i], ds[j] = g, ds[i] * ds[j] // g
                     changed = True
         ds.sort()
-    return ds
+    return [1] * units + ds
 
 
 def smith_invariant_factors(mat: IntegerMatrix) -> list[int]:
     """Positive invariant factors d_1 | d_2 | ... of an integer matrix, by
-    sparse elimination with pivot selection minimizing fill."""
+    sparse elimination with Markowitz-style pivot selection served from a
+    queue (Dumas, Heckenbach, Saunders & Welker 2003).
+
+    Each row sits in a heap under the key (least |value| in the row, row
+    length, row index).  The pivot row is the top of the heap; within it the
+    pivot is the entry of least |value| whose column has the fewest
+    nonzeros, ties going to the lower column index.  Only the rows an
+    elimination step touched are re-keyed, once per pivot; keys that no
+    longer match ``current`` are stale and skipped when popped.  So a pivot
+    costs the rows its elimination touches, not a scan of every nonzero.
+    Invariant factors do not depend on the pivot order."""
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
     for r, c, v in mat.entries:
@@ -106,19 +122,34 @@ def smith_invariant_factors(mat: IntegerMatrix) -> list[int]:
         elif r in rows and c in rows[r]:
             drop(r, c)
 
+    current: dict[int, tuple[int, int, int]] = {}
+    queue: list[tuple[int, int, int]] = []
+
+    def rekey(r: int) -> None:
+        row = rows.get(r)
+        if row is None:
+            current.pop(r, None)
+            return
+        key = (min(map(abs, row.values())), len(row), r)
+        if current.get(r) != key:
+            current[r] = key
+            heappush(queue, key)
+
+    for r in rows:
+        rekey(r)
     diag = []
     while rows:
-        # pivot: smallest |value|, ties broken by least fill, then position
-        best = None
-        for r, row in rows.items():
-            for c, v in row.items():
-                key = (abs(v), (len(row) - 1) * (len(cols[c]) - 1), r, c)
-                if best is None or key < best[0]:
-                    best = (key, r, c)
-        _, pr, pc = best
+        least, _, pr = key = heappop(queue)
+        if current.get(pr) != key:
+            continue  # stale
+        del current[pr]  # out of the queue until re-keyed
+        pc = min((c for c, v in rows[pr].items() if abs(v) == least),
+                 key=lambda c: (len(cols[c]), c))
+        touched = {pr}
         while True:
             pv = rows[pr][pc]
             col_rows = [r for r in cols[pc] if r != pr]
+            touched.update(col_rows)
             for r in col_rows:
                 v = rows[r][pc]
                 qd = v // pv
@@ -146,6 +177,8 @@ def smith_invariant_factors(mat: IntegerMatrix) -> list[int]:
         diag.append(abs(rows[pr][pc]))
         for c in list(rows[pr].keys()):
             drop(pr, c)
+        for r in touched:
+            rekey(r)
     return _normalize_divisors(diag)
 
 

@@ -14,6 +14,7 @@ operations return new complexes.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import combinations
 
 from .linalg import Subspace
@@ -76,6 +77,16 @@ class SimplicialComplex:
     @property
     def dim(self) -> int:
         return max((len(f) for f in self.facets), default=0) - 1
+
+    @cached_property
+    def facets_through(self) -> dict[int, list[int]]:
+        """Vertex index -> the positions in ``facets`` of the facets through
+        it, in increasing order; built on first use."""
+        out: dict[int, list[int]] = {}
+        for i, f in enumerate(self.facets):
+            for v in f:
+                out.setdefault(v, []).append(i)
+        return out
 
     def simplices(self, k: int) -> list[tuple[int, ...]]:
         """All k-simplices as sorted index tuples, in sorted order."""
@@ -159,10 +170,15 @@ def order_complex(subspaces) -> SimplicialComplex:
 
 
 def link(k: SimplicialComplex, s) -> SimplicialComplex:
-    """{t : t ∩ s = ∅ and t ∪ s ∈ K} for a simplex s given by vertex indices."""
+    """{t : t ∩ s = ∅ and t ∪ s ∈ K} for a simplex s given by vertex indices.
+    Only the facets through the vertex of s with the fewest are scanned."""
     sv = frozenset(s)
-    through = [f for f in k.facets if sv.issubset(f)]
-    if sv and not through:
+    if not sv:
+        return _restrict(k, k.facets)
+    facets, lists = k.facets, k.facets_through
+    shortest = min((lists.get(v, ()) for v in sv), key=len)
+    through = [facets[i] for i in shortest if sv.issubset(facets[i])]
+    if not through:
         raise ValueError("link of a non-simplex")
     return _restrict(k, [frozenset(f) - sv for f in through])
 
@@ -170,7 +186,7 @@ def link(k: SimplicialComplex, s) -> SimplicialComplex:
 def star_closure(k: SimplicialComplex, v: int) -> SimplicialComplex:
     """All simplices contained in a simplex through vertex index v (the
     closed star)."""
-    facets = [f for f in k.facets if v in f]
+    facets = [k.facets[i] for i in k.facets_through.get(v, ())]
     if not facets:
         raise ValueError("star of a non-vertex")
     return _restrict(k, facets)

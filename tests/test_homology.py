@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +15,7 @@ from phangeo.homology import (
     sphericity_verdict,
 )
 from phangeo.simplicial import SimplicialComplex, order_complex
-from phangeo.suites import chamber_spec
+from phangeo.suites import chamber_spec, standard_spec
 from phangeo.phan import PhanFamily, vertices
 
 from conftest import join, multiply, naive_smith
@@ -183,6 +185,17 @@ def test_opposite_chamber_homology():
     assert rep.betti == (0, 10)  # b1 = q^3 - 2q^2 + 1 = 10
 
 
+def test_f3_4_geometry_homology():
+    """The smallest n = 3 geometry, F_3^4 with the standard form: a real
+    d_2 (648 x 576) goes through the Smith normal form.  The Betti numbers
+    are those of bench/reference.json, computed without phangeo."""
+    k = order_complex(vertices(PhanFamily((standard_spec(F3, 4),))).members)
+    assert k.face_counts() == [138, 648, 576]
+    rep = reduced_homology(k)
+    assert rep.betti == (0, 4, 69)
+    assert rep.torsion == ((), (), ())
+
+
 def test_euler_consistency_random(rng):
     for _ in range(15):
         n = rng.randrange(3, 9)
@@ -214,3 +227,39 @@ def test_snf_known_values():
     m = _matrix([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
     assert smith_invariant_factors(m) == [2, 2, 156]
     assert smith_invariant_factors(_matrix([[0, 0], [0, 0]])) == []
+    # the pivot moves from row 0 to row 1's remainder; row 0 then comes back
+    # with its old key (least |value| 2, length 3) and must be queued again
+    assert smith_invariant_factors(_matrix([[2, 2, 2, 0], [3, 2, 2, 5]])) == [1, 2]
+
+
+def _planted(rng, nr, nc, factors, ops):
+    """diag(factors) padded with zeros to nr x nc, hidden as U.D.V by ops
+    random elementary row and as many column operations."""
+    a = [[0] * nc for _ in range(nr)]
+    for i, d in enumerate(factors):
+        a[i][i] = d
+    for _ in range(ops):
+        i, j = rng.sample(range(nr), 2)
+        q = rng.choice((-2, -1, 1, 2))
+        a[i] = [x + q * y for x, y in zip(a[i], a[j])]
+        i, j = rng.sample(range(nc), 2)
+        q = rng.choice((-2, -1, 1, 2))
+        for row in a:
+            row[i] += q * row[j]
+    return a
+
+
+def test_snf_recovers_planted_factors():
+    """Non-unit pivots, remainder steps and re-keyed rows at sizes the
+    naive oracle cannot reach: the planted invariant factors come back
+    exactly, also after permuting rows and columns."""
+    rng = random.Random(2718)
+    for nr, nc, ones in ((60, 80, 40), (50, 35, 25), (12, 9, 3)):
+        factors = [1] * ones + [2, 2, 6, 12]
+        rows = _planted(rng, nr, nc, factors, 3 * (nr + nc) // 2)
+        assert sum(x != 0 for row in rows for x in row) > 4 * len(factors)
+        assert smith_invariant_factors(_matrix(rows)) == factors
+        rperm = rng.sample(range(nr), nr)
+        cperm = rng.sample(range(nc), nc)
+        shuffled = [[rows[i][j] for j in cperm] for i in rperm]
+        assert smith_invariant_factors(_matrix(shuffled)) == factors
