@@ -18,6 +18,7 @@ from dataclasses import dataclass, field as dfield
 from .homology import HomologyReport, reduced_homology, sphericity_verdict
 from .linalg import Subspace
 from .phan import (
+    EmptyResidueError,
     GeometryVertexSet,
     PhanFamily,
     delta_restriction,
@@ -312,10 +313,11 @@ def verify_stage(state: FiltrationState, i: int) -> StageReport:
         )
     )
 
-    # the below and above sets in Y_(i-1) of each new vertex, read by (c) and (d)
-    below_prev = {u: [w for w in prev if u.contains_subspace(w) and w.dim < u.dim]
+    # the below and above sets in Y_(i-1) of each new vertex, read by (c) and
+    # (d); w ⊆ u iff w's point mask lies inside u's
+    below_prev = {u: [w for w in prev if w.dim < u.dim and w.point_mask & ~u.point_mask == 0]
                   for u in new}
-    above_prev = {u: [w for w in prev if w.contains_subspace(u) and w.dim > u.dim]
+    above_prev = {u: [w for w in prev if w.dim > u.dim and u.point_mask & ~w.point_mask == 0]
                   for u in new}
 
     # (c) star boundaries: join decomposition and (n-2)-sphericity
@@ -354,10 +356,10 @@ def verify_stage(state: FiltrationState, i: int) -> StageReport:
     bad_below = None
     bad_delta = None
     for u in new:
-        above_gamma = {w for w in gamma if w.contains_subspace(u) and w.dim > u.dim}
+        above_gamma = {w for w in gamma if w.dim > u.dim and u.point_mask & ~w.point_mask == 0}
         if set(above_prev[u]) != above_gamma and bad_above is None:
             bad_above = u
-        below_y0 = {w for w in y0_set if u.contains_subspace(w) and w.dim < u.dim}
+        below_y0 = {w for w in y0_set if w.dim < u.dim and w.point_mask & ~u.point_mask == 0}
         if set(below_prev[u]) != below_y0 and bad_below is None:
             bad_below = u
         if bad_delta is None:
@@ -400,13 +402,18 @@ def _delta_comparison(state: FiltrationState, u: Subspace, below_y0) -> str | No
     if u.contains_subspace(p):
         return None  # <p,W> <= U for W < U; nothing to restrict
     try:
-        if any(not s.members_below(u) for s in state.family.specs):
-            # Lemma's hypothesis fails (empty residue); the literal set must
-            # then also be computable directly, nothing to compare against.
-            return None
         fam = delta_restriction(state.family, p, u)
         got = set(vertices(fam).members)
+    except EmptyResidueError:
+        # Lemma's hypothesis fails (empty residue); the literal set must
+        # then also be computable directly, nothing to compare against.
+        return None
     except Exception as exc:  # recorded, not raised: negative controls land here
+        # delta_restriction stops at the first failing spec, so the residues
+        # of the specs after it are still unchecked; an empty one waives the
+        # comparison as above
+        if not all(s.has_member_below(u) for s in state.family.specs):
+            return None
         return f"U = {u.basis}: delta_restriction failed: {exc}"
     if got != below_y0:
         diff = {w.basis for w in got ^ below_y0}

@@ -7,6 +7,16 @@ A subspace is stored as its reduced row-echelon basis, which is the unique
 canonical basis, so two subspaces are equal iff their stored bases are
 identical.  All values are immutable and all operations pure.
 
+Containment has two forms.  ``contains_subspace`` reduces the other basis
+against this one, which suits one-off checks.  ``point_mask`` is the bitmask
+of a subspace's projective points, built once per subspace, so that
+a ⊆ b iff ``a.point_mask & ~b.point_mask == 0``; scans that test many pairs
+(order complexes, the filtration's below and above sets) use the masks.
+A point is represented by its normalized vector, the one whose first nonzero
+coordinate is 1, and its bit is that vector's base-q value with coordinate 0
+least significant, so masks of different subspaces of one ambient space
+agree bit for bit.
+
 Canonical vector enumeration counts coordinate 0 as the least significant
 base-q digit, so (1,0,...,0) is the first nonzero vector.
 """
@@ -14,8 +24,10 @@ base-q digit, so (1,0,...,0) is the first nonzero vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from math import prod
+from operator import mul
 
 from .field import Field
 
@@ -90,7 +102,12 @@ def solve_coordinates(field: Field, rows, vec) -> tuple[int, ...] | None:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of F_q^ambient in canonical reduced-echelon basis form."""
+    """A subspace of F_q^ambient in canonical reduced-echelon basis form.
+
+    ``point_mask`` holds one bit per projective point of the subspace: bit
+    sum(v_j * q**j) for the normalized vector v of the point (first nonzero
+    coordinate 1).  The zero subspace has mask 0.
+    """
 
     field: Field
     ambient: int
@@ -164,6 +181,27 @@ class Subspace:
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check_compatible(other)
         return all(self.contains(r) for r in other.basis)
+
+    @cached_property
+    def point_mask(self) -> int:
+        """Bitmask of the projective points, built on first use.
+
+        The normalized vectors are the combinations of the echelon rows whose
+        first nonzero coefficient is 1: row i plus any combination of the
+        rows after it, which vanish up to the leading 1 of row i."""
+        f = self.field
+        weights = [f.q**j for j in range(self.ambient)]
+        rows = self.basis
+        later = [(0,) * self.ambient]  # the span of the rows after row i
+        mask = 0
+        for i in reversed(range(len(rows))):
+            points = [tuple(map(f.add, rows[i], v)) for v in later]
+            for p in points:
+                mask |= 1 << sum(map(mul, p, weights))
+            if i:
+                multiples = [[f.mul(c, x) for x in rows[i]] for c in range(2, f.q)]
+                later += points + [tuple(map(f.add, m, v)) for m in multiples for v in later]
+        return mask
 
     def _check_compatible(self, other: "Subspace") -> None:
         if self.ambient != other.ambient or self.field != other.field:

@@ -140,14 +140,11 @@ class PhanSpec:
     def members(self) -> tuple[Subspace, ...]:
         return _members_of(self)
 
-    def members_below(self, u: Subspace) -> list[Subspace]:
-        """Members strictly below u (the residue vertex set, literally)."""
-        out = []
-        for k in range(1, u.dim):
-            for s in enumerate_subspaces_of(u, k):
-                if self.is_member(s):
-                    out.append(s)
-        return out
+    def has_member_below(self, u: Subspace) -> bool:
+        """Whether some member lies strictly below u (a non-empty residue);
+        stops at the first one found."""
+        return any(self.is_member(s)
+                   for k in range(1, u.dim) for s in enumerate_subspaces_of(u, k))
 
 
 @lru_cache(maxsize=1024)
@@ -427,7 +424,7 @@ def delta_restriction(family: PhanFamily, p: Subspace, u: Subspace,
             raise DegeneratePivotError(
                 f"pivot is degenerate for the top form of spec {j}"
             )
-        if not spec.members_below(u):
+        if not spec.has_member_below(u):
             raise EmptyResidueError(f"spec {j} has an empty residue below the member")
         for candidate in (residue_below(spec, u),
                           _lemma49_spec(spec, p, u, unit_scalar, branches)):

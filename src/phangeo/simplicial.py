@@ -15,7 +15,7 @@ operations return new complexes.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, groupby
 
 from .linalg import Subspace
 
@@ -32,14 +32,19 @@ __all__ = [
 
 def _maximalize(simps):
     """Inclusion-maximal members of a collection of non-empty frozensets.
-    A set is compared only with the kept sets through its least element."""
-    through = {}  # vertex -> kept sets containing it
+    Distinct sets of equal size never contain each other, so a set is
+    compared only with the strictly larger kept sets through its least
+    element; the largest sets, such as all facets of a pure complex, need
+    no comparison."""
+    through = {}  # vertex -> kept sets through it, all larger than the group
     out = []
-    for s in sorted(set(simps), key=len, reverse=True):
-        if not any(s <= t for t in through.get(min(s), ())):
-            out.append(s)
-            for v in s:
-                through.setdefault(v, []).append(s)
+    kept = []
+    for _, group in groupby(sorted(set(simps), key=len, reverse=True), key=len):
+        for t in kept:
+            for v in t:
+                through.setdefault(v, []).append(t)
+        kept = [s for s in group if not any(s <= t for t in through.get(min(s), ()))]
+        out.extend(kept)
     return out
 
 
@@ -132,27 +137,32 @@ def _restrict(k: SimplicialComplex, facets) -> SimplicialComplex:
 
 def order_complex(subspaces) -> SimplicialComplex:
     """The complex whose simplices are the inclusion-chains of the given
-    subspaces; facets are the maximal chains."""
+    subspaces; facets are the maximal chains.
+
+    Containment is read from the point masks (``Subspace.point_mask``).  The
+    strict successors of a member are the other members whose masks hold its
+    mask, looked for among the members through its lowest point; the zero
+    subspace, with mask 0, lies below every other member.  Its covers are
+    the successors above no other successor, and the maximal chains run
+    along covers from the minimal members."""
     verts = sorted(set(subspaces), key=Subspace.sort_key)
     n = len(verts)
-    succ = [[] for _ in range(n)]  # strict containments, ordered by dim
-    for i, a in enumerate(verts):
-        for j, b in enumerate(verts):
-            if a.dim < b.dim and b.contains_subspace(a):
-                succ[i].append(j)
-    has_pred = [False] * n
-    for i in range(n):
-        for j in succ[i]:
-            has_pred[j] = True
-    covers = [[] for _ in range(n)]
-    for i in range(n):
-        si = succ[i]
-        for j in si:
-            if not any(
-                verts[k].dim < verts[j].dim and verts[j].contains_subspace(verts[k])
-                for k in si
-            ):
-                covers[i].append(j)
+    masks = [v.point_mask for v in verts]
+    through: dict[int, list[int]] = {}  # point bit -> members through it
+    for j, m in enumerate(masks):
+        while m:
+            low = m & -m
+            through.setdefault(low.bit_length(), []).append(j)
+            m ^= low
+    succ = []  # strict containments, in vertex order
+    for i, m in enumerate(masks):
+        candidates = through[(m & -m).bit_length()] if m else range(n)
+        succ.append([j for j in candidates if j != i and m & ~masks[j] == 0])
+    covers = []
+    for si in succ:
+        above = set().union(*(succ[k] for k in si))
+        covers.append([j for j in si if j not in above])
+    non_minimal = set().union(*succ)
     facets = []
 
     def extend(chain):
@@ -164,7 +174,7 @@ def order_complex(subspaces) -> SimplicialComplex:
             extend(chain + [j])
 
     for i in range(n):
-        if not has_pred[i]:
+        if i not in non_minimal:
             extend([i])
     return SimplicialComplex(verts, facets)
 

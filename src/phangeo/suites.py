@@ -439,7 +439,7 @@ def run_delta_suite(geometries=None, families=None,
             for u in gamma:
                 if u.contains_subspace(p):
                     continue
-                if any(not s.members_below(u) for s in family.specs):
+                if not all(s.has_member_below(u) for s in family.specs):
                     continue
                 branches: list[str] = []
                 try:

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from math import gcd
 
 import pytest
 
@@ -13,6 +14,58 @@ def naive_smith(rows: list[list[int]]) -> list[int]:
     package engines: repeatedly move a minimal-magnitude entry to the pivot,
     shrink remainders until the pivot divides its row and column, clear
     them, and finally redistribute the diagonal into invariant factors."""
+    return _divisor_chain(_textbook_diagonal(rows, lambda x: x))
+
+
+def modular_smith(rows: list[list[int]]) -> list[int]:
+    """Smith normal form modulo a determinantal multiple, with entries
+    bounded by it (Kannan & Bachem, SIAM J. Comput. 1979; Cohen, GTM 138,
+    section 2.4).
+
+    Fraction-free (Bareiss) elimination gives the rank r and the determinant
+    M of a nonsingular r x r minor.  The product of the first r invariant
+    factors is the gcd of all r x r minors, so each of them divides M.  The
+    textbook elimination then runs over Z/M, every entry reduced to
+    (-M/2, M/2]; a diagonal entry e stands for gcd(e, M) there, since the
+    two are associates in Z/M, and the invariant factors over Z/M are the
+    integer ones reduced: d_1, ..., d_r, then M for each zero one.  The
+    first r of the divisor chain are the answer."""
+    rank, det = _bareiss_rank_and_minor(rows)
+    if rank == 0:
+        return []
+    half = det // 2
+
+    def reduce(x):
+        x %= det
+        return x - det if x > half else x
+
+    diag = _textbook_diagonal([[reduce(x) for x in row] for row in rows], reduce)
+    return (_divisor_chain([gcd(e, det) for e in diag]) + [det] * rank)[:rank]
+
+
+def _bareiss_rank_and_minor(rows) -> tuple[int, int]:
+    """Rank r and |det| of a nonsingular r x r minor (the pivot rows and
+    columns), by fraction-free row elimination; every division is exact."""
+    a = [list(r) for r in rows]
+    ncols = len(a[0]) if a else 0
+    prev, r = 1, 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        p, top = a[r][c], a[r]
+        for i in range(r + 1, len(a)):
+            f = a[i][c]
+            a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], top)]
+        prev = p
+        r += 1
+    return r, abs(prev)
+
+
+def _textbook_diagonal(rows, reduce) -> list[int]:
+    """The nonzero diagonal of the textbook elimination, reducing every entry
+    an operation produces with ``reduce``."""
     a = [list(r) for r in rows]
     m = len(a)
     n = len(a[0]) if a else 0
@@ -35,7 +88,7 @@ def naive_smith(rows: list[list[int]]) -> list[int]:
             for i in range(t + 1, m):
                 if a[i][t] % a[t][t] != 0:
                     q = a[i][t] // a[t][t]
-                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+                    a[i] = [reduce(x - q * y) for x, y in zip(a[i], a[t])]
                     a[t], a[i] = a[i], a[t]
                     changed = True
                     break
@@ -45,7 +98,7 @@ def naive_smith(rows: list[list[int]]) -> list[int]:
                 if a[t][j] % a[t][t] != 0:
                     q = a[t][j] // a[t][t]
                     for row in a:
-                        row[j] -= q * row[t]
+                        row[j] = reduce(row[j] - q * row[t])
                     for row in a:
                         row[t], row[j] = row[j], row[t]
                     changed = True
@@ -55,17 +108,21 @@ def naive_smith(rows: list[list[int]]) -> list[int]:
         for i in range(t + 1, m):
             q = a[i][t] // a[t][t]
             if q:
-                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+                a[i] = [reduce(x - q * y) for x, y in zip(a[i], a[t])]
         for j in range(t + 1, n):
             q = a[t][j] // a[t][t]
             if q:
                 for row in a:
-                    row[j] -= q * row[t]
+                    row[j] = reduce(row[j] - q * row[t])
         diag.append(abs(a[t][t]))
         t += 1
-    from math import gcd
+    return diag
 
-    ds = sorted(d for d in diag if d)
+
+def _divisor_chain(diag: list[int]) -> list[int]:
+    """Redistribute positive diagonal entries into invariant factors, each
+    dividing the next, by pairwise gcd/lcm exchanges."""
+    ds = sorted(diag)
     changed = True
     while changed:
         changed = False
@@ -77,6 +134,30 @@ def naive_smith(rows: list[list[int]]) -> list[int]:
                     changed = True
         ds.sort()
     return ds
+
+
+def chain_facets(subspaces) -> frozenset:
+    """The maximal inclusion-chains of the given subspaces, as sets, found
+    with ``contains_subspace`` alone: every chain from a minimal member to a
+    maximal one in which no member lies strictly between two consecutive
+    ones."""
+    verts = list(set(subspaces))
+    up = {a: {b for b in verts if b != a and b.contains_subspace(a)} for a in verts}
+    down = {b: {a for a in verts if b in up[a]} for b in verts}
+    out = set()
+
+    def extend(chain):
+        last = chain[-1]
+        tops = [b for b in up[last] if not up[last] & down[b]]
+        if not tops:
+            out.add(frozenset(chain))
+        for b in tops:
+            extend(chain + [b])
+
+    for a in verts:
+        if not down[a]:
+            extend([a])
+    return frozenset(out)
 
 
 def random_hermitian_gram(rng: random.Random, field: Field, k: int):

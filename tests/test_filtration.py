@@ -120,6 +120,11 @@ def test_negative_control_fails_with_witness():
     witnesses = [c.witness for s in rep.stages for c in s.checks if not c.passed]
     witnesses += [c.witness for c in rep.y0 if not c.passed]
     assert witnesses and any(w for w in witnesses)
+    # the last stage adds the points, which have no member below them: the
+    # empty residue waives the restricted-family comparison, although
+    # delta_restriction refuses the degenerate pivot before it looks
+    last = {c.name: c.passed for c in rep.stages[-1].checks}
+    assert rep.stages[-1].new_vertex_count and last["below_sets_match_restricted_family"]
 
 
 def test_verification_matches_direct_homology_chamber():
@@ -141,3 +146,16 @@ def test_verification_reduces_each_complex_once(homology_calls):
     family, _ = load_family(str(SPECS / "t0_q5_dim3.json"))
     assert run_verification(family).passed
     assert homology_calls and set(homology_calls.values()) == {1}
+
+
+def test_f3_4_stage_set_checks():
+    """n = 3, where the below and above sets of a new plane hold lines as
+    well as points.  F_3^4 lies outside the bound (2^3 > 3): the set
+    identities and the restricted-family comparison hold at every stage,
+    while sphericity at stage 1 and the rank balance at stage 3 fail."""
+    rep = run_verification(PhanFamily((standard_spec(F3, 4),)))
+    assert rep.level_sizes == [91, 106, 130, 138]
+    assert [s.boundary_rank_sum for s in rep.stages] == [25, 0, 56]
+    assert (rep.predicted_spheres, rep.direct_spheres) == (81, 69)
+    failed = {(s.stage, c.name) for s in rep.stages for c in s.checks if not c.passed}
+    assert failed == {(1, "star_boundary_sphericity"), (3, "mayer_vietoris_rank_balance")}

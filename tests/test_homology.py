@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phangeo.field import make_field
@@ -18,7 +18,7 @@ from phangeo.simplicial import SimplicialComplex, order_complex
 from phangeo.suites import chamber_spec, standard_spec
 from phangeo.phan import PhanFamily, vertices
 
-from conftest import join, multiply, naive_smith
+from conftest import join, modular_smith, multiply, naive_smith
 
 F3 = make_field(3, 1)
 F5 = make_field(5, 1)
@@ -221,6 +221,19 @@ def test_snf_agrees_with_naive_oracle(rng):
     st.lists(st.integers(-4, 4), min_size=nc, max_size=nc), min_size=1, max_size=8)))
 def test_snf_property_against_naive_oracle(rows):
     assert smith_invariant_factors(_matrix(rows)) == naive_smith(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10).flatmap(lambda nc: st.lists(
+    st.lists(st.integers(-6, 6), min_size=nc, max_size=nc), min_size=1, max_size=10)))
+@example([[0, 0], [0, 0]])
+@example([[3]])  # M = 3, so the reduced matrix is zero
+@example([[2, 0], [0, 4]])
+@example([[6, 0, 0], [0, 10, 0], [0, 0, 0]])
+def test_modular_oracle_matches_naive_oracle(rows):
+    """The tier-1 oracle modulo a determinantal multiple against the
+    unbounded textbook elimination, on matrices up to 10 x 10."""
+    assert modular_smith(rows) == naive_smith(rows)
 
 
 def test_snf_known_values():

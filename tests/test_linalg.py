@@ -194,3 +194,32 @@ def test_subspaces_of_a_subspace():
     assert len(pts) == 4  # q+1 points of a plane
     for p in pts:
         assert s.contains_subspace(p) and p.dim == 1
+
+
+def _subspaces_of_f_q_3(field):
+    return [s for k in range(4) for s in la.enumerate_subspaces(field, 3, k)]
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (3, 2)])
+def test_point_mask_is_the_set_of_normalized_points(p, e):
+    """Bit sum(v_j q^j) for each nonzero vector whose first nonzero
+    coordinate is 1; q = 4 and q = 9 exercise the non-prime encodings."""
+    field = make_field(p, e)
+    q = field.q
+    subs = _subspaces_of_f_q_3(field)
+    assert len(subs) == 2 + 2 * (q**2 + q + 1)
+    for s in subs:
+        expected = 0
+        for v in s.vectors():
+            if any(v) and next(x for x in v if x) == 1:
+                expected |= 1 << sum(x * q**j for j, x in enumerate(v))
+        assert s.point_mask == expected
+        assert bin(s.point_mask).count("1") == (q**s.dim - 1) // (q - 1)
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (3, 2)])
+def test_mask_containment_matches_contains_subspace(p, e):
+    subs = _subspaces_of_f_q_3(make_field(p, e))
+    for a in subs:
+        for b in subs:
+            assert (a.point_mask & ~b.point_mask == 0) == b.contains_subspace(a)

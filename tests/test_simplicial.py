@@ -1,4 +1,6 @@
+import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,13 +18,16 @@ from phangeo.simplicial import (
     purity_and_dimension,
     star_closure,
 )
+from phangeo.specfile import load_family
 from phangeo.suites import standard_spec
 from phangeo.phan import PhanFamily, vertices
 
-from conftest import join
+from conftest import chain_facets, join
 
+F2 = make_field(2, 1)
 F3 = make_field(3, 1)
 F5 = make_field(5, 1)
+SPECS = Path(__file__).resolve().parent.parent / "specs"
 
 
 def test_constructor_maximalizes_and_covers_vertices():
@@ -59,6 +64,47 @@ def test_order_complex_antichain_and_chain():
 def _subs(field, dim, k):
     from phangeo.linalg import enumerate_subspaces
     return list(enumerate_subspaces(field, dim, k))
+
+
+def _check_against_chain_oracle(subspaces):
+    k = order_complex(subspaces)
+    assert set(k.vertices) == set(subspaces)
+    assert k.facet_sets() == chain_facets(subspaces)
+    return k
+
+
+@pytest.mark.parametrize("path", sorted(SPECS.glob("*.json")), ids=lambda p: p.stem)
+def test_order_complex_matches_chain_oracle_on_bundled_specs(path):
+    family, _ = load_family(str(path))
+    _check_against_chain_oracle(vertices(family).members)
+
+
+def test_order_complex_matches_chain_oracle_on_f3_4():
+    k = _check_against_chain_oracle(vertices(PhanFamily((standard_spec(F3, 4),))).members)
+    assert k.face_counts() == [138, 648, 576]
+
+
+def test_order_complex_with_zero_and_full_subspace():
+    """The zero subspace (mask 0) lies below, the full one above, every
+    other member; both are cone points of every maximal chain."""
+    rng = random.Random(2024)
+    zero, full = Subspace.zero(F3, 3), Subspace.full(F3, 3)
+    middle = rng.sample(_subs(F3, 3, 1), 6) + rng.sample(_subs(F3, 3, 2), 6)
+    k = _check_against_chain_oracle([zero, full] + middle)
+    assert all({zero, full} <= f for f in k.facet_sets())
+    everything = [s for d in range(4) for s in _subs(F2, 3, d)]
+    k = _check_against_chain_oracle(everything)
+    assert len(k.facets) == 7 * 3  # flags of F_2^3: points times lines through each
+
+
+def test_order_complex_ignores_input_order():
+    members = list(vertices(PhanFamily((standard_spec(F5, 3),))).members)
+    members += [Subspace.zero(F5, 3), Subspace.full(F5, 3)]
+    k = order_complex(members)
+    shuffled = members + members[:5]  # repeated members count once
+    random.Random(7).shuffle(shuffled)
+    k2 = _check_against_chain_oracle(shuffled)
+    assert k2.vertices == k.vertices and k2.facets == k.facets
 
 
 def test_order_complex_of_phan_geometry_is_pure():
