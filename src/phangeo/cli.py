@@ -170,10 +170,7 @@ def cmd_cm(args) -> int:
     bound = _gate_bound(family, args.force)
     t0 = time.perf_counter()
     verts, complex_, stats = _geometry_stats(family)
-    try:
-        cm = cohen_macaulay_check(complex_, check_pi1=args.pi1)
-    except ValueError as exc:
-        _die(str(exc))
+    cm = cohen_macaulay_check(complex_, check_pi1=args.pi1)
     doc = _base_report("cm-check", digest, bound)
     doc["geometry"] = stats
     doc["cm"] = {

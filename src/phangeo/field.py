@@ -240,9 +240,6 @@ class Field:
             raise ZeroDivisionError(f"inversion of zero in F_{self.q}")
         return self._inv[a]
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, k: int) -> int:
         if a == 0:
             return 0 if k > 0 else 1

@@ -97,9 +97,6 @@ class HermitianForm:
             raise ValueError("vector outside the domain of the form")
         return self._eval_coords(cx, cy)
 
-    def is_isotropic(self, x) -> bool:
-        return self.evaluate(x, x) == 0
-
     # -- restriction, radical, perp -------------------------------------------
 
     def restrict(self, s: Subspace) -> "HermitianForm":

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from math import gcd
 
-from .simplicial import SimplicialComplex, link, purity_and_dimension
+from .simplicial import SimplicialComplex, link
 
 __all__ = [
     "IntegerMatrix",
@@ -294,10 +294,10 @@ class CMReport:
 def cohen_macaulay_check(k: SimplicialComplex, check_pi1: bool = False) -> CMReport:
     """Check that the link of every simplex (the empty one included, read as
     the complex itself) is spherical at the homology level in the forced
-    dimension dim(K) - |s|; links of facets must be empty."""
-    pure, d = purity_and_dimension(k)
-    if not pure:
-        raise ValueError("Cohen-Macaulay check requires a pure complex")
+    dimension dim(K) - |s|; links of facets must be empty.  A non-pure
+    complex fails: the link of a facet below the top dimension is empty but
+    must be spherical."""
+    d = k.dim
     simplices = [()]
     for j in range(d + 1):
         simplices.extend(k.simplices(j))

@@ -44,7 +44,6 @@ __all__ = [
     "residue_below",
     "residue_above",
     "delta_restriction",
-    "bound_satisfied",
     "bound_report",
     "family_bound_report",
 ]
@@ -157,11 +156,6 @@ def _members_of(spec: PhanSpec) -> tuple[Subspace, ...]:
     return tuple(sorted(out, key=Subspace.sort_key))
 
 
-def bound_satisfied(n: int, q: int, m: int, sigma_order: int) -> bool:
-    ok, _, _, _ = _bound_parts(n, q, m, sigma_order)
-    return ok
-
-
 def _bound_parts(n: int, q: int, m: int, sigma_order: int):
     if sigma_order == 1:
         lhs = 2**n * m
@@ -268,10 +262,12 @@ class GeometryVertexSet:
 
 
 def vertices(family: PhanFamily) -> GeometryVertexSet:
-    """All subspaces belonging to every spec of the family, exhaustively."""
-    member_sets = [set(s.members()) for s in family.specs]
-    common = set.intersection(*member_sets)
-    return GeometryVertexSet(family, tuple(sorted(common, key=Subspace.sort_key)))
+    """All subspaces belonging to every spec of the family: the members of
+    the first spec (enumerated exhaustively, cached per spec) that every
+    other spec accepts."""
+    first, *rest = family.specs
+    return GeometryVertexSet(family, tuple(u for u in first.members()
+                                           if all(s.is_member(u) for s in rest)))
 
 
 def residue_below(spec: PhanSpec, u: Subspace) -> PhanSpec:

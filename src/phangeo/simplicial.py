@@ -95,11 +95,19 @@ class SimplicialComplex:
 
     def simplices(self, k: int) -> list[tuple[int, ...]]:
         """All k-simplices as sorted index tuples, in sorted order."""
-        return sorted({c for f in self.facets if len(f) > k for c in combinations(f, k + 1)})
+        return sorted(self._faces(k))
+
+    def _faces(self, k: int) -> set[tuple[int, ...]]:
+        return {c for f in self.facets if len(f) > k for c in combinations(f, k + 1)}
 
     def face_counts(self) -> list[int]:
-        """Number of k-simplices for k = 0..dim."""
-        return [len(self.simplices(k)) for k in range(self.dim + 1)]
+        """Number of k-simplices for k = 0..dim.  Every top simplex is a
+        facet, so the top count is read off the facets."""
+        top = self.dim
+        counts = [len(self._faces(k)) for k in range(top)]
+        if top >= 0:
+            counts.append(sum(len(f) == top + 1 for f in self.facets))
+        return counts
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * c for k, c in enumerate(self.face_counts()))
@@ -212,16 +220,16 @@ def purity_and_dimension(k: SimplicialComplex) -> tuple[bool, int]:
 
 def intersect_complexes(k1: SimplicialComplex, k2: SimplicialComplex) -> SimplicialComplex:
     """The subcomplex of simplices common to both, vertices matched by label,
-    on k1's vertex order."""
-    index1 = {v: i for i, v in enumerate(k1.vertices)}
-    to1 = [index1.get(v) for v in k2.vertices]
-    gs = [frozenset(to1[v] for v in g if to1[v] is not None) for g in k2.facets]
+    on k1's vertex order.  Each facet of k1 meets only the facets of k2
+    through one of its vertices."""
+    index2 = {v: i for i, v in enumerate(k2.vertices)}
+    to2 = [index2.get(v) for v in k1.vertices]
+    facets2, lists = k2.facets, k2.facets_through
     inters = []
     for f in k1.facets:
-        for g in gs:
-            cut = g.intersection(f)
-            if cut:
-                inters.append(cut)
+        shared = {to2[v]: v for v in f if to2[v] is not None}  # k2 index -> k1 index
+        for g in {i for w in shared for i in lists[w]}:
+            inters.append(frozenset(shared[w] for w in facets2[g] if w in shared))
     return _restrict(k1, inters)
 
 

@@ -38,7 +38,6 @@ __all__ = [
     "family_to_dict",
     "dump_family",
     "canonical_json",
-    "file_digest",
     "REPORT_SCHEMA_VERSION",
 ]
 
@@ -182,8 +181,3 @@ def dump_family(family: PhanFamily, path: str) -> None:
 
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
-def file_digest(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()

@@ -366,11 +366,13 @@ def run_residue_suite(geometries=None, families=None) -> SuiteResult:
         members = spec.members()
         member_set = set(members)
         for u in members:
-            below_lit = {x for x in member_set if u.contains_subspace(x) and x.dim < u.dim}
+            below_lit = {x for x in member_set
+                         if x.dim < u.dim and x.point_mask & ~u.point_mask == 0}
             got_below = set(residue_below(spec, u).members())
             if got_below != below_lit:
                 res.failures.append(f"[{name}] below mismatch at U={u.basis}")
-            above_lit = {x for x in member_set if x.contains_subspace(u) and x.dim > u.dim}
+            above_lit = {x for x in member_set
+                         if x.dim > u.dim and u.point_mask & ~x.point_mask == 0}
             above_spec, quot = residue_above(spec, u)
             lifted = {quot.lift_subspace(x) for x in above_spec.members()}
             if lifted != above_lit:
@@ -379,14 +381,14 @@ def run_residue_suite(geometries=None, families=None) -> SuiteResult:
     for name, family in (families if families is not None else family_geometries()):
         common = set(vertices(family).members)
         for u in sorted(common, key=Subspace.sort_key):
-            below_lit = {x for x in common if u.contains_subspace(x) and x.dim < u.dim}
+            below_lit = {x for x in common if x.dim < u.dim and x.point_mask & ~u.point_mask == 0}
             inter_below = None
             for spec in family.specs:
                 got = set(residue_below(spec, u).members())
                 inter_below = got if inter_below is None else inter_below & got
             if inter_below != below_lit:
                 res.failures.append(f"[{name}] family below mismatch at U={u.basis}")
-            above_lit = {x for x in common if x.contains_subspace(u) and x.dim > u.dim}
+            above_lit = {x for x in common if x.dim > u.dim and u.point_mask & ~x.point_mask == 0}
             inter_above = None
             for spec in family.specs:
                 above_spec, quot = residue_above(spec, u)

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,7 @@ F3 = make_field(3, 1)
 F4H = make_field(2, 2, 2)
 F4ID = make_field(2, 2, 1)
 F5 = make_field(5, 1)
+SPECS = Path(__file__).resolve().parent.parent / "specs"
 
 
 @pytest.fixture
@@ -105,6 +107,24 @@ def test_cm_command(tmp_path, spec_q5):
     assert main(["cm-check", "--spec", spec_q5, "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["cm"]["passed"] is True and doc["verdict"] == "pass"
+
+
+def test_cm_command_non_pure_is_a_verdict(tmp_path):
+    """t0_q4_dim3 has two isolated points beside its edges: the sweep fails
+    there and on the whole complex, and out of bound that is reported, not
+    asserted, with exit 0."""
+    out = tmp_path / "r.json"
+    spec = str(SPECS / "t0_q4_dim3.json")
+    assert main(["cm-check", "--spec", spec, "--force", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["verdict"] == "unknown" and doc["geometry"]["pure"] is False
+    cm = doc["cm"]
+    assert cm["passed"] is False and cm["simplices_checked"] == 93
+    assert [(len(f["simplex"]), f["target_dim"], f["reason"]) for f in cm["failures"]] == [
+        (0, 1, "homology not concentrated in top degree"),
+        (1, 0, "link is empty but must be 0-spherical"),
+        (1, 0, "link is empty but must be 0-spherical"),
+    ]
 
 
 def test_filtration_command_and_negative_control(tmp_path, spec_q5):

@@ -15,6 +15,7 @@ from phangeo.filtration import (
 )
 from phangeo.linalg import Subspace
 from phangeo.phan import PhanFamily, vertices
+from phangeo.simplicial import intersect_complexes, star_closure
 from phangeo.specfile import load_family
 from phangeo.suites import chamber_spec, diagonal_spec, standard_spec
 
@@ -105,6 +106,44 @@ def test_stage_reports_all_checks_present():
         "mayer_vietoris_rank_balance",
     ]
     assert rep.passed
+
+
+def _pairwise_meet_leaves_b(state, i):
+    """Check (a) as the pairwise sweep: whether the stars of two new vertices
+    share a simplex with a vertex outside Y_(i-1)."""
+    prev = set(state.levels[i - 1])
+    k, _ = state.level_complex(i)
+    new = [j for j, u in enumerate(k.vertices) if u not in prev]
+    stars = [star_closure(k, j) for j in new]
+    for a in range(len(stars)):
+        for b in range(a + 1, len(stars)):
+            meet = intersect_complexes(stars[a], stars[b])
+            if any(meet.vertices[v] not in prev for f in meet.facets for v in f):
+                return True
+    return False
+
+
+def test_star_vertex_test_agrees_with_pairwise_meet():
+    """A hand-built stage 1 that adds a member line L and a member plane
+    P ⊃ L, both outside Y_0: the edge {L, P} lies in both stars and not in
+    B, so check (a) fails with a witness naming both, as the pairwise meet
+    of the stars confirms.  On the real stages both pass."""
+    fam = PhanFamily((standard_spec(F5, 3),))
+    state = build_filtration(fam, choose_pivot(fam))
+    for i in (1, 2):
+        assert verify_stage(state, i).checks[0].passed
+        assert not _pairwise_meet_leaves_b(state, i)
+    y0 = set(state.levels[0])
+    outside = [u for u in state.geometry.members if u not in y0]
+    line, plane = next((ln, pl) for pl in outside if pl.dim == 2
+                       for ln in outside if ln.dim == 1 and pl.contains_subspace(ln))
+    stage1 = tuple(sorted(y0 | {line, plane}, key=Subspace.sort_key))
+    hand = FiltrationState(fam, state.pivot, state.geometry,
+                           (state.levels[0], stage1, state.levels[2]))
+    check = verify_stage(hand, 1).checks[0]
+    assert check.name == "pairwise_star_intersections_in_B" and not check.passed
+    assert str(line.basis) in check.witness and str(plane.basis) in check.witness
+    assert _pairwise_meet_leaves_b(hand, 1)
 
 
 def test_full_verification_small_instance():

@@ -139,9 +139,16 @@ def test_cm_single_simplex():
     assert rep.passed
 
 
-def test_cm_requires_purity():
-    with pytest.raises(ValueError):
-        cohen_macaulay_check(SimplicialComplex(range(3), [(0, 1), (2,)]))
+def test_cm_non_pure_complex_fails():
+    """A non-pure complex is a failed verdict, not an input error: the lone
+    vertex is a facet below the top dimension, so its link is empty but must
+    be 0-spherical, and the whole complex is disconnected."""
+    rep = cohen_macaulay_check(SimplicialComplex(range(3), [(0, 1), (2,)]))
+    assert not rep.passed and rep.dim == 1 and rep.simplices_checked == 5
+    assert [(f.simplex, f.target_dim, f.reason) for f in rep.failures] == [
+        ((), 1, "homology not concentrated in top degree"),
+        ((2,), 0, "link is empty but must be 0-spherical"),
+    ]
 
 
 def test_cm_failure_set_is_precise():

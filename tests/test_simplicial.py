@@ -212,19 +212,20 @@ def _covered_in_order(labels, simplices):
 
 
 @st.composite
-def _labelled_complexes(draw, pool="abcdefg"):
+def _labelled_complexes(draw, pool="abcdefg", max_facets=6):
     labels = draw(st.permutations(pool))[:draw(st.integers(0, len(pool)))]
     if not labels:
         return labels, []
     facets = draw(st.lists(st.sets(st.integers(0, len(labels) - 1), min_size=1, max_size=4),
-                           max_size=6))
+                           max_size=max_facets))
     return labels, facets
 
 
 @settings(max_examples=150, deadline=None)
-@given(_labelled_complexes(), _labelled_complexes(), st.data())
-def test_operations_match_label_oracle(c1, c2, data):
-    (labels, facets), (labels2, facets2) = c1, c2
+@given(_labelled_complexes(), _labelled_complexes(),
+       _labelled_complexes(pool="fghijklmnop", max_facets=12), st.data())
+def test_operations_match_label_oracle(c1, c2, c3, data):
+    (labels, facets), (labels2, facets2), (labels3, facets3) = c1, c2, c3
     k = SimplicialComplex(labels, facets)
     simps = _oracle(labels, facets)
     assert k.vertices == tuple(labels)
@@ -253,6 +254,12 @@ def test_operations_match_label_oracle(c1, c2, data):
     other = SimplicialComplex(labels2, facets2)
     expected = simps & _oracle(labels2, facets2)
     inter = intersect_complexes(k, other)
+    assert inter.facet_sets() == _maximal(expected)
+    assert inter.vertices == _covered_in_order(labels, expected)
+    # shares at most f and g with k, so most of its facets miss k
+    far = SimplicialComplex(labels3, facets3)
+    expected = simps & _oracle(labels3, facets3)
+    inter = intersect_complexes(k, far)
     assert inter.facet_sets() == _maximal(expected)
     assert inter.vertices == _covered_in_order(labels, expected)
 
