@@ -28,7 +28,6 @@ from .specfile import (
     canonical_json,
     load_family,
 )
-from .suites import run_all_suites
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -258,6 +257,10 @@ def cmd_bounds_table(args) -> int:
 
 
 def cmd_lemma_tests(args) -> int:
+    # imported here: no other command needs the suites' generators, and
+    # every command is a fresh process that would otherwise load them
+    from .suites import run_all_suites
+
     t0 = time.perf_counter()
     results = run_all_suites(seed=args.seed, count=args.count)
     doc = {

@@ -1,12 +1,13 @@
 """Sigma-hermitian forms: evaluation, radicals, perpendicular spaces,
-restriction, extension of a flag's forms to the whole space, the projection
-form onto the perp of a non-degenerate point, and non-isotropic searches.
+restriction, extension of a flag's forms to the whole space, and the
+projection form onto the perp of a non-degenerate point.
 
 A form is stored as the Gram matrix over the canonical (reduced-echelon)
-basis of its domain subspace, so restriction is Gram compression and a
-radical is a matrix kernel.  Hermitian symmetry G[j][i] == sigma(G[i][j]) is
-enforced at construction; evaluation is sigma-sesquilinear in the second
-argument: w(a*x, b*y) = a * sigma(b) * w(x, y).
+basis of its domain subspace, so restriction is Gram compression, a radical
+is a matrix kernel, and non-degeneracy on a subspace is full rank of the
+compressed Gram matrix, with no radical built.  Hermitian symmetry
+G[j][i] == sigma(G[i][j]) is enforced at construction; evaluation is
+sigma-sesquilinear in the second argument: w(a*x, b*y) = a * sigma(b) * w(x, y).
 """
 
 from __future__ import annotations
@@ -32,9 +33,6 @@ __all__ = [
     "NoNonisotropicVectorError",
     "extend_forms",
     "project_form",
-    "find_nonisotropic_pair",
-    "count_isotropic_points",
-    "unit_form",
 ]
 
 
@@ -99,14 +97,19 @@ class HermitianForm:
 
     # -- restriction, radical, perp -------------------------------------------
 
-    def restrict(self, s: Subspace) -> "HermitianForm":
-        if not self.domain.contains_subspace(s):
-            raise ValueError("restriction target is not contained in the domain")
+    def _gram_on(self, s: Subspace) -> tuple[tuple[int, ...], ...]:
+        """The Gram matrix over the canonical basis of s, a subspace of the
+        domain."""
+        self.domain._check_compatible(s)
         coords = [self.domain.coordinates(r) for r in s.basis]
-        gram = tuple(
+        if None in coords:
+            raise ValueError("restriction target is not contained in the domain")
+        return tuple(
             tuple(self._eval_coords(ca, cb) for cb in coords) for ca in coords
         )
-        return HermitianForm(self.field, s, gram)
+
+    def restrict(self, s: Subspace) -> "HermitianForm":
+        return HermitianForm(self.field, s, self._gram_on(s))
 
     def radical(self, restricted_to: Subspace | None = None) -> Subspace:
         """{x in S : w(x, y) = 0 for all y in S}, computed as a kernel."""
@@ -127,7 +130,10 @@ class HermitianForm:
         return Subspace.span(f, s.ambient, vecs)
 
     def is_nondegenerate(self, s: Subspace | None = None) -> bool:
-        return self.radical(s).dim == 0
+        """Whether the radical on s (default: the domain) is zero, that is,
+        whether the Gram matrix there has full rank."""
+        gram = self.gram if s is None else self._gram_on(s)
+        return len(rref(self.field, gram)) == len(gram)
 
     def perp(self, s: Subspace) -> Subspace:
         """{x in domain : w(x, y) = 0 for all y in S}."""
@@ -162,13 +168,6 @@ class HermitianForm:
             if self._eval_coords(c, c) != 0:
                 return True
         return False
-
-
-def unit_form(s: Subspace) -> HermitianForm:
-    """The form with identity Gram matrix on the given subspace."""
-    k = s.dim
-    gram = tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k))
-    return HermitianForm(s.field, s, gram)
 
 
 def extend_forms(flag: Flag, forms, p: Subspace, complement_policy=None):
@@ -250,48 +249,3 @@ def project_form(form: HermitianForm, p: Subspace) -> HermitianForm:
         for r in range(len(basis))
     )
     return HermitianForm(f, form.domain, gram)
-
-
-def find_nonisotropic_pair(forms):
-    """Two linearly independent vectors non-isotropic for every listed form,
-    by exhaustive search in the canonical vector order; None if no pair
-    exists."""
-    forms = list(forms)
-    if not forms:
-        raise ValueError("need at least one form")
-    dom = forms[0].domain
-    if any(w.domain != dom for w in forms):
-        raise ValueError("forms must share a common domain")
-    first = None
-    for v in dom.vectors():
-        if not any(v):
-            continue
-        if all(w.evaluate(v, v) != 0 for w in forms):
-            first = v
-            break
-    if first is None:
-        return None
-    span_first = Subspace.span(dom.field, dom.ambient, [first])
-    for v in dom.vectors():
-        if not any(v) or span_first.contains(v):
-            continue
-        if all(w.evaluate(v, v) != 0 for w in forms):
-            return (first, v)
-    return None
-
-
-def count_isotropic_points(form: HermitianForm, s: Subspace) -> int:
-    """Number of isotropic one-dimensional subspaces of a two-dimensional s."""
-    if s.dim != 2:
-        raise ValueError("isotropic point count is defined on planes (dim 2)")
-    restricted = form.restrict(s)
-    count = 0
-    q = form.field.q
-    # the q+1 points of s: <s_0 + c*s_1> for each c, and <s_1>
-    for c in range(q):
-        coords = (1, c)
-        if restricted._eval_coords(coords, coords) == 0:
-            count += 1
-    if restricted._eval_coords((0, 1), (0, 1)) == 0:
-        count += 1
-    return count

@@ -15,7 +15,11 @@ a ⊆ b iff ``a.point_mask & ~b.point_mask == 0``; scans that test many pairs
 A point is represented by its normalized vector, the one whose first nonzero
 coordinate is 1, and its bit is that vector's base-q value with coordinate 0
 least significant, so masks of different subspaces of one ambient space
-agree bit for bit.
+agree bit for bit.  The masks also give intersection dimensions
+(``meet_dim``): a d-dimensional subspace has (q^d - 1)/(q - 1) points, so
+dim(a ∩ b) is read off the popcount of ``a.point_mask & b.point_mask``.
+Transversality to a flag reads masks only, and so do the ambient and k_U
+tests of the membership predicate in :mod:`phangeo.phan`.
 
 Canonical vector enumeration counts coordinate 0 as the least significant
 base-q digit, so (1,0,...,0) is the first nonzero vector.
@@ -26,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from math import prod
 from operator import mul
 
 from .field import Field
@@ -36,7 +39,6 @@ __all__ = [
     "rref", "nullspace", "solve_coordinates",
     "is_transversal", "complement", "project", "quotient",
     "enumerate_vectors", "enumerate_subspaces", "enumerate_subspaces_of",
-    "gaussian_binomial",
 ]
 
 
@@ -203,6 +205,18 @@ class Subspace:
                 later += points + [tuple(map(f.add, m, v)) for m in multiples for v in later]
         return mask
 
+    def meet_dim(self, other: "Subspace") -> int:
+        """dim(self ∩ other), from the number of points the two masks share:
+        a d-dimensional subspace has c_d = 1 + q + ... + q^(d-1) points, and
+        c_(d-1) = (c_d - 1)/q."""
+        self._check_compatible(other)
+        count = (self.point_mask & other.point_mask).bit_count()
+        d = 0
+        while count:
+            count = (count - 1) // self.field.q
+            d += 1
+        return d
+
     def _check_compatible(self, other: "Subspace") -> None:
         if self.ambient != other.ambient or self.field != other.field:
             raise ValueError("subspaces live in different ambient spaces")
@@ -286,13 +300,12 @@ class Flag:
 
 
 def is_transversal(a: Subspace, flag: Flag) -> bool:
-    """True iff for every member B of the flag, a∩B = 0 or a+B = top."""
+    """True iff for every member B of the flag, a∩B = 0 or a+B = top, with
+    dim(a+B) = dim a + dim B - dim(a∩B) and dim(a∩B) from the point masks."""
     top_dim = flag.top.dim
-    f = a.field
     for b in flag.members:
-        s = len(rref(f, a.basis + b.basis))
-        inter_dim = a.dim + b.dim - s
-        if inter_dim != 0 and s != top_dim:
+        inter_dim = a.meet_dim(b)
+        if inter_dim != 0 and a.dim + b.dim - inter_dim != top_dim:
             return False
     return True
 
@@ -471,12 +484,3 @@ def enumerate_subspaces_of(space: Subspace, k: int):
                     v = [f.add(x, f.mul(c, y)) for x, y in zip(v, b)]
             rows.append(tuple(v))
         yield Subspace.span(f, space.ambient, rows)
-
-
-def gaussian_binomial(n: int, k: int, q: int) -> int:
-    """Number of k-dimensional subspaces of F_q^n."""
-    if k < 0 or k > n:
-        return 0
-    num = prod(q**n - q**i for i in range(k))
-    den = prod(q**k - q**i for i in range(k))
-    return num // den

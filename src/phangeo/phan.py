@@ -7,6 +7,11 @@ subspace together with forms w_i on V_(i+1) whose radical is exactly V_i.
 A subspace U belongs to the geometry iff it is proper, non-trivial,
 transversal to the flag, and U ∩ V_(k+1) is non-degenerate for the form
 w_k selected by k = k_U, the least index with U ∩ V_(k+1) != 0.
+
+Membership reads the point masks (``Subspace.point_mask``): containment in
+the ambient, transversality and k_U are mask tests and popcounts, and only
+the non-degeneracy test needs a basis, of U itself or of at most one
+intersection U ∩ V_(k+1).
 """
 
 from __future__ import annotations
@@ -117,23 +122,25 @@ class PhanSpec:
     # -- membership ----------------------------------------------------------
 
     def k_of(self, u: Subspace) -> int:
-        """Least i with U ∩ V_(i+1) != 0."""
+        """Least i with U ∩ V_(i+1) != 0: the first flag member whose point
+        mask meets U's."""
         if u.is_zero():
             raise ValueError("k_U is undefined for the zero subspace")
         for i in range(self.t + 1):
-            if u.intersect(self.flag[i + 1]).dim != 0:
+            if u.point_mask & self.flag[i + 1].point_mask:
                 return i
         raise ValueError("subspace meets no flag member; is it inside the ambient?")
 
     def is_member(self, u: Subspace) -> bool:
         if u.dim == 0 or u.dim >= self.ambient.dim:
             return False
-        if not self.ambient.contains_subspace(u):
+        if u.meet_dim(self.ambient) != u.dim:
             return False
         if not is_transversal(u, self.flag):
             return False
         k = self.k_of(u)
-        s = u.intersect(self.flag[k + 1])
+        v = self.flag[k + 1]
+        s = u if u.point_mask & ~v.point_mask == 0 else u.intersect(v)
         return self.forms[k].is_nondegenerate(s)
 
     def members(self) -> tuple[Subspace, ...]:
@@ -328,15 +335,25 @@ def _distinct_chain(entries):
     return chain, cands
 
 
+@lru_cache(maxsize=64)
+def _extended_forms(spec: PhanSpec, p: Subspace) -> tuple[HermitianForm, ...]:
+    """The spec's forms extended around the pivot p.  They depend on (spec, p)
+    alone, so the restrictions to every member share them."""
+    return extend_forms(spec.flag, spec.forms, p)
+
+
+@lru_cache(maxsize=256)
+def _projected_form(spec: PhanSpec, p: Subspace, i: int) -> HermitianForm:
+    """The i-th extended form projected onto the perp of p."""
+    return project_form(_extended_forms(spec, p)[i], p)
+
+
 def _lemma49_spec(spec: PhanSpec, p: Subspace, u: Subspace,
                   unit_scalar: int = 1, branches: list | None = None) -> PhanSpec:
     """The second restricted spec on u: flag <V_i, p> ∩ u with projected
     extended forms, including the collapsed one-dimensional and augmented
     radical branches."""
     f = spec.field
-    extended = extend_forms(spec.flag, spec.forms, p)
-    projected = {}
-
     entries = []
     l_u = None
     for i in range(spec.t + 2):
@@ -347,11 +364,6 @@ def _lemma49_spec(spec: PhanSpec, p: Subspace, u: Subspace,
             break
     assert l_u is not None
     chain, cands = _distinct_chain(entries[: l_u + 1])
-
-    def projected_form(i):
-        if i not in projected:
-            projected[i] = project_form(extended[i], p)
-        return projected[i]
 
     def unit(sub: Subspace) -> HermitianForm:
         k = sub.dim
@@ -364,7 +376,7 @@ def _lemma49_spec(spec: PhanSpec, p: Subspace, u: Subspace,
     step_forms: list[HermitianForm] = []
     for j, (upper, cand) in enumerate(zip(chain[1:], cands)):
         lower = flag_members[-1]
-        candidate = projected_form(cand).restrict(upper)
+        candidate = _projected_form(spec, p, cand).restrict(upper)
         rad = candidate.radical()
         if rad == lower:
             flag_members.append(upper)

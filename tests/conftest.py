@@ -1,11 +1,13 @@
 import random
 from collections import Counter
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
 from phangeo.field import Field
+from phangeo.forms import HermitianForm
 from phangeo.homology import IntegerMatrix
+from phangeo.linalg import Flag, Subspace, rref
 from phangeo.simplicial import SimplicialComplex
 
 
@@ -224,3 +226,100 @@ def join(k1: SimplicialComplex, k2: SimplicialComplex) -> SimplicialComplex:
         facets = [a + b for a in k1.facets for b in f2]
     return SimplicialComplex([(0, v) for v in k1.vertices] + [(1, v) for v in k2.vertices],
                              facets)
+
+
+# -- membership oracles: intersections by Zassenhaus rref, no point masks ------
+
+
+def oracle_is_transversal(a: Subspace, flag: Flag) -> bool:
+    """For every member B of the flag, a∩B = 0 or a+B = top, with dim(a+B)
+    the rank of the stacked bases."""
+    for b in flag.members:
+        s = len(rref(a.field, a.basis + b.basis))
+        if a.dim + b.dim - s != 0 and s != flag.top.dim:
+            return False
+    return True
+
+
+def oracle_k_of(spec, u: Subspace) -> int:
+    """Least i with U ∩ V_(i+1) != 0, by intersecting."""
+    if u.is_zero():
+        raise ValueError("k_U is undefined for the zero subspace")
+    for i in range(spec.t + 1):
+        if u.intersect(spec.flag[i + 1]).dim != 0:
+            return i
+    raise ValueError("subspace meets no flag member")
+
+
+def oracle_is_member(spec, u: Subspace) -> bool:
+    """The membership predicate through bases: containment by reduction,
+    transversality by rank, the governing intersection by Zassenhaus and
+    non-degeneracy as a zero radical."""
+    if u.dim == 0 or u.dim >= spec.ambient.dim:
+        return False
+    if not spec.ambient.contains_subspace(u):
+        return False
+    if not oracle_is_transversal(u, spec.flag):
+        return False
+    k = oracle_k_of(spec, u)
+    return spec.forms[k].radical(u.intersect(spec.flag[k + 1])).is_zero()
+
+
+# -- helpers the bound's counting argument rests on ---------------------------
+
+
+def gaussian_binomial(n: int, k: int, q: int) -> int:
+    """Number of k-dimensional subspaces of F_q^n."""
+    if k < 0 or k > n:
+        return 0
+    num = prod(q**n - q**i for i in range(k))
+    den = prod(q**k - q**i for i in range(k))
+    return num // den
+
+
+def unit_form(s: Subspace) -> HermitianForm:
+    """The form with identity Gram matrix on the given subspace."""
+    k = s.dim
+    gram = tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k))
+    return HermitianForm(s.field, s, gram)
+
+
+def find_nonisotropic_pair(forms):
+    """Two linearly independent vectors non-isotropic for every listed form,
+    by exhaustive search in the canonical vector order; None if no pair
+    exists."""
+    forms = list(forms)
+    if not forms:
+        raise ValueError("need at least one form")
+    dom = forms[0].domain
+    if any(w.domain != dom for w in forms):
+        raise ValueError("forms must share a common domain")
+    first = None
+    for v in dom.vectors():
+        if not any(v):
+            continue
+        if all(w.evaluate(v, v) != 0 for w in forms):
+            first = v
+            break
+    if first is None:
+        return None
+    span_first = Subspace.span(dom.field, dom.ambient, [first])
+    for v in dom.vectors():
+        if not any(v) or span_first.contains(v):
+            continue
+        if all(w.evaluate(v, v) != 0 for w in forms):
+            return (first, v)
+    return None
+
+
+def count_isotropic_points(form: HermitianForm, s: Subspace) -> int:
+    """Number of isotropic one-dimensional subspaces of a two-dimensional s:
+    at most 2, resp. sqrt(q)+1, on a non-degenerate line, the count behind
+    the sufficient bound."""
+    if s.dim != 2:
+        raise ValueError("isotropic point count is defined on planes (dim 2)")
+    f = form.field
+    s0, s1 = s.basis
+    # the q+1 points of s: <s_0 + c*s_1> for each c, and <s_1>
+    points = [tuple(f.add(a, f.mul(c, b)) for a, b in zip(s0, s1)) for c in range(f.q)]
+    return sum(1 for x in points + [s1] if form.evaluate(x, x) == 0)

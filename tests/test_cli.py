@@ -222,3 +222,15 @@ def test_broken_pipe_is_not_an_input_error():
     err = proc.stderr.read().decode()
     assert proc.wait() == EXIT_BROKEN_PIPE
     assert "Traceback" not in err and "Exception ignored" not in err
+
+
+def test_cli_import_leaves_suites_unloaded():
+    """Only lemma-tests reads the suites, so the other commands, each a fresh
+    process, do not pay for importing them."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, phangeo.cli; print('phangeo.suites' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -2,22 +2,26 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phangeo.field import make_field
 from phangeo.forms import (
     DegeneratePivotError,
     HermitianForm,
     HermitianSymmetryError,
-    count_isotropic_points,
     extend_forms,
-    find_nonisotropic_pair,
     project_form,
-    unit_form,
 )
 from phangeo.linalg import Decomposition, Flag, Subspace, project
-from phangeo.suites import random_phan_spec, shuffled_complement_policy
+from phangeo.suites import random_phan_spec, random_subspace, shuffled_complement_policy
 
-from conftest import random_hermitian_gram
+from conftest import (
+    count_isotropic_points,
+    find_nonisotropic_pair,
+    random_hermitian_gram,
+    unit_form,
+)
 
 F3 = make_field(3, 1)
 F4 = make_field(2, 2, 2)
@@ -85,6 +89,41 @@ def test_nondegeneracy_examples():
     iso = Subspace.span(F4, 2, [(1, omega)])  # norm 1 + w^3 = 0
     assert not w.is_nondegenerate(iso)
     assert w.is_nondegenerate(Subspace.span(F4, 2, [(1, 0)]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([make_field(2, 1), F3, F4, make_field(2, 2, 1), F5, F9,
+                        make_field(3, 2, 1)]),
+       st.integers(1, 4), st.data())
+def test_nondegeneracy_is_full_gram_rank(field, ambient, data):
+    """The Gram-rank test agrees with the radical on random subspaces of
+    random domains, the zero subspace included."""
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    domain = random_subspace(rng, field, ambient, data.draw(st.integers(0, ambient)))
+    w = HermitianForm(field, domain, random_hermitian_gram(rng, field, domain.dim))
+    for k in range(domain.dim + 1):
+        rows = []
+        for _ in range(k):
+            v = (0,) * ambient
+            for r in domain.basis:
+                c = rng.randrange(field.q)
+                v = tuple(field.add(x, field.mul(c, y)) for x, y in zip(v, r))
+            rows.append(v)
+        sub = Subspace.span(field, ambient, rows)
+        assert w.is_nondegenerate(sub) == w.radical(sub).is_zero()
+    assert w.is_nondegenerate() == w.radical().is_zero()
+
+
+def test_restrict_rejects_foreign_targets():
+    plane = Subspace.span(F5, 3, [(1, 0, 0), (0, 1, 0)])
+    w = unit_form(plane)
+    outside = Subspace.span(F5, 3, [(0, 0, 1)])
+    for bad in (outside, Subspace.full(F5, 3), Subspace.zero(F5, 2),
+                Subspace.span(F5, 2, [(1, 0)]), Subspace.zero(F3, 3)):
+        with pytest.raises(ValueError):
+            w.restrict(bad)
+        with pytest.raises(ValueError):
+            w.is_nondegenerate(bad)
 
 
 def test_perp(rng):

@@ -1,10 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from phangeo import filtration
 from phangeo.field import make_field
-from phangeo.forms import HermitianForm, RadicalConditionError, unit_form
-from phangeo.linalg import Flag, Subspace, enumerate_subspaces, rref, solve_coordinates
+from phangeo.forms import HermitianForm, RadicalConditionError
+from phangeo.linalg import Flag, Subspace, enumerate_subspaces, is_transversal, rref
 from phangeo import phan
 from phangeo.phan import (
     EmptyResidueError,
@@ -18,17 +21,23 @@ from phangeo.phan import (
 )
 from phangeo.suites import (
     chamber_spec,
+    desk_geometries,
     diagonal_spec,
     family_geometries,
     mixed_t1_spec,
+    random_phan_spec,
     run_delta_suite,
     run_residue_suite,
     standard_spec,
 )
 
+from conftest import oracle_is_member, oracle_is_transversal, oracle_k_of, unit_form
+
+F2 = make_field(2, 1)
 F3 = make_field(3, 1)
 F4 = make_field(2, 2, 2)
 F5 = make_field(5, 1)
+F9 = make_field(3, 2, 2)
 
 
 def test_spec_validation():
@@ -87,6 +96,95 @@ def test_vertex_counts():
     assert set(vs.by_dim()) == {1, 2}
 
 
+def _every_subspace(field, dim):
+    return [u for k in range(dim + 1) for u in enumerate_subspaces(field, dim, k)]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError:
+        return ValueError
+
+
+def _recorded_delta_specs(family):
+    """Every spec that delta_restriction builds along the filtration of the
+    family."""
+    specs = []
+
+    def recording(*args, **kwargs):
+        fam = phan.delta_restriction(*args, **kwargs)
+        specs.extend(fam.specs)
+        return fam
+
+    mp = pytest.MonkeyPatch()
+    mp.setattr(filtration, "delta_restriction", recording)
+    try:
+        filtration.run_verification(family)
+    finally:
+        mp.undo()
+    return specs
+
+
+def _membership_oracle_specs():
+    rng = random.Random(8)
+    specs = [s for _, s in desk_geometries()]
+    specs += [s for _, fam in family_geometries() for s in fam.specs]
+    specs += [random_phan_spec(rng, field, dim, t)
+              for field, dim in ((F2, 4), (F3, 3), (F3, 4), (F4, 3), (F5, 3), (F9, 3))
+              for t in range(1, dim - 1)]
+    specs += [standard_spec(F4, 3), standard_spec(F9, 3), chamber_spec(F4, 3)]
+    residues = []
+    for spec in specs:
+        for u in spec.members()[::7]:
+            residues.append(residue_below(spec, u))
+            residues.append(residue_above(spec, u)[0])
+    return specs + residues, _recorded_delta_specs(PhanFamily((standard_spec(F5, 3),)))
+
+
+def test_membership_matches_rref_oracle():
+    """is_member, k_of and is_transversal read point masks; they agree with
+    the rref versions on every subspace of the coordinate space holding each
+    spec's ambient, inside and outside the ambient, for bundled, random,
+    hermitian, residue and restricted-family specs."""
+    subspaces = {}
+    specs, delta = _membership_oracle_specs()
+    for spec in specs + delta:
+        key = (spec.field, spec.ambient.ambient)
+        if key not in subspaces:
+            subspaces[key] = _every_subspace(*key)
+        for u in subspaces[key]:
+            assert spec.is_member(u) == oracle_is_member(spec, u), (spec, u)
+            assert is_transversal(u, spec.flag) == oracle_is_transversal(u, spec.flag)
+            if not u.is_zero():
+                assert _outcome(spec.k_of, u) == _outcome(oracle_k_of, spec, u)
+    assert delta and any(not s.ambient.is_full() for s in specs)
+
+
+def _transport(spec, rows):
+    """The spec carried through the invertible map with the given rows, and
+    the map on subspaces: g is an isometry from spec to the image spec."""
+    field = spec.field
+    dim = spec.ambient.ambient
+
+    def image(s):
+        return Subspace.span(field, dim, [tuple(_apply(field, rows, v)) for v in s.basis])
+
+    inv = _invert(field, rows)
+    tflag = Flag(tuple(image(m) for m in spec.flag.members))
+    # transported gram over the image basis
+    tforms = []
+    for w in spec.forms:
+        dom = image(w.domain)
+        gram = tuple(
+            tuple(w.evaluate(_apply(field, inv, x), _apply(field, inv, y))
+                  for y in dom.basis)
+            for x in dom.basis
+        )
+        tforms.append(HermitianForm(field, dom, gram))
+    return PhanSpec(tflag, tuple(tforms)), image
+
+
 def test_membership_invariant_under_isometry(rng):
     """Transporting the whole structure through a random invertible map
     preserves membership."""
@@ -96,26 +194,28 @@ def test_membership_invariant_under_isometry(rng):
             rows = [tuple(rng.randrange(5) for _ in range(3)) for _ in range(3)]
             if len(rref(F5, rows)) == 3:
                 break
-        def image(s):
-            return Subspace.span(F5, 3, [
-                tuple(_apply(F5, rows, v)) for v in s.basis
-            ])
-        tflag = Flag(tuple(image(m) for m in spec.flag.members))
-        # transported gram over the image basis
-        tforms = []
-        for w in spec.forms:
-            dom = image(w.domain)
-            inv = _invert(F5, rows)
-            gram = tuple(
-                tuple(w.evaluate(_apply(F5, inv, x), _apply(F5, inv, y))
-                      for y in dom.basis)
-                for x in dom.basis
-            )
-            tforms.append(HermitianForm(F5, dom, gram))
-        tspec = PhanSpec(tflag, tuple(tforms))
+        tspec, image = _transport(spec, rows)
         for k in (1, 2):
             for u in enumerate_subspaces(F5, 3, k):
                 assert spec.is_member(u) == tspec.is_member(image(u))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(F2, 3), (F3, 3), (F4, 3), (F5, 3), (F9, 2), (F2, 4)]),
+       st.data())
+def test_membership_invariant_under_isometry_property(config, data):
+    """For drawn specs and drawn invertible maps g, U is a member iff gU is a
+    member of the transported spec, on every subspace: the point-mask
+    encoding does not depend on coordinates."""
+    field, dim = config
+    t = data.draw(st.integers(0, dim - 2), label="t")
+    spec = random_phan_spec(random.Random(data.draw(st.integers(0, 2**32 - 1))), field, dim, t)
+    entry = st.integers(0, field.q - 1)
+    rows = data.draw(st.lists(st.tuples(*[entry] * dim), min_size=dim, max_size=dim)
+                     .filter(lambda r: len(rref(field, r)) == dim), label="g")
+    tspec, image = _transport(spec, rows)
+    for u in _every_subspace(field, dim):
+        assert spec.is_member(u) == tspec.is_member(image(u))
 
 
 def _apply(field, rows, v):
