@@ -5,6 +5,10 @@ lemma-tests.  Verification commands refuse out-of-bound inputs unless
 --force is given, quoting the violated inequality with the numbers filled
 in.  Exit codes: 0 all verdicts pass, 1 any verdict fails, 2 input error.
 
+Each command imports only the layers it runs: every command is a fresh
+process, so ``build`` loads neither the homology nor the filtration layer,
+and ``homology``/``cm-check`` do not load the filtration layer.
+
 Reports are written as canonical JSON (sorted keys, schema version) so an
 identical input file and flags produce a byte-identical report; wall-clock
 timings are printed to standard output only, never into the report file.
@@ -18,8 +22,6 @@ import sys
 import time
 
 from . import __version__
-from .filtration import PivotNotFoundError, run_verification
-from .homology import cohen_macaulay_check, reduced_homology, sphericity_verdict
 from .phan import PhanFamily, bound_report, vertices
 from .simplicial import export_facets, order_complex, purity_and_dimension
 from .specfile import (
@@ -40,6 +42,8 @@ def _load(args) -> tuple[PhanFamily, str]:
         return load_family(args.spec)
     except FileNotFoundError:
         _die(f"spec file not found: {args.spec}")
+    except OSError as exc:
+        _die(f"cannot read spec file {args.spec}: {exc.strerror}")
     except SpecFileError as exc:
         _die(f"invalid spec file: {exc}")
 
@@ -82,8 +86,11 @@ def _geometry_stats(family: PhanFamily):
 def _write_report(args, doc: dict) -> None:
     text = canonical_json(doc)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            _die(f"cannot write report {args.out}: {exc.strerror}")
         print(f"report written to {args.out}")
     else:
         sys.stdout.write(text)
@@ -138,11 +145,18 @@ def cmd_build(args) -> int:
 
 
 def cmd_homology(args) -> int:
+    from .homology import reduced_homology, sphericity_verdict
+
     family, digest = _load(args)
+    if args.target_dim is not None and args.target_dim < 0:
+        _die(f"--target-dim must be >= 0, got {args.target_dim}")
     bound = _gate_bound(family, args.force)
     t0 = time.perf_counter()
     verts, complex_, stats = _geometry_stats(family)
     target = args.target_dim if args.target_dim is not None else family.n - 1
+    if target < stats["dimension"]:
+        _die(f"--target-dim {target} is below the dimension {stats['dimension']} "
+             "of the complex")
     rep = reduced_homology(complex_)
     verdict = sphericity_verdict(complex_, rep, target, check_pi1=args.pi1)
     doc = _base_report("homology", digest, bound)
@@ -165,6 +179,8 @@ def cmd_homology(args) -> int:
 
 
 def cmd_cm(args) -> int:
+    from .homology import cohen_macaulay_check
+
     family, digest = _load(args)
     bound = _gate_bound(family, args.force)
     t0 = time.perf_counter()
@@ -196,6 +212,8 @@ def cmd_cm(args) -> int:
 
 
 def cmd_filtration(args) -> int:
+    from .filtration import PivotNotFoundError, run_verification
+
     family, digest = _load(args)
     bound = _gate_bound(family, args.force)
     t0 = time.perf_counter()
@@ -257,8 +275,6 @@ def cmd_bounds_table(args) -> int:
 
 
 def cmd_lemma_tests(args) -> int:
-    # imported here: no other command needs the suites' generators, and
-    # every command is a fresh process that would otherwise load them
     from .suites import run_all_suites
 
     t0 = time.perf_counter()
@@ -347,6 +363,10 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    out_dir = os.path.dirname(args.out or "")
+    if out_dir and not os.path.isdir(out_dir):
+        # refused before the computation, not after it
+        _die(f"cannot write report {args.out}: no directory {out_dir}")
     try:
         return args.func(args)
     except BrokenPipeError:

@@ -14,7 +14,7 @@ witnesses instead of raising.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield
+from collections import namedtuple
 
 from .homology import HomologyReport, reduced_homology, sphericity_verdict
 from .linalg import Subspace
@@ -53,11 +53,10 @@ class PivotNotFoundError(RuntimeError):
     slack in the sufficient bound)."""
 
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    witness: str | None = None
+class CheckResult(namedtuple("CheckResult", "name passed witness", defaults=(None,))):
+    """One named check; a failing check carries a witness string."""
+
+    __slots__ = ()
 
     def as_dict(self) -> dict:
         out = {"name": self.name, "passed": self.passed}
@@ -66,12 +65,14 @@ class CheckResult:
         return out
 
 
-@dataclass
 class StageReport:
-    stage: int
-    new_vertex_count: int
-    checks: list[CheckResult] = dfield(default_factory=list)
-    boundary_rank_sum: int = 0  # sum over new vertices of rank H~_(n-2)(A_j ∩ B)
+    """The checks of one stage, filled in as ``verify_stage`` runs them."""
+
+    def __init__(self, stage: int, new_vertex_count: int):
+        self.stage = stage
+        self.new_vertex_count = new_vertex_count
+        self.checks: list[CheckResult] = []
+        self.boundary_rank_sum = 0  # sum over new vertices of rank H~_(n-2)(A_j ∩ B)
 
     @property
     def passed(self) -> bool:
@@ -87,13 +88,17 @@ class StageReport:
         }
 
 
-@dataclass
 class FiltrationState:
-    family: PhanFamily
-    pivot: Subspace
-    geometry: GeometryVertexSet
-    levels: tuple[tuple[Subspace, ...], ...]  # Y_0 .. Y_n, sorted
-    _complexes: dict = dfield(default_factory=dict, init=False, repr=False, compare=False)
+    """The levels Y_0 .. Y_n (each sorted) of a family's geometry around a
+    pivot."""
+
+    def __init__(self, family: PhanFamily, pivot: Subspace, geometry: GeometryVertexSet,
+                 levels: tuple[tuple[Subspace, ...], ...]):
+        self.family = family
+        self.pivot = pivot
+        self.geometry = geometry
+        self.levels = levels
+        self._complexes: dict = {}
 
     @property
     def n(self) -> int:
@@ -107,15 +112,13 @@ class FiltrationState:
         return self._complexes[i]
 
 
-@dataclass
-class FiltrationReport:
-    pivot: Subspace
-    y0: list[CheckResult]
-    stages: list[StageReport]
-    final_checks: list[CheckResult]
-    predicted_spheres: int
-    direct_spheres: int
-    level_sizes: list[int]
+class FiltrationReport(namedtuple(
+        "FiltrationReport",
+        "pivot y0 stages final_checks predicted_spheres direct_spheres level_sizes")):
+    """The outcome of ``run_verification``: the Y_0 checks, one report per
+    stage, the final checks and the sphere-count ledger."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

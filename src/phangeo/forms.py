@@ -12,12 +12,11 @@ sigma-sesquilinear in the second argument: w(a*x, b*y) = a * sigma(b) * w(x, y).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .field import Field
 from .linalg import (
     Decomposition,
     Flag,
+    Frozen,
     Subspace,
     complement,
     nullspace,
@@ -52,26 +51,33 @@ class NoNonisotropicVectorError(ValueError):
     """A form required to admit a non-isotropic vector admits none."""
 
 
-@dataclass(frozen=True)
-class HermitianForm:
-    """A sigma-hermitian form on a subspace, as a Gram matrix over its basis."""
+class HermitianForm(Frozen):
+    """A sigma-hermitian form on a subspace, as a Gram matrix over its basis.
 
-    field: Field
-    domain: Subspace
-    gram: tuple[tuple[int, ...], ...]
+    Two forms are equal iff their field, domain and Gram matrix are."""
 
-    def __post_init__(self):
-        k = self.domain.dim
-        if len(self.gram) != k or any(len(r) != k for r in self.gram):
+    def __init__(self, field: Field, domain: Subspace, gram: tuple[tuple[int, ...], ...]):
+        k = domain.dim
+        if len(gram) != k or any(len(r) != k for r in gram):
             raise ValueError(f"Gram matrix must be {k}x{k} for a {k}-dimensional domain")
-        f = self.field
         for i in range(k):
             for j in range(k):
-                if self.gram[j][i] != f.sigma(self.gram[i][j]):
+                if gram[j][i] != field.sigma(gram[i][j]):
                     raise HermitianSymmetryError(
-                        f"gram[{j}][{i}] = {self.gram[j][i]} != "
-                        f"sigma(gram[{i}][{j}]) = {f.sigma(self.gram[i][j])}"
+                        f"gram[{j}][{i}] = {gram[j][i]} != "
+                        f"sigma(gram[{i}][{j}]) = {field.sigma(gram[i][j])}"
                     )
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "gram", gram)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.field, self.domain, self.gram) == (other.field, other.domain, other.gram)
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.domain, self.gram))
 
     # -- evaluation ----------------------------------------------------------
 

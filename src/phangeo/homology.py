@@ -12,7 +12,7 @@ matrix; the diagonal multiset is then normalized into invariant factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from heapq import heappop, heappush
 from math import gcd
 
@@ -31,13 +31,11 @@ __all__ = [
     "pi1_trivial_bounded",
 ]
 
-@dataclass(frozen=True)
-class IntegerMatrix:
-    """Sparse integer matrix: only the nonzero entries are stored."""
+class IntegerMatrix(namedtuple("IntegerMatrix", "nrows ncols entries")):
+    """Sparse integer matrix: only the nonzero entries are stored, as
+    (row, col, value) triples."""
 
-    nrows: int
-    ncols: int
-    entries: tuple[tuple[int, int, int], ...]  # (row, col, value)
+    __slots__ = ()
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -185,15 +183,12 @@ def smith_invariant_factors(mat: IntegerMatrix) -> list[int]:
 # -- homology ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HomologyReport:
+class HomologyReport(namedtuple("HomologyReport",
+                                "betti torsion euler_characteristic top_dim")):
     """Reduced integral homology: one Betti number and torsion-coefficient
     list per degree 0..top_dim."""
 
-    betti: tuple[int, ...]
-    torsion: tuple[tuple[int, ...], ...]
-    euler_characteristic: int
-    top_dim: int
+    __slots__ = ()
 
     def betti_number(self, d: int) -> int:
         """Reduced Betti number, with the degree -1 convention: H~_(-1) has
@@ -234,22 +229,19 @@ def reduced_homology(k: SimplicialComplex) -> HomologyReport:
     return HomologyReport(tuple(betti), tuple(torsion), euler, k.dim)
 
 
-@dataclass(frozen=True)
-class SphericityVerdict:
+class SphericityVerdict(namedtuple(
+        "SphericityVerdict",
+        "target_dim homology_concentrated torsion_free_top nonempty sphere_count pi1_status")):
     """Homology-level certificate that a complex is a wedge of d-spheres.
 
     ``spherical`` holds iff the reduced homology is concentrated in degree d
     and the top group is torsion-free; a contractible complex passes with
     sphere_count 0.  The empty complex never counts as concentrated for
-    d >= 0 (its reduced homology lives in degree -1).
+    d >= 0 (its reduced homology lives in degree -1).  ``pi1_status`` is
+    "trivial", "unknown" or "not_applicable".
     """
 
-    target_dim: int
-    homology_concentrated: bool
-    torsion_free_top: bool
-    nonempty: bool
-    sphere_count: int
-    pi1_status: str  # "trivial" | "unknown" | "not_applicable"
+    __slots__ = ()
 
     @property
     def spherical(self) -> bool:
@@ -276,19 +268,9 @@ def sphericity_verdict(k: SimplicialComplex, report: HomologyReport, d: int,
     return SphericityVerdict(d, concentrated, torsion_free, True, count, status)
 
 
-@dataclass(frozen=True)
-class CMFailure:
-    simplex: tuple[int, ...]  # vertex indices of the checked complex
-    target_dim: int
-    reason: str
-
-
-@dataclass(frozen=True)
-class CMReport:
-    passed: bool
-    dim: int
-    simplices_checked: int
-    failures: tuple[CMFailure, ...]
+# simplex: vertex indices of the checked complex
+CMFailure = namedtuple("CMFailure", "simplex target_dim reason")
+CMReport = namedtuple("CMReport", "passed dim simplices_checked failures")
 
 
 def cohen_macaulay_check(k: SimplicialComplex, check_pi1: bool = False) -> CMReport:

@@ -27,7 +27,6 @@ base-q digit, so (1,0,...,0) is the first nonzero vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from operator import mul
@@ -102,18 +101,45 @@ def solve_coordinates(field: Field, rows, vec) -> tuple[int, ...] | None:
     return tuple(sol)
 
 
-@dataclass(frozen=True)
-class Subspace:
+_setattr = object.__setattr__  # bound once: subspaces are built in hot loops
+
+
+class Frozen:
+    """Base of the immutable value types: each sets its fields once, in
+    ``__init__``, and assigning or deleting an attribute afterwards raises
+    AttributeError."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a {type(self).__name__}")
+
+
+class Subspace(Frozen):
     """A subspace of F_q^ambient in canonical reduced-echelon basis form.
 
-    ``point_mask`` holds one bit per projective point of the subspace: bit
-    sum(v_j * q**j) for the normalized vector v of the point (first nonzero
-    coordinate 1).  The zero subspace has mask 0.
+    Two subspaces are equal iff their field, ambient dimension and basis
+    are.  ``point_mask`` holds one bit per projective point of the subspace:
+    bit sum(v_j * q**j) for the normalized vector v of the point (first
+    nonzero coordinate 1).  The zero subspace has mask 0.
     """
 
-    field: Field
-    ambient: int
-    basis: tuple[tuple[int, ...], ...]
+    def __init__(self, field: Field, ambient: int, basis: tuple[tuple[int, ...], ...]):
+        _setattr(self, "field", field)
+        _setattr(self, "ambient", ambient)
+        _setattr(self, "basis", basis)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.basis == other.basis and self.ambient == other.ambient
+                and (self.field is other.field or self.field == other.field))
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.ambient, self.basis))
 
     # -- constructors ------------------------------------------------------
 
@@ -266,23 +292,28 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient}, basis={self.basis})"
 
 
-@dataclass(frozen=True)
-class Flag:
+class Flag(Frozen):
     """A chain {0} = V_0 < V_1 < ... < V_(t+1) = top of subspaces."""
 
-    members: tuple[Subspace, ...]
-
-    def __post_init__(self):
-        ms = self.members
-        if len(ms) < 2:
+    def __init__(self, members: tuple[Subspace, ...]):
+        if len(members) < 2:
             raise ValueError("a flag needs at least the zero space and the top space")
-        if not ms[0].is_zero():
+        if not members[0].is_zero():
             raise ValueError("flag must start with the zero subspace")
-        for a, b in zip(ms, ms[1:]):
+        for a, b in zip(members, members[1:]):
             if not (b.contains_subspace(a) and a.dim < b.dim):
                 raise ValueError(
                     f"flag members must strictly increase: dim {a.dim} !< dim {b.dim}"
                 )
+        _setattr(self, "members", members)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.members == other.members
+
+    def __hash__(self) -> int:
+        return hash((self.members,))
 
     @property
     def top(self) -> Subspace:
@@ -336,22 +367,27 @@ def complement(a: Subspace, within: Subspace, vector_order=None) -> Subspace:
     return Subspace.span(f, a.ambient, picked)
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Frozen):
     """An ordered direct-sum decomposition of an ambient subspace."""
 
-    parts: tuple[Subspace, ...]
-    ambient: Subspace
-
-    def __post_init__(self):
-        f = self.ambient.field
-        total = sum(p.dim for p in self.parts)
-        stacked = [row for p in self.parts for row in p.basis]
-        if total != self.ambient.dim or len(rref(f, stacked)) != total:
+    def __init__(self, parts: tuple[Subspace, ...], ambient: Subspace):
+        total = sum(p.dim for p in parts)
+        stacked = [row for p in parts for row in p.basis]
+        if total != ambient.dim or len(rref(ambient.field, stacked)) != total:
             raise ValueError("parts do not form a direct-sum decomposition of the ambient")
-        for p in self.parts:
-            if not self.ambient.contains_subspace(p):
+        for p in parts:
+            if not ambient.contains_subspace(p):
                 raise ValueError("decomposition part not contained in ambient")
+        _setattr(self, "parts", parts)
+        _setattr(self, "ambient", ambient)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.parts, self.ambient) == (other.parts, other.ambient)
+
+    def __hash__(self) -> int:
+        return hash((self.parts, self.ambient))
 
     def stacked_basis(self) -> list[tuple[int, ...]]:
         return [row for p in self.parts for row in p.basis]

@@ -16,8 +16,6 @@ intersection U ∩ V_(k+1).
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .field import Field
@@ -31,6 +29,7 @@ from .forms import (
 )
 from .linalg import (
     Flag,
+    Frozen,
     Quotient,
     Subspace,
     enumerate_subspaces_of,
@@ -67,8 +66,7 @@ class DeltaConstructionError(RuntimeError):
     radical property; indicates a violated precondition."""
 
 
-@dataclass(frozen=True)
-class PhanSpec:
+class PhanSpec(Frozen):
     """A generalized Phan geometry: a flag with forms pinned to its members.
 
     ``require_nonisotropic`` controls the check that every form admits a
@@ -76,32 +74,41 @@ class PhanSpec:
     over a field of characteristic two with identity sigma a restriction of
     a valid form may be alternating, while the membership predicate itself
     never needs the existence of non-isotropic vectors.  The flag/radical
-    invariants are always enforced.
+    invariants are always enforced.  Two specs are equal iff their flags and
+    forms are; ``require_nonisotropic`` takes no part in equality or hashing.
     """
 
-    flag: Flag
-    forms: tuple[HermitianForm, ...]
-    require_nonisotropic: bool = dataclasses.field(default=True, compare=False)
-
-    def __post_init__(self):
-        t = len(self.flag.members) - 2
-        if len(self.forms) != t + 1:
+    def __init__(self, flag: Flag, forms: tuple[HermitianForm, ...],
+                 require_nonisotropic: bool = True):
+        t = len(flag.members) - 2
+        if len(forms) != t + 1:
             raise ValueError(
-                f"flag of length {t + 2} needs {t + 1} forms, got {len(self.forms)}"
+                f"flag of length {t + 2} needs {t + 1} forms, got {len(forms)}"
             )
-        for i, w in enumerate(self.forms):
-            if w.domain != self.flag[i + 1]:
+        for i, w in enumerate(forms):
+            if w.domain != flag[i + 1]:
                 raise ValueError(f"form {i} is not defined on flag member V_{i + 1}")
-            if w.radical() != self.flag[i]:
+            if w.radical() != flag[i]:
                 raise RadicalConditionError(
                     f"Rad(omega_{i}) != V_{i}: radical condition fails at index {i}"
                 )
-        if self.require_nonisotropic:
-            for i, w in enumerate(self.forms):
+        if require_nonisotropic:
+            for i, w in enumerate(forms):
                 if not w.admits_nonisotropic_vector():
                     raise NoNonisotropicVectorError(
                         f"omega_{i} admits no non-isotropic vector"
                     )
+        object.__setattr__(self, "flag", flag)
+        object.__setattr__(self, "forms", forms)
+        object.__setattr__(self, "require_nonisotropic", require_nonisotropic)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.flag, self.forms) == (other.flag, other.forms)
+
+    def __hash__(self) -> int:
+        return hash((self.flag, self.forms))
 
     @property
     def field(self) -> Field:
@@ -211,19 +218,25 @@ def family_bound_report(family: "PhanFamily") -> dict:
             "form_costs": costs}
 
 
-@dataclass(frozen=True)
-class PhanFamily:
+class PhanFamily(Frozen):
     """A finite family of specs over one ambient space; its geometry is the
     intersection of the member geometries."""
 
-    specs: tuple[PhanSpec, ...]
-
-    def __post_init__(self):
-        if not self.specs:
+    def __init__(self, specs: tuple[PhanSpec, ...]):
+        if not specs:
             raise ValueError("a family needs at least one spec")
-        amb = self.specs[0].ambient
-        if any(s.ambient != amb for s in self.specs):
+        amb = specs[0].ambient
+        if any(s.ambient != amb for s in specs):
             raise ValueError("family members must share the ambient space")
+        object.__setattr__(self, "specs", specs)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.specs == other.specs
+
+    def __hash__(self) -> int:
+        return hash((self.specs,))
 
     @property
     def ambient(self) -> Subspace:

@@ -11,7 +11,6 @@ the construction under test.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dfield
 
 from .field import Field, make_field
 from .forms import HermitianForm, extend_forms, project_form
@@ -54,12 +53,14 @@ __all__ = [
 ]
 
 
-@dataclass
 class SuiteResult:
-    name: str
-    instances: int = 0
-    failures: list[str] = dfield(default_factory=list)
-    notes: dict = dfield(default_factory=dict)
+    """The instances, failures and notes of one suite, filled in as it runs."""
+
+    def __init__(self, name: str):
+        self.name = name
+        self.instances = 0
+        self.failures: list[str] = []
+        self.notes: dict = {}
 
     @property
     def passed(self) -> bool:

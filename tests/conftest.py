@@ -180,8 +180,9 @@ def rng():
 
 @pytest.fixture
 def homology_calls(monkeypatch):
-    """Count reduced_homology calls per complex, wherever phangeo calls it."""
-    import phangeo.cli
+    """Count reduced_homology calls per complex, wherever phangeo calls it:
+    patched where it is defined, which the CLI imports from at call time,
+    and in the filtration, which imports it by name."""
     import phangeo.filtration
     import phangeo.homology
 
@@ -192,7 +193,7 @@ def homology_calls(monkeypatch):
         calls[k] += 1
         return original(k)
 
-    for module in (phangeo.homology, phangeo.cli, phangeo.filtration):
+    for module in (phangeo.homology, phangeo.filtration):
         monkeypatch.setattr(module, "reduced_homology", counted)
     return calls
 

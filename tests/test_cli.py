@@ -224,13 +224,56 @@ def test_broken_pipe_is_not_an_input_error():
     assert "Traceback" not in err and "Exception ignored" not in err
 
 
-def test_cli_import_leaves_suites_unloaded():
-    """Only lemma-tests reads the suites, so the other commands, each a fresh
-    process, do not pay for importing them."""
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, phangeo.cli; print('phangeo.suites' in sys.modules)"],
-        capture_output=True, text=True,
-    )
+STDLIB = ("dataclasses", "inspect")
+
+
+@pytest.mark.parametrize("command, unloaded", [
+    (None, ("phangeo.homology", "phangeo.filtration", "phangeo.suites") + STDLIB),
+    ("build", ("phangeo.homology", "phangeo.filtration", "phangeo.suites") + STDLIB),
+    ("homology", ("phangeo.filtration", "phangeo.suites") + STDLIB),
+    ("cm-check", ("phangeo.filtration", "phangeo.suites") + STDLIB),
+], ids=["import", "build", "homology", "cm-check"])
+def test_cli_loads_only_the_layers_a_command_runs(tmp_path, command, unloaded):
+    """Every command is a fresh process, so it pays for each module it
+    imports: importing the CLI loads no layer beyond geometry and complexes,
+    build runs neither homology nor filtration, homology and cm-check no
+    filtration, and no command needs dataclasses."""
+    script = "import sys, phangeo.cli\n"
+    if command is not None:
+        argv = [command, "--spec", str(SPECS / "t0_q5_dim3.json"),
+                "--out", str(tmp_path / "r.json")]
+        script += f"assert phangeo.cli.main({argv!r}) == 0\n"
+    script += f"print(sorted(set({unloaded!r}) & set(sys.modules)))\n"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["build", "--spec", str(SPECS / "t0_q5_dim3.json"),
+      "--out", "/nonexistent-directory/r.json"], "cannot write report"),
+    (["build", "--spec", str(SPECS)], "cannot read spec file"),
+    (["homology", "--spec", str(SPECS / "t0_q5_dim3.json"), "--target-dim", "-1"],
+     "--target-dim must be >= 0"),
+    (["homology", "--spec", str(SPECS / "t0_q5_dim3.json"), "--target-dim", "0"],
+     "below the dimension 1"),
+], ids=["out-into-missing-directory", "spec-is-a-directory", "negative-target-dim",
+        "target-dim-below-complex-dim"])
+def test_bad_input_exits_2_with_one_error_line(argv, message, capsys):
+    """Bad input is exit 2 with one error line, never a traceback and exit
+    1, which would read as a failing verdict."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+    assert captured.out == ""
+
+
+def test_report_path_that_is_a_directory_exits_2(tmp_path, capsys):
+    """A write that fails after the computation is still an input error."""
+    with pytest.raises(SystemExit) as exc:
+        main(["build", "--spec", str(SPECS / "t0_q5_dim3.json"), "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("error: cannot write report")

@@ -1,0 +1,106 @@
+"""Value semantics of the immutable geometry types: equality and hashing by
+their defining fields, whatever spanning sets built them, and no assignment
+after construction."""
+
+from functools import cached_property
+from pathlib import Path
+
+import pytest
+
+from phangeo import phan
+from phangeo.field import make_field
+from phangeo.forms import HermitianForm
+from phangeo.linalg import Decomposition, Flag, Subspace
+from phangeo.phan import PhanFamily, PhanSpec
+from phangeo.specfile import load_family
+
+F5 = make_field(5, 1)
+SPECS = Path(__file__).resolve().parent.parent / "specs"
+
+# two spanning sets each of the line <e_0> and of F_5^3
+SPANNING = {
+    "echelon": ([(1, 0, 0)], [(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+    "redundant": ([(2, 0, 0), (3, 0, 0)], [(1, 1, 0), (0, 1, 1), (0, 0, 2), (1, 2, 1)]),
+}
+
+
+def _values(spanning: str, require_nonisotropic: bool = True) -> dict:
+    """A t = 1 spec on F_5^3 with V_1 = <e_0>, and the values it is made of,
+    built from one of the spanning sets."""
+    line_vectors, top_vectors = SPANNING[spanning]
+    line = Subspace.span(F5, 3, line_vectors)
+    top = Subspace.span(F5, 3, top_vectors)
+    flag = Flag((Subspace.zero(F5, 3), line, top))
+    form = HermitianForm(F5, top, ((0, 0, 0), (0, 1, 0), (0, 0, 1)))
+    spec = PhanSpec(flag, (HermitianForm(F5, line, ((1,),)), form), require_nonisotropic)
+    return {"Subspace": line, "Flag": flag, "HermitianForm": form, "PhanSpec": spec,
+            "PhanFamily": PhanFamily((spec,))}
+
+
+@pytest.mark.parametrize("kind", ["Subspace", "Flag", "HermitianForm", "PhanSpec",
+                                  "PhanFamily"])
+def test_equal_values_from_different_spanning_sets(kind):
+    a = _values("echelon")[kind]
+    b = _values("redundant")[kind]
+    assert a is not b
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1 and {a: 1}[b] == 1
+    assert a != object()
+
+
+def test_unequal_values_differ():
+    line = Subspace.span(F5, 3, [(1, 0, 0)])
+    assert line != Subspace.span(F5, 3, [(0, 1, 0)])
+    assert line != Subspace.span(make_field(7, 1), 3, [(1, 0, 0)])
+    top = Subspace.full(F5, 3)
+    assert (HermitianForm(F5, top, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+            != HermitianForm(F5, top, ((2, 0, 0), (0, 1, 0), (0, 0, 1))))
+
+
+def test_require_nonisotropic_takes_no_part_in_equality():
+    strict = _values("echelon", require_nonisotropic=True)["PhanSpec"]
+    relaxed = _values("redundant", require_nonisotropic=False)["PhanSpec"]
+    assert strict.require_nonisotropic and not relaxed.require_nonisotropic
+    assert strict == relaxed and hash(strict) == hash(relaxed)
+
+
+def test_values_are_immutable():
+    values = _values("echelon")
+    top = Subspace.full(F5, 3)
+    values["Decomposition"] = Decomposition(
+        (Subspace.span(F5, 3, [(1, 0, 0)]), Subspace.span(F5, 3, [(0, 1, 0), (0, 0, 1)])), top)
+    fields = {"Subspace": ("field", "ambient", "basis", "point_mask"),
+              "Flag": ("members",), "HermitianForm": ("field", "domain", "gram"),
+              "PhanSpec": ("flag", "forms", "require_nonisotropic"),
+              "PhanFamily": ("specs",), "Decomposition": ("parts", "ambient")}
+    for kind, names in fields.items():
+        value = values[kind]
+        for name in names + ("unknown",):
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+        for name in names:
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+    line = values["Subspace"]
+    assert line.basis == ((1, 0, 0),) and line.point_mask == 1 << 1
+
+
+def test_point_mask_is_computed_once():
+    assert isinstance(vars(Subspace)["point_mask"], cached_property)
+    s = Subspace.span(F5, 3, [(1, 2, 0), (0, 0, 1)])
+    assert "point_mask" not in vars(s)
+    mask = s.point_mask
+    assert vars(s)["point_mask"] == mask and mask.bit_count() == 6
+
+
+def test_rebuilt_spec_hits_the_members_cache():
+    path = str(SPECS / "t0_q5_dim3.json")
+    first = load_family(path)[0].specs[0]
+    members = first.members()
+    before = phan._members_of.cache_info()
+    again = load_family(path)[0].specs[0]
+    assert again is not first and again == first
+    assert again.members() is members
+    after = phan._members_of.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
