@@ -8,7 +8,7 @@ Library layout:
 - :mod:`phangeo.phan`: geometries, membership, residues, restricted families
 - :mod:`phangeo.simplicial`: order complexes on integer vertices, links, stars
 - :mod:`phangeo.homology`: Smith normal form, Betti numbers, sphericity,
-  Cohen-Macaulay sweep, bounded pi_1 check
+  Cohen-Macaulay sweep, pi_1 triviality by a union-find fixpoint
 - :mod:`phangeo.filtration`: the inductive filtration and its stage checks
 - :mod:`phangeo.specfile`, :mod:`phangeo.suites`, :mod:`phangeo.cli`
 """

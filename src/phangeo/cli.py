@@ -117,14 +117,14 @@ def _homology_doc(report) -> dict:
     }
 
 
-def _verdict_doc(v) -> dict:
+def _verdict_doc(v, pi1_status: str) -> dict:
     return {
         "target_dim": v.target_dim,
         "homology_concentrated": v.homology_concentrated,
         "torsion_free_top": v.torsion_free_top,
         "nonempty": v.nonempty,
         "sphere_count": v.sphere_count,
-        "pi1_status": v.pi1_status,
+        "pi1_status": pi1_status,
         "spherical": v.spherical,
     }
 
@@ -145,7 +145,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_homology(args) -> int:
-    from .homology import reduced_homology, sphericity_verdict
+    from .homology import pi1_status, reduced_homology, sphericity_verdict
 
     family, digest = _load(args)
     if args.target_dim is not None and args.target_dim < 0:
@@ -158,11 +158,11 @@ def cmd_homology(args) -> int:
         _die(f"--target-dim {target} is below the dimension {stats['dimension']} "
              "of the complex")
     rep = reduced_homology(complex_)
-    verdict = sphericity_verdict(complex_, rep, target, check_pi1=args.pi1)
+    verdict = sphericity_verdict(rep, target)
     doc = _base_report("homology", digest, bound)
     doc["geometry"] = stats
     doc["homology"] = _homology_doc(rep)
-    doc["sphericity"] = _verdict_doc(verdict)
+    doc["sphericity"] = _verdict_doc(verdict, pi1_status(complex_, rep, target))
     asserted = bound["satisfied"]
     ok = verdict.spherical and verdict.sphere_count >= 1
     doc["verdict"] = ("pass" if ok else "fail") if asserted else "unknown"
@@ -185,7 +185,7 @@ def cmd_cm(args) -> int:
     bound = _gate_bound(family, args.force)
     t0 = time.perf_counter()
     verts, complex_, stats = _geometry_stats(family)
-    cm = cohen_macaulay_check(complex_, check_pi1=args.pi1)
+    cm = cohen_macaulay_check(complex_)
     doc = _base_report("cm-check", digest, bound)
     doc["geometry"] = stats
     doc["cm"] = {
@@ -277,6 +277,8 @@ def cmd_bounds_table(args) -> int:
 def cmd_lemma_tests(args) -> int:
     from .suites import run_all_suites
 
+    if args.count < 1:
+        _die(f"--count must be >= 1, got {args.count}")
     t0 = time.perf_counter()
     results = run_all_suites(seed=args.seed, count=args.count)
     doc = {
@@ -315,10 +317,6 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--force", action="store_true",
                        help="run even when the sufficient bound fails")
 
-    def pi1(p):
-        p.add_argument("--pi1", action="store_true",
-                       help="attempt the bounded fundamental-group check (dim >= 2)")
-
     p = sub.add_parser("build", help="construct the complex, export facets and counts")
     common(p)
     p.set_defaults(func=cmd_build)
@@ -326,7 +324,6 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("homology", help="reduced integral homology and sphericity verdict")
     common(p)
     force(p)
-    pi1(p)
     p.add_argument("--target-dim", type=int, default=None,
                    help="sphericity target dimension (default n-1)")
     p.set_defaults(func=cmd_homology)
@@ -334,7 +331,6 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cm-check", help="Cohen-Macaulay link sweep")
     common(p)
     force(p)
-    pi1(p)
     p.set_defaults(func=cmd_cm)
 
     p = sub.add_parser("filtration-verify", help="verify the inductive filtration stage by stage")

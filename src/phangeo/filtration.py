@@ -141,31 +141,27 @@ class FiltrationReport(namedtuple(
         }
 
 
-def choose_pivot(family: PhanFamily) -> Subspace:
-    """First point (canonical vector order) non-degenerate for the top form
-    of every spec in the family."""
+def _first_point(family: PhanFamily, degenerate: bool, message: str) -> Subspace:
+    """First point (canonical vector order) that is isotropic for some top
+    form when ``degenerate``, and non-degenerate for every top form when not."""
     tops = [spec.forms[-1] for spec in family.specs]
     for v in family.ambient.vectors():
-        if not any(v):
-            continue
-        if all(w.evaluate(v, v) != 0 for w in tops):
+        if any(v) and any(w.evaluate(v, v) == 0 for w in tops) == degenerate:
             return Subspace.span(family.field, family.ambient.ambient, [v])
-    raise PivotNotFoundError(
-        "no point is non-degenerate for all top forms "
-        "(bound violation or paper-bound slack)"
-    )
+    raise PivotNotFoundError(message)
+
+
+def choose_pivot(family: PhanFamily) -> Subspace:
+    """First point non-degenerate for the top form of every spec in the
+    family."""
+    return _first_point(family, False, "no point is non-degenerate for all top forms "
+                        "(bound violation or paper-bound slack)")
 
 
 def find_degenerate_pivot(family: PhanFamily) -> Subspace:
     """First point isotropic for at least one top form: a deliberate
     hypothesis violation for negative-control runs."""
-    tops = [spec.forms[-1] for spec in family.specs]
-    for v in family.ambient.vectors():
-        if not any(v):
-            continue
-        if any(w.evaluate(v, v) == 0 for w in tops):
-            return Subspace.span(family.field, family.ambient.ambient, [v])
-    raise PivotNotFoundError("every point is non-degenerate for every top form")
+    return _first_point(family, True, "every point is non-degenerate for every top form")
 
 
 def build_filtration(family: PhanFamily, pivot: Subspace) -> FiltrationState:
@@ -233,7 +229,7 @@ def _spherical_check(k: SimplicialComplex, report: HomologyReport,
         return (k.is_empty(), None if k.is_empty() else "expected empty complex")
     if k.is_empty():
         return False, f"empty complex cannot be {d}-spherical"
-    v = sphericity_verdict(k, report, d)
+    v = sphericity_verdict(report, d)
     if v.spherical:
         return True, None
     return False, f"concentrated={v.homology_concentrated} torsion_free={v.torsion_free_top}"
@@ -431,10 +427,10 @@ def run_verification(family: PhanFamily, pivot: Subspace | None = None,
     predicted = sum(s.boundary_rank_sum for s in stages)
 
     # Y_n holds every member, so |Y_n| is the geometry complex
-    gamma_complex, gamma_homology = state.level_complex(n)
+    _, gamma_homology = state.level_complex(n)
     direct = gamma_homology.betti_number(n - 1)
     final = []
-    verdict = sphericity_verdict(gamma_complex, gamma_homology, n - 1)
+    verdict = sphericity_verdict(gamma_homology, n - 1)
     final.append(
         CheckResult(
             "final_sphere_count_agreement", predicted == direct,

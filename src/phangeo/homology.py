@@ -1,6 +1,6 @@
 """Integral reduced simplicial homology via Smith normal form, wedge-of-
 spheres certification at the homology level, Cohen-Macaulay verification,
-and an optional bounded fundamental-group triviality check.
+and a fundamental-group triviality check by a signed union-find fixpoint.
 
 All arithmetic is exact over arbitrary-precision ints.  Reduced degree 0 is
 handled by the augmentation map (the 1 x n_0 all-ones boundary), never by a
@@ -28,7 +28,8 @@ __all__ = [
     "reduced_homology",
     "sphericity_verdict",
     "cohen_macaulay_check",
-    "pi1_trivial_bounded",
+    "pi1_trivial",
+    "pi1_status",
 ]
 
 class IntegerMatrix(namedtuple("IntegerMatrix", "nrows ncols entries")):
@@ -231,14 +232,13 @@ def reduced_homology(k: SimplicialComplex) -> HomologyReport:
 
 class SphericityVerdict(namedtuple(
         "SphericityVerdict",
-        "target_dim homology_concentrated torsion_free_top nonempty sphere_count pi1_status")):
+        "target_dim homology_concentrated torsion_free_top nonempty sphere_count")):
     """Homology-level certificate that a complex is a wedge of d-spheres.
 
     ``spherical`` holds iff the reduced homology is concentrated in degree d
     and the top group is torsion-free; a contractible complex passes with
     sphere_count 0.  The empty complex never counts as concentrated for
-    d >= 0 (its reduced homology lives in degree -1).  ``pi1_status`` is
-    "trivial", "unknown" or "not_applicable".
+    d >= 0 (its reduced homology lives in degree -1).
     """
 
     __slots__ = ()
@@ -248,24 +248,19 @@ class SphericityVerdict(namedtuple(
         return self.homology_concentrated and self.torsion_free_top
 
 
-def sphericity_verdict(k: SimplicialComplex, report: HomologyReport, d: int,
-                       check_pi1: bool = False) -> SphericityVerdict:
-    """Verdict for K from its reduced homology ``report``; K itself is read
-    only by the optional fundamental-group attempt."""
+def sphericity_verdict(report: HomologyReport, d: int) -> SphericityVerdict:
+    """d-sphericity verdict read from a complex's reduced homology."""
     if d < 0:
         raise ValueError("sphericity target dimension must be >= 0")
     if report.top_dim > d:
         raise ValueError(f"complex of dimension {report.top_dim} exceeds target {d}")
     if report.top_dim == -1:
-        return SphericityVerdict(d, False, True, False, 0, "not_applicable")
+        return SphericityVerdict(d, False, True, False, 0)
     concentrated = all(report.betti_number(i) == 0 and not report.torsion_at(i)
                        for i in range(d))
     torsion_free = not report.torsion_at(d)
     count = report.betti_number(d)
-    status = "not_applicable"
-    if check_pi1 and d >= 2:
-        status = pi1_trivial_bounded(k) if report.betti_number(0) == 0 else "unknown"
-    return SphericityVerdict(d, concentrated, torsion_free, True, count, status)
+    return SphericityVerdict(d, concentrated, torsion_free, True, count)
 
 
 # simplex: vertex indices of the checked complex
@@ -273,7 +268,7 @@ CMFailure = namedtuple("CMFailure", "simplex target_dim reason")
 CMReport = namedtuple("CMReport", "passed dim simplices_checked failures")
 
 
-def cohen_macaulay_check(k: SimplicialComplex, check_pi1: bool = False) -> CMReport:
+def cohen_macaulay_check(k: SimplicialComplex) -> CMReport:
     """Check that the link of every simplex (the empty one included, read as
     the complex itself) is spherical at the homology level in the forced
     dimension dim(K) - |s|; links of facets must be empty.  A non-pure
@@ -291,7 +286,7 @@ def cohen_macaulay_check(k: SimplicialComplex, check_pi1: bool = False) -> CMRep
             if sub.is_empty():
                 return None
             return CMFailure(s, target, "link of a facet is non-empty")
-        v = sphericity_verdict(sub, reduced_homology(sub), target, check_pi1=check_pi1)
+        v = sphericity_verdict(reduced_homology(sub), target)
         if v.spherical:
             return None
         if not v.nonempty:
@@ -306,109 +301,98 @@ def cohen_macaulay_check(k: SimplicialComplex, check_pi1: bool = False) -> CMRep
     return CMReport(not failures, d, len(simplices), failures)
 
 
-# -- bounded fundamental-group check -------------------------------------------
+# -- fundamental group -----------------------------------------------------------
 
 
-def _free_reduce(word):
-    out = []
-    for g, e in word:
-        if out and out[-1][0] == g and out[-1][1] == -e:
-            out.pop()
-        else:
-            out.append((g, e))
-    return tuple(out)
+def pi1_trivial(k: SimplicialComplex) -> str:
+    """Answer "trivial" when the triangles' relators kill the edge-path group
+    of K, else "unknown" (never a guess).
 
-
-def _substitute(word, values):
-    out = []
-    for g, e in word:
-        val = values.get(g)
-        if val is None:
-            out.append((g, e))
-        elif e == 1:
-            out.extend(val)
-        else:
-            out.extend((h, -f) for h, f in reversed(val))
-    return _free_reduce(tuple(out))
-
-
-def pi1_trivial_bounded(k: SimplicialComplex, max_rounds: int = 64) -> str:
-    """Attempt a triviality certificate for the edge-path group via a
-    spanning tree and bounded generator elimination; returns "trivial" or
-    "unknown" (never guesses)."""
-    if k.is_empty():
+    The edges of a depth-first spanning tree are 1; every other edge is a
+    generator.  A signed union-find writes each generator as root^(+-1) or
+    as killed (= 1).  Full passes over the triangles map each relator to
+    its root letters and reduce it freely and cyclically: one letter left
+    kills its root, two letters with distinct roots merge them
+    (g^a h^b = 1 gives g = h^(-ab)).  Passes repeat until one changes
+    nothing.  Every change kills or merges a root, so the loop ends, and
+    every change follows from the relators, so "trivial" is sound."""
+    n = k.num_vertices
+    if n == 0:
         return "unknown"
     edges = k.simplices(1)
-    adj: dict[int, list[tuple[int, int]]] = {i: [] for i in range(k.num_vertices)}
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for eid, (a, b) in enumerate(edges):
         adj[a].append((b, eid))
         adj[b].append((a, eid))
-    seen = {0}
-    tree = set()
-    stack = [0]
+    parent = list(range(len(edges)))
+    sign = [1] * len(edges)  # g = parent[g] ^ sign[g]
+    killed = [False] * len(edges)
+    seen = [False] * n
+    stack = [(0, None)]
     while stack:
-        cur = stack.pop()
-        for nxt, eid in adj[cur]:
-            if nxt not in seen:
-                seen.add(nxt)
-                tree.add(eid)
-                stack.append(nxt)
-    if len(seen) != k.num_vertices:
+        v, eid = stack.pop()
+        if seen[v]:
+            continue
+        seen[v] = True
+        if eid is not None:
+            killed[eid] = True  # a tree edge
+        stack.extend((w, e) for w, e in adj[v] if not seen[w])
+    if not all(seen):
         return "unknown"  # disconnected
+
+    def find(g: int) -> tuple[int, int]:
+        """(root, s) with g = root^s; iterative, compressing the path."""
+        path = []
+        while parent[g] != g:
+            path.append(g)
+            g = parent[g]
+        s = 1
+        for x in reversed(path):
+            s *= sign[x]
+            parent[x], sign[x] = g, s
+        return g, s
+
     edge_id = {e: i for i, e in enumerate(edges)}
-    gens = [i for i in range(len(edges)) if i not in tree]
-    if not gens:
-        return "trivial"
-
-    def word_for(a, b):
-        eid = edge_id[(a, b) if a < b else (b, a)]
-        if eid in tree:
-            return ()
-        return (((eid, 1),) if a < b else ((eid, -1),))
-
-    relations = []
-    for s in k.simplices(2):
-        a, b, c = s
-        # edge-path loop around the triangle bounds the 2-cell
-        rel = _free_reduce(word_for(a, b) + word_for(b, c) + word_for(c, a))
-        if rel:
-            relations.append(rel)
-    values: dict[int, tuple] = {}
-    for _ in range(max_rounds):
+    # the loop a -> b -> c -> a around each triangle, as edge ids
+    pending = [(edge_id[a, b], edge_id[b, c], edge_id[a, c]) for a, b, c in k.simplices(2)]
+    changed = True
+    while changed:
         changed = False
-        new_relations = []
-        for rel in relations:
-            w = _substitute(rel, values)
-            if not w:
-                continue
-            if len(w) == 1:
-                g, _ = w[0]
-                if g not in values:
-                    values[g] = ()
-                    changed = True
-                continue
-            if len(w) == 2:
-                (g, e1), (h, e2) = w
-                if g != h:
-                    # g^e1 = h^-e2  =>  g = h^(-e2*e1)
-                    values[g] = ((h, -e2 * e1),)
-                    changed = True
+        unresolved = []
+        for tri in pending:
+            word: list[tuple[int, int]] = []
+            for g, e in zip(tri, (1, 1, -1)):
+                r, s = find(g)
+                if killed[r]:
                     continue
-            new_relations.append(w)
-        relations = new_relations
-        if changed:
-            values = {g: _substitute(w, values) for g, w in values.items()}
-        elif not relations:
-            break
-        else:
-            return "unknown"
-    for g in gens:
-        w = ((g, 1),)
-        for _ in range(max_rounds):
-            nw = _substitute(w, values)
-            if nw == w:
-                break
-            w = nw
-        if w != ():
-            return "unknown"
-    return "trivial"
+                if word and word[-1] == (r, -s * e):
+                    word.pop()
+                else:
+                    word.append((r, s * e))
+            if len(word) == 3 and word[0] == (word[2][0], -word[2][1]):
+                word = word[1:2]  # a conjugate of the middle letter
+            if len(word) == 1:
+                killed[word[0][0]] = True
+            elif len(word) == 2 and word[0][0] != word[1][0]:
+                (g, a), (h, b) = word
+                parent[g], sign[g] = h, -a * b
+            else:
+                # an empty relator stays empty under later kills and merges
+                if word:
+                    unresolved.append(tri)
+                continue
+            changed = True
+        pending = unresolved
+    return "trivial" if all(killed[g] for g in range(len(edges)) if parent[g] == g) else "unknown"
+
+
+def pi1_status(k: SimplicialComplex, report: HomologyReport, d: int) -> str:
+    """The fundamental-group status reported beside a d-sphericity verdict:
+    "not_applicable" for d < 2 or the empty complex; "unknown" while
+    H~_0 or H~_1 is non-zero, where no sound check could say "trivial";
+    otherwise the answer of ``pi1_trivial``."""
+    if d < 2 or report.top_dim == -1:
+        return "not_applicable"
+    if any(report.betti_number(i) or report.torsion_at(i) for i in (0, 1)):
+        return "unknown"
+    return pi1_trivial(k)

@@ -221,14 +221,14 @@ def test_acceptance_10_family_intersections():
     fam2 = PhanFamily((diagonal_spec(f7, (1, 1)), diagonal_spec(f7, (1, 3))))
     assert fam2.bound()["satisfied"]  # 2*2 = 4 < 7 in dimension 2
     k2 = order_complex(vertices(fam2).members)
-    v2 = sphericity_verdict(k2, reduced_homology(k2), 0)
+    v2 = sphericity_verdict(reduced_homology(k2), 0)
     ok_a = k2.num_vertices == 6 and v2.nonempty and v2.spherical and v2.sphere_count == 5
 
     f11 = make_field(11, 1)
     fam3 = PhanFamily((standard_spec(f11, 3), diagonal_spec(f11, (1, 1, 2))))
     assert fam3.bound()["satisfied"]  # 2^2*2 = 8 < 11
     k3 = order_complex(vertices(fam3).members)
-    v3 = sphericity_verdict(k3, reduced_homology(k3), 1)
+    v3 = sphericity_verdict(reduced_homology(k3), 1)
     cm3 = cohen_macaulay_check(k3)
     ok_b = v3.spherical and v3.sphere_count >= 1 and cm3.passed
     elapsed = time.time() - t0

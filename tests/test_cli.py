@@ -102,6 +102,19 @@ def test_homology_command(tmp_path, spec_q5, homology_calls):
     assert doc["input_digest"].startswith("sha256:")
 
 
+def test_homology_reports_trivial_pi1_for_chamber_f3_4(tmp_path):
+    """Out of bound, so only with --force: simply connected with homology
+    free in degree 2 alone, the opposite-chamber geometry of F_3^4."""
+    spec = tmp_path / "c34.json"
+    dump_family(PhanFamily((chamber_spec(F3, 4),)), str(spec))
+    out = tmp_path / "r.json"
+    assert main(["homology", "--spec", str(spec), "--force", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["homology"]["betti"] == [0, 0, 134]
+    assert doc["sphericity"]["pi1_status"] == "trivial"
+    assert doc["verdict"] == "unknown"
+
+
 def test_cm_command(tmp_path, spec_q5):
     out = tmp_path / "r.json"
     assert main(["cm-check", "--spec", spec_q5, "--out", str(out)]) == 0
@@ -202,6 +215,8 @@ def test_console_script_entry_point(spec_q5, tmp_path):
 def test_subcommands_register_only_their_flags(tmp_path, spec_q5, capsys):
     for argv in (["build", "--spec", spec_q5, "--force"],
                  ["filtration-verify", "--spec", spec_q5, "--pi1"],
+                 ["homology", "--spec", spec_q5, "--pi1"],
+                 ["cm-check", "--spec", spec_q5, "--pi1"],
                  ["cm-check", "--spec", spec_q5, "--threads", "2"],
                  ["homology", "--spec", spec_q5, "--seed", "1"],
                  ["bounds-table", "--force"]):
@@ -257,8 +272,10 @@ def test_cli_loads_only_the_layers_a_command_runs(tmp_path, command, unloaded):
      "--target-dim must be >= 0"),
     (["homology", "--spec", str(SPECS / "t0_q5_dim3.json"), "--target-dim", "0"],
      "below the dimension 1"),
+    (["lemma-tests", "--count", "0"], "--count must be >= 1, got 0"),
+    (["lemma-tests", "--count", "-3"], "--count must be >= 1, got -3"),
 ], ids=["out-into-missing-directory", "spec-is-a-directory", "negative-target-dim",
-        "target-dim-below-complex-dim"])
+        "target-dim-below-complex-dim", "zero-count", "negative-count"])
 def test_bad_input_exits_2_with_one_error_line(argv, message, capsys):
     """Bad input is exit 2 with one error line, never a traceback and exit
     1, which would read as a failing verdict."""

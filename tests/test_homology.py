@@ -9,7 +9,8 @@ from phangeo.homology import (
     IntegerMatrix,
     boundary_matrices,
     cohen_macaulay_check,
-    pi1_trivial_bounded,
+    pi1_status,
+    pi1_trivial,
     reduced_homology,
     smith_invariant_factors,
     sphericity_verdict,
@@ -73,9 +74,9 @@ def test_torsion_projective_plane():
     rep = reduced_homology(k)
     assert rep.betti == (0, 0, 0)
     assert rep.torsion[1] == (2,)
-    v = sphericity_verdict(k, rep, 2)
+    v = sphericity_verdict(rep, 2)
     assert not v.spherical  # torsion below the top degree
-    assert pi1_trivial_bounded(k) == "unknown"  # pi_1 = Z/2, must not claim trivial
+    assert pi1_trivial(k) == "unknown"  # pi_1 = Z/2, must not claim trivial
 
 
 def test_join_of_zero_spheres_is_circle():
@@ -100,12 +101,12 @@ def test_cone_is_acyclic():
     cone = join(SimplicialComplex(["apex"], []), base)
     rep = reduced_homology(cone)
     assert rep.is_acyclic()
-    v = sphericity_verdict(cone, rep, 2)
+    v = sphericity_verdict(rep, 2)
     assert v.spherical and v.sphere_count == 0
 
 
-def _verdict(k, d, check_pi1=False):
-    return sphericity_verdict(k, reduced_homology(k), d, check_pi1=check_pi1)
+def _verdict(k, d):
+    return sphericity_verdict(reduced_homology(k), d)
 
 
 def test_sphericity_flags():
@@ -123,14 +124,83 @@ def test_sphericity_flags():
 
 def test_pi1_examples():
     tetra = SimplicialComplex(range(4), [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
-    assert pi1_trivial_bounded(tetra) == "trivial"
-    v = _verdict(tetra, 2, check_pi1=True)
-    assert v.pi1_status == "trivial" and v.sphere_count == 1
+    assert pi1_trivial(tetra) == "trivial"
+    assert pi1_status(tetra, reduced_homology(tetra), 2) == "trivial"
+    assert _verdict(tetra, 2).sphere_count == 1
     disconnected = SimplicialComplex(range(4), [(0, 1), (2, 3)])
-    assert pi1_trivial_bounded(disconnected) == "unknown"
+    assert pi1_trivial(disconnected) == "unknown"
     base = SimplicialComplex(range(4), [(0, 1), (1, 2), (2, 3), (0, 3)])
     cone = join(SimplicialComplex(["apex"], []), base)
-    assert pi1_trivial_bounded(cone) == "trivial"
+    assert pi1_trivial(cone) == "trivial"
+
+
+def test_pi1_status_gate():
+    """Not applicable below dimension 2 or on the empty complex; unknown,
+    without running the rule, while H~_0 or H~_1 is non-zero."""
+    circle = SimplicialComplex(range(3), [(0, 1), (1, 2), (0, 2)])
+    assert pi1_status(circle, reduced_homology(circle), 1) == "not_applicable"
+    empty = SimplicialComplex([], [])
+    assert pi1_status(empty, reduced_homology(empty), 2) == "not_applicable"
+    assert pi1_status(circle, reduced_homology(circle), 2) == "unknown"
+    two_points = SimplicialComplex(range(2), [])
+    assert pi1_status(two_points, reduced_homology(two_points), 2) == "unknown"
+
+
+def test_pi1_disk_of_four_triangles():
+    """Four triangles around vertex 3: the last relator reaches its root only
+    through the two merges the relators before it made, and kills it."""
+    disk = SimplicialComplex(range(6), [(0, 3, 4), (1, 2, 3), (1, 3, 4), (2, 3, 5)])
+    assert reduced_homology(disk).is_acyclic()
+    assert pi1_trivial(disk) == "trivial"
+
+
+def test_pi1_chamber_f3_4_is_trivial():
+    """The opposite-chamber geometry of F_3^4 is simply connected with
+    homology free in degree 2 only: a homotopy wedge of 134 2-spheres."""
+    k = order_complex(vertices(PhanFamily((chamber_spec(F3, 4),))).members)
+    rep = reduced_homology(k)
+    assert rep.betti == (0, 0, 134) and rep.torsion == ((), (), ())
+    assert pi1_trivial(k) == "trivial"
+    assert pi1_status(k, rep, 2) == "trivial"
+
+
+def test_pi1_stays_unknown_where_it_must():
+    rp2 = SimplicialComplex(range(6), [
+        (0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
+        (1, 2, 3), (1, 2, 5), (1, 3, 4), (2, 4, 5), (3, 4, 5)])
+    assert pi1_trivial(rp2) == "unknown"  # pi_1 = Z/2
+    assert pi1_status(rp2, reduced_homology(rp2), 2) == "unknown"
+    edges = SimplicialComplex(range(4), [(0, 1), (2, 3)])
+    assert pi1_trivial(edges) == "unknown"
+    f34 = order_complex(vertices(PhanFamily((standard_spec(F3, 4),))).members)
+    assert pi1_trivial(f34) == "unknown"  # H~_1 = Z^4
+    assert pi1_status(f34, reduced_homology(f34), 2) == "unknown"
+
+
+def test_pi1_long_fan_needs_no_recursion():
+    """A fan of 2999 triangles around vertex 0 plus one flap on the edge
+    {1, 2}: 3000 generators, a spanning tree about 3000 edges deep, and
+    relators that chain the fan's spokes about 3000 deep in the union-find
+    before the flap's relator lets the first triangle resolve."""
+    n = 3000
+    fan = SimplicialComplex(range(n + 2), [(0, i, i + 1) for i in range(1, n)] + [(1, 2, n + 1)])
+    assert len(fan.simplices(1)) - fan.num_vertices + 1 == 3000
+    assert pi1_trivial(fan) == "trivial"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(3, 7).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.lists(st.integers(0, n - 1), min_size=2, max_size=3, unique=True),
+             max_size=2 * n))))
+def test_pi1_trivial_implies_vanishing_low_homology(drawn):
+    """The rule's "trivial" is sound: a simply connected complex is connected
+    and has H_1 = 0, whatever the rule derived on the way."""
+    n, facets = drawn
+    k = SimplicialComplex(range(n), [tuple(sorted(f)) for f in facets])
+    if pi1_trivial(k) == "trivial":
+        rep = reduced_homology(k)
+        assert all(rep.betti_number(i) == 0 and not rep.torsion_at(i) for i in (0, 1))
 
 
 def test_cm_single_simplex():
