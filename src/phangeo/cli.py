@@ -22,6 +22,7 @@ import sys
 import time
 
 from . import __version__
+from .field import prime_power
 from .phan import PhanFamily, bound_report, vertices
 from .simplicial import export_facets, order_complex, purity_and_dimension
 from .specfile import (
@@ -251,13 +252,13 @@ def cmd_filtration(args) -> int:
 
 
 def cmd_bounds_table(args) -> int:
+    # fields F_q only; sigma of order 2 needs an even exponent
+    orders = [(q, pe[1]) for q in range(2, args.max_q + 1) for pe in [prime_power(q)] if pe]
     rows = []
     for n in range(1, args.max_n + 1):
-        for q in range(2, args.max_q + 1):
+        for q, e in orders:
             for m in range(1, args.max_m + 1):
-                for sigma_order in (1, 2):
-                    if sigma_order == 2 and round(q**0.5) ** 2 != q:
-                        continue
+                for sigma_order in (1, 2) if e % 2 == 0 else (1,):
                     rows.append(bound_report(n, q, m, sigma_order))
     doc = {
         "schema_version": REPORT_SCHEMA_VERSION,

@@ -23,7 +23,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import zip_longest
 
-__all__ = ["Field", "make_field"]
+__all__ = ["Field", "make_field", "prime_power"]
 
 # Full q x q addition tables are built below this order; larger fields fall
 # back to digit-wise addition.
@@ -43,6 +43,19 @@ def _is_prime(n: int) -> bool:
             return False
         d += 2
     return True
+
+
+def prime_power(q: int) -> tuple[int, int] | None:
+    """(p, e) with q = p**e and p prime, or None if q is no prime power: the
+    orders for which a field F_q exists."""
+    if q < 2:
+        return None
+    p = next(d for d in range(2, q + 1) if q % d == 0)  # the least divisor is prime
+    e = 0
+    while q % p == 0:
+        q //= p
+        e += 1
+    return (p, e) if q == 1 else None
 
 
 # -- polynomial helpers over F_p (coefficient lists, constant term first) --

@@ -5,7 +5,9 @@ projection form onto the perp of a non-degenerate point.
 A form is stored as the Gram matrix over the canonical (reduced-echelon)
 basis of its domain subspace, so restriction is Gram compression, a radical
 is a matrix kernel, and non-degeneracy on a subspace is full rank of the
-compressed Gram matrix, with no radical built.  Hermitian symmetry
+compressed Gram matrix, with no radical built.  A vector of the domain has
+its coordinates at the domain's pivot columns, so ``nondegenerate_on``
+reads them off with no reduction.  Hermitian symmetry
 G[j][i] == sigma(G[i][j]) is enforced at construction; evaluation is
 sigma-sesquilinear in the second argument: w(a*x, b*y) = a * sigma(b) * w(x, y).
 """
@@ -21,7 +23,6 @@ from .linalg import (
     complement,
     nullspace,
     project,
-    rref,
 )
 
 __all__ = [
@@ -53,6 +54,9 @@ class NoNonisotropicVectorError(ValueError):
 
 class HermitianForm(Frozen):
     """A sigma-hermitian form on a subspace, as a Gram matrix over its basis.
+    ``is_nondegenerate`` checks its target subspace; ``nondegenerate_on``
+    trusts that its vectors lie in the domain and are independent, and takes
+    their coordinates at the domain's pivot columns.
 
     Two forms are equal iff their field, domain and Gram matrix are."""
 
@@ -138,8 +142,17 @@ class HermitianForm(Frozen):
     def is_nondegenerate(self, s: Subspace | None = None) -> bool:
         """Whether the radical on s (default: the domain) is zero, that is,
         whether the Gram matrix there has full rank."""
-        gram = self.gram if s is None else self._gram_on(s)
-        return len(rref(self.field, gram)) == len(gram)
+        return _full_rank(self.field, self.gram if s is None else self._gram_on(s))
+
+    def nondegenerate_on(self, vectors) -> bool:
+        """Whether the form is non-degenerate on the span of the given
+        linearly independent vectors of the domain (not checked): whether
+        their Gram matrix has full rank.  Their coordinates are their entries
+        at the domain's pivot columns."""
+        pivots = self.domain.pivots
+        coords = [tuple(v[j] for j in pivots) for v in vectors]
+        return _full_rank(self.field, [[self._eval_coords(a, b) for b in coords]
+                                       for a in coords])
 
     def perp(self, s: Subspace) -> Subspace:
         """{x in domain : w(x, y) = 0 for all y in S}."""
@@ -174,6 +187,23 @@ class HermitianForm(Frozen):
             if self._eval_coords(c, c) != 0:
                 return True
         return False
+
+
+def _full_rank(field: Field, rows) -> bool:
+    """Whether a square matrix is invertible, by forward elimination that
+    stops at the first column without a pivot."""
+    mat = [list(r) for r in rows]
+    for c in range(len(mat)):
+        piv = next((i for i in range(c, len(mat)) if mat[i][c]), None)
+        if piv is None:
+            return False
+        mat[c], mat[piv] = mat[piv], mat[c]
+        inv = field.inv(mat[c][c])
+        for i in range(c + 1, len(mat)):
+            if mat[i][c]:
+                g = field.mul(mat[i][c], inv)
+                mat[i] = [field.sub(x, field.mul(g, y)) for x, y in zip(mat[i], mat[c])]
+    return True
 
 
 def extend_forms(flag: Flag, forms, p: Subspace, complement_policy=None):

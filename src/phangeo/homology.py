@@ -2,9 +2,14 @@
 spheres certification at the homology level, Cohen-Macaulay verification,
 and a fundamental-group triviality check by a signed union-find fixpoint.
 
-All arithmetic is exact over arbitrary-precision ints.  Reduced degree 0 is
-handled by the augmentation map (the 1 x n_0 all-ones boundary), never by a
-special-cased connectivity count.  Smith normal forms come from one sparse
+All arithmetic is exact over arbitrary-precision ints.  Degrees 0 and 1 are
+read from a union-find spanning forest of the 1-skeleton: the augmentation
+∂_0 (the 1 x n_0 all-ones boundary) has rank 1, and ∂_1 is the incidence
+matrix of a graph, which is totally unimodular, so its invariant factors are
+all 1 and its rank is n_0 minus the number of components.  That is the
+acyclic matching a spanning forest gives on the 1-skeleton (Forman, *Morse
+theory for cell complexes*, 1998): one critical vertex per component.  Only
+∂_2 and up are reduced.  Smith normal forms come from one sparse
 elimination whose pivots are served from a per-row queue keyed by least
 |value| and row length (Markowitz-style selection), so no pivot rescans the
 matrix; the diagonal multiset is then normalized into invariant factors.
@@ -209,21 +214,44 @@ class HomologyReport(namedtuple("HomologyReport",
         return all(b == 0 for b in self.betti) and all(not t for t in self.torsion)
 
 
+def _components(k: SimplicialComplex) -> int:
+    """Number of connected components, by union-find over the facets: the
+    vertices of a facet are joined, so no edge is listed."""
+    parent = list(range(k.num_vertices))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for f in k.facets:
+        root = find(f[0])
+        for v in f[1:]:
+            parent[find(v)] = root
+    return sum(parent[v] == v for v in range(k.num_vertices))
+
+
 def reduced_homology(k: SimplicialComplex) -> HomologyReport:
+    """Reduced integral homology.  The invariant factors of ∂_0 and ∂_1 are
+    known without reduction (rank 1, and n_0 - components ones), so a
+    complex of dimension <= 1 reduces no matrix and a larger one runs
+    ``smith_invariant_factors`` on ∂_2 and up only."""
     if k.is_empty():
         return HomologyReport((), (), 0, -1)
-    mats = boundary_matrices(k)
-    counts = [m.ncols for m in mats]
-    factors = [smith_invariant_factors(m) for m in mats]
-    ranks = [len(f) for f in factors] + [0]
+    factors = [[1], [1] * (k.num_vertices - _components(k))]
+    if k.dim >= 2:
+        mats = boundary_matrices(k)
+        counts = [m.ncols for m in mats]
+        factors += [smith_invariant_factors(m) for m in mats[2:]]
+    else:
+        counts = k.face_counts()
+    factors.append([])
     betti = []
     torsion = []
     for d in range(k.dim + 1):
-        betti.append(counts[d] - ranks[d] - ranks[d + 1])
-        if d + 1 <= k.dim:
-            torsion.append(tuple(f for f in factors[d + 1] if f > 1))
-        else:
-            torsion.append(())
+        betti.append(counts[d] - len(factors[d]) - len(factors[d + 1]))
+        torsion.append(tuple(f for f in factors[d + 1] if f > 1))
     euler = sum((-1) ** d * c for d, c in enumerate(counts))
     if euler != 1 + sum((-1) ** d * b for d, b in enumerate(betti)):
         raise RuntimeError("Euler characteristic inconsistent with Betti numbers")

@@ -19,7 +19,9 @@ agree bit for bit.  The masks also give intersection dimensions
 (``meet_dim``): a d-dimensional subspace has (q^d - 1)/(q - 1) points, so
 dim(a ∩ b) is read off the popcount of ``a.point_mask & b.point_mask``.
 Transversality to a flag reads masks only, and so do the ambient and k_U
-tests of the membership predicate in :mod:`phangeo.phan`.
+tests of the membership predicate in :mod:`phangeo.phan`.  ``mask_basis``
+decodes a basis of a subspace from its mask alone, which gives that
+predicate a basis of U ∩ V_(k+1) from the meet of two masks.
 
 Canonical vector enumeration counts coordinate 0 as the least significant
 base-q digit, so (1,0,...,0) is the first nonzero vector.
@@ -34,7 +36,7 @@ from operator import mul
 from .field import Field
 
 __all__ = [
-    "Subspace", "Flag", "Decomposition", "Quotient",
+    "Subspace", "Flag", "Decomposition", "Quotient", "mask_basis",
     "rref", "nullspace", "solve_coordinates",
     "is_transversal", "complement", "project", "quotient",
     "enumerate_vectors", "enumerate_subspaces", "enumerate_subspaces_of",
@@ -175,11 +177,17 @@ class Subspace(Frozen):
     def sort_key(self):
         return (len(self.basis), self.basis)
 
+    @cached_property
+    def pivots(self) -> tuple[int, ...]:
+        """The pivot column of each basis row.  The basis is reduced
+        echelon, so a vector of the subspace has its coordinates over the
+        basis at these columns."""
+        return tuple(next(j for j, x in enumerate(row) if x != 0) for row in self.basis)
+
     def _reduce(self, vec):
         """Residue of vec after reduction against the echelon basis."""
         v = list(vec)
-        for row in self.basis:
-            pc = next(j for j, x in enumerate(row) if x != 0)
+        for row, pc in zip(self.basis, self.pivots):
             c = v[pc]
             if c != 0:
                 f = self.field
@@ -198,8 +206,7 @@ class Subspace(Frozen):
         v = list(vec)
         coords = []
         f = self.field
-        for row in self.basis:
-            pc = next(j for j, x in enumerate(row) if x != 0)
+        for row, pc in zip(self.basis, self.pivots):
             c = v[pc]
             coords.append(c)
             if c != 0:
@@ -290,6 +297,31 @@ class Subspace(Frozen):
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, ambient={self.ambient}, basis={self.basis})"
+
+
+def mask_basis(field: Field, ambient: int, mask: int) -> list[tuple[int, ...]]:
+    """A basis of the subspace of F_q^ambient with the given point mask,
+    read from the mask alone, with no elimination.  The least point left is
+    picked, and the points of the span so far are cleared: adding x to a
+    span S adds the points x + s, normalized, for the vectors s of S.  Each
+    pick lies outside the span of the earlier ones, so the picks are
+    independent."""
+    q = field.q
+    weights = [q**j for j in range(ambient)]
+    basis = []
+    span = [(0,) * ambient]  # the vectors of the span so far
+    while mask:
+        bit = (mask & -mask).bit_length() - 1
+        x = tuple(bit // w % q for w in weights)
+        basis.append(x)
+        for s in span:
+            p = tuple(map(field.add, x, s))
+            lead = field.inv(next(a for a in p if a))
+            mask &= ~(1 << sum(field.mul(lead, a) * w for a, w in zip(p, weights)))
+        if mask:
+            span += [tuple(field.add(field.mul(c, a), b) for a, b in zip(x, s))
+                     for c in range(1, q) for s in span]
+    return basis
 
 
 class Flag(Frozen):

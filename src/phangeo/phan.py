@@ -9,9 +9,11 @@ transversal to the flag, and U ∩ V_(k+1) is non-degenerate for the form
 w_k selected by k = k_U, the least index with U ∩ V_(k+1) != 0.
 
 Membership reads the point masks (``Subspace.point_mask``): containment in
-the ambient, transversality and k_U are mask tests and popcounts, and only
-the non-degeneracy test needs a basis, of U itself or of at most one
-intersection U ∩ V_(k+1).
+the ambient, transversality and k_U are mask tests and popcounts.  The
+non-degeneracy test takes a basis of U ∩ V_(k+1): U's own when U lies in
+V_(k+1), else one decoded from the meet of the two masks (``mask_basis``),
+and the Gram rank on its coordinates, read at the pivot columns of V_(k+1).
+No elimination other than that rank is run.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .linalg import (
     Subspace,
     enumerate_subspaces_of,
     is_transversal,
+    mask_basis,
     quotient,
 )
 
@@ -139,6 +142,10 @@ class PhanSpec(Frozen):
         raise ValueError("subspace meets no flag member; is it inside the ambient?")
 
     def is_member(self, u: Subspace) -> bool:
+        """Whether u is proper, non-zero, inside the ambient, transversal to
+        the flag, and U ∩ V_(k+1) is non-degenerate for w_k, k = k_U.  The
+        basis of the intersection comes from the point masks, with no
+        reduction."""
         if u.dim == 0 or u.dim >= self.ambient.dim:
             return False
         if u.meet_dim(self.ambient) != u.dim:
@@ -146,9 +153,9 @@ class PhanSpec(Frozen):
         if not is_transversal(u, self.flag):
             return False
         k = self.k_of(u)
-        v = self.flag[k + 1]
-        s = u if u.point_mask & ~v.point_mask == 0 else u.intersect(v)
-        return self.forms[k].is_nondegenerate(s)
+        meet = u.point_mask & self.flag[k + 1].point_mask
+        basis = u.basis if meet == u.point_mask else mask_basis(u.field, u.ambient, meet)
+        return self.forms[k].nondegenerate_on(basis)
 
     def members(self) -> tuple[Subspace, ...]:
         return _members_of(self)

@@ -6,7 +6,7 @@ import pytest
 
 from phangeo.field import Field
 from phangeo.forms import HermitianForm
-from phangeo.homology import IntegerMatrix
+from phangeo.homology import IntegerMatrix, boundary_matrices, smith_invariant_factors
 from phangeo.linalg import Flag, Subspace, rref
 from phangeo.simplicial import SimplicialComplex
 
@@ -136,6 +136,20 @@ def _divisor_chain(diag: list[int]) -> list[int]:
                     changed = True
         ds.sort()
     return ds
+
+
+def snf_homology(k: SimplicialComplex):
+    """(betti, torsion) of the reduced homology by ``smith_invariant_factors``
+    on every degree of ``boundary_matrices(k)``, the augmentation ∂_0 and
+    ∂_1 included: no degree is read from a spanning forest."""
+    if k.is_empty():
+        return (), ()
+    mats = boundary_matrices(k)
+    factors = [smith_invariant_factors(m) for m in mats] + [[]]
+    betti = tuple(m.ncols - len(factors[d]) - len(factors[d + 1])
+                  for d, m in enumerate(mats))
+    torsion = tuple(tuple(f for f in factors[d + 1] if f > 1) for d in range(len(mats)))
+    return betti, torsion
 
 
 def chain_facets(subspaces) -> frozenset:

@@ -3,7 +3,9 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS/FAIL line
 per criterion.  Expected values are either derived here by an independent
 oracle (union-find connectivity, Euler counts for graph homology, brute
-enumeration) or frozen from such derivations.
+enumeration) or frozen from such derivations.  The library reads degree 0
+from a union-find spanning forest too, so connectivity is also checked
+against the Smith form of every boundary (``snf_homology``).
 """
 
 import random
@@ -34,7 +36,7 @@ from phangeo.suites import (
     standard_spec,
 )
 
-from conftest import modular_smith
+from conftest import modular_smith, snf_homology
 
 
 def _report(num: int, desc: str, passed: bool, extra: str = ""):
@@ -81,9 +83,11 @@ def _main_theorem_instance_checks(num, family, runtime_budget):
     cycles = _graph_cycle_rank(k)
     cm = cohen_macaulay_check(k)
     elapsed = time.time() - t0
+    snf_betti, _ = snf_homology(k)
     ok = (
         rep.betti_number(0) == 0
         and comp == 1                      # oracle for b~_0 = 0
+        and snf_betti[0] == comp - 1
         and rep.betti_number(1) == cycles  # oracle for the SNF rank
         and rep.betti_number(1) >= 1
         and rep.torsion_at(1) == ()        # free
@@ -143,6 +147,7 @@ def test_acceptance_04_opposite_chamber_q3():
     ok = (
         counts == [18, 27]
         and _components(k) == 1
+        and snf_homology(k)[0][0] == 0
         and rep.betti_number(0) == 0
         and rep.euler_characteristic == euler_oracle
         and rep.betti_number(1) == q**3 - 2 * q**2 + 1 == 10

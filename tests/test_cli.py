@@ -166,6 +166,29 @@ def test_reports_are_byte_identical(tmp_path, spec_q5):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_chamber_q5_dim4_is_certified_in_bound(tmp_path):
+    """specs/chamber_q5_dim4.json, the first in-bound n = 3 instance
+    (rank-one forms, 2^2*1 = 4 < 5), is certified without --force.  The
+    expected b~ = (0, 0, 7124) with no 2- or 3-torsion is what the method of
+    bench/reference.py, which runs no phangeo code, computes from the facet
+    export: ranks of the boundaries over F_(2^31-1), F_2 and F_3.  The
+    Cohen-Macaulay sweep checks the empty simplex and every face of the
+    f-vector (875, 9375, 15625)."""
+    spec = str(SPECS / "chamber_q5_dim4.json")
+    out = tmp_path / "r.json"
+    assert main(["homology", "--spec", spec, "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["verdict"] == "pass" and not doc["bound"]["forced"]
+    assert doc["homology"]["betti"] == [0, 0, 7124]
+    assert doc["homology"]["torsion"] == [[], [], []]
+    assert doc["sphericity"]["spherical"] and doc["sphericity"]["pi1_status"] == "trivial"
+    assert main(["cm-check", "--spec", spec, "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["verdict"] == "pass" and doc["cm"]["passed"]
+    assert doc["cm"]["simplices_checked"] == 25876 == 1 + 875 + 9375 + 15625
+    assert doc["cm"]["failures"] == []
+
+
 def test_bounds_table(tmp_path, capsys):
     out = tmp_path / "t.json"
     assert main(["bounds-table", "--max-n", "3", "--max-q", "25", "--max-m", "1",
@@ -179,6 +202,15 @@ def test_bounds_table(tmp_path, capsys):
     r = row(3, 25, 1, 2)
     assert r["satisfied"] is True and r["lhs"] == 24   # 4*6 = 24 < 25
     assert all(r2["sigma_order"] == 1 or round(r2["q"] ** 0.5) ** 2 == r2["q"] for r2 in rows)
+    # only orders of fields, and sigma of order 2 only for even exponents
+    assert main(["bounds-table", "--max-n", "1", "--max-q", "40", "--max-m", "1",
+                 "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert [r["q"] for r in rows if r["sigma_order"] == 1] == [
+        2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37]
+    assert [r["q"] for r in rows if r["sigma_order"] == 2] == [4, 9, 16, 25]
+    printed = capsys.readouterr().out
+    assert not any(f"< q = {q}\n" in printed for q in (6, 10, 12, 36))
 
 
 def test_lemma_tests_command(tmp_path):

@@ -1,6 +1,6 @@
 import pytest
 
-from phangeo.field import make_field
+from phangeo.field import make_field, prime_power
 
 
 def test_make_field_errors():
@@ -110,3 +110,10 @@ def test_pow_matches_repeated_multiplication():
         for k in range(7):
             assert f8.pow(a, k) == acc
             acc = f8.mul(acc, a)
+
+
+def test_prime_power():
+    assert [q for q in range(1, 33) if prime_power(q)] == [
+        2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32]
+    assert prime_power(1) is None and prime_power(36) is None
+    assert prime_power(81) == (3, 4) and prime_power(49) == (7, 2)

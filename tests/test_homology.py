@@ -19,7 +19,7 @@ from phangeo.simplicial import SimplicialComplex, order_complex
 from phangeo.suites import chamber_spec, standard_spec
 from phangeo.phan import PhanFamily, vertices
 
-from conftest import join, modular_smith, multiply, naive_smith
+from conftest import join, modular_smith, multiply, naive_smith, snf_homology
 
 F3 = make_field(3, 1)
 F5 = make_field(5, 1)
@@ -271,6 +271,28 @@ def test_f3_4_geometry_homology():
     rep = reduced_homology(k)
     assert rep.betti == (0, 4, 69)
     assert rep.torsion == ((), (), ())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 9).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=4, unique=True),
+             max_size=2 * n))))
+@example((1, []))
+@example((0, []))  # the empty complex
+@example((5, []))  # isolated vertices only
+@example((4, [[0, 1], [2, 3]]))  # two components
+@example((7, [[0, 1, 2], [3, 4, 5]]))  # two triangles and an isolated vertex
+@example((6, [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3], [4, 5]]))  # sphere + edge
+@example((8, [[0, 1, 2, 3], [4, 5, 6, 7], [3, 4]]))  # two tetrahedra joined by an edge
+def test_reduced_homology_matches_full_snf(drawn):
+    """Degrees 0 and 1 read from the spanning forest agree with the Smith
+    form of every boundary, on random complexes up to dimension 3,
+    disconnected ones, isolated vertices and 0-dimensional ones included."""
+    n, facets = drawn
+    k = SimplicialComplex(range(n), [tuple(sorted(f)) for f in facets])
+    rep = reduced_homology(k)
+    assert (rep.betti, rep.torsion) == snf_homology(k)
 
 
 def test_euler_consistency_random(rng):

@@ -225,3 +225,16 @@ def test_mask_containment_matches_contains_subspace(p, e):
     for a in subs:
         for b in subs:
             assert (a.point_mask & ~b.point_mask == 0) == b.contains_subspace(a)
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (3, 2)])
+def test_mask_basis_spans_the_subspace(p, e, rng):
+    """mask_basis decodes a basis from a point mask alone, on every subspace
+    of F_q^3 and on random ones of F_q^5, q = 4 and q = 9 included."""
+    field = make_field(p, e)
+    subs = _subspaces_of_f_q_3(field)
+    subs += [random_subspace(rng, field, 5, rng.randrange(0, 6)) for _ in range(12)]
+    for s in subs:
+        basis = la.mask_basis(field, s.ambient, s.point_mask)
+        assert len(basis) == s.dim
+        assert Subspace.span(field, s.ambient, basis) == s

@@ -139,16 +139,32 @@ def _membership_oracle_specs():
         for u in spec.members()[::7]:
             residues.append(residue_below(spec, u))
             residues.append(residue_above(spec, u)[0])
+    # F_2^5, the one ambient here where U ∩ V_(k+1) can reach dimension 3;
+    # their residues have ambients of dimension at most 4, so they are left out
+    specs += [random_phan_spec(rng, F2, 5, t) for _ in range(2) for t in (1, 2, 3)]
     return specs + residues, _recorded_delta_specs(PhanFamily((standard_spec(F5, 3),)))
+
+
+def _decoded_meet_dim(spec, u) -> int:
+    """dim(U ∩ V_(k+1)) where is_member decodes that intersection from the
+    point masks (a proper non-zero transversal subspace of the ambient that
+    is not inside V_(k+1)), else 0."""
+    if not (0 < u.dim < spec.ambient.dim and spec.ambient.contains_subspace(u)
+            and oracle_is_transversal(u, spec.flag)):
+        return 0
+    v = spec.flag[oracle_k_of(spec, u) + 1]
+    return 0 if v.contains_subspace(u) else u.intersect(v).dim
 
 
 def test_membership_matches_rref_oracle():
     """is_member, k_of and is_transversal read point masks; they agree with
     the rref versions on every subspace of the coordinate space holding each
     spec's ambient, inside and outside the ambient, for bundled, random,
-    hermitian, residue and restricted-family specs."""
+    hermitian, residue and restricted-family specs.  The random specs on
+    F_2^5 make is_member decode intersections of dimension 3 and more."""
     subspaces = {}
     specs, delta = _membership_oracle_specs()
+    decoded = set()
     for spec in specs + delta:
         key = (spec.field, spec.ambient.ambient)
         if key not in subspaces:
@@ -158,7 +174,9 @@ def test_membership_matches_rref_oracle():
             assert is_transversal(u, spec.flag) == oracle_is_transversal(u, spec.flag)
             if not u.is_zero():
                 assert _outcome(spec.k_of, u) == _outcome(oracle_k_of, spec, u)
+            decoded.add(_decoded_meet_dim(spec, u))
     assert delta and any(not s.ambient.is_full() for s in specs)
+    assert max(decoded) >= 3
 
 
 def _transport(spec, rows):
