@@ -25,8 +25,8 @@ from itertools import zip_longest
 
 __all__ = ["Field", "make_field", "prime_power"]
 
-# Full q x q addition tables are built below this order; larger fields fall
-# back to digit-wise addition.
+# Full q x q addition and multiplication tables are built up to this order;
+# above it, a ``_ComputedTable`` computes each entry on lookup.
 _ADD_TABLE_LIMIT = 256
 
 
@@ -145,16 +145,31 @@ def _modulus(p: int, e: int) -> tuple[int, ...]:
     raise RuntimeError(f"no irreducible polynomial found for p={p}, e={e}")
 
 
+class _ComputedTable:
+    """``table[a][b] == op(a, b)``, computed on each lookup: the operation
+    tables of a field above ``_ADD_TABLE_LIMIT``, which would hold q^2 entries."""
+
+    __slots__ = ("op", "a")
+
+    def __init__(self, op, a=None):
+        self.op, self.a = op, a
+
+    def __getitem__(self, x):
+        return _ComputedTable(self.op, x) if self.a is None else self.op(self.a, x)
+
+
 class Field:
     """The finite field F_q with q = p**e and an automorphism of order 1 or 2.
 
     Instances are immutable; every operation is pure, so a Field may be used
-    from any number of concurrent callers.
+    from any number of concurrent callers.  Hot loops read the lookup tables
+    instead of calling the methods: ``add_table[a][b]``, ``mul_table[a][b]``,
+    ``neg_table[a]``, ``inv_table[a]`` (0 for a = 0) and ``sigma_table[a]``.
     """
 
     __slots__ = (
-        "p", "e", "q", "sigma_order", "modulus",
-        "_exp", "_log", "_neg", "_inv", "_sig", "_add", "_ppow", "_fixed",
+        "p", "e", "q", "sigma_order", "modulus", "_exp", "_log", "_ppow", "_fixed",
+        "add_table", "mul_table", "neg_table", "inv_table", "sigma_table",
     )
 
     zero = 0
@@ -211,37 +226,35 @@ class Field:
             log[v] = k
         self._exp = exp
         self._log = log
-        self._inv = [0] * q
-        for a in range(1, q):
-            self._inv[a] = exp[(q - 1 - log[a]) % (q - 1)]
-        self._neg = [self._encode([(-c) % self.p for c in self._decode(a)]) for a in range(q)]
+        self.inv_table = [0] + [exp[(q - 1 - log[a]) % (q - 1)] for a in range(1, q)]
+        self.neg_table = [self._encode([(-c) % self.p for c in self._decode(a)])
+                          for a in range(q)]
         if self.sigma_order == 2:
             s = self.p ** (self.e // 2)
-            self._sig = [0] + [exp[(log[a] * s) % (q - 1)] for a in range(1, q)]
+            self.sigma_table = [0] + [exp[(log[a] * s) % (q - 1)] for a in range(1, q)]
         else:
-            self._sig = list(range(q))
+            self.sigma_table = list(range(q))
         if q <= _ADD_TABLE_LIMIT:
-            self._add = [
-                [self._encode([(x + y) % self.p for x, y in zip(self._decode(a), self._decode(b))])
-                 for b in range(q)]
-                for a in range(q)
-            ]
+            self.add_table = [[self._digit_add(a, b) for b in range(q)] for a in range(q)]
+            self.mul_table = [[self.mul(a, b) for b in range(q)] for a in range(q)]
         else:
-            self._add = None
-        self._fixed = tuple(a for a in range(q) if self._sig[a] == a)
+            self.add_table = _ComputedTable(self._digit_add)
+            self.mul_table = _ComputedTable(self.mul)
+        self._fixed = tuple(a for a in range(q) if self.sigma_table[a] == a)
+
+    def _digit_add(self, a: int, b: int) -> int:
+        return self._encode([(x + y) % self.p for x, y in zip(self._decode(a), self._decode(b))])
 
     # -- arithmetic --------------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        if self._add is not None:
-            return self._add[a][b]
-        return self._encode([(x + y) % self.p for x, y in zip(self._decode(a), self._decode(b))])
+        return self.add_table[a][b]
 
     def neg(self, a: int) -> int:
-        return self._neg[a]
+        return self.neg_table[a]
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self._neg[b])
+        return self.add_table[a][self.neg_table[b]]
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -251,7 +264,7 @@ class Field:
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError(f"inversion of zero in F_{self.q}")
-        return self._inv[a]
+        return self.inv_table[a]
 
     def pow(self, a: int, k: int) -> int:
         if a == 0:
@@ -260,7 +273,7 @@ class Field:
 
     def sigma(self, a: int) -> int:
         """The designated automorphism: identity, or x -> x**sqrt(q)."""
-        return self._sig[a]
+        return self.sigma_table[a]
 
     # -- enumeration and encoding ------------------------------------------
 

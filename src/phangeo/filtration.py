@@ -10,6 +10,12 @@ homology-level sphericity of the star boundaries, the below/above set
 identities, agreement of the below sets with the restricted family, and
 exact Mayer-Vietoris rank bookkeeping.  Checks report failures with
 witnesses instead of raising.
+
+|Y_(i-1)| is the order complex of a subset of Y_i, so it is a full
+subcomplex of |Y_i|: a chain of Y_i whose members all lie in Y_(i-1) is a
+chain of Y_(i-1).  A star boundary A_j ∩ B is therefore the star of U_j
+with the vertices outside Y_(i-1) dropped from each facet
+(``induced_subcomplex``), with no search through the facets of B.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from collections import namedtuple
 from .homology import HomologyReport, reduced_homology, sphericity_verdict
 from .linalg import Subspace
 from .phan import (
+    DeltaConstructionError,
     EmptyResidueError,
     GeometryVertexSet,
     PhanFamily,
@@ -27,7 +34,7 @@ from .phan import (
 )
 from .simplicial import (
     SimplicialComplex,
-    intersect_complexes,
+    induced_subcomplex,
     link,
     order_complex,
     star_closure,
@@ -245,7 +252,9 @@ def verify_stage(state: FiltrationState, i: int) -> StageReport:
     conversely an edge {U, W} of new vertices lies in both stars and not in
     B); (b) each A_j is a cone with apex U_j; (c) A_j ∩ B equals the join
     |Y_(i-1)^<U * Y_(i-1)^>U| and is spherical in dimension n-2 at the
-    homology level; (d) Y_(i-1)^>U = Γ^>U,
+    homology level, where A_j ∩ B is read off the star by restriction to the
+    vertices of Y_(i-1), exact because B is a full subcomplex of |Y_i|, and
+    the join is built separately as an order complex; (d) Y_(i-1)^>U = Γ^>U,
     Y_(i-1)^<U = Y_0^<U, and the below set matches the intersection geometry
     of the restricted family; plus exact Mayer-Vietoris rank bookkeeping.
     Failures are recorded with witnesses, never raised.
@@ -264,7 +273,7 @@ def verify_stage(state: FiltrationState, i: int) -> StageReport:
         return report
 
     k_cur, cur_homology = state.level_complex(i)
-    b_complex, b_homology = state.level_complex(i - 1)
+    _, b_homology = state.level_complex(i - 1)
     gamma = set(state.geometry.members)
     p = state.pivot
 
@@ -315,11 +324,11 @@ def verify_stage(state: FiltrationState, i: int) -> StageReport:
     bad_sphere = None
     boundary_betti = {}
     for u in new:
-        a_cap_b = intersect_complexes(stars[u], b_complex)
+        a_cap_b = induced_subcomplex(stars[u], prev_set)
         expected = order_complex(below_prev[u] + above_prev[u])
         if a_cap_b.facet_sets() != expected.facet_sets() and not (
             a_cap_b.is_empty() and expected.is_empty()
-        ):
+        ) and bad_join is None:
             bad_join = u
         a_cap_b_homology = reduced_homology(a_cap_b)
         ok, why = _spherical_check(a_cap_b, a_cap_b_homology, n - 2)
@@ -398,7 +407,9 @@ def _delta_comparison(state: FiltrationState, u: Subspace, below_y0) -> str | No
         # Lemma's hypothesis fails (empty residue); the literal set must
         # then also be computable directly, nothing to compare against.
         return None
-    except Exception as exc:  # recorded, not raised: negative controls land here
+    except (ValueError, DeltaConstructionError) as exc:
+        # the construction's own errors are recorded, not raised: negative
+        # controls land here; any other exception is a programming error.
         # delta_restriction stops at the first failing spec, so the residues
         # of the specs after it are still unchecked; an empty one waives the
         # comparison as above

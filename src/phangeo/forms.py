@@ -7,7 +7,9 @@ basis of its domain subspace, so restriction is Gram compression, a radical
 is a matrix kernel, and non-degeneracy on a subspace is full rank of the
 compressed Gram matrix, with no radical built.  A vector of the domain has
 its coordinates at the domain's pivot columns, so ``nondegenerate_on``
-reads them off with no reduction.  Hermitian symmetry
+reads them off with no reduction.  A Gram matrix of given vectors, for a
+restriction or a rank, is evaluated on one triangle; the other is its
+image under sigma.  Hermitian symmetry
 G[j][i] == sigma(G[i][j]) is enforced at construction; evaluation is
 sigma-sesquilinear in the second argument: w(a*x, b*y) = a * sigma(b) * w(x, y).
 """
@@ -20,6 +22,7 @@ from .linalg import (
     Flag,
     Frozen,
     Subspace,
+    combine,
     complement,
     nullspace,
     project,
@@ -87,15 +90,16 @@ class HermitianForm(Frozen):
 
     def _eval_coords(self, cx, cy) -> int:
         f = self.field
+        add, mul = f.add_table, f.mul_table
+        scy = [f.sigma_table[b] for b in cy]
         total = 0
-        for i, a in enumerate(cx):
+        for a, row in zip(cx, self.gram):
             if a == 0:
                 continue
-            row = self.gram[i]
-            for j, b in enumerate(cy):
-                if b == 0 or row[j] == 0:
-                    continue
-                total = f.add(total, f.mul(f.mul(a, f.sigma(b)), row[j]))
+            scale = mul[a]
+            for b, g in zip(scy, row):
+                if b and g:
+                    total = add[total][mul[scale[b]][g]]
         return total
 
     def evaluate(self, x, y) -> int:
@@ -107,6 +111,19 @@ class HermitianForm(Frozen):
 
     # -- restriction, radical, perp -------------------------------------------
 
+    def _gram(self, coords) -> list[list[int]]:
+        """The Gram matrix of the vectors with the given coordinates over the
+        domain: one triangle is evaluated, and the other is its image under
+        sigma, G[j][i] = sigma(G[i][j])."""
+        sigma = self.field.sigma_table
+        gram = [[0] * len(coords) for _ in coords]
+        for i, a in enumerate(coords):
+            gram[i][i] = self._eval_coords(a, a)
+            for j in range(i + 1, len(coords)):
+                gram[i][j] = self._eval_coords(a, coords[j])
+                gram[j][i] = sigma[gram[i][j]]
+        return gram
+
     def _gram_on(self, s: Subspace) -> tuple[tuple[int, ...], ...]:
         """The Gram matrix over the canonical basis of s, a subspace of the
         domain."""
@@ -114,9 +131,7 @@ class HermitianForm(Frozen):
         coords = [self.domain.coordinates(r) for r in s.basis]
         if None in coords:
             raise ValueError("restriction target is not contained in the domain")
-        return tuple(
-            tuple(self._eval_coords(ca, cb) for cb in coords) for ca in coords
-        )
+        return tuple(map(tuple, self._gram(coords)))
 
     def restrict(self, s: Subspace) -> "HermitianForm":
         return HermitianForm(self.field, s, self._gram_on(s))
@@ -129,15 +144,8 @@ class HermitianForm(Frozen):
         # x = sum c_a s_a is radical iff sum_a c_a G[a][b] = 0 for all b
         rows = [[form.gram[a][b] for a in range(k)] for b in range(k)]
         kernel = nullspace(self.field, rows, k)
-        f = self.field
-        vecs = []
-        for c in kernel:
-            v = [0] * s.ambient
-            for ci, row in zip(c, s.basis):
-                if ci != 0:
-                    v = [f.add(x, f.mul(ci, y)) for x, y in zip(v, row)]
-            vecs.append(v)
-        return Subspace.span(f, s.ambient, vecs)
+        vecs = [combine(self.field, c, s.basis, s.ambient) for c in kernel]
+        return Subspace.span(self.field, s.ambient, vecs)
 
     def is_nondegenerate(self, s: Subspace | None = None) -> bool:
         """Whether the radical on s (default: the domain) is zero, that is,
@@ -150,9 +158,7 @@ class HermitianForm(Frozen):
         their Gram matrix has full rank.  Their coordinates are their entries
         at the domain's pivot columns."""
         pivots = self.domain.pivots
-        coords = [tuple(v[j] for j in pivots) for v in vectors]
-        return _full_rank(self.field, [[self._eval_coords(a, b) for b in coords]
-                                       for a in coords])
+        return _full_rank(self.field, self._gram([tuple(v[j] for j in pivots) for v in vectors]))
 
     def perp(self, s: Subspace) -> Subspace:
         """{x in domain : w(x, y) = 0 for all y in S}."""
@@ -170,13 +176,7 @@ class HermitianForm(Frozen):
         kernel = nullspace(f, rows, k) if rows else [
             tuple(1 if t == i else 0 for t in range(k)) for i in range(k)
         ]
-        vecs = []
-        for c in kernel:
-            v = [0] * self.domain.ambient
-            for ci, row in zip(c, self.domain.basis):
-                if ci != 0:
-                    v = [f.add(x, f.mul(ci, y)) for x, y in zip(v, row)]
-            vecs.append(v)
+        vecs = [combine(f, c, self.domain.basis, self.domain.ambient) for c in kernel]
         return Subspace.span(f, self.domain.ambient, vecs)
 
     def admits_nonisotropic_vector(self) -> bool:
@@ -191,18 +191,21 @@ class HermitianForm(Frozen):
 
 def _full_rank(field: Field, rows) -> bool:
     """Whether a square matrix is invertible, by forward elimination that
-    stops at the first column without a pivot."""
+    stops at the first column without a pivot; the arithmetic reads the
+    field's lookup tables."""
+    add, mul, neg = field.add_table, field.mul_table, field.neg_table
     mat = [list(r) for r in rows]
     for c in range(len(mat)):
         piv = next((i for i in range(c, len(mat)) if mat[i][c]), None)
         if piv is None:
             return False
         mat[c], mat[piv] = mat[piv], mat[c]
-        inv = field.inv(mat[c][c])
+        top = mat[c]
+        inv = field.inv_table[top[c]]
         for i in range(c + 1, len(mat)):
             if mat[i][c]:
-                g = field.mul(mat[i][c], inv)
-                mat[i] = [field.sub(x, field.mul(g, y)) for x, y in zip(mat[i], mat[c])]
+                scale = mul[neg[mul[mat[i][c]][inv]]]
+                mat[i] = [add[x][scale[y]] for x, y in zip(mat[i], top)]
     return True
 
 

@@ -25,11 +25,17 @@ predicate a basis of U ∩ V_(k+1) from the meet of two masks.
 
 Canonical vector enumeration counts coordinate 0 as the least significant
 base-q digit, so (1,0,...,0) is the first nonzero vector.
+
+The k-dimensional subspaces of each ambient F_q^n are enumerated once per
+process into a bounded table; ``enumerate_subspaces_of`` filters it by
+point mask.  Member enumeration, residue tests and the vertices of every
+restricted family share those objects, so each one's mask, pivots and
+hash are computed once.  Eliminations read the field's lookup tables.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 from operator import mul
 
@@ -37,17 +43,19 @@ from .field import Field
 
 __all__ = [
     "Subspace", "Flag", "Decomposition", "Quotient", "mask_basis",
-    "rref", "nullspace", "solve_coordinates",
+    "rref", "combine", "nullspace", "solve_coordinates",
     "is_transversal", "complement", "project", "quotient",
     "enumerate_vectors", "enumerate_subspaces", "enumerate_subspaces_of",
 ]
 
 
 def rref(field: Field, rows) -> tuple[tuple[int, ...], ...]:
-    """Reduced row-echelon form; returns the nonzero rows (canonical basis)."""
+    """Reduced row-echelon form; returns the nonzero rows (canonical basis).
+    The arithmetic reads the field's lookup tables."""
     mat = [list(r) for r in rows]
     if not mat:
         return ()
+    add, mul, neg = field.add_table, field.mul_table, field.neg_table
     ncols = len(mat[0])
     r = 0
     for c in range(ncols):
@@ -55,17 +63,30 @@ def rref(field: Field, rows) -> tuple[tuple[int, ...], ...]:
         if piv is None:
             continue
         mat[r], mat[piv] = mat[piv], mat[r]
-        inv = field.inv(mat[r][c])
+        inv = field.inv_table[mat[r][c]]
         if inv != 1:
-            mat[r] = [field.mul(inv, x) for x in mat[r]]
+            scale = mul[inv]
+            mat[r] = [scale[x] for x in mat[r]]
+        top = mat[r]
         for i in range(len(mat)):
             if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(mat[i], mat[r])]
+                scale = mul[neg[mat[i][c]]]
+                mat[i] = [add[x][scale[y]] for x, y in zip(mat[i], top)]
         r += 1
         if r == len(mat):
             break
     return tuple(tuple(row) for row in mat[:r] if any(row))
+
+
+def combine(field: Field, coeffs, rows, ambient: int) -> tuple[int, ...]:
+    """sum(coeffs[i] * rows[i]) in F_q^ambient, through the lookup tables."""
+    add, mul = field.add_table, field.mul_table
+    v = [0] * ambient
+    for c, row in zip(coeffs, rows):
+        if c:
+            scale = mul[c]
+            v = [add[x][scale[y]] for x, y in zip(v, row)]
+    return tuple(v)
 
 
 def nullspace(field: Field, rows, ncols: int) -> list[tuple[int, ...]]:
@@ -141,6 +162,10 @@ class Subspace(Frozen):
                 and (self.field is other.field or self.field == other.field))
 
     def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
         return hash((self.field, self.ambient, self.basis))
 
     # -- constructors ------------------------------------------------------
@@ -164,7 +189,7 @@ class Subspace(Frozen):
 
     # -- basic queries -----------------------------------------------------
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return len(self.basis)
 
@@ -184,34 +209,18 @@ class Subspace(Frozen):
         basis at these columns."""
         return tuple(next(j for j, x in enumerate(row) if x != 0) for row in self.basis)
 
-    def _reduce(self, vec):
-        """Residue of vec after reduction against the echelon basis."""
-        v = list(vec)
-        for row, pc in zip(self.basis, self.pivots):
-            c = v[pc]
-            if c != 0:
-                f = self.field
-                v = [f.sub(x, f.mul(c, y)) for x, y in zip(v, row)]
-        return v
-
     def contains(self, vec) -> bool:
-        if len(vec) != self.ambient:
-            raise ValueError("ambient dimension mismatch")
-        return not any(self._reduce(vec))
+        return self.coordinates(vec) is not None
 
     def coordinates(self, vec) -> tuple[int, ...] | None:
-        """Coefficients of vec over the canonical basis, or None if outside."""
+        """Coefficients of vec over the canonical basis, or None if outside:
+        the entries at the pivot columns, if they recombine to vec."""
         if len(vec) != self.ambient:
             raise ValueError("ambient dimension mismatch")
-        v = list(vec)
-        coords = []
-        f = self.field
-        for row, pc in zip(self.basis, self.pivots):
-            c = v[pc]
-            coords.append(c)
-            if c != 0:
-                v = [f.sub(x, f.mul(c, y)) for x, y in zip(v, row)]
-        return tuple(coords) if not any(v) else None
+        coords = tuple(vec[j] for j in self.pivots)
+        if combine(self.field, coords, self.basis, self.ambient) != tuple(vec):
+            return None
+        return coords
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check_compatible(other)
@@ -224,18 +233,20 @@ class Subspace(Frozen):
         The normalized vectors are the combinations of the echelon rows whose
         first nonzero coefficient is 1: row i plus any combination of the
         rows after it, which vanish up to the leading 1 of row i."""
-        f = self.field
-        weights = [f.q**j for j in range(self.ambient)]
+        q = self.field.q
+        add, mul_table = self.field.add_table, self.field.mul_table
+        weights = [q**j for j in range(self.ambient)]
         rows = self.basis
         later = [(0,) * self.ambient]  # the span of the rows after row i
         mask = 0
         for i in reversed(range(len(rows))):
-            points = [tuple(map(f.add, rows[i], v)) for v in later]
+            points = [tuple([add[x][y] for x, y in zip(rows[i], v)]) for v in later]
             for p in points:
                 mask |= 1 << sum(map(mul, p, weights))
             if i:
-                multiples = [[f.mul(c, x) for x in rows[i]] for c in range(2, f.q)]
-                later += points + [tuple(map(f.add, m, v)) for m in multiples for v in later]
+                multiples = [[mul_table[c][x] for x in rows[i]] for c in range(2, q)]
+                later += points + [tuple([add[x][y] for x, y in zip(m, v)])
+                                   for m in multiples for v in later]
         return mask
 
     def meet_dim(self, other: "Subspace") -> int:
@@ -251,7 +262,8 @@ class Subspace(Frozen):
         return d
 
     def _check_compatible(self, other: "Subspace") -> None:
-        if self.ambient != other.ambient or self.field != other.field:
+        if self.ambient != other.ambient or (self.field is not other.field
+                                             and self.field != other.field):
             raise ValueError("subspaces live in different ambient spaces")
 
     # -- lattice operations --------------------------------------------------
@@ -282,18 +294,10 @@ class Subspace(Frozen):
     def vectors(self):
         """All q**dim vectors, coefficients over the basis counted base q
         (first basis row least significant); the zero vector comes first."""
-        f = self.field
-        q = f.q
-        k = self.dim
-        for idx in range(q**k):
-            v = [0] * self.ambient
-            rem = idx
-            for row in self.basis:
-                c = rem % q
-                rem //= q
-                if c != 0:
-                    v = [f.add(x, f.mul(c, y)) for x, y in zip(v, row)]
-            yield tuple(v)
+        q = self.field.q
+        for idx in range(q**self.dim):
+            coeffs = [idx // q**i % q for i in range(self.dim)]
+            yield combine(self.field, coeffs, self.basis, self.ambient)
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, ambient={self.ambient}, basis={self.basis})"
@@ -434,13 +438,9 @@ def project(vec, decomp: Decomposition, index: int):
     coords = solve_coordinates(f, rows, vec)
     if coords is None:
         raise ValueError("vector does not lie in the decomposed ambient space")
-    out = [0] * len(vec)
     offset = sum(p.dim for p in decomp.parts[:index])
     part = decomp.parts[index]
-    for c, row in zip(coords[offset : offset + part.dim], part.basis):
-        if c != 0:
-            out = [f.add(x, f.mul(c, y)) for x, y in zip(out, row)]
-    return tuple(out)
+    return combine(f, coords[offset : offset + part.dim], part.basis, len(vec))
 
 
 class Quotient:
@@ -469,12 +469,7 @@ class Quotient:
         return tuple(coords[self.sub.dim :])
 
     def lift(self, qvec) -> tuple[int, ...]:
-        f = self.field
-        out = [0] * self.total.ambient
-        for c, row in zip(qvec, self.section.basis):
-            if c != 0:
-                out = [f.add(x, f.mul(c, y)) for x, y in zip(out, row)]
-        return tuple(out)
+        return combine(self.field, qvec, self.section.basis, self.total.ambient)
 
     def push_subspace(self, s: Subspace) -> Subspace:
         return Subspace.span(self.field, self.dim, [self.push(r) for r in s.basis])
@@ -537,18 +532,22 @@ def enumerate_subspaces(field: Field, ambient_dim: int, k: int):
             yield Subspace(field, ambient_dim, tuple(tuple(r) for r in rows))
 
 
-def enumerate_subspaces_of(space: Subspace, k: int):
-    """All k-dimensional subspaces of an arbitrary subspace, deterministically."""
-    f = space.field
+@lru_cache(maxsize=32)
+def _subspace_table(field: Field, ambient_dim: int, k: int) -> tuple[Subspace, ...]:
+    """The k-dimensional subspaces of F_q^ambient_dim, built once per process:
+    every enumeration in that ambient shares these objects, so each
+    subspace's point mask, pivots and hash are computed once."""
+    return tuple(enumerate_subspaces(field, ambient_dim, k))
+
+
+def enumerate_subspaces_of(space: Subspace, k: int) -> tuple[Subspace, ...]:
+    """All k-dimensional subspaces of an arbitrary subspace, in the order of
+    ``enumerate_subspaces`` on the ambient: the entries of the subspace table
+    whose point masks lie inside the space's mask."""
+    if not 0 <= k <= space.dim:
+        raise ValueError(f"subspace dimension {k} outside [0, {space.dim}]")
+    table = _subspace_table(space.field, space.ambient, k)
     if space.is_full():
-        yield from enumerate_subspaces(f, space.ambient, k)
-        return
-    for inner in enumerate_subspaces(f, space.dim, k):
-        rows = []
-        for r in inner.basis:
-            v = [0] * space.ambient
-            for c, b in zip(r, space.basis):
-                if c != 0:
-                    v = [f.add(x, f.mul(c, y)) for x, y in zip(v, b)]
-            rows.append(tuple(v))
-        yield Subspace.span(f, space.ambient, rows)
+        return table
+    outside = ~space.point_mask
+    return tuple(s for s in table if not s.point_mask & outside)

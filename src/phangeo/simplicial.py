@@ -1,5 +1,6 @@
 """Abstract simplicial complexes on integer vertices: order complexes of
-subspace posets, links, closed stars, intersections, purity, facet export.
+subspace posets, links, closed stars, induced subcomplexes, intersections,
+purity, facet export.
 
 A complex on n vertices stores its inclusion-maximal simplices as sorted
 tuples of the vertex indices 0..n-1, in sorted order; vertex i carries the
@@ -24,6 +25,7 @@ __all__ = [
     "order_complex",
     "link",
     "star_closure",
+    "induced_subcomplex",
     "purity_and_dimension",
     "intersect_complexes",
     "export_facets",
@@ -210,6 +212,13 @@ def star_closure(k: SimplicialComplex, v: int) -> SimplicialComplex:
     return _restrict(k, facets)
 
 
+def induced_subcomplex(k: SimplicialComplex, keep) -> SimplicialComplex:
+    """The simplices of k whose vertex labels all lie in ``keep``: each facet
+    cut down to those vertices, then maximalized, on k's vertex order."""
+    vs = k.vertices
+    return _restrict(k, [frozenset(v for v in f if vs[v] in keep) for f in k.facets])
+
+
 def purity_and_dimension(k: SimplicialComplex) -> tuple[bool, int]:
     """(all maximal simplices share one cardinality, top dimension)."""
     if k.is_empty():
@@ -221,7 +230,8 @@ def purity_and_dimension(k: SimplicialComplex) -> tuple[bool, int]:
 def intersect_complexes(k1: SimplicialComplex, k2: SimplicialComplex) -> SimplicialComplex:
     """The subcomplex of simplices common to both, vertices matched by label,
     on k1's vertex order.  Each facet of k1 meets only the facets of k2
-    through one of its vertices."""
+    through one of its vertices.  No library code calls it: the filtration
+    meets a star with a full subcomplex by ``induced_subcomplex``."""
     index2 = {v: i for i, v in enumerate(k2.vertices)}
     to2 = [index2.get(v) for v in k1.vertices]
     facets2, lists = k2.facets, k2.facets_through

@@ -23,8 +23,15 @@ produce byte-identical documents.
 
 from __future__ import annotations
 
-import hashlib
 import json
+
+try:  # the builtin sha256: importing hashlib loads OpenSSL
+    from _sha256 import sha256  # Python 3.11
+except ImportError:
+    try:
+        from _sha2 import sha256  # Python 3.12+
+    except ImportError:
+        from hashlib import sha256
 
 from .field import Field, make_field
 from .forms import HermitianForm
@@ -149,7 +156,7 @@ def load_family(path: str) -> tuple[PhanFamily, str]:
         doc = json.loads(data)
     except json.JSONDecodeError as exc:
         raise SpecFileError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
-    return parse_family(doc), hashlib.sha256(data).hexdigest()
+    return parse_family(doc), sha256(data).hexdigest()
 
 
 def _subspace_doc(field: Field, s: Subspace):

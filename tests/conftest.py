@@ -7,7 +7,7 @@ import pytest
 from phangeo.field import Field
 from phangeo.forms import HermitianForm
 from phangeo.homology import IntegerMatrix, boundary_matrices, smith_invariant_factors
-from phangeo.linalg import Flag, Subspace, rref
+from phangeo.linalg import Flag, Subspace, enumerate_subspaces, rref
 from phangeo.simplicial import SimplicialComplex
 
 
@@ -278,6 +278,58 @@ def oracle_is_member(spec, u: Subspace) -> bool:
         return False
     k = oracle_k_of(spec, u)
     return spec.forms[k].radical(u.intersect(spec.flag[k + 1])).is_zero()
+
+
+# -- table-free oracles: the Field methods, one entry at a time ---------------
+
+
+def oracle_rref(field: Field, rows) -> tuple[tuple[int, ...], ...]:
+    """Reduced row-echelon form through ``Field.inv``/``mul``/``sub``."""
+    mat = [list(r) for r in rows]
+    r = 0
+    for c in range(len(mat[0]) if mat else 0):
+        piv = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        inv = field.inv(mat[r][c])
+        mat[r] = [field.mul(inv, x) for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(mat[i], mat[r])]
+        r += 1
+    return tuple(tuple(row) for row in mat[:r])
+
+
+def oracle_nondegenerate_on(form: HermitianForm, vectors) -> bool:
+    """Full rank of the Gram matrix of the vectors, both triangles evaluated
+    as sum_ij x_i sigma(y_j) G[i][j] on their coordinates over the domain."""
+    f = form.field
+    coords = [form.domain.coordinates(v) for v in vectors]
+
+    def w(cx, cy):
+        total = 0
+        for i, a in enumerate(cx):
+            for j, b in enumerate(cy):
+                total = f.add(total, f.mul(f.mul(a, f.sigma(b)), form.gram[i][j]))
+        return total
+
+    return len(oracle_rref(f, [[w(a, b) for b in coords] for a in coords])) == len(coords)
+
+
+def oracle_subspaces_of(space: Subspace, k: int):
+    """The k-subspaces of a subspace as the images of the k-subspaces of
+    F_q^dim under the map that sends the unit vectors to the space's basis."""
+    f = space.field
+    for inner in enumerate_subspaces(f, space.dim, k):
+        rows = []
+        for r in inner.basis:
+            v = [0] * space.ambient
+            for c, b in zip(r, space.basis):
+                v = [f.add(x, f.mul(c, y)) for x, y in zip(v, b)]
+            rows.append(tuple(v))
+        yield Subspace.span(f, space.ambient, rows)
 
 
 # -- helpers the bound's counting argument rests on ---------------------------

@@ -117,3 +117,45 @@ def test_prime_power():
         2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32]
     assert prime_power(1) is None and prime_power(36) is None
     assert prime_power(81) == (3, 4) and prime_power(49) == (7, 2)
+
+
+def _poly_mul(field, a, b):
+    """a*b by schoolbook multiplication of the coefficient vectors modulo
+    the field's modulus, with neither log tables nor lookup tables."""
+    p, e, mod = field.p, field.e, field.modulus
+    prod = [0] * (2 * e - 1)
+    for i, x in enumerate(field.coeffs(a)):
+        for j, y in enumerate(field.coeffs(b)):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    for d in range(2 * e - 2, e - 1, -1):  # the modulus is monic of degree e
+        c = prod[d]
+        for i, m in enumerate(mod):
+            prod[d - e + i] = (prod[d - e + i] - c * m) % p
+    return field.from_coeffs(prod[:e])
+
+
+@pytest.mark.parametrize("p,e,sigma", [(2, 1, 1), (3, 1, 1), (2, 2, 2), (5, 1, 1),
+                                       (3, 2, 2), (5, 2, 2), (2, 9, 1)])
+def test_lookup_tables_match_the_methods(p, e, sigma):
+    """mul_table against Field.mul and schoolbook multiplication, and the
+    other tables against their methods: exhaustively up to q = 25, on a
+    sample for F_2^9, which lies above _ADD_TABLE_LIMIT and computes each
+    entry on lookup."""
+    import random
+
+    field = make_field(p, e, sigma)
+    q = field.q
+    if q <= 25:
+        pairs = [(a, b) for a in range(q) for b in range(q)]
+    else:
+        rng = random.Random(9)
+        pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(3000)]
+    for a, b in pairs:
+        assert field.mul_table[a][b] == field.mul(a, b) == _poly_mul(field, a, b)
+        assert field.add_table[a][b] == field.add(a, b)
+        if p == 2:
+            assert field.add_table[a][b] == a ^ b
+    for a in range(q):
+        assert field.neg_table[a] == field.neg(a) and field.sigma_table[a] == field.sigma(a)
+        if a:
+            assert field.inv_table[a] == field.inv(a)

@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+from phangeo import filtration
 from phangeo.field import make_field
 from phangeo.filtration import (
     FiltrationState,
@@ -15,7 +16,13 @@ from phangeo.filtration import (
 )
 from phangeo.linalg import Subspace
 from phangeo.phan import PhanFamily, vertices
-from phangeo.simplicial import intersect_complexes, star_closure
+from phangeo.simplicial import (
+    SimplicialComplex,
+    induced_subcomplex,
+    intersect_complexes,
+    order_complex,
+    star_closure,
+)
 from phangeo.specfile import load_family
 from phangeo.suites import chamber_spec, diagonal_spec, standard_spec
 
@@ -23,6 +30,8 @@ F3 = make_field(3, 1)
 F5 = make_field(5, 1)
 F9 = make_field(3, 2, 2)
 SPECS = Path(__file__).resolve().parent.parent / "specs"
+BUNDLED_N2 = ["chamber_q3_dim3", "family2_q11_dim3", "family2_q7_dim2", "t0_q4_dim3",
+              "t0_q4h_dim2", "t0_q5_dim3", "t0_q9h_dim3"]
 
 
 def test_choose_pivot_first_hit():
@@ -198,3 +207,74 @@ def test_f3_4_stage_set_checks():
     assert (rep.predicted_spheres, rep.direct_spheres) == (81, 69)
     failed = {(s.stage, c.name) for s in rep.stages for c in s.checks if not c.passed}
     assert failed == {(1, "star_boundary_sphericity"), (3, "mayer_vietoris_rank_balance")}
+
+
+@pytest.mark.parametrize("name", BUNDLED_N2 + ["standard_q3_dim4"])
+def test_star_restriction_equals_intersection_with_b(name):
+    """Check (c) reads A_j ∩ B as the star of U_j cut down to the vertices of
+    Y_(i-1); the generic intersection of the star with |Y_(i-1)| is the
+    oracle.  Vertex order and facets must agree, so the homology reports
+    do too."""
+    if name == "standard_q3_dim4":
+        family = PhanFamily((standard_spec(F3, 4),))
+    else:
+        family, _ = load_family(str(SPECS / f"{name}.json"))
+    state = build_filtration(family, choose_pivot(family))
+    nonempty = 0
+    for i in range(1, state.n + 1):
+        prev = set(state.levels[i - 1])
+        k = order_complex(state.levels[i])
+        b = order_complex(state.levels[i - 1])
+        for j, u in enumerate(k.vertices):
+            if u in prev:
+                continue
+            star = star_closure(k, j)
+            got = induced_subcomplex(star, prev)
+            want = intersect_complexes(star, b)
+            assert (got.vertices, got.facets) == (want.vertices, want.facets)
+            nonempty += not got.is_empty()
+    assert nonempty or state.n == 1  # for n = 1, A_j ∩ B is the empty (-1)-sphere
+
+
+def test_join_witness_names_the_first_failing_vertex(monkeypatch):
+    """Two new vertices fail the join comparison; the witness names the
+    first, as the other checks' witnesses do."""
+    fam = PhanFamily((standard_spec(F5, 3),))
+    state = build_filtration(fam, choose_pivot(fam))
+    for i in range(state.n + 1):
+        state.level_complex(i)  # built before the patch
+    stage = 2
+    prev = set(state.levels[stage - 1])
+    new = [u for u in state.levels[stage] if u not in prev]
+    assert len(new) >= 3
+    calls = []
+
+    def corrupted(subspaces):
+        calls.append(subspaces)
+        if len(calls) <= 2:
+            return SimplicialComplex(["not a subspace"], [[0]])
+        return order_complex(subspaces)
+
+    monkeypatch.setattr(filtration, "order_complex", corrupted)
+    checks = {c.name: c for c in verify_stage(state, stage).checks}
+    join = checks["star_boundary_join_decomposition"]
+    assert not join.passed and join.witness == f"U = {new[0].basis}"
+    assert checks["star_boundary_sphericity"].passed
+
+
+def test_programming_error_in_restricted_family_is_raised(monkeypatch):
+    """Only the construction's own errors become a witness; the negative
+    control keeps its degenerate-pivot witness, and a TypeError escapes."""
+    family, _ = load_family(str(SPECS / "t0_q5_dim3.json"))
+    rep = run_verification(family, negative_control=True)
+    witnesses = [c.witness for s in rep.stages for c in s.checks
+                 if c.name == "below_sets_match_restricted_family" and not c.passed]
+    assert witnesses == ["U = ((0, 1, 0), (0, 0, 1)): delta_restriction failed: "
+                         "pivot is degenerate for the top form of spec 0"]
+
+    def broken(*args, **kwargs):
+        raise TypeError("broken restricted family")
+
+    monkeypatch.setattr(filtration, "delta_restriction", broken)
+    with pytest.raises(TypeError, match="broken restricted family"):
+        run_verification(family)

@@ -19,6 +19,7 @@ from phangeo.suites import random_phan_spec, random_subspace, shuffled_complemen
 from conftest import (
     count_isotropic_points,
     find_nonisotropic_pair,
+    oracle_nondegenerate_on,
     random_hermitian_gram,
     unit_form,
 )
@@ -112,6 +113,32 @@ def test_nondegeneracy_is_full_gram_rank(field, ambient, data):
         sub = Subspace.span(field, ambient, rows)
         assert w.is_nondegenerate(sub) == w.radical(sub).is_zero()
     assert w.is_nondegenerate() == w.radical().is_zero()
+
+
+@pytest.mark.parametrize("p,e,sigma", [(2, 2, 2), (3, 2, 2), (5, 2, 2), (2, 9, 1)])
+def test_one_triangle_gram_matches_the_method_path(p, e, sigma, rng):
+    """nondegenerate_on evaluates one triangle of the Gram matrix through
+    the lookup tables; the oracle evaluates both through the Field methods.
+    Random forms on random domains of F_q^4, random independent vectors of
+    the domain; F_2^9 computes its table entries on lookup."""
+    field = make_field(p, e, sigma)
+    seen = set()
+    for _ in range(40):
+        domain = random_subspace(rng, field, 4, rng.randrange(1, 5))
+        w = HermitianForm(field, domain, random_hermitian_gram(rng, field, domain.dim))
+        for k in range(1, domain.dim + 1):
+            rows = []
+            for _ in range(k):
+                v = (0,) * 4
+                for r in domain.basis:
+                    c = rng.randrange(field.q)
+                    v = tuple(field.add(x, field.mul(c, y)) for x, y in zip(v, r))
+                rows.append(v)
+            basis = Subspace.span(field, 4, rows).basis
+            got = w.nondegenerate_on(basis)
+            assert got == oracle_nondegenerate_on(w, basis)
+            seen.add(got)
+    assert seen == {True, False} or field.q > 25  # over F_2^9 nearly all are non-degenerate
 
 
 def test_restrict_rejects_foreign_targets():

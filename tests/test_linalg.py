@@ -6,7 +6,7 @@ from phangeo.field import make_field
 from phangeo import linalg as la
 from phangeo.linalg import Flag, Subspace
 
-from conftest import gaussian_binomial
+from conftest import gaussian_binomial, oracle_rref, oracle_subspaces_of
 
 
 F2 = make_field(2, 1)
@@ -196,6 +196,39 @@ def test_subspaces_of_a_subspace():
     assert len(pts) == 4  # q+1 points of a plane
     for p in pts:
         assert s.contains_subspace(p) and p.dim == 1
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4, F5], ids=lambda f: f"q{f.q}")
+def test_subspace_table_matches_echelon_mapping(field, rng):
+    """enumerate_subspaces_of filters the ambient's subspace table; the
+    oracle maps the echelon matrices of F_q^dim onto the space's basis.
+    Each subspace comes once, for every k, on the zero space, the full space
+    and random spaces of ambients up to 4."""
+    for ambient in range(1, 5):
+        spaces = [Subspace.zero(field, ambient), Subspace.full(field, ambient)]
+        spaces += [random_subspace(rng, field, ambient, rng.randrange(1, ambient + 1))
+                   for _ in range(3)]
+        for u in spaces:
+            for k in range(u.dim + 1):
+                got = la.enumerate_subspaces_of(u, k)
+                assert len(set(got)) == len(got)
+                assert set(got) == set(oracle_subspaces_of(u, k))
+            for k in (-1, u.dim + 1):
+                with pytest.raises(ValueError):
+                    la.enumerate_subspaces_of(u, k)
+
+
+@pytest.mark.parametrize("p,e,sigma", [(2, 2, 2), (3, 2, 2), (5, 2, 2), (2, 9, 1)])
+def test_rref_matches_the_method_path(p, e, sigma, rng):
+    """The table-driven rref against elimination through the Field methods,
+    on random matrices over sigma-order-2 fields and over F_2^9, whose
+    tables are computed on lookup."""
+    field = make_field(p, e, sigma)
+    for _ in range(60):
+        nrows, ncols = rng.randrange(1, 6), rng.randrange(1, 6)
+        rows = [[rng.choice((0, rng.randrange(field.q))) for _ in range(ncols)]
+                for _ in range(nrows)]
+        assert la.rref(field, rows) == oracle_rref(field, rows)
 
 
 def _subspaces_of_f_q_3(field):
