@@ -274,7 +274,6 @@ def verify_stage(state: FiltrationState, i: int) -> StageReport:
 
     k_cur, cur_homology = state.level_complex(i)
     _, b_homology = state.level_complex(i - 1)
-    gamma = set(state.geometry.members)
     p = state.pivot
 
     index = {u: j for j, u in enumerate(k_cur.vertices)}
@@ -349,16 +348,22 @@ def verify_stage(state: FiltrationState, i: int) -> StageReport:
         )
     )
 
-    # (d) below/above set identities and the restricted-family comparison
-    y0_set = set(state.levels[0])
+    # (d) below/above set identities and the restricted-family comparison.
+    # A member above U holds U's lowest point; one below U has its own
+    # lowest point among U's points.
+    gamma_through = _by_point(state.geometry.members, every_point=True)
+    y0_lowest = _by_point(state.levels[0], every_point=False)
     bad_above = None
     bad_below = None
     bad_delta = None
     for u in new:
-        above_gamma = {w for w in gamma if w.dim > u.dim and u.point_mask & ~w.point_mask == 0}
+        m = u.point_mask
+        above_gamma = {w for w in gamma_through[(m & -m).bit_length()]
+                       if w.dim > u.dim and m & ~w.point_mask == 0}
         if set(above_prev[u]) != above_gamma and bad_above is None:
             bad_above = u
-        below_y0 = {w for w in y0_set if w.dim < u.dim and w.point_mask & ~u.point_mask == 0}
+        below_y0 = {w for b in _bits(m) for w in y0_lowest.get(b, ())
+                    if w.dim < u.dim and w.point_mask & ~m == 0}
         if set(below_prev[u]) != below_y0 and bad_below is None:
             bad_below = u
         if bad_delta is None:
@@ -392,6 +397,26 @@ def verify_stage(state: FiltrationState, i: int) -> StageReport:
         )
     )
     return report
+
+
+def _bits(mask: int):
+    """The positions (bit_length) of the set bits of a point mask."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length()
+        mask ^= low
+
+
+def _by_point(members, every_point: bool) -> dict[int, list[Subspace]]:
+    """Point -> the members through it, or, with ``every_point`` false, the
+    members whose lowest point it is."""
+    out: dict[int, list[Subspace]] = {}
+    for w in members:
+        for b in _bits(w.point_mask):
+            out.setdefault(b, []).append(w)
+            if not every_point:
+                break
+    return out
 
 
 def _delta_comparison(state: FiltrationState, u: Subspace, below_y0) -> str | None:

@@ -1,24 +1,28 @@
-"""Integral reduced simplicial homology via Smith normal form, wedge-of-
-spheres certification at the homology level, Cohen-Macaulay verification,
-and a fundamental-group triviality check by a signed union-find fixpoint.
+"""Integral reduced simplicial homology via discrete Morse theory and Smith
+normal form, wedge-of-spheres certification at the homology level,
+Cohen-Macaulay verification, and a fundamental-group triviality check by a
+signed union-find fixpoint.
 
-All arithmetic is exact over arbitrary-precision ints.  Degrees 0 and 1 are
-read from a union-find spanning forest of the 1-skeleton: the augmentation
-∂_0 (the 1 x n_0 all-ones boundary) has rank 1, and ∂_1 is the incidence
-matrix of a graph, which is totally unimodular, so its invariant factors are
-all 1 and its rank is n_0 minus the number of components.  That is the
-acyclic matching a spanning forest gives on the 1-skeleton (Forman, *Morse
-theory for cell complexes*, 1998): one critical vertex per component.  Only
-∂_2 and up are reduced.  Smith normal forms come from one sparse
-elimination whose pivots are served from a per-row queue keyed by least
-|value| and row length (Markowitz-style selection), so no pivot rescans the
-matrix; the diagonal multiset is then normalized into invariant factors.
+All arithmetic is exact over arbitrary-precision ints.  A complex of
+dimension <= 1 reads its homology from a union-find spanning forest of the
+1-skeleton: the augmentation ∂_0 (the 1 x n_0 all-ones boundary) has rank 1,
+and ∂_1 is the incidence matrix of a graph, which is totally unimodular, so
+its invariant factors are all 1 and its rank is n_0 minus the number of
+components.  A larger complex is reduced by coreduction (Forman, *Morse
+theory for cell complexes*, 1998; Mrozek & Batko, DCG 2009): an acyclic
+matching pairs cells off the augmented chain complex, and Smith normal forms
+run only on the boundaries of the critical cells, the Morse complex.  Smith
+normal forms come from one sparse elimination whose pivots are served from
+a per-row queue keyed by least |value| and row length (Markowitz-style
+selection), so no pivot rescans the matrix; the diagonal multiset is then
+normalized into invariant factors.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import deque, namedtuple
 from heapq import heappop, heappush
+from itertools import combinations
 from math import gcd
 
 from .simplicial import SimplicialComplex, link
@@ -30,6 +34,7 @@ __all__ = [
     "CMReport",
     "boundary_matrices",
     "smith_invariant_factors",
+    "morse_complex",
     "reduced_homology",
     "sphericity_verdict",
     "cohen_macaulay_check",
@@ -103,7 +108,15 @@ def smith_invariant_factors(mat: IntegerMatrix) -> list[int]:
     elimination step touched are re-keyed, once per pivot; keys that no
     longer match ``current`` are stale and skipped when popped.  So a pivot
     costs the rows its elimination touches, not a scan of every nonzero.
-    Invariant factors do not depend on the pivot order."""
+    Invariant factors do not depend on the pivot order.
+
+    Nothing bounds the entries.  The library reduces only Morse complexes,
+    whose boundaries are small, but a dense matrix can still blow up: a
+    60 x 80 matrix planted by 280 row and 280 column operations
+    (``_planted`` in ``tests/test_homology.py``, seed 2718) reduces in about
+    1 s, and with its rows and columns permuted did not finish within 195 s.
+    The known remedy is elimination modulo a determinantal multiple
+    (``modular_smith`` in ``tests/conftest.py``)."""
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
     for r, c, v in mat.entries:
@@ -232,25 +245,114 @@ def _components(k: SimplicialComplex) -> int:
     return sum(parent[v] == v for v in range(k.num_vertices))
 
 
+def morse_complex(k: SimplicialComplex) -> tuple[list[int], list[IntegerMatrix]]:
+    """(face counts, [∂_0, ..., ∂_dim] of the Morse complex) of a non-empty
+    complex, by coreduction of its augmented chain complex (Mrozek & Batko,
+    DCG 2009).
+
+    Cells get integer ids by degree: the empty simplex is 0, vertex v is
+    v + 1.  A queue serves cells with exactly one free face left; such a
+    cell t is paired with that face s, [t:s] = ±1, and both leave the
+    complex by the elementary reduction of Kaczynski, Mrozek & Ślusarek:
+    every other coface r of s gets ∂r -= [r:s]·[t:s]·∂t, and t drops out of
+    its cofaces' boundaries.  The other faces of t are critical, so this
+    fill lands only on critical cells, and a free face keeps its incidence
+    ±1.  When the queue runs dry, the lowest-degree free cell becomes
+    critical.  Each step is a chain-homotopy equivalence, so the critical
+    cells with their updated boundaries have the homology of K.  The first
+    pair is (empty simplex, vertex 0), so ∂_0 is zero."""
+    faces: list[tuple[int, ...]] = [()] + [(0,)] * k.num_vertices
+    prev = {(v,): v + 1 for v in range(k.num_vertices)}
+    counts = [k.num_vertices]
+    for d in range(1, k.dim + 1):
+        simps = k.simplices(d)
+        counts.append(len(simps))
+        # faces[c][i] is the face without vertex i, so [c : faces[c][i]] = (-1)^i
+        cur = dict(zip(simps, range(len(faces), len(faces) + len(simps))))
+        faces.extend(tuple(map(prev.__getitem__, combinations(s, d)))[::-1] for s in simps)
+        prev = cur
+    n = len(faces)
+    cofaces: list[list[int]] = [[] for _ in range(n)]
+    for c, fs in enumerate(faces):
+        for f in fs:
+            cofaces[f].append(c)
+    nfree = [len(fs) for fs in faces]  # faces still free
+    state = bytearray(n)  # 0 free, 1 paired, 2 critical
+    rest: dict[int, dict[int, int]] = {}  # cell -> critical part of its boundary
+    critical: list[list[int]] = [[] for _ in range(k.dim + 2)]  # by degree + 1
+    queue = deque([1])
+    low = 0  # no free cell lies before low
+    while True:
+        while queue:
+            t = queue.popleft()
+            if state[t] or nfree[t] != 1:
+                continue
+            for i, s in enumerate(faces[t]):
+                if not state[s]:
+                    break
+            state[s] = state[t] = 1
+            rest.pop(s, None)
+            fill = rest.pop(t, None)
+            for r in cofaces[s]:
+                if state[r] == 1:
+                    continue
+                nfree[r] -= 1
+                if nfree[r] == 1:
+                    queue.append(r)
+                if fill:
+                    c = -1 if (faces[r].index(s) + i) & 1 == 0 else 1  # -[r:s][t:s]
+                    b = rest.setdefault(r, {})
+                    for x, v in fill.items():
+                        w = b.get(x, 0) + c * v
+                        if w:
+                            b[x] = w
+                        else:
+                            del b[x]
+            for r in cofaces[t]:
+                nfree[r] -= 1
+                if nfree[r] == 1:
+                    queue.append(r)
+        while low < n and state[low]:
+            low += 1
+        if low == n:
+            break
+        state[low] = 2
+        critical[len(faces[low])].append(low)
+        for r in cofaces[low]:
+            if state[r] != 1:
+                rest.setdefault(r, {})[low] = -1 if faces[r].index(low) & 1 else 1
+                nfree[r] -= 1
+                if nfree[r] == 1:
+                    queue.append(r)
+    mats = []
+    for d in range(k.dim + 1):
+        row = {c: i for i, c in enumerate(critical[d])}
+        cols = critical[d + 1]
+        mats.append(IntegerMatrix(len(row), len(cols), tuple(
+            (row[x], j, v) for j, c in enumerate(cols) for x, v in rest.get(c, {}).items())))
+    return counts, mats
+
+
 def reduced_homology(k: SimplicialComplex) -> HomologyReport:
-    """Reduced integral homology.  The invariant factors of ∂_0 and ∂_1 are
-    known without reduction (rank 1, and n_0 - components ones), so a
-    complex of dimension <= 1 reduces no matrix and a larger one runs
-    ``smith_invariant_factors`` on ∂_2 and up only."""
+    """Reduced integral homology.  A complex of dimension <= 1 reduces no
+    matrix: the invariant factors of ∂_0 and ∂_1 are known (rank 1, and
+    n_0 - components ones).  A larger one runs ``smith_invariant_factors``
+    on the boundaries of its Morse complex only (``morse_complex``); the
+    Euler characteristic of the full face counts must match either way."""
     if k.is_empty():
         return HomologyReport((), (), 0, -1)
-    factors = [[1], [1] * (k.num_vertices - _components(k))]
     if k.dim >= 2:
-        mats = boundary_matrices(k)
-        counts = [m.ncols for m in mats]
-        factors += [smith_invariant_factors(m) for m in mats[2:]]
+        counts, mats = morse_complex(k)
+        cells = [m.ncols for m in mats]
+        factors = [smith_invariant_factors(m) for m in mats]
     else:
-        counts = k.face_counts()
+        counts = cells = k.face_counts()
+        factors = [[1], [1] * (k.num_vertices - _components(k))]
     factors.append([])
     betti = []
     torsion = []
     for d in range(k.dim + 1):
-        betti.append(counts[d] - len(factors[d]) - len(factors[d + 1]))
+        betti.append(cells[d] - len(factors[d]) - len(factors[d + 1]))
         torsion.append(tuple(f for f in factors[d + 1] if f > 1))
     euler = sum((-1) ** d * c for d, c in enumerate(counts))
     if euler != 1 + sum((-1) ** d * b for d, b in enumerate(betti)):
@@ -301,19 +403,25 @@ def cohen_macaulay_check(k: SimplicialComplex) -> CMReport:
     the complex itself) is spherical at the homology level in the forced
     dimension dim(K) - |s|; links of facets must be empty.  A non-pure
     complex fails: the link of a facet below the top dimension is empty but
-    must be spherical."""
+    must be spherical.
+
+    Links of dimension at most 0 are settled without building them: the
+    link of a non-empty simplex s is empty iff s is a facet, and otherwise,
+    in forced dimension 0, a non-empty set of points, which is 0-spherical."""
     d = k.dim
     simplices = [()]
     for j in range(d + 1):
         simplices.extend(k.simplices(j))
+    facets = set(k.facets)
 
     def check(s):
-        sub = k if s == () else link(k, s)
         target = d - len(s)
-        if target == -1:
-            if sub.is_empty():
-                return None
-            return CMFailure(s, target, "link of a facet is non-empty")
+        if target == -1 or (s and target == 0):
+            empty = not s or s in facets  # () has target -1 only in the empty complex
+            if target == -1:
+                return None if empty else CMFailure(s, target, "link of a facet is non-empty")
+            return CMFailure(s, target, "link is empty but must be 0-spherical") if empty else None
+        sub = k if s == () else link(k, s)
         v = sphericity_verdict(reduced_homology(sub), target)
         if v.spherical:
             return None

@@ -81,7 +81,7 @@ class SimplicialComplex:
     def is_empty(self) -> bool:
         return not self.vertices
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return max((len(f) for f in self.facets), default=0) - 1
 

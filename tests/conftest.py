@@ -6,9 +6,15 @@ import pytest
 
 from phangeo.field import Field
 from phangeo.forms import HermitianForm
-from phangeo.homology import IntegerMatrix, boundary_matrices, smith_invariant_factors
+from phangeo.homology import (
+    IntegerMatrix,
+    boundary_matrices,
+    reduced_homology,
+    smith_invariant_factors,
+    sphericity_verdict,
+)
 from phangeo.linalg import Flag, Subspace, enumerate_subspaces, rref
-from phangeo.simplicial import SimplicialComplex
+from phangeo.simplicial import SimplicialComplex, link
 
 
 def naive_smith(rows: list[list[int]]) -> list[int]:
@@ -150,6 +156,31 @@ def snf_homology(k: SimplicialComplex):
                   for d, m in enumerate(mats))
     torsion = tuple(tuple(f for f in factors[d + 1] if f > 1) for d in range(len(mats)))
     return betti, torsion
+
+
+def link_sweep_failures(k: SimplicialComplex) -> list[tuple]:
+    """(simplex, target dimension, reason) of every failing link, each link
+    built by ``link`` and reduced, facets and codimension-1 faces included:
+    the generic Cohen-Macaulay sweep."""
+    d = k.dim
+    out = []
+    for s in [()] + [t for j in range(d + 1) for t in k.simplices(j)]:
+        sub = k if s == () else link(k, s)
+        target = d - len(s)
+        if target == -1:
+            if not sub.is_empty():
+                out.append((s, target, "link of a facet is non-empty"))
+            continue
+        v = sphericity_verdict(reduced_homology(sub), target)
+        if v.spherical:
+            continue
+        if not v.nonempty:
+            out.append((s, target, f"link is empty but must be {target}-spherical"))
+        elif not v.homology_concentrated:
+            out.append((s, target, "homology not concentrated in top degree"))
+        else:
+            out.append((s, target, "torsion in top homology"))
+    return out
 
 
 def chain_facets(subspaces) -> frozenset:

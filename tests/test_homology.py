@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,6 +10,7 @@ from phangeo.homology import (
     IntegerMatrix,
     boundary_matrices,
     cohen_macaulay_check,
+    morse_complex,
     pi1_status,
     pi1_trivial,
     reduced_homology,
@@ -16,13 +18,44 @@ from phangeo.homology import (
     sphericity_verdict,
 )
 from phangeo.simplicial import SimplicialComplex, order_complex
+from phangeo.specfile import load_family
 from phangeo.suites import chamber_spec, standard_spec
 from phangeo.phan import PhanFamily, vertices
 
-from conftest import join, modular_smith, multiply, naive_smith, snf_homology
+from conftest import (
+    join,
+    link_sweep_failures,
+    modular_smith,
+    multiply,
+    naive_smith,
+    snf_homology,
+)
 
+SPECS = Path(__file__).resolve().parent.parent / "specs"
 F3 = make_field(3, 1)
+F4 = make_field(2, 2, 1)
 F5 = make_field(5, 1)
+
+# minimal 6-vertex triangulation of RP^2: H~_1 = Z/2
+RP2 = [(0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
+       (1, 2, 3), (1, 2, 5), (1, 3, 4), (2, 4, 5), (3, 4, 5)]
+
+
+def _dunce_hat() -> list[tuple[int, ...]]:
+    """The dunce hat: a disk whose boundary, read around it, is the word
+    a a a^-1 for the path a = 0 -> 1 -> 2 -> 0.  The nine boundary edges
+    each meet one of the inner ring's vertices 3..11, and vertex 12 cones
+    the ring.  Contractible but not collapsible: every edge lies in two
+    triangles or more."""
+    outer = [0, 1, 2, 0, 1, 2, 0, 2, 1]
+    facets = []
+    for i in range(9):
+        a, b, u, w = outer[i], outer[(i + 1) % 9], 3 + i, 3 + (i + 1) % 9
+        facets += [(a, b, u), (b, u, w), (u, w, 12)]
+    return [tuple(sorted(f)) for f in facets]
+
+
+DUNCE_HAT = _dunce_hat()
 
 
 def _matrix(rows):
@@ -67,10 +100,7 @@ def test_isolated_points():
 
 
 def test_torsion_projective_plane():
-    # minimal 6-vertex triangulation of RP^2: H~_1 = Z/2
-    facets = [(0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
-              (1, 2, 3), (1, 2, 5), (1, 3, 4), (2, 4, 5), (3, 4, 5)]
-    k = SimplicialComplex(range(6), facets)
+    k = SimplicialComplex(range(6), RP2)
     rep = reduced_homology(k)
     assert rep.betti == (0, 0, 0)
     assert rep.torsion[1] == (2,)
@@ -165,9 +195,7 @@ def test_pi1_chamber_f3_4_is_trivial():
 
 
 def test_pi1_stays_unknown_where_it_must():
-    rp2 = SimplicialComplex(range(6), [
-        (0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
-        (1, 2, 3), (1, 2, 5), (1, 3, 4), (2, 4, 5), (3, 4, 5)])
+    rp2 = SimplicialComplex(range(6), RP2)
     assert pi1_trivial(rp2) == "unknown"  # pi_1 = Z/2
     assert pi1_status(rp2, reduced_homology(rp2), 2) == "unknown"
     edges = SimplicialComplex(range(4), [(0, 1), (2, 3)])
@@ -229,23 +257,26 @@ def test_cm_failure_set_is_precise():
     assert not rep.passed
     assert [f.simplex for f in rep.failures] == [(2,)]
     assert rep.failures[0].target_dim == 1
-    # link-by-link oracle: recompute the expected failure set directly
-    from phangeo.simplicial import link as _link
-    expected = []
-    for s in [()] + [t for d in range(3) for t in bowtie.simplices(d)]:
-        sub = bowtie if s == () else _link(bowtie, s)
-        target = 2 - len(s)
-        if target == -1:
-            ok = sub.is_empty()
-        elif sub.is_empty():
-            ok = False
-        else:
-            r = reduced_homology(sub)
-            ok = all(r.betti_number(i) == 0 and not r.torsion_at(i) for i in range(target)) \
-                and not r.torsion_at(target)
-        if not ok:
-            expected.append(s)
-    assert [f.simplex for f in rep.failures] == expected
+    assert [f.simplex for f in rep.failures] == [s for s, _, _ in link_sweep_failures(bowtie)]
+
+
+@pytest.mark.parametrize("name", ["t0_q4_dim3", "standard_q3_dim4", "standard_q4_dim4",
+                                  "chamber_q5_dim4"])
+def test_cm_matches_the_link_sweep(name):
+    """Facet and codimension-1 links are settled by a facet lookup; the
+    generic sweep, which builds and reduces every link, is the oracle.  The
+    expected failure counts: 3 on the non-pure t0_q4_dim3, 1 (the whole
+    complex) on F_3^4, 353 on F_4^4 and none on chamber F_5^4."""
+    if name.startswith("standard"):
+        field = F3 if name == "standard_q3_dim4" else F4
+        family = PhanFamily((standard_spec(field, 4),))
+    else:
+        family, _ = load_family(str(SPECS / f"{name}.json"))
+    k = order_complex(vertices(family).members)
+    got = [(f.simplex, f.target_dim, f.reason) for f in cohen_macaulay_check(k).failures]
+    assert got == link_sweep_failures(k)
+    assert len(got) == {"t0_q4_dim3": 3, "standard_q3_dim4": 1, "standard_q4_dim4": 353,
+                        "chamber_q5_dim4": 0}[name]
 
 
 def test_cm_two_triangles_glued_along_edge_pass():
@@ -285,14 +316,53 @@ def test_f3_4_geometry_homology():
 @example((7, [[0, 1, 2], [3, 4, 5]]))  # two triangles and an isolated vertex
 @example((6, [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3], [4, 5]]))  # sphere + edge
 @example((8, [[0, 1, 2, 3], [4, 5, 6, 7], [3, 4]]))  # two tetrahedra joined by an edge
+@example((6, RP2))  # Z/2 in degree 1 must survive the reduction
+@example((13, DUNCE_HAT))  # the queue gets stuck
 def test_reduced_homology_matches_full_snf(drawn):
-    """Degrees 0 and 1 read from the spanning forest agree with the Smith
-    form of every boundary, on random complexes up to dimension 3,
-    disconnected ones, isolated vertices and 0-dimensional ones included."""
+    """The spanning forest (dimension <= 1) and the Morse complex (dimension
+    >= 2) agree with the Smith form of every boundary, on random complexes
+    up to dimension 3, disconnected ones, isolated vertices and
+    0-dimensional ones included.  The Morse complex is a chain complex on
+    the critical cells: ∂∂ = 0, and it keeps the face counts."""
     n, facets = drawn
     k = SimplicialComplex(range(n), [tuple(sorted(f)) for f in facets])
     rep = reduced_homology(k)
     assert (rep.betti, rep.torsion) == snf_homology(k)
+    if k.dim >= 2:
+        counts, mats = morse_complex(k)
+        assert counts == k.face_counts()
+        assert [m.nrows for m in mats] == [0] + [m.ncols for m in mats[:-1]]
+        assert all(multiply(a, b).is_zero() for a, b in zip(mats, mats[1:]))
+
+
+def test_dunce_hat_keeps_critical_cells():
+    """The dunce hat is contractible but not collapsible, so no acyclic
+    matching leaves only the first vertex: the coreduction gets stuck with a
+    critical edge and triangle, and the Smith form of the Morse ∂_2 cancels
+    them."""
+    k = SimplicialComplex(range(13), DUNCE_HAT)
+    assert k.face_counts() == [13, 39, 27]
+    _, mats = morse_complex(k)
+    assert [m.ncols for m in mats] == [0, 1, 1]
+    assert smith_invariant_factors(mats[2]) == [1]
+    assert reduced_homology(k).is_acyclic() and snf_homology(k) == ((0, 0, 0), ((), (), ()))
+
+
+def test_homology_reduces_no_full_boundary(monkeypatch):
+    """From dimension 2 up, Smith forms run on the Morse complex only: no
+    full boundary matrix is assembled, and RP^2's Morse ∂_2 carries the 2."""
+    import phangeo.homology
+
+    def refused(k):
+        raise AssertionError("boundary_matrices called")
+
+    monkeypatch.setattr(phangeo.homology, "boundary_matrices", refused)
+    k = SimplicialComplex(range(6), RP2)
+    assert reduced_homology(k).torsion == ((), (2,), ())
+    _, mats = morse_complex(k)
+    assert smith_invariant_factors(mats[2])[-1] == 2
+    f34 = order_complex(vertices(PhanFamily((standard_spec(F3, 4),))).members)
+    assert reduced_homology(f34).betti == (0, 4, 69)
 
 
 def test_euler_consistency_random(rng):
