@@ -4,17 +4,26 @@ projection form onto the perp of a non-degenerate point.
 
 A form is stored as the Gram matrix over the canonical (reduced-echelon)
 basis of its domain subspace, so restriction is Gram compression, a radical
-is a matrix kernel, and non-degeneracy on a subspace is full rank of the
-compressed Gram matrix, with no radical built.  A vector of the domain has
-its coordinates at the domain's pivot columns, so ``nondegenerate_on``
-reads them off with no reduction.  A Gram matrix of given vectors, for a
-restriction or a rank, is evaluated on one triangle; the other is its
-image under sigma.  Hermitian symmetry
-G[j][i] == sigma(G[i][j]) is enforced at construction; evaluation is
+is a matrix kernel, and ``is_nondegenerate`` is full rank of the compressed
+Gram matrix, with no radical built.  A Gram matrix of given vectors, for a
+restriction or a rank, is evaluated on one triangle; the other is its image
+under sigma.
+
+Non-degeneracy on a subspace given by its point mask (``nondegenerate_on_mask``,
+the membership test of :mod:`phangeo.phan`) is mask algebra only.  Each form
+builds, on first use, the point mask of x^perp ∩ D for every point x of its
+domain D: a vector of D has its coordinates at D's pivot columns, one Gram
+row gives the functional y -> w(y, x) there, and the hyperplane with that
+normal (``linalg.hyperplane_masks``) cut down to D is the perp.  A subspace
+W of D is non-degenerate iff no point of W lies in the perps of all of W's
+points.  Hermitian symmetry G[j][i] == sigma(G[i][j]) is enforced at
+construction, so left and right perps agree; evaluation is
 sigma-sesquilinear in the second argument: w(a*x, b*y) = a * sigma(b) * w(x, y).
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 from .field import Field
 from .linalg import (
@@ -24,6 +33,7 @@ from .linalg import (
     Subspace,
     combine,
     complement,
+    hyperplane_masks,
     nullspace,
     project,
 )
@@ -57,9 +67,8 @@ class NoNonisotropicVectorError(ValueError):
 
 class HermitianForm(Frozen):
     """A sigma-hermitian form on a subspace, as a Gram matrix over its basis.
-    ``is_nondegenerate`` checks its target subspace; ``nondegenerate_on``
-    trusts that its vectors lie in the domain and are independent, and takes
-    their coordinates at the domain's pivot columns.
+    ``is_nondegenerate`` checks its target subspace; ``nondegenerate_on_mask``
+    trusts that its mask is the point mask of a subspace of the domain.
 
     Two forms are equal iff their field, domain and Gram matrix are."""
 
@@ -152,13 +161,55 @@ class HermitianForm(Frozen):
         whether the Gram matrix there has full rank."""
         return _full_rank(self.field, self.gram if s is None else self._gram_on(s))
 
-    def nondegenerate_on(self, vectors) -> bool:
-        """Whether the form is non-degenerate on the span of the given
-        linearly independent vectors of the domain (not checked): whether
-        their Gram matrix has full rank.  Their coordinates are their entries
-        at the domain's pivot columns."""
-        pivots = self.domain.pivots
-        return _full_rank(self.field, self._gram([tuple(v[j] for j in pivots) for v in vectors]))
+    @cached_property
+    def _perp_masks(self) -> dict[int, int]:
+        """Point bit of x -> point mask of x^perp ∩ D, for every point x of
+        the domain D.  The coordinates of x are its entries at D's pivot
+        columns, and w(y, x) = sum_a y_(pivot a) c_a with c = G sigma(x), so
+        x^perp is D cut by the hyperplane with normal c placed at the pivot
+        columns; a radical point (c = 0) is perpendicular to all of D."""
+        f = self.field
+        add, mul, inv, sigma = f.add_table, f.mul_table, f.inv_table, f.sigma_table
+        dom = self.domain
+        q, pivots, whole = f.q, dom.pivots, dom.point_mask
+        weights = [q**j for j in range(dom.ambient)]
+        hyperplanes = hyperplane_masks(f, dom.ambient)
+        out = {}
+        rest = whole
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            bit = low.bit_length() - 1
+            sx = [sigma[bit // weights[j] % q] for j in pivots]
+            normal = []
+            for row in self.gram:
+                c = 0
+                for g, b in zip(row, sx):
+                    if g and b:
+                        c = add[c][mul[g][b]]
+                normal.append(c)
+            lead = next((c for c in normal if c), 0)
+            if lead:
+                scale = mul[inv[lead]]
+                key = sum(scale[c] * weights[j] for c, j in zip(normal, pivots))
+                out[bit] = hyperplanes[key] & whole
+            else:
+                out[bit] = whole
+        return out
+
+    def nondegenerate_on_mask(self, mask: int) -> bool:
+        """Whether the form is non-degenerate on the subspace W of the domain
+        with the given point mask (not checked): whether W misses the AND of
+        the perps of its points, its radical.  Those perps are linear in the
+        point, so any spanning set of W's points gives the same AND, and the
+        loop stops as soon as the running AND misses W."""
+        perps = self._perp_masks
+        radical = rest = mask
+        while radical and rest:
+            low = rest & -rest
+            rest ^= low
+            radical &= perps[low.bit_length() - 1]
+        return not radical
 
     def perp(self, s: Subspace) -> Subspace:
         """{x in domain : w(x, y) = 0 for all y in S}."""

@@ -18,10 +18,10 @@ least significant, so masks of different subspaces of one ambient space
 agree bit for bit.  The masks also give intersection dimensions
 (``meet_dim``): a d-dimensional subspace has (q^d - 1)/(q - 1) points, so
 dim(a ∩ b) is read off the popcount of ``a.point_mask & b.point_mask``.
-Transversality to a flag reads masks only, and so do the ambient and k_U
-tests of the membership predicate in :mod:`phangeo.phan`.  ``mask_basis``
-decodes a basis of a subspace from its mask alone, which gives that
-predicate a basis of U ∩ V_(k+1) from the meet of two masks.
+Transversality to a flag reads masks only, and so does the whole
+membership predicate in :mod:`phangeo.phan`.  ``hyperplane_masks`` keys the
+mask of each hyperplane by the point of its normal vector, so that a form
+(:mod:`phangeo.forms`) reads the mask of a perp from one linear functional.
 
 Canonical vector enumeration counts coordinate 0 as the least significant
 base-q digit, so (1,0,...,0) is the first nonzero vector.
@@ -42,10 +42,11 @@ from operator import mul
 from .field import Field
 
 __all__ = [
-    "Subspace", "Flag", "Decomposition", "Quotient", "mask_basis",
+    "Subspace", "Flag", "Decomposition", "Quotient",
     "rref", "combine", "nullspace", "solve_coordinates",
     "is_transversal", "complement", "project", "quotient",
     "enumerate_vectors", "enumerate_subspaces", "enumerate_subspaces_of",
+    "hyperplane_masks",
 ]
 
 
@@ -303,31 +304,6 @@ class Subspace(Frozen):
         return f"Subspace(dim={self.dim}, ambient={self.ambient}, basis={self.basis})"
 
 
-def mask_basis(field: Field, ambient: int, mask: int) -> list[tuple[int, ...]]:
-    """A basis of the subspace of F_q^ambient with the given point mask,
-    read from the mask alone, with no elimination.  The least point left is
-    picked, and the points of the span so far are cleared: adding x to a
-    span S adds the points x + s, normalized, for the vectors s of S.  Each
-    pick lies outside the span of the earlier ones, so the picks are
-    independent."""
-    q = field.q
-    weights = [q**j for j in range(ambient)]
-    basis = []
-    span = [(0,) * ambient]  # the vectors of the span so far
-    while mask:
-        bit = (mask & -mask).bit_length() - 1
-        x = tuple(bit // w % q for w in weights)
-        basis.append(x)
-        for s in span:
-            p = tuple(map(field.add, x, s))
-            lead = field.inv(next(a for a in p if a))
-            mask &= ~(1 << sum(field.mul(lead, a) * w for a, w in zip(p, weights)))
-        if mask:
-            span += [tuple(field.add(field.mul(c, a), b) for a, b in zip(x, s))
-                     for c in range(1, q) for s in span]
-    return basis
-
-
 class Flag(Frozen):
     """A chain {0} = V_0 < V_1 < ... < V_(t+1) = top of subspaces."""
 
@@ -551,3 +527,25 @@ def enumerate_subspaces_of(space: Subspace, k: int) -> tuple[Subspace, ...]:
         return table
     outside = ~space.point_mask
     return tuple(s for s in table if not s.point_mask & outside)
+
+
+@lru_cache(maxsize=32)
+def hyperplane_masks(field: Field, ambient_dim: int) -> dict[int, int]:
+    """The point mask of each hyperplane {y : sum_j c_j y_j = 0} of
+    F_q^ambient_dim, keyed by the point bit of its normal c (normalized, like
+    every point).  Built once per process from the subspace table: a
+    hyperplane in reduced echelon form has one non-pivot column f, and its
+    normal has 1 at f and -row[f] at the pivot of each row."""
+    q = field.q
+    neg, mul_table, inv = field.neg_table, field.mul_table, field.inv_table
+    weights = [q**j for j in range(ambient_dim)]
+    out = {}
+    for h in _subspace_table(field, ambient_dim, ambient_dim - 1):
+        free = next(j for j in range(ambient_dim) if j not in h.pivots)
+        normal = [0] * ambient_dim
+        normal[free] = 1
+        for row, pc in zip(h.basis, h.pivots):
+            normal[pc] = neg[row[free]]
+        scale = mul_table[inv[next(c for c in normal if c)]]
+        out[sum(scale[c] * w for c, w in zip(normal, weights))] = h.point_mask
+    return out

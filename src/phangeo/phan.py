@@ -8,12 +8,11 @@ A subspace U belongs to the geometry iff it is proper, non-trivial,
 transversal to the flag, and U ∩ V_(k+1) is non-degenerate for the form
 w_k selected by k = k_U, the least index with U ∩ V_(k+1) != 0.
 
-Membership reads the point masks (``Subspace.point_mask``): containment in
-the ambient, transversality and k_U are mask tests and popcounts.  The
-non-degeneracy test takes a basis of U ∩ V_(k+1): U's own when U lies in
-V_(k+1), else one decoded from the meet of the two masks (``mask_basis``),
-and the Gram rank on its coordinates, read at the pivot columns of V_(k+1).
-No elimination other than that rank is run.
+Membership is mask algebra only (``Subspace.point_mask``): containment in
+the ambient, transversality and k_U are mask tests and popcounts, and
+U ∩ V_(k+1) is the meet of two masks, whose non-degeneracy w_k reads from
+its table of perp masks (``HermitianForm.nondegenerate_on_mask``).  No basis
+is decoded, no Gram matrix built and no elimination run.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from .linalg import (
     Subspace,
     enumerate_subspaces_of,
     is_transversal,
-    mask_basis,
     quotient,
 )
 
@@ -143,9 +141,8 @@ class PhanSpec(Frozen):
 
     def is_member(self, u: Subspace) -> bool:
         """Whether u is proper, non-zero, inside the ambient, transversal to
-        the flag, and U ∩ V_(k+1) is non-degenerate for w_k, k = k_U.  The
-        basis of the intersection comes from the point masks, with no
-        reduction."""
+        the flag, and U ∩ V_(k+1) is non-degenerate for w_k, k = k_U, read
+        from the meet of the point masks."""
         if u.dim == 0 or u.dim >= self.ambient.dim:
             return False
         if u.meet_dim(self.ambient) != u.dim:
@@ -153,9 +150,7 @@ class PhanSpec(Frozen):
         if not is_transversal(u, self.flag):
             return False
         k = self.k_of(u)
-        meet = u.point_mask & self.flag[k + 1].point_mask
-        basis = u.basis if meet == u.point_mask else mask_basis(u.field, u.ambient, meet)
-        return self.forms[k].nondegenerate_on(basis)
+        return self.forms[k].nondegenerate_on_mask(u.point_mask & self.flag[k + 1].point_mask)
 
     def members(self) -> tuple[Subspace, ...]:
         return _members_of(self)

@@ -11,6 +11,13 @@ compare labels, so complexes listing the same vertices in different orders
 are equal, and ``intersect_complexes`` matches vertices by label.  Downward
 closure is implicit in the facet representation.  Complexes are immutable;
 operations return new complexes.
+
+The constructor validates its facets and keeps the inclusion-maximal ones.
+Where the facets are maximal by construction (the maximal chains of
+``order_complex``, the facets through a simplex in ``link`` and
+``star_closure``) the complex is built from them directly; only
+``induced_subcomplex`` and ``intersect_complexes``, whose cut-down facets
+may nest, maximalize.
 """
 
 from __future__ import annotations
@@ -45,7 +52,10 @@ def _maximalize(simps):
         for t in kept:
             for v in t:
                 through.setdefault(v, []).append(t)
-        kept = [s for s in group if not any(s <= t for t in through.get(min(s), ()))]
+        if through:
+            kept = [s for s in group if not any(s <= t for t in through.get(min(s), ()))]
+        else:
+            kept = list(group)
         out.extend(kept)
     return out
 
@@ -54,7 +64,9 @@ class SimplicialComplex:
     """Finite abstract simplicial complex on the vertex indices
     0..len(vertices)-1.  ``vertices[i]`` is the label of vertex i, and
     ``facets`` holds the maximal simplices as sorted index tuples, in sorted
-    order.  The constructor takes facets as iterables of indices."""
+    order.  The constructor takes facets as iterables of indices, checks
+    them and keeps the inclusion-maximal ones; ``_of_maximal`` takes facets
+    that are maximal by construction as they are."""
 
     def __init__(self, vertices, facets):
         self.vertices = tuple(vertices)
@@ -71,6 +83,17 @@ class SimplicialComplex:
         fs = [f for f in fs if f]
         fs.extend(frozenset((v,)) for v in indices if v not in covered)
         self.facets = tuple(sorted(tuple(sorted(f)) for f in _maximalize(fs)))
+
+    @classmethod
+    def _of_maximal(cls, vertices, facets) -> "SimplicialComplex":
+        """The complex with exactly these facets: distinct, pairwise
+        incomparable, non-empty sorted index tuples, in sorted order, that
+        cover every vertex (none of it checked), such as maximal chains or
+        the facets through a simplex."""
+        k = cls.__new__(cls)
+        k.vertices = tuple(vertices)
+        k.facets = tuple(facets)
+        return k
 
     # -- basic queries -------------------------------------------------------
 
@@ -136,13 +159,19 @@ class SimplicialComplex:
         )
 
 
-def _restrict(k: SimplicialComplex, facets) -> SimplicialComplex:
+def _restrict(k: SimplicialComplex, facets, maximal: bool = False) -> SimplicialComplex:
     """The complex with the given index sets of k as facets, on the vertices
-    of k that they cover, re-indexed in k's vertex order."""
+    of k that they cover, re-indexed in k's vertex order.  ``maximal`` says
+    that the sets are distinct, pairwise incomparable sorted tuples in
+    sorted order, the empty one aside: the complex is then built with no
+    maximalizing."""
     used = sorted(set().union(*facets))
     new = {v: i for i, v in enumerate(used)}
-    return SimplicialComplex([k.vertices[v] for v in used],
-                             [[new[v] for v in f] for f in facets])
+    verts = [k.vertices[v] for v in used]
+    if maximal:  # re-indexing is monotone, so the order is kept
+        return SimplicialComplex._of_maximal(verts, [tuple(new[v] for v in f)
+                                                     for f in facets if f])
+    return SimplicialComplex(verts, [[new[v] for v in f] for f in facets])
 
 
 def order_complex(subspaces) -> SimplicialComplex:
@@ -154,7 +183,9 @@ def order_complex(subspaces) -> SimplicialComplex:
     mask, looked for among the members through its lowest point; the zero
     subspace, with mask 0, lies below every other member.  Its covers are
     the successors above no other successor, and the maximal chains run
-    along covers from the minimal members."""
+    along covers from the minimal members.  They are distinct and maximal,
+    each increases in vertex order, and the depth-first walk emits them in
+    sorted order, so the complex is built from them as they are."""
     verts = sorted(set(subspaces), key=Subspace.sort_key)
     n = len(verts)
     masks = [v.point_mask for v in verts]
@@ -181,26 +212,29 @@ def order_complex(subspaces) -> SimplicialComplex:
             facets.append(chain)
             return
         for j in covers[last]:
-            extend(chain + [j])
+            extend(chain + (j,))
 
     for i in range(n):
         if i not in non_minimal:
-            extend([i])
-    return SimplicialComplex(verts, facets)
+            extend((i,))
+    return SimplicialComplex._of_maximal(verts, facets)
 
 
 def link(k: SimplicialComplex, s) -> SimplicialComplex:
     """{t : t ∩ s = ∅ and t ∪ s ∈ K} for a simplex s given by vertex indices.
-    Only the facets through the vertex of s with the fewest are scanned."""
+    Only the facets through the vertex of s with the fewest are scanned.
+    The facets through s, less s, are the link's facets: distinct, maximal,
+    still in sorted order (removing a set that two sorted tuples share keeps
+    their order), and empty only for the link of a facet."""
     sv = frozenset(s)
     if not sv:
-        return _restrict(k, k.facets)
+        return _restrict(k, k.facets, maximal=True)
     facets, lists = k.facets, k.facets_through
     shortest = min((lists.get(v, ()) for v in sv), key=len)
     through = [facets[i] for i in shortest if sv.issubset(facets[i])]
     if not through:
         raise ValueError("link of a non-simplex")
-    return _restrict(k, [frozenset(f) - sv for f in through])
+    return _restrict(k, [tuple(v for v in f if v not in sv) for f in through], maximal=True)
 
 
 def star_closure(k: SimplicialComplex, v: int) -> SimplicialComplex:
@@ -209,7 +243,7 @@ def star_closure(k: SimplicialComplex, v: int) -> SimplicialComplex:
     facets = [k.facets[i] for i in k.facets_through.get(v, ())]
     if not facets:
         raise ValueError("star of a non-vertex")
-    return _restrict(k, facets)
+    return _restrict(k, facets, maximal=True)
 
 
 def induced_subcomplex(k: SimplicialComplex, keep) -> SimplicialComplex:

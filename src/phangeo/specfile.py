@@ -55,11 +55,18 @@ class SpecFileError(ValueError):
     """Malformed geometry file; the message names the offending location."""
 
 
+def _is_integer(obj) -> bool:
+    """JSON integers only: ``true`` is a bool, which Python counts as an int."""
+    return isinstance(obj, int) and not isinstance(obj, bool)
+
+
 def _element(field: Field, obj, where: str) -> int:
     if not isinstance(obj, list) or len(obj) != field.e:
         raise SpecFileError(
             f"{where}: expected a coefficient array of length {field.e}, got {obj!r}"
         )
+    if not all(map(_is_integer, obj)):
+        raise SpecFileError(f"{where}: coefficients must be integers, got {obj!r}")
     try:
         return field.from_coeffs(obj)
     except ValueError as exc:
@@ -96,12 +103,12 @@ def parse_family(doc: dict) -> PhanFamily:
     fblock = doc.get("field")
     if not isinstance(fblock, dict):
         raise SpecFileError("field: missing or not an object")
+    params = (fblock.get("p"), fblock.get("e"), fblock.get("sigma_order", 1))
+    for key, value in zip(("p", "e", "sigma_order"), params):
+        if not _is_integer(value):
+            raise SpecFileError(f"field.{key}: expected an integer, got {value!r}")
     try:
-        field = make_field(
-            int(fblock["p"]), int(fblock["e"]), int(fblock.get("sigma_order", 1))
-        )
-    except (KeyError, TypeError) as exc:
-        raise SpecFileError(f"field: needs integer entries p, e, sigma_order ({exc})")
+        field = make_field(*params)
     except ValueError as exc:
         raise SpecFileError(f"field: {exc}") from exc
     ambient = doc.get("ambient_dim")

@@ -296,7 +296,24 @@ def test_cli_loads_only_the_layers_a_command_runs(tmp_path, command, unloaded):
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+def _edited_spec(entry, value):
+    """t0_q5_dim3 with its characteristic p or one Gram coefficient replaced
+    by value."""
+    doc = json.loads((SPECS / "t0_q5_dim3.json").read_text())
+    if entry == "p":
+        doc["field"]["p"] = value
+    else:
+        doc["specs"][0]["forms"][0][0][0] = [value]
+    return doc
+
+
 @pytest.mark.parametrize("argv, message", [
+    (["build", "--spec", _edited_spec("coefficient", "1")], "coefficients must be integers"),
+    (["build", "--spec", _edited_spec("coefficient", 1.5)], "coefficients must be integers"),
+    (["build", "--spec", _edited_spec("coefficient", None)], "coefficients must be integers"),
+    (["build", "--spec", _edited_spec("coefficient", True)], "coefficients must be integers"),
+    (["build", "--spec", _edited_spec("p", 5.7)], "field.p: expected an integer, got 5.7"),
+    (["build", "--spec", _edited_spec("p", True)], "field.p: expected an integer, got True"),
     (["build", "--spec", str(SPECS / "t0_q5_dim3.json"),
       "--out", "/nonexistent-directory/r.json"], "cannot write report"),
     (["build", "--spec", str(SPECS)], "cannot read spec file"),
@@ -306,11 +323,19 @@ def test_cli_loads_only_the_layers_a_command_runs(tmp_path, command, unloaded):
      "below the dimension 1"),
     (["lemma-tests", "--count", "0"], "--count must be >= 1, got 0"),
     (["lemma-tests", "--count", "-3"], "--count must be >= 1, got -3"),
-], ids=["out-into-missing-directory", "spec-is-a-directory", "negative-target-dim",
+], ids=["string-coefficient", "float-coefficient", "null-coefficient",
+        "bool-coefficient", "float-characteristic", "bool-characteristic",
+        "out-into-missing-directory", "spec-is-a-directory", "negative-target-dim",
         "target-dim-below-complex-dim", "zero-count", "negative-count"])
-def test_bad_input_exits_2_with_one_error_line(argv, message, capsys):
+def test_bad_input_exits_2_with_one_error_line(argv, message, capsys, tmp_path):
     """Bad input is exit 2 with one error line, never a traceback and exit
-    1, which would read as a failing verdict."""
+    1, which would read as a failing verdict.  A spec document in argv is
+    written to a file first."""
+    argv = list(argv)
+    for i, arg in enumerate(argv):
+        if isinstance(arg, dict):
+            argv[i] = str(tmp_path / "spec.json")
+            (tmp_path / "spec.json").write_text(json.dumps(arg))
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2

@@ -117,10 +117,13 @@ def test_nondegeneracy_is_full_gram_rank(field, ambient, data):
 
 @pytest.mark.parametrize("p,e,sigma", [(2, 2, 2), (3, 2, 2), (5, 2, 2), (2, 9, 1)])
 def test_one_triangle_gram_matches_the_method_path(p, e, sigma, rng):
-    """nondegenerate_on evaluates one triangle of the Gram matrix through
-    the lookup tables; the oracle evaluates both through the Field methods.
-    Random forms on random domains of F_q^4, random independent vectors of
-    the domain; F_2^9 computes its table entries on lookup."""
+    """is_nondegenerate evaluates one triangle of the Gram matrix through
+    the lookup tables, and nondegenerate_on_mask reads the perp masks; the
+    oracle evaluates both triangles through the Field methods.  Random forms
+    on random domains of F_q^4 (some degenerate), random subspaces of the
+    domain; F_2^9 computes its table entries on lookup.  The perp table has
+    one entry per point of the domain and the hyperplane table one per
+    hyperplane of F_q^4, so the mask test is checked for q <= 9 only."""
     field = make_field(p, e, sigma)
     seen = set()
     for _ in range(40):
@@ -134,9 +137,11 @@ def test_one_triangle_gram_matches_the_method_path(p, e, sigma, rng):
                     c = rng.randrange(field.q)
                     v = tuple(field.add(x, field.mul(c, y)) for x, y in zip(v, r))
                 rows.append(v)
-            basis = Subspace.span(field, 4, rows).basis
-            got = w.nondegenerate_on(basis)
-            assert got == oracle_nondegenerate_on(w, basis)
+            sub = Subspace.span(field, 4, rows)
+            got = w.is_nondegenerate(sub)
+            assert got == oracle_nondegenerate_on(w, sub.basis)
+            if field.q <= 9:
+                assert w.nondegenerate_on_mask(sub.point_mask) == got
             seen.add(got)
     assert seen == {True, False} or field.q > 25  # over F_2^9 nearly all are non-degenerate
 

@@ -260,14 +260,24 @@ def test_mask_containment_matches_contains_subspace(p, e):
             assert (a.point_mask & ~b.point_mask == 0) == b.contains_subspace(a)
 
 
-@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (3, 2)])
-def test_mask_basis_spans_the_subspace(p, e, rng):
-    """mask_basis decodes a basis from a point mask alone, on every subspace
-    of F_q^3 and on random ones of F_q^5, q = 4 and q = 9 included."""
+@pytest.mark.parametrize("p,e,ambient", [(2, 1, 4), (3, 1, 4), (2, 2, 3), (3, 2, 3), (5, 1, 2)])
+def test_hyperplane_masks_are_keyed_by_their_normals(p, e, ambient):
+    """Each hyperplane appears once, under the point of a normal c: its mask
+    holds exactly the points y with sum_j c_j y_j = 0, checked through the
+    Field methods on every point; q = 4 and q = 9 exercise the non-prime
+    encodings."""
     field = make_field(p, e)
-    subs = _subspaces_of_f_q_3(field)
-    subs += [random_subspace(rng, field, 5, rng.randrange(0, 6)) for _ in range(12)]
-    for s in subs:
-        basis = la.mask_basis(field, s.ambient, s.point_mask)
-        assert len(basis) == s.dim
-        assert Subspace.span(field, s.ambient, basis) == s
+    q = field.q
+    table = la.hyperplane_masks(field, ambient)
+    assert len(table) == (q**ambient - 1) // (q - 1)
+    points = Subspace.full(field, ambient).point_mask
+    for key, mask in table.items():
+        normal = [key // q**j % q for j in range(ambient)]
+        assert points >> key & 1  # the key is a normalized vector
+        for bit in range(q**ambient):
+            if points >> bit & 1:
+                y = [bit // q**j % q for j in range(ambient)]
+                dot = 0
+                for c, x in zip(normal, y):
+                    dot = field.add(dot, field.mul(c, x))
+                assert (mask >> bit & 1) == (dot == 0)

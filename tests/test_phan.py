@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 from phangeo import filtration
 from phangeo.field import make_field
 from phangeo.forms import HermitianForm, RadicalConditionError
-from phangeo.linalg import Flag, Subspace, enumerate_subspaces, is_transversal, rref
+from phangeo.linalg import (
+    Flag,
+    Subspace,
+    enumerate_subspaces,
+    enumerate_subspaces_of,
+    is_transversal,
+    rref,
+)
 from phangeo import phan
 from phangeo.phan import (
     EmptyResidueError,
@@ -19,6 +26,7 @@ from phangeo.phan import (
     residue_below,
     vertices,
 )
+from phangeo.specfile import dump_family, load_family
 from phangeo.suites import (
     chamber_spec,
     desk_geometries,
@@ -146,7 +154,7 @@ def _membership_oracle_specs():
 
 
 def _decoded_meet_dim(spec, u) -> int:
-    """dim(U ∩ V_(k+1)) where is_member decodes that intersection from the
+    """dim(U ∩ V_(k+1)) where is_member reads that intersection as a meet of
     point masks (a proper non-zero transversal subspace of the ambient that
     is not inside V_(k+1)), else 0."""
     if not (0 < u.dim < spec.ambient.dim and spec.ambient.contains_subspace(u)
@@ -161,7 +169,7 @@ def test_membership_matches_rref_oracle():
     the rref versions on every subspace of the coordinate space holding each
     spec's ambient, inside and outside the ambient, for bundled, random,
     hermitian, residue and restricted-family specs.  The random specs on
-    F_2^5 make is_member decode intersections of dimension 3 and more."""
+    F_2^5 make is_member test meets of two masks of dimension 3 and more."""
     subspaces = {}
     specs, delta = _membership_oracle_specs()
     decoded = set()
@@ -177,6 +185,50 @@ def test_membership_matches_rref_oracle():
             decoded.add(_decoded_meet_dim(spec, u))
     assert delta and any(not s.ambient.is_full() for s in specs)
     assert max(decoded) >= 3
+
+
+def test_mask_nondegeneracy_matches_gram_rank():
+    """nondegenerate_on_mask agrees with the Gram rank of is_nondegenerate
+    on every subspace of the domain of every form of the membership specs:
+    q in {2, 3, 4, 5, 9} with sigma of order 2 over F_4 and F_9, forms with
+    a non-zero radical (every w_i with i >= 1), residues above a member in
+    quotient coordinates and restricted-family specs; plus sigma of order 1
+    over F_4 and F_9."""
+    specs, delta = _membership_oracle_specs()
+    f4id, f9id = make_field(2, 2, 1), make_field(3, 2, 1)
+    specs += [standard_spec(f4id, 3), standard_spec(f9id, 3),
+              random_phan_spec(random.Random(3), f4id, 3, 1),
+              random_phan_spec(random.Random(4), f9id, 3, 1)]
+    kinds = set()
+    for spec in specs + delta:
+        for w in spec.forms:
+            kinds.add((w.field.q, w.field.sigma_order, w.radical().is_zero()))
+            for k in range(w.domain.dim + 1):
+                for s in enumerate_subspaces_of(w.domain, k):
+                    assert w.nondegenerate_on_mask(s.point_mask) == w.is_nondegenerate(s)
+    assert {(q, o, r) for q, o, r in kinds if not r} >= {(2, 1, False), (3, 1, False),
+                                                       (4, 2, False), (5, 1, False),
+                                                       (9, 2, False)}
+    assert {(4, 1, True), (9, 1, True), (9, 1, False)} <= kinds
+
+
+def test_vertices_run_no_elimination(monkeypatch, tmp_path):
+    """Once the spec file is loaded, enumerating the vertices of F_3^4 runs
+    neither an rref nor a Gram rank: membership is mask algebra only."""
+    import phangeo.forms
+    import phangeo.linalg
+
+    path = tmp_path / "f34.json"
+    dump_family(PhanFamily((standard_spec(F3, 4),)), str(path))
+    family, _ = load_family(str(path))
+    phan._members_of.cache_clear()  # an equal spec may have been enumerated before
+
+    def refused(*args):
+        raise AssertionError("elimination called")
+
+    monkeypatch.setattr(phangeo.linalg, "rref", refused)
+    monkeypatch.setattr(phangeo.forms, "_full_rank", refused)
+    assert len(vertices(family)) == 138
 
 
 def _transport(spec, rows):

@@ -279,3 +279,32 @@ def test_bowtie_fails_at_labelled_middle_vertex(order):
     rep = cohen_macaulay_check(bowtie)
     assert [f.simplex for f in rep.failures] == [(at["c"],)]
     assert bowtie.vertices[rep.failures[0].simplex[0]] == "c"
+
+
+def _rebuilt_unchanged(k):
+    """The maximalizing constructor leaves the facets of k as they are."""
+    return SimplicialComplex(k.vertices, k.facets).facets == k.facets
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in SPECS.glob("*.json")) + ["F3^4"])
+def test_complexes_built_from_maximal_facets_need_no_maximalizing(name):
+    """order_complex, link and star_closure build their complexes from facets
+    that are maximal by construction, with no maximalizing: the constructor
+    that maximalizes returns the same facets.  Links of the empty simplex,
+    of every vertex, of some facets (empty complexes) and of faces of
+    each of those; stars of every vertex."""
+    if name == "F3^4":
+        family = PhanFamily((standard_spec(F3, 4),))
+    else:
+        family, _ = load_family(str(SPECS / f"{name}.json"))
+    k = order_complex(vertices(family).members)
+    assert _rebuilt_unchanged(k)
+    assert link(k, ()).facets == k.facets and _rebuilt_unchanged(link(k, ()))
+    for v in range(k.num_vertices):
+        assert _rebuilt_unchanged(link(k, (v,)))
+        assert _rebuilt_unchanged(star_closure(k, v))
+    for f in k.facets[::max(1, len(k.facets) // 40)]:
+        empty = link(k, f)
+        assert empty.is_empty() and empty.facets == ()
+        for s in {f[:2], f[1:], f[::2]}:
+            assert _rebuilt_unchanged(link(k, s))
