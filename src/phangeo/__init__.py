@@ -3,6 +3,7 @@
 Library layout:
 
 - :mod:`phangeo.field`: arithmetic in F_q with an automorphism of order 1 or 2
+- :mod:`phangeo.masks`: point bitmasks as meets of swept hyperplanes
 - :mod:`phangeo.linalg`: canonical subspaces, flags, complements, quotients
 - :mod:`phangeo.forms`: sigma-hermitian forms, radicals, extension, projection
 - :mod:`phangeo.phan`: geometries, membership, residues, restricted families

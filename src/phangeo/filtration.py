@@ -312,11 +312,19 @@ def verify_stage(state: FiltrationState, i: int) -> StageReport:
     )
 
     # the below and above sets in Y_(i-1) of each new vertex, read by (c) and
-    # (d); w ⊆ u iff w's point mask lies inside u's
-    below_prev = {u: [w for w in prev if w.dim < u.dim and w.point_mask & ~u.point_mask == 0]
-                  for u in new}
-    above_prev = {u: [w for w in prev if w.dim > u.dim and u.point_mask & ~w.point_mask == 0]
-                  for u in new}
+    # (d) from an index of Y_(i-1) by point, built for this stage apart from
+    # the indexes of Γ and Y_0 that (d) compares them with: a member above U
+    # holds U's lowest point, one below U has its own lowest point among U's
+    # points; w ⊆ u iff w's point mask lies inside u's
+    prev_through = _by_point(prev, every_point=True)
+    prev_lowest = _by_point(prev, every_point=False)
+    below_prev, above_prev = {}, {}
+    for u in new:
+        m = u.point_mask
+        above_prev[u] = {w for w in prev_through.get((m & -m).bit_length(), ())
+                         if w.dim > u.dim and m & ~w.point_mask == 0}
+        below_prev[u] = {w for b in _bits(m) for w in prev_lowest.get(b, ())
+                         if w.dim < u.dim and w.point_mask & ~m == 0}
 
     # (c) star boundaries: join decomposition and (n-2)-sphericity
     bad_join = None
@@ -324,7 +332,7 @@ def verify_stage(state: FiltrationState, i: int) -> StageReport:
     boundary_betti = {}
     for u in new:
         a_cap_b = induced_subcomplex(stars[u], prev_set)
-        expected = order_complex(below_prev[u] + above_prev[u])
+        expected = order_complex(below_prev[u] | above_prev[u])
         if a_cap_b.facet_sets() != expected.facet_sets() and not (
             a_cap_b.is_empty() and expected.is_empty()
         ) and bad_join is None:
@@ -360,24 +368,24 @@ def verify_stage(state: FiltrationState, i: int) -> StageReport:
         m = u.point_mask
         above_gamma = {w for w in gamma_through[(m & -m).bit_length()]
                        if w.dim > u.dim and m & ~w.point_mask == 0}
-        if set(above_prev[u]) != above_gamma and bad_above is None:
-            bad_above = u
+        if above_prev[u] != above_gamma and bad_above is None:
+            bad_above = (u, above_prev[u] ^ above_gamma)
         below_y0 = {w for b in _bits(m) for w in y0_lowest.get(b, ())
                     if w.dim < u.dim and w.point_mask & ~m == 0}
-        if set(below_prev[u]) != below_y0 and bad_below is None:
-            bad_below = u
+        if below_prev[u] != below_y0 and bad_below is None:
+            bad_below = (u, below_prev[u] ^ below_y0)
         if bad_delta is None:
             bad_delta = _delta_comparison(state, u, below_y0)
     report.checks.append(
         CheckResult(
             "above_sets_equal_gamma_above", bad_above is None,
-            None if bad_above is None else f"U = {bad_above.basis}",
+            None if bad_above is None else _set_witness(*bad_above),
         )
     )
     report.checks.append(
         CheckResult(
             "below_sets_equal_y0_below", bad_below is None,
-            None if bad_below is None else f"U = {bad_below.basis}",
+            None if bad_below is None else _set_witness(*bad_below),
         )
     )
     report.checks.append(
@@ -397,6 +405,11 @@ def verify_stage(state: FiltrationState, i: int) -> StageReport:
         )
     )
     return report
+
+
+def _set_witness(u: Subspace, diff) -> str:
+    """Names U and the members on which its two sets differ."""
+    return f"U = {u.basis}: sets differ at {sorted(w.basis for w in diff)}"
 
 
 def _bits(mask: int):

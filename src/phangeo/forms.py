@@ -14,11 +14,15 @@ the membership test of :mod:`phangeo.phan`) is mask algebra only.  Each form
 builds, on first use, the point mask of x^perp ∩ D for every point x of its
 domain D: a vector of D has its coordinates at D's pivot columns, one Gram
 row gives the functional y -> w(y, x) there, and the hyperplane with that
-normal (``linalg.hyperplane_masks``) cut down to D is the perp.  A subspace
-W of D is non-degenerate iff no point of W lies in the perps of all of W's
-points.  Hermitian symmetry G[j][i] == sigma(G[i][j]) is enforced at
-construction, so left and right perps agree; evaluation is
-sigma-sesquilinear in the second argument: w(a*x, b*y) = a * sigma(b) * w(x, y).
+normal (``linalg.hyperplane_masks``, a coordinate sweep that lists no
+point) cut down to D is the perp.  A
+subspace W of D is non-degenerate iff no point of W lies in the perps of
+all of W's points.  The table lives as long as its form; the forms of the
+internal specs of residues and restricted families go with those specs,
+which no cache keeps (``PhanSpec.members``).  Hermitian symmetry
+G[j][i] == sigma(G[i][j]) is enforced at construction, so left and right
+perps agree; evaluation is sigma-sesquilinear in the second argument:
+w(a*x, b*y) = a * sigma(b) * w(x, y).
 """
 
 from __future__ import annotations

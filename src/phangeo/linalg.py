@@ -23,6 +23,12 @@ membership predicate in :mod:`phangeo.phan`.  ``hyperplane_masks`` keys the
 mask of each hyperplane by the point of its normal vector, so that a form
 (:mod:`phangeo.forms`) reads the mask of a perp from one linear functional.
 
+No mask is built by listing points (:mod:`phangeo.masks`).  The
+hyperplane masks are swept over the coordinates, from one mask per
+(coordinate, value), and every other mask is a meet: a point is its own
+bit, and a k-subspace the AND of the hyperplane masks of its d - k
+normals.
+
 Canonical vector enumeration counts coordinate 0 as the least significant
 base-q digit, so (1,0,...,0) is the first nonzero vector.
 
@@ -37,8 +43,7 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from itertools import combinations
-from operator import mul
-
+from . import masks
 from .field import Field
 
 __all__ = [
@@ -229,26 +234,11 @@ class Subspace(Frozen):
 
     @cached_property
     def point_mask(self) -> int:
-        """Bitmask of the projective points, built on first use.
-
-        The normalized vectors are the combinations of the echelon rows whose
-        first nonzero coefficient is 1: row i plus any combination of the
-        rows after it, which vanish up to the leading 1 of row i."""
-        q = self.field.q
-        add, mul_table = self.field.add_table, self.field.mul_table
-        weights = [q**j for j in range(self.ambient)]
-        rows = self.basis
-        later = [(0,) * self.ambient]  # the span of the rows after row i
-        mask = 0
-        for i in reversed(range(len(rows))):
-            points = [tuple([add[x][y] for x, y in zip(rows[i], v)]) for v in later]
-            for p in points:
-                mask |= 1 << sum(map(mul, p, weights))
-            if i:
-                multiples = [[mul_table[c][x] for x in rows[i]] for c in range(2, q)]
-                later += points + [tuple([add[x][y] for x, y in zip(m, v)])
-                                   for m in multiples for v in later]
-        return mask
+        """Bitmask of the projective points, built on first use as the meet
+        of the hyperplanes through the subspace (``masks.meet_masks``); the
+        subspaces of a table get theirs when the table is built."""
+        f, d = self.field, self.ambient
+        return masks.meet_masks(f, d, (self.basis,), hyperplane_masks(f, d))[0]
 
     def meet_dim(self, other: "Subspace") -> int:
         """dim(self ∩ other), from the number of points the two masks share:
@@ -512,8 +502,15 @@ def enumerate_subspaces(field: Field, ambient_dim: int, k: int):
 def _subspace_table(field: Field, ambient_dim: int, k: int) -> tuple[Subspace, ...]:
     """The k-dimensional subspaces of F_q^ambient_dim, built once per process:
     every enumeration in that ambient shares these objects, so each
-    subspace's point mask, pivots and hash are computed once."""
-    return tuple(enumerate_subspaces(field, ambient_dim, k))
+    subspace's point mask, pivots and hash are computed once.  The masks
+    are filled in here, all at once, as hyperplane meets
+    (``masks.meet_masks``)."""
+    table = tuple(enumerate_subspaces(field, ambient_dim, k))
+    meets = masks.meet_masks(field, ambient_dim, [s.basis for s in table],
+                             hyperplane_masks(field, ambient_dim))
+    for s, mask in zip(table, meets):
+        _setattr(s, "point_mask", mask)  # the cached_property's slot
+    return table
 
 
 def enumerate_subspaces_of(space: Subspace, k: int) -> tuple[Subspace, ...]:
@@ -533,19 +530,6 @@ def enumerate_subspaces_of(space: Subspace, k: int) -> tuple[Subspace, ...]:
 def hyperplane_masks(field: Field, ambient_dim: int) -> dict[int, int]:
     """The point mask of each hyperplane {y : sum_j c_j y_j = 0} of
     F_q^ambient_dim, keyed by the point bit of its normal c (normalized, like
-    every point).  Built once per process from the subspace table: a
-    hyperplane in reduced echelon form has one non-pivot column f, and its
-    normal has 1 at f and -row[f] at the pivot of each row."""
-    q = field.q
-    neg, mul_table, inv = field.neg_table, field.mul_table, field.inv_table
-    weights = [q**j for j in range(ambient_dim)]
-    out = {}
-    for h in _subspace_table(field, ambient_dim, ambient_dim - 1):
-        free = next(j for j in range(ambient_dim) if j not in h.pivots)
-        normal = [0] * ambient_dim
-        normal[free] = 1
-        for row, pc in zip(h.basis, h.pivots):
-            normal[pc] = neg[row[free]]
-        scale = mul_table[inv[next(c for c in normal if c)]]
-        out[sum(scale[c] * w for c, w in zip(normal, weights))] = h.point_mask
-    return out
+    every point), built once per process by a sweep over the coordinates
+    (``masks.swept_hyperplanes``)."""
+    return masks.swept_hyperplanes(field, ambient_dim)

@@ -153,7 +153,20 @@ class PhanSpec(Frozen):
         return self.forms[k].nondegenerate_on_mask(u.point_mask & self.flag[k + 1].point_mask)
 
     def members(self) -> tuple[Subspace, ...]:
-        return _members_of(self)
+        """The members, sorted.
+
+        The cache policy reads ``require_nonisotropic``.  Every spec read
+        from a file keeps it True and is enumerated once per process
+        (``_members_of``).  Every spec built internally, by
+        ``residue_below``, ``residue_above`` and ``delta_restriction``,
+        passes False and is therefore enumerated afresh on each call, so
+        that no cache keeps it and its forms' perp tables alive through a
+        long ``filtration-verify``.  The residue suite of ``lemma-tests``
+        pays for this: it re-enumerates residue specs equal to earlier
+        ones, which are small."""
+        if self.require_nonisotropic:
+            return _members_of(self)
+        return _enumerate_members(self)
 
     def has_member_below(self, u: Subspace) -> bool:
         """Whether some member lies strictly below u (a non-empty residue);
@@ -162,14 +175,16 @@ class PhanSpec(Frozen):
                    for k in range(1, u.dim) for s in enumerate_subspaces_of(u, k))
 
 
-@lru_cache(maxsize=1024)
-def _members_of(spec: PhanSpec) -> tuple[Subspace, ...]:
+def _enumerate_members(spec: PhanSpec) -> tuple[Subspace, ...]:
     out = []
     for k in range(1, spec.ambient.dim):
         for s in enumerate_subspaces_of(spec.ambient, k):
             if spec.is_member(s):
                 out.append(s)
     return tuple(sorted(out, key=Subspace.sort_key))
+
+
+_members_of = lru_cache(maxsize=1024)(_enumerate_members)
 
 
 def _bound_parts(n: int, q: int, m: int, sigma_order: int):

@@ -18,6 +18,11 @@ Where the facets are maximal by construction (the maximal chains of
 ``star_closure``) the complex is built from them directly; only
 ``induced_subcomplex`` and ``intersect_complexes``, whose cut-down facets
 may nest, maximalize.
+
+Face counts list no simplex where they need not: an order complex counts
+its chains over the successor lists it builds anyway, and any other complex
+reads its vertices and top simplices off ``num_vertices`` and the facets,
+listing only the dimensions in between.
 """
 
 from __future__ import annotations
@@ -84,15 +89,20 @@ class SimplicialComplex:
         fs.extend(frozenset((v,)) for v in indices if v not in covered)
         self.facets = tuple(sorted(tuple(sorted(f)) for f in _maximalize(fs)))
 
+    _chain_counts = None  # the face counts, where the builder counted them
+
     @classmethod
-    def _of_maximal(cls, vertices, facets) -> "SimplicialComplex":
+    def _of_maximal(cls, vertices, facets, face_counts=None) -> "SimplicialComplex":
         """The complex with exactly these facets: distinct, pairwise
         incomparable, non-empty sorted index tuples, in sorted order, that
         cover every vertex (none of it checked), such as maximal chains or
-        the facets through a simplex."""
+        the facets through a simplex.  ``face_counts``, if given, are its
+        face counts, which ``face_counts()`` then returns."""
         k = cls.__new__(cls)
         k.vertices = tuple(vertices)
         k.facets = tuple(facets)
+        if face_counts is not None:
+            k._chain_counts = tuple(face_counts)
         return k
 
     # -- basic queries -------------------------------------------------------
@@ -126,11 +136,17 @@ class SimplicialComplex:
         return {c for f in self.facets if len(f) > k for c in combinations(f, k + 1)}
 
     def face_counts(self) -> list[int]:
-        """Number of k-simplices for k = 0..dim.  Every top simplex is a
-        facet, so the top count is read off the facets."""
+        """Number of k-simplices for k = 0..dim.  An order complex has them
+        from its chain count (``order_complex``).  Otherwise every vertex is
+        a simplex and every top simplex a facet, so only the dimensions in
+        between are listed."""
+        if self._chain_counts is not None:
+            return list(self._chain_counts)
         top = self.dim
-        counts = [len(self._faces(k)) for k in range(top)]
-        if top >= 0:
+        if top < 0:
+            return []
+        counts = [self.num_vertices] + [len(self._faces(k)) for k in range(1, top)]
+        if top > 0:
             counts.append(sum(len(f) == top + 1 for f in self.facets))
         return counts
 
@@ -185,7 +201,11 @@ def order_complex(subspaces) -> SimplicialComplex:
     the successors above no other successor, and the maximal chains run
     along covers from the minimal members.  They are distinct and maximal,
     each increases in vertex order, and the depth-first walk emits them in
-    sorted order, so the complex is built from them as they are."""
+    sorted order, so the complex is built from them as they are.
+
+    The face counts are chain counts over the successors: the chains of
+    k + 1 members that start at a member are, summed over its successors,
+    the chains of k members that start there.  No simplex is listed."""
     verts = sorted(set(subspaces), key=Subspace.sort_key)
     n = len(verts)
     masks = [v.point_mask for v in verts]
@@ -217,7 +237,13 @@ def order_complex(subspaces) -> SimplicialComplex:
     for i in range(n):
         if i not in non_minimal:
             extend((i,))
-    return SimplicialComplex._of_maximal(verts, facets)
+    counts = []
+    chains = [1] * n  # chains of len(counts) + 1 members, by first member
+    while any(chains):
+        counts.append(sum(chains))
+        longer = chains.__getitem__
+        chains = [sum(map(longer, si)) for si in succ]
+    return SimplicialComplex._of_maximal(verts, facets, counts)
 
 
 def link(k: SimplicialComplex, s) -> SimplicialComplex:
@@ -279,8 +305,8 @@ def intersect_complexes(k1: SimplicialComplex, k2: SimplicialComplex) -> Simplic
 
 def export_facets(k: SimplicialComplex) -> str:
     """One facet per line as space-separated vertex indices, after a header
-    line carrying the vertex count."""
+    line carrying the vertex count.  Each index is formatted once."""
+    label = [str(i) for i in range(k.num_vertices)].__getitem__
     lines = [str(k.num_vertices)]
-    for f in k.facets:
-        lines.append(" ".join(map(str, f)))
+    lines.extend(" ".join(map(label, f)) for f in k.facets)
     return "\n".join(lines) + "\n"

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -187,6 +188,68 @@ def test_chamber_q5_dim4_is_certified_in_bound(tmp_path):
     assert doc["verdict"] == "pass" and doc["cm"]["passed"]
     assert doc["cm"]["simplices_checked"] == 25876 == 1 + 875 + 9375 + 15625
     assert doc["cm"]["failures"] == []
+
+
+def test_chamber_q5_dim4_filtration_is_certified_in_bound(tmp_path):
+    """The filtration of the same instance, without --force: every check of
+    Y_0, of the three stages and of the ledger passes, and the predicted
+    sphere count equals the direct one, the b~_2 = 7124 above."""
+    out = tmp_path / "r.json"
+    assert main(["filtration-verify", "--spec", str(SPECS / "chamber_q5_dim4.json"),
+                 "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["verdict"] == "pass" and not doc["bound"]["forced"]
+    rep = doc["filtration"]
+    assert rep["level_sizes"] == [651, 751, 851, 875]
+    assert rep["predicted_sphere_count"] == rep["direct_sphere_count"] == 7124
+    checks = rep["y0_checks"] + rep["final_checks"] + [
+        c for stage in rep["stages"] for c in stage["checks"]]
+    assert len(checks) == 4 + 2 + 3 * 8 and all(c["passed"] for c in checks)
+
+
+def test_build_lists_no_simplex_and_enumerates_no_point(tmp_path, monkeypatch):
+    """``build`` of F_4^4 reads its face counts from the chain count and
+    every point mask from hyperplane meets: listing the faces of a
+    dimension or the points of a subspace raises.  The process-wide tables
+    are dropped first, so that every mask is made afresh."""
+    from phangeo import linalg, masks, phan
+    from phangeo.simplicial import SimplicialComplex
+
+    path = tmp_path / "f44.json"
+    dump_family(PhanFamily((standard_spec(F4ID, 4),)), str(path))
+    for cache in (linalg._subspace_table, linalg.hyperplane_masks, phan._members_of):
+        cache.cache_clear()
+
+    def refused(*args):
+        raise AssertionError("faces listed or points enumerated")
+
+    monkeypatch.setattr(SimplicialComplex, "_faces", refused)
+    monkeypatch.setattr(masks, "listed_mask", refused)
+    out = tmp_path / "r.json"
+    assert main(["build", "--spec", str(path), "--out", str(out)]) == 0
+    geometry = json.loads(out.read_text())["geometry"]
+    assert geometry["simplex_counts"] == [400, 3072, 3840] and not geometry["pure"]
+
+
+@pytest.mark.milestone
+def test_milestone_f9_4_build(tmp_path):
+    """ROADMAP item 1's instance: F_9^4 with t = 0 and identity sigma, the
+    smallest in-bound n = 3 case.  The f-vector of the report is recounted
+    from the facet export by listing every face of every facet."""
+    path = tmp_path / "f94.json"
+    dump_family(PhanFamily((standard_spec(make_field(3, 2, 1), 4),)), str(path))
+    out = tmp_path / "r.json"
+    assert main(["build", "--spec", str(path), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    header, *lines = doc["facet_export"].splitlines()
+    facets = [tuple(map(int, line.split())) for line in lines]
+    faces = [set() for _ in range(max(map(len, facets)))]
+    for f in facets:
+        for j, listed in enumerate(faces):
+            listed.update(combinations(f, j + 1))
+    recount = [len(listed) for listed in faces]
+    assert int(header) == recount[0]
+    assert doc["geometry"]["simplex_counts"] == recount == [8082, 174_960, 518_400]
 
 
 def test_bounds_table(tmp_path, capsys):

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from phangeo import filtration
+from phangeo import filtration, phan
 from phangeo.field import make_field
 from phangeo.filtration import (
     FiltrationState,
@@ -278,3 +278,38 @@ def test_programming_error_in_restricted_family_is_raised(monkeypatch):
     monkeypatch.setattr(filtration, "delta_restriction", broken)
     with pytest.raises(TypeError, match="broken restricted family"):
         run_verification(family)
+
+
+@pytest.mark.parametrize("side", ["above", "below"])
+def test_set_checks_name_a_member_dropped_from_the_previous_level(side):
+    """Check (d) reads the below and above sets in Y_(i-1) from an index of
+    Y_(i-1) alone.  With one member W dropped from Y_1 of F_3^4 and Γ and
+    Y_0 left whole, the comparison with Γ (W a hyperplane above a new
+    plane) or with Y_0 (W a member of Y_0 below one) fails and names W."""
+    family = PhanFamily((standard_spec(F3, 4),))
+    state = build_filtration(family, choose_pivot(family))
+    stage = 2
+    y0, prev = set(state.levels[0]), state.levels[stage - 1]
+    new = [u for u in state.levels[stage] if u not in set(prev)]
+    if side == "above":
+        dropped = next(w for w in prev if w not in y0 and any(
+            w.dim > u.dim and w.contains_subspace(u) for u in new))
+    else:
+        dropped = next(w for w in prev if w in y0 and any(
+            w.dim < u.dim and u.contains_subspace(w) for u in new))
+    levels = list(state.levels)
+    levels[stage - 1] = tuple(w for w in prev if w != dropped)
+    cut = FiltrationState(family, state.pivot, state.geometry, tuple(levels))
+    checks = {c.name: c for c in verify_stage(cut, stage).checks}
+    name = {"above": "above_sets_equal_gamma_above", "below": "below_sets_equal_y0_below"}[side]
+    assert not checks[name].passed and str(dropped.basis) in checks[name].witness
+    assert {c.name for c in verify_stage(state, stage).checks if not c.passed} == set()
+
+
+def test_restricted_families_stay_out_of_the_members_cache():
+    """The restricted families of check (d) are enumerated afresh: after a
+    run on F_3^4 the members cache holds no more specs than the family."""
+    family = PhanFamily((standard_spec(F3, 4),))
+    phan._members_of.cache_clear()
+    assert run_verification(family).level_sizes == [91, 106, 130, 138]
+    assert phan._members_of.cache_info().currsize <= len(family.specs)

@@ -4,6 +4,7 @@ import pytest
 
 from phangeo.field import make_field
 from phangeo import linalg as la
+from phangeo import masks
 from phangeo.linalg import Flag, Subspace
 
 from conftest import gaussian_binomial, oracle_rref, oracle_subspaces_of
@@ -281,3 +282,35 @@ def test_hyperplane_masks_are_keyed_by_their_normals(p, e, ambient):
                 for c, x in zip(normal, y):
                     dot = field.add(dot, field.mul(c, x))
                 assert (mask >> bit & 1) == (dot == 0)
+
+
+MASK_AMBIENTS = [(2, 1, 1, 5), (3, 1, 1, 4), (2, 2, 1, 4), (2, 2, 2, 4), (5, 1, 1, 4),
+                 (3, 1, 1, 3), (11, 1, 1, 3), (5, 1, 1, 2), (3, 2, 2, 2), (3, 1, 1, 1)]
+
+
+@pytest.mark.parametrize("p,e,sigma_order,ambient", MASK_AMBIENTS)
+def test_table_masks_match_the_listed_masks(p, e, sigma_order, ambient):
+    """The table's masks are hyperplane meets; every one equals the listed
+    mask, and so does the mask of a subspace outside the tables."""
+    field = make_field(p, e, sigma_order)
+    for k in range(ambient + 1):
+        for s in la._subspace_table(field, ambient, k):
+            assert s.point_mask == masks.listed_mask(field, ambient, s.basis)
+            assert Subspace(field, ambient, s.basis).point_mask == s.point_mask
+
+
+@pytest.mark.parametrize("p,e,sigma_order,ambient", MASK_AMBIENTS)
+def test_swept_hyperplanes_match_the_table(p, e, sigma_order, ambient):
+    """The coordinate sweep gives each hyperplane of the table its listed
+    mask, under its normal found as a nullspace; ``hyperplane_masks`` is
+    the sweep."""
+    field = make_field(p, e, sigma_order)
+    q = field.q
+    expected = {}
+    for h in la._subspace_table(field, ambient, ambient - 1):
+        (normal,) = la.nullspace(field, h.basis, ambient)
+        scale = field.inv(next(c for c in normal if c))
+        key = sum(field.mul(scale, c) * q**j for j, c in enumerate(normal))
+        expected[key] = masks.listed_mask(field, ambient, h.basis)
+    assert masks.swept_hyperplanes(field, ambient) == expected
+    assert la.hyperplane_masks(field, ambient) == expected

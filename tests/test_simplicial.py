@@ -12,6 +12,7 @@ from phangeo.linalg import Subspace
 from phangeo.simplicial import (
     SimplicialComplex,
     export_facets,
+    induced_subcomplex,
     intersect_complexes,
     link,
     order_complex,
@@ -26,6 +27,7 @@ from conftest import chain_facets, join
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
+F4 = make_field(2, 2, 1)
 F5 = make_field(5, 1)
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 
@@ -82,6 +84,47 @@ def test_order_complex_matches_chain_oracle_on_bundled_specs(path):
 def test_order_complex_matches_chain_oracle_on_f3_4():
     k = _check_against_chain_oracle(vertices(PhanFamily((standard_spec(F3, 4),))).members)
     assert k.face_counts() == [138, 648, 576]
+
+
+def _listed_counts(k):
+    """The face counts by listing every simplex of every dimension."""
+    return [len(k.simplices(j)) for j in range(k.dim + 1)]
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in SPECS.glob("*.json"))
+                         + ["F3^4", "F4^4"])
+def test_order_complex_counts_its_chains(name):
+    """``order_complex`` counts its chains over the successor lists; the
+    counts equal the listed faces.  The complex of F_4^4 is not pure: its
+    maximal edges count as edges, not as top simplices."""
+    if name in ("F3^4", "F4^4"):
+        family = PhanFamily((standard_spec(F3 if name == "F3^4" else F4, 4),))
+    else:
+        family, _ = load_family(str(SPECS / f"{name}.json"))
+    k = order_complex(vertices(family).members)
+    assert k._chain_counts is not None
+    assert k.face_counts() == _listed_counts(k)
+    if name == "F4^4":
+        assert purity_and_dimension(k) == (False, 2)
+        assert k.face_counts() == [400, 3072, 3840] and len(k.facets) == 4032
+
+
+def test_generic_face_counts_match_the_listing():
+    """Links, stars and induced subcomplexes count their faces from the
+    facets.  A 0-dimensional complex counts each vertex once; the empty
+    complex has no faces."""
+    k = order_complex(vertices(PhanFamily((standard_spec(F3, 4),))).members)
+    pieces = [link(k, ()), link(k, k.facets[0]), SimplicialComplex([], []),
+              SimplicialComplex("abc", []), induced_subcomplex(k, set(k.vertices[::3]))]
+    for v in range(0, k.num_vertices, 5):
+        pieces += [link(k, (v,)), star_closure(k, v)]
+    pieces += [link(k, f[:2]) for f in k.facets[::40]]
+    for piece in pieces:
+        assert piece._chain_counts is None
+        assert piece.face_counts() == _listed_counts(piece)
+    assert {p.dim for p in pieces} == {-1, 0, 1, 2}
+    assert SimplicialComplex("abc", []).face_counts() == [3]
+    assert SimplicialComplex([], []).face_counts() == []
 
 
 def test_order_complex_with_zero_and_full_subspace():
