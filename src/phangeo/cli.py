@@ -220,7 +220,7 @@ def cmd_filtration(args) -> int:
     t0 = time.perf_counter()
     try:
         rep = run_verification(family, negative_control=args.negative_control)
-    except PivotNotFoundError as exc:
+    except PivotNotFoundError as exc:  # the negative control found no isotropic point
         _die(str(exc))
     doc = _base_report("filtration-verify", digest, bound)
     doc["filtration"] = rep.as_dict()

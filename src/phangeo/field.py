@@ -21,7 +21,6 @@ automorphisms are offered.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import zip_longest
 
 __all__ = ["Field", "make_field", "prime_power"]
 
@@ -91,44 +90,15 @@ def _pmod(a: list[int], m: list[int], p: int) -> list[int]:
     return a
 
 
-def _ppowmod(a: list[int], k: int, m: list[int], p: int) -> list[int]:
-    out = [1]
-    base = _pmod(a, m, p)
-    while k:
-        if k & 1:
-            out = _pmod(_pmul(out, base, p), m, p)
-        base = _pmod(_pmul(base, base, p), m, p)
-        k >>= 1
-    return out
-
-
-def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _pmod(a, b, p)
-    return a
-
-
 def _is_irreducible(poly: list[int], p: int) -> bool:
+    """A monic polynomial of degree e is irreducible iff no monic polynomial
+    of degree 1..e//2 divides it: a proper factorization has a factor of
+    degree at most e//2, and a factor can be made monic."""
     e = len(poly) - 1
-    x = [0, 1]
-    # x^(p^e) == x mod poly, and gcd(x^(p^(e/r)) - x, poly) = 1 for primes r | e
-    xq = _ppowmod(x, p**e, poly, p)
-    if _ptrim([(xi - yi) % p for xi, yi in zip_longest(xq, x, fillvalue=0)]):
-        return False
-    r = 2
-    ee = e
-    primes = set()
-    while ee > 1:
-        while ee % r == 0:
-            primes.add(r)
-            ee //= r
-        r += 1
-    for r in primes:
-        xr = _ppowmod(x, p ** (e // r), poly, p)
-        diff = [(a - b) % p for a, b in zip_longest(xr, x, fillvalue=0)]
-        if len(_pgcd(poly, _ptrim(diff), p)) > 1:
-            return False
+    for k in range(1, e // 2 + 1):
+        for enc in range(p**k):
+            if not _pmod(poly, [(enc // p**i) % p for i in range(k)] + [1], p):
+                return False
     return True
 
 

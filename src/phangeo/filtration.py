@@ -56,8 +56,7 @@ __all__ = [
 
 
 class PivotNotFoundError(RuntimeError):
-    """No point is non-degenerate for every top form (bound violation or
-    slack in the sufficient bound)."""
+    """The pivot search found no point of the kind it looks for."""
 
 
 class CheckResult(namedtuple("CheckResult", "name passed witness", defaults=(None,))):
@@ -137,7 +136,7 @@ class FiltrationReport(namedtuple(
 
     def as_dict(self) -> dict:
         return {
-            "pivot": [list(r) for r in self.pivot.basis],
+            "pivot": None if self.pivot is None else [list(r) for r in self.pivot.basis],
             "passed": self.passed,
             "y0_checks": [c.as_dict() for c in self.y0],
             "stages": [s.as_dict() for s in self.stages],
@@ -464,9 +463,19 @@ def run_verification(family: PhanFamily, pivot: Subspace | None = None,
                      negative_control: bool = False) -> FiltrationReport:
     """Full pipeline: choose a pivot, build the filtration, verify Y_0 and
     every stage, and balance the sphere-count ledger against the direct
-    homology of the geometry."""
-    if pivot is None:
-        pivot = find_degenerate_pivot(family) if negative_control else choose_pivot(family)
+    homology of the geometry.  A family without a pivot gets a report whose
+    one Y_0 check, ``pivot_found``, fails with the search's message; the
+    negative control's search for an isotropic point raises
+    ``PivotNotFoundError`` when there is none."""
+    if pivot is None and negative_control:
+        pivot = find_degenerate_pivot(family)
+    elif pivot is None:
+        try:
+            pivot = choose_pivot(family)
+        except PivotNotFoundError as exc:
+            return FiltrationReport(
+                pivot=None, y0=[CheckResult("pivot_found", False, str(exc))], stages=[],
+                final_checks=[], predicted_spheres=None, direct_spheres=None, level_sizes=[])
     state = build_filtration(family, pivot)
     y0_checks = verify_y0_contractible(state)
     stages = [verify_stage(state, i) for i in range(1, state.n + 1)]

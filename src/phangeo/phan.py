@@ -187,23 +187,6 @@ def _enumerate_members(spec: PhanSpec) -> tuple[Subspace, ...]:
 _members_of = lru_cache(maxsize=1024)(_enumerate_members)
 
 
-def _bound_parts(n: int, q: int, m: int, sigma_order: int):
-    if sigma_order == 1:
-        lhs = 2**n * m
-        text = f"2^{n}*{m} = {lhs} < q = {q}"
-    else:
-        r = round(q**0.5)
-        lhs = 2 ** (n - 1) * (r + 1) * m
-        text = f"2^{n - 1}*(sqrt(q)+1)*{m} = {lhs} < q = {q}"
-    return lhs < q, lhs, q, text
-
-
-def bound_report(n: int, q: int, m: int, sigma_order: int) -> dict:
-    ok, lhs, rhs, text = _bound_parts(n, q, m, sigma_order)
-    return {"satisfied": ok, "lhs": lhs, "rhs": rhs, "inequality": text,
-            "n": n, "q": q, "m": m, "sigma_order": sigma_order}
-
-
 def _spec_avoidance_cost(spec: PhanSpec) -> int:
     """Per-spec constant in the sufficient bound: rank-one forms (the
     opposite-chamber shape) only exclude a hyperplane of vectors, so their
@@ -216,11 +199,9 @@ def _spec_avoidance_cost(spec: PhanSpec) -> int:
     return spec.field.sqrt_q + 1
 
 
-def family_bound_report(family: "PhanFamily") -> dict:
-    n = family.n
-    q = family.field.q
-    m = family.m
-    costs = [_spec_avoidance_cost(s) for s in family.specs]
+def _cost_bound(n: int, q: int, sigma_order: int, costs: list[int]) -> dict:
+    """The sufficient bound 2^(n-1) * (sum of the per-spec costs) < q."""
+    m = len(costs)
     lhs = (2 ** (n - 1) if n >= 1 else 0) * sum(costs)
     if all(c == 2 for c in costs):
         text = f"2^{n}*{m} = {lhs} < q = {q}"
@@ -231,7 +212,19 @@ def family_bound_report(family: "PhanFamily") -> dict:
     else:
         text = f"2^{n - 1}*({'+'.join(map(str, costs))}) = {lhs} < q = {q}"
     return {"satisfied": lhs < q, "lhs": lhs, "rhs": q, "inequality": text,
-            "n": n, "q": q, "m": m, "sigma_order": family.field.sigma_order,
+            "n": n, "q": q, "m": m, "sigma_order": sigma_order}
+
+
+def bound_report(n: int, q: int, m: int, sigma_order: int) -> dict:
+    """The bound row for m specs of cost 2 each, or sqrt(q)+1 each when sigma
+    has order two: the rows of ``bounds-table``."""
+    cost = 2 if sigma_order == 1 else round(q**0.5) + 1
+    return _cost_bound(n, q, sigma_order, [cost] * m)
+
+
+def family_bound_report(family: "PhanFamily") -> dict:
+    costs = [_spec_avoidance_cost(s) for s in family.specs]
+    return {**_cost_bound(family.n, family.field.q, family.field.sigma_order, costs),
             "form_costs": costs}
 
 

@@ -8,7 +8,9 @@ import pytest
 
 from phangeo.cli import EXIT_BROKEN_PIPE, main
 from phangeo.field import make_field
-from phangeo.phan import PhanFamily
+from phangeo.forms import HermitianForm
+from phangeo.linalg import Flag, Subspace
+from phangeo.phan import PhanFamily, PhanSpec
 from phangeo.specfile import SpecFileError, dump_family, family_to_dict, load_family, parse_family
 from phangeo.suites import chamber_spec, diagonal_spec, standard_spec
 
@@ -157,6 +159,33 @@ def test_filtration_command_and_negative_control(tmp_path, spec_q5):
         for s in doc["filtration"]["stages"] for c in s["checks"] if not c["passed"]
     ]
     assert any(witnesses)
+
+
+def test_filtration_without_a_pivot_is_a_failed_check(tmp_path, capsys, monkeypatch):
+    """F_3^2 with Gram diag(1, 2) and the hyperbolic plane [[0, 1], [1, 0]]:
+    the non-isotropic points of the two forms are disjoint, so no pivot
+    exists.  That is a failing check whose witness is the search's message,
+    not bad input: the verdict is unknown under --force (exit 0), and fail,
+    exit 1, were the family in bound."""
+    v = Subspace.full(F3, 2)
+    hyperbolic = PhanSpec(Flag((Subspace.zero(F3, 2), v)),
+                          (HermitianForm(F3, v, ((0, 1), (1, 0))),))
+    spec = tmp_path / "nopivot.json"
+    dump_family(PhanFamily((diagonal_spec(F3, (1, 2)), hyperbolic)), str(spec))
+    out = tmp_path / "r.json"
+    assert main(["filtration-verify", "--spec", str(spec), "--force", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["verdict"] == "unknown"
+    filtration = doc["filtration"]
+    assert filtration["passed"] is False and filtration["pivot"] is None
+    assert filtration["y0_checks"] == [{
+        "name": "pivot_found", "passed": False,
+        "witness": "no point is non-degenerate for all top forms "
+                   "(bound violation or paper-bound slack)"}]
+    assert capsys.readouterr().err == ""
+    monkeypatch.setattr(PhanFamily, "bound", lambda self: {"satisfied": True})
+    assert main(["filtration-verify", "--spec", str(spec), "--out", str(out)]) == 1
+    assert json.loads(out.read_text())["verdict"] == "fail"
 
 
 def test_reports_are_byte_identical(tmp_path, spec_q5):
@@ -384,12 +413,16 @@ def _edited_spec(entry, value):
      "--target-dim must be >= 0"),
     (["homology", "--spec", str(SPECS / "t0_q5_dim3.json"), "--target-dim", "0"],
      "below the dimension 1"),
+    (["filtration-verify", "--negative-control", "--spec",
+      family_to_dict(PhanFamily((diagonal_spec(make_field(7, 1), (1, 1)),)))],
+     "every point is non-degenerate for every top form"),
     (["lemma-tests", "--count", "0"], "--count must be >= 1, got 0"),
     (["lemma-tests", "--count", "-3"], "--count must be >= 1, got -3"),
 ], ids=["string-coefficient", "float-coefficient", "null-coefficient",
         "bool-coefficient", "float-characteristic", "bool-characteristic",
         "out-into-missing-directory", "spec-is-a-directory", "negative-target-dim",
-        "target-dim-below-complex-dim", "zero-count", "negative-count"])
+        "target-dim-below-complex-dim", "negative-control-without-isotropic-point",
+        "zero-count", "negative-count"])
 def test_bad_input_exits_2_with_one_error_line(argv, message, capsys, tmp_path):
     """Bad input is exit 2 with one error line, never a traceback and exit
     1, which would read as a failing verdict.  A spec document in argv is

@@ -1,6 +1,6 @@
 import pytest
 
-from phangeo.field import make_field, prime_power
+from phangeo.field import _modulus, make_field, prime_power
 
 
 def test_make_field_errors():
@@ -34,6 +34,33 @@ def test_deterministic_moduli():
     assert make_field(2, 4, 2).modulus == (1, 1, 0, 0, 1)  # x^4+x+1
     assert make_field(5, 2, 2).modulus == (2, 0, 1)       # x^2+2
     assert make_field(3, 3).modulus == (1, 2, 0, 1)       # x^3+2x+1
+
+
+def _monic(p: int, k: int) -> list[tuple[int, ...]]:
+    """Every monic polynomial of degree k over F_p, constant term first, in
+    the order of the integer encoding of its lower coefficients."""
+    return [tuple((enc // p**i) % p for i in range(k)) + (1,) for enc in range(p**k)]
+
+
+def _product(a, b, p: int) -> tuple[int, ...]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return tuple(out)
+
+
+def test_modulus_is_the_first_irreducible_for_every_q_up_to_1024():
+    """Against a brute-force oracle: a monic polynomial is reducible iff it
+    is the product of two monic polynomials of lower degree."""
+    for q in range(4, 1025):
+        pe = prime_power(q)
+        if pe is None or pe[1] < 2:
+            continue
+        p, e = pe
+        reducible = {_product(a, b, p) for i in range(1, e // 2 + 1)
+                     for a in _monic(p, i) for b in _monic(p, e - i)}
+        assert _modulus(p, e) == next(f for f in _monic(p, e) if f not in reducible), q
 
 
 def test_f4_structure():

@@ -279,6 +279,46 @@ def test_cm_matches_the_link_sweep(name):
                         "chamber_q5_dim4": 0}[name]
 
 
+def test_cm_lists_no_simplex_of_codimension_below_two(monkeypatch):
+    """On F_3^4 (dimension 2) the sweep reduces the links of the empty
+    simplex and of the vertices only: edges and triangles are settled by
+    the facets and counted, never listed.  The whole complex's homology is
+    reduced beforehand, so any listing of edges or triangles would be the
+    sweep's own."""
+    import phangeo.homology
+
+    k = order_complex(vertices(PhanFamily((standard_spec(F3, 4),))).members)
+    whole = reduced_homology(k)
+    monkeypatch.setattr(phangeo.homology, "reduced_homology",
+                        lambda sub: whole if sub is k else reduced_homology(sub))
+    listed = SimplicialComplex.simplices
+
+    def refused(self, j):
+        if j >= k.dim - 1:
+            raise AssertionError(f"{j}-simplices listed")
+        return listed(self, j)
+
+    monkeypatch.setattr(SimplicialComplex, "simplices", refused)
+    rep = cohen_macaulay_check(k)
+    assert rep.simplices_checked == 1 + 138 + 648 + 576
+    assert [(f.simplex, f.target_dim, f.reason) for f in rep.failures] == [
+        ((), 2, "homology not concentrated in top degree")]
+
+
+def test_cm_non_pure_failures_follow_the_link_sweep():
+    """Two tetrahedra on a common triangle, a triangle and an edge hanging
+    off them: the 1-dimensional facet's link is built, reduced and found
+    empty; the 2-dimensional facet is listed after every reduced link, in
+    facet order, exactly where the generic sweep reports it."""
+    k = SimplicialComplex(range(7), [(0, 1, 2, 3), (1, 2, 3, 4), (3, 4, 5), (5, 6)])
+    rep = cohen_macaulay_check(k)
+    got = [(f.simplex, f.target_dim, f.reason) for f in rep.failures]
+    assert got == link_sweep_failures(k)
+    assert ((5, 6), 1, "link is empty but must be 1-spherical") in got
+    assert got[-1] == ((3, 4, 5), 0, "link is empty but must be 0-spherical")
+    assert rep.dim == 3 and rep.simplices_checked == 1 + sum(k.face_counts())
+
+
 def test_cm_two_triangles_glued_along_edge_pass():
     # shellable, hence Cohen-Macaulay; all links are contractible or spheres
     k = SimplicialComplex(range(4), [(0, 1, 2), (1, 2, 3)])
@@ -409,8 +449,8 @@ def test_snf_known_values():
     m = _matrix([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
     assert smith_invariant_factors(m) == [2, 2, 156]
     assert smith_invariant_factors(_matrix([[0, 0], [0, 0]])) == []
-    # the pivot moves from row 0 to row 1's remainder; row 0 then comes back
-    # with its old key (least |value| 2, length 3) and must be queued again
+    # the pivot moves from row 0 to row 1's remainder; row 0, rewritten by
+    # that step, is the next pivot row
     assert smith_invariant_factors(_matrix([[2, 2, 2, 0], [3, 2, 2, 5]])) == [1, 2]
 
 
