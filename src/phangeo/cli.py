@@ -28,8 +28,8 @@ from .simplicial import export_facets, order_complex, purity_and_dimension
 from .specfile import (
     REPORT_SCHEMA_VERSION,
     SpecFileError,
-    canonical_json,
     load_family,
+    write_canonical_json,
 )
 
 EXIT_PASS = 0
@@ -85,16 +85,15 @@ def _geometry_stats(family: PhanFamily):
 
 
 def _write_report(args, doc: dict) -> None:
-    text = canonical_json(doc)
     if args.out:
         try:
             with open(args.out, "w") as fh:
-                fh.write(text)
+                write_canonical_json(doc, fh)
         except OSError as exc:
             _die(f"cannot write report {args.out}: {exc.strerror}")
         print(f"report written to {args.out}")
     else:
-        sys.stdout.write(text)
+        write_canonical_json(doc, sys.stdout)
 
 
 def _base_report(command: str, digest: str, bound: dict | None) -> dict:
@@ -204,7 +203,7 @@ def cmd_cm(args) -> int:
     _write_report(args, doc)
     print(
         f"cm-check: {'pass' if cm.passed else 'fail'} "
-        f"({cm.simplices_checked} links checked, {len(cm.failures)} failures)  "
+        f"({cm.simplices_checked} simplices checked, {len(cm.failures)} failures)  "
         f"[{time.perf_counter() - t0:.2f}s]"
     )
     if not asserted:

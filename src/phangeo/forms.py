@@ -3,25 +3,25 @@ restriction, extension of a flag's forms to the whole space, and the
 projection form onto the perp of a non-degenerate point.
 
 A form is stored as the Gram matrix over the canonical (reduced-echelon)
-basis of its domain subspace, so restriction is Gram compression, a radical
-is a matrix kernel, and ``is_nondegenerate`` is full rank of the compressed
-Gram matrix, with no radical built.  A Gram matrix of given vectors, for a
-restriction or a rank, is evaluated on one triangle; the other is its image
-under sigma.
+basis of its domain subspace, so restriction is Gram compression, and
+``is_nondegenerate`` is full rank of the compressed Gram matrix, with no
+radical built.  A Gram matrix of given vectors, for a restriction or a
+rank, is evaluated on one triangle; the other is its image under sigma.
 
-Non-degeneracy on a subspace given by its point mask (``nondegenerate_on_mask``,
-the membership test of :mod:`phangeo.phan`) is mask algebra only.  Each form
-builds, on first use, the point mask of x^perp ∩ D for every point x of its
-domain D: a vector of D has its coordinates at D's pivot columns, one Gram
-row gives the functional y -> w(y, x) there, and the hyperplane with that
-normal (``linalg.hyperplane_masks``, a coordinate sweep that lists no
-point) cut down to D is the perp.  A
-subspace W of D is non-degenerate iff no point of W lies in the perps of
-all of W's points.  The table lives as long as its form; the forms of the
-internal specs of residues and restricted families go with those specs,
-which no cache keeps (``PhanSpec.members``).  Hermitian symmetry
-G[j][i] == sigma(G[i][j]) is enforced at construction, so left and right
-perps agree; evaluation is sigma-sesquilinear in the second argument:
+Perps, radicals, isotropy and non-degeneracy on a subspace given by its
+point mask (``nondegenerate_on_mask``, the membership test of
+:mod:`phangeo.phan`) are mask algebra only, from the point mask of x^perp
+for each point x of the domain D, computed when first asked for
+(``_PointPerps``).  The perp of a subspace S of D is the AND of the perps
+of S's basis rows, which are points, the basis being reduced echelon; the
+radical is the perp of D.  A point x is isotropic iff it lies in its own
+perp, since w(ax, ax) = a sigma(a) w(x, x), and a subspace W of D is
+non-degenerate iff no point of W lies in the perps of all of W's points.
+The perps live as long as their form; the forms of the internal specs of
+residues and restricted families go with those specs, which no cache
+keeps (``PhanSpec.members``).  Hermitian symmetry G[j][i] ==
+sigma(G[i][j]) is enforced at construction, so left and right perps agree;
+evaluation is sigma-sesquilinear in the second argument:
 w(a*x, b*y) = a * sigma(b) * w(x, y).
 """
 
@@ -35,10 +35,8 @@ from .linalg import (
     Flag,
     Frozen,
     Subspace,
-    combine,
     complement,
     hyperplane_masks,
-    nullspace,
     project,
 )
 
@@ -149,16 +147,9 @@ class HermitianForm(Frozen):
     def restrict(self, s: Subspace) -> "HermitianForm":
         return HermitianForm(self.field, s, self._gram_on(s))
 
-    def radical(self, restricted_to: Subspace | None = None) -> Subspace:
-        """{x in S : w(x, y) = 0 for all y in S}, computed as a kernel."""
-        s = self.domain if restricted_to is None else restricted_to
-        form = self if restricted_to is None else self.restrict(s)
-        k = s.dim
-        # x = sum c_a s_a is radical iff sum_a c_a G[a][b] = 0 for all b
-        rows = [[form.gram[a][b] for a in range(k)] for b in range(k)]
-        kernel = nullspace(self.field, rows, k)
-        vecs = [combine(self.field, c, s.basis, s.ambient) for c in kernel]
-        return Subspace.span(self.field, s.ambient, vecs)
+    def radical(self) -> Subspace:
+        """{x in D : w(x, y) = 0 for all y in D}: the perp of the domain."""
+        return self.perp(self.domain)
 
     def is_nondegenerate(self, s: Subspace | None = None) -> bool:
         """Whether the radical on s (default: the domain) is zero, that is,
@@ -166,40 +157,8 @@ class HermitianForm(Frozen):
         return _full_rank(self.field, self.gram if s is None else self._gram_on(s))
 
     @cached_property
-    def _perp_masks(self) -> dict[int, int]:
-        """Point bit of x -> point mask of x^perp ∩ D, for every point x of
-        the domain D.  The coordinates of x are its entries at D's pivot
-        columns, and w(y, x) = sum_a y_(pivot a) c_a with c = G sigma(x), so
-        x^perp is D cut by the hyperplane with normal c placed at the pivot
-        columns; a radical point (c = 0) is perpendicular to all of D."""
-        f = self.field
-        add, mul, inv, sigma = f.add_table, f.mul_table, f.inv_table, f.sigma_table
-        dom = self.domain
-        q, pivots, whole = f.q, dom.pivots, dom.point_mask
-        weights = [q**j for j in range(dom.ambient)]
-        hyperplanes = hyperplane_masks(f, dom.ambient)
-        out = {}
-        rest = whole
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            bit = low.bit_length() - 1
-            sx = [sigma[bit // weights[j] % q] for j in pivots]
-            normal = []
-            for row in self.gram:
-                c = 0
-                for g, b in zip(row, sx):
-                    if g and b:
-                        c = add[c][mul[g][b]]
-                normal.append(c)
-            lead = next((c for c in normal if c), 0)
-            if lead:
-                scale = mul[inv[lead]]
-                key = sum(scale[c] * weights[j] for c, j in zip(normal, pivots))
-                out[bit] = hyperplanes[key] & whole
-            else:
-                out[bit] = whole
-        return out
+    def _perps(self) -> "_PointPerps":
+        return _PointPerps(self)
 
     def nondegenerate_on_mask(self, mask: int) -> bool:
         """Whether the form is non-degenerate on the subspace W of the domain
@@ -207,7 +166,7 @@ class HermitianForm(Frozen):
         the perps of its points, its radical.  Those perps are linear in the
         point, so any spanning set of W's points gives the same AND, and the
         loop stops as soon as the running AND misses W."""
-        perps = self._perp_masks
+        perps = self._perps
         radical = rest = mask
         while radical and rest:
             low = rest & -rest
@@ -215,33 +174,66 @@ class HermitianForm(Frozen):
             radical &= perps[low.bit_length() - 1]
         return not radical
 
-    def perp(self, s: Subspace) -> Subspace:
-        """{x in domain : w(x, y) = 0 for all y in S}."""
+    def perp_mask(self, s: Subspace) -> int:
+        """The point mask of {x in D : w(x, y) = 0 for all y in S}: D's mask
+        cut by the perp of each basis row of S."""
         if not self.domain.contains_subspace(s):
             raise ValueError("perp target is not contained in the domain")
-        f = self.field
-        k = self.domain.dim
-        rows = []
-        for r in s.basis:
-            cb = self.domain.coordinates(r)
-            rows.append(
-                [self._eval_coords(tuple(1 if t == i else 0 for t in range(k)), cb)
-                 for i in range(k)]
-            )
-        kernel = nullspace(f, rows, k) if rows else [
-            tuple(1 if t == i else 0 for t in range(k)) for i in range(k)
-        ]
-        vecs = [combine(f, c, self.domain.basis, self.domain.ambient) for c in kernel]
-        return Subspace.span(f, self.domain.ambient, vecs)
+        perps, q = self._perps, self.field.q
+        mask = perps.whole
+        for row in s.basis:
+            mask &= perps[sum(x * q**j for j, x in enumerate(row))]
+        return mask
+
+    def perp(self, s: Subspace) -> Subspace:
+        """{x in D : w(x, y) = 0 for all y in S}."""
+        return Subspace.from_mask(self.field, self.domain.ambient, self.perp_mask(s))
 
     def admits_nonisotropic_vector(self) -> bool:
-        k = self.domain.dim
-        q = self.field.q
-        for idx in range(1, q**k):
-            c = tuple((idx // q**i) % q for i in range(k))
-            if self._eval_coords(c, c) != 0:
+        """Whether some point of the domain lies outside its own perp."""
+        perps = self._perps
+        rest = self.domain.point_mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if not perps[low.bit_length() - 1] & low:
                 return True
         return False
+
+
+class _PointPerps(dict):
+    """Point bit of x -> point mask of x^perp ∩ D, for the points x of a
+    form's domain D, each computed on its first lookup.  The coordinates of
+    x are its entries at D's pivot columns, and w(y, x) = sum_a y_(pivot a)
+    c_a with c = G sigma(x), so x^perp is D cut by the hyperplane with
+    normal c placed at the pivot columns (``linalg.hyperplane_masks``); a
+    radical point (c = 0) is perpendicular to all of D.  It holds no
+    reference to its form, so that the two make no cycle and are freed
+    together, without the cycle collector."""
+
+    def __init__(self, form: HermitianForm):
+        f, dom = form.field, form.domain
+        self.field, self.gram, self.pivots, self.whole = f, form.gram, dom.pivots, dom.point_mask
+        self.hyperplanes = hyperplane_masks(f, dom.ambient)
+
+    def __missing__(self, bit: int) -> int:
+        f, pivots = self.field, self.pivots
+        add, mul, inv, q = f.add_table, f.mul_table, f.inv_table, f.q
+        sx = [f.sigma_table[bit // q**j % q] for j in pivots]
+        normal = []
+        for row in self.gram:
+            c = 0
+            for g, b in zip(row, sx):
+                if g and b:
+                    c = add[c][mul[g][b]]
+            normal.append(c)
+        lead = next((c for c in normal if c), 0)
+        mask = self.whole
+        if lead:
+            scale = mul[inv[lead]]
+            mask &= self.hyperplanes[sum(scale[c] * q**j for c, j in zip(normal, pivots))]
+        self[bit] = mask
+        return mask
 
 
 def _full_rank(field: Field, rows) -> bool:
@@ -280,7 +272,7 @@ def extend_forms(flag: Flag, forms, p: Subspace, complement_policy=None):
     for i, w in enumerate(forms):
         if w.domain != flag[i + 1]:
             raise ValueError(f"form {i} is not defined on flag member {i + 1}")
-        if w.radical() != flag[i]:
+        if w.perp_mask(w.domain) != flag[i].point_mask:
             raise RadicalConditionError(f"Rad(omega_{i}) != V_{i} on input")
     if p.dim != 1:
         raise ValueError("pivot must be one-dimensional")

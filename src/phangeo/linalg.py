@@ -7,15 +7,16 @@ A subspace is stored as its reduced row-echelon basis, which is the unique
 canonical basis, so two subspaces are equal iff their stored bases are
 identical.  All values are immutable and all operations pure.
 
-Containment has two forms.  ``contains_subspace`` reduces the other basis
-against this one, which suits one-off checks.  ``point_mask`` is the bitmask
-of a subspace's projective points, built once per subspace, so that
-a ⊆ b iff ``a.point_mask & ~b.point_mask == 0``; scans that test many pairs
-(order complexes, the filtration's below and above sets) use the masks.
-A point is represented by its normalized vector, the one whose first nonzero
-coordinate is 1, and its bit is that vector's base-q value with coordinate 0
-least significant, so masks of different subspaces of one ambient space
-agree bit for bit.  The masks also give intersection dimensions
+Lattice questions are answered by point masks.  ``point_mask`` is the
+bitmask of a subspace's projective points, built once per subspace, so
+that a ⊆ b iff ``a.point_mask & ~b.point_mask == 0`` (``contains_subspace``,
+the one containment test).  A point is represented by its normalized
+vector, the one whose first nonzero coordinate is 1, and its bit is that
+vector's base-q value with coordinate 0 least significant, so masks of
+different subspaces of one ambient space agree bit for bit.  The points of
+a ∩ b are the common points of a and b, so ``intersect`` ANDs the two masks
+and looks the result up in a per-ambient index of every subspace by mask
+(``Subspace.from_mask``).  The masks also give intersection dimensions
 (``meet_dim``): a d-dimensional subspace has (q^d - 1)/(q - 1) points, so
 dim(a ∩ b) is read off the popcount of ``a.point_mask & b.point_mask``.
 Transversality to a flag reads masks only, and so does the whole
@@ -34,9 +35,10 @@ base-q digit, so (1,0,...,0) is the first nonzero vector.
 
 The k-dimensional subspaces of each ambient F_q^n are enumerated once per
 process into a bounded table; ``enumerate_subspaces_of`` filters it by
-point mask.  Member enumeration, residue tests and the vertices of every
-restricted family share those objects, so each one's mask, pivots and
-hash are computed once.  Eliminations read the field's lookup tables.
+point mask, and the mask index is built from the same tables.  Member
+enumeration, residue tests, meets and the vertices of every restricted
+family share those objects, so each one's mask, pivots and hash are
+computed once.  Eliminations read the field's lookup tables.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from .field import Field
 
 __all__ = [
     "Subspace", "Flag", "Decomposition", "Quotient",
-    "rref", "combine", "nullspace", "solve_coordinates",
+    "rref", "combine", "solve_coordinates",
     "is_transversal", "complement", "project", "quotient",
     "enumerate_vectors", "enumerate_subspaces", "enumerate_subspaces_of",
     "hyperplane_masks",
@@ -93,21 +95,6 @@ def combine(field: Field, coeffs, rows, ambient: int) -> tuple[int, ...]:
             scale = mul[c]
             v = [add[x][scale[y]] for x, y in zip(v, row)]
     return tuple(v)
-
-
-def nullspace(field: Field, rows, ncols: int) -> list[tuple[int, ...]]:
-    """Basis of {x : M x = 0} for the matrix M with the given rows."""
-    basis = rref(field, rows)
-    pivots = [next(j for j, v in enumerate(row) if v != 0) for row in basis]
-    free = [j for j in range(ncols) if j not in pivots]
-    out = []
-    for f in free:
-        vec = [0] * ncols
-        vec[f] = 1
-        for row, pc in zip(basis, pivots):
-            vec[pc] = field.neg(row[f])
-        out.append(tuple(vec))
-    return out
 
 
 def solve_coordinates(field: Field, rows, vec) -> tuple[int, ...] | None:
@@ -184,6 +171,12 @@ class Subspace(Frozen):
                 raise ValueError(f"vector length {len(v)} != ambient dimension {ambient}")
         return cls(field, ambient, rref(field, vectors))
 
+    @staticmethod
+    def from_mask(field: Field, ambient: int, mask: int) -> "Subspace":
+        """The subspace of F_q^ambient whose point mask is ``mask``, which
+        must be the mask of a subspace, from the per-ambient index."""
+        return _subspace_index(field, ambient)[mask]
+
     @classmethod
     def zero(cls, field: Field, ambient: int) -> "Subspace":
         return cls(field, ambient, ())
@@ -230,7 +223,7 @@ class Subspace(Frozen):
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check_compatible(other)
-        return all(self.contains(r) for r in other.basis)
+        return not other.point_mask & ~self.point_mask
 
     @cached_property
     def point_mask(self) -> int:
@@ -264,21 +257,13 @@ class Subspace(Frozen):
         return Subspace(self.field, self.ambient, rref(self.field, self.basis + other.basis))
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Zassenhaus: rows [a|a] for a in A, [b|0] for b in B; the right
-        halves of the reduced rows whose left half vanished span A∩B."""
+        """A∩B, the subspace whose points are the points A and B share."""
         self._check_compatible(other)
-        n = self.ambient
-        rows = [tuple(r) + tuple(r) for r in self.basis]
-        rows += [tuple(r) + (0,) * n for r in other.basis]
-        red = rref(self.field, rows)
-        inter = [r[n:] for r in red if not any(r[:n])]
-        return Subspace(self.field, n, rref(self.field, inter))
+        return Subspace.from_mask(self.field, self.ambient, self.point_mask & other.point_mask)
 
     def is_opposite(self, other: "Subspace") -> bool:
         """True iff self ∩ other = 0 and self + other is the whole space."""
-        self._check_compatible(other)
-        s = len(rref(self.field, self.basis + other.basis))
-        return s == self.ambient and s == self.dim + other.dim
+        return self.meet_dim(other) == 0 and self.dim + other.dim == self.ambient
 
     # -- enumeration ----------------------------------------------------------
 
@@ -455,7 +440,7 @@ def quotient(total: Subspace, sub: Subspace, section: Subspace | None = None) ->
     else:
         if not total.contains_subspace(section):
             raise ValueError("quotient: section not contained in the total space")
-        if section.dim != total.dim - sub.dim or section.intersect(sub).dim != 0:
+        if section.dim != total.dim - sub.dim or section.meet_dim(sub) != 0:
             raise ValueError("quotient: section is not a complement of the subspace")
     return Quotient(total, sub, section)
 
@@ -511,6 +496,19 @@ def _subspace_table(field: Field, ambient_dim: int, k: int) -> tuple[Subspace, .
     for s, mask in zip(table, meets):
         _setattr(s, "point_mask", mask)  # the cached_property's slot
     return table
+
+
+@lru_cache(maxsize=16)
+def _subspace_index(field: Field, ambient_dim: int) -> dict[int, Subspace]:
+    """Point mask -> subspace, for every subspace of F_q^ambient_dim: the
+    entries of the subspace tables, the zero space and the whole space.
+    Table bases are reduced echelon, so a looked-up subspace equals the one
+    ``Subspace.span`` would build."""
+    whole = Subspace.full(field, ambient_dim)
+    index = {0: Subspace.zero(field, ambient_dim), whole.point_mask: whole}
+    for k in range(1, ambient_dim):
+        index.update((s.point_mask, s) for s in _subspace_table(field, ambient_dim, k))
+    return index
 
 
 def enumerate_subspaces_of(space: Subspace, k: int) -> tuple[Subspace, ...]:

@@ -11,8 +11,9 @@ w_k selected by k = k_U, the least index with U ∩ V_(k+1) != 0.
 Membership is mask algebra only (``Subspace.point_mask``): containment in
 the ambient, transversality and k_U are mask tests and popcounts, and
 U ∩ V_(k+1) is the meet of two masks, whose non-degeneracy w_k reads from
-its table of perp masks (``HermitianForm.nondegenerate_on_mask``).  No basis
-is decoded, no Gram matrix built and no elimination run.
+the perp masks of its points (``HermitianForm.nondegenerate_on_mask``).  No
+basis is decoded, no Gram matrix built and no elimination run.  A spec's
+radical conditions compare masks too (``HermitianForm.perp_mask``).
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ class PhanSpec(Frozen):
         for i, w in enumerate(forms):
             if w.domain != flag[i + 1]:
                 raise ValueError(f"form {i} is not defined on flag member V_{i + 1}")
-            if w.radical() != flag[i]:
+            if w.perp_mask(w.domain) != flag[i].point_mask:
                 raise RadicalConditionError(
                     f"Rad(omega_{i}) != V_{i}: radical condition fails at index {i}"
                 )
@@ -160,7 +161,7 @@ class PhanSpec(Frozen):
         (``_members_of``).  Every spec built internally, by
         ``residue_below``, ``residue_above`` and ``delta_restriction``,
         passes False and is therefore enumerated afresh on each call, so
-        that no cache keeps it and its forms' perp tables alive through a
+        that no cache keeps it and its forms' perp masks alive through a
         long ``filtration-verify``.  The residue suite of ``lemma-tests``
         pays for this: it re-enumerates residue specs equal to earlier
         ones, which are small."""
@@ -372,7 +373,7 @@ def _projected_form(spec: PhanSpec, p: Subspace, i: int) -> HermitianForm:
 
 
 def _lemma49_spec(spec: PhanSpec, p: Subspace, u: Subspace,
-                  unit_scalar: int = 1, branches: list | None = None) -> PhanSpec:
+                  branches: list | None = None) -> PhanSpec:
     """The second restricted spec on u: flag <V_i, p> ∩ u with projected
     extended forms, including the collapsed one-dimensional and augmented
     radical branches."""
@@ -390,9 +391,7 @@ def _lemma49_spec(spec: PhanSpec, p: Subspace, u: Subspace,
 
     def unit(sub: Subspace) -> HermitianForm:
         k = sub.dim
-        gram = tuple(
-            tuple(unit_scalar if a == b else 0 for b in range(k)) for a in range(k)
-        )
+        gram = tuple(tuple(1 if a == b else 0 for b in range(k)) for a in range(k))
         return HermitianForm(f, sub, gram)
 
     flag_members = [chain[0]]
@@ -432,7 +431,6 @@ def _lemma49_spec(spec: PhanSpec, p: Subspace, u: Subspace,
 
 
 def delta_restriction(family: PhanFamily, p: Subspace, u: Subspace,
-                      unit_scalar: int = 1,
                       branches: list | None = None) -> PhanFamily:
     """Restrict the family to a member u relative to a pivot point p.
 
@@ -458,7 +456,7 @@ def delta_restriction(family: PhanFamily, p: Subspace, u: Subspace,
         if not spec.has_member_below(u):
             raise EmptyResidueError(f"spec {j} has an empty residue below the member")
         for candidate in (residue_below(spec, u),
-                          _lemma49_spec(spec, p, u, unit_scalar, branches)):
+                          _lemma49_spec(spec, p, u, branches)):
             if candidate not in out:
                 out.append(candidate)
     return PhanFamily(tuple(out))

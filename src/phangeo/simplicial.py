@@ -305,8 +305,12 @@ def intersect_complexes(k1: SimplicialComplex, k2: SimplicialComplex) -> Simplic
 
 def export_facets(k: SimplicialComplex) -> str:
     """One facet per line as space-separated vertex indices, after a header
-    line carrying the vertex count.  Each index is formatted once."""
+    line carrying the vertex count.  Each index is formatted once, and the
+    lines are joined in blocks of 4096 facets, so that no list of all the
+    lines is made."""
     label = [str(i) for i in range(k.num_vertices)].__getitem__
-    lines = [str(k.num_vertices)]
-    lines.extend(" ".join(map(label, f)) for f in k.facets)
-    return "\n".join(lines) + "\n"
+    facets = k.facets
+    blocks = [f"{k.num_vertices}\n"]
+    for i in range(0, len(facets), 4096):
+        blocks.append("\n".join([" ".join(map(label, f)) for f in facets[i:i + 4096]]) + "\n")
+    return "".join(blocks)

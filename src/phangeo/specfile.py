@@ -44,7 +44,7 @@ __all__ = [
     "parse_family",
     "family_to_dict",
     "dump_family",
-    "canonical_json",
+    "write_canonical_json",
     "REPORT_SCHEMA_VERSION",
 ]
 
@@ -190,8 +190,12 @@ def family_to_dict(family: PhanFamily) -> dict:
 
 def dump_family(family: PhanFamily, path: str) -> None:
     with open(path, "w") as fh:
-        fh.write(canonical_json(family_to_dict(family)))
+        write_canonical_json(family_to_dict(family), fh)
 
 
-def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+def write_canonical_json(obj, fh) -> None:
+    """obj as JSON with sorted keys, a two-space indent and a final newline,
+    written to fh chunk by chunk, so that no copy of the whole document is
+    made."""
+    json.dump(obj, fh, sort_keys=True, indent=2)
+    fh.write("\n")

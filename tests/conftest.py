@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from functools import reduce
 from math import gcd, prod
 
 import pytest
@@ -13,7 +14,7 @@ from phangeo.homology import (
     smith_invariant_factors,
     sphericity_verdict,
 )
-from phangeo.linalg import Flag, Subspace, enumerate_subspaces, rref
+from phangeo.linalg import Flag, Subspace, enumerate_subspaces, enumerate_vectors, rref
 from phangeo.simplicial import SimplicialComplex, link
 
 
@@ -274,7 +275,61 @@ def join(k1: SimplicialComplex, k2: SimplicialComplex) -> SimplicialComplex:
                              facets)
 
 
-# -- membership oracles: intersections by Zassenhaus rref, no point masks ------
+# -- lattice oracles: vectors listed one by one, no point masks ---------------
+
+
+def oracle_contains_subspace(a: Subspace, b: Subspace) -> bool:
+    """b ⊆ a, by ``contains`` on b's basis rows."""
+    return all(a.contains(r) for r in b.basis)
+
+
+def oracle_intersect(a: Subspace, b: Subspace) -> Subspace:
+    """A ∩ B as the span of A's vectors that lie in B, A being the one of
+    the two with fewer vectors."""
+    if b.dim < a.dim:
+        a, b = b, a
+    return Subspace.span(a.field, a.ambient, [v for v in a.vectors() if b.contains(v)])
+
+
+def oracle_form_value(form: HermitianForm, x, y) -> int:
+    """w(x, y) = sum_ij x_i sigma(y_j) G[i][j] on the coordinates over the
+    domain, through the Field methods."""
+    f = form.field
+    cx, cy = form.domain.coordinates(x), form.domain.coordinates(y)
+    total = 0
+    for i, a in enumerate(cx):
+        for j, b in enumerate(cy):
+            total = f.add(total, f.mul(f.mul(a, f.sigma(b)), form.gram[i][j]))
+    return total
+
+
+def oracle_perp(form: HermitianForm, s: Subspace) -> Subspace:
+    """The span of the domain's vectors orthogonal to S's basis."""
+    dom = form.domain
+    return Subspace.span(form.field, dom.ambient, [
+        x for x in dom.vectors() if all(oracle_form_value(form, x, y) == 0 for y in s.basis)])
+
+
+def oracle_radical(form: HermitianForm) -> Subspace:
+    return oracle_perp(form, form.domain)
+
+
+def oracle_admits_nonisotropic_vector(form: HermitianForm) -> bool:
+    return any(oracle_form_value(form, x, x) != 0 for x in form.domain.vectors())
+
+
+def oracle_normal(field: Field, h: Subspace) -> tuple[int, ...]:
+    """The normalized normal of a hyperplane h of F_q^d: the first vector c,
+    in the canonical order, with first nonzero coordinate 1 and
+    sum_j c_j y_j = 0 for every basis row y of h."""
+    for c in enumerate_vectors(field, h.ambient):
+        if any(c) and next(x for x in c if x) == 1 and all(
+                not reduce(field.add, map(field.mul, c, y), 0) for y in h.basis):
+            return c
+    raise ValueError("not a hyperplane")
+
+
+# -- membership oracles: the lattice oracles, no point masks -------------------
 
 
 def oracle_is_transversal(a: Subspace, flag: Flag) -> bool:
@@ -288,27 +343,31 @@ def oracle_is_transversal(a: Subspace, flag: Flag) -> bool:
 
 
 def oracle_k_of(spec, u: Subspace) -> int:
-    """Least i with U ∩ V_(i+1) != 0, by intersecting."""
+    """Least i with U ∩ V_(i+1) != 0, with dim(U ∩ V) = dim U + dim V -
+    dim(U + V) and dim(U + V) the rank of the stacked bases."""
     if u.is_zero():
         raise ValueError("k_U is undefined for the zero subspace")
     for i in range(spec.t + 1):
-        if u.intersect(spec.flag[i + 1]).dim != 0:
+        v = spec.flag[i + 1]
+        if len(rref(u.field, u.basis + v.basis)) < u.dim + v.dim:
             return i
     raise ValueError("subspace meets no flag member")
 
 
 def oracle_is_member(spec, u: Subspace) -> bool:
-    """The membership predicate through bases: containment by reduction,
-    transversality by rank, the governing intersection by Zassenhaus and
-    non-degeneracy as a zero radical."""
+    """The membership predicate through vectors: containment by
+    ``contains``, transversality by rank, the governing intersection as the
+    vectors of U in V_(k+1) and non-degeneracy as a zero radical of the
+    restricted form."""
     if u.dim == 0 or u.dim >= spec.ambient.dim:
         return False
-    if not spec.ambient.contains_subspace(u):
+    if not oracle_contains_subspace(spec.ambient, u):
         return False
     if not oracle_is_transversal(u, spec.flag):
         return False
     k = oracle_k_of(spec, u)
-    return spec.forms[k].radical(u.intersect(spec.flag[k + 1])).is_zero()
+    meet = oracle_intersect(u, spec.flag[k + 1])
+    return oracle_radical(spec.forms[k].restrict(meet)).is_zero()
 
 
 # -- table-free oracles: the Field methods, one entry at a time ---------------
@@ -335,18 +394,9 @@ def oracle_rref(field: Field, rows) -> tuple[tuple[int, ...], ...]:
 
 def oracle_nondegenerate_on(form: HermitianForm, vectors) -> bool:
     """Full rank of the Gram matrix of the vectors, both triangles evaluated
-    as sum_ij x_i sigma(y_j) G[i][j] on their coordinates over the domain."""
-    f = form.field
-    coords = [form.domain.coordinates(v) for v in vectors]
-
-    def w(cx, cy):
-        total = 0
-        for i, a in enumerate(cx):
-            for j, b in enumerate(cy):
-                total = f.add(total, f.mul(f.mul(a, f.sigma(b)), form.gram[i][j]))
-        return total
-
-    return len(oracle_rref(f, [[w(a, b) for b in coords] for a in coords])) == len(coords)
+    by ``oracle_form_value``."""
+    rows = [[oracle_form_value(form, a, b) for b in vectors] for a in vectors]
+    return len(oracle_rref(form.field, rows)) == len(vectors)
 
 
 def oracle_subspaces_of(space: Subspace, k: int):

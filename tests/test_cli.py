@@ -125,10 +125,11 @@ def test_cm_command(tmp_path, spec_q5):
     assert doc["cm"]["passed"] is True and doc["verdict"] == "pass"
 
 
-def test_cm_command_non_pure_is_a_verdict(tmp_path):
+def test_cm_command_non_pure_is_a_verdict(tmp_path, capsys):
     """t0_q4_dim3 has two isolated points beside its edges: the sweep fails
     there and on the whole complex, and out of bound that is reported, not
-    asserted, with exit 0."""
+    asserted, with exit 0.  The summary line counts simplices, not links:
+    the sweep builds links only below dimension d - 1."""
     out = tmp_path / "r.json"
     spec = str(SPECS / "t0_q4_dim3.json")
     assert main(["cm-check", "--spec", spec, "--force", "--out", str(out)]) == 0
@@ -141,6 +142,7 @@ def test_cm_command_non_pure_is_a_verdict(tmp_path):
         (1, 0, "link is empty but must be 0-spherical"),
         (1, 0, "link is empty but must be 0-spherical"),
     ]
+    assert "cm-check: fail (93 simplices checked, 3 failures)" in capsys.readouterr().out
 
 
 def test_filtration_command_and_negative_control(tmp_path, spec_q5):
@@ -439,6 +441,28 @@ def test_bad_input_exits_2_with_one_error_line(argv, message, capsys, tmp_path):
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
     assert captured.out == ""
+
+
+def test_bound_refusal_builds_no_subspace_table(monkeypatch, capsys):
+    """Loading a spec validates its flag and forms by point masks and the
+    perps of a few points, so a spec refused at the bound gate pays for no
+    subspace table of its ambient: with building one made to raise,
+    ``homology`` on t0_q4_dim3 without --force still exits 2 with the bound
+    message.  The mask index is dropped first, so that a meet would build
+    tables afresh."""
+    from phangeo import linalg
+
+    def refused(*args):
+        raise AssertionError("a subspace table was built")
+
+    linalg._subspace_index.cache_clear()
+    monkeypatch.setattr(linalg, "_subspace_table", refused)
+    with pytest.raises(SystemExit) as exc:
+        main(["homology", "--spec", str(SPECS / "t0_q4_dim3.json")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(
+        "error: sufficient bound violated: 2^2*1 = 4 < q = 4 is false")
 
 
 def test_report_path_that_is_a_directory_exits_2(tmp_path, capsys):

@@ -19,7 +19,10 @@ from phangeo.suites import random_phan_spec, random_subspace, shuffled_complemen
 from conftest import (
     count_isotropic_points,
     find_nonisotropic_pair,
+    oracle_admits_nonisotropic_vector,
     oracle_nondegenerate_on,
+    oracle_perp,
+    oracle_radical,
     random_hermitian_gram,
     unit_form,
 )
@@ -111,7 +114,7 @@ def test_nondegeneracy_is_full_gram_rank(field, ambient, data):
                 v = tuple(field.add(x, field.mul(c, y)) for x, y in zip(v, r))
             rows.append(v)
         sub = Subspace.span(field, ambient, rows)
-        assert w.is_nondegenerate(sub) == w.radical(sub).is_zero()
+        assert w.is_nondegenerate(sub) == w.restrict(sub).radical().is_zero()
     assert w.is_nondegenerate() == w.radical().is_zero()
 
 
@@ -170,6 +173,53 @@ def test_perp(rng):
         rows = [tuple(rng.randrange(5) for _ in range(3)) for _ in range(k)]
         s = Subspace.span(F5, 3, rows)
         assert w.perp(s).dim == 3 - s.dim  # rank-nullity for nondegenerate w
+
+
+ORACLE_FIELDS = [(2, 1, 1), (3, 1, 1), (2, 2, 1), (2, 2, 2), (5, 1, 1), (3, 2, 1), (3, 2, 2)]
+
+
+def _random_member(rng, field, space):
+    v = (0,) * space.ambient
+    for r in space.basis:
+        c = rng.randrange(field.q)
+        v = tuple(field.add(x, field.mul(c, y)) for x, y in zip(v, r))
+    return v
+
+
+@pytest.mark.parametrize("p,e,sigma_order", ORACLE_FIELDS)
+def test_perps_radicals_and_isotropy_match_the_vector_oracles(p, e, sigma_order, rng):
+    """perp, radical and admits_nonisotropic_vector read point masks; the
+    oracles list the domain's vectors and evaluate the form on them.  Random
+    forms (ten, or five over F_9) on random domains of F_q^4 (q <= 3) or
+    F_q^3, with random subspaces of each dimension of the domain; every
+    third form has its last basis row in its radical, every fourth is zero,
+    and the second has the identity Gram matrix."""
+    field = make_field(p, e, sigma_order)
+    ambient = 4 if field.q <= 3 else 3
+    radicals, isotropy = set(), set()
+    for i in range(10 if field.q <= 5 else 5):
+        domain = random_subspace(rng, field, ambient, rng.randrange(1, ambient + 1))
+        k = domain.dim
+        gram = [list(r) for r in random_hermitian_gram(rng, field, k)]
+        if i % 3 == 0:
+            for j in range(k):
+                gram[j][k - 1] = gram[k - 1][j] = 0
+        if i % 4 == 0:
+            gram = [[0] * k for _ in range(k)]
+        if i == 1:
+            gram = [[int(a == b) for b in range(k)] for a in range(k)]
+        w = HermitianForm(field, domain, tuple(map(tuple, gram)))
+        rad = w.radical()
+        assert rad.basis == oracle_radical(w).basis
+        radicals.add(rad.is_zero())
+        admits = w.admits_nonisotropic_vector()
+        assert admits == oracle_admits_nonisotropic_vector(w)
+        isotropy.add(admits)
+        for dim in range(k + 1):
+            s = Subspace.span(field, ambient, [_random_member(rng, field, domain)
+                                               for _ in range(dim)])
+            assert w.perp(s).basis == oracle_perp(w, s).basis
+    assert radicals == {True, False} and isotropy == {True, False}
 
 
 def test_isotropic_point_counts():

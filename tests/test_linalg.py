@@ -7,7 +7,14 @@ from phangeo import linalg as la
 from phangeo import masks
 from phangeo.linalg import Flag, Subspace
 
-from conftest import gaussian_binomial, oracle_rref, oracle_subspaces_of
+from conftest import (
+    gaussian_binomial,
+    oracle_contains_subspace,
+    oracle_intersect,
+    oracle_normal,
+    oracle_rref,
+    oracle_subspaces_of,
+)
 
 
 F2 = make_field(2, 1)
@@ -54,6 +61,28 @@ def test_modular_dimension_identity(rng):
         a = random_subspace(rng, F3, 4, rng.randrange(0, 5))
         b = random_subspace(rng, F3, 4, rng.randrange(0, 5))
         assert a.dim + b.dim == a.sum(b).dim + a.intersect(b).dim
+
+
+@pytest.mark.parametrize("p,e,sigma_order", [(2, 1, 1), (3, 1, 1), (2, 2, 1), (2, 2, 2),
+                                           (5, 1, 1), (3, 2, 1), (3, 2, 2)])
+def test_meets_and_containment_match_the_vector_oracles(p, e, sigma_order, rng):
+    """intersect and contains_subspace read point masks; the oracles list
+    vectors and reduce basis rows.  Random subspaces of F_q^4 (q <= 5) or
+    F_q^3 of every dimension, the zero and whole spaces, and spans of some
+    basis rows of each, so that containments hold."""
+    field = make_field(p, e, sigma_order)
+    ambient = 4 if field.q <= 5 else 3
+    spaces = [Subspace.zero(field, ambient), Subspace.full(field, ambient)]
+    spaces += [random_subspace(rng, field, ambient, rng.randrange(1, ambient)) for _ in range(8)]
+    spaces += [Subspace.span(field, ambient, rng.sample(s.basis, rng.randrange(s.dim + 1)))
+               for s in spaces[2:6]]
+    contained = 0
+    for a in spaces:
+        for b in spaces:
+            assert a.intersect(b).basis == oracle_intersect(a, b).basis
+            assert a.contains_subspace(b) == oracle_contains_subspace(a, b)
+            contained += a != b and a.contains_subspace(b)
+    assert contained
 
 
 def test_is_opposite():
@@ -302,15 +331,14 @@ def test_table_masks_match_the_listed_masks(p, e, sigma_order, ambient):
 @pytest.mark.parametrize("p,e,sigma_order,ambient", MASK_AMBIENTS)
 def test_swept_hyperplanes_match_the_table(p, e, sigma_order, ambient):
     """The coordinate sweep gives each hyperplane of the table its listed
-    mask, under its normal found as a nullspace; ``hyperplane_masks`` is
-    the sweep."""
+    mask, under its normal found by a search over vectors; ``hyperplane_masks``
+    is the sweep."""
     field = make_field(p, e, sigma_order)
     q = field.q
     expected = {}
     for h in la._subspace_table(field, ambient, ambient - 1):
-        (normal,) = la.nullspace(field, h.basis, ambient)
-        scale = field.inv(next(c for c in normal if c))
-        key = sum(field.mul(scale, c) * q**j for j, c in enumerate(normal))
+        normal = oracle_normal(field, h)
+        key = sum(c * q**j for j, c in enumerate(normal))
         expected[key] = masks.listed_mask(field, ambient, h.basis)
     assert masks.swept_hyperplanes(field, ambient) == expected
     assert la.hyperplane_masks(field, ambient) == expected

@@ -3,9 +3,10 @@
 The pins were taken from the reports of the tree they were introduced in.
 A change that alters one of these reports on purpose updates its pin and
 says so in CHANGES.md; any other difference is a regression.  The runs
-cover every command on the bundled specs with n <= 2 (``--force`` exactly
-where the sufficient bound fails), the build of chamber F_5^4 and a
-bounds table, in process, in well under a second.
+cover every command on the bundled specs (``--force`` exactly where the
+sufficient bound fails), a bounds table and ``lemma-tests --seed 0``, which
+drives form extension, projection forms, residues and restricted families
+through perps, radicals and meets, in process, in a few seconds.
 """
 
 import hashlib
@@ -48,13 +49,19 @@ PINS = {
     "cm-check t0_q9h_dim3": (0, "4e38def8a58d36b9b9804ea232ff277ef2f25f1f501e2a04db725a490cb39a88"),
     "filtration-verify t0_q9h_dim3": (0, "c76197dccad7fc2487bba756c738e86748cda2c486ff1f967af6def8b075cf0d"),
     "build chamber_q5_dim4": (0, "b01bc06b61b4172e42ceace005416e537b391c4f18bb2ce770b1828806c40f04"),
+    "homology chamber_q5_dim4": (0, "71cfb50409ac9d2c7839101c3224efbac44fbacbe218b06be100fc786c4f0009"),
+    "cm-check chamber_q5_dim4": (0, "fa363fa463f2bb0a30d2ec99e5e443caa52b3affbe1a8b1bcb820771ba560f1f"),
+    "filtration-verify chamber_q5_dim4": (0, "53e77d21528260bceb86092776c4172bb3b3f22e614e47277ddd57ccf49cd0bd"),
     "bounds-table": (0, "60efbad3eacb981e1f8adff2b6af15efde5730f5e4b0cb3bd0990ef138012856"),
+    "lemma-tests": (0, "5c507c4a925360033991350341d69e714ed953ab15ec35be474f5cb695c58a57"),
 }
 
 
 def _argv(run: str) -> list[str]:
     if run == "bounds-table":
         return ["bounds-table", "--max-n", "4", "--max-q", "64", "--max-m", "3"]
+    if run == "lemma-tests":
+        return ["lemma-tests", "--seed", "0"]
     command, name = run.split()
     forced = name in FORCED and command != "build"
     return [command, "--spec", str(SPECS / f"{name}.json")] + ["--force"] * forced

@@ -395,17 +395,27 @@ def test_delta_radical_branch_is_reachable_and_correct():
 
 def test_delta_unit_scalar_choice_is_irrelevant():
     """The arbitrary non-degenerate form on one-dimensional flag pieces may
-    be [c] for any nonzero c without changing the vertex set."""
+    be [c] for any nonzero c without changing the vertex set: every 1 x 1
+    form of the restricted family, scaled by c, gives the same vertices."""
     cham = chamber_spec(F3, 3)
     fam = PhanFamily((cham,))
     p = Subspace.span(F3, 3, [(0, 0, 1)])
+    scaled = 0
     for u in vertices(fam).members:
         if u.contains_subspace(p) or not all(s.has_member_below(u) for s in fam.specs):
             continue
-        base = set(vertices(delta_restriction(fam, p, u, unit_scalar=1)).members)
+        fam_u = delta_restriction(fam, p, u)
+        base = set(vertices(fam_u).members)
         for c in (2,):
-            alt = set(vertices(delta_restriction(fam, p, u, unit_scalar=c)).members)
-            assert alt == base
+            specs = []
+            for s in fam_u.specs:
+                forms = tuple(
+                    HermitianForm(F3, w.domain, ((F3.mul(c, w.gram[0][0]),),))
+                    if w.domain.dim == 1 else w for w in s.forms)
+                scaled += forms != s.forms
+                specs.append(PhanSpec(s.flag, forms, require_nonisotropic=False))
+            assert set(vertices(PhanFamily(tuple(specs))).members) == base
+    assert scaled
 
 
 def test_family_bound_reports():
