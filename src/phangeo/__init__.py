@@ -8,8 +8,8 @@ Library layout:
 - :mod:`phangeo.forms`: sigma-hermitian forms, radicals, extension, projection
 - :mod:`phangeo.phan`: geometries, membership, residues, restricted families
 - :mod:`phangeo.simplicial`: order complexes on integer vertices, links, stars
-- :mod:`phangeo.homology`: Smith normal form, Betti numbers, sphericity,
-  Cohen-Macaulay sweep, pi_1 triviality by a union-find fixpoint
+- :mod:`phangeo.homology`: Morse complexes, Smith normal form, Betti
+  numbers, sphericity, Cohen-Macaulay sweep, pi_1 status from the matching
 - :mod:`phangeo.filtration`: the inductive filtration and its stage checks
 - :mod:`phangeo.specfile`, :mod:`phangeo.suites`, :mod:`phangeo.cli`
 """

@@ -162,7 +162,7 @@ def cmd_homology(args) -> int:
     doc = _base_report("homology", digest, bound)
     doc["geometry"] = stats
     doc["homology"] = _homology_doc(rep)
-    doc["sphericity"] = _verdict_doc(verdict, pi1_status(complex_, rep, target))
+    doc["sphericity"] = _verdict_doc(verdict, pi1_status(rep, target))
     asserted = bound["satisfied"]
     ok = verdict.spherical and verdict.sphere_count >= 1
     doc["verdict"] = ("pass" if ok else "fail") if asserted else "unknown"
@@ -359,10 +359,12 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    # a report that cannot be written is refused before the computation
     out_dir = os.path.dirname(args.out or "")
     if out_dir and not os.path.isdir(out_dir):
-        # refused before the computation, not after it
         _die(f"cannot write report {args.out}: no directory {out_dir}")
+    if args.out and os.path.isdir(args.out):
+        _die(f"cannot write report {args.out}: is a directory")
     try:
         return args.func(args)
     except BrokenPipeError:

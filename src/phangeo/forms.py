@@ -3,10 +3,9 @@ restriction, extension of a flag's forms to the whole space, and the
 projection form onto the perp of a non-degenerate point.
 
 A form is stored as the Gram matrix over the canonical (reduced-echelon)
-basis of its domain subspace, so restriction is Gram compression, and
-``is_nondegenerate`` is full rank of the compressed Gram matrix, with no
-radical built.  A Gram matrix of given vectors, for a restriction or a
-rank, is evaluated on one triangle; the other is its image under sigma.
+basis of its domain subspace, so restriction is Gram compression.  The
+Gram matrix of a restriction is evaluated on one triangle; the other is
+its image under sigma.
 
 Perps, radicals, isotropy and non-degeneracy on a subspace given by its
 point mask (``nondegenerate_on_mask``, the membership test of
@@ -69,7 +68,7 @@ class NoNonisotropicVectorError(ValueError):
 
 class HermitianForm(Frozen):
     """A sigma-hermitian form on a subspace, as a Gram matrix over its basis.
-    ``is_nondegenerate`` checks its target subspace; ``nondegenerate_on_mask``
+    ``restrict`` checks its target subspace; ``nondegenerate_on_mask``
     trusts that its mask is the point mask of a subspace of the domain.
 
     Two forms are equal iff their field, domain and Gram matrix are."""
@@ -122,10 +121,14 @@ class HermitianForm(Frozen):
 
     # -- restriction, radical, perp -------------------------------------------
 
-    def _gram(self, coords) -> list[list[int]]:
-        """The Gram matrix of the vectors with the given coordinates over the
-        domain: one triangle is evaluated, and the other is its image under
-        sigma, G[j][i] = sigma(G[i][j])."""
+    def restrict(self, s: Subspace) -> "HermitianForm":
+        """The form on s, a subspace of the domain, as its Gram matrix over
+        the canonical basis of s: one triangle is evaluated, and the other is
+        its image under sigma, G[j][i] = sigma(G[i][j])."""
+        self.domain._check_compatible(s)
+        coords = [self.domain.coordinates(r) for r in s.basis]
+        if None in coords:
+            raise ValueError("restriction target is not contained in the domain")
         sigma = self.field.sigma_table
         gram = [[0] * len(coords) for _ in coords]
         for i, a in enumerate(coords):
@@ -133,28 +136,11 @@ class HermitianForm(Frozen):
             for j in range(i + 1, len(coords)):
                 gram[i][j] = self._eval_coords(a, coords[j])
                 gram[j][i] = sigma[gram[i][j]]
-        return gram
-
-    def _gram_on(self, s: Subspace) -> tuple[tuple[int, ...], ...]:
-        """The Gram matrix over the canonical basis of s, a subspace of the
-        domain."""
-        self.domain._check_compatible(s)
-        coords = [self.domain.coordinates(r) for r in s.basis]
-        if None in coords:
-            raise ValueError("restriction target is not contained in the domain")
-        return tuple(map(tuple, self._gram(coords)))
-
-    def restrict(self, s: Subspace) -> "HermitianForm":
-        return HermitianForm(self.field, s, self._gram_on(s))
+        return HermitianForm(self.field, s, tuple(map(tuple, gram)))
 
     def radical(self) -> Subspace:
         """{x in D : w(x, y) = 0 for all y in D}: the perp of the domain."""
         return self.perp(self.domain)
-
-    def is_nondegenerate(self, s: Subspace | None = None) -> bool:
-        """Whether the radical on s (default: the domain) is zero, that is,
-        whether the Gram matrix there has full rank."""
-        return _full_rank(self.field, self.gram if s is None else self._gram_on(s))
 
     @cached_property
     def _perps(self) -> "_PointPerps":
@@ -234,26 +220,6 @@ class _PointPerps(dict):
             mask &= self.hyperplanes[sum(scale[c] * q**j for c, j in zip(normal, pivots))]
         self[bit] = mask
         return mask
-
-
-def _full_rank(field: Field, rows) -> bool:
-    """Whether a square matrix is invertible, by forward elimination that
-    stops at the first column without a pivot; the arithmetic reads the
-    field's lookup tables."""
-    add, mul, neg = field.add_table, field.mul_table, field.neg_table
-    mat = [list(r) for r in rows]
-    for c in range(len(mat)):
-        piv = next((i for i in range(c, len(mat)) if mat[i][c]), None)
-        if piv is None:
-            return False
-        mat[c], mat[piv] = mat[piv], mat[c]
-        top = mat[c]
-        inv = field.inv_table[top[c]]
-        for i in range(c + 1, len(mat)):
-            if mat[i][c]:
-                scale = mul[neg[mul[mat[i][c]][inv]]]
-                mat[i] = [add[x][scale[y]] for x, y in zip(mat[i], top)]
-    return True
 
 
 def extend_forms(flag: Flag, forms, p: Subspace, complement_policy=None):

@@ -1,22 +1,21 @@
 """Integral reduced simplicial homology via discrete Morse theory and Smith
-normal form, wedge-of-spheres certification at the homology level,
-Cohen-Macaulay verification, and a fundamental-group triviality check by a
-signed union-find fixpoint.
+normal form, wedge-of-spheres certification, Cohen-Macaulay verification,
+and the fundamental-group status read from the Morse matching.
 
-All arithmetic is exact over arbitrary-precision ints.  A complex of
-dimension <= 1 reads its homology from a union-find spanning forest of the
-1-skeleton: the augmentation ∂_0 (the 1 x n_0 all-ones boundary) has rank 1,
-and ∂_1 is the incidence matrix of a graph, which is totally unimodular, so
-its invariant factors are all 1 and its rank is n_0 minus the number of
-components.  A larger complex is reduced by coreduction (Forman, *Morse
-theory for cell complexes*, 1998; Mrozek & Batko, DCG 2009): an acyclic
-matching pairs cells off the augmented chain complex, and Smith normal forms
-run only on the boundaries of the critical cells, the Morse complex.  Smith
-normal forms come from one sparse elimination that scans the live rows for
-each pivot (Markowitz-style selection); the diagonal multiset is then
-normalized into invariant factors.  The Cohen-Macaulay sweep builds and
-reduces only the links of simplices of codimension >= 2; the others are
-settled by the facets.
+All arithmetic is exact over arbitrary-precision ints.  Every complex is
+reduced by an acyclic matching of its augmented chain complex (Forman,
+*Morse theory for cell complexes*, 1998), which leaves a CW complex
+homotopy equivalent to K with one cell per critical cell.  A complex of
+dimension <= 1 takes a spanning forest, whose critical cells have zero
+boundaries, so no matrix is reduced.  A larger one is reduced by
+coreduction (Mrozek & Batko, DCG 2009), acyclic because each cell is
+paired with its last free face (Harker, Mischaikow, Mrozek & Nanda, FoCM
+2014), and Smith normal forms run only on the boundaries of the critical
+cells, the Morse complex.  Smith normal forms come from one sparse
+elimination that scans the live rows for each pivot (Markowitz-style
+selection); the diagonal multiset is then normalized into invariant
+factors.  The Cohen-Macaulay sweep builds and reduces only the links of
+simplices of codimension >= 2; the others are settled by the facets.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ __all__ = [
     "reduced_homology",
     "sphericity_verdict",
     "cohen_macaulay_check",
-    "pi1_trivial",
     "pi1_status",
 ]
 
@@ -181,9 +179,11 @@ def smith_invariant_factors(mat: IntegerMatrix) -> list[int]:
 
 
 class HomologyReport(namedtuple("HomologyReport",
-                                "betti torsion euler_characteristic top_dim")):
+                                "betti torsion euler_characteristic top_dim critical")):
     """Reduced integral homology: one Betti number and torsion-coefficient
-    list per degree 0..top_dim."""
+    list per degree 0..top_dim, and the number of critical cells per degree
+    of the acyclic matching it was read from (vertex 0, paired with the
+    empty simplex, not counted)."""
 
     __slots__ = ()
 
@@ -223,22 +223,24 @@ def _components(k: SimplicialComplex) -> int:
     return sum(parent[v] == v for v in range(k.num_vertices))
 
 
-def morse_complex(k: SimplicialComplex) -> tuple[list[int], list[IntegerMatrix]]:
-    """(face counts, [∂_0, ..., ∂_dim] of the Morse complex) of a non-empty
-    complex, by coreduction of its augmented chain complex (Mrozek & Batko,
-    DCG 2009).
+def morse_complex(k: SimplicialComplex) -> tuple[list[int], list[IntegerMatrix], list[int]]:
+    """(face counts, [∂_0, ..., ∂_dim] of the Morse complex, matching) of a
+    non-empty complex, by coreduction of its augmented chain complex
+    (Mrozek & Batko, DCG 2009).
 
     Cells get integer ids by degree: the empty simplex is 0, vertex v is
-    v + 1.  A queue serves cells with exactly one free face left; such a
-    cell t is paired with that face s, [t:s] = ±1, and both leave the
-    complex by the elementary reduction of Kaczynski, Mrozek & Ślusarek:
-    every other coface r of s gets ∂r -= [r:s]·[t:s]·∂t, and t drops out of
-    its cofaces' boundaries.  The other faces of t are critical, so this
-    fill lands only on critical cells, and a free face keeps its incidence
-    ±1.  When the queue runs dry, the lowest-degree free cell becomes
-    critical.  Each step is a chain-homotopy equivalence, so the critical
-    cells with their updated boundaries have the homology of K.  The first
-    pair is (empty simplex, vertex 0), so ∂_0 is zero."""
+    v + 1, and the j-simplices follow in the order of ``k.simplices(j)``.
+    A queue serves cells with exactly one free face left; such a cell t is
+    paired with that face s, [t:s] = ±1, and both leave the complex by the
+    elementary reduction of Kaczynski, Mrozek & Ślusarek: every other coface
+    r of s gets ∂r -= [r:s]·[t:s]·∂t, and t drops out of its cofaces'
+    boundaries.  The other faces of t are critical, so this fill lands only
+    on critical cells, and a free face keeps its incidence ±1.  When the
+    queue runs dry, the lowest-degree free cell becomes critical.  Each step
+    is a chain-homotopy equivalence, so the critical cells with their
+    updated boundaries have the homology of K.  The first pair is (empty
+    simplex, vertex 0), so ∂_0 is zero.  The matching lists for each cell id
+    its partner, or -2 for a critical cell."""
     faces: list[tuple[int, ...]] = [()] + [(0,)] * k.num_vertices
     prev = {(v,): v + 1 for v in range(k.num_vertices)}
     counts = [k.num_vertices]
@@ -255,7 +257,7 @@ def morse_complex(k: SimplicialComplex) -> tuple[list[int], list[IntegerMatrix]]
         for f in fs:
             cofaces[f].append(c)
     nfree = [len(fs) for fs in faces]  # faces still free
-    state = bytearray(n)  # 0 free, 1 paired, 2 critical
+    mate = [-1] * n  # -1 free, -2 critical, else the partner
     rest: dict[int, dict[int, int]] = {}  # cell -> critical part of its boundary
     critical: list[list[int]] = [[] for _ in range(k.dim + 2)]  # by degree + 1
     queue = deque([1])
@@ -263,16 +265,16 @@ def morse_complex(k: SimplicialComplex) -> tuple[list[int], list[IntegerMatrix]]
     while True:
         while queue:
             t = queue.popleft()
-            if state[t] or nfree[t] != 1:
+            if mate[t] != -1 or nfree[t] != 1:
                 continue
             for i, s in enumerate(faces[t]):
-                if not state[s]:
+                if mate[s] == -1:
                     break
-            state[s] = state[t] = 1
+            mate[s], mate[t] = t, s
             rest.pop(s, None)
             fill = rest.pop(t, None)
             for r in cofaces[s]:
-                if state[r] == 1:
+                if mate[r] >= 0:
                     continue
                 nfree[r] -= 1
                 if nfree[r] == 1:
@@ -290,14 +292,14 @@ def morse_complex(k: SimplicialComplex) -> tuple[list[int], list[IntegerMatrix]]
                 nfree[r] -= 1
                 if nfree[r] == 1:
                     queue.append(r)
-        while low < n and state[low]:
+        while low < n and mate[low] != -1:
             low += 1
         if low == n:
             break
-        state[low] = 2
+        mate[low] = -2
         critical[len(faces[low])].append(low)
         for r in cofaces[low]:
-            if state[r] != 1:
+            if mate[r] < 0:
                 rest.setdefault(r, {})[low] = -1 if faces[r].index(low) & 1 else 1
                 nfree[r] -= 1
                 if nfree[r] == 1:
@@ -308,29 +310,31 @@ def morse_complex(k: SimplicialComplex) -> tuple[list[int], list[IntegerMatrix]]
         cols = critical[d + 1]
         mats.append(IntegerMatrix(len(row), len(cols), tuple(
             (row[x], j, v) for j, c in enumerate(cols) for x, v in rest.get(c, {}).items())))
-    return counts, mats
+    return counts, mats, mate
 
 
 def reduced_homology(k: SimplicialComplex) -> HomologyReport:
     """Reduced integral homology.  A complex of dimension <= 1 reduces no
-    matrix: the invariant factors of ∂_0 and ∂_1 are known (rank 1, and
-    n_0 - components ones).  A larger one runs ``smith_invariant_factors``
-    on the boundaries of its Morse complex only (``morse_complex``); the
-    Euler characteristic of the full face counts must match either way.
-    The fork pays because most complexes reduced are small links: of the
-    1582 calls ``cm-check`` and ``filtration-verify`` make on the bundled
-    specs and F_3^4, 1564 are on complexes of dimension <= 1, and running
-    the Morse complex on every one took 1.3-1.7x as long."""
+    matrix: its spanning forest leaves components - 1 critical vertices and
+    n_1 - n_0 + components critical edges, all with zero boundaries.  A
+    larger one runs ``smith_invariant_factors`` on the boundaries of its
+    Morse complex only (``morse_complex``); the Euler characteristic of the
+    full face counts must match either way.  The fork pays because most
+    complexes reduced are small links: of the 1582 calls ``cm-check`` and
+    ``filtration-verify`` make on the bundled specs and F_3^4, 1564 are on
+    complexes of dimension <= 1, and running the Morse complex on every one
+    took 1.3-1.7x as long."""
     if k.is_empty():
-        return HomologyReport((), (), 0, -1)
+        return HomologyReport((), (), 0, -1, ())
     if k.dim >= 2:
-        counts, mats = morse_complex(k)
+        counts, mats, _ = morse_complex(k)
         cells = [m.ncols for m in mats]
-        factors = [smith_invariant_factors(m) for m in mats]
+        factors = [smith_invariant_factors(m) for m in mats] + [[]]
     else:
-        counts = cells = k.face_counts()
-        factors = [[1], [1] * (k.num_vertices - _components(k))]
-    factors.append([])
+        counts = k.face_counts()
+        comps = _components(k)
+        cells = [comps - 1] + [counts[-1] - counts[0] + comps] * k.dim
+        factors = [[]] * (k.dim + 2)
     betti = []
     torsion = []
     for d in range(k.dim + 1):
@@ -339,7 +343,7 @@ def reduced_homology(k: SimplicialComplex) -> HomologyReport:
     euler = sum((-1) ** d * c for d, c in enumerate(counts))
     if euler != 1 + sum((-1) ** d * b for d, b in enumerate(betti)):
         raise RuntimeError("Euler characteristic inconsistent with Betti numbers")
-    return HomologyReport(tuple(betti), tuple(torsion), euler, k.dim)
+    return HomologyReport(tuple(betti), tuple(torsion), euler, k.dim, tuple(cells))
 
 
 class SphericityVerdict(namedtuple(
@@ -418,95 +422,13 @@ def cohen_macaulay_check(k: SimplicialComplex) -> CMReport:
 # -- fundamental group -----------------------------------------------------------
 
 
-def pi1_trivial(k: SimplicialComplex) -> str:
-    """Answer "trivial" when the triangles' relators kill the edge-path group
-    of K, else "unknown" (never a guess).
-
-    The edges of a depth-first spanning tree are 1; every other edge is a
-    generator.  A signed union-find writes each generator as root^(+-1) or
-    as killed (= 1).  Full passes over the triangles map each relator to
-    its root letters and reduce it freely and cyclically: one letter left
-    kills its root, two letters with distinct roots merge them
-    (g^a h^b = 1 gives g = h^(-ab)).  Passes repeat until one changes
-    nothing.  Every change kills or merges a root, so the loop ends, and
-    every change follows from the relators, so "trivial" is sound."""
-    n = k.num_vertices
-    if n == 0:
-        return "unknown"
-    edges = k.simplices(1)
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for eid, (a, b) in enumerate(edges):
-        adj[a].append((b, eid))
-        adj[b].append((a, eid))
-    parent = list(range(len(edges)))
-    sign = [1] * len(edges)  # g = parent[g] ^ sign[g]
-    killed = [False] * len(edges)
-    seen = [False] * n
-    stack = [(0, None)]
-    while stack:
-        v, eid = stack.pop()
-        if seen[v]:
-            continue
-        seen[v] = True
-        if eid is not None:
-            killed[eid] = True  # a tree edge
-        stack.extend((w, e) for w, e in adj[v] if not seen[w])
-    if not all(seen):
-        return "unknown"  # disconnected
-
-    def find(g: int) -> tuple[int, int]:
-        """(root, s) with g = root^s; iterative, compressing the path."""
-        path = []
-        while parent[g] != g:
-            path.append(g)
-            g = parent[g]
-        s = 1
-        for x in reversed(path):
-            s *= sign[x]
-            parent[x], sign[x] = g, s
-        return g, s
-
-    edge_id = {e: i for i, e in enumerate(edges)}
-    # the loop a -> b -> c -> a around each triangle, as edge ids
-    pending = [(edge_id[a, b], edge_id[b, c], edge_id[a, c]) for a, b, c in k.simplices(2)]
-    changed = True
-    while changed:
-        changed = False
-        unresolved = []
-        for tri in pending:
-            word: list[tuple[int, int]] = []
-            for g, e in zip(tri, (1, 1, -1)):
-                r, s = find(g)
-                if killed[r]:
-                    continue
-                if word and word[-1] == (r, -s * e):
-                    word.pop()
-                else:
-                    word.append((r, s * e))
-            if len(word) == 3 and word[0] == (word[2][0], -word[2][1]):
-                word = word[1:2]  # a conjugate of the middle letter
-            if len(word) == 1:
-                killed[word[0][0]] = True
-            elif len(word) == 2 and word[0][0] != word[1][0]:
-                (g, a), (h, b) = word
-                parent[g], sign[g] = h, -a * b
-            else:
-                # an empty relator stays empty under later kills and merges
-                if word:
-                    unresolved.append(tri)
-                continue
-            changed = True
-        pending = unresolved
-    return "trivial" if all(killed[g] for g in range(len(edges)) if parent[g] == g) else "unknown"
-
-
-def pi1_status(k: SimplicialComplex, report: HomologyReport, d: int) -> str:
+def pi1_status(report: HomologyReport, d: int) -> str:
     """The fundamental-group status reported beside a d-sphericity verdict:
-    "not_applicable" for d < 2 or the empty complex; "unknown" while
-    H~_0 or H~_1 is non-zero, where no sound check could say "trivial";
-    otherwise the answer of ``pi1_trivial``."""
+    "not_applicable" for d < 2 or the empty complex; "trivial" when the
+    matching left no critical vertex or edge, so that K is homotopy
+    equivalent to a CW complex with one 0-cell and no 1-cells; "unknown"
+    otherwise, never a guess.  The dunce hat, contractible but not
+    collapsible, keeps a critical edge and answers "unknown"."""
     if d < 2 or report.top_dim == -1:
         return "not_applicable"
-    if any(report.betti_number(i) or report.torsion_at(i) for i in (0, 1)):
-        return "unknown"
-    return pi1_trivial(k)
+    return "unknown" if any(report.critical[:2]) else "trivial"

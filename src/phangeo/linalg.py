@@ -261,10 +261,6 @@ class Subspace(Frozen):
         self._check_compatible(other)
         return Subspace.from_mask(self.field, self.ambient, self.point_mask & other.point_mask)
 
-    def is_opposite(self, other: "Subspace") -> bool:
-        """True iff self ∩ other = 0 and self + other is the whole space."""
-        return self.meet_dim(other) == 0 and self.dim + other.dim == self.ambient
-
     # -- enumeration ----------------------------------------------------------
 
     def vectors(self):

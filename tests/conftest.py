@@ -1,3 +1,5 @@
+import contextlib
+import io
 import random
 from collections import Counter
 from functools import reduce
@@ -5,6 +7,7 @@ from math import gcd, prod
 
 import pytest
 
+from phangeo.cli import main
 from phangeo.field import Field
 from phangeo.forms import HermitianForm
 from phangeo.homology import (
@@ -184,6 +187,133 @@ def link_sweep_failures(k: SimplicialComplex) -> list[tuple]:
     return out
 
 
+# -- homotopy oracles: the edge-path group and the Morse matching ------------
+
+
+def pi1_trivial(k: SimplicialComplex) -> str:
+    """The oracle for ``pi1_status``: "trivial" when the triangles' relators
+    kill the edge-path group of K, else "unknown" (never a guess).
+
+    The edges of a depth-first spanning tree are 1; every other edge is a
+    generator.  A signed union-find writes each generator as root^(+-1) or
+    as killed (= 1).  Full passes over the triangles map each relator to
+    its root letters and reduce it freely and cyclically: one letter left
+    kills its root, two letters with distinct roots merge them
+    (g^a h^b = 1 gives g = h^(-ab)).  Passes repeat until one changes
+    nothing.  Every change kills or merges a root, so the loop ends, and
+    every change follows from the relators, so "trivial" is sound."""
+    n = k.num_vertices
+    if n == 0:
+        return "unknown"
+    edges = k.simplices(1)
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for eid, (a, b) in enumerate(edges):
+        adj[a].append((b, eid))
+        adj[b].append((a, eid))
+    parent = list(range(len(edges)))
+    sign = [1] * len(edges)  # g = parent[g] ^ sign[g]
+    killed = [False] * len(edges)
+    seen = [False] * n
+    stack = [(0, None)]
+    while stack:
+        v, eid = stack.pop()
+        if seen[v]:
+            continue
+        seen[v] = True
+        if eid is not None:
+            killed[eid] = True  # a tree edge
+        stack.extend((w, e) for w, e in adj[v] if not seen[w])
+    if not all(seen):
+        return "unknown"  # disconnected
+
+    def find(g: int) -> tuple[int, int]:
+        """(root, s) with g = root^s; iterative, compressing the path."""
+        path = []
+        while parent[g] != g:
+            path.append(g)
+            g = parent[g]
+        s = 1
+        for x in reversed(path):
+            s *= sign[x]
+            parent[x], sign[x] = g, s
+        return g, s
+
+    edge_id = {e: i for i, e in enumerate(edges)}
+    # the loop a -> b -> c -> a around each triangle, as edge ids
+    pending = [(edge_id[a, b], edge_id[b, c], edge_id[a, c]) for a, b, c in k.simplices(2)]
+    changed = True
+    while changed:
+        changed = False
+        unresolved = []
+        for tri in pending:
+            word: list[tuple[int, int]] = []
+            for g, e in zip(tri, (1, 1, -1)):
+                r, s = find(g)
+                if killed[r]:
+                    continue
+                if word and word[-1] == (r, -s * e):
+                    word.pop()
+                else:
+                    word.append((r, s * e))
+            if len(word) == 3 and word[0] == (word[2][0], -word[2][1]):
+                word = word[1:2]  # a conjugate of the middle letter
+            if len(word) == 1:
+                killed[word[0][0]] = True
+            elif len(word) == 2 and word[0][0] != word[1][0]:
+                (g, a), (h, b) = word
+                parent[g], sign[g] = h, -a * b
+            else:
+                # an empty relator stays empty under later kills and merges
+                if word:
+                    unresolved.append(tri)
+                continue
+            changed = True
+        pending = unresolved
+    return "trivial" if all(killed[g] for g in range(len(edges)) if parent[g] == g) else "unknown"
+
+
+def matching_is_acyclic(k: SimplicialComplex, mate: list[int]) -> bool:
+    """Whether the matching ``morse_complex`` returned for k is a discrete
+    gradient: it pairs the empty simplex with vertex 0, every cell is
+    paired with a face or coface one degree apart or is critical (-2), and
+    the Hasse diagram of the augmented complex with its matched edges
+    reversed has no directed cycle (Kahn's topological sort)."""
+    cells = [()] + [s for d in range(k.dim + 1) for s in k.simplices(d)]
+    ids = {s: i for i, s in enumerate(cells)}
+    if len(mate) != len(cells) or mate[0] != 1:
+        return False
+    for c, m in enumerate(mate):
+        if m == -2:
+            continue
+        if m < 0 or mate[m] != c:
+            return False
+        a, b = sorted((cells[c], cells[m]), key=len)
+        if len(b) != len(a) + 1 or not set(a) <= set(b):
+            return False
+    out = [[] for _ in cells]
+    for t, s in enumerate(cells):
+        for i in range(len(s)):
+            f = ids[s[:i] + s[i + 1:]]
+            if mate[f] == t:
+                out[f].append(t)  # a matched edge points up
+            else:
+                out[t].append(f)
+    indegree = [0] * len(cells)
+    for targets in out:
+        for x in targets:
+            indegree[x] += 1
+    ready = [c for c, n in enumerate(indegree) if n == 0]
+    done = 0
+    while ready:
+        c = ready.pop()
+        done += 1
+        for x in out[c]:
+            indegree[x] -= 1
+            if indegree[x] == 0:
+                ready.append(x)
+    return done == len(cells)
+
+
 def chain_facets(subspaces) -> frozenset:
     """The maximal inclusion-chains of the given subspaces, as sets, found
     with ``contains_subspace`` alone: every chain from a minimal member to a
@@ -222,6 +352,26 @@ def random_hermitian_gram(rng: random.Random, field: Field, k: int):
 @pytest.fixture
 def rng():
     return random.Random(12345)
+
+
+@pytest.fixture(scope="session")
+def cli_report(tmp_path_factory):
+    """Run a command with ``--out`` once per test session: (exit code, report
+    bytes, standard error) for each argv, so that the report pins and the
+    value checks of the same command read one computation."""
+    runs = {}
+
+    def run(argv: list[str]) -> tuple[int, bytes, str]:
+        key = tuple(argv)
+        if key not in runs:
+            out = tmp_path_factory.mktemp("report") / "report.json"
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv + ["--out", str(out)])
+            runs[key] = code, out.read_bytes(), err.getvalue()
+        return runs[key]
+
+    return run
 
 
 @pytest.fixture
@@ -313,6 +463,20 @@ def oracle_perp(form: HermitianForm, s: Subspace) -> Subspace:
 def oracle_radical(form: HermitianForm) -> Subspace:
     return oracle_perp(form, form.domain)
 
+
+def oracle_is_nondegenerate(form: HermitianForm, s: Subspace | None = None) -> bool:
+    """Whether the form on s (default: the domain) is non-degenerate, as
+    full rank of the Gram matrix that ``restrict`` evaluates: the Gram-rank
+    oracle for ``nondegenerate_on_mask``.  A target outside the domain
+    raises ValueError, as ``restrict`` does."""
+    gram = (form if s is None else form.restrict(s)).gram
+    return len(rref(form.field, gram)) == len(gram)
+
+
+def oracle_is_opposite(a: Subspace, b: Subspace) -> bool:
+    """A ∩ B = 0 and A + B is the whole space, by the rank of the stacked
+    bases."""
+    return a.dim + b.dim == a.ambient == len(rref(a.field, a.basis + b.basis))
 
 def oracle_admits_nonisotropic_vector(form: HermitianForm) -> bool:
     return any(oracle_form_value(form, x, x) != 0 for x in form.domain.vectors())

@@ -198,7 +198,14 @@ def test_reports_are_byte_identical(tmp_path, spec_q5):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_chamber_q5_dim4_is_certified_in_bound(tmp_path):
+def _chamber_q5_dim4(cli_report, command: str) -> tuple[int, dict]:
+    """(exit code, report) of a command on specs/chamber_q5_dim4.json without
+    --force: the run ``tests/test_parity.py`` pins, computed once."""
+    code, report, _ = cli_report([command, "--spec", str(SPECS / "chamber_q5_dim4.json")])
+    return code, json.loads(report)
+
+
+def test_chamber_q5_dim4_is_certified_in_bound(cli_report):
     """specs/chamber_q5_dim4.json, the first in-bound n = 3 instance
     (rank-one forms, 2^2*1 = 4 < 5), is certified without --force.  The
     expected b~ = (0, 0, 7124) with no 2- or 3-torsion is what the method of
@@ -206,29 +213,25 @@ def test_chamber_q5_dim4_is_certified_in_bound(tmp_path):
     export: ranks of the boundaries over F_(2^31-1), F_2 and F_3.  The
     Cohen-Macaulay sweep checks the empty simplex and every face of the
     f-vector (875, 9375, 15625)."""
-    spec = str(SPECS / "chamber_q5_dim4.json")
-    out = tmp_path / "r.json"
-    assert main(["homology", "--spec", spec, "--out", str(out)]) == 0
-    doc = json.loads(out.read_text())
+    code, doc = _chamber_q5_dim4(cli_report, "homology")
+    assert code == 0
     assert doc["verdict"] == "pass" and not doc["bound"]["forced"]
     assert doc["homology"]["betti"] == [0, 0, 7124]
     assert doc["homology"]["torsion"] == [[], [], []]
     assert doc["sphericity"]["spherical"] and doc["sphericity"]["pi1_status"] == "trivial"
-    assert main(["cm-check", "--spec", spec, "--out", str(out)]) == 0
-    doc = json.loads(out.read_text())
+    code, doc = _chamber_q5_dim4(cli_report, "cm-check")
+    assert code == 0
     assert doc["verdict"] == "pass" and doc["cm"]["passed"]
     assert doc["cm"]["simplices_checked"] == 25876 == 1 + 875 + 9375 + 15625
     assert doc["cm"]["failures"] == []
 
 
-def test_chamber_q5_dim4_filtration_is_certified_in_bound(tmp_path):
+def test_chamber_q5_dim4_filtration_is_certified_in_bound(cli_report):
     """The filtration of the same instance, without --force: every check of
     Y_0, of the three stages and of the ledger passes, and the predicted
     sphere count equals the direct one, the b~_2 = 7124 above."""
-    out = tmp_path / "r.json"
-    assert main(["filtration-verify", "--spec", str(SPECS / "chamber_q5_dim4.json"),
-                 "--out", str(out)]) == 0
-    doc = json.loads(out.read_text())
+    code, doc = _chamber_q5_dim4(cli_report, "filtration-verify")
+    assert code == 0
     assert doc["verdict"] == "pass" and not doc["bound"]["forced"]
     rep = doc["filtration"]
     assert rep["level_sizes"] == [651, 751, 851, 875]
@@ -465,8 +468,15 @@ def test_bound_refusal_builds_no_subspace_table(monkeypatch, capsys):
         "error: sufficient bound violated: 2^2*1 = 4 < q = 4 is false")
 
 
-def test_report_path_that_is_a_directory_exits_2(tmp_path, capsys):
-    """A write that fails after the computation is still an input error."""
+def test_report_path_that_is_a_directory_exits_2(tmp_path, capsys, monkeypatch):
+    """A report path that is a directory is an input error, refused before
+    the geometry is built."""
+    import phangeo.cli
+
+    def refused(*args):
+        raise AssertionError("vertices reached")
+
+    monkeypatch.setattr(phangeo.cli, "vertices", refused)
     with pytest.raises(SystemExit) as exc:
         main(["build", "--spec", str(SPECS / "t0_q5_dim3.json"), "--out", str(tmp_path)])
     assert exc.value.code == 2

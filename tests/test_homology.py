@@ -12,7 +12,6 @@ from phangeo.homology import (
     cohen_macaulay_check,
     morse_complex,
     pi1_status,
-    pi1_trivial,
     reduced_homology,
     smith_invariant_factors,
     sphericity_verdict,
@@ -25,9 +24,11 @@ from phangeo.phan import PhanFamily, vertices
 from conftest import (
     join,
     link_sweep_failures,
+    matching_is_acyclic,
     modular_smith,
     multiply,
     naive_smith,
+    pi1_trivial,
     snf_homology,
 )
 
@@ -155,7 +156,7 @@ def test_sphericity_flags():
 def test_pi1_examples():
     tetra = SimplicialComplex(range(4), [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
     assert pi1_trivial(tetra) == "trivial"
-    assert pi1_status(tetra, reduced_homology(tetra), 2) == "trivial"
+    assert pi1_status(reduced_homology(tetra), 2) == "trivial"
     assert _verdict(tetra, 2).sphere_count == 1
     disconnected = SimplicialComplex(range(4), [(0, 1), (2, 3)])
     assert pi1_trivial(disconnected) == "unknown"
@@ -165,15 +166,18 @@ def test_pi1_examples():
 
 
 def test_pi1_status_gate():
-    """Not applicable below dimension 2 or on the empty complex; unknown,
-    without running the rule, while H~_0 or H~_1 is non-zero."""
+    """Not applicable below dimension 2 or on the empty complex; unknown
+    while H~_0 or H~_1 is non-zero, which leaves a critical vertex or edge;
+    a tree, whose spanning forest leaves neither, is trivial."""
     circle = SimplicialComplex(range(3), [(0, 1), (1, 2), (0, 2)])
-    assert pi1_status(circle, reduced_homology(circle), 1) == "not_applicable"
+    assert pi1_status(reduced_homology(circle), 1) == "not_applicable"
     empty = SimplicialComplex([], [])
-    assert pi1_status(empty, reduced_homology(empty), 2) == "not_applicable"
-    assert pi1_status(circle, reduced_homology(circle), 2) == "unknown"
+    assert pi1_status(reduced_homology(empty), 2) == "not_applicable"
+    assert pi1_status(reduced_homology(circle), 2) == "unknown"
     two_points = SimplicialComplex(range(2), [])
-    assert pi1_status(two_points, reduced_homology(two_points), 2) == "unknown"
+    assert pi1_status(reduced_homology(two_points), 2) == "unknown"
+    path = SimplicialComplex(range(3), [(0, 1), (1, 2)])
+    assert pi1_status(reduced_homology(path), 2) == "trivial" == pi1_trivial(path)
 
 
 def test_pi1_disk_of_four_triangles():
@@ -191,18 +195,18 @@ def test_pi1_chamber_f3_4_is_trivial():
     rep = reduced_homology(k)
     assert rep.betti == (0, 0, 134) and rep.torsion == ((), (), ())
     assert pi1_trivial(k) == "trivial"
-    assert pi1_status(k, rep, 2) == "trivial"
+    assert pi1_status(rep, 2) == "trivial"
 
 
 def test_pi1_stays_unknown_where_it_must():
     rp2 = SimplicialComplex(range(6), RP2)
     assert pi1_trivial(rp2) == "unknown"  # pi_1 = Z/2
-    assert pi1_status(rp2, reduced_homology(rp2), 2) == "unknown"
+    assert pi1_status(reduced_homology(rp2), 2) == "unknown"
     edges = SimplicialComplex(range(4), [(0, 1), (2, 3)])
     assert pi1_trivial(edges) == "unknown"
     f34 = order_complex(vertices(PhanFamily((standard_spec(F3, 4),))).members)
     assert pi1_trivial(f34) == "unknown"  # H~_1 = Z^4
-    assert pi1_status(f34, reduced_homology(f34), 2) == "unknown"
+    assert pi1_status(reduced_homology(f34), 2) == "unknown"
 
 
 def test_pi1_long_fan_needs_no_recursion():
@@ -222,13 +226,17 @@ def test_pi1_long_fan_needs_no_recursion():
     st.lists(st.lists(st.integers(0, n - 1), min_size=2, max_size=3, unique=True),
              max_size=2 * n))))
 def test_pi1_trivial_implies_vanishing_low_homology(drawn):
-    """The rule's "trivial" is sound: a simply connected complex is connected
-    and has H_1 = 0, whatever the rule derived on the way."""
+    """The oracle's "trivial" is sound: a simply connected complex is
+    connected and has H_1 = 0, whatever the rule derived on the way.  The
+    library's "trivial", read from the Morse matching, implies the
+    oracle's."""
     n, facets = drawn
     k = SimplicialComplex(range(n), [tuple(sorted(f)) for f in facets])
+    rep = reduced_homology(k)
     if pi1_trivial(k) == "trivial":
-        rep = reduced_homology(k)
         assert all(rep.betti_number(i) == 0 and not rep.torsion_at(i) for i in (0, 1))
+    if pi1_status(rep, 2) == "trivial":
+        assert pi1_trivial(k) == "trivial"
 
 
 def test_cm_single_simplex():
@@ -363,29 +371,61 @@ def test_reduced_homology_matches_full_snf(drawn):
     >= 2) agree with the Smith form of every boundary, on random complexes
     up to dimension 3, disconnected ones, isolated vertices and
     0-dimensional ones included.  The Morse complex is a chain complex on
-    the critical cells: ∂∂ = 0, and it keeps the face counts."""
+    the critical cells: ∂∂ = 0, it keeps the face counts, and its matching
+    is acyclic, with the critical cells the report counts."""
     n, facets = drawn
     k = SimplicialComplex(range(n), [tuple(sorted(f)) for f in facets])
     rep = reduced_homology(k)
     assert (rep.betti, rep.torsion) == snf_homology(k)
     if k.dim >= 2:
-        counts, mats = morse_complex(k)
+        counts, mats, mate = morse_complex(k)
         assert counts == k.face_counts()
         assert [m.nrows for m in mats] == [0] + [m.ncols for m in mats[:-1]]
         assert all(multiply(a, b).is_zero() for a, b in zip(mats, mats[1:]))
+        assert matching_is_acyclic(k, mate)
+        assert rep.critical == tuple(m.ncols for m in mats)
 
 
 def test_dunce_hat_keeps_critical_cells():
     """The dunce hat is contractible but not collapsible, so no acyclic
     matching leaves only the first vertex: the coreduction gets stuck with a
     critical edge and triangle, and the Smith form of the Morse ∂_2 cancels
-    them."""
+    them.  The critical edge leaves the library's pi_1 status "unknown",
+    which is sound; the edge-path oracle finds the group trivial."""
     k = SimplicialComplex(range(13), DUNCE_HAT)
     assert k.face_counts() == [13, 39, 27]
-    _, mats = morse_complex(k)
+    _, mats, mate = morse_complex(k)
     assert [m.ncols for m in mats] == [0, 1, 1]
     assert smith_invariant_factors(mats[2]) == [1]
-    assert reduced_homology(k).is_acyclic() and snf_homology(k) == ((0, 0, 0), ((), (), ()))
+    assert matching_is_acyclic(k, mate)
+    rep = reduced_homology(k)
+    assert rep.is_acyclic() and snf_homology(k) == ((0, 0, 0), ((), (), ()))
+    assert rep.critical == (0, 1, 1)
+    assert pi1_status(rep, 2) == "unknown"
+    assert pi1_trivial(k) == "trivial"
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in SPECS.glob("*.json")))
+def test_morse_matching_is_acyclic_on_bundled_specs(name):
+    """The coreduction matching of every bundled spec's complex is a
+    discrete gradient, and the report counts its critical cells."""
+    family, _ = load_family(str(SPECS / f"{name}.json"))
+    k = order_complex(vertices(family).members)
+    _, mats, mate = morse_complex(k)
+    assert matching_is_acyclic(k, mate)
+    assert reduced_homology(k).critical == tuple(m.ncols for m in mats)
+
+
+def test_matching_checker_rejects_a_cycle():
+    """The checker is not vacuous: on the hollow tetrahedron, matching the
+    edges at vertex 0 with the triangles 012, 023, 013 closes the V-path
+    01 < 012 > 02 < 023 > 03 < 013 > 01, and fails it."""
+    k = SimplicialComplex(range(4), [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
+    _, _, mate = morse_complex(k)
+    assert matching_is_acyclic(k, mate)
+    # ids: 0 empty, 1-4 vertices, 5-10 edges 01 02 03 12 13 23, 11-14 triangles
+    cyclic = [1, 0, -2, -2, -2, 11, 13, 12, -2, -2, -2, 5, 7, 6, -2]
+    assert not matching_is_acyclic(k, cyclic)
 
 
 def test_homology_reduces_no_full_boundary(monkeypatch):
@@ -399,7 +439,7 @@ def test_homology_reduces_no_full_boundary(monkeypatch):
     monkeypatch.setattr(phangeo.homology, "boundary_matrices", refused)
     k = SimplicialComplex(range(6), RP2)
     assert reduced_homology(k).torsion == ((), (2,), ())
-    _, mats = morse_complex(k)
+    _, mats, _ = morse_complex(k)
     assert smith_invariant_factors(mats[2])[-1] == 2
     f34 = order_complex(vertices(PhanFamily((standard_spec(F3, 4),))).members)
     assert reduced_homology(f34).betti == (0, 4, 69)

@@ -6,15 +6,15 @@ says so in CHANGES.md; any other difference is a regression.  The runs
 cover every command on the bundled specs (``--force`` exactly where the
 sufficient bound fails), a bounds table and ``lemma-tests --seed 0``, which
 drives form extension, projection forms, residues and restricted families
-through perps, radicals and meets, in process, in a few seconds.
+through perps, radicals and meets, in process, in a few seconds.  Each run
+goes through the test session's ``cli_report``, so ``tests/test_cli.py``
+checks the values of the chamber F_5^4 reports on the same runs.
 """
 
 import hashlib
 from pathlib import Path
 
 import pytest
-
-from phangeo.cli import main
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 FORCED = {"t0_q4_dim3"}  # the bundled spec outside the sufficient bound
@@ -68,8 +68,7 @@ def _argv(run: str) -> list[str]:
 
 
 @pytest.mark.parametrize("run", list(PINS))
-def test_report_matches_its_pin(run, tmp_path, capsys):
-    out = tmp_path / "report.json"
-    code = main(_argv(run) + ["--out", str(out)])
-    assert (code, hashlib.sha256(out.read_bytes()).hexdigest()) == PINS[run]
-    assert capsys.readouterr().err == ""
+def test_report_matches_its_pin(run, cli_report):
+    code, report, err = cli_report(_argv(run))
+    assert (code, hashlib.sha256(report).hexdigest()) == PINS[run]
+    assert err == ""
