@@ -15,14 +15,20 @@ witnesses instead of raising.
 subcomplex of |Y_i|: a chain of Y_i whose members all lie in Y_(i-1) is a
 chain of Y_(i-1).  A star boundary A_j ∩ B is therefore the star of U_j
 with the vertices outside Y_(i-1) dropped from each facet
-(``induced_subcomplex``), with no search through the facets of B.
+(``induced_subcomplex``), with no search through the facets of B.  So too
+every |Y_i| is the full subcomplex of |Y_n| on the vertices of level <= i,
+and one filtered reduction of |Y_n| (``filtered_homology``) gives the
+homology of every level.  The stages' complexes |Y_i| are built once each
+as order complexes, 2-11x as fast as ``induced_subcomplex`` of |Y_n| on
+seeded F_3^4 and chamber F_7^4.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import cached_property
 
-from .homology import HomologyReport, reduced_homology, sphericity_verdict
+from .homology import HomologyReport, filtered_homology, reduced_homology, sphericity_verdict
 from .linalg import Subspace
 from .phan import (
     DeltaConstructionError,
@@ -95,27 +101,48 @@ class StageReport:
 
 
 class FiltrationState:
-    """The levels Y_0 .. Y_n (each sorted) of a family's geometry around a
-    pivot."""
+    """The levels Y_0 .. Y_n (each sorted, each inside the next) of a
+    family's geometry around a pivot, and what the checks read of them, each
+    computed once per state: the join <U, p> of every member, the point
+    indexes of Γ and Y_0, the complex |Y_i| of each stage, and the homology
+    of every level, from one filtered reduction of |Y_n|."""
 
     def __init__(self, family: PhanFamily, pivot: Subspace, geometry: GeometryVertexSet,
-                 levels: tuple[tuple[Subspace, ...], ...]):
+                 levels: tuple[tuple[Subspace, ...], ...], joins: dict | None = None):
         self.family = family
         self.pivot = pivot
         self.geometry = geometry
         self.levels = levels
+        self.joins = _joins(geometry.members, pivot) if joins is None else joins
         self._complexes: dict = {}
 
     @property
     def n(self) -> int:
         return self.family.n
 
-    def level_complex(self, i: int) -> tuple[SimplicialComplex, HomologyReport]:
-        """|Y_i| and its reduced homology, built and reduced once per state."""
+    def level_complex(self, i: int) -> SimplicialComplex:
+        """|Y_i|, built once per state as the order complex of Y_i."""
         if i not in self._complexes:
-            k = order_complex(self.levels[i])
-            self._complexes[i] = (k, reduced_homology(k))
+            self._complexes[i] = order_complex(self.levels[i])
         return self._complexes[i]
+
+    @cached_property
+    def homology(self) -> list[HomologyReport]:
+        """The reduced homology of each level |Y_i|, from one filtered
+        reduction of |Y_n| with each vertex at the level where it enters."""
+        k = self.level_complex(len(self.levels) - 1)
+        enters = {}
+        for i in reversed(range(len(self.levels))):
+            enters.update(dict.fromkeys(self.levels[i], i))
+        reports = filtered_homology(k, [enters[w] for w in k.vertices])
+        return reports + reports[-1:] * (len(self.levels) - len(reports))
+
+    @cached_property
+    def indexes(self) -> tuple[dict, dict]:
+        """Point -> the members of Γ through it, and point -> the members of
+        Y_0 whose lowest point it is."""
+        return (_by_point(self.geometry.members, every_point=True),
+                _by_point(self.levels[0], every_point=False))
 
 
 class FiltrationReport(namedtuple(
@@ -170,61 +197,43 @@ def find_degenerate_pivot(family: PhanFamily) -> Subspace:
     return _first_point(family, True, "every point is non-degenerate for every top form")
 
 
+def _joins(members, p: Subspace) -> dict[Subspace, Subspace]:
+    """<W, p> for each member W, which is W itself when W holds p."""
+    return {w: w if w.point_mask & p.point_mask else w.sum(p) for w in members}
+
+
 def build_filtration(family: PhanFamily, pivot: Subspace) -> FiltrationState:
     geometry = vertices(family)
     members = set(geometry.members)
     nplus1 = family.ambient.dim
-    y0 = [w for w in geometry.members if w.sum(pivot) in members]
+    joins = _joins(geometry.members, pivot)
+    y0 = [w for w in geometry.members if joins[w] in members]
     levels = [tuple(sorted(y0, key=Subspace.sort_key))]
     for i in range(1, family.n + 1):
         cur = set(levels[-1])
         cur.update(w for w in geometry.members if w.dim == nplus1 - i)
         levels.append(tuple(sorted(cur, key=Subspace.sort_key)))
-    return FiltrationState(family, pivot, geometry, tuple(levels))
+    return FiltrationState(family, pivot, geometry, tuple(levels), joins)
 
 
 def verify_y0_contractible(state: FiltrationState) -> list[CheckResult]:
     """Homology-level acyclicity of |Y_0| plus the structural facts carried
     by the retraction U -> <U, p> -> p."""
-    checks = []
-    y0 = state.levels[0]
-    p = state.pivot
-    k0, rep = state.level_complex(0)
-    checks.append(
-        CheckResult(
-            "y0_acyclic",
-            rep.is_acyclic() and not k0.is_empty(),
-            None if rep.is_acyclic() and not k0.is_empty()
-            else f"reduced betti {rep.betti}, torsion {rep.torsion}",
-        )
-    )
-    checks.append(
-        CheckResult(
-            "pivot_in_y0", p in set(y0),
-            None if p in set(y0) else f"pivot {p.basis} not in Y_0",
-        )
-    )
-    y0set = set(y0)
-    bad = None
-    for u in y0:
-        up = u.sum(p)
-        if up.dim < state.family.ambient.dim and up not in y0set:
-            bad = u
-            break
-    checks.append(
-        CheckResult(
-            "join_map_into_y0", bad is None,
-            None if bad is None else f"<U,p> leaves Y_0 for U = {bad.basis}",
-        )
-    )
-    bad = next((u for u in y0 if not u.sum(p).contains_subspace(p)), None)
-    checks.append(
-        CheckResult(
-            "join_image_in_star_of_p", bad is None,
-            None if bad is None else f"{bad.basis}",
-        )
-    )
-    return checks
+    y0, p, rep, joins = state.levels[0], state.pivot, state.homology[0], state.joins
+    y0set, top = set(y0), state.family.ambient.dim
+    acyclic = rep.is_acyclic() and bool(y0)
+    leaves = next((u for u in y0 if joins[u].dim < top and joins[u] not in y0set), None)
+    misses = next((u for u in y0 if not joins[u].contains_subspace(p)), None)
+    return [
+        CheckResult("y0_acyclic", acyclic,
+                    None if acyclic else f"reduced betti {rep.betti}, torsion {rep.torsion}"),
+        CheckResult("pivot_in_y0", p in y0set,
+                    None if p in y0set else f"pivot {p.basis} not in Y_0"),
+        CheckResult("join_map_into_y0", leaves is None,
+                    None if leaves is None else f"<U,p> leaves Y_0 for U = {leaves.basis}"),
+        CheckResult("join_image_in_star_of_p", misses is None,
+                    None if misses is None else f"{misses.basis}"),
+    ]
 
 
 def _spherical_check(k: SimplicialComplex, report: HomologyReport,
@@ -271,9 +280,7 @@ def verify_stage(state: FiltrationState, i: int) -> StageReport:
         report.checks.append(CheckResult("vacuous_stage", True))
         return report
 
-    k_cur, cur_homology = state.level_complex(i)
-    _, b_homology = state.level_complex(i - 1)
-    p = state.pivot
+    k_cur = state.level_complex(i)
 
     index = {u: j for j, u in enumerate(k_cur.vertices)}
     stars = {u: star_closure(k_cur, index[u]) for u in new}
@@ -290,17 +297,20 @@ def verify_stage(state: FiltrationState, i: int) -> StageReport:
         )
     )
 
-    # (b) every star is a cone with apex its vertex, A_j = U_j * link(U_j)
+    # (b) every star is a cone with apex its vertex, A_j = U_j * link(U_j),
+    # compared as sets of facets over the star's vertex indices
     bad = None
     for u in new:
-        star = stars[u].facet_sets()
-        if not all(u in f for f in star):
+        star = stars[u]
+        at = {w: j for j, w in enumerate(star.vertices)}
+        apex = at.get(u, -1)
+        if not all(apex in f for f in star.facets):
             bad = (u, "facet without the apex")
             break
         lk = link(k_cur, (index[u],))
-        rebuilt = frozenset(f | {u} for f in lk.facet_sets()) if not lk.is_empty() \
-            else frozenset({frozenset({u})})
-        if rebuilt != star:
+        to_star = [at.get(w, -1) for w in lk.vertices]
+        rebuilt = {tuple(sorted([apex, *map(to_star.__getitem__, f)])) for f in lk.facets}
+        if (rebuilt or {(apex,)}) != set(star.facets):
             bad = (u, "star is not the cone over its link")
             break
     report.checks.append(
@@ -330,11 +340,12 @@ def verify_stage(state: FiltrationState, i: int) -> StageReport:
     bad_sphere = None
     boundary_betti = {}
     for u in new:
+        # both list their vertices in the order of |Y_i| and their facets
+        # sorted, so they have the same facets iff these tuples are equal
         a_cap_b = induced_subcomplex(stars[u], prev_set)
         expected = order_complex(below_prev[u] | above_prev[u])
-        if a_cap_b.facet_sets() != expected.facet_sets() and not (
-            a_cap_b.is_empty() and expected.is_empty()
-        ) and bad_join is None:
+        if (a_cap_b.vertices, a_cap_b.facets) != (expected.vertices, expected.facets) \
+                and bad_join is None:
             bad_join = u
         a_cap_b_homology = reduced_homology(a_cap_b)
         ok, why = _spherical_check(a_cap_b, a_cap_b_homology, n - 2)
@@ -358,8 +369,7 @@ def verify_stage(state: FiltrationState, i: int) -> StageReport:
     # (d) below/above set identities and the restricted-family comparison.
     # A member above U holds U's lowest point; one below U has its own
     # lowest point among U's points.
-    gamma_through = _by_point(state.geometry.members, every_point=True)
-    y0_lowest = _by_point(state.levels[0], every_point=False)
+    gamma_through, y0_lowest = state.indexes
     bad_above = None
     bad_below = None
     bad_delta = None
@@ -395,8 +405,8 @@ def verify_stage(state: FiltrationState, i: int) -> StageReport:
     )
 
     # Mayer-Vietoris rank bookkeeping at degree n-1
-    lhs = cur_homology.betti_number(n - 1)
-    rhs = b_homology.betti_number(n - 1) + sum(boundary_betti.values())
+    lhs = state.homology[i].betti_number(n - 1)
+    rhs = state.homology[i - 1].betti_number(n - 1) + sum(boundary_betti.values())
     report.checks.append(
         CheckResult(
             "mayer_vietoris_rank_balance", lhs == rhs,
@@ -485,7 +495,7 @@ def run_verification(family: PhanFamily, pivot: Subspace | None = None,
     predicted = sum(s.boundary_rank_sum for s in stages)
 
     # Y_n holds every member, so |Y_n| is the geometry complex
-    _, gamma_homology = state.level_complex(n)
+    gamma_homology = state.homology[n]
     direct = gamma_homology.betti_number(n - 1)
     final = []
     verdict = sphericity_verdict(gamma_homology, n - 1)

@@ -11,17 +11,21 @@ Perps, radicals, isotropy and non-degeneracy on a subspace given by its
 point mask (``nondegenerate_on_mask``, the membership test of
 :mod:`phangeo.phan`) are mask algebra only, from the point mask of x^perp
 for each point x of the domain D, computed when first asked for
-(``_PointPerps``).  The perp of a subspace S of D is the AND of the perps
+(``_PointPerps``).  A restriction to S reads them from the form it
+restricts: x^perp in S is x^perp in D cut by S's mask
+(``_RestrictedPerps``), so the restrictions of one form to many subspaces,
+such as the forms of the restricted families, share one table and evaluate
+no Gram row for it.  The perp of a subspace S of D is the AND of the perps
 of S's basis rows, which are points, the basis being reduced echelon; the
 radical is the perp of D.  A point x is isotropic iff it lies in its own
 perp, since w(ax, ax) = a sigma(a) w(x, x), and a subspace W of D is
 non-degenerate iff no point of W lies in the perps of all of W's points.
-The perps live as long as their form; the forms of the internal specs of
-residues and restricted families go with those specs, which no cache
-keeps (``PhanSpec.members``).  Hermitian symmetry G[j][i] ==
-sigma(G[i][j]) is enforced at construction, so left and right perps agree;
-evaluation is sigma-sesquilinear in the second argument:
-w(a*x, b*y) = a * sigma(b) * w(x, y).
+The perps live as long as their form, and a restriction keeps the form
+it restricts; the forms of the internal specs of residues and restricted
+families go with those specs, which no cache keeps (``PhanSpec.members``).
+Hermitian symmetry G[j][i] == sigma(G[i][j]) is enforced at construction,
+so left and right perps agree; evaluation is sigma-sesquilinear in the
+second argument: w(a*x, b*y) = a * sigma(b) * w(x, y).
 """
 
 from __future__ import annotations
@@ -124,9 +128,12 @@ class HermitianForm(Frozen):
     def restrict(self, s: Subspace) -> "HermitianForm":
         """The form on s, a subspace of the domain, as its Gram matrix over
         the canonical basis of s: one triangle is evaluated, and the other is
-        its image under sigma, G[j][i] = sigma(G[i][j])."""
-        self.domain._check_compatible(s)
-        coords = [self.domain.coordinates(r) for r in s.basis]
+        its image under sigma, G[j][i] = sigma(G[i][j]).  Its perps read
+        this form's (``_RestrictedPerps``)."""
+        dom = self.domain
+        dom._check_compatible(s)
+        # the whole space's canonical basis is the unit vectors
+        coords = list(s.basis) if dom.is_full() else [dom.coordinates(r) for r in s.basis]
         if None in coords:
             raise ValueError("restriction target is not contained in the domain")
         sigma = self.field.sigma_table
@@ -136,14 +143,20 @@ class HermitianForm(Frozen):
             for j in range(i + 1, len(coords)):
                 gram[i][j] = self._eval_coords(a, coords[j])
                 gram[j][i] = sigma[gram[i][j]]
-        return HermitianForm(self.field, s, tuple(map(tuple, gram)))
+        form = HermitianForm(self.field, s, tuple(map(tuple, gram)))
+        object.__setattr__(form, "_parent", self)
+        return form
 
     def radical(self) -> Subspace:
         """{x in D : w(x, y) = 0 for all y in D}: the perp of the domain."""
         return self.perp(self.domain)
 
+    _parent = None  # the form this one is a restriction of
+
     @cached_property
-    def _perps(self) -> "_PointPerps":
+    def _perps(self) -> dict:
+        if self._parent is not None:
+            return _RestrictedPerps(self._parent._perps, self.domain.point_mask)
         return _PointPerps(self)
 
     def nondegenerate_on_mask(self, mask: int) -> bool:
@@ -219,6 +232,19 @@ class _PointPerps(dict):
             scale = mul[inv[lead]]
             mask &= self.hyperplanes[sum(scale[c] * q**j for c, j in zip(normal, pivots))]
         self[bit] = mask
+        return mask
+
+
+class _RestrictedPerps(dict):
+    """The perps of a restriction of a form to a subspace S of its domain D,
+    read from the perps of the form on D: for a point x of S, the perp of x
+    in S is its perp in D cut by S's mask."""
+
+    def __init__(self, parent: dict, whole: int):
+        self.parent, self.whole = parent, whole
+
+    def __missing__(self, bit: int) -> int:
+        mask = self[bit] = self.parent[bit] & self.whole
         return mask
 
 

@@ -9,7 +9,8 @@ transversal to the flag, and U ∩ V_(k+1) is non-degenerate for the form
 w_k selected by k = k_U, the least index with U ∩ V_(k+1) != 0.
 
 Membership is mask algebra only (``Subspace.point_mask``): containment in
-the ambient, transversality and k_U are mask tests and popcounts, and
+the ambient, transversality and k_U come from one pass over the point
+counts of U's meets with the flag members, whose masks each spec keeps, and
 U ∩ V_(k+1) is the meet of two masks, whose non-degeneracy w_k reads from
 the perp masks of its points (``HermitianForm.nondegenerate_on_mask``).  No
 basis is decoded, no Gram matrix built and no elimination run.  A spec's
@@ -35,7 +36,6 @@ from .linalg import (
     Quotient,
     Subspace,
     enumerate_subspaces_of,
-    is_transversal,
     quotient,
 )
 
@@ -103,6 +103,15 @@ class PhanSpec(Frozen):
         object.__setattr__(self, "flag", flag)
         object.__setattr__(self, "forms", forms)
         object.__setattr__(self, "require_nonisotropic", require_nonisotropic)
+        # for each flag member V_(i+1): its point mask, and by dim U the point
+        # count that U ∩ V_(i+1) must have if it is not 0, that of dimension
+        # dim U + dim V_(i+1) - dim V (transversality; none when that is <= 0)
+        top, q = flag.top.dim, flag.field.q
+        points = [(q**d - 1) // (q - 1) for d in range(top + 1)]
+        object.__setattr__(self, "_top", flag.top)
+        object.__setattr__(self, "_meets", tuple(
+            (v.point_mask, tuple(points[max(0, d + v.dim - top)] for d in range(top)))
+            for v in flag.members[1:]))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -143,15 +152,27 @@ class PhanSpec(Frozen):
     def is_member(self, u: Subspace) -> bool:
         """Whether u is proper, non-zero, inside the ambient, transversal to
         the flag, and U ∩ V_(k+1) is non-degenerate for w_k, k = k_U, read
-        from the meet of the point masks."""
-        if u.dim == 0 or u.dim >= self.ambient.dim:
+        from the meet of the point masks.
+
+        One pass over the flag members V_1 .. V_(t+1) = V settles the rest:
+        a non-zero meet with V_(i+1) must have the point count of dimension
+        dim U + dim V_(i+1) - dim V (transversality), which for V itself is
+        all of U's points (containment), and the first such meet is the
+        governing U ∩ V_(k+1).  U misses V only if it misses every member."""
+        d, top = u.dim, self._top
+        if d == 0 or d >= top.dim:
             return False
-        if u.meet_dim(self.ambient) != u.dim:
-            return False
-        if not is_transversal(u, self.flag):
-            return False
-        k = self.k_of(u)
-        return self.forms[k].nondegenerate_on_mask(u.point_mask & self.flag[k + 1].point_mask)
+        top._check_compatible(u)
+        m = u.point_mask
+        k = governing = None
+        for i, (mask, need) in enumerate(self._meets):
+            meet = m & mask
+            if meet:
+                if meet.bit_count() != need[d]:
+                    return False
+                if k is None:
+                    k, governing = i, meet
+        return k is not None and self.forms[k].nondegenerate_on_mask(governing)
 
     def members(self) -> tuple[Subspace, ...]:
         """The members, sorted.
@@ -366,6 +387,12 @@ def _extended_forms(spec: PhanSpec, p: Subspace) -> tuple[HermitianForm, ...]:
     return extend_forms(spec.flag, spec.forms, p)
 
 
+@lru_cache(maxsize=64)
+def _joined_flag(spec: PhanSpec, p: Subspace) -> tuple[Subspace, ...]:
+    """The flag members <V_i, p>, which depend on (spec, p) alone."""
+    return tuple(v.sum(p) for v in spec.flag.members)
+
+
 @lru_cache(maxsize=256)
 def _projected_form(spec: PhanSpec, p: Subspace, i: int) -> HermitianForm:
     """The i-th extended form projected onto the perp of p."""
@@ -380,8 +407,8 @@ def _lemma49_spec(spec: PhanSpec, p: Subspace, u: Subspace,
     f = spec.field
     entries = []
     l_u = None
-    for i in range(spec.t + 2):
-        z = spec.flag[i].sum(p).intersect(u)
+    for i, joined in enumerate(_joined_flag(spec, p)):
+        z = joined.intersect(u)
         entries.append(z)
         if z == u:
             l_u = i

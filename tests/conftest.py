@@ -272,23 +272,32 @@ def pi1_trivial(k: SimplicialComplex) -> str:
     return "trivial" if all(killed[g] for g in range(len(edges)) if parent[g] == g) else "unknown"
 
 
-def matching_is_acyclic(k: SimplicialComplex, mate: list[int]) -> bool:
-    """Whether the matching ``morse_complex`` returned for k is a discrete
-    gradient: it pairs the empty simplex with vertex 0, every cell is
-    paired with a face or coface one degree apart or is critical (-2), and
-    the Hasse diagram of the augmented complex with its matched edges
-    reversed has no directed cycle (Kahn's topological sort)."""
+def matching_is_acyclic(k: SimplicialComplex, mate: list[int], level=None) -> bool:
+    """Whether the matching ``morse_complex`` returned for k, filtered by
+    the vertex levels ``level`` (default: one level), is a discrete
+    gradient: it pairs the empty simplex with the first vertex of level 0,
+    or leaves it critical when there is none; every cell is paired with a
+    face or coface one degree apart and of the same level, the largest
+    level of its vertices, or is critical (-2); and the Hasse diagram of the
+    augmented complex with its matched edges reversed has no directed cycle
+    (Kahn's topological sort)."""
+    level = [0] * k.num_vertices if level is None else level
     cells = [()] + [s for d in range(k.dim + 1) for s in k.simplices(d)]
     ids = {s: i for i, s in enumerate(cells)}
-    if len(mate) != len(cells) or mate[0] != 1:
+    first = next((v + 1 for v, lv in enumerate(level) if lv == 0), -2)
+    if len(mate) != len(cells) or mate[0] != first:
         return False
+
+    def level_of(s):
+        return max((level[v] for v in s), default=0)
+
     for c, m in enumerate(mate):
         if m == -2:
             continue
         if m < 0 or mate[m] != c:
             return False
         a, b = sorted((cells[c], cells[m]), key=len)
-        if len(b) != len(a) + 1 or not set(a) <= set(b):
+        if len(b) != len(a) + 1 or not set(a) <= set(b) or level_of(a) != level_of(b):
             return False
     out = [[] for _ in cells]
     for t, s in enumerate(cells):
@@ -338,17 +347,6 @@ def chain_facets(subspaces) -> frozenset:
     return frozenset(out)
 
 
-def random_hermitian_gram(rng: random.Random, field: Field, k: int):
-    g = [[0] * k for _ in range(k)]
-    for i in range(k):
-        g[i][i] = rng.choice(field.fixed_elements())
-        for j in range(i + 1, k):
-            v = rng.randrange(field.q)
-            g[i][j] = v
-            g[j][i] = field.sigma(v)
-    return tuple(tuple(r) for r in g)
-
-
 @pytest.fixture
 def rng():
     return random.Random(12345)
@@ -376,21 +374,25 @@ def cli_report(tmp_path_factory):
 
 @pytest.fixture
 def homology_calls(monkeypatch):
-    """Count reduced_homology calls per complex, wherever phangeo calls it:
-    patched where it is defined, which the CLI imports from at call time,
-    and in the filtration, which imports it by name."""
+    """Count the reductions of each complex, by reduced_homology or by
+    filtered_homology, wherever phangeo calls them: patched where they are
+    defined, which the CLI imports from at call time, and in the
+    filtration, which imports them by name."""
     import phangeo.filtration
     import phangeo.homology
 
-    original = phangeo.homology.reduced_homology
     calls = Counter()
 
-    def counted(k):
-        calls[k] += 1
-        return original(k)
+    def counting(original):
+        def counted(k, *args):
+            calls[k] += 1
+            return original(k, *args)
+        return counted
 
-    for module in (phangeo.homology, phangeo.filtration):
-        monkeypatch.setattr(module, "reduced_homology", counted)
+    for name in ("reduced_homology", "filtered_homology"):
+        counted = counting(getattr(phangeo.homology, name))
+        for module in (phangeo.homology, phangeo.filtration):
+            monkeypatch.setattr(module, name, counted)
     return calls
 
 

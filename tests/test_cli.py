@@ -286,6 +286,23 @@ def test_milestone_f9_4_build(tmp_path):
     assert doc["geometry"]["simplex_counts"] == recount == [8082, 174_960, 518_400]
 
 
+@pytest.mark.milestone
+def test_milestone_chamber_q7_dim4_filtration(tmp_path):
+    """Chamber F_7^4, in bound (its one form has rank one and costs 1:
+    2^2·1 = 4 < 7), written into the test's directory: ``filtration-verify``
+    passes every check, and the predicted sphere count equals the direct one,
+    b~_2 = 70,314, the value the rank method of ``bench/reference.py`` gave
+    on the facet export."""
+    path = tmp_path / "chamber_q7_dim4.json"
+    dump_family(PhanFamily((chamber_spec(make_field(7, 1), 4),)), str(path))
+    out = tmp_path / "r.json"
+    assert main(["filtration-verify", "--spec", str(path), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["verdict"] == "pass" and not doc["bound"]["forced"]
+    rep = doc["filtration"]
+    assert rep["predicted_sphere_count"] == rep["direct_sphere_count"] == 70_314
+
+
 def test_bounds_table(tmp_path, capsys):
     out = tmp_path / "t.json"
     assert main(["bounds-table", "--max-n", "3", "--max-q", "25", "--max-m", "1",

@@ -1,3 +1,4 @@
+import random
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from phangeo.filtration import (
     verify_stage,
     verify_y0_contractible,
 )
+from phangeo.homology import reduced_homology
 from phangeo.linalg import Subspace
 from phangeo.phan import PhanFamily, vertices
 from phangeo.simplicial import (
@@ -24,7 +26,7 @@ from phangeo.simplicial import (
     star_closure,
 )
 from phangeo.specfile import load_family
-from phangeo.suites import chamber_spec, diagonal_spec, standard_spec
+from phangeo.suites import chamber_spec, diagonal_spec, random_phan_spec, standard_spec
 
 F3 = make_field(3, 1)
 F5 = make_field(5, 1)
@@ -121,7 +123,7 @@ def _pairwise_meet_leaves_b(state, i):
     """Check (a) as the pairwise sweep: whether the stars of two new vertices
     share a simplex with a vertex outside Y_(i-1)."""
     prev = set(state.levels[i - 1])
-    k, _ = state.level_complex(i)
+    k = state.level_complex(i)
     new = [j for j, u in enumerate(k.vertices) if u not in prev]
     stars = [star_closure(k, j) for j in new]
     for a in range(len(stars)):
@@ -262,6 +264,29 @@ def test_join_witness_names_the_first_failing_vertex(monkeypatch):
     assert checks["star_boundary_sphericity"].passed
 
 
+def test_cone_check_names_the_first_star_that_is_not_the_cone_over_its_link(monkeypatch):
+    """Check (b) compares each star with the cone over its apex's link, on
+    the star's vertex indices: with one facet dropped from every link, the
+    check fails and names the first new vertex; check (a) still passes."""
+    fam = PhanFamily((standard_spec(F5, 3),))
+    state = build_filtration(fam, choose_pivot(fam))
+    stage = 2
+    prev = set(state.levels[stage - 1])
+    first = next(u for u in state.levels[stage] if u not in prev)
+    real = filtration.link
+
+    def short(k, s):
+        lk = real(k, s)
+        return SimplicialComplex._of_maximal(lk.vertices, lk.facets[1:])
+
+    monkeypatch.setattr(filtration, "link", short)
+    checks = {c.name: c for c in verify_stage(state, stage).checks}
+    cones = checks["stars_are_cones"]
+    assert not cones.passed
+    assert cones.witness == f"U = {first.basis}: star is not the cone over its link"
+    assert checks["pairwise_star_intersections_in_B"].passed
+
+
 def test_programming_error_in_restricted_family_is_raised(monkeypatch):
     """Only the construction's own errors become a witness; the negative
     control keeps its degenerate-pivot witness, and a TypeError escapes."""
@@ -313,3 +338,35 @@ def test_restricted_families_stay_out_of_the_members_cache():
     phan._members_of.cache_clear()
     assert run_verification(family).level_sizes == [91, 106, 130, 138]
     assert phan._members_of.cache_info().currsize <= len(family.specs)
+
+
+def _family(name):
+    if name == "standard_q3_dim4":
+        return PhanFamily((standard_spec(F3, 4),))
+    if name == "random_q3_dim4":  # t = 0 with a seeded random form
+        return PhanFamily((random_phan_spec(random.Random(2), F3, 4, 0),))
+    return load_family(str(SPECS / f"{name}.json"))[0]
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in SPECS.glob("*.json"))
+                         + ["standard_q3_dim4", "random_q3_dim4"])
+def test_level_homology_matches_each_level_complex(name, homology_calls):
+    """The homology of every level, read from one filtered reduction of
+    |Y_n|, equals ``reduced_homology`` of the order complex of that level
+    (the oracle), for the canonical pivot and for the negative control's
+    isotropic one, whose Y_0 may be empty or have homology.  No level but
+    |Y_n| is reduced by the state."""
+    family = _family(name)
+    pivots = [choose_pivot(family)]
+    try:
+        pivots.append(find_degenerate_pivot(family))
+    except PivotNotFoundError:
+        pass
+    for pivot in pivots:
+        state = build_filtration(family, pivot)
+        reports = state.homology
+        assert list(homology_calls.values()) == [1]
+        assert next(iter(homology_calls)).vertices == state.level_complex(state.n).vertices
+        homology_calls.clear()
+        for level, rep in zip(state.levels, reports):
+            assert rep[:4] == reduced_homology(order_complex(level))[:4]

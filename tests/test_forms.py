@@ -14,7 +14,12 @@ from phangeo.forms import (
     project_form,
 )
 from phangeo.linalg import Decomposition, Flag, Subspace, project
-from phangeo.suites import random_phan_spec, random_subspace, shuffled_complement_policy
+from phangeo.suites import (
+    random_hermitian_gram,
+    random_phan_spec,
+    random_subspace,
+    shuffled_complement_policy,
+)
 
 from conftest import (
     count_isotropic_points,
@@ -24,7 +29,6 @@ from conftest import (
     oracle_nondegenerate_on,
     oracle_perp,
     oracle_radical,
-    random_hermitian_gram,
     unit_form,
 )
 

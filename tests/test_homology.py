@@ -10,13 +10,14 @@ from phangeo.homology import (
     IntegerMatrix,
     boundary_matrices,
     cohen_macaulay_check,
+    filtered_homology,
     morse_complex,
     pi1_status,
     reduced_homology,
     smith_invariant_factors,
     sphericity_verdict,
 )
-from phangeo.simplicial import SimplicialComplex, order_complex
+from phangeo.simplicial import SimplicialComplex, induced_subcomplex, order_complex
 from phangeo.specfile import load_family
 from phangeo.suites import chamber_spec, standard_spec
 from phangeo.phan import PhanFamily, vertices
@@ -378,12 +379,58 @@ def test_reduced_homology_matches_full_snf(drawn):
     rep = reduced_homology(k)
     assert (rep.betti, rep.torsion) == snf_homology(k)
     if k.dim >= 2:
-        counts, mats, mate = morse_complex(k)
+        [(counts, critical)], mats, mate = morse_complex(k)
         assert counts == k.face_counts()
+        assert critical == [0] + [m.ncols for m in mats]
         assert [m.nrows for m in mats] == [0] + [m.ncols for m in mats[:-1]]
         assert all(multiply(a, b).is_zero() for a, b in zip(mats, mats[1:]))
         assert matching_is_acyclic(k, mate)
         assert rep.critical == tuple(m.ncols for m in mats)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 9).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=4, unique=True),
+             max_size=8),
+    st.lists(st.integers(0, 3), min_size=n, max_size=n))))
+@example((3, [[0, 1, 2]], [1, 2, 1]))  # no vertex of level 0: K_0 is empty
+@example((4, [[0, 1], [1, 2], [0, 2], [0, 1, 3], [1, 2, 3], [0, 2, 3]],
+          [0, 0, 0, 1]))  # K_0 is a circle, coned off at level 1
+@example((6, RP2, [0, 0, 1, 1, 2, 2]))
+@example((13, DUNCE_HAT, [0] * 12 + [1]))  # K_0 is the dunce hat less its cone vertex
+@example((8, [[0, 1, 2, 3], [4, 5, 6, 7], [3, 4]], [3, 2, 1, 0, 0, 1, 2, 3]))
+def test_filtered_homology_matches_each_level(drawn):
+    """One filtered reduction gives the homology of every full subcomplex
+    K_i on the vertices of level <= i, as ``reduced_homology`` of K_i (the
+    oracle) reads it; empty levels and levels with homology included.  The
+    matching is acyclic with each pair inside one level, the Morse
+    boundaries compose to zero, and each stage counts K_i's faces."""
+    n, facets, level = drawn
+    k = SimplicialComplex(range(n), [tuple(sorted(f)) for f in facets])
+    reports = filtered_homology(k, level)
+    stages, mats, mate = morse_complex(k, level)
+    assert len(reports) == len(stages) == max(level) + 1
+    for i, (rep, (counts, _)) in enumerate(zip(reports, stages)):
+        k_i = induced_subcomplex(k, {v for v in range(n) if level[v] <= i})
+        assert rep[:4] == reduced_homology(k_i)[:4]
+        assert counts == k_i.face_counts()
+    assert matching_is_acyclic(k, mate, level)
+    assert all(multiply(a, b).is_zero() for a, b in zip(mats, mats[1:]))
+
+
+def test_matching_checker_rejects_a_pair_across_levels():
+    """The checker's level test is not vacuous: on the path 0 - 2 - 1 whose
+    middle vertex enters at level 1, the unfiltered matching pairs vertex 1
+    (level 0) with the edge 12 (level 1), and fails; the filtered one
+    leaves both critical, the second point of K_0 and the edge joining it."""
+    k = SimplicialComplex(range(3), [(0, 2), (1, 2)])
+    level = [0, 0, 1]
+    _, _, mate = morse_complex(k)
+    assert mate == [1, 0, 5, 4, 3, 2]  # ids: empty, vertices 0-2, edges 02 12
+    assert matching_is_acyclic(k, mate) and not matching_is_acyclic(k, mate, level)
+    _, _, mate = morse_complex(k, level)
+    assert mate == [1, 0, -2, 4, 3, -2] and matching_is_acyclic(k, mate, level)
 
 
 def test_dunce_hat_keeps_critical_cells():

@@ -4,7 +4,9 @@ The pins were taken from the reports of the tree they were introduced in.
 A change that alters one of these reports on purpose updates its pin and
 says so in CHANGES.md; any other difference is a regression.  The runs
 cover every command on the bundled specs (``--force`` exactly where the
-sufficient bound fails), a bounds table and ``lemma-tests --seed 0``, which
+sufficient bound fails), the negative control of ``filtration-verify`` on
+three specs (t0_q5_dim3, whose Y_0 has homology, and two with an empty
+Y_0), a bounds table and ``lemma-tests --seed 0``, which
 drives form extension, projection forms, residues and restricted families
 through perps, radicals and meets, in process, in a few seconds.  Each run
 goes through the test session's ``cli_report``, so ``tests/test_cli.py``
@@ -52,6 +54,9 @@ PINS = {
     "homology chamber_q5_dim4": (0, "71cfb50409ac9d2c7839101c3224efbac44fbacbe218b06be100fc786c4f0009"),
     "cm-check chamber_q5_dim4": (0, "fa363fa463f2bb0a30d2ec99e5e443caa52b3affbe1a8b1bcb820771ba560f1f"),
     "filtration-verify chamber_q5_dim4": (0, "53e77d21528260bceb86092776c4172bb3b3f22e614e47277ddd57ccf49cd0bd"),
+    "filtration-verify --negative-control t0_q5_dim3": (0, "a57baab739bf25f1e156cfbda6c146bd062d074c848cbf83ac3bcea1fa854538"),
+    "filtration-verify --negative-control chamber_q3_dim3": (0, "91124b628800ad37486e58af5ac4ee33d36fbacc887235c63d6b51c3b88be5ad"),
+    "filtration-verify --negative-control family2_q7_dim2": (0, "8f58fd917d98cdc7ee648a9f586b9f7114e141b4eddb1ab02d1e07e4b958e684"),
     "bounds-table": (0, "60efbad3eacb981e1f8adff2b6af15efde5730f5e4b0cb3bd0990ef138012856"),
     "lemma-tests": (0, "5c507c4a925360033991350341d69e714ed953ab15ec35be474f5cb695c58a57"),
 }
@@ -62,9 +67,9 @@ def _argv(run: str) -> list[str]:
         return ["bounds-table", "--max-n", "4", "--max-q", "64", "--max-m", "3"]
     if run == "lemma-tests":
         return ["lemma-tests", "--seed", "0"]
-    command, name = run.split()
+    command, *flags, name = run.split()
     forced = name in FORCED and command != "build"
-    return [command, "--spec", str(SPECS / f"{name}.json")] + ["--force"] * forced
+    return [command, *flags, "--spec", str(SPECS / f"{name}.json")] + ["--force"] * forced
 
 
 @pytest.mark.parametrize("run", list(PINS))

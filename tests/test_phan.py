@@ -43,6 +43,7 @@ from conftest import (
     oracle_is_member,
     oracle_is_nondegenerate,
     oracle_is_opposite,
+    oracle_perp,
     oracle_is_transversal,
     oracle_k_of,
     unit_form,
@@ -434,3 +435,60 @@ def test_family_bound_reports():
     f9 = make_field(3, 2, 2)
     b9 = PhanFamily((standard_spec(f9, 3),)).bound()
     assert b9["satisfied"] and b9["lhs"] == 8  # 2*(3+1) = 8 < 9
+
+
+RESTRICTED = {
+    "chamber_q3_dim3": lambda: PhanFamily((chamber_spec(F3, 3),)),
+    "t0_q5_dim3": lambda: PhanFamily((standard_spec(F5, 3),)),
+    "t0_q4h_dim3": lambda: PhanFamily((standard_spec(F4, 3),)),
+    "t0_q3_dim4": lambda: PhanFamily((standard_spec(F3, 4),)),
+}
+
+
+def _restricted_families(family):
+    """(U, restricted family) for each member U off the canonical pivot
+    whose restricted family ``delta_restriction`` builds, as check (d) of
+    ``filtration-verify`` makes them."""
+    p = filtration.choose_pivot(family)
+    for u in vertices(family).members:
+        if not u.contains_subspace(p) and all(s.has_member_below(u) for s in family.specs):
+            yield u, delta_restriction(family, p, u)
+
+
+@pytest.mark.parametrize("name", list(RESTRICTED))
+def test_restricted_perp_tables_match_the_oracle(name):
+    """The residue_below and Lemma 4.9 forms of the restricted families read
+    their perps from the table of the form they restrict, x^perp in S being
+    x^perp in D cut by S; at every point x of each domain that perp is
+    ``oracle_perp``'s."""
+    restricted = 0
+    for _, fam in _restricted_families(RESTRICTED[name]()):
+        for spec in fam.specs:
+            for w in spec.forms:
+                restricted += w._parent is not None
+                for x in enumerate_subspaces_of(w.domain, 1):
+                    perp = w._perps[x.point_mask.bit_length() - 1]
+                    assert Subspace.from_mask(w.field, x.ambient, perp) == oracle_perp(w, x)
+    assert restricted
+
+
+@pytest.mark.parametrize("name", list(RESTRICTED))
+def test_restricted_membership_matches_the_oracle(name):
+    """The one-pass ``is_member`` equals ``oracle_is_member`` on every spec
+    of the restricted families, for every subspace of U and for the
+    subspaces of the ambient outside U (containment), and a subspace of
+    another ambient is refused with ValueError."""
+    family = RESTRICTED[name]()
+    amb = family.ambient
+    everywhere = [s for k in range(amb.dim + 1) for s in enumerate_subspaces_of(amb, k)]
+    alien = Subspace.span(family.field, amb.dim + 1, [(1,) + (0,) * amb.dim])
+    checked = 0
+    for u, fam in _restricted_families(family):
+        inside = [s for k in range(u.dim + 1) for s in enumerate_subspaces_of(u, k)]
+        for spec in fam.specs:
+            for s in inside + [s for s in everywhere if not u.contains_subspace(s)]:
+                assert spec.is_member(s) == oracle_is_member(spec, s)
+                checked += 1
+            with pytest.raises(ValueError):
+                spec.is_member(alien)
+    assert checked
