@@ -4,8 +4,8 @@ Library layout:
 
 - :mod:`phangeo.field`: arithmetic in F_q with an automorphism of order 1 or 2
 - :mod:`phangeo.masks`: point bitmasks as meets of swept hyperplanes
-- :mod:`phangeo.linalg`: canonical subspaces, flags, complements, quotients
-- :mod:`phangeo.forms`: sigma-hermitian forms, radicals, extension, projection
+- :mod:`phangeo.linalg`: canonical subspaces, point masks, flags, complements
+- :mod:`phangeo.forms`: sigma-hermitian forms, radicals, form extension, projection forms
 - :mod:`phangeo.phan`: geometries, membership, residues, restricted families
 - :mod:`phangeo.simplicial`: order complexes on integer vertices, links, stars
 - :mod:`phangeo.homology`: Morse complexes, Smith normal form, Betti

@@ -469,17 +469,16 @@ def _delta_comparison(state: FiltrationState, u: Subspace, below_y0) -> str | No
     return None
 
 
-def run_verification(family: PhanFamily, pivot: Subspace | None = None,
-                     negative_control: bool = False) -> FiltrationReport:
+def run_verification(family: PhanFamily, negative_control: bool = False) -> FiltrationReport:
     """Full pipeline: choose a pivot, build the filtration, verify Y_0 and
     every stage, and balance the sphere-count ledger against the direct
     homology of the geometry.  A family without a pivot gets a report whose
     one Y_0 check, ``pivot_found``, fails with the search's message; the
     negative control's search for an isotropic point raises
     ``PivotNotFoundError`` when there is none."""
-    if pivot is None and negative_control:
+    if negative_control:
         pivot = find_degenerate_pivot(family)
-    elif pivot is None:
+    else:
         try:
             pivot = choose_pivot(family)
         except PivotNotFoundError as exc:

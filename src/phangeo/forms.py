@@ -22,7 +22,7 @@ perp, since w(ax, ax) = a sigma(a) w(x, x), and a subspace W of D is
 non-degenerate iff no point of W lies in the perps of all of W's points.
 The perps live as long as their form, and a restriction keeps the form
 it restricts; the forms of the internal specs of residues and restricted
-families go with those specs, which no cache keeps (``PhanSpec.members``).
+families go with those specs, which no cache keeps.
 Hermitian symmetry G[j][i] == sigma(G[i][j]) is enforced at construction,
 so left and right perps agree; evaluation is sigma-sesquilinear in the
 second argument: w(a*x, b*y) = a * sigma(b) * w(x, y).
@@ -34,13 +34,14 @@ from functools import cached_property
 
 from .field import Field
 from .linalg import (
-    Decomposition,
     Flag,
     Frozen,
     Subspace,
+    combine,
     complement,
     hyperplane_masks,
-    project,
+    rref,
+    solve_coordinates,
 )
 
 __all__ = [
@@ -274,18 +275,24 @@ def extend_forms(flag: Flag, forms, p: Subspace, complement_policy=None):
         raise DegeneratePivotError("pivot point is degenerate for the top form")
 
     comp = complement_policy if complement_policy is not None else complement
-    parts = []
-    for i in range(1, t + 1):
-        parts.append(comp(flag[i - 1], flag[i]))
-    perp_p = top.perp(p)
-    parts.append(comp(flag[t], perp_p))
-    parts.append(p)
-    decomp = Decomposition(tuple(parts), flag.top)
-
+    parts = [comp(flag[i - 1], flag[i]) for i in range(1, t + 1)]
+    parts += [comp(flag[t], top.perp(p)), p]
+    # V = C_1 ⊕ ... ⊕ C_(t+1) ⊕ p iff the stacked bases reduce to V's
+    stacked = [row for part in parts for row in part.basis]
     f = flag.field
+    if len(stacked) != flag.top.dim or rref(f, stacked) != flag.top.basis:
+        raise ValueError("parts do not form a direct-sum decomposition of the ambient")
+
+    # the component of each top-space basis vector in each summand, from
+    # its coordinates over the stacked bases
     basis = flag.top.basis
-    # projections of the top-space basis onto each summand
-    proj = [[project(d, decomp, idx) for d in basis] for idx in range(len(parts))]
+    proj = [[] for _ in parts]
+    for d in basis:
+        coords = solve_coordinates(f, stacked, d)
+        offset = 0
+        for comps, part in zip(proj, parts):
+            comps.append(combine(f, coords[offset:offset + part.dim], part.basis, len(d)))
+            offset += part.dim
 
     out = []
     for i in range(t + 1):
@@ -311,17 +318,22 @@ def extend_forms(flag: Flag, forms, p: Subspace, complement_policy=None):
 
 def project_form(form: HermitianForm, p: Subspace) -> HermitianForm:
     """The form w^p(v, w) = w(pr(v), pr(w)) for the projection pr onto the
-    perp of a non-degenerate point p in the decomposition D = p ⊕ p^perp."""
+    perp of a non-degenerate point p in the decomposition D = p ⊕ p^perp:
+    pr(v) = v - w(v, p) w(p, p)^-1 p, so that w(pr(v), p) = 0, w being
+    linear in its first argument."""
     if p.dim != 1 or not form.domain.contains_subspace(p):
         raise ValueError("p must be a one-dimensional subspace of the domain")
     pv = p.basis[0]
-    if form.evaluate(pv, pv) == 0:
+    wpp = form.evaluate(pv, pv)
+    if wpp == 0:
         raise DegeneratePivotError("projection pivot is degenerate for the form")
-    perp = form.perp(p)
-    decomp = Decomposition((p, perp), form.domain)
-    basis = form.domain.basis
-    projected = [project(d, decomp, 1) for d in basis]
     f = form.field
+    scale = f.inv(wpp)
+    basis = form.domain.basis
+    projected = []
+    for d in basis:
+        a = f.mul(form.evaluate(d, pv), scale)
+        projected.append(tuple(f.sub(x, f.mul(a, y)) for x, y in zip(d, pv)))
     gram = tuple(
         tuple(form.evaluate(projected[r], projected[s]) for s in range(len(basis)))
         for r in range(len(basis))

@@ -1,6 +1,5 @@
 """Subspaces of F_q^(n+1): canonical forms, lattice operations, flags,
-transversality, complements, quotients, projections and exhaustive
-enumeration.
+complements and exhaustive enumeration.
 
 Vectors are tuples of field elements (ints, see :mod:`phangeo.field`).
 A subspace is stored as its reduced row-echelon basis, which is the unique
@@ -16,22 +15,17 @@ vector's base-q value with coordinate 0 least significant, so masks of
 different subspaces of one ambient space agree bit for bit.  The points of
 a ∩ b are the common points of a and b, so ``intersect`` ANDs the two masks
 and looks the result up in a per-ambient index of every subspace by mask
-(``Subspace.from_mask``).  The masks also give intersection dimensions
-(``meet_dim``): a d-dimensional subspace has (q^d - 1)/(q - 1) points, so
-dim(a ∩ b) is read off the popcount of ``a.point_mask & b.point_mask``.
-Transversality to a flag reads masks only, and so does the whole
-membership predicate in :mod:`phangeo.phan`.  ``hyperplane_masks`` keys the
-mask of each hyperplane by the point of its normal vector, so that a form
-(:mod:`phangeo.forms`) reads the mask of a perp from one linear functional.
+(``Subspace.from_mask``).  The whole membership predicate in
+:mod:`phangeo.phan`, transversality included, reads masks only.
+``hyperplane_masks`` keys the mask of each hyperplane by the point of its
+normal vector, so that a form (:mod:`phangeo.forms`) reads the mask of a
+perp from one linear functional.
 
 No mask is built by listing points (:mod:`phangeo.masks`).  The
 hyperplane masks are swept over the coordinates, from one mask per
 (coordinate, value), and every other mask is a meet: a point is its own
 bit, and a k-subspace the AND of the hyperplane masks of its d - k
 normals.
-
-Canonical vector enumeration counts coordinate 0 as the least significant
-base-q digit, so (1,0,...,0) is the first nonzero vector.
 
 The k-dimensional subspaces of each ambient F_q^n are enumerated once per
 process into a bounded table; ``enumerate_subspaces_of`` filters it by
@@ -49,10 +43,9 @@ from . import masks
 from .field import Field
 
 __all__ = [
-    "Subspace", "Flag", "Decomposition", "Quotient",
-    "rref", "combine", "solve_coordinates",
-    "is_transversal", "complement", "project", "quotient",
-    "enumerate_vectors", "enumerate_subspaces", "enumerate_subspaces_of",
+    "Subspace", "Flag",
+    "rref", "combine", "solve_coordinates", "complement",
+    "enumerate_subspaces", "enumerate_subspaces_of",
     "hyperplane_masks",
 ]
 
@@ -208,9 +201,6 @@ class Subspace(Frozen):
         basis at these columns."""
         return tuple(next(j for j, x in enumerate(row) if x != 0) for row in self.basis)
 
-    def contains(self, vec) -> bool:
-        return self.coordinates(vec) is not None
-
     def coordinates(self, vec) -> tuple[int, ...] | None:
         """Coefficients of vec over the canonical basis, or None if outside:
         the entries at the pivot columns, if they recombine to vec."""
@@ -232,18 +222,6 @@ class Subspace(Frozen):
         subspaces of a table get theirs when the table is built."""
         f, d = self.field, self.ambient
         return masks.meet_masks(f, d, (self.basis,), hyperplane_masks(f, d))[0]
-
-    def meet_dim(self, other: "Subspace") -> int:
-        """dim(self ∩ other), from the number of points the two masks share:
-        a d-dimensional subspace has c_d = 1 + q + ... + q^(d-1) points, and
-        c_(d-1) = (c_d - 1)/q."""
-        self._check_compatible(other)
-        count = (self.point_mask & other.point_mask).bit_count()
-        d = 0
-        while count:
-            count = (count - 1) // self.field.q
-            d += 1
-        return d
 
     def _check_compatible(self, other: "Subspace") -> None:
         if self.ambient != other.ambient or (self.field is not other.field
@@ -313,17 +291,6 @@ class Flag(Frozen):
         return self.members[i]
 
 
-def is_transversal(a: Subspace, flag: Flag) -> bool:
-    """True iff for every member B of the flag, a∩B = 0 or a+B = top, with
-    dim(a+B) = dim a + dim B - dim(a∩B) and dim(a∩B) from the point masks."""
-    top_dim = flag.top.dim
-    for b in flag.members:
-        inter_dim = a.meet_dim(b)
-        if inter_dim != 0 and a.dim + b.dim - inter_dim != top_dim:
-            return False
-    return True
-
-
 def complement(a: Subspace, within: Subspace, vector_order=None) -> Subspace:
     """A complement C with a ⊕ C = within.
 
@@ -348,104 +315,6 @@ def complement(a: Subspace, within: Subspace, vector_order=None) -> Subspace:
     if len(picked) != target:
         raise ValueError("complement: candidate vectors did not span a complement")
     return Subspace.span(f, a.ambient, picked)
-
-
-class Decomposition(Frozen):
-    """An ordered direct-sum decomposition of an ambient subspace."""
-
-    def __init__(self, parts: tuple[Subspace, ...], ambient: Subspace):
-        total = sum(p.dim for p in parts)
-        stacked = [row for p in parts for row in p.basis]
-        if total != ambient.dim or len(rref(ambient.field, stacked)) != total:
-            raise ValueError("parts do not form a direct-sum decomposition of the ambient")
-        for p in parts:
-            if not ambient.contains_subspace(p):
-                raise ValueError("decomposition part not contained in ambient")
-        _setattr(self, "parts", parts)
-        _setattr(self, "ambient", ambient)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.parts, self.ambient) == (other.parts, other.ambient)
-
-    def __hash__(self) -> int:
-        return hash((self.parts, self.ambient))
-
-    def stacked_basis(self) -> list[tuple[int, ...]]:
-        return [row for p in self.parts for row in p.basis]
-
-
-def project(vec, decomp: Decomposition, index: int):
-    """Component of vec in decomp.parts[index]; the components sum to vec."""
-    if not 0 <= index < len(decomp.parts):
-        raise IndexError(f"decomposition has no part {index}")
-    f = decomp.ambient.field
-    rows = decomp.stacked_basis()
-    coords = solve_coordinates(f, rows, vec)
-    if coords is None:
-        raise ValueError("vector does not lie in the decomposed ambient space")
-    offset = sum(p.dim for p in decomp.parts[:index])
-    part = decomp.parts[index]
-    return combine(f, coords[offset : offset + part.dim], part.basis, len(vec))
-
-
-class Quotient:
-    """The quotient total/sub realized through a complement section.
-
-    ``push`` maps ambient vectors of ``total`` to coordinate vectors of
-    F_q^dim; ``lift`` is the linear section with image the chosen complement,
-    so push(lift(x)) == x and push is linear with kernel ``sub``.
-    """
-
-    def __init__(self, total: Subspace, sub: Subspace, section: Subspace):
-        self.total = total
-        self.sub = sub
-        self.section = section
-        self.field = total.field
-        self._rows = list(sub.basis) + list(section.basis)
-
-    @property
-    def dim(self) -> int:
-        return self.section.dim
-
-    def push(self, vec) -> tuple[int, ...]:
-        coords = solve_coordinates(self.field, self._rows, vec)
-        if coords is None:
-            raise ValueError("vector does not lie in the total space of the quotient")
-        return tuple(coords[self.sub.dim :])
-
-    def lift(self, qvec) -> tuple[int, ...]:
-        return combine(self.field, qvec, self.section.basis, self.total.ambient)
-
-    def push_subspace(self, s: Subspace) -> Subspace:
-        return Subspace.span(self.field, self.dim, [self.push(r) for r in s.basis])
-
-    def lift_subspace(self, t: Subspace) -> Subspace:
-        """Full preimage in the total space (contains ``sub``)."""
-        rows = list(self.sub.basis) + [self.lift(r) for r in t.basis]
-        return Subspace.span(self.field, self.total.ambient, rows)
-
-
-def quotient(total: Subspace, sub: Subspace, section: Subspace | None = None) -> Quotient:
-    """Quotient-space handle for total/sub with push/lift maps."""
-    if not total.contains_subspace(sub):
-        raise ValueError("quotient: subspace is not contained in the total space")
-    if section is None:
-        section = complement(sub, total)
-    else:
-        if not total.contains_subspace(section):
-            raise ValueError("quotient: section not contained in the total space")
-        if section.dim != total.dim - sub.dim or section.meet_dim(sub) != 0:
-            raise ValueError("quotient: section is not a complement of the subspace")
-    return Quotient(total, sub, section)
-
-
-def enumerate_vectors(field: Field, dim: int):
-    """All q**dim vectors; coordinate 0 is the least significant digit."""
-    q = field.q
-    for idx in range(q**dim):
-        yield tuple((idx // q**i) % q for i in range(dim))
 
 
 def enumerate_subspaces(field: Field, ambient_dim: int, k: int):

@@ -15,6 +15,11 @@ U ∩ V_(k+1) is the meet of two masks, whose non-degeneracy w_k reads from
 the perp masks of its points (``HermitianForm.nondegenerate_on_mask``).  No
 basis is decoded, no Gram matrix built and no elimination run.  A spec's
 radical conditions compare masks too (``HermitianForm.perp_mask``).
+
+Residues stay in the ambient space.  The residue below U is a spec on U;
+the residue above U, the geometry of V/U, is a spec on the perp section
+(U ∩ V_(k+1))^perp(w_k), a complement of U in V, whose forms are
+restrictions of the spec's own.
 """
 
 from __future__ import annotations
@@ -30,14 +35,7 @@ from .forms import (
     extend_forms,
     project_form,
 )
-from .linalg import (
-    Flag,
-    Frozen,
-    Quotient,
-    Subspace,
-    enumerate_subspaces_of,
-    quotient,
-)
+from .linalg import Flag, Frozen, Subspace, enumerate_subspaces_of
 
 __all__ = [
     "PhanSpec",
@@ -175,38 +173,16 @@ class PhanSpec(Frozen):
         return k is not None and self.forms[k].nondegenerate_on_mask(governing)
 
     def members(self) -> tuple[Subspace, ...]:
-        """The members, sorted.
-
-        The cache policy reads ``require_nonisotropic``.  Every spec read
-        from a file keeps it True and is enumerated once per process
-        (``_members_of``).  Every spec built internally, by
-        ``residue_below``, ``residue_above`` and ``delta_restriction``,
-        passes False and is therefore enumerated afresh on each call, so
-        that no cache keeps it and its forms' perp masks alive through a
-        long ``filtration-verify``.  The residue suite of ``lemma-tests``
-        pays for this: it re-enumerates residue specs equal to earlier
-        ones, which are small."""
-        if self.require_nonisotropic:
-            return _members_of(self)
-        return _enumerate_members(self)
+        """The members, sorted."""
+        return tuple(sorted((s for k in range(1, self.ambient.dim)
+                             for s in enumerate_subspaces_of(self.ambient, k)
+                             if self.is_member(s)), key=Subspace.sort_key))
 
     def has_member_below(self, u: Subspace) -> bool:
         """Whether some member lies strictly below u (a non-empty residue);
         stops at the first one found."""
         return any(self.is_member(s)
                    for k in range(1, u.dim) for s in enumerate_subspaces_of(u, k))
-
-
-def _enumerate_members(spec: PhanSpec) -> tuple[Subspace, ...]:
-    out = []
-    for k in range(1, spec.ambient.dim):
-        for s in enumerate_subspaces_of(spec.ambient, k):
-            if spec.is_member(s):
-                out.append(s)
-    return tuple(sorted(out, key=Subspace.sort_key))
-
-
-_members_of = lru_cache(maxsize=1024)(_enumerate_members)
 
 
 def _spec_avoidance_cost(spec: PhanSpec) -> int:
@@ -315,8 +291,8 @@ class GeometryVertexSet:
 
 def vertices(family: PhanFamily) -> GeometryVertexSet:
     """All subspaces belonging to every spec of the family: the members of
-    the first spec (enumerated exhaustively, cached per spec) that every
-    other spec accepts."""
+    the first spec (enumerated exhaustively) that every other spec
+    accepts."""
     first, *rest = family.specs
     return GeometryVertexSet(family, tuple(u for u in first.members()
                                            if all(s.is_member(u) for s in rest)))
@@ -335,37 +311,25 @@ def residue_below(spec: PhanSpec, u: Subspace) -> PhanSpec:
     return PhanSpec(flag, forms, require_nonisotropic=False)
 
 
-def residue_above(spec: PhanSpec, u: Subspace) -> tuple[PhanSpec, Quotient]:
-    """The geometry {x in Gamma : x > u} as a spec on V/u, with the quotient.
+def residue_above(spec: PhanSpec, u: Subspace) -> PhanSpec:
+    """The geometry {x in Gamma : x > u} as a spec on the section
+    W = (u ∩ V_(k+1))^perp(w_k), which complements u in V and stands for V/u.
 
-    The quotient is materialized through the section
-    W = (u ∩ V_(k+1))^perp(w_k), which complements u in V, and the returned
-    spec lives on the full coordinate space of dimension dim V − dim u.
-    Members of the returned geometry correspond to members of the residue by
-    lifting through the quotient handle.
+    A member X of the returned spec corresponds to the member X + u of the
+    residue.  Its flag is (V_i + u) ∩ W up to the first member equal to W,
+    with the spec's forms restricted to it: V_0 < ... < V_k < W, or
+    V_0 < ... < V_k if V_k = W, since each V_i with i <= k misses u and
+    lies in Rad(w_k) ⊆ W, and V_(k+1) + u = V.  Only w_k is cut down, to W.
     """
     if not spec.is_member(u):
         raise MembershipError("residue_above requires a geometry member")
     k = spec.k_of(u)
-    s = u.intersect(spec.flag[k + 1])
-    section = spec.forms[k].perp(s)
-    quot = quotient(spec.ambient, u, section=section)
-    d = quot.dim
-    full = Subspace.full(spec.field, d)
-
-    pushed = [quot.push_subspace(spec.flag[i]) for i in range(k + 2)]
-    top_at = next(i for i, sub in enumerate(pushed) if sub.dim == d)
-    flag = Flag(tuple(pushed[: top_at + 1]))
-
-    forms = []
-    for i in range(top_at):
-        dom = flag[i + 1]
-        lifts = [quot.lift(r) for r in dom.basis]
-        gram = tuple(
-            tuple(spec.forms[i].evaluate(x, y) for y in lifts) for x in lifts
-        )
-        forms.append(HermitianForm(spec.field, dom, gram))
-    return PhanSpec(flag, tuple(forms), require_nonisotropic=False), quot
+    section = spec.forms[k].perp(u.intersect(spec.flag[k + 1]))
+    members, forms = spec.flag.members[:k + 1], spec.forms[:k]
+    if members[-1] != section:
+        members += (section,)
+        forms += (spec.forms[k].restrict(section),)
+    return PhanSpec(Flag(members), forms, require_nonisotropic=False)
 
 
 def _distinct_chain(entries):

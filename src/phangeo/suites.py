@@ -15,13 +15,11 @@ import random
 from .field import Field, make_field
 from .forms import HermitianForm, extend_forms, project_form
 from .linalg import (
-    Decomposition,
     Flag,
     Subspace,
+    combine,
     complement,
-    enumerate_subspaces,
     enumerate_subspaces_of,
-    project,
     solve_coordinates,
 )
 from .phan import (
@@ -347,8 +345,11 @@ def run_projection_suite(seed: int = 0, count: int = 100) -> SuiteResult:
                 continue
             wp_space = cand.sum(p)
             lhs_rad = w.restrict(wp_space).radical()
-            dec = Decomposition((p, cand), wp_space)
-            lhs = Subspace.span(field, 4, [project(r, dec, 1) for r in lhs_rad.basis])
+            # the component in W of each radical vector along p
+            rows = p.basis + cand.basis
+            lhs = Subspace.span(field, 4, [
+                combine(field, solve_coordinates(field, rows, r)[1:], cand.basis, 4)
+                for r in lhs_rad.basis])
             rhs = project_form(w, p).restrict(cand).radical()
             if lhs != rhs:
                 res.failures.append(
@@ -374,8 +375,7 @@ def run_residue_suite(geometries=None, families=None) -> SuiteResult:
                 res.failures.append(f"[{name}] below mismatch at U={u.basis}")
             above_lit = {x for x in member_set
                          if x.dim > u.dim and u.point_mask & ~x.point_mask == 0}
-            above_spec, quot = residue_above(spec, u)
-            lifted = {quot.lift_subspace(x) for x in above_spec.members()}
+            lifted = {x.sum(u) for x in residue_above(spec, u).members()}
             if lifted != above_lit:
                 res.failures.append(f"[{name}] above mismatch at U={u.basis}")
             res.instances += 1
@@ -392,8 +392,7 @@ def run_residue_suite(geometries=None, families=None) -> SuiteResult:
             above_lit = {x for x in common if x.dim > u.dim and u.point_mask & ~x.point_mask == 0}
             inter_above = None
             for spec in family.specs:
-                above_spec, quot = residue_above(spec, u)
-                got = {quot.lift_subspace(x) for x in above_spec.members()}
+                got = {x.sum(u) for x in residue_above(spec, u).members()}
                 inter_above = got if inter_above is None else inter_above & got
             if inter_above != above_lit:
                 res.failures.append(f"[{name}] family above mismatch at U={u.basis}")

@@ -17,7 +17,7 @@ from phangeo.homology import (
     smith_invariant_factors,
     sphericity_verdict,
 )
-from phangeo.linalg import Flag, Subspace, enumerate_subspaces, enumerate_vectors, rref
+from phangeo.linalg import Flag, Subspace, enumerate_subspaces, rref
 from phangeo.simplicial import SimplicialComplex, link
 
 
@@ -430,9 +430,21 @@ def join(k1: SimplicialComplex, k2: SimplicialComplex) -> SimplicialComplex:
 # -- lattice oracles: vectors listed one by one, no point masks ---------------
 
 
+def enumerate_vectors(field: Field, dim: int):
+    """All q**dim vectors; coordinate 0 is the least significant digit."""
+    q = field.q
+    for idx in range(q**dim):
+        yield tuple((idx // q**i) % q for i in range(dim))
+
+
+def contains(a: Subspace, vec) -> bool:
+    """Whether vec lies in a: whether it has coordinates over a's basis."""
+    return a.coordinates(vec) is not None
+
+
 def oracle_contains_subspace(a: Subspace, b: Subspace) -> bool:
     """b ⊆ a, by ``contains`` on b's basis rows."""
-    return all(a.contains(r) for r in b.basis)
+    return all(contains(a, r) for r in b.basis)
 
 
 def oracle_intersect(a: Subspace, b: Subspace) -> Subspace:
@@ -440,7 +452,7 @@ def oracle_intersect(a: Subspace, b: Subspace) -> Subspace:
     the two with fewer vectors."""
     if b.dim < a.dim:
         a, b = b, a
-    return Subspace.span(a.field, a.ambient, [v for v in a.vectors() if b.contains(v)])
+    return Subspace.span(a.field, a.ambient, [v for v in a.vectors() if contains(b, v)])
 
 
 def oracle_form_value(form: HermitianForm, x, y) -> int:
@@ -619,7 +631,7 @@ def find_nonisotropic_pair(forms):
         return None
     span_first = Subspace.span(dom.field, dom.ambient, [first])
     for v in dom.vectors():
-        if not any(v) or span_first.contains(v):
+        if not any(v) or contains(span_first, v):
             continue
         if all(w.evaluate(v, v) != 0 for w in forms):
             return (first, v)

@@ -246,12 +246,12 @@ def test_build_lists_no_simplex_and_enumerates_no_point(tmp_path, monkeypatch):
     every point mask from hyperplane meets: listing the faces of a
     dimension or the points of a subspace raises.  The process-wide tables
     are dropped first, so that every mask is made afresh."""
-    from phangeo import linalg, masks, phan
+    from phangeo import linalg, masks
     from phangeo.simplicial import SimplicialComplex
 
     path = tmp_path / "f44.json"
     dump_family(PhanFamily((standard_spec(F4ID, 4),)), str(path))
-    for cache in (linalg._subspace_table, linalg.hyperplane_masks, phan._members_of):
+    for cache in (linalg._subspace_table, linalg.hyperplane_masks):
         cache.cache_clear()
 
     def refused(*args):
@@ -421,6 +421,14 @@ def _edited_spec(entry, value):
     return doc
 
 
+def _alternating_plane_spec():
+    """F_2^2 with t = 0 and Gram [[0, 1], [1, 0]]: an alternating form, so
+    every vector is isotropic."""
+    return {"ambient_dim": 2, "field": {"p": 2, "e": 1, "sigma_order": 1},
+            "specs": [{"flag": [[], [[[1], [0]], [[0], [1]]]],
+                       "forms": [[[[0], [1]], [[1], [0]]]]}]}
+
+
 @pytest.mark.parametrize("argv, message", [
     (["build", "--spec", _edited_spec("coefficient", "1")], "coefficients must be integers"),
     (["build", "--spec", _edited_spec("coefficient", 1.5)], "coefficients must be integers"),
@@ -438,13 +446,15 @@ def _edited_spec(entry, value):
     (["filtration-verify", "--negative-control", "--spec",
       family_to_dict(PhanFamily((diagonal_spec(make_field(7, 1), (1, 1)),)))],
      "every point is non-degenerate for every top form"),
+    (["build", "--spec", _alternating_plane_spec()],
+     "specs[0]: omega_0 admits no non-isotropic vector"),
     (["lemma-tests", "--count", "0"], "--count must be >= 1, got 0"),
     (["lemma-tests", "--count", "-3"], "--count must be >= 1, got -3"),
 ], ids=["string-coefficient", "float-coefficient", "null-coefficient",
         "bool-coefficient", "float-characteristic", "bool-characteristic",
         "out-into-missing-directory", "spec-is-a-directory", "negative-target-dim",
         "target-dim-below-complex-dim", "negative-control-without-isotropic-point",
-        "zero-count", "negative-count"])
+        "form-without-nonisotropic-vector", "zero-count", "negative-count"])
 def test_bad_input_exits_2_with_one_error_line(argv, message, capsys, tmp_path):
     """Bad input is exit 2 with one error line, never a traceback and exit
     1, which would read as a failing verdict.  A spec document in argv is

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from phangeo import filtration, phan
+from phangeo import filtration
 from phangeo.field import make_field
 from phangeo.filtration import (
     FiltrationState,
@@ -329,15 +329,6 @@ def test_set_checks_name_a_member_dropped_from_the_previous_level(side):
     name = {"above": "above_sets_equal_gamma_above", "below": "below_sets_equal_y0_below"}[side]
     assert not checks[name].passed and str(dropped.basis) in checks[name].witness
     assert {c.name for c in verify_stage(state, stage).checks if not c.passed} == set()
-
-
-def test_restricted_families_stay_out_of_the_members_cache():
-    """The restricted families of check (d) are enumerated afresh: after a
-    run on F_3^4 the members cache holds no more specs than the family."""
-    family = PhanFamily((standard_spec(F3, 4),))
-    phan._members_of.cache_clear()
-    assert run_verification(family).level_sizes == [91, 106, 130, 138]
-    assert phan._members_of.cache_info().currsize <= len(family.specs)
 
 
 def _family(name):

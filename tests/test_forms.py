@@ -13,7 +13,7 @@ from phangeo.forms import (
     extend_forms,
     project_form,
 )
-from phangeo.linalg import Decomposition, Flag, Subspace, project
+from phangeo.linalg import Flag, Subspace, complement
 from phangeo.suites import (
     random_hermitian_gram,
     random_phan_spec,
@@ -23,8 +23,10 @@ from phangeo.suites import (
 
 from conftest import (
     count_isotropic_points,
+    enumerate_vectors,
     find_nonisotropic_pair,
     oracle_admits_nonisotropic_vector,
+    oracle_form_value,
     oracle_is_nondegenerate,
     oracle_nondegenerate_on,
     oracle_perp,
@@ -335,6 +337,22 @@ def test_extend_forms_rejects_degenerate_pivot():
         extend_forms(flag, [w], p)
 
 
+def test_extend_forms_rejects_a_non_complement():
+    """A complement policy that returns a subspace of the wrong dimension,
+    or one of the right dimension that meets the subspace it should
+    complement, leaves no direct sum V = C_1 ⊕ ... ⊕ C_(t+1) ⊕ p: ValueError."""
+    v3 = Subspace.full(F5, 3)
+    line = Subspace.span(F5, 3, [(1, 0, 0)])
+    flag = Flag((Subspace.zero(F5, 3), line, v3))
+    forms = (unit_form(line), HermitianForm(F5, v3, ((0, 0, 0), (0, 1, 0), (0, 0, 1))))
+    p = Subspace.span(F5, 3, [(0, 1, 0)])
+    assert extend_forms(flag, forms, p, complement_policy=complement)
+    for policy in (lambda a, within: within,
+                   lambda a, within: a if a.dim else complement(a, within)):
+        with pytest.raises(ValueError, match="direct-sum decomposition"):
+            extend_forms(flag, forms, p, complement_policy=policy)
+
+
 def test_project_form_basics():
     v3 = Subspace.full(F5, 3)
     w = unit_form(v3)
@@ -369,8 +387,46 @@ def test_projection_radical_identity_random(rng):
                 continue
             wp_space = cand.sum(p)
             lhs_rad = w.restrict(wp_space).radical()
-            dec = Decomposition((p, cand), wp_space)
-            lhs = Subspace.span(field, 4, [project(r, dec, 1) for r in lhs_rad.basis])
+            lhs = Subspace.span(field, 4, [_component_along(cand, p, r) for r in lhs_rad.basis])
             rhs = project_form(w, p).restrict(cand).radical()
             assert lhs == rhs
+            done += 1
+
+
+def _shifts(field, x, pv):
+    """x - a*p for each a in F_q."""
+    return [tuple(field.sub(c, field.mul(a, d)) for c, d in zip(x, pv))
+            for a in field.elements()]
+
+
+def _component_along(w_space, p, x):
+    """The component in W of x in W ⊕ p: the one x - a*p that lies in W."""
+    (y,) = [y for y in _shifts(w_space.field, x, p.basis[0])
+            if w_space.coordinates(y) is not None]
+    return y
+
+
+def test_project_form_matches_brute_force_projection(rng):
+    """On F_3^4 and hermitian F_4^4, pr(x) is the one x - a*p (a in F_q)
+    perpendicular to p, found by trying every a, and project_form's w^p is
+    w(pr(x), pr(y)) on every basis pair and every diagonal pair."""
+    for field in (F3, F4):
+        v4 = Subspace.full(field, 4)
+        vectors = list(enumerate_vectors(field, 4))
+        done = 0
+        while done < 4:
+            w = HermitianForm(field, v4, random_hermitian_gram(rng, field, 4))
+            pv = rng.choice(vectors)
+            if not any(pv) or w.evaluate(pv, pv) == 0:
+                continue
+            p = Subspace.span(field, 4, [pv])
+            pr = {}
+            for x in vectors:
+                (pr[x],) = [y for y in _shifts(field, x, pv)
+                            if oracle_form_value(w, y, pv) == 0]
+            wp = project_form(w, p)
+            assert wp.gram == tuple(tuple(oracle_form_value(w, pr[x], pr[y]) for y in v4.basis)
+                                    for x in v4.basis)
+            for x in vectors:
+                assert wp.evaluate(x, x) == oracle_form_value(w, pr[x], pr[x])
             done += 1

@@ -3,19 +3,15 @@ their defining fields, whatever spanning sets built them, and no assignment
 after construction."""
 
 from functools import cached_property
-from pathlib import Path
 
 import pytest
 
-from phangeo import phan
 from phangeo.field import make_field
 from phangeo.forms import HermitianForm
-from phangeo.linalg import Decomposition, Flag, Subspace
+from phangeo.linalg import Flag, Subspace
 from phangeo.phan import PhanFamily, PhanSpec
-from phangeo.specfile import load_family
 
 F5 = make_field(5, 1)
-SPECS = Path(__file__).resolve().parent.parent / "specs"
 
 # two spanning sets each of the line <e_0> and of F_5^3
 SPANNING = {
@@ -67,13 +63,10 @@ def test_require_nonisotropic_takes_no_part_in_equality():
 
 def test_values_are_immutable():
     values = _values("echelon")
-    top = Subspace.full(F5, 3)
-    values["Decomposition"] = Decomposition(
-        (Subspace.span(F5, 3, [(1, 0, 0)]), Subspace.span(F5, 3, [(0, 1, 0), (0, 0, 1)])), top)
     fields = {"Subspace": ("field", "ambient", "basis", "point_mask"),
               "Flag": ("members",), "HermitianForm": ("field", "domain", "gram"),
               "PhanSpec": ("flag", "forms", "require_nonisotropic"),
-              "PhanFamily": ("specs",), "Decomposition": ("parts", "ambient")}
+              "PhanFamily": ("specs",)}
     for kind, names in fields.items():
         value = values[kind]
         for name in names + ("unknown",):
@@ -92,15 +85,3 @@ def test_point_mask_is_computed_once():
     assert "point_mask" not in vars(s)
     mask = s.point_mask
     assert vars(s)["point_mask"] == mask and mask.bit_count() == 6
-
-
-def test_rebuilt_spec_hits_the_members_cache():
-    path = str(SPECS / "t0_q5_dim3.json")
-    first = load_family(path)[0].specs[0]
-    members = first.members()
-    before = phan._members_of.cache_info()
-    again = load_family(path)[0].specs[0]
-    assert again is not first and again == first
-    assert again.members() is members
-    after = phan._members_of.cache_info()
-    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
