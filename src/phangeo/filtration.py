@@ -18,9 +18,16 @@ with the vertices outside Y_(i-1) dropped from each facet
 (``induced_subcomplex``), with no search through the facets of B.  So too
 every |Y_i| is the full subcomplex of |Y_n| on the vertices of level <= i,
 and one filtered reduction of |Y_n| (``filtered_homology``) gives the
-homology of every level.  The stages' complexes |Y_i| are built once each
-as order complexes, 2-11x as fast as ``induced_subcomplex`` of |Y_n| on
-seeded F_3^4 and chamber F_7^4.
+homology of every level.
+
+One containment graph serves the whole filtration.  |Y_n| is built once, by
+``order_complex``, which keeps the strict successors of each vertex
+(``succ``).  Every |Y_i| below it and every join |Y_(i-1)^<U * Y_(i-1)^>U|
+is the order complex of a subset of Y_n, so each is ``induced_subcomplex``
+of |Y_n|, walked from those lists cut to the subset; the below and above
+sets of checks (c) and (d) are read from the same lists and their reverse,
+by vertex index.  A star boundary is cut from the star's facets instead,
+so check (c) compares two separate constructions.
 """
 
 from __future__ import annotations
@@ -101,11 +108,12 @@ class StageReport:
 
 
 class FiltrationState:
-    """The levels Y_0 .. Y_n (each sorted, each inside the next) of a
-    family's geometry around a pivot, and what the checks read of them, each
-    computed once per state: the join <U, p> of every member, the point
-    indexes of Γ and Y_0, the complex |Y_i| of each stage, and the homology
-    of every level, from one filtered reduction of |Y_n|."""
+    """The levels Y_0 .. Y_n (each sorted, each inside the next, Y_n = Γ) of
+    a family's geometry around a pivot, and what the checks read of them,
+    each computed once per state: the join <U, p> of every member, the
+    complex |Y_i| of each stage, the strict predecessors of each vertex of
+    |Y_n|, and the homology of every level, from one filtered reduction of
+    |Y_n|."""
 
     def __init__(self, family: PhanFamily, pivot: Subspace, geometry: GeometryVertexSet,
                  levels: tuple[tuple[Subspace, ...], ...], joins: dict | None = None):
@@ -121,28 +129,42 @@ class FiltrationState:
         return self.family.n
 
     def level_complex(self, i: int) -> SimplicialComplex:
-        """|Y_i|, built once per state as the order complex of Y_i."""
+        """|Y_i|, built once per state: |Y_n| as the order complex of Y_n,
+        each lower level as its full subcomplex on Y_i."""
         if i not in self._complexes:
-            self._complexes[i] = order_complex(self.levels[i])
+            level = self.levels[i]
+            self._complexes[i] = (order_complex(level) if i == self.n else
+                                  induced_subcomplex(self.level_complex(self.n), set(level)))
         return self._complexes[i]
+
+    @cached_property
+    def graph(self) -> tuple[SimplicialComplex, list[list[int]], list[set[int]]]:
+        """|Y_n|, the strict predecessors of each of its vertices (its
+        successor lists turned round, as increasing vertex indices), and the
+        vertex indices of each level."""
+        top = self.level_complex(self.n)
+        pred = [[] for _ in top.succ]
+        for i, si in enumerate(top.succ):
+            for j in si:
+                pred[j].append(i)
+        at = top.vertex_index
+        return top, pred, [{at[w] for w in level} for level in self.levels]
+
+    def around(self, u: Subspace, i: int) -> tuple[list[int], list[int]]:
+        """The members of Y_i strictly inside and strictly containing u, as
+        increasing vertex indices of |Y_n|."""
+        top, pred, levels = self.graph
+        x, inside = top.vertex_index[u], levels[i]
+        return [j for j in pred[x] if j in inside], [j for j in top.succ[x] if j in inside]
 
     @cached_property
     def homology(self) -> list[HomologyReport]:
         """The reduced homology of each level |Y_i|, from one filtered
         reduction of |Y_n| with each vertex at the level where it enters."""
-        k = self.level_complex(len(self.levels) - 1)
-        enters = {}
-        for i in reversed(range(len(self.levels))):
-            enters.update(dict.fromkeys(self.levels[i], i))
-        reports = filtered_homology(k, [enters[w] for w in k.vertices])
+        top, _, levels = self.graph
+        reports = filtered_homology(top, [next(i for i, s in enumerate(levels) if j in s)
+                                          for j in range(top.num_vertices)])
         return reports + reports[-1:] * (len(self.levels) - len(reports))
-
-    @cached_property
-    def indexes(self) -> tuple[dict, dict]:
-        """Point -> the members of Γ through it, and point -> the members of
-        Y_0 whose lowest point it is."""
-        return (_by_point(self.geometry.members, every_point=True),
-                _by_point(self.levels[0], every_point=False))
 
 
 class FiltrationReport(namedtuple(
@@ -260,185 +282,103 @@ def verify_stage(state: FiltrationState, i: int) -> StageReport:
     conversely an edge {U, W} of new vertices lies in both stars and not in
     B); (b) each A_j is a cone with apex U_j; (c) A_j ∩ B equals the join
     |Y_(i-1)^<U * Y_(i-1)^>U| and is spherical in dimension n-2 at the
-    homology level, where A_j ∩ B is read off the star by restriction to the
-    vertices of Y_(i-1), exact because B is a full subcomplex of |Y_i|, and
-    the join is built separately as an order complex; (d) Y_(i-1)^>U = Γ^>U,
+    homology level, where A_j ∩ B is read off the star's facets by
+    restriction to the vertices of Y_(i-1), exact because B is a full
+    subcomplex of |Y_i|, and the join is built separately, as the full
+    subcomplex of |Y_n| on the below and above sets; (d) Y_(i-1)^>U = Γ^>U,
     Y_(i-1)^<U = Y_0^<U, and the below set matches the intersection geometry
     of the restricted family; plus exact Mayer-Vietoris rank bookkeeping.
     Failures are recorded with witnesses, never raised.
     """
     if not 1 <= i <= state.n:
         raise ValueError(f"stage index must lie in 1..{state.n}")
-    report = StageReport(stage=i, new_vertex_count=0)
-    prev = state.levels[i - 1]
-    cur = state.levels[i]
-    prev_set = set(prev)
-    new = [u for u in cur if u not in prev_set]
-    report.new_vertex_count = len(new)
+    prev_set = set(state.levels[i - 1])
+    new = [u for u in state.levels[i] if u not in prev_set]
+    report = StageReport(stage=i, new_vertex_count=len(new))
     n = state.n
     if not new:
         report.checks.append(CheckResult("vacuous_stage", True))
         return report
 
     k_cur = state.level_complex(i)
-
-    index = {u: j for j, u in enumerate(k_cur.vertices)}
+    index = k_cur.vertex_index
     stars = {u: star_closure(k_cur, index[u]) for u in new}
+
+    def check(name: str, witness: str | None) -> None:
+        report.checks.append(CheckResult(name, witness is None, witness))
 
     # (a) pairwise star intersections land in B: some A_j1 ∩ A_j2 holds a
     # simplex outside B iff some star holds a second new vertex
-    bad = next(((u, w) for u in new for w in stars[u].vertices
-                if w != u and w not in prev_set), None)
-    report.checks.append(
-        CheckResult(
-            "pairwise_star_intersections_in_B", bad is None,
-            None if bad is None else
-            f"star({bad[0].basis}) contains the new vertex {bad[1].basis}",
-        )
-    )
+    check("pairwise_star_intersections_in_B",
+          next((f"star({u.basis}) contains the new vertex {w.basis}" for u in new
+                for w in stars[u].vertices if w != u and w not in prev_set), None))
 
     # (b) every star is a cone with apex its vertex, A_j = U_j * link(U_j),
     # compared as sets of facets over the star's vertex indices
     bad = None
     for u in new:
         star = stars[u]
-        at = {w: j for j, w in enumerate(star.vertices)}
+        at = star.vertex_index
         apex = at.get(u, -1)
         if not all(apex in f for f in star.facets):
-            bad = (u, "facet without the apex")
+            bad = f"U = {u.basis}: facet without the apex"
             break
         lk = link(k_cur, (index[u],))
         to_star = [at.get(w, -1) for w in lk.vertices]
         rebuilt = {tuple(sorted([apex, *map(to_star.__getitem__, f)])) for f in lk.facets}
         if (rebuilt or {(apex,)}) != set(star.facets):
-            bad = (u, "star is not the cone over its link")
+            bad = f"U = {u.basis}: star is not the cone over its link"
             break
-    report.checks.append(
-        CheckResult(
-            "stars_are_cones", bad is None,
-            None if bad is None else f"U = {bad[0].basis}: {bad[1]}",
-        )
-    )
+    check("stars_are_cones", bad)
 
-    # the below and above sets in Y_(i-1) of each new vertex, read by (c) and
-    # (d) from an index of Y_(i-1) by point, built for this stage apart from
-    # the indexes of Γ and Y_0 that (d) compares them with: a member above U
-    # holds U's lowest point, one below U has its own lowest point among U's
-    # points; w ⊆ u iff w's point mask lies inside u's
-    prev_through = _by_point(prev, every_point=True)
-    prev_lowest = _by_point(prev, every_point=False)
-    below_prev, above_prev = {}, {}
+    # (c) star boundaries: join decomposition and (n-2)-sphericity, and (d)
+    # the below/above set identities and the restricted-family comparison,
+    # each with the witness of its first failing vertex.  The below and
+    # above sets are increasing vertex indices of |Y_n|, read from its
+    # containment graph; Γ = Y_n
+    top = state.graph[0]
+    bad_join = bad_sphere = bad_above = bad_below = bad_delta = None
     for u in new:
-        m = u.point_mask
-        above_prev[u] = {w for w in prev_through.get((m & -m).bit_length(), ())
-                         if w.dim > u.dim and m & ~w.point_mask == 0}
-        below_prev[u] = {w for b in _bits(m) for w in prev_lowest.get(b, ())
-                         if w.dim < u.dim and w.point_mask & ~m == 0}
-
-    # (c) star boundaries: join decomposition and (n-2)-sphericity
-    bad_join = None
-    bad_sphere = None
-    boundary_betti = {}
-    for u in new:
-        # both list their vertices in the order of |Y_i| and their facets
-        # sorted, so they have the same facets iff these tuples are equal
+        below, above = state.around(u, i - 1)
+        # A_j ∩ B is cut from the star's facets and the join from |Y_n|'s
+        # graph; both list their vertices in the order of |Y_n| and their
+        # facets sorted, so they have the same facets iff these tuples agree
         a_cap_b = induced_subcomplex(stars[u], prev_set)
-        expected = order_complex(below_prev[u] | above_prev[u])
-        if (a_cap_b.vertices, a_cap_b.facets) != (expected.vertices, expected.facets) \
-                and bad_join is None:
-            bad_join = u
+        join = induced_subcomplex(top, {top.vertices[j] for j in below + above})
+        if (a_cap_b.vertices, a_cap_b.facets) != (join.vertices, join.facets):
+            bad_join = bad_join or f"U = {u.basis}"
         a_cap_b_homology = reduced_homology(a_cap_b)
         ok, why = _spherical_check(a_cap_b, a_cap_b_homology, n - 2)
-        boundary_betti[u] = a_cap_b_homology.betti_number(n - 2)
-        if not ok and bad_sphere is None:
-            bad_sphere = (u, why)
-    report.boundary_rank_sum = sum(boundary_betti.values())
-    report.checks.append(
-        CheckResult(
-            "star_boundary_join_decomposition", bad_join is None,
-            None if bad_join is None else f"U = {bad_join.basis}",
-        )
-    )
-    report.checks.append(
-        CheckResult(
-            "star_boundary_sphericity", bad_sphere is None,
-            None if bad_sphere is None else f"U = {bad_sphere[0].basis}: {bad_sphere[1]}",
-        )
-    )
-
-    # (d) below/above set identities and the restricted-family comparison.
-    # A member above U holds U's lowest point; one below U has its own
-    # lowest point among U's points.
-    gamma_through, y0_lowest = state.indexes
-    bad_above = None
-    bad_below = None
-    bad_delta = None
-    for u in new:
-        m = u.point_mask
-        above_gamma = {w for w in gamma_through[(m & -m).bit_length()]
-                       if w.dim > u.dim and m & ~w.point_mask == 0}
-        if above_prev[u] != above_gamma and bad_above is None:
-            bad_above = (u, above_prev[u] ^ above_gamma)
-        below_y0 = {w for b in _bits(m) for w in y0_lowest.get(b, ())
-                    if w.dim < u.dim and w.point_mask & ~m == 0}
-        if below_prev[u] != below_y0 and bad_below is None:
-            bad_below = (u, below_prev[u] ^ below_y0)
+        report.boundary_rank_sum += a_cap_b_homology.betti_number(n - 2)
+        if not ok:
+            bad_sphere = bad_sphere or f"U = {u.basis}: {why}"
+        above_gamma = state.around(u, n)[1]
+        if above != above_gamma:
+            bad_above = bad_above or _set_witness(u, top, above, above_gamma)
+        below_y0 = state.around(u, 0)[0]
+        if below != below_y0:
+            bad_below = bad_below or _set_witness(u, top, below, below_y0)
         if bad_delta is None:
-            bad_delta = _delta_comparison(state, u, below_y0)
-    report.checks.append(
-        CheckResult(
-            "above_sets_equal_gamma_above", bad_above is None,
-            None if bad_above is None else _set_witness(*bad_above),
-        )
-    )
-    report.checks.append(
-        CheckResult(
-            "below_sets_equal_y0_below", bad_below is None,
-            None if bad_below is None else _set_witness(*bad_below),
-        )
-    )
-    report.checks.append(
-        CheckResult(
-            "below_sets_match_restricted_family", bad_delta is None,
-            bad_delta,
-        )
-    )
+            bad_delta = _delta_comparison(state, u, {top.vertices[j] for j in below_y0})
+    check("star_boundary_join_decomposition", bad_join)
+    check("star_boundary_sphericity", bad_sphere)
+    check("above_sets_equal_gamma_above", bad_above)
+    check("below_sets_equal_y0_below", bad_below)
+    check("below_sets_match_restricted_family", bad_delta)
 
     # Mayer-Vietoris rank bookkeeping at degree n-1
     lhs = state.homology[i].betti_number(n - 1)
-    rhs = state.homology[i - 1].betti_number(n - 1) + sum(boundary_betti.values())
-    report.checks.append(
-        CheckResult(
-            "mayer_vietoris_rank_balance", lhs == rhs,
-            None if lhs == rhs else f"rank H~_{n-1}(Y_{i}) = {lhs} != {rhs}",
-        )
-    )
+    rhs = state.homology[i - 1].betti_number(n - 1) + report.boundary_rank_sum
+    check("mayer_vietoris_rank_balance",
+          None if lhs == rhs else f"rank H~_{n-1}(Y_{i}) = {lhs} != {rhs}")
     return report
 
 
-def _set_witness(u: Subspace, diff) -> str:
-    """Names U and the members on which its two sets differ."""
-    return f"U = {u.basis}: sets differ at {sorted(w.basis for w in diff)}"
-
-
-def _bits(mask: int):
-    """The positions (bit_length) of the set bits of a point mask."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length()
-        mask ^= low
-
-
-def _by_point(members, every_point: bool) -> dict[int, list[Subspace]]:
-    """Point -> the members through it, or, with ``every_point`` false, the
-    members whose lowest point it is."""
-    out: dict[int, list[Subspace]] = {}
-    for w in members:
-        for b in _bits(w.point_mask):
-            out.setdefault(b, []).append(w)
-            if not every_point:
-                break
-    return out
+def _set_witness(u: Subspace, k: SimplicialComplex, a, b) -> str:
+    """Names U and the members on which its two sets of vertex indices of k
+    differ."""
+    diff = set(a).symmetric_difference(b)
+    return f"U = {u.basis}: sets differ at {sorted(k.vertices[j].basis for j in diff)}"
 
 
 def _delta_comparison(state: FiltrationState, u: Subspace, below_y0) -> str | None:

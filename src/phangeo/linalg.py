@@ -28,8 +28,9 @@ bit, and a k-subspace the AND of the hyperplane masks of its d - k
 normals.
 
 The k-dimensional subspaces of each ambient F_q^n are enumerated once per
-process into a bounded table; ``enumerate_subspaces_of`` filters it by
-point mask, and the mask index is built from the same tables.  Member
+process into a bounded table; ``enumerate_subspaces_of`` reads the entries
+whose lowest point lies in the subspace and filters them by point mask, and
+the mask index is built from the same tables.  Member
 enumeration, residue tests, meets and the vertices of every restricted
 family share those objects, so each one's mask, pivots and hash are
 computed once.  Eliminations read the field's lookup tables.
@@ -376,17 +377,37 @@ def _subspace_index(field: Field, ambient_dim: int) -> dict[int, Subspace]:
     return index
 
 
+@lru_cache(maxsize=32)
+def _by_lowest_point(field: Field, ambient_dim: int, k: int) -> dict[int, list[int]]:
+    """Point bit -> the positions in the k-subspace table of the entries
+    whose lowest point it is, in table order."""
+    out: dict[int, list[int]] = {}
+    for pos, s in enumerate(_subspace_table(field, ambient_dim, k)):
+        m = s.point_mask
+        out.setdefault((m & -m).bit_length(), []).append(pos)
+    return out
+
+
 def enumerate_subspaces_of(space: Subspace, k: int) -> tuple[Subspace, ...]:
     """All k-dimensional subspaces of an arbitrary subspace, in the order of
     ``enumerate_subspaces`` on the ambient: the entries of the subspace table
-    whose point masks lie inside the space's mask."""
+    whose point masks lie inside the space's mask.  Each has its lowest
+    point among the space's points, so only the entries whose lowest point
+    is one of those are tested."""
     if not 0 <= k <= space.dim:
         raise ValueError(f"subspace dimension {k} outside [0, {space.dim}]")
     table = _subspace_table(space.field, space.ambient, k)
-    if space.is_full():
+    if k == 0 or space.is_full():
         return table
+    by_lowest = _by_lowest_point(space.field, space.ambient, k)
     outside = ~space.point_mask
-    return tuple(s for s in table if not s.point_mask & outside)
+    found, rest = [], space.point_mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        found.extend(pos for pos in by_lowest.get(low.bit_length(), ())
+                     if not table[pos].point_mask & outside)
+    return tuple(table[pos] for pos in sorted(found))
 
 
 @lru_cache(maxsize=32)

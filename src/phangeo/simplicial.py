@@ -16,8 +16,13 @@ The constructor validates its facets and keeps the inclusion-maximal ones.
 Where the facets are maximal by construction (the maximal chains of
 ``order_complex``, the facets through a simplex in ``link`` and
 ``star_closure``) the complex is built from them directly; only
-``induced_subcomplex`` and ``intersect_complexes``, whose cut-down facets
-may nest, maximalize.
+``intersect_complexes`` and ``induced_subcomplex`` of a complex given by
+its facets, whose cut-down facets may nest, maximalize.
+
+An order complex carries ``succ``, the strict successors of each vertex in
+its containment graph.  Its full subcomplexes (``induced_subcomplex``) are
+walked from those lists cut to the kept vertices and carry them too;
+stars, links and complexes built from facets do not.
 
 Face counts list no simplex where they need not: an order complex counts
 its chains over the successor lists it builds anyway, and any other complex
@@ -90,6 +95,7 @@ class SimplicialComplex:
         self.facets = tuple(sorted(tuple(sorted(f)) for f in _maximalize(fs)))
 
     _chain_counts = None  # the face counts, where the builder counted them
+    succ = None  # each vertex's strict successors, on order complexes and their full subcomplexes
 
     @classmethod
     def _of_maximal(cls, vertices, facets, face_counts=None) -> "SimplicialComplex":
@@ -127,6 +133,11 @@ class SimplicialComplex:
             for v in f:
                 out.setdefault(v, []).append(i)
         return out
+
+    @cached_property
+    def vertex_index(self) -> dict:
+        """Vertex label -> vertex index; built on first use."""
+        return {v: i for i, v in enumerate(self.vertices)}
 
     def simplices(self, k: int) -> list[tuple[int, ...]]:
         """All k-simplices as sorted index tuples, in sorted order."""
@@ -192,20 +203,15 @@ def _restrict(k: SimplicialComplex, facets, maximal: bool = False) -> Simplicial
 
 def order_complex(subspaces) -> SimplicialComplex:
     """The complex whose simplices are the inclusion-chains of the given
-    subspaces; facets are the maximal chains.
+    subspaces; facets are the maximal chains.  It carries ``succ``, the
+    strict successors of each vertex, and so do its full subcomplexes
+    (``induced_subcomplex``).
 
     Containment is read from the point masks (``Subspace.point_mask``).  The
     strict successors of a member are the other members whose masks hold its
     mask, looked for among the members through its lowest point; the zero
-    subspace, with mask 0, lies below every other member.  Its covers are
-    the successors above no other successor, and the maximal chains run
-    along covers from the minimal members.  They are distinct and maximal,
-    each increases in vertex order, and the depth-first walk emits them in
-    sorted order, so the complex is built from them as they are.
-
-    The face counts are chain counts over the successors: the chains of
-    k + 1 members that start at a member are, summed over its successors,
-    the chains of k members that start there.  No simplex is listed."""
+    subspace, with mask 0, lies below every other member.  This is the one
+    place where containment among members is searched."""
     verts = sorted(set(subspaces), key=Subspace.sort_key)
     n = len(verts)
     masks = [v.point_mask for v in verts]
@@ -219,6 +225,22 @@ def order_complex(subspaces) -> SimplicialComplex:
     for i, m in enumerate(masks):
         candidates = through[(m & -m).bit_length()] if m else range(n)
         succ.append([j for j in candidates if j != i and m & ~masks[j] == 0])
+    return _chain_complex(verts, succ)
+
+
+def _chain_complex(verts, succ) -> SimplicialComplex:
+    """The order complex of a poset given by the strict successors of each
+    element, as increasing index lists in a vertex order that extends the
+    order.  The covers of an element are the successors above no other
+    successor, and the maximal chains run along covers from the minimal
+    elements.  They are distinct and maximal, each increases in vertex
+    order, and the depth-first walk emits them in sorted order, so the
+    complex is built from them as they are.
+
+    The face counts are chain counts over the successors: the chains of
+    k + 1 members that start at a member are, summed over its successors,
+    the chains of k members that start there.  No simplex is listed."""
+    n = len(verts)
     covers = []
     for si in succ:
         above = set().union(*(succ[k] for k in si))
@@ -243,7 +265,9 @@ def order_complex(subspaces) -> SimplicialComplex:
         counts.append(sum(chains))
         longer = chains.__getitem__
         chains = [sum(map(longer, si)) for si in succ]
-    return SimplicialComplex._of_maximal(verts, facets, counts)
+    k = SimplicialComplex._of_maximal(verts, facets, counts)
+    k.succ = succ
+    return k
 
 
 def link(k: SimplicialComplex, s) -> SimplicialComplex:
@@ -273,10 +297,21 @@ def star_closure(k: SimplicialComplex, v: int) -> SimplicialComplex:
 
 
 def induced_subcomplex(k: SimplicialComplex, keep) -> SimplicialComplex:
-    """The simplices of k whose vertex labels all lie in ``keep``: each facet
-    cut down to those vertices, then maximalized, on k's vertex order."""
-    vs = k.vertices
-    return _restrict(k, [frozenset(v for v in f if vs[v] in keep) for f in k.facets])
+    """The simplices of k whose vertex labels all lie in the set ``keep``, on
+    k's vertex order.  A complex that carries ``succ`` (an order complex or
+    a full subcomplex of one) gives the order complex of the kept vertices:
+    its successor lists cut to them, walked as by ``order_complex``, with no
+    mask compared again.  Any other complex (stars, links, complexes given
+    by their facets) has each facet cut down to the kept vertices, then
+    maximalized."""
+    if k.succ is None:
+        vs = k.vertices
+        return _restrict(k, [frozenset(v for v in f if vs[v] in keep) for f in k.facets])
+    at = k.vertex_index
+    kept = sorted(at[v] for v in keep if v in at)
+    new = {v: i for i, v in enumerate(kept)}
+    succ = [[new[j] for j in k.succ[v] if j in new] for v in kept]
+    return _chain_complex([k.vertices[v] for v in kept], succ)
 
 
 def purity_and_dimension(k: SimplicialComplex) -> tuple[bool, int]:
@@ -292,8 +327,7 @@ def intersect_complexes(k1: SimplicialComplex, k2: SimplicialComplex) -> Simplic
     on k1's vertex order.  Each facet of k1 meets only the facets of k2
     through one of its vertices.  No library code calls it: the filtration
     meets a star with a full subcomplex by ``induced_subcomplex``."""
-    index2 = {v: i for i, v in enumerate(k2.vertices)}
-    to2 = [index2.get(v) for v in k1.vertices]
+    to2 = [k2.vertex_index.get(v) for v in k1.vertices]
     facets2, lists = k2.facets, k2.facets_through
     inters = []
     for f in k1.facets:

@@ -323,6 +323,13 @@ def matching_is_acyclic(k: SimplicialComplex, mate: list[int], level=None) -> bo
     return done == len(cells)
 
 
+def oracle_below_above(members, u: Subspace) -> tuple[set, set]:
+    """The members strictly inside u and the members strictly containing u,
+    by a ``contains_subspace`` sweep over all of them."""
+    return ({w for w in members if w != u and u.contains_subspace(w)},
+            {w for w in members if w != u and w.contains_subspace(u)})
+
+
 def chain_facets(subspaces) -> frozenset:
     """The maximal inclusion-chains of the given subspaces, as sets, found
     with ``contains_subspace`` alone: every chain from a minimal member to a

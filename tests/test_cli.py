@@ -303,6 +303,59 @@ def test_milestone_chamber_q7_dim4_filtration(tmp_path):
     assert rep["predicted_sphere_count"] == rep["direct_sphere_count"] == 70_314
 
 
+def _reversed_chamber_spec(field, dim: int) -> PhanSpec:
+    """The chamber on the reversed coordinate flag V_k = <e_(dim-k) ..
+    e_(dim-1)>, opposite the flag of ``chamber_spec``: each form has rank
+    one, with V_(k-1) as its radical, so its Gram matrix over V_k's echelon
+    basis is 1 at the first row e_(dim-k) and 0 elsewhere."""
+    unit = [tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
+    subs = [Subspace.span(field, dim, unit[dim - k:]) for k in range(dim + 1)]
+    forms = tuple(
+        HermitianForm(field, subs[k], tuple(tuple(int(a == b == 0) for b in range(k))
+                                            for a in range(k)))
+        for k in range(1, dim + 1))
+    return PhanSpec(Flag(tuple(subs)), forms)
+
+
+@pytest.mark.milestone
+def test_milestone_two_chamber_f9_4(tmp_path):
+    """Two-chamber F_9^4, the first in-bound m = 2 family at n = 3:
+    2^2·(1+1) = 8 < 9.  Pinned values come from outside phangeo: the
+    f-vector recounted from the facet export, b~ = (0, 0, 244,935) from the
+    rank method of ``bench/reference.py`` on that export, and the number of
+    simplices cm-check visits, 1 + sum of f (the empty simplex and every
+    face)."""
+    f9 = make_field(3, 2, 1)
+    path = tmp_path / "two_chamber_q9_dim4.json"
+    dump_family(PhanFamily((chamber_spec(f9, 4), _reversed_chamber_spec(f9, 4))), str(path))
+    docs = {}
+    for command in ("build", "homology", "cm-check", "filtration-verify"):
+        out = tmp_path / f"{command}.json"
+        assert main([command, "--spec", str(path), "--out", str(out)]) == 0
+        docs[command] = json.loads(out.read_text())
+    bound = docs["build"]["bound"]
+    assert bound["satisfied"] and (bound["lhs"], bound["q"], bound["m"]) == (8, 9, 2)
+    header, *lines = docs["build"]["facet_export"].splitlines()
+    faces = [set(), set(), set()]
+    for line in lines:
+        f = tuple(map(int, line.split()))
+        for j, listed in enumerate(faces[:len(f)]):
+            listed.update(combinations(f, j + 1))
+    f_vector = [len(listed) for listed in faces]
+    assert int(header) == f_vector[0]
+    assert f_vector == [7056, 140_040, 377_920]
+    for command in ("homology", "cm-check", "filtration-verify"):
+        assert docs[command]["verdict"] == "pass" and not docs[command]["bound"]["forced"]
+    for command in ("homology", "cm-check"):
+        assert docs[command]["geometry"]["simplex_counts"] == f_vector
+    assert docs["homology"]["homology"]["betti"] == [0, 0, 244_935]
+    cm = docs["cm-check"]["cm"]
+    assert cm["passed"] and not cm["failures"] and cm["simplices_checked"] == 1 + sum(f_vector)
+    rep = docs["filtration-verify"]["filtration"]
+    assert rep["level_sizes"][-1] == 7056
+    assert rep["predicted_sphere_count"] == rep["direct_sphere_count"] == 244_935
+
+
 def test_bounds_table(tmp_path, capsys):
     out = tmp_path / "t.json"
     assert main(["bounds-table", "--max-n", "3", "--max-q", "25", "--max-m", "1",

@@ -28,6 +28,8 @@ from phangeo.simplicial import (
 from phangeo.specfile import load_family
 from phangeo.suites import chamber_spec, diagonal_spec, random_phan_spec, standard_spec
 
+from conftest import oracle_below_above
+
 F3 = make_field(3, 1)
 F5 = make_field(5, 1)
 F9 = make_field(3, 2, 2)
@@ -240,28 +242,33 @@ def test_star_restriction_equals_intersection_with_b(name):
 
 def test_join_witness_names_the_first_failing_vertex(monkeypatch):
     """Two new vertices fail the join comparison; the witness names the
-    first, as the other checks' witnesses do."""
+    first, as the other checks' witnesses do.  The joins are the stage's
+    ``induced_subcomplex`` calls on |Y_n|; A_j ∩ B is cut from the star."""
     fam = PhanFamily((standard_spec(F5, 3),))
     state = build_filtration(fam, choose_pivot(fam))
     for i in range(state.n + 1):
         state.level_complex(i)  # built before the patch
+    top = state.level_complex(state.n)
     stage = 2
     prev = set(state.levels[stage - 1])
     new = [u for u in state.levels[stage] if u not in prev]
     assert len(new) >= 3
     calls = []
+    real = filtration.induced_subcomplex
 
-    def corrupted(subspaces):
-        calls.append(subspaces)
-        if len(calls) <= 2:
-            return SimplicialComplex(["not a subspace"], [[0]])
-        return order_complex(subspaces)
+    def corrupted(k, keep):
+        if k is top:
+            calls.append(keep)
+            if len(calls) <= 2:
+                return SimplicialComplex(["not a subspace"], [[0]])
+        return real(k, keep)
 
-    monkeypatch.setattr(filtration, "order_complex", corrupted)
+    monkeypatch.setattr(filtration, "induced_subcomplex", corrupted)
     checks = {c.name: c for c in verify_stage(state, stage).checks}
     join = checks["star_boundary_join_decomposition"]
     assert not join.passed and join.witness == f"U = {new[0].basis}"
     assert checks["star_boundary_sphericity"].passed
+    assert len(calls) == len(new)
 
 
 def test_cone_check_names_the_first_star_that_is_not_the_cone_over_its_link(monkeypatch):
@@ -361,3 +368,57 @@ def test_level_homology_matches_each_level_complex(name, homology_calls):
         homology_calls.clear()
         for level, rep in zip(state.levels, reports):
             assert rep[:4] == reduced_homology(order_complex(level))[:4]
+
+
+GRAPH_SPECS = sorted(p.stem for p in SPECS.glob("*.json")) + ["standard_q3_dim4"]
+
+
+@pytest.mark.parametrize("name", GRAPH_SPECS)
+def test_stage_sets_match_the_containment_sweep(name):
+    """The below and above sets that a stage reads from |Y_n|'s successor
+    and predecessor lists (in Y_(i-1), in Y_0 and in Γ = Y_n) are the
+    increasing vertex indices of the members that a ``contains_subspace``
+    sweep finds."""
+    family = _family(name)
+    state = build_filtration(family, choose_pivot(family))
+    vs = state.level_complex(state.n).vertices
+    for i in range(1, state.n + 1):
+        prev = set(state.levels[i - 1])
+        for u in state.levels[i]:
+            if u in prev:
+                continue
+            for level, side in ((i - 1, 0), (i - 1, 1), (0, 0), (state.n, 1)):
+                got = state.around(u, level)[side]
+                assert got == sorted(got)
+                assert {vs[j] for j in got} == oracle_below_above(state.levels[level], u)[side]
+
+
+@pytest.mark.parametrize("name", GRAPH_SPECS)
+def test_graph_cut_equals_facet_cut_and_order_complex(name):
+    """``induced_subcomplex`` of |Γ| walks Γ's successor lists cut to the
+    kept vertices.  For every level Y_i and every join
+    |Y_(i-1)^<U * Y_(i-1)^>U| (its sets found by the containment sweep) it
+    gives the complex of the facet-cutting path and the order complex of
+    the subset: the same vertices, facets and face counts, and the order
+    complex's successor lists.  The facet-cutting path runs on a copy of
+    |Γ| without the lists, and for a join on U's star in that copy, which
+    holds every chain of members comparable with U."""
+    family = _family(name)
+    state = build_filtration(family, choose_pivot(family))
+    gamma = order_complex(state.geometry.members)
+    facets_only = SimplicialComplex._of_maximal(gamma.vertices, gamma.facets)
+    cuts = [(facets_only, set(level)) for level in state.levels]
+    for i in range(1, state.n + 1):
+        prev = set(state.levels[i - 1])
+        cuts += [(star_closure(facets_only, gamma.vertex_index[u]),
+                  set.union(*oracle_below_above(prev, u)))
+                 for u in state.levels[i] if u not in prev]
+    assert len(cuts) > len(state.levels)
+    for facets, keep in cuts:
+        graph_cut = induced_subcomplex(gamma, keep)
+        facet_cut = induced_subcomplex(facets, keep)
+        direct = order_complex(keep)
+        assert facet_cut.succ is None and graph_cut.succ == direct.succ
+        assert (graph_cut.vertices, graph_cut.facets, graph_cut.face_counts()) \
+            == (facet_cut.vertices, facet_cut.facets, facet_cut.face_counts()) \
+            == (direct.vertices, direct.facets, direct.face_counts())

@@ -196,7 +196,7 @@ def test_subspaces_of_a_subspace():
 
 @pytest.mark.parametrize("field", [F2, F3, F4, F5], ids=lambda f: f"q{f.q}")
 def test_subspace_table_matches_echelon_mapping(field, rng):
-    """enumerate_subspaces_of filters the ambient's subspace table; the
+    """enumerate_subspaces_of reads the ambient's subspace table; the
     oracle maps the echelon matrices of F_q^dim onto the space's basis.
     Each subspace comes once, for every k, on the zero space, the full space
     and random spaces of ambients up to 4."""
@@ -212,6 +212,21 @@ def test_subspace_table_matches_echelon_mapping(field, rng):
             for k in (-1, u.dim + 1):
                 with pytest.raises(ValueError):
                     la.enumerate_subspaces_of(u, k)
+
+
+@pytest.mark.parametrize("field,ambient", [(F3, 4), (F4, 3)], ids=["F3^4", "hermitian F4^3"])
+def test_subspaces_of_match_the_whole_table_filter(field, ambient):
+    """enumerate_subspaces_of reads only the table entries whose lowest point
+    lies in the space; the oracle filters the whole table by containment.
+    Same subspace objects, same table order, for every subspace and every
+    k."""
+    tables = {k: la._subspace_table(field, ambient, k) for k in range(ambient + 1)}
+    spaces = [s for k in range(ambient + 1) for s in la.enumerate_subspaces(field, ambient, k)]
+    for u in spaces:
+        for k in range(u.dim + 1):
+            want = [s for s in tables[k] if oracle_contains_subspace(u, s)]
+            got = la.enumerate_subspaces_of(u, k)
+            assert type(got) is tuple and list(map(id, got)) == list(map(id, want))
 
 
 @pytest.mark.parametrize("p,e,sigma", [(2, 2, 2), (3, 2, 2), (5, 2, 2), (2, 9, 1)])

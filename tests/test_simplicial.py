@@ -110,12 +110,12 @@ def test_order_complex_counts_its_chains(name):
 
 
 def test_generic_face_counts_match_the_listing():
-    """Links, stars and induced subcomplexes count their faces from the
-    facets.  A 0-dimensional complex counts each vertex once; the empty
-    complex has no faces."""
+    """Links, stars and induced subcomplexes of complexes without successor
+    lists count their faces from the facets.  A 0-dimensional complex counts
+    each vertex once; the empty complex has no faces."""
     k = order_complex(vertices(PhanFamily((standard_spec(F3, 4),))).members)
     pieces = [link(k, ()), link(k, k.facets[0]), SimplicialComplex([], []),
-              SimplicialComplex("abc", []), induced_subcomplex(k, set(k.vertices[::3]))]
+              SimplicialComplex("abc", []), induced_subcomplex(link(k, ()), set(k.vertices[::3]))]
     for v in range(0, k.num_vertices, 5):
         pieces += [link(k, (v,)), star_closure(k, v)]
     pieces += [link(k, f[:2]) for f in k.facets[::40]]
