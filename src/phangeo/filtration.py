@@ -85,7 +85,7 @@ class CheckResult(namedtuple("CheckResult", "name passed witness", defaults=(Non
 
 
 class StageReport:
-    """The checks of one stage, filled in as ``verify_stage`` runs them."""
+    """The checks of one stage, as ``verify_stage`` records them."""
 
     def __init__(self, stage: int, new_vertex_count: int):
         self.stage = stage
@@ -111,9 +111,9 @@ class FiltrationState:
     """The levels Y_0 .. Y_n (each sorted, each inside the next, Y_n = Γ) of
     a family's geometry around a pivot, and what the checks read of them,
     each computed once per state: the join <U, p> of every member, the
-    complex |Y_i| of each stage, the strict predecessors of each vertex of
-    |Y_n|, and the homology of every level, from one filtered reduction of
-    |Y_n|."""
+    complex |Y_n| with the strict predecessors of each of its vertices, and
+    the homology of every level, from one filtered reduction of |Y_n|; no
+    lower level's complex is kept (``level_complex``)."""
 
     def __init__(self, family: PhanFamily, pivot: Subspace, geometry: GeometryVertexSet,
                  levels: tuple[tuple[Subspace, ...], ...], joins: dict | None = None):
@@ -122,27 +122,24 @@ class FiltrationState:
         self.geometry = geometry
         self.levels = levels
         self.joins = _joins(geometry.members, pivot) if joins is None else joins
-        self._complexes: dict = {}
 
     @property
     def n(self) -> int:
         return self.family.n
 
     def level_complex(self, i: int) -> SimplicialComplex:
-        """|Y_i|, built once per state: |Y_n| as the order complex of Y_n,
-        each lower level as its full subcomplex on Y_i."""
-        if i not in self._complexes:
-            level = self.levels[i]
-            self._complexes[i] = (order_complex(level) if i == self.n else
-                                  induced_subcomplex(self.level_complex(self.n), set(level)))
-        return self._complexes[i]
+        """|Y_i|: |Y_n| is kept by the state (``graph``), and a lower level
+        is its full subcomplex on Y_i, cut afresh on every call, so that it
+        dies with the stage that reads it, its indexes with it."""
+        top = self.graph[0]
+        return top if i == self.n else induced_subcomplex(top, set(self.levels[i]))
 
     @cached_property
     def graph(self) -> tuple[SimplicialComplex, list[list[int]], list[set[int]]]:
-        """|Y_n|, the strict predecessors of each of its vertices (its
-        successor lists turned round, as increasing vertex indices), and the
-        vertex indices of each level."""
-        top = self.level_complex(self.n)
+        """|Y_n|, the order complex of Y_n, the strict predecessors of each
+        of its vertices (its successor lists turned round, as increasing
+        vertex indices), and the vertex indices of each level."""
+        top = order_complex(self.levels[self.n])
         pred = [[] for _ in top.succ]
         for i, si in enumerate(top.succ):
             for j in si:
@@ -288,7 +285,10 @@ def verify_stage(state: FiltrationState, i: int) -> StageReport:
     subcomplex of |Y_n| on the below and above sets; (d) Y_(i-1)^>U = Γ^>U,
     Y_(i-1)^<U = Y_0^<U, and the below set matches the intersection geometry
     of the restricted family; plus exact Mayer-Vietoris rank bookkeeping.
-    Failures are recorded with witnesses, never raised.
+    One pass over the new vertices, in level order, builds each one's star,
+    link and A_j ∩ B, checks them and lets them go before the next vertex.
+    Each failing check is recorded with the witness of its first failing
+    vertex, never raised.
     """
     if not 1 <= i <= state.n:
         raise ValueError(f"stage index must lie in 1..{state.n}")
@@ -302,48 +302,38 @@ def verify_stage(state: FiltrationState, i: int) -> StageReport:
 
     k_cur = state.level_complex(i)
     index = k_cur.vertex_index
-    stars = {u: star_closure(k_cur, index[u]) for u in new}
-
-    def check(name: str, witness: str | None) -> None:
-        report.checks.append(CheckResult(name, witness is None, witness))
-
-    # (a) pairwise star intersections land in B: some A_j1 ∩ A_j2 holds a
-    # simplex outside B iff some star holds a second new vertex
-    check("pairwise_star_intersections_in_B",
-          next((f"star({u.basis}) contains the new vertex {w.basis}" for u in new
-                for w in stars[u].vertices if w != u and w not in prev_set), None))
-
-    # (b) every star is a cone with apex its vertex, A_j = U_j * link(U_j),
-    # compared as sets of facets over the star's vertex indices
-    bad = None
-    for u in new:
-        star = stars[u]
-        at = star.vertex_index
-        apex = at.get(u, -1)
-        if not all(apex in f for f in star.facets):
-            bad = f"U = {u.basis}: facet without the apex"
-            break
-        lk = link(k_cur, (index[u],))
-        to_star = [at.get(w, -1) for w in lk.vertices]
-        rebuilt = {tuple(sorted([apex, *map(to_star.__getitem__, f)])) for f in lk.facets}
-        if (rebuilt or {(apex,)}) != set(star.facets):
-            bad = f"U = {u.basis}: star is not the cone over its link"
-            break
-    check("stars_are_cones", bad)
-
-    # (c) star boundaries: join decomposition and (n-2)-sphericity, and (d)
-    # the below/above set identities and the restricted-family comparison,
-    # each with the witness of its first failing vertex.  The below and
-    # above sets are increasing vertex indices of |Y_n|, read from its
-    # containment graph; Γ = Y_n
     top = state.graph[0]
-    bad_join = bad_sphere = bad_above = bad_below = bad_delta = None
+    bad_pair = bad_cone = bad_join = bad_sphere = bad_above = bad_below = bad_delta = None
     for u in new:
+        star = star_closure(k_cur, index[u])
+
+        # (a) pairwise star intersections land in B: some A_j1 ∩ A_j2 holds
+        # a simplex outside B iff some star holds a second new vertex
+        w = next((w for w in star.vertices if w != u and w not in prev_set), None)
+        if w is not None:
+            bad_pair = bad_pair or f"star({u.basis}) contains the new vertex {w.basis}"
+
+        # (b) the star is a cone with apex its vertex, A_j = U_j * link(U_j),
+        # compared as sets of facets over the star's vertex indices
+        if bad_cone is None:
+            at = star.vertex_index
+            apex = at.get(u, -1)
+            lk = link(k_cur, (index[u],))
+            to_star = [at.get(w, -1) for w in lk.vertices]
+            rebuilt = {tuple(sorted([apex, *map(to_star.__getitem__, f)])) for f in lk.facets}
+            if not all(apex in f for f in star.facets):
+                bad_cone = f"U = {u.basis}: facet without the apex"
+            elif (rebuilt or {(apex,)}) != set(star.facets):
+                bad_cone = f"U = {u.basis}: star is not the cone over its link"
+
+        # (c) the star boundary: join decomposition and (n-2)-sphericity; (d)
+        # the below/above set identities and the restricted-family comparison.
+        # The below and above sets are increasing vertex indices of |Y_n|, read
+        # from its containment graph (Γ = Y_n).  A_j ∩ B and the join both list
+        # their vertices in |Y_n|'s order and their facets sorted, so they have
+        # the same facets iff these tuples agree
         below, above = state.around(u, i - 1)
-        # A_j ∩ B is cut from the star's facets and the join from |Y_n|'s
-        # graph; both list their vertices in the order of |Y_n| and their
-        # facets sorted, so they have the same facets iff these tuples agree
-        a_cap_b = induced_subcomplex(stars[u], prev_set)
+        a_cap_b = induced_subcomplex(star, prev_set)
         join = induced_subcomplex(top, {top.vertices[j] for j in below + above})
         if (a_cap_b.vertices, a_cap_b.facets) != (join.vertices, join.facets):
             bad_join = bad_join or f"U = {u.basis}"
@@ -360,17 +350,20 @@ def verify_stage(state: FiltrationState, i: int) -> StageReport:
             bad_below = bad_below or _set_witness(u, top, below, below_y0)
         if bad_delta is None:
             bad_delta = _delta_comparison(state, u, {top.vertices[j] for j in below_y0})
-    check("star_boundary_join_decomposition", bad_join)
-    check("star_boundary_sphericity", bad_sphere)
-    check("above_sets_equal_gamma_above", bad_above)
-    check("below_sets_equal_y0_below", bad_below)
-    check("below_sets_match_restricted_family", bad_delta)
 
     # Mayer-Vietoris rank bookkeeping at degree n-1
     lhs = state.homology[i].betti_number(n - 1)
     rhs = state.homology[i - 1].betti_number(n - 1) + report.boundary_rank_sum
-    check("mayer_vietoris_rank_balance",
-          None if lhs == rhs else f"rank H~_{n-1}(Y_{i}) = {lhs} != {rhs}")
+    report.checks = [CheckResult(name, witness is None, witness) for name, witness in (
+        ("pairwise_star_intersections_in_B", bad_pair),
+        ("stars_are_cones", bad_cone),
+        ("star_boundary_join_decomposition", bad_join),
+        ("star_boundary_sphericity", bad_sphere),
+        ("above_sets_equal_gamma_above", bad_above),
+        ("below_sets_equal_y0_below", bad_below),
+        ("below_sets_match_restricted_family", bad_delta),
+        ("mayer_vietoris_rank_balance",
+         None if lhs == rhs else f"rank H~_{n-1}(Y_{i}) = {lhs} != {rhs}"))]
     return report
 
 

@@ -250,10 +250,12 @@ def morse_complex(k: SimplicialComplex, level=None) -> tuple[list, list[IntegerM
 
     Cells get integer ids by degree: the empty simplex is 0, vertex v is
     v + 1, and the j-simplices follow in the order of ``k.simplices(j)``.
-    A cell's level is the largest level of its vertices, the level at which
+    Faces are looked up in an index simplex -> id of the degree below, never
+    built for the top degree, whose cells share one empty coface tuple.  A
+    cell's level is the largest level of its vertices, the level at which
     its last vertex enters; the empty simplex has level 0.  A queue serves
-    cells with exactly one free face left; such a cell t is paired with that
-    face s, [t:s] = ±1, and both leave the complex by the elementary
+    cells with exactly one free face left; such a cell t is paired with
+    that face s, [t:s] = ±1, and both leave the complex by the elementary
     reduction of Kaczynski, Mrozek & Ślusarek: every other coface r of s
     gets ∂r -= [r:s]·[t:s]·∂t, and t drops out of its cofaces' boundaries.
     The other faces of t are critical, so this fill lands only on critical
@@ -281,17 +283,16 @@ def morse_complex(k: SimplicialComplex, level=None) -> tuple[list, list[IntegerM
     levels = max(vlevel, default=0) + 1
     faces: list[tuple[int, ...]] = [()] + [(0,)] * k.num_vertices
     cell_level = [0] + vlevel
-    prev = {(v,): v + 1 for v in range(k.num_vertices)}
+    ids = {(v,): v + 1 for v in range(k.num_vertices)}  # (d-1)-simplex -> cell id
     sizes = [k.num_vertices]
     for d in range(1, k.dim + 1):
         simps = k.simplices(d)
         sizes.append(len(simps))
         # faces[c][i] is the face without vertex i, so [c : faces[c][i]] = (-1)^i
-        cur = dict(zip(simps, range(len(faces), len(faces) + len(simps))))
-        faces.extend(tuple(map(prev.__getitem__, combinations(s, d)))[::-1] for s in simps)
+        faces.extend(tuple(map(ids.__getitem__, combinations(s, d)))[::-1] for s in simps)
         if level is not None:
             cell_level.extend(max(map(vlevel.__getitem__, s)) for s in simps)
-        prev = cur
+        ids = dict(zip(simps, range(len(faces) - len(simps), len(faces)))) if d < k.dim else None
     n = len(faces)
     if level is None:
         cell_level = [0] * n
@@ -300,7 +301,7 @@ def morse_complex(k: SimplicialComplex, level=None) -> tuple[list, list[IntegerM
         by_level = [[] for _ in range(levels)]  # cell ids of each level, by degree
         for c, lv in enumerate(cell_level):
             by_level[lv].append(c)
-    cofaces: list[list[int]] = [[] for _ in range(n)]
+    cofaces = [[] for _ in range(n - sizes[-1])] + [()] * sizes[-1]  # top cells have none
     for c, fs in enumerate(faces):
         for f in fs:
             cofaces[f].append(c)

@@ -24,10 +24,10 @@ its containment graph.  Its full subcomplexes (``induced_subcomplex``) are
 walked from those lists cut to the kept vertices and carry them too;
 stars, links and complexes built from facets do not.
 
-Face counts list no simplex where they need not: an order complex counts
-its chains over the successor lists it builds anyway, and any other complex
-reads its vertices and top simplices off ``num_vertices`` and the facets,
-listing only the dimensions in between.
+Face counts and ``simplices`` list no simplex where they need not: an order
+complex counts its chains over the successor lists it builds anyway, and
+the vertices and the top simplices, which are facets, are read off
+``num_vertices`` and the facets; only the dimensions in between are listed.
 """
 
 from __future__ import annotations
@@ -140,8 +140,11 @@ class SimplicialComplex:
         return {v: i for i, v in enumerate(self.vertices)}
 
     def simplices(self, k: int) -> list[tuple[int, ...]]:
-        """All k-simplices as sorted index tuples, in sorted order."""
-        return sorted(self._faces(k))
+        """All k-simplices as sorted index tuples, in sorted order; the top
+        ones are the top facets themselves, the very tuples."""
+        if k == self.dim:
+            return [f for f in self.facets if len(f) == k + 1]
+        return [(v,) for v in range(self.num_vertices)] if k == 0 else sorted(self._faces(k))
 
     def _faces(self, k: int) -> set[tuple[int, ...]]:
         return {c for f in self.facets if len(f) > k for c in combinations(f, k + 1)}

@@ -163,6 +163,8 @@ def load_family(path: str) -> tuple[PhanFamily, str]:
         doc = json.loads(data)
     except json.JSONDecodeError as exc:
         raise SpecFileError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    except UnicodeDecodeError as exc:  # json.loads takes UTF-8, UTF-16 and UTF-32 bytes
+        raise SpecFileError(f"not UTF-8, UTF-16 or UTF-32 text: {exc.reason} at byte {exc.start}")
     return parse_family(doc), sha256(data).hexdigest()
 
 

@@ -501,22 +501,25 @@ def _alternating_plane_spec():
      "every point is non-degenerate for every top form"),
     (["build", "--spec", _alternating_plane_spec()],
      "specs[0]: omega_0 admits no non-isotropic vector"),
+    (["build", "--spec", b"\xff\xfe\xfa"], "not UTF-8, UTF-16 or UTF-32 text"),
     (["lemma-tests", "--count", "0"], "--count must be >= 1, got 0"),
     (["lemma-tests", "--count", "-3"], "--count must be >= 1, got -3"),
 ], ids=["string-coefficient", "float-coefficient", "null-coefficient",
         "bool-coefficient", "float-characteristic", "bool-characteristic",
         "out-into-missing-directory", "spec-is-a-directory", "negative-target-dim",
         "target-dim-below-complex-dim", "negative-control-without-isotropic-point",
-        "form-without-nonisotropic-vector", "zero-count", "negative-count"])
+        "form-without-nonisotropic-vector", "spec-not-unicode-text", "zero-count",
+        "negative-count"])
 def test_bad_input_exits_2_with_one_error_line(argv, message, capsys, tmp_path):
     """Bad input is exit 2 with one error line, never a traceback and exit
-    1, which would read as a failing verdict.  A spec document in argv is
-    written to a file first."""
+    1, which would read as a failing verdict.  A spec document or the raw
+    bytes of a spec file in argv are written to a file first."""
     argv = list(argv)
     for i, arg in enumerate(argv):
-        if isinstance(arg, dict):
+        if isinstance(arg, (dict, bytes)):
             argv[i] = str(tmp_path / "spec.json")
-            (tmp_path / "spec.json").write_text(json.dumps(arg))
+            (tmp_path / "spec.json").write_bytes(
+                arg if isinstance(arg, bytes) else json.dumps(arg).encode())
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from pathlib import Path
 
 import pytest
@@ -269,6 +271,39 @@ def test_join_witness_names_the_first_failing_vertex(monkeypatch):
     assert not join.passed and join.witness == f"U = {new[0].basis}"
     assert checks["star_boundary_sphericity"].passed
     assert len(calls) == len(new)
+
+
+def test_stage_keeps_nothing_it_built(monkeypatch):
+    """After ``verify_stage`` returns, no complex the stage built is still
+    reachable: not |Y_i| for i < n, no star, no A_j ∩ B and no join, each
+    tracked by a weak reference as ``star_closure`` and
+    ``induced_subcomplex`` hand it to the filtration.  On F_3^4 stage 1
+    builds 46: |Y_1| and three for each of its 15 new vertices.  |Y_n| is
+    the state's own, the same object on every call."""
+    family = PhanFamily((standard_spec(F3, 4),))
+    state = build_filtration(family, choose_pivot(family))
+    top = state.level_complex(state.n)
+    assert state.level_complex(state.n) is top and state.homology
+    built = []
+
+    def tracked(build):
+        def tracking(*args):
+            k = build(*args)
+            built.append(weakref.ref(k))
+            return k
+        return tracking
+
+    for name in ("star_closure", "induced_subcomplex"):
+        monkeypatch.setattr(filtration, name, tracked(getattr(filtration, name)))
+    counts = []
+    for i in range(1, state.n + 1):
+        built.clear()
+        verify_stage(state, i)
+        gc.collect()
+        counts.append(len(built))
+        assert [ref for ref in built if ref() is not None] == []
+    assert counts[0] == 46 and all(counts)
+    assert state.level_complex(state.n) is top
 
 
 def test_cone_check_names_the_first_star_that_is_not_the_cone_over_its_link(monkeypatch):

@@ -20,7 +20,7 @@ from phangeo.simplicial import (
     star_closure,
 )
 from phangeo.specfile import load_family
-from phangeo.suites import standard_spec
+from phangeo.suites import random_phan_spec, standard_spec
 from phangeo.phan import PhanFamily, vertices
 
 from conftest import chain_facets, join
@@ -107,6 +107,36 @@ def test_order_complex_counts_its_chains(name):
     if name == "F4^4":
         assert purity_and_dimension(k) == (False, 2)
         assert k.face_counts() == [400, 3072, 3840] and len(k.facets) == 4032
+
+
+def _assert_simplices_listed(k):
+    """``simplices(j)`` is the sorted listing of the (j+1)-subsets of the
+    facets for every j up to one past the top, and the top simplices are
+    the top facets themselves, the very tuples."""
+    for j in range(k.dim + 2):
+        assert k.simplices(j) == sorted({c for f in k.facets for c in combinations(f, j + 1)})
+    assert list(map(id, k.simplices(k.dim))) == [id(f) for f in k.facets if len(f) == k.dim + 1]
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in SPECS.glob("*.json"))
+                         + ["F3^4 seeded", "F4^4", "0-dimensional", "empty"])
+def test_simplices_are_the_sorted_listing(name):
+    """On the order complexes of the bundled specs, of F_3^4 with a seeded
+    random form and of the non-pure F_4^4, and on a 0-dimensional and the
+    empty complex."""
+    if name in ("0-dimensional", "empty"):
+        k = SimplicialComplex("abc" if name == "0-dimensional" else "", [])
+        assert k.dim == (0 if name == "0-dimensional" else -1)
+    else:
+        if name == "F3^4 seeded":
+            family = PhanFamily((random_phan_spec(random.Random(2), F3, 4, 0),))
+        elif name == "F4^4":
+            family = PhanFamily((standard_spec(F4, 4),))
+        else:
+            family, _ = load_family(str(SPECS / f"{name}.json"))
+        k = order_complex(vertices(family).members)
+        assert name != "F4^4" or purity_and_dimension(k) == (False, 2)
+    _assert_simplices_listed(k)
 
 
 def test_generic_face_counts_match_the_listing():
@@ -279,6 +309,7 @@ def test_operations_match_label_oracle(c1, c2, c3, data):
         assert got == sorted(got)
         assert {frozenset(labels[i] for i in s) for s in got} == \
             {s for s in simps if len(s) == d + 1}
+    _assert_simplices_listed(k)
     if not labels:
         return
 
