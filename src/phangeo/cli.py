@@ -7,7 +7,12 @@ in.  Exit codes: 0 all verdicts pass, 1 any verdict fails, 2 input error.
 
 Each command imports only the layers it runs: every command is a fresh
 process, so ``build`` loads neither the homology nor the filtration layer,
-and ``homology``/``cm-check`` do not load the filtration layer.
+and ``homology``/``cm-check`` do not load the filtration layer.  For the
+same reason the arguments are parsed from two tables, ``COMMANDS`` and
+``OPTIONS``, and not by ``argparse``, which with ``gettext`` and
+``locale`` cost every command about 6 ms.  An argument error is an input
+error like any other: exit 2 with one ``error:`` line, in argparse's
+words.
 
 Reports are written as canonical JSON (sorted keys, schema version) so an
 identical input file and flags produce a byte-identical report; wall-clock
@@ -16,10 +21,10 @@ timings are printed to standard output only, never into the report file.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 import time
+from types import SimpleNamespace
 
 from . import __version__
 from .field import prime_power
@@ -298,75 +303,134 @@ def cmd_lemma_tests(args) -> int:
     return EXIT_PASS if ok else EXIT_FAIL
 
 
-def _parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="phangeo",
-        description=(
-            "Build generalized Phan geometries over finite fields and certify "
-            "their homology, Cohen-Macaulayness and filtration structure."
-        ),
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
+# command -> (help, the options it takes)
+COMMANDS = {
+    "build": ("construct the complex, export facets and counts", ("--spec", "--out")),
+    "homology": ("reduced integral homology and sphericity verdict",
+                 ("--spec", "--out", "--force", "--target-dim")),
+    "cm-check": ("Cohen-Macaulay link sweep", ("--spec", "--out", "--force")),
+    "filtration-verify": ("verify the inductive filtration stage by stage",
+                          ("--spec", "--out", "--force", "--negative-control")),
+    "bounds-table": ("tabulate the sufficient bounds", ("--out", "--max-n", "--max-q", "--max-m")),
+    "lemma-tests": ("run the structural-lemma property suites", ("--out", "--seed", "--count")),
+}
 
-    def common(p, spec=True):
-        if spec:
-            p.add_argument("--spec", required=True, help="geometry description file (JSON)")
-        p.add_argument("--out", help="write the JSON report to this file")
+_REQUIRED = object()  # the default of an option every command taking it needs
 
-    def force(p):
-        p.add_argument("--force", action="store_true",
-                       help="run even when the sufficient bound fails")
+# option -> (value type, None for a flag; default; help)
+OPTIONS = {
+    "--spec": (str, _REQUIRED, "geometry description file (JSON)"),
+    "--out": (str, None, "write the JSON report to this file"),
+    "--force": (None, False, "run even when the sufficient bound fails"),
+    "--target-dim": (int, None, "sphericity target dimension (default n-1)"),
+    "--negative-control": (None, False,
+                           "deliberately violate the pivot hypothesis and expect a witness"),
+    "--max-n": (int, 4, "largest n tabulated"),
+    "--max-q": (int, 16, "largest field order q tabulated"),
+    "--max-m": (int, 2, "largest number m of specs tabulated"),
+    "--seed": (int, 0, "seed for randomized property suites"),
+    "--count": (int, 100, "instances per randomized suite"),
+}
 
-    p = sub.add_parser("build", help="construct the complex, export facets and counts")
-    common(p)
-    p.set_defaults(func=cmd_build)
+_DESCRIPTION = ("Build generalized Phan geometries over finite fields and certify their\n"
+                "homology, Cohen-Macaulayness and filtration structure.")
 
-    p = sub.add_parser("homology", help="reduced integral homology and sphericity verdict")
-    common(p)
-    force(p)
-    p.add_argument("--target-dim", type=int, default=None,
-                   help="sphericity target dimension (default n-1)")
-    p.set_defaults(func=cmd_homology)
 
-    p = sub.add_parser("cm-check", help="Cohen-Macaulay link sweep")
-    common(p)
-    force(p)
-    p.set_defaults(func=cmd_cm)
+def _help_rows(rows) -> str:
+    width = max(len(left) for left, _ in rows) + 2
+    return "\n".join(f"  {left:<{width}}{right}" for left, right in rows)
 
-    p = sub.add_parser("filtration-verify", help="verify the inductive filtration stage by stage")
-    common(p)
-    force(p)
-    p.add_argument("--negative-control", action="store_true",
-                   help="deliberately violate the pivot hypothesis and expect a witness")
-    p.set_defaults(func=cmd_filtration)
 
-    p = sub.add_parser("bounds-table", help="tabulate the sufficient bounds")
-    common(p, spec=False)
-    p.add_argument("--max-n", type=int, default=4)
-    p.add_argument("--max-q", type=int, default=16)
-    p.add_argument("--max-m", type=int, default=2)
-    p.set_defaults(func=cmd_bounds_table)
+def _print_help(command: str | None) -> None:
+    if command is None:
+        print(f"usage: phangeo COMMAND [OPTIONS]\n\n{_DESCRIPTION}\n\ncommands:\n"
+              + _help_rows([(c, h) for c, (h, _) in COMMANDS.items()])
+              + "\n\nRun 'phangeo COMMAND --help' for the options of a command.")
+        raise SystemExit(EXIT_PASS)
+    text, takes = COMMANDS[command]
+    rows, usage = [], []
+    for opt in takes:
+        kind, default, help_ = OPTIONS[opt]
+        left = opt if kind is None else f"{opt} {'N' if kind is int else 'FILE'}"
+        usage.append(left if default is _REQUIRED else f"[{left}]")
+        if kind is int and default is not None:
+            help_ += f" (default {default})"
+        rows.append((left, help_))
+    rows.append(("-h, --help", "show this help and exit"))
+    print(f"usage: phangeo {command} {' '.join(usage)}\n\n{text}\n\noptions:\n"
+          + _help_rows(rows))
+    raise SystemExit(EXIT_PASS)
 
-    p = sub.add_parser("lemma-tests", help="run the structural-lemma property suites")
-    common(p, spec=False)
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for randomized property suites")
-    p.add_argument("--count", type=int, default=100,
-                   help="instances per randomized suite")
-    p.set_defaults(func=cmd_lemma_tests)
-    return ap
+
+def _is_value(arg: str) -> bool:
+    """Whether an argument after an option is its value: anything but
+    another option, and a negative number is a value, as in argparse."""
+    return not arg.startswith("-") or arg == "-" or arg[1:].replace(".", "", 1).isdigit()
+
+
+def _parse_args(argv: list[str]) -> tuple[str, SimpleNamespace]:
+    """(command, its options as attributes: --target-dim is ``target_dim``),
+    read by the tables above.  A bad argument is an input error, reported
+    in argparse's words; options may be given as ``--opt value`` or
+    ``--opt=value``, not abbreviated."""
+    if not argv:
+        _die("the following arguments are required: command")
+    command, *rest = argv
+    if command in ("-h", "--help"):
+        _print_help(None)
+    if command not in COMMANDS:
+        _die(f"argument command: invalid choice: {command!r} "
+             f"(choose from {', '.join(map(repr, COMMANDS))})")
+    values = {opt: OPTIONS[opt][1] for opt in COMMANDS[command][1]}
+    unrecognized = []
+    args = iter(rest)
+    for arg in args:
+        if arg in ("-h", "--help"):
+            _print_help(command)
+        opt, eq, value = arg.partition("=")
+        if opt not in values:
+            unrecognized.append(arg)
+            continue
+        kind = OPTIONS[opt][0]
+        if kind is None:
+            if eq:
+                _die(f"argument {opt}: ignored explicit argument {value!r}")
+            values[opt] = True
+            continue
+        if not eq:
+            value = next(args, None)
+            if value is None or not _is_value(value):
+                _die(f"argument {opt}: expected one argument")
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                _die(f"argument {opt}: invalid int value: {value!r}")
+        values[opt] = value
+    missing = [opt for opt, value in values.items() if value is _REQUIRED]
+    if missing:
+        _die(f"the following arguments are required: {', '.join(missing)}")
+    if unrecognized:
+        _die(f"unrecognized arguments: {' '.join(unrecognized)}")
+    return command, SimpleNamespace(**{opt[2:].replace("-", "_"): value
+                                       for opt, value in values.items()})
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    command, args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     # a report that cannot be written is refused before the computation
     out_dir = os.path.dirname(args.out or "")
     if out_dir and not os.path.isdir(out_dir):
         _die(f"cannot write report {args.out}: no directory {out_dir}")
     if args.out and os.path.isdir(args.out):
         _die(f"cannot write report {args.out}: is a directory")
+    # looked up now, not stored at import, so that a handler swapped in
+    # after import (bench/trace_cli.py does) is the one that runs
+    handler = {"build": cmd_build, "homology": cmd_homology, "cm-check": cmd_cm,
+               "filtration-verify": cmd_filtration, "bounds-table": cmd_bounds_table,
+               "lemma-tests": cmd_lemma_tests}[command]
     try:
-        return args.func(args)
+        return handler(args)
     except BrokenPipeError:
         # the reader went away; silence the flush at interpreter exit
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -35,16 +35,11 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cached_property
 
-from .homology import HomologyReport, filtered_homology, reduced_homology, sphericity_verdict
+from .homology import HomologyReport, reduced_homology, sphericity_verdict
 from .linalg import Subspace
-from .phan import (
-    DeltaConstructionError,
-    EmptyResidueError,
-    GeometryVertexSet,
-    PhanFamily,
-    delta_restriction,
-    vertices,
-)
+from .morse import filtered_homology
+from .phan import GeometryVertexSet, PhanFamily, vertices
+from .residues import DeltaConstructionError, EmptyResidueError, delta_restriction
 from .simplicial import (
     SimplicialComplex,
     induced_subcomplex,

@@ -1,6 +1,7 @@
-"""Sigma-hermitian forms: evaluation, radicals, perpendicular spaces,
-restriction, extension of a flag's forms to the whole space, and the
-projection form onto the perp of a non-degenerate point.
+"""Sigma-hermitian forms: evaluation, radicals, perpendicular spaces and
+restriction.  The extension of a flag's forms around a pivot point and the
+projection form onto the perp of a non-degenerate point serve only the
+restricted families, and live with them in :mod:`phangeo.residues`.
 
 A form is stored as the Gram matrix over the canonical (reduced-echelon)
 basis of its domain subspace, so restriction is Gram compression.  The
@@ -33,34 +34,18 @@ from __future__ import annotations
 from functools import cached_property
 
 from .field import Field
-from .linalg import (
-    Flag,
-    Frozen,
-    Subspace,
-    combine,
-    complement,
-    hyperplane_masks,
-    rref,
-    solve_coordinates,
-)
+from .linalg import Frozen, Subspace, hyperplane_masks
 
 __all__ = [
     "HermitianForm",
     "HermitianSymmetryError",
-    "DegeneratePivotError",
     "RadicalConditionError",
     "NoNonisotropicVectorError",
-    "extend_forms",
-    "project_form",
 ]
 
 
 class HermitianSymmetryError(ValueError):
     """Gram matrix is not sigma-hermitian."""
-
-
-class DegeneratePivotError(ValueError):
-    """A pivot point required to be non-degenerate is isotropic."""
 
 
 class RadicalConditionError(ValueError):
@@ -247,95 +232,3 @@ class _RestrictedPerps(dict):
     def __missing__(self, bit: int) -> int:
         mask = self[bit] = self.parent[bit] & self.whole
         return mask
-
-
-def extend_forms(flag: Flag, forms, p: Subspace, complement_policy=None):
-    """Extend the flag's forms to the whole space around a pivot point p.
-
-    Requires Rad(omega_i) = V_i for every i and p non-degenerate for the top
-    form.  Returns forms on all of V = flag.top such that each restricts to
-    the original on V_(i+1), keeps radical V_i, and makes p non-degenerate
-    with one common perp; the construction sums the original forms over the
-    projections onto a direct decomposition V = C_1 ⊕ ... ⊕ C_(t+1) ⊕ p.
-    """
-    forms = tuple(forms)
-    t = len(flag.members) - 2
-    if len(forms) != t + 1:
-        raise ValueError(f"expected {t + 1} forms for a flag of length {t + 2}")
-    for i, w in enumerate(forms):
-        if w.domain != flag[i + 1]:
-            raise ValueError(f"form {i} is not defined on flag member {i + 1}")
-        if w.perp_mask(w.domain) != flag[i].point_mask:
-            raise RadicalConditionError(f"Rad(omega_{i}) != V_{i} on input")
-    if p.dim != 1:
-        raise ValueError("pivot must be one-dimensional")
-    pv = p.basis[0]
-    top = forms[t]
-    if top.evaluate(pv, pv) == 0:
-        raise DegeneratePivotError("pivot point is degenerate for the top form")
-
-    comp = complement_policy if complement_policy is not None else complement
-    parts = [comp(flag[i - 1], flag[i]) for i in range(1, t + 1)]
-    parts += [comp(flag[t], top.perp(p)), p]
-    # V = C_1 ⊕ ... ⊕ C_(t+1) ⊕ p iff the stacked bases reduce to V's
-    stacked = [row for part in parts for row in part.basis]
-    f = flag.field
-    if len(stacked) != flag.top.dim or rref(f, stacked) != flag.top.basis:
-        raise ValueError("parts do not form a direct-sum decomposition of the ambient")
-
-    # the component of each top-space basis vector in each summand, from
-    # its coordinates over the stacked bases
-    basis = flag.top.basis
-    proj = [[] for _ in parts]
-    for d in basis:
-        coords = solve_coordinates(f, stacked, d)
-        offset = 0
-        for comps, part in zip(proj, parts):
-            comps.append(combine(f, coords[offset:offset + part.dim], part.basis, len(d)))
-            offset += part.dim
-
-    out = []
-    for i in range(t + 1):
-        gram = []
-        for r in range(len(basis)):
-            row = []
-            for s in range(len(basis)):
-                total = 0
-                for j in range(i, t + 1):
-                    xr = proj[j][r]
-                    xs = proj[j][s]
-                    if any(xr) and any(xs):
-                        total = f.add(total, forms[j].evaluate(xr, xs))
-                xr = proj[t + 1][r]
-                xs = proj[t + 1][s]
-                if any(xr) and any(xs):
-                    total = f.add(total, forms[t].evaluate(xr, xs))
-                row.append(total)
-            gram.append(tuple(row))
-        out.append(HermitianForm(f, flag.top, tuple(gram)))
-    return tuple(out)
-
-
-def project_form(form: HermitianForm, p: Subspace) -> HermitianForm:
-    """The form w^p(v, w) = w(pr(v), pr(w)) for the projection pr onto the
-    perp of a non-degenerate point p in the decomposition D = p ⊕ p^perp:
-    pr(v) = v - w(v, p) w(p, p)^-1 p, so that w(pr(v), p) = 0, w being
-    linear in its first argument."""
-    if p.dim != 1 or not form.domain.contains_subspace(p):
-        raise ValueError("p must be a one-dimensional subspace of the domain")
-    pv = p.basis[0]
-    wpp = form.evaluate(pv, pv)
-    if wpp == 0:
-        raise DegeneratePivotError("projection pivot is degenerate for the form")
-    f = form.field
-    scale = f.inv(wpp)
-    basis = form.domain.basis
-    projected = []
-    for d in basis:
-        a = f.mul(form.evaluate(d, pv), scale)
-        projected.append(tuple(f.sub(x, f.mul(a, y)) for x, y in zip(d, pv)))
-    gram = tuple(
-        tuple(form.evaluate(projected[r], projected[s]) for s in range(len(basis)))
-        for r in range(len(basis))
-    )
-    return HermitianForm(f, form.domain, gram)

@@ -1,6 +1,5 @@
 """Generalized Phan geometries of type A_n: membership, enumeration,
-residues below/above an element, families (intersections), and the
-restriction of a family to a member relative to a pivot point.
+families (intersections) and the sufficient bounds.
 
 A spec consists of a flag {0} = V_0 < ... < V_(t+1) = V inside an ambient
 subspace together with forms w_i on V_(i+1) whose radical is exactly V_i.
@@ -16,54 +15,33 @@ the perp masks of its points (``HermitianForm.nondegenerate_on_mask``).  No
 basis is decoded, no Gram matrix built and no elimination run.  A spec's
 radical conditions compare masks too (``HermitianForm.perp_mask``).
 
-Residues stay in the ambient space.  The residue below U is a spec on U;
-the residue above U, the geometry of V/U, is a spec on the perp section
-(U ∩ V_(k+1))^perp(w_k), a complement of U in V, whose forms are
-restrictions of the spec's own.
+Residues below and above an element and the restriction of a family to a
+member relative to a pivot point live in :mod:`phangeo.residues`, which
+only the filtration and the lemma suites load.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .field import Field
-from .forms import (
-    DegeneratePivotError,
-    HermitianForm,
-    NoNonisotropicVectorError,
-    RadicalConditionError,
-    extend_forms,
-    project_form,
-)
+from .forms import HermitianForm, NoNonisotropicVectorError, RadicalConditionError
 from .linalg import Flag, Frozen, Subspace, enumerate_subspaces_of
 
 __all__ = [
     "PhanSpec",
     "PhanFamily",
     "GeometryVertexSet",
-    "MembershipError",
-    "EmptyResidueError",
-    "DeltaConstructionError",
     "vertices",
-    "residue_below",
-    "residue_above",
-    "delta_restriction",
     "bound_report",
     "family_bound_report",
 ]
 
 
-class MembershipError(ValueError):
-    """An operation required a geometry member and got a non-member."""
-
-
-class EmptyResidueError(ValueError):
-    """A family restriction required a non-empty residue below the member."""
-
-
-class DeltaConstructionError(RuntimeError):
-    """The flag/form construction of the restricted family broke an expected
-    radical property; indicates a violated precondition."""
+def __getattr__(name: str):
+    # bench/trace_cli.py wraps delta_restriction under its old home
+    if name == "delta_restriction":
+        from . import residues
+        return residues.delta_restriction
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class PhanSpec(Frozen):
@@ -296,158 +274,3 @@ def vertices(family: PhanFamily) -> GeometryVertexSet:
     first, *rest = family.specs
     return GeometryVertexSet(family, tuple(u for u in first.members()
                                            if all(s.is_member(u) for s in rest)))
-
-
-def residue_below(spec: PhanSpec, u: Subspace) -> PhanSpec:
-    """The geometry {x in Gamma : x < u} as a spec on the ambient u."""
-    if not spec.is_member(u):
-        raise MembershipError("residue_below requires a geometry member")
-    k = spec.k_of(u)
-    members = tuple(spec.flag[i].intersect(u) for i in range(k, spec.t + 2))
-    flag = Flag(members)
-    forms = tuple(
-        spec.forms[i].restrict(members[i - k + 1]) for i in range(k, spec.t + 1)
-    )
-    return PhanSpec(flag, forms, require_nonisotropic=False)
-
-
-def residue_above(spec: PhanSpec, u: Subspace) -> PhanSpec:
-    """The geometry {x in Gamma : x > u} as a spec on the section
-    W = (u ∩ V_(k+1))^perp(w_k), which complements u in V and stands for V/u.
-
-    A member X of the returned spec corresponds to the member X + u of the
-    residue.  Its flag is (V_i + u) ∩ W up to the first member equal to W,
-    with the spec's forms restricted to it: V_0 < ... < V_k < W, or
-    V_0 < ... < V_k if V_k = W, since each V_i with i <= k misses u and
-    lies in Rad(w_k) ⊆ W, and V_(k+1) + u = V.  Only w_k is cut down, to W.
-    """
-    if not spec.is_member(u):
-        raise MembershipError("residue_above requires a geometry member")
-    k = spec.k_of(u)
-    section = spec.forms[k].perp(u.intersect(spec.flag[k + 1]))
-    members, forms = spec.flag.members[:k + 1], spec.forms[:k]
-    if members[-1] != section:
-        members += (section,)
-        forms += (spec.forms[k].restrict(section),)
-    return PhanSpec(Flag(members), forms, require_nonisotropic=False)
-
-
-def _distinct_chain(entries):
-    """Distinct values of a weakly increasing chain plus, per step, the index
-    of the entry immediately before the first occurrence of the upper value."""
-    chain = [entries[0]]
-    cands = []
-    for i in range(1, len(entries)):
-        if entries[i] != chain[-1]:
-            chain.append(entries[i])
-            cands.append(i - 1)
-    return chain, cands
-
-
-@lru_cache(maxsize=64)
-def _extended_forms(spec: PhanSpec, p: Subspace) -> tuple[HermitianForm, ...]:
-    """The spec's forms extended around the pivot p.  They depend on (spec, p)
-    alone, so the restrictions to every member share them."""
-    return extend_forms(spec.flag, spec.forms, p)
-
-
-@lru_cache(maxsize=64)
-def _joined_flag(spec: PhanSpec, p: Subspace) -> tuple[Subspace, ...]:
-    """The flag members <V_i, p>, which depend on (spec, p) alone."""
-    return tuple(v.sum(p) for v in spec.flag.members)
-
-
-@lru_cache(maxsize=256)
-def _projected_form(spec: PhanSpec, p: Subspace, i: int) -> HermitianForm:
-    """The i-th extended form projected onto the perp of p."""
-    return project_form(_extended_forms(spec, p)[i], p)
-
-
-def _lemma49_spec(spec: PhanSpec, p: Subspace, u: Subspace,
-                  branches: list | None = None) -> PhanSpec:
-    """The second restricted spec on u: flag <V_i, p> ∩ u with projected
-    extended forms, including the collapsed one-dimensional and augmented
-    radical branches."""
-    f = spec.field
-    entries = []
-    l_u = None
-    for i, joined in enumerate(_joined_flag(spec, p)):
-        z = joined.intersect(u)
-        entries.append(z)
-        if z == u:
-            l_u = i
-            break
-    assert l_u is not None
-    chain, cands = _distinct_chain(entries[: l_u + 1])
-
-    def unit(sub: Subspace) -> HermitianForm:
-        k = sub.dim
-        gram = tuple(tuple(1 if a == b else 0 for b in range(k)) for a in range(k))
-        return HermitianForm(f, sub, gram)
-
-    flag_members = [chain[0]]
-    step_forms: list[HermitianForm] = []
-    for j, (upper, cand) in enumerate(zip(chain[1:], cands)):
-        lower = flag_members[-1]
-        candidate = _projected_form(spec, p, cand).restrict(upper)
-        rad = candidate.radical()
-        if rad == lower:
-            flag_members.append(upper)
-            step_forms.append(candidate)
-        elif j == 0 and upper.dim == 1:
-            # collapsed duplicate or fully degenerate first entry: the form on
-            # a one-dimensional first flag piece is an arbitrary
-            # non-degenerate one
-            flag_members.append(upper)
-            step_forms.append(unit(upper))
-        elif j == 0 and rad.dim == 1:
-            # degenerate branch: augment the flag with the radical R
-            flag_members.append(rad)
-            step_forms.append(unit(rad))
-            flag_members.append(upper)
-            step_forms.append(candidate)
-            if branches is not None:
-                branches.append("radical_augmented")
-        else:
-            raise DeltaConstructionError(
-                f"unexpected radical at step {j}: dim {rad.dim}"
-            )
-    if branches is not None:
-        if l_u == spec.t:
-            branches.append("hyperplane_l_t")
-        if len(chain) > 1 and chain[1].dim == 1:
-            branches.append("one_dim_first_entry")
-    return PhanSpec(Flag(tuple(flag_members)), tuple(step_forms),
-                    require_nonisotropic=False)
-
-
-def delta_restriction(family: PhanFamily, p: Subspace, u: Subspace,
-                      branches: list | None = None) -> PhanFamily:
-    """Restrict the family to a member u relative to a pivot point p.
-
-    Returns a family of at most 2m specs on u whose intersection geometry is
-    {W < u : W and <W, p> both belong to the family intersection}.  Per spec
-    the output carries the residue below u and a spec built from the flag
-    <V_i, p> ∩ u with projected extended forms; structurally equal specs are
-    emitted once.
-    """
-    if p.dim != 1:
-        raise ValueError("pivot must be one-dimensional")
-    if u.contains_subspace(p):
-        raise ValueError("pivot lies inside the member subspace")
-    if not family.is_member(u):
-        raise MembershipError("delta_restriction requires a member of the family")
-    out: list[PhanSpec] = []
-    for j, spec in enumerate(family.specs):
-        pv = p.basis[0]
-        if spec.forms[-1].evaluate(pv, pv) == 0:
-            raise DegeneratePivotError(
-                f"pivot is degenerate for the top form of spec {j}"
-            )
-        if not spec.has_member_below(u):
-            raise EmptyResidueError(f"spec {j} has an empty residue below the member")
-        for candidate in (residue_below(spec, u),
-                          _lemma49_spec(spec, p, u, branches)):
-            if candidate not in out:
-                out.append(candidate)
-    return PhanFamily(tuple(out))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 
 from .field import Field, make_field
-from .forms import HermitianForm, extend_forms, project_form
+from .forms import HermitianForm
 from .linalg import (
     Flag,
     Subspace,
@@ -22,13 +22,13 @@ from .linalg import (
     enumerate_subspaces_of,
     solve_coordinates,
 )
-from .phan import (
-    PhanFamily,
-    PhanSpec,
+from .phan import PhanFamily, PhanSpec, vertices
+from .residues import (
     delta_restriction,
+    extend_forms,
+    project_form,
     residue_above,
     residue_below,
-    vertices,
 )
 
 __all__ = [

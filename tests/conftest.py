@@ -10,14 +10,9 @@ import pytest
 from phangeo.cli import main
 from phangeo.field import Field
 from phangeo.forms import HermitianForm
-from phangeo.homology import (
-    IntegerMatrix,
-    boundary_matrices,
-    reduced_homology,
-    smith_invariant_factors,
-    sphericity_verdict,
-)
+from phangeo.homology import reduced_homology, sphericity_verdict
 from phangeo.linalg import Flag, Subspace, enumerate_subspaces, rref
+from phangeo.morse import IntegerMatrix, boundary_matrices, smith_invariant_factors
 from phangeo.simplicial import SimplicialComplex, link
 
 
@@ -387,6 +382,7 @@ def homology_calls(monkeypatch):
     filtration, which imports them by name."""
     import phangeo.filtration
     import phangeo.homology
+    import phangeo.morse
 
     calls = Counter()
 
@@ -396,9 +392,10 @@ def homology_calls(monkeypatch):
             return original(k, *args)
         return counted
 
-    for name in ("reduced_homology", "filtered_homology"):
-        counted = counting(getattr(phangeo.homology, name))
-        for module in (phangeo.homology, phangeo.filtration):
+    for home, name in ((phangeo.homology, "reduced_homology"),
+                       (phangeo.morse, "filtered_homology")):
+        counted = counting(getattr(home, name))
+        for module in (home, phangeo.filtration):
             monkeypatch.setattr(module, name, counted)
     return calls
 

@@ -16,13 +16,8 @@ import pytest
 from phangeo.cli import main
 from phangeo.field import make_field
 from phangeo.filtration import run_verification
-from phangeo.homology import (
-    IntegerMatrix,
-    cohen_macaulay_check,
-    reduced_homology,
-    smith_invariant_factors,
-    sphericity_verdict,
-)
+from phangeo.homology import cohen_macaulay_check, reduced_homology, sphericity_verdict
+from phangeo.morse import IntegerMatrix, smith_invariant_factors
 from phangeo.phan import PhanFamily, vertices
 from phangeo.simplicial import order_complex, purity_and_dimension
 from phangeo.specfile import dump_family

@@ -425,6 +425,41 @@ def test_subcommands_register_only_their_flags(tmp_path, spec_q5, capsys):
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_help_lists_every_command_and_option(capsys):
+    """``phangeo -h`` and ``phangeo COMMAND --help`` exit 0, and between
+    them list every command and every option, each beside its help text
+    from the tables."""
+    from phangeo.cli import COMMANDS, OPTIONS
+
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    assert exc.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    for command, (text, _) in COMMANDS.items():
+        assert any(line.split() == [command, *text.split()] for line in lines), command
+    listed = set()
+    for command, (_, takes) in COMMANDS.items():
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        lines = capsys.readouterr().out.splitlines()
+        for opt in takes:
+            assert any(line.split()[:1] == [opt] and OPTIONS[opt][2] in line
+                       for line in lines), (command, opt)
+        listed.update(takes)
+    assert listed == set(OPTIONS)
+
+
+def test_option_values_may_follow_an_equals_sign(tmp_path):
+    """``--opt=value`` reads as ``--opt value``."""
+    spaced, joined = tmp_path / "spaced.json", tmp_path / "joined.json"
+    assert main(["bounds-table", "--max-n", "2", "--max-q", "9", "--max-m", "1",
+                 "--out", str(spaced)]) == 0
+    assert main(["bounds-table", "--max-n=2", "--max-q=9", "--max-m=1",
+                 f"--out={joined}"]) == 0
+    assert joined.read_bytes() == spaced.read_bytes()
+
+
 def test_broken_pipe_is_not_an_input_error():
     proc = subprocess.Popen(
         [sys.executable, "-m", "phangeo.cli", "bounds-table", "--max-n", "8",
@@ -438,29 +473,38 @@ def test_broken_pipe_is_not_an_input_error():
     assert "Traceback" not in err and "Exception ignored" not in err
 
 
-STDLIB = ("dataclasses", "inspect")
+STDLIB = ("dataclasses", "inspect", "argparse", "gettext", "locale")
+ENGINES = ("phangeo.residues", "phangeo.morse")
 
 
-@pytest.mark.parametrize("command, unloaded", [
-    (None, ("phangeo.homology", "phangeo.filtration", "phangeo.suites") + STDLIB),
-    ("build", ("phangeo.homology", "phangeo.filtration", "phangeo.suites") + STDLIB),
-    ("homology", ("phangeo.filtration", "phangeo.suites") + STDLIB),
-    ("cm-check", ("phangeo.filtration", "phangeo.suites") + STDLIB),
-], ids=["import", "build", "homology", "cm-check"])
-def test_cli_loads_only_the_layers_a_command_runs(tmp_path, command, unloaded):
+@pytest.mark.parametrize("command, unloaded, loaded", [
+    (None, ("phangeo.homology", "phangeo.filtration", "phangeo.suites") + STDLIB, ()),
+    ("build", ("phangeo.homology", "phangeo.filtration", "phangeo.suites") + ENGINES + STDLIB,
+     ()),
+    ("homology", ("phangeo.filtration", "phangeo.suites") + ENGINES + STDLIB,
+     ("phangeo.homology",)),
+    ("cm-check", ("phangeo.filtration", "phangeo.suites") + ENGINES + STDLIB,
+     ("phangeo.homology",)),
+    ("filtration-verify", ("phangeo.suites",) + STDLIB, ("phangeo.filtration",) + ENGINES),
+], ids=["import", "build", "homology", "cm-check", "filtration-verify"])
+def test_cli_loads_only_the_layers_a_command_runs(tmp_path, command, unloaded, loaded):
     """Every command is a fresh process, so it pays for each module it
     imports: importing the CLI loads no layer beyond geometry and complexes,
     build runs neither homology nor filtration, homology and cm-check no
-    filtration, and no command needs dataclasses."""
+    filtration, and on the 1-dimensional t0_q5_dim3 neither the residues
+    nor the Morse/Smith engine; filtration-verify loads both, but not the
+    lemma suites.  No command needs dataclasses or argparse (with gettext
+    and locale)."""
     script = "import sys, phangeo.cli\n"
     if command is not None:
         argv = [command, "--spec", str(SPECS / "t0_q5_dim3.json"),
                 "--out", str(tmp_path / "r.json")]
         script += f"assert phangeo.cli.main({argv!r}) == 0\n"
     script += f"print(sorted(set({unloaded!r}) & set(sys.modules)))\n"
+    script += f"print(sorted(set({loaded!r}) - set(sys.modules)))\n"
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    assert proc.stdout.splitlines()[-2:] == ["[]", "[]"]
 
 
 def _edited_spec(entry, value):
@@ -504,16 +548,31 @@ def _alternating_plane_spec():
     (["build", "--spec", b"\xff\xfe\xfa"], "not UTF-8, UTF-16 or UTF-32 text"),
     (["lemma-tests", "--count", "0"], "--count must be >= 1, got 0"),
     (["lemma-tests", "--count", "-3"], "--count must be >= 1, got -3"),
+    (["build", "--spec", str(SPECS / "t0_q5_dim3.json"), "--force"],
+     "unrecognized arguments: --force"),
+    (["filtration-verify", "--spec", str(SPECS / "t0_q5_dim3.json"), "--neg"],
+     "unrecognized arguments: --neg"),
+    (["build"], "the following arguments are required: --spec"),
+    (["homology", "--spec", str(SPECS / "t0_q5_dim3.json"), "--target-dim", "x"],
+     "argument --target-dim: invalid int value: 'x'"),
+    (["build", "--spec", str(SPECS / "t0_q5_dim3.json"), "--out"],
+     "argument --out: expected one argument"),
+    (["certify", "--spec", str(SPECS / "t0_q5_dim3.json")],
+     "argument command: invalid choice: 'certify'"),
+    ([], "the following arguments are required: command"),
 ], ids=["string-coefficient", "float-coefficient", "null-coefficient",
         "bool-coefficient", "float-characteristic", "bool-characteristic",
         "out-into-missing-directory", "spec-is-a-directory", "negative-target-dim",
         "target-dim-below-complex-dim", "negative-control-without-isotropic-point",
         "form-without-nonisotropic-vector", "spec-not-unicode-text", "zero-count",
-        "negative-count"])
+        "negative-count", "unrecognized-argument", "abbreviated-option", "missing-spec",
+        "invalid-int", "option-without-value", "unknown-command", "no-command"])
 def test_bad_input_exits_2_with_one_error_line(argv, message, capsys, tmp_path):
     """Bad input is exit 2 with one error line, never a traceback and exit
-    1, which would read as a failing verdict.  A spec document or the raw
-    bytes of a spec file in argv are written to a file first."""
+    1, which would read as a failing verdict; an argument error too, in
+    argparse's words, and an option is never matched by a prefix.  A spec
+    document or the raw bytes of a spec file in argv are written to a file
+    first."""
     argv = list(argv)
     for i, arg in enumerate(argv):
         if isinstance(arg, (dict, bytes)):

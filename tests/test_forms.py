@@ -6,14 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phangeo.field import make_field
-from phangeo.forms import (
-    DegeneratePivotError,
-    HermitianForm,
-    HermitianSymmetryError,
-    extend_forms,
-    project_form,
-)
+from phangeo.forms import HermitianForm, HermitianSymmetryError
 from phangeo.linalg import Flag, Subspace, complement
+from phangeo.residues import DegeneratePivotError, extend_forms, project_form
 from phangeo.suites import (
     random_hermitian_gram,
     random_phan_spec,

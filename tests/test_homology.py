@@ -7,15 +7,17 @@ from hypothesis import strategies as st
 
 from phangeo.field import make_field
 from phangeo.homology import (
-    IntegerMatrix,
-    boundary_matrices,
     cohen_macaulay_check,
-    filtered_homology,
-    morse_complex,
     pi1_status,
     reduced_homology,
-    smith_invariant_factors,
     sphericity_verdict,
+)
+from phangeo.morse import (
+    IntegerMatrix,
+    boundary_matrices,
+    filtered_homology,
+    morse_complex,
+    smith_invariant_factors,
 )
 from phangeo.simplicial import SimplicialComplex, induced_subcomplex, order_complex
 from phangeo.specfile import load_family
@@ -478,12 +480,12 @@ def test_matching_checker_rejects_a_cycle():
 def test_homology_reduces_no_full_boundary(monkeypatch):
     """From dimension 2 up, Smith forms run on the Morse complex only: no
     full boundary matrix is assembled, and RP^2's Morse ∂_2 carries the 2."""
-    import phangeo.homology
+    import phangeo.morse
 
     def refused(k):
         raise AssertionError("boundary_matrices called")
 
-    monkeypatch.setattr(phangeo.homology, "boundary_matrices", refused)
+    monkeypatch.setattr(phangeo.morse, "boundary_matrices", refused)
     k = SimplicialComplex(range(6), RP2)
     assert reduced_homology(k).torsion == ((), (2,), ())
     _, mats, _ = morse_complex(k)

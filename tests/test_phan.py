@@ -14,16 +14,14 @@ from phangeo.linalg import (
     enumerate_subspaces_of,
     rref,
 )
-from phangeo import phan
-from phangeo.phan import (
+from phangeo import residues
+from phangeo.phan import PhanFamily, PhanSpec, vertices
+from phangeo.residues import (
     EmptyResidueError,
     MembershipError,
-    PhanFamily,
-    PhanSpec,
     delta_restriction,
     residue_above,
     residue_below,
-    vertices,
 )
 from phangeo.specfile import dump_family, load_family
 from phangeo.suites import (
@@ -128,7 +126,7 @@ def _recorded_delta_specs(family):
     specs = []
 
     def recording(*args, **kwargs):
-        fam = phan.delta_restriction(*args, **kwargs)
+        fam = residues.delta_restriction(*args, **kwargs)
         specs.extend(fam.specs)
         return fam
 
