@@ -11,23 +11,19 @@ identities, agreement of the below sets with the restricted family, and
 exact Mayer-Vietoris rank bookkeeping.  Checks report failures with
 witnesses instead of raising.
 
-|Y_(i-1)| is the order complex of a subset of Y_i, so it is a full
-subcomplex of |Y_i|: a chain of Y_i whose members all lie in Y_(i-1) is a
-chain of Y_(i-1).  A star boundary A_j ∩ B is therefore the star of U_j
-with the vertices outside Y_(i-1) dropped from each facet
-(``induced_subcomplex``), with no search through the facets of B.  So too
-every |Y_i| is the full subcomplex of |Y_n| on the vertices of level <= i,
-and one filtered reduction of |Y_n| (``filtered_homology``) gives the
-homology of every level.
-
-One containment graph serves the whole filtration.  |Y_n| is built once, by
-``order_complex``, which keeps the strict successors of each vertex
-(``succ``).  Every |Y_i| below it and every join |Y_(i-1)^<U * Y_(i-1)^>U|
-is the order complex of a subset of Y_n, so each is ``induced_subcomplex``
-of |Y_n|, walked from those lists cut to the subset; the below and above
-sets of checks (c) and (d) are read from the same lists and their reverse,
-by vertex index.  A star boundary is cut from the star's facets instead,
-so check (c) compares two separate constructions.
+Every |Y_i| is the full subcomplex of |Y_n| on the vertices of level <= i,
+so one filtered reduction of |Y_n| (``filtered_homology``) gives the
+homology of every level.  In an order complex the link of a vertex U is the
+order complex of the members comparable with U (Quillen, Adv. Math. 1978),
+so the star boundary A_j ∩ B is the join |Y_(i-1)^<U * Y_(i-1)^>U| of the
+restricted family below U and the residue above U, generalized Phan
+geometries of lower rank.  |Y_n| is built once, by ``order_complex``, and
+every neighbour, below and above set is read from its successor and
+predecessor lists (``succ``, ``pred``), every join cut from them
+(``induced_subcomplex``): no lower level, star or link is built.  Each
+graph reading is compared with a construction that shares no code with
+the graph: the point masks (b), the residues above U (c) and the
+restricted families (d).
 """
 
 from __future__ import annotations
@@ -39,14 +35,8 @@ from .homology import HomologyReport, reduced_homology, sphericity_verdict
 from .linalg import Subspace
 from .morse import filtered_homology
 from .phan import GeometryVertexSet, PhanFamily, vertices
-from .residues import DeltaConstructionError, EmptyResidueError, delta_restriction
-from .simplicial import (
-    SimplicialComplex,
-    induced_subcomplex,
-    link,
-    order_complex,
-    star_closure,
-)
+from .residues import DeltaConstructionError, EmptyResidueError, delta_restriction, residue_above
+from .simplicial import SimplicialComplex, induced_subcomplex, order_complex
 
 __all__ = [
     "PivotNotFoundError",
@@ -106,9 +96,9 @@ class FiltrationState:
     """The levels Y_0 .. Y_n (each sorted, each inside the next, Y_n = Γ) of
     a family's geometry around a pivot, and what the checks read of them,
     each computed once per state: the join <U, p> of every member, the
-    complex |Y_n| with the strict predecessors of each of its vertices, and
-    the homology of every level, from one filtered reduction of |Y_n|; no
-    lower level's complex is kept (``level_complex``)."""
+    complex |Y_n| with the vertex indices of each level, and the homology of
+    every level, from one filtered reduction of |Y_n|; no lower level's
+    complex is built."""
 
     def __init__(self, family: PhanFamily, pivot: Subspace, geometry: GeometryVertexSet,
                  levels: tuple[tuple[Subspace, ...], ...], joins: dict | None = None):
@@ -122,38 +112,26 @@ class FiltrationState:
     def n(self) -> int:
         return self.family.n
 
-    def level_complex(self, i: int) -> SimplicialComplex:
-        """|Y_i|: |Y_n| is kept by the state (``graph``), and a lower level
-        is its full subcomplex on Y_i, cut afresh on every call, so that it
-        dies with the stage that reads it, its indexes with it."""
-        top = self.graph[0]
-        return top if i == self.n else induced_subcomplex(top, set(self.levels[i]))
-
     @cached_property
-    def graph(self) -> tuple[SimplicialComplex, list[list[int]], list[set[int]]]:
-        """|Y_n|, the order complex of Y_n, the strict predecessors of each
-        of its vertices (its successor lists turned round, as increasing
-        vertex indices), and the vertex indices of each level."""
+    def graph(self) -> tuple[SimplicialComplex, list[set[int]]]:
+        """|Y_n|, the order complex of Y_n, and the vertex indices of each
+        level."""
         top = order_complex(self.levels[self.n])
-        pred = [[] for _ in top.succ]
-        for i, si in enumerate(top.succ):
-            for j in si:
-                pred[j].append(i)
         at = top.vertex_index
-        return top, pred, [{at[w] for w in level} for level in self.levels]
+        return top, [{at[w] for w in level} for level in self.levels]
 
     def around(self, u: Subspace, i: int) -> tuple[list[int], list[int]]:
         """The members of Y_i strictly inside and strictly containing u, as
         increasing vertex indices of |Y_n|."""
-        top, pred, levels = self.graph
+        top, levels = self.graph
         x, inside = top.vertex_index[u], levels[i]
-        return [j for j in pred[x] if j in inside], [j for j in top.succ[x] if j in inside]
+        return [j for j in top.pred[x] if j in inside], [j for j in top.succ[x] if j in inside]
 
     @cached_property
     def homology(self) -> list[HomologyReport]:
         """The reduced homology of each level |Y_i|, from one filtered
         reduction of |Y_n| with each vertex at the level where it enters."""
-        top, _, levels = self.graph
+        top, levels = self.graph
         reports = filtered_homology(top, [next(i for i, s in enumerate(levels) if j in s)
                                           for j in range(top.num_vertices)])
         return reports + reports[-1:] * (len(self.levels) - len(reports))
@@ -268,20 +246,20 @@ def verify_stage(state: FiltrationState, i: int) -> StageReport:
     """Verify the gluing hypotheses when passing from Y_(i-1) to Y_i.
 
     With B = |Y_(i-1)| and A_j the closed star in |Y_i| of each new vertex
-    U_j: (a) pairwise A_j1 ∩ A_j2 ⊆ B, tested as "no A_j holds a second new
-    vertex" (a simplex of A_j1 ∩ A_j2 with a new vertex W spans a simplex with
-    U_j1 and one with U_j2, so W ≠ U_j1 lies in A_j1 or W = U_j1 lies in A_j2;
-    conversely an edge {U, W} of new vertices lies in both stars and not in
-    B); (b) each A_j is a cone with apex U_j; (c) A_j ∩ B equals the join
-    |Y_(i-1)^<U * Y_(i-1)^>U| and is spherical in dimension n-2 at the
-    homology level, where A_j ∩ B is read off the star's facets by
-    restriction to the vertices of Y_(i-1), exact because B is a full
-    subcomplex of |Y_i|, and the join is built separately, as the full
-    subcomplex of |Y_n| on the below and above sets; (d) Y_(i-1)^>U = Γ^>U,
-    Y_(i-1)^<U = Y_0^<U, and the below set matches the intersection geometry
-    of the restricted family; plus exact Mayer-Vietoris rank bookkeeping.
-    One pass over the new vertices, in level order, builds each one's star,
-    link and A_j ∩ B, checks them and lets them go before the next vertex.
+    U_j, the cone from U_j over its neighbours in Y_i: (a) pairwise
+    A_j1 ∩ A_j2 ⊆ B, tested as "no A_j holds a second new vertex" (a simplex
+    of A_j1 ∩ A_j2 with a new vertex W spans a simplex with U_j1 and one with
+    U_j2, so W ≠ U_j1 lies in A_j1 or W = U_j1 lies in A_j2; conversely an
+    edge {U, W} of new vertices lies in both stars and not in B); (b) each
+    A_j is a cone with apex U_j: the point masks find every neighbour that
+    the graph lists comparable with U_j; (c) A_j ∩ B is the join
+    |Y_(i-1)^<U * Y_(i-1)^>U|, cut from |Y_n| and spherical in dimension n-2
+    at the homology level, whose above factor is Γ^>U by (d): the graph's
+    Γ^>U equals the members of the residues above U, lifted by X ↦ X + U and
+    intersected over the specs; (d) Y_(i-1)^>U = Γ^>U, Y_(i-1)^<U = Y_0^<U,
+    and the below set matches the intersection geometry of the restricted
+    family; plus exact Mayer-Vietoris rank bookkeeping.  One pass over the
+    new vertices, in level order, lets each one's join go before the next.
     Each failing check is recorded with the witness of its first failing
     vertex, never raised.
     """
@@ -295,60 +273,56 @@ def verify_stage(state: FiltrationState, i: int) -> StageReport:
         report.checks.append(CheckResult("vacuous_stage", True))
         return report
 
-    k_cur = state.level_complex(i)
-    index = k_cur.vertex_index
-    top = state.graph[0]
+    homology = state.homology  # reduced before |Y_n|'s predecessor lists are built
+    top, levels = state.graph
+    vs, prev = top.vertices, levels[i - 1]
     bad_pair = bad_cone = bad_join = bad_sphere = bad_above = bad_below = bad_delta = None
     for u in new:
-        star = star_closure(k_cur, index[u])
+        # U's neighbours in Y_i, below and above, as vertex indices of |Y_n|
+        near = [j for side in state.around(u, i) for j in side]
 
         # (a) pairwise star intersections land in B: some A_j1 ∩ A_j2 holds
         # a simplex outside B iff some star holds a second new vertex
-        w = next((w for w in star.vertices if w != u and w not in prev_set), None)
+        w = next((vs[j] for j in near if j not in prev), None)
         if w is not None:
             bad_pair = bad_pair or f"star({u.basis}) contains the new vertex {w.basis}"
 
-        # (b) the star is a cone with apex its vertex, A_j = U_j * link(U_j),
-        # compared as sets of facets over the star's vertex indices
+        # (b) the star is the cone from U over its neighbours
         if bad_cone is None:
-            at = star.vertex_index
-            apex = at.get(u, -1)
-            lk = link(k_cur, (index[u],))
-            to_star = [at.get(w, -1) for w in lk.vertices]
-            rebuilt = {tuple(sorted([apex, *map(to_star.__getitem__, f)])) for f in lk.facets}
-            if not all(apex in f for f in star.facets):
-                bad_cone = f"U = {u.basis}: facet without the apex"
-            elif (rebuilt or {(apex,)}) != set(star.facets):
-                bad_cone = f"U = {u.basis}: star is not the cone over its link"
+            m = u.point_mask
+            w = next((vs[j] for j in near
+                      if m & ~vs[j].point_mask and vs[j].point_mask & ~m), None)
+            if w is not None:
+                bad_cone = f"U = {u.basis}: star vertex {w.basis} is not comparable with U"
 
-        # (c) the star boundary: join decomposition and (n-2)-sphericity; (d)
-        # the below/above set identities and the restricted-family comparison.
-        # The below and above sets are increasing vertex indices of |Y_n|, read
-        # from its containment graph (Γ = Y_n).  A_j ∩ B and the join both list
-        # their vertices in |Y_n|'s order and their facets sorted, so they have
-        # the same facets iff these tuples agree
+        # (c) the star boundary: the join's above factor against the
+        # residues, and (n-2)-sphericity; (d) the below/above set identities
+        # and the restricted-family comparison
         below, above = state.around(u, i - 1)
-        a_cap_b = induced_subcomplex(star, prev_set)
-        join = induced_subcomplex(top, {top.vertices[j] for j in below + above})
-        if (a_cap_b.vertices, a_cap_b.facets) != (join.vertices, join.facets):
-            bad_join = bad_join or f"U = {u.basis}"
-        a_cap_b_homology = reduced_homology(a_cap_b)
-        ok, why = _spherical_check(a_cap_b, a_cap_b_homology, n - 2)
-        report.boundary_rank_sum += a_cap_b_homology.betti_number(n - 2)
+        above_gamma = state.around(u, n)[1]
+        if bad_join is None:  # Γ^>U from the residues, each member X lifted to X + U
+            lifted = set.intersection(*({x.sum(u) for x in residue_above(spec, u).members()}
+                                        for spec in state.family.specs))
+            diff = lifted.symmetric_difference(vs[j] for j in above_gamma)
+            if diff:
+                bad_join = f"U = {u.basis}: above sets differ at {sorted(w.basis for w in diff)}"
+        join = induced_subcomplex(top, below + above)
+        join_homology = reduced_homology(join)
+        ok, why = _spherical_check(join, join_homology, n - 2)
+        report.boundary_rank_sum += join_homology.betti_number(n - 2)
         if not ok:
             bad_sphere = bad_sphere or f"U = {u.basis}: {why}"
-        above_gamma = state.around(u, n)[1]
         if above != above_gamma:
             bad_above = bad_above or _set_witness(u, top, above, above_gamma)
         below_y0 = state.around(u, 0)[0]
         if below != below_y0:
             bad_below = bad_below or _set_witness(u, top, below, below_y0)
         if bad_delta is None:
-            bad_delta = _delta_comparison(state, u, {top.vertices[j] for j in below_y0})
+            bad_delta = _delta_comparison(state, u, {vs[j] for j in below_y0})
 
     # Mayer-Vietoris rank bookkeeping at degree n-1
-    lhs = state.homology[i].betti_number(n - 1)
-    rhs = state.homology[i - 1].betti_number(n - 1) + report.boundary_rank_sum
+    lhs = homology[i].betti_number(n - 1)
+    rhs = homology[i - 1].betti_number(n - 1) + report.boundary_rank_sum
     report.checks = [CheckResult(name, witness is None, witness) for name, witness in (
         ("pairwise_star_intersections_in_B", bad_pair),
         ("stars_are_cones", bad_cone),

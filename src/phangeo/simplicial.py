@@ -1,6 +1,6 @@
 """Abstract simplicial complexes on integer vertices: order complexes of
-subspace posets, links, closed stars, induced subcomplexes, intersections,
-purity, facet export.
+subspace posets and their full subcomplexes, purity, facet export, and the
+generic links, closed stars and intersections.
 
 A complex on n vertices stores its inclusion-maximal simplices as sorted
 tuples of the vertex indices 0..n-1, in sorted order; vertex i carries the
@@ -12,17 +12,16 @@ are equal, and ``intersect_complexes`` matches vertices by label.  Downward
 closure is implicit in the facet representation.  Complexes are immutable;
 operations return new complexes.
 
-The constructor validates its facets and keeps the inclusion-maximal ones.
-Where the facets are maximal by construction (the maximal chains of
-``order_complex``, the facets through a simplex in ``link`` and
-``star_closure``) the complex is built from them directly; only
-``intersect_complexes`` and ``induced_subcomplex`` of a complex given by
-its facets, whose cut-down facets may nest, maximalize.
-
 An order complex carries ``succ``, the strict successors of each vertex in
-its containment graph.  Its full subcomplexes (``induced_subcomplex``) are
-walked from those lists cut to the kept vertices and carry them too;
-stars, links and complexes built from facets do not.
+its containment graph, and turns them round into ``pred`` on first use.
+Its full subcomplexes (``induced_subcomplex``) are walked from those lists
+and carry them too.  The link of a chain is the full subcomplex on the
+vertices comparable with each of its members (Quillen, Adv. Math. 1978),
+so no command builds a complex from facets.  The generic layer (the
+validating constructor, which keeps the inclusion-maximal facets given,
+``link``, ``star_closure``, ``intersect_complexes`` and ``facets_through``)
+stays only because ``bench/trace_cli.py`` wraps it by name; the tests use
+it as the oracle of the full subcomplexes.
 
 Face counts and ``simplices`` list no simplex where they need not: an order
 complex counts its chains over the successor lists it builds anyway, and
@@ -96,6 +95,16 @@ class SimplicialComplex:
 
     _chain_counts = None  # the face counts, where the builder counted them
     succ = None  # each vertex's strict successors, on order complexes and their full subcomplexes
+
+    @cached_property
+    def pred(self) -> list[list[int]]:
+        """Each vertex's strict predecessors, the successor lists turned
+        round, as increasing vertex indices; built on first use."""
+        pred = [[] for _ in self.succ]
+        for i, si in enumerate(self.succ):
+            for j in si:
+                pred[j].append(i)
+        return pred
 
     @classmethod
     def _of_maximal(cls, vertices, facets, face_counts=None) -> "SimplicialComplex":
@@ -300,18 +309,11 @@ def star_closure(k: SimplicialComplex, v: int) -> SimplicialComplex:
 
 
 def induced_subcomplex(k: SimplicialComplex, keep) -> SimplicialComplex:
-    """The simplices of k whose vertex labels all lie in the set ``keep``, on
-    k's vertex order.  A complex that carries ``succ`` (an order complex or
-    a full subcomplex of one) gives the order complex of the kept vertices:
-    its successor lists cut to them, walked as by ``order_complex``, with no
-    mask compared again.  Any other complex (stars, links, complexes given
-    by their facets) has each facet cut down to the kept vertices, then
-    maximalized."""
-    if k.succ is None:
-        vs = k.vertices
-        return _restrict(k, [frozenset(v for v in f if vs[v] in keep) for f in k.facets])
-    at = k.vertex_index
-    kept = sorted(at[v] for v in keep if v in at)
+    """The full subcomplex of an order complex k (one that carries ``succ``)
+    on the vertex indices ``keep``, in k's vertex order: the order complex
+    of the kept vertices, its successor lists k's cut to them, walked as by
+    ``order_complex``, with no mask compared again."""
+    kept = sorted(keep)
     new = {v: i for i, v in enumerate(kept)}
     succ = [[new[j] for j in k.succ[v] if j in new] for v in kept]
     return _chain_complex([k.vertices[v] for v in kept], succ)
@@ -328,8 +330,7 @@ def purity_and_dimension(k: SimplicialComplex) -> tuple[bool, int]:
 def intersect_complexes(k1: SimplicialComplex, k2: SimplicialComplex) -> SimplicialComplex:
     """The subcomplex of simplices common to both, vertices matched by label,
     on k1's vertex order.  Each facet of k1 meets only the facets of k2
-    through one of its vertices.  No library code calls it: the filtration
-    meets a star with a full subcomplex by ``induced_subcomplex``."""
+    through one of its vertices."""
     to2 = [k2.vertex_index.get(v) for v in k1.vertices]
     facets2, lists = k2.facets, k2.facets_through
     inters = []

@@ -13,7 +13,7 @@ from phangeo.forms import HermitianForm
 from phangeo.homology import reduced_homology, sphericity_verdict
 from phangeo.linalg import Flag, Subspace, enumerate_subspaces, rref
 from phangeo.morse import IntegerMatrix, boundary_matrices, smith_invariant_factors
-from phangeo.simplicial import SimplicialComplex, link
+from phangeo.simplicial import SimplicialComplex, _chain_complex, link
 
 
 def naive_smith(rows: list[list[int]]) -> list[int]:
@@ -316,6 +316,34 @@ def matching_is_acyclic(k: SimplicialComplex, mate: list[int], level=None) -> bo
             if indegree[x] == 0:
                 ready.append(x)
     return done == len(cells)
+
+
+def facet_cut(k: SimplicialComplex, keep) -> SimplicialComplex:
+    """The simplices of any complex k whose vertex labels all lie in the set
+    ``keep``, on k's vertex order: each facet cut down to the kept
+    vertices, then maximalized by the validating constructor.  The oracle of
+    ``induced_subcomplex``, which walks an order complex's successor lists
+    instead."""
+    vs = k.vertices
+    cut = [[v for v in f if vs[v] in keep] for f in k.facets]
+    used = sorted({v for f in cut for v in f})
+    new = {v: i for i, v in enumerate(used)}
+    return SimplicialComplex([vs[v] for v in used], [[new[v] for v in f] for f in cut])
+
+
+def poset_complex(order, less) -> SimplicialComplex:
+    """The order complex of the poset on the labels ``order``, listed in a
+    linear extension, whose order is generated by the pairs (x, y), x < y,
+    in ``less``: the successor lists of its transitive closure, walked by
+    ``_chain_complex`` as ``order_complex`` walks a subspace poset's."""
+    at = {v: i for i, v in enumerate(order)}
+    succ = [set() for _ in order]
+    for x, y in less:
+        assert at[x] < at[y], "the labels must be listed in a linear extension"
+        succ[at[x]].add(at[y])
+    for i in reversed(range(len(order))):  # every successor's set is closed
+        succ[i].update(*(succ[j] for j in list(succ[i])))
+    return _chain_complex(list(order), [sorted(si) for si in succ])
 
 
 def oracle_below_above(members, u: Subspace) -> tuple[set, set]:

@@ -125,6 +125,36 @@ def test_cm_command(tmp_path, spec_q5):
     assert doc["cm"]["passed"] is True and doc["verdict"] == "pass"
 
 
+def test_certificates_build_no_complex_from_facets(monkeypatch, tmp_path):
+    """``cm-check`` and ``filtration-verify``, the negative control included,
+    read every link, star and star boundary from the containment graph:
+    with the generic facet layer, the validating constructor included,
+    patched to raise in every phangeo module that holds it, they run to
+    their verdicts on every bundled spec and on F_3^4."""
+    from phangeo import simplicial
+    from phangeo.simplicial import SimplicialComplex
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a complex cut from facets")
+
+    generic = {simplicial.link, simplicial.star_closure, simplicial.intersect_complexes}
+    for name, module in list(sys.modules.items()):
+        if name == "phangeo" or name.startswith("phangeo."):
+            for attr, value in list(vars(module).items()):
+                if any(value is f for f in generic):
+                    monkeypatch.setattr(module, attr, refused)
+    monkeypatch.setattr(SimplicialComplex, "facets_through", property(refused))
+    monkeypatch.setattr(SimplicialComplex, "__init__", refused)
+    f34 = tmp_path / "standard_q3_dim4.json"
+    dump_family(PhanFamily((standard_spec(F3, 4),)), str(f34))
+    out = tmp_path / "r.json"
+    for spec in [*sorted(SPECS.glob("*.json")), f34]:
+        for argv in (["cm-check"], ["filtration-verify"],
+                     ["filtration-verify", "--negative-control"]):
+            code = main([*argv, "--spec", str(spec), "--force", "--out", str(out)])
+            assert code in (0, 1) and json.loads(out.read_text())["verdict"], (spec, argv)
+
+
 def test_cm_command_non_pure_is_a_verdict(tmp_path, capsys):
     """t0_q4_dim3 has two isolated points beside its edges: the sweep fails
     there and on the whole complex, and out of bound that is reported, not
@@ -266,24 +296,40 @@ def test_build_lists_no_simplex_and_enumerates_no_point(tmp_path, monkeypatch):
 
 
 @pytest.mark.milestone
-def test_milestone_f9_4_build(tmp_path):
-    """ROADMAP item 1's instance: F_9^4 with t = 0 and identity sigma, the
-    smallest in-bound n = 3 case.  The f-vector of the report is recounted
-    from the facet export by listing every face of every facet."""
+def test_milestone_f9_4(tmp_path):
+    """ROADMAP's ladder instance F_9^4 with t = 0 and identity sigma, the
+    smallest in-bound n = 3 case (2^3·1 = 8 < 9), through all four
+    commands.  The f-vector of the report is recounted from the facet export
+    by listing every face of every facet; b~ = (0, 0, 351,521) matches its
+    reduced Euler characteristic; cm-check visits 1 + sum of f simplices
+    (the empty simplex and every face); the filtration's levels are
+    pinned, and its predicted sphere count equals the direct one."""
     path = tmp_path / "f94.json"
     dump_family(PhanFamily((standard_spec(make_field(3, 2, 1), 4),)), str(path))
-    out = tmp_path / "r.json"
-    assert main(["build", "--spec", str(path), "--out", str(out)]) == 0
-    doc = json.loads(out.read_text())
-    header, *lines = doc["facet_export"].splitlines()
+    docs = {}
+    for command in ("build", "homology", "cm-check", "filtration-verify"):
+        out = tmp_path / f"{command}.json"
+        assert main([command, "--spec", str(path), "--out", str(out)]) == 0
+        docs[command] = json.loads(out.read_text())
+    header, *lines = docs["build"]["facet_export"].splitlines()
     facets = [tuple(map(int, line.split())) for line in lines]
     faces = [set() for _ in range(max(map(len, facets)))]
     for f in facets:
         for j, listed in enumerate(faces):
             listed.update(combinations(f, j + 1))
     recount = [len(listed) for listed in faces]
+    del facets, faces
     assert int(header) == recount[0]
-    assert doc["geometry"]["simplex_counts"] == recount == [8082, 174_960, 518_400]
+    assert docs["build"]["geometry"]["simplex_counts"] == recount == [8082, 174_960, 518_400]
+    for command in ("homology", "cm-check", "filtration-verify"):
+        assert docs[command]["verdict"] == "pass" and not docs[command]["bound"]["forced"]
+    betti = docs["homology"]["homology"]["betti"]
+    assert betti == [0, 0, 351_521] and betti[2] == -1 + 8082 - 174_960 + 518_400
+    cm = docs["cm-check"]["cm"]
+    assert cm["passed"] and not cm["failures"] and cm["simplices_checked"] == 701_443
+    rep = docs["filtration-verify"]["filtration"]
+    assert rep["level_sizes"] == [6643, 7282, 8002, 8082]
+    assert rep["predicted_sphere_count"] == rep["direct_sphere_count"] == 351_521
 
 
 @pytest.mark.milestone

@@ -2,6 +2,7 @@ import gc
 import random
 import weakref
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -30,7 +31,7 @@ from phangeo.simplicial import (
 from phangeo.specfile import load_family
 from phangeo.suites import chamber_spec, diagonal_spec, random_phan_spec, standard_spec
 
-from conftest import oracle_below_above
+from conftest import facet_cut, oracle_below_above
 
 F3 = make_field(3, 1)
 F5 = make_field(5, 1)
@@ -127,7 +128,7 @@ def _pairwise_meet_leaves_b(state, i):
     """Check (a) as the pairwise sweep: whether the stars of two new vertices
     share a simplex with a vertex outside Y_(i-1)."""
     prev = set(state.levels[i - 1])
-    k = state.level_complex(i)
+    k = order_complex(state.levels[i])
     new = [j for j, u in enumerate(k.vertices) if u not in prev]
     stars = [star_closure(k, j) for j in new]
     for a in range(len(stars)):
@@ -217,15 +218,18 @@ def test_f3_4_stage_set_checks():
 
 @pytest.mark.parametrize("name", BUNDLED_N2 + ["standard_q3_dim4"])
 def test_star_restriction_equals_intersection_with_b(name):
-    """Check (c) reads A_j ∩ B as the star of U_j cut down to the vertices of
-    Y_(i-1); the generic intersection of the star with |Y_(i-1)| is the
-    oracle.  Vertex order and facets must agree, so the homology reports
+    """Check (c) reads A_j ∩ B as the join |Y_(i-1)^<U * Y_(i-1)^>U|, the
+    full subcomplex of |Y_n| on U's below and above sets in Y_(i-1).  The
+    star of U_j in |Y_i| cut down to the vertices of Y_(i-1) (the facet-cut
+    oracle) and the generic intersection of the star with |Y_(i-1)| are the
+    oracles.  Vertex order and facets must agree, so the homology reports
     do too."""
     if name == "standard_q3_dim4":
         family = PhanFamily((standard_spec(F3, 4),))
     else:
         family, _ = load_family(str(SPECS / f"{name}.json"))
     state = build_filtration(family, choose_pivot(family))
+    top = state.graph[0]
     nonempty = 0
     for i in range(1, state.n + 1):
         prev = set(state.levels[i - 1])
@@ -234,67 +238,68 @@ def test_star_restriction_equals_intersection_with_b(name):
         for j, u in enumerate(k.vertices):
             if u in prev:
                 continue
+            below, above = state.around(u, i - 1)
+            join = induced_subcomplex(top, below + above)
             star = star_closure(k, j)
-            got = induced_subcomplex(star, prev)
-            want = intersect_complexes(star, b)
-            assert (got.vertices, got.facets) == (want.vertices, want.facets)
-            nonempty += not got.is_empty()
+            cut = facet_cut(star, prev)
+            meet = intersect_complexes(star, b)
+            assert (join.vertices, join.facets) == (cut.vertices, cut.facets) \
+                == (meet.vertices, meet.facets)
+            nonempty += not join.is_empty()
     assert nonempty or state.n == 1  # for n = 1, A_j ∩ B is the empty (-1)-sphere
 
 
 def test_join_witness_names_the_first_failing_vertex(monkeypatch):
-    """Two new vertices fail the join comparison; the witness names the
-    first, as the other checks' witnesses do.  The joins are the stage's
-    ``induced_subcomplex`` calls on |Y_n|; A_j ∩ B is cut from the star."""
+    """Check (c) compares Γ^>U, read from the graph, with the residues above
+    U lifted by X ↦ X + U.  With the first member dropped from the residue
+    above the second and third new vertices, the check fails and its
+    witness names the second, the first that fails, and the lifted member
+    dropped; the join itself, cut from |Y_n|, is still spherical."""
     fam = PhanFamily((standard_spec(F5, 3),))
     state = build_filtration(fam, choose_pivot(fam))
-    for i in range(state.n + 1):
-        state.level_complex(i)  # built before the patch
-    top = state.level_complex(state.n)
     stage = 2
     prev = set(state.levels[stage - 1])
     new = [u for u in state.levels[stage] if u not in prev]
     assert len(new) >= 3
-    calls = []
-    real = filtration.induced_subcomplex
+    real = filtration.residue_above
+    dropped = {}
 
-    def corrupted(k, keep):
-        if k is top:
-            calls.append(keep)
-            if len(calls) <= 2:
-                return SimplicialComplex(["not a subspace"], [[0]])
-        return real(k, keep)
+    def short(spec, u):
+        residue = real(spec, u)
+        if u not in new[1:3]:
+            return residue
+        first, *rest = residue.members()
+        dropped[u] = first.sum(u)
+        return SimpleNamespace(members=lambda: rest)
 
-    monkeypatch.setattr(filtration, "induced_subcomplex", corrupted)
+    monkeypatch.setattr(filtration, "residue_above", short)
     checks = {c.name: c for c in verify_stage(state, stage).checks}
     join = checks["star_boundary_join_decomposition"]
-    assert not join.passed and join.witness == f"U = {new[0].basis}"
+    assert not join.passed
+    assert join.witness == f"U = {new[1].basis}: above sets differ at {[dropped[new[1]].basis]}"
     assert checks["star_boundary_sphericity"].passed
-    assert len(calls) == len(new)
+    assert list(dropped) == [new[1]]  # the check stops at its first failing vertex
 
 
 def test_stage_keeps_nothing_it_built(monkeypatch):
     """After ``verify_stage`` returns, no complex the stage built is still
-    reachable: not |Y_i| for i < n, no star, no A_j ∩ B and no join, each
-    tracked by a weak reference as ``star_closure`` and
-    ``induced_subcomplex`` hand it to the filtration.  On F_3^4 stage 1
-    builds 46: |Y_1| and three for each of its 15 new vertices.  |Y_n| is
-    the state's own, the same object on every call."""
+    reachable: each join A_j ∩ B, tracked by a weak reference as
+    ``induced_subcomplex`` hands it to the filtration, is gone.  A stage
+    builds one join per new vertex and nothing else: on F_3^4, 15, 24 and
+    8.  |Y_n| is the state's own, the same object on every call."""
     family = PhanFamily((standard_spec(F3, 4),))
     state = build_filtration(family, choose_pivot(family))
-    top = state.level_complex(state.n)
-    assert state.level_complex(state.n) is top and state.homology
+    top = state.graph[0]
+    assert state.homology and state.graph[0] is top
     built = []
+    real = filtration.induced_subcomplex
 
-    def tracked(build):
-        def tracking(*args):
-            k = build(*args)
-            built.append(weakref.ref(k))
-            return k
-        return tracking
+    def tracking(*args):
+        k = real(*args)
+        built.append(weakref.ref(k))
+        return k
 
-    for name in ("star_closure", "induced_subcomplex"):
-        monkeypatch.setattr(filtration, name, tracked(getattr(filtration, name)))
+    monkeypatch.setattr(filtration, "induced_subcomplex", tracking)
     counts = []
     for i in range(1, state.n + 1):
         built.clear()
@@ -302,30 +307,31 @@ def test_stage_keeps_nothing_it_built(monkeypatch):
         gc.collect()
         counts.append(len(built))
         assert [ref for ref in built if ref() is not None] == []
-    assert counts[0] == 46 and all(counts)
-    assert state.level_complex(state.n) is top
+    assert counts == [15, 24, 8]
+    assert state.graph[0] is top
 
 
-def test_cone_check_names_the_first_star_that_is_not_the_cone_over_its_link(monkeypatch):
-    """Check (b) compares each star with the cone over its apex's link, on
-    the star's vertex indices: with one facet dropped from every link, the
-    check fails and names the first new vertex; check (a) still passes."""
+def test_cone_check_names_the_first_star_that_is_not_the_cone_over_its_link():
+    """Check (b) compares the neighbours that the graph lists for each new
+    vertex U with the point masks, which must find each one comparable with
+    U: with the pivot point, a member of Y_0, put into the successor row of
+    the first new point, the check fails, naming that point and the pivot;
+    check (a) still passes, since the pivot lies in B."""
     fam = PhanFamily((standard_spec(F5, 3),))
     state = build_filtration(fam, choose_pivot(fam))
     stage = 2
     prev = set(state.levels[stage - 1])
     first = next(u for u in state.levels[stage] if u not in prev)
-    real = filtration.link
-
-    def short(k, s):
-        lk = real(k, s)
-        return SimplicialComplex._of_maximal(lk.vertices, lk.facets[1:])
-
-    monkeypatch.setattr(filtration, "link", short)
+    top = state.graph[0]
+    assert state.homology and top.pred  # built from the rows before the corruption
+    x, p = top.vertex_index[first], top.vertex_index[state.pivot]
+    assert first.dim == state.pivot.dim == 1 and p not in top.succ[x]
+    top.succ[x] = sorted(top.succ[x] + [p])  # the state is this test's own
     checks = {c.name: c for c in verify_stage(state, stage).checks}
     cones = checks["stars_are_cones"]
     assert not cones.passed
-    assert cones.witness == f"U = {first.basis}: star is not the cone over its link"
+    assert cones.witness == (f"U = {first.basis}: star vertex {state.pivot.basis} "
+                             "is not comparable with U")
     assert checks["pairwise_star_intersections_in_B"].passed
 
 
@@ -399,7 +405,7 @@ def test_level_homology_matches_each_level_complex(name, homology_calls):
         state = build_filtration(family, pivot)
         reports = state.homology
         assert list(homology_calls.values()) == [1]
-        assert next(iter(homology_calls)).vertices == state.level_complex(state.n).vertices
+        assert next(iter(homology_calls)).vertices == state.graph[0].vertices
         homology_calls.clear()
         for level, rep in zip(state.levels, reports):
             assert rep[:4] == reduced_homology(order_complex(level))[:4]
@@ -416,7 +422,7 @@ def test_stage_sets_match_the_containment_sweep(name):
     sweep finds."""
     family = _family(name)
     state = build_filtration(family, choose_pivot(family))
-    vs = state.level_complex(state.n).vertices
+    vs = state.graph[0].vertices
     for i in range(1, state.n + 1):
         prev = set(state.levels[i - 1])
         for u in state.levels[i]:
@@ -433,11 +439,11 @@ def test_graph_cut_equals_facet_cut_and_order_complex(name):
     """``induced_subcomplex`` of |Γ| walks Γ's successor lists cut to the
     kept vertices.  For every level Y_i and every join
     |Y_(i-1)^<U * Y_(i-1)^>U| (its sets found by the containment sweep) it
-    gives the complex of the facet-cutting path and the order complex of
-    the subset: the same vertices, facets and face counts, and the order
-    complex's successor lists.  The facet-cutting path runs on a copy of
-    |Γ| without the lists, and for a join on U's star in that copy, which
-    holds every chain of members comparable with U."""
+    gives the complex of the facet-cut oracle and the order complex of the
+    subset: the same vertices, facets and face counts, and the order
+    complex's successor lists.  The facet cut runs on a copy of |Γ| without
+    the lists, and for a join on U's star in that copy, which holds every
+    chain of members comparable with U."""
     family = _family(name)
     state = build_filtration(family, choose_pivot(family))
     gamma = order_complex(state.geometry.members)
@@ -450,10 +456,10 @@ def test_graph_cut_equals_facet_cut_and_order_complex(name):
                  for u in state.levels[i] if u not in prev]
     assert len(cuts) > len(state.levels)
     for facets, keep in cuts:
-        graph_cut = induced_subcomplex(gamma, keep)
-        facet_cut = induced_subcomplex(facets, keep)
+        graph_cut = induced_subcomplex(gamma, [gamma.vertex_index[w] for w in keep])
+        cut = facet_cut(facets, keep)
         direct = order_complex(keep)
-        assert facet_cut.succ is None and graph_cut.succ == direct.succ
+        assert cut.succ is None and graph_cut.succ == direct.succ
         assert (graph_cut.vertices, graph_cut.facets, graph_cut.face_counts()) \
-            == (facet_cut.vertices, facet_cut.facets, facet_cut.face_counts()) \
+            == (cut.vertices, cut.facets, cut.face_counts()) \
             == (direct.vertices, direct.facets, direct.face_counts())

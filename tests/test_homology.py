@@ -19,12 +19,13 @@ from phangeo.morse import (
     morse_complex,
     smith_invariant_factors,
 )
-from phangeo.simplicial import SimplicialComplex, induced_subcomplex, order_complex
+from phangeo.simplicial import SimplicialComplex, order_complex
 from phangeo.specfile import load_family
 from phangeo.suites import chamber_spec, standard_spec
 from phangeo.phan import PhanFamily, vertices
 
 from conftest import (
+    facet_cut,
     join,
     link_sweep_failures,
     matching_is_acyclic,
@@ -32,10 +33,12 @@ from conftest import (
     multiply,
     naive_smith,
     pi1_trivial,
+    poset_complex,
     snf_homology,
 )
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
+F2 = make_field(2, 1)
 F3 = make_field(3, 1)
 F4 = make_field(2, 2, 1)
 F5 = make_field(5, 1)
@@ -243,7 +246,8 @@ def test_pi1_trivial_implies_vanishing_low_homology(drawn):
 
 
 def test_cm_single_simplex():
-    k = SimplicialComplex(range(4), [(0, 1, 2, 3)])
+    k = poset_complex("abcd", ["ab", "bc", "cd"])  # one chain, one 3-simplex
+    assert k.facets == ((0, 1, 2, 3),)
     rep = cohen_macaulay_check(k)
     assert rep.passed
 
@@ -252,7 +256,9 @@ def test_cm_non_pure_complex_fails():
     """A non-pure complex is a failed verdict, not an input error: the lone
     vertex is a facet below the top dimension, so its link is empty but must
     be 0-spherical, and the whole complex is disconnected."""
-    rep = cohen_macaulay_check(SimplicialComplex(range(3), [(0, 1), (2,)]))
+    k = poset_complex("abc", ["ab"])
+    assert k.facets == ((0, 1), (2,))
+    rep = cohen_macaulay_check(k)
     assert not rep.passed and rep.dim == 1 and rep.simplices_checked == 5
     assert [(f.simplex, f.target_dim, f.reason) for f in rep.failures] == [
         ((), 1, "homology not concentrated in top degree"),
@@ -261,24 +267,32 @@ def test_cm_non_pure_complex_fails():
 
 
 def test_cm_failure_set_is_precise():
-    """The bowtie (two triangles glued at a vertex) fails exactly at the
-    middle vertex, whose link is a pair of disjoint edges."""
-    bowtie = SimplicialComplex(range(5), [(0, 1, 2), (2, 3, 4)])
+    """The bowtie a < b < c, d < e < c (two triangles glued at c) fails
+    exactly at the middle vertex c, whose link is a pair of disjoint
+    edges."""
+    bowtie = poset_complex("abdec", ["ab", "bc", "de", "ec"])
+    assert bowtie.facets == ((0, 1, 4), (2, 3, 4))
     rep = cohen_macaulay_check(bowtie)
     assert not rep.passed
-    assert [f.simplex for f in rep.failures] == [(2,)]
+    assert [f.simplex for f in rep.failures] == [(4,)]
     assert rep.failures[0].target_dim == 1
     assert [f.simplex for f in rep.failures] == [s for s, _, _ in link_sweep_failures(bowtie)]
 
 
 @pytest.mark.parametrize("name", ["t0_q4_dim3", "standard_q3_dim4", "standard_q4_dim4",
-                                  "chamber_q5_dim4"])
+                                  "chamber_q5_dim4", "chamber_q2_dim5", "standard_q2_dim5"])
 def test_cm_matches_the_link_sweep(name):
-    """Facet and codimension-1 links are settled by a facet lookup; the
-    generic sweep, which builds and reduces every link, is the oracle.  The
-    expected failure counts: 3 on the non-pure t0_q4_dim3, 1 (the whole
-    complex) on F_3^4, 353 on F_4^4 and none on chamber F_5^4."""
-    if name.startswith("standard"):
+    """Facet and codimension-1 links are settled by a facet lookup, and the
+    others are full subcomplexes on the vertices comparable with the
+    simplex; the generic sweep, which cuts every link from the facets and
+    reduces it, is the oracle.  The expected failure counts: 3 on the
+    non-pure t0_q4_dim3, 1 (the whole complex) on F_3^4, 353 on F_4^4, none
+    on chamber F_5^4, and 33 and 1453 on chamber and standard F_2^5, whose
+    dimension 3 has the sweep reduce edge links too."""
+    if name.endswith("dim5"):
+        spec = chamber_spec if name.startswith("chamber") else standard_spec
+        family = PhanFamily((spec(F2, 5),))
+    elif name.startswith("standard"):
         field = F3 if name == "standard_q3_dim4" else F4
         family = PhanFamily((standard_spec(field, 4),))
     else:
@@ -287,7 +301,9 @@ def test_cm_matches_the_link_sweep(name):
     got = [(f.simplex, f.target_dim, f.reason) for f in cohen_macaulay_check(k).failures]
     assert got == link_sweep_failures(k)
     assert len(got) == {"t0_q4_dim3": 3, "standard_q3_dim4": 1, "standard_q4_dim4": 353,
-                        "chamber_q5_dim4": 0}[name]
+                        "chamber_q5_dim4": 0, "chamber_q2_dim5": 33,
+                        "standard_q2_dim5": 1453}[name]
+    assert name.startswith("t0") or k.dim == int(name[-1]) - 2
 
 
 def test_cm_lists_no_simplex_of_codimension_below_two(monkeypatch):
@@ -317,22 +333,26 @@ def test_cm_lists_no_simplex_of_codimension_below_two(monkeypatch):
 
 
 def test_cm_non_pure_failures_follow_the_link_sweep():
-    """Two tetrahedra on a common triangle, a triangle and an edge hanging
-    off them: the 1-dimensional facet's link is built, reduced and found
-    empty; the 2-dimensional facet is listed after every reduced link, in
-    facet order, exactly where the generic sweep reports it."""
-    k = SimplicialComplex(range(7), [(0, 1, 2, 3), (1, 2, 3, 4), (3, 4, 5), (5, 6)])
+    """Two tetrahedra on a common triangle (a < b < c < d and c < e), a
+    triangle h < i < d and an edge j < e hanging off them: the edge's link
+    is built, reduced and found empty; the triangle, a 2-dimensional facet,
+    is listed after every reduced link, in facet order, exactly where the
+    generic sweep reports it."""
+    k = poset_complex("abchijde", ["ab", "bc", "cd", "ce", "hi", "id", "je"])
+    assert k.facets == ((0, 1, 2, 6), (0, 1, 2, 7), (3, 4, 6), (5, 7))
     rep = cohen_macaulay_check(k)
     got = [(f.simplex, f.target_dim, f.reason) for f in rep.failures]
     assert got == link_sweep_failures(k)
-    assert ((5, 6), 1, "link is empty but must be 1-spherical") in got
-    assert got[-1] == ((3, 4, 5), 0, "link is empty but must be 0-spherical")
+    assert ((5, 7), 1, "link is empty but must be 1-spherical") in got
+    assert got[-1] == ((3, 4, 6), 0, "link is empty but must be 0-spherical")
     assert rep.dim == 3 and rep.simplices_checked == 1 + sum(k.face_counts())
 
 
 def test_cm_two_triangles_glued_along_edge_pass():
-    # shellable, hence Cohen-Macaulay; all links are contractible or spheres
-    k = SimplicialComplex(range(4), [(0, 1, 2), (1, 2, 3)])
+    # a < b < c and a < b < d: shellable, hence Cohen-Macaulay; all links
+    # are contractible or spheres
+    k = poset_complex("abcd", ["ab", "bc", "bd"])
+    assert k.facets == ((0, 1, 2), (0, 1, 3))
     assert cohen_macaulay_check(k).passed
 
 
@@ -414,7 +434,7 @@ def test_filtered_homology_matches_each_level(drawn):
     stages, mats, mate = morse_complex(k, level)
     assert len(reports) == len(stages) == max(level) + 1
     for i, (rep, (counts, _)) in enumerate(zip(reports, stages)):
-        k_i = induced_subcomplex(k, {v for v in range(n) if level[v] <= i})
+        k_i = facet_cut(k, {v for v in range(n) if level[v] <= i})
         assert rep[:4] == reduced_homology(k_i)[:4]
         assert counts == k_i.face_counts()
     assert matching_is_acyclic(k, mate, level)

@@ -16,7 +16,6 @@ LOADED = {"specfile.load_family", "phan.vertices", "simplicial.order_complex"}
 FILTRATION = LOADED | {
     "cli.filtration_verify", "filtration.build_filtration", "filtration.run_verification",
     "filtration.verify_y0_contractible", "filtration.verify_stage", "phan.delta_restriction",
-    "simplicial.star_closure", "simplicial.link", "simplicial.complex_init",
     "homology.reduced_homology", "homology.snf"}
 
 
@@ -29,7 +28,7 @@ FILTRATION = LOADED | {
     ("filtration-verify", "t0_q5_dim3", FILTRATION),
     ("cm-check", "chamber_q5_dim4",
      LOADED | {"cli.cm_check", "homology.cohen_macaulay_check", "homology.reduced_homology",
-               "simplicial.link", "homology.snf"}),
+               "homology.snf"}),
     ("filtration-verify", "chamber_q5_dim4", FILTRATION),
 ])
 def test_traced_command_keeps_exit_code_and_report(command, spec, spans, tmp_path):
