@@ -9,7 +9,8 @@ Library layout:
 - :mod:`phangeo.phan`: geometries, membership, enumeration, bounds
 - :mod:`phangeo.residues`: residues, restricted families, form extension,
   projection forms
-- :mod:`phangeo.simplicial`: order complexes on integer vertices, links, stars
+- :mod:`phangeo.simplicial`: order complexes read from their containment
+  graphs: chains, facets, full subcomplexes, links, stars
 - :mod:`phangeo.homology`: Betti numbers, sphericity, Cohen-Macaulay sweep,
   pi_1 status from the matching
 - :mod:`phangeo.morse`: Morse complexes and Smith normal forms

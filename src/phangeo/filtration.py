@@ -35,7 +35,8 @@ from .homology import HomologyReport, reduced_homology, sphericity_verdict
 from .linalg import Subspace
 from .morse import filtered_homology
 from .phan import GeometryVertexSet, PhanFamily, vertices
-from .residues import DeltaConstructionError, EmptyResidueError, delta_restriction, residue_above
+from .residues import (DeltaConstructionError, EmptyResidueError, delta_restriction,
+                       lifted_residue_above)
 from .simplicial import SimplicialComplex, induced_subcomplex, order_complex
 
 __all__ = [
@@ -300,10 +301,9 @@ def verify_stage(state: FiltrationState, i: int) -> StageReport:
         # and the restricted-family comparison
         below, above = state.around(u, i - 1)
         above_gamma = state.around(u, n)[1]
-        if bad_join is None:  # Γ^>U from the residues, each member X lifted to X + U
-            lifted = set.intersection(*({x.sum(u) for x in residue_above(spec, u).members()}
-                                        for spec in state.family.specs))
-            diff = lifted.symmetric_difference(vs[j] for j in above_gamma)
+        if bad_join is None:  # Γ^>U from the residues
+            diff = lifted_residue_above(state.family, u).symmetric_difference(
+                vs[j] for j in above_gamma)
             if diff:
                 bad_join = f"U = {u.basis}: above sets differ at {sorted(w.basis for w in diff)}"
         join = induced_subcomplex(top, below + above)

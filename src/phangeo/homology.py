@@ -8,15 +8,16 @@ zero boundaries, so no matrix is reduced.  A larger one is reduced by the
 Morse/Smith engine of :mod:`phangeo.morse`, imported only then: ``build``
 never loads it, and ``homology`` and ``cm-check`` on a complex of
 dimension <= 1 do not either.  The Cohen-Macaulay sweep of an order
-complex builds and reduces only the links of simplices of codimension >= 2,
-full subcomplexes; the others are settled by the facets.
+complex reads the links of simplices of codimension >= 2 through ``link``,
+each a full subcomplex, and reduces them; the others are settled by the
+facets.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .simplicial import SimplicialComplex, induced_subcomplex
+from .simplicial import SimplicialComplex, link
 
 __all__ = [
     "HomologyReport",
@@ -65,8 +66,7 @@ class HomologyReport(namedtuple("HomologyReport",
 
 
 def _components(k: SimplicialComplex) -> int:
-    """Number of connected components, by union-find over the facets: the
-    vertices of a facet are joined, so no edge is listed."""
+    """Number of connected components, by union-find over the edges."""
     parent = list(range(k.num_vertices))
 
     def find(x: int) -> int:
@@ -75,10 +75,8 @@ def _components(k: SimplicialComplex) -> int:
             x = parent[x]
         return x
 
-    for f in k.facets:
-        root = find(f[0])
-        for v in f[1:]:
-            parent[find(v)] = root
+    for a, b in k.simplices(1):
+        parent[find(b)] = find(a)
     return sum(parent[v] == v for v in range(k.num_vertices))
 
 
@@ -107,7 +105,8 @@ def reduced_homology(k: SimplicialComplex) -> HomologyReport:
     fork pays because most complexes reduced are small links and joins: of
     the 1555 calls ``cm-check`` and ``filtration-verify --force`` make on the
     bundled specs and F_3^4, 1553 are on complexes of dimension <= 1, and
-    running the Morse complex on every one took 1.04-1.39x as long (three
+    the 1555 calls took 0.11-0.17 s with the fork against 0.47-0.52 s with
+    the Morse complex on every one (2.8-4.4x; time inside the calls, three
     in-process rounds of all 18 runs)."""
     if k.is_empty():
         return HomologyReport((), (), 0, -1, ())
@@ -166,28 +165,24 @@ def cohen_macaulay_check(k: SimplicialComplex) -> CMReport:
     homology level in the forced dimension d - |s|, where d = dim(K).
 
     Only the empty simplex and the simplices of dimension <= d - 2 have
-    their links built, each the full subcomplex on the vertices comparable
-    with every vertex of s, and reduced.  The rest are settled by the
-    facets: a d-simplex is a facet, whose link is empty as it must be, and a
-    (d-1)-simplex has an empty link exactly when it is a facet, and
-    otherwise a non-empty set of points, which is 0-spherical.  So the
-    (d-1)-dimensional facets fail, in facet order, after the reduced links,
-    and a facet of lower dimension fails by its empty link: a non-pure
-    complex always fails.  ``simplices_checked`` counts every simplex and
-    the empty one."""
+    their links built, each by ``link``, the full subcomplex on the
+    vertices comparable with every vertex of s, and reduced.  The rest are
+    settled by the facets: a d-simplex is a facet, whose link is empty as it
+    must be, and a (d-1)-simplex has an empty link exactly when it is a
+    facet, and otherwise a non-empty set of points, which is 0-spherical.
+    So the (d-1)-dimensional facets fail, in facet order, after the reduced
+    links, and a facet of lower dimension fails by its empty link: a
+    non-pure complex always fails.  ``simplices_checked`` counts every
+    simplex and the empty one."""
     d = k.dim
     if k.is_empty():
         return CMReport(True, d, 1, ())
     failures = []
     for s in [()] + [t for j in range(d - 1) for t in k.simplices(j)]:
         target = d - len(s)
-        sub = k
-        if s:  # pred is built after k is reduced, so the peak does not grow
-            near = k.pred[s[0]] + k.succ[s[0]]
-            for v in s[1:]:
-                comparable = set(k.pred[v]).union(k.succ[v])
-                near = [w for w in near if w in comparable]
-            sub = induced_subcomplex(k, near)
+        # k's pred, which link reads, is built after k is reduced, so the
+        # peak does not grow
+        sub = link(k, s) if s else k
         v = sphericity_verdict(reduced_homology(sub), target)
         if v.spherical:
             continue

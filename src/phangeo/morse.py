@@ -199,11 +199,13 @@ def morse_complex(k: SimplicialComplex, level=None) -> tuple[list, list[IntegerM
     DCG 2009), filtered by the vertex levels ``level`` (default: one level).
 
     Cells get integer ids by degree: the empty simplex is 0, vertex v is
-    v + 1, and the j-simplices follow in the order of ``k.simplices(j)``.
-    Faces are looked up in an index simplex -> id of the degree below, never
-    built for the top degree, whose cells share one empty coface tuple.  A
-    cell's level is the largest level of its vertices, the level at which
-    its last vertex enters; the empty simplex has level 0.  A queue serves
+    v + 1, and the j-simplices follow in the order of ``k.simplices(j)``;
+    the top cells are the top facets, read from ``k.facets`` with no copy
+    when k is pure.  Faces are looked up in an index simplex -> id of the
+    degree below, never built for the top degree, whose cells share one
+    empty coface tuple.  A cell's level is the largest level of its
+    vertices, the level at which its last vertex enters; the empty simplex
+    has level 0.  A queue serves
     cells with exactly one free face left; such a cell t is paired with
     that face s, [t:s] = ±1, and both leave the complex by the elementary
     reduction of Kaczynski, Mrozek & Ślusarek: every other coface r of s
@@ -235,8 +237,11 @@ def morse_complex(k: SimplicialComplex, level=None) -> tuple[list, list[IntegerM
     cell_level = [0] + vlevel
     ids = {(v,): v + 1 for v in range(k.num_vertices)}  # (d-1)-simplex -> cell id
     sizes = [k.num_vertices]
+    counts = k.face_counts()
     for d in range(1, k.dim + 1):
-        simps = k.simplices(d)
+        simps = k.simplices(d) if d < k.dim else k.facets
+        if len(simps) != counts[d]:  # the top facets, when k is not pure
+            simps = [f for f in simps if len(f) == d + 1]
         sizes.append(len(simps))
         # faces[c][i] is the face without vertex i, so [c : faces[c][i]] = (-1)^i
         faces.extend(tuple(map(ids.__getitem__, combinations(s, d)))[::-1] for s in simps)

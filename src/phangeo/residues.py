@@ -31,6 +31,7 @@ __all__ = [
     "project_form",
     "residue_below",
     "residue_above",
+    "lifted_residue_above",
     "delta_restriction",
 ]
 
@@ -176,6 +177,14 @@ def residue_above(spec: PhanSpec, u: Subspace) -> PhanSpec:
         members += (section,)
         forms += (spec.forms[k].restrict(section),)
     return PhanSpec(Flag(members), forms, require_nonisotropic=False)
+
+
+def lifted_residue_above(family: PhanFamily, u: Subspace) -> set[Subspace]:
+    """The members of the family's geometry above u read from the residues:
+    the members of each spec's residue above u, each lifted by X ↦ X + u,
+    intersected over the specs."""
+    return set.intersection(*({x.sum(u) for x in residue_above(spec, u).members()}
+                              for spec in family.specs))
 
 
 def _distinct_chain(entries):

@@ -1,38 +1,30 @@
-"""Abstract simplicial complexes on integer vertices: order complexes of
-subspace posets and their full subcomplexes, purity, facet export, and the
-generic links, closed stars and intersections.
+"""Order complexes of subspace posets and their full subcomplexes, with
+purity, links, closed stars, intersections and facet export.
 
-A complex on n vertices stores its inclusion-maximal simplices as sorted
-tuples of the vertex indices 0..n-1, in sorted order; vertex i carries the
-label ``vertices[i]`` (a Subspace for an order complex, any hashable value
-elsewhere).  Every operation works on the indices.  Labels are read only
-where a complex meets the outside: ``facet_sets``, equality and hashing
-compare labels, so complexes listing the same vertices in different orders
-are equal, and ``intersect_complexes`` matches vertices by label.  Downward
-closure is implicit in the facet representation.  Complexes are immutable;
-operations return new complexes.
+A complex on n vertices is the order complex of a poset on the vertex
+indices 0..n-1, listed in an order that extends the poset's; vertex i
+carries the label ``vertices[i]`` (a Subspace for ``order_complex``).  It
+holds ``succ``, the strict successors of each vertex in its containment
+graph, and its face counts, the chain counts over those lists; everything
+else is read from them: ``pred`` turns them round, ``simplices(k)`` walks
+the chains of k + 1 members and ``facets``, the maximal chains, is walked
+from the covers on first read.  Labels are read only where a complex meets
+the outside: ``facet_sets``, equality and hashing compare labels, and
+``intersect_complexes`` matches vertices by label.  Complexes are
+immutable; operations return new complexes.
 
-An order complex carries ``succ``, the strict successors of each vertex in
-its containment graph, and turns them round into ``pred`` on first use.
-Its full subcomplexes (``induced_subcomplex``) are walked from those lists
-and carry them too.  The link of a chain is the full subcomplex on the
+Every complex a command builds is an order complex: |Γ|, |Y_n|, each link
+and each star boundary.  The link of a chain is the full subcomplex on the
 vertices comparable with each of its members (Quillen, Adv. Math. 1978),
-so no command builds a complex from facets.  The generic layer (the
-validating constructor, which keeps the inclusion-maximal facets given,
-``link``, ``star_closure``, ``intersect_complexes`` and ``facets_through``)
-stays only because ``bench/trace_cli.py`` wraps it by name; the tests use
-it as the oracle of the full subcomplexes.
-
-Face counts and ``simplices`` list no simplex where they need not: an order
-complex counts its chains over the successor lists it builds anyway, and
-the vertices and the top simplices, which are facets, are read off
-``num_vertices`` and the facets; only the dimensions in between are listed.
+and the closed star of a vertex the one on it and the vertices comparable
+with it, so ``link``, ``star_closure`` and ``intersect_complexes`` are cuts
+through ``induced_subcomplex``, walked from the successor lists; no complex
+is built from facets.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import combinations, groupby
 
 from .linalg import Subspace
 
@@ -48,53 +40,16 @@ __all__ = [
 ]
 
 
-def _maximalize(simps):
-    """Inclusion-maximal members of a collection of non-empty frozensets.
-    Distinct sets of equal size never contain each other, so a set is
-    compared only with the strictly larger kept sets through its least
-    element; the largest sets, such as all facets of a pure complex, need
-    no comparison."""
-    through = {}  # vertex -> kept sets through it, all larger than the group
-    out = []
-    kept = []
-    for _, group in groupby(sorted(set(simps), key=len, reverse=True), key=len):
-        for t in kept:
-            for v in t:
-                through.setdefault(v, []).append(t)
-        if through:
-            kept = [s for s in group if not any(s <= t for t in through.get(min(s), ()))]
-        else:
-            kept = list(group)
-        out.extend(kept)
-    return out
-
-
 class SimplicialComplex:
-    """Finite abstract simplicial complex on the vertex indices
-    0..len(vertices)-1.  ``vertices[i]`` is the label of vertex i, and
-    ``facets`` holds the maximal simplices as sorted index tuples, in sorted
-    order.  The constructor takes facets as iterables of indices, checks
-    them and keeps the inclusion-maximal ones; ``_of_maximal`` takes facets
-    that are maximal by construction as they are."""
+    """The order complex of a poset on the vertex indices
+    0..len(vertices)-1: ``vertices[i]`` is the label of vertex i,
+    ``succ[i]`` its strict successors as increasing indices, all above i,
+    and ``_chain_counts`` the number of chains of each length, its face
+    counts.  Built by ``order_complex`` and ``induced_subcomplex``."""
 
-    def __init__(self, vertices, facets):
-        self.vertices = tuple(vertices)
-        n = len(self.vertices)
-        if len(set(self.vertices)) != n:
-            raise ValueError("duplicate vertices")
-        fs = [frozenset(f) for f in facets]
-        covered = set().union(*fs)
-        indices = range(n)
-        if not all(v in indices for v in covered):
-            raise ValueError("facet uses unknown vertices")
-        # the empty simplex is implicit; every vertex is a simplex, and
-        # uncovered ones stand alone as facets
-        fs = [f for f in fs if f]
-        fs.extend(frozenset((v,)) for v in indices if v not in covered)
-        self.facets = tuple(sorted(tuple(sorted(f)) for f in _maximalize(fs)))
-
-    _chain_counts = None  # the face counts, where the builder counted them
-    succ = None  # each vertex's strict successors, on order complexes and their full subcomplexes
+    vertices: tuple
+    succ: list[list[int]]
+    _chain_counts: tuple[int, ...]
 
     @cached_property
     def pred(self) -> list[list[int]]:
@@ -106,19 +61,33 @@ class SimplicialComplex:
                 pred[j].append(i)
         return pred
 
-    @classmethod
-    def _of_maximal(cls, vertices, facets, face_counts=None) -> "SimplicialComplex":
-        """The complex with exactly these facets: distinct, pairwise
-        incomparable, non-empty sorted index tuples, in sorted order, that
-        cover every vertex (none of it checked), such as maximal chains or
-        the facets through a simplex.  ``face_counts``, if given, are its
-        face counts, which ``face_counts()`` then returns."""
-        k = cls.__new__(cls)
-        k.vertices = tuple(vertices)
-        k.facets = tuple(facets)
-        if face_counts is not None:
-            k._chain_counts = tuple(face_counts)
-        return k
+    @cached_property
+    def facets(self) -> list[tuple[int, ...]]:
+        """The maximal chains as increasing index tuples, in sorted order.
+        The covers of an element are the successors above no other
+        successor, and the maximal chains run along covers from the minimal
+        elements; the depth-first walk emits them in sorted order.  Walked
+        on first read and kept as walked."""
+        succ = self.succ
+        covers = []
+        for si in succ:
+            above = set().union(*(succ[k] for k in si))
+            covers.append([j for j in si if j not in above])
+        non_minimal = set().union(*succ)
+        facets = []
+
+        def extend(chain):
+            last = chain[-1]
+            if not covers[last]:
+                facets.append(chain)
+                return
+            for j in covers[last]:
+                extend(chain + (j,))
+
+        for i in range(self.num_vertices):
+            if i not in non_minimal:
+                extend((i,))
+        return facets
 
     # -- basic queries -------------------------------------------------------
 
@@ -129,19 +98,9 @@ class SimplicialComplex:
     def is_empty(self) -> bool:
         return not self.vertices
 
-    @cached_property
+    @property
     def dim(self) -> int:
-        return max((len(f) for f in self.facets), default=0) - 1
-
-    @cached_property
-    def facets_through(self) -> dict[int, list[int]]:
-        """Vertex index -> the positions in ``facets`` of the facets through
-        it, in increasing order; built on first use."""
-        out: dict[int, list[int]] = {}
-        for i, f in enumerate(self.facets):
-            for v in f:
-                out.setdefault(v, []).append(i)
-        return out
+        return len(self._chain_counts) - 1
 
     @cached_property
     def vertex_index(self) -> dict:
@@ -149,32 +108,21 @@ class SimplicialComplex:
         return {v: i for i, v in enumerate(self.vertices)}
 
     def simplices(self, k: int) -> list[tuple[int, ...]]:
-        """All k-simplices as sorted index tuples, in sorted order; the top
-        ones are the top facets themselves, the very tuples."""
-        if k == self.dim:
-            return [f for f in self.facets if len(f) == k + 1]
-        return [(v,) for v in range(self.num_vertices)] if k == 0 else sorted(self._faces(k))
-
-    def _faces(self, k: int) -> set[tuple[int, ...]]:
-        return {c for f in self.facets if len(f) > k for c in combinations(f, k + 1)}
+        """All k-simplices, the chains of k + 1 members, as increasing index
+        tuples in sorted order: each chain is extended by its last member's
+        successors, which are increasing, so the order is kept."""
+        succ = self.succ
+        chains = [(v,) for v in range(self.num_vertices)]
+        for _ in range(k):
+            chains = [c + (j,) for c in chains for j in succ[c[-1]]]
+        return chains
 
     def face_counts(self) -> list[int]:
-        """Number of k-simplices for k = 0..dim.  An order complex has them
-        from its chain count (``order_complex``).  Otherwise every vertex is
-        a simplex and every top simplex a facet, so only the dimensions in
-        between are listed."""
-        if self._chain_counts is not None:
-            return list(self._chain_counts)
-        top = self.dim
-        if top < 0:
-            return []
-        counts = [self.num_vertices] + [len(self._faces(k)) for k in range(1, top)]
-        if top > 0:
-            counts.append(sum(len(f) == top + 1 for f in self.facets))
-        return counts
+        """Number of k-simplices for k = 0..dim, the chain counts."""
+        return list(self._chain_counts)
 
     def euler_characteristic(self) -> int:
-        return sum((-1) ** k * c for k, c in enumerate(self.face_counts()))
+        return sum((-1) ** k * c for k, c in enumerate(self._chain_counts))
 
     def facet_sets(self) -> frozenset:
         """The facets as sets of vertex labels."""
@@ -192,32 +140,12 @@ class SimplicialComplex:
         return hash((frozenset(self.vertices), self.facet_sets()))
 
     def __repr__(self) -> str:
-        return (
-            f"SimplicialComplex({self.num_vertices} vertices, "
-            f"{len(self.facets)} facets, dim {self.dim})"
-        )
-
-
-def _restrict(k: SimplicialComplex, facets, maximal: bool = False) -> SimplicialComplex:
-    """The complex with the given index sets of k as facets, on the vertices
-    of k that they cover, re-indexed in k's vertex order.  ``maximal`` says
-    that the sets are distinct, pairwise incomparable sorted tuples in
-    sorted order, the empty one aside: the complex is then built with no
-    maximalizing."""
-    used = sorted(set().union(*facets))
-    new = {v: i for i, v in enumerate(used)}
-    verts = [k.vertices[v] for v in used]
-    if maximal:  # re-indexing is monotone, so the order is kept
-        return SimplicialComplex._of_maximal(verts, [tuple(new[v] for v in f)
-                                                     for f in facets if f])
-    return SimplicialComplex(verts, [[new[v] for v in f] for f in facets])
+        return f"SimplicialComplex({self.num_vertices} vertices, dim {self.dim})"
 
 
 def order_complex(subspaces) -> SimplicialComplex:
     """The complex whose simplices are the inclusion-chains of the given
-    subspaces; facets are the maximal chains.  It carries ``succ``, the
-    strict successors of each vertex, and so do its full subcomplexes
-    (``induced_subcomplex``).
+    subspaces; facets are the maximal chains.
 
     Containment is read from the point masks (``Subspace.point_mask``).  The
     strict successors of a member are the other members whose masks hold its
@@ -243,80 +171,51 @@ def order_complex(subspaces) -> SimplicialComplex:
 def _chain_complex(verts, succ) -> SimplicialComplex:
     """The order complex of a poset given by the strict successors of each
     element, as increasing index lists in a vertex order that extends the
-    order.  The covers of an element are the successors above no other
-    successor, and the maximal chains run along covers from the minimal
-    elements.  They are distinct and maximal, each increases in vertex
-    order, and the depth-first walk emits them in sorted order, so the
-    complex is built from them as they are.
-
-    The face counts are chain counts over the successors: the chains of
-    k + 1 members that start at a member are, summed over its successors,
-    the chains of k members that start there.  No simplex is listed."""
-    n = len(verts)
-    covers = []
-    for si in succ:
-        above = set().union(*(succ[k] for k in si))
-        covers.append([j for j in si if j not in above])
-    non_minimal = set().union(*succ)
-    facets = []
-
-    def extend(chain):
-        last = chain[-1]
-        if not covers[last]:
-            facets.append(chain)
-            return
-        for j in covers[last]:
-            extend(chain + (j,))
-
-    for i in range(n):
-        if i not in non_minimal:
-            extend((i,))
+    order.  Its face counts are chain counts over the successors: the
+    chains of k + 1 members that start at a member are, summed over its
+    successors, the chains of k members that start there.  No simplex is
+    listed and no maximal chain walked."""
     counts = []
-    chains = [1] * n  # chains of len(counts) + 1 members, by first member
+    chains = [1] * len(verts)  # chains of len(counts) + 1 members, by first member
     while any(chains):
         counts.append(sum(chains))
         longer = chains.__getitem__
         chains = [sum(map(longer, si)) for si in succ]
-    k = SimplicialComplex._of_maximal(verts, facets, counts)
+    k = SimplicialComplex.__new__(SimplicialComplex)
+    k.vertices = tuple(verts)
     k.succ = succ
+    k._chain_counts = tuple(counts)
     return k
 
 
-def link(k: SimplicialComplex, s) -> SimplicialComplex:
-    """{t : t ∩ s = ∅ and t ∪ s ∈ K} for a simplex s given by vertex indices.
-    Only the facets through the vertex of s with the fewest are scanned.
-    The facets through s, less s, are the link's facets: distinct, maximal,
-    still in sorted order (removing a set that two sorted tuples share keeps
-    their order), and empty only for the link of a facet."""
-    sv = frozenset(s)
-    if not sv:
-        return _restrict(k, k.facets, maximal=True)
-    facets, lists = k.facets, k.facets_through
-    shortest = min((lists.get(v, ()) for v in sv), key=len)
-    through = [facets[i] for i in shortest if sv.issubset(facets[i])]
-    if not through:
-        raise ValueError("link of a non-simplex")
-    return _restrict(k, [tuple(v for v in f if v not in sv) for f in through], maximal=True)
-
-
-def star_closure(k: SimplicialComplex, v: int) -> SimplicialComplex:
-    """All simplices contained in a simplex through vertex index v (the
-    closed star)."""
-    facets = [k.facets[i] for i in k.facets_through.get(v, ())]
-    if not facets:
-        raise ValueError("star of a non-vertex")
-    return _restrict(k, facets, maximal=True)
-
-
 def induced_subcomplex(k: SimplicialComplex, keep) -> SimplicialComplex:
-    """The full subcomplex of an order complex k (one that carries ``succ``)
-    on the vertex indices ``keep``, in k's vertex order: the order complex
-    of the kept vertices, its successor lists k's cut to them, walked as by
-    ``order_complex``, with no mask compared again."""
+    """The full subcomplex of k on the vertex indices ``keep``, in k's
+    vertex order: the order complex of the kept vertices, its successor
+    lists k's cut to them, with no mask compared again."""
     kept = sorted(keep)
     new = {v: i for i, v in enumerate(kept)}
     succ = [[new[j] for j in k.succ[v] if j in new] for v in kept]
     return _chain_complex([k.vertices[v] for v in kept], succ)
+
+
+def link(k: SimplicialComplex, s) -> SimplicialComplex:
+    """The link of the chain s, given by vertex indices: the full
+    subcomplex on the vertices comparable with every vertex of s.  The link
+    of the empty chain is k itself."""
+    s = list(s)
+    if not s:
+        return k
+    near = k.pred[s[0]] + k.succ[s[0]]
+    for v in s[1:]:
+        comparable = set(k.pred[v]).union(k.succ[v])
+        near = [w for w in near if w in comparable]
+    return induced_subcomplex(k, near)
+
+
+def star_closure(k: SimplicialComplex, v: int) -> SimplicialComplex:
+    """The closed star of vertex index v: the full subcomplex on v and the
+    vertices comparable with it."""
+    return induced_subcomplex(k, k.pred[v] + [v] + k.succ[v])
 
 
 def purity_and_dimension(k: SimplicialComplex) -> tuple[bool, int]:
@@ -328,17 +227,9 @@ def purity_and_dimension(k: SimplicialComplex) -> tuple[bool, int]:
 
 
 def intersect_complexes(k1: SimplicialComplex, k2: SimplicialComplex) -> SimplicialComplex:
-    """The subcomplex of simplices common to both, vertices matched by label,
-    on k1's vertex order.  Each facet of k1 meets only the facets of k2
-    through one of its vertices."""
-    to2 = [k2.vertex_index.get(v) for v in k1.vertices]
-    facets2, lists = k2.facets, k2.facets_through
-    inters = []
-    for f in k1.facets:
-        shared = {to2[v]: v for v in f if to2[v] is not None}  # k2 index -> k1 index
-        for g in {i for w in shared for i in lists[w]}:
-            inters.append(frozenset(shared[w] for w in facets2[g] if w in shared))
-    return _restrict(k1, inters)
+    """The simplices common to two full subcomplexes of one order complex:
+    k1 cut to the vertex labels that both hold, on k1's vertex order."""
+    return induced_subcomplex(k1, [i for i, v in enumerate(k1.vertices) if v in k2.vertex_index])
 
 
 def export_facets(k: SimplicialComplex) -> str:

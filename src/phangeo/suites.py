@@ -26,8 +26,8 @@ from .phan import PhanFamily, PhanSpec, vertices
 from .residues import (
     delta_restriction,
     extend_forms,
+    lifted_residue_above,
     project_form,
-    residue_above,
     residue_below,
 )
 
@@ -360,42 +360,33 @@ def run_projection_suite(seed: int = 0, count: int = 100) -> SuiteResult:
     return res
 
 
+def _jobs(geometries, families) -> list[tuple[str, PhanFamily]]:
+    """The named test families of a suite: each single spec as a one-spec
+    family, then the families (the desk geometries and family geometries by
+    default)."""
+    jobs = [(name, PhanFamily((spec,)))
+            for name, spec in (geometries if geometries is not None else desk_geometries())]
+    return jobs + list(families if families is not None else family_geometries())
+
+
 def run_residue_suite(geometries=None, families=None) -> SuiteResult:
     """Residues below/above every member of every test geometry equal the
-    literal below/above sets; family residues intersect member-wise."""
+    literal below/above sets; a family's residues intersect over its specs,
+    a single spec running as a one-spec family."""
     res = SuiteResult("residue_lemma")
-    for name, spec in (geometries if geometries is not None else desk_geometries()):
-        members = spec.members()
-        member_set = set(members)
-        for u in members:
-            below_lit = {x for x in member_set
+    for name, family in _jobs(geometries, families):
+        members = set(vertices(family).members)
+        for u in sorted(members, key=Subspace.sort_key):
+            below_lit = {x for x in members
                          if x.dim < u.dim and x.point_mask & ~u.point_mask == 0}
-            got_below = set(residue_below(spec, u).members())
-            if got_below != below_lit:
+            below = set.intersection(*(set(residue_below(spec, u).members())
+                                       for spec in family.specs))
+            if below != below_lit:
                 res.failures.append(f"[{name}] below mismatch at U={u.basis}")
-            above_lit = {x for x in member_set
+            above_lit = {x for x in members
                          if x.dim > u.dim and u.point_mask & ~x.point_mask == 0}
-            lifted = {x.sum(u) for x in residue_above(spec, u).members()}
-            if lifted != above_lit:
+            if lifted_residue_above(family, u) != above_lit:
                 res.failures.append(f"[{name}] above mismatch at U={u.basis}")
-            res.instances += 1
-    for name, family in (families if families is not None else family_geometries()):
-        common = set(vertices(family).members)
-        for u in sorted(common, key=Subspace.sort_key):
-            below_lit = {x for x in common if x.dim < u.dim and x.point_mask & ~u.point_mask == 0}
-            inter_below = None
-            for spec in family.specs:
-                got = set(residue_below(spec, u).members())
-                inter_below = got if inter_below is None else inter_below & got
-            if inter_below != below_lit:
-                res.failures.append(f"[{name}] family below mismatch at U={u.basis}")
-            above_lit = {x for x in common if x.dim > u.dim and u.point_mask & ~x.point_mask == 0}
-            inter_above = None
-            for spec in family.specs:
-                got = {x.sum(u) for x in residue_above(spec, u).members()}
-                inter_above = got if inter_above is None else inter_above & got
-            if inter_above != above_lit:
-                res.failures.append(f"[{name}] family above mismatch at U={u.basis}")
             res.instances += 1
     return res
 
@@ -422,10 +413,7 @@ def run_delta_suite(geometries=None, families=None,
     rng = random.Random(seed)
     res = SuiteResult("delta_lemma")
     branch_hits: dict[str, int] = {}
-    jobs = [(name, PhanFamily((spec,)))
-            for name, spec in (geometries if geometries is not None else desk_geometries())]
-    jobs += list(families if families is not None else family_geometries())
-    for name, family in jobs:
+    for name, family in _jobs(geometries, families):
         tops = [s.forms[-1] for s in family.specs]
         pivots = []
         for v in family.ambient.vectors():

@@ -2,7 +2,8 @@ import contextlib
 import io
 import random
 from collections import Counter
-from functools import reduce
+from functools import cached_property, reduce
+from itertools import combinations, groupby
 from math import gcd, prod
 
 import pytest
@@ -13,7 +14,7 @@ from phangeo.forms import HermitianForm
 from phangeo.homology import reduced_homology, sphericity_verdict
 from phangeo.linalg import Flag, Subspace, enumerate_subspaces, rref
 from phangeo.morse import IntegerMatrix, boundary_matrices, smith_invariant_factors
-from phangeo.simplicial import SimplicialComplex, _chain_complex, link
+from phangeo.simplicial import SimplicialComplex, _chain_complex
 
 
 def naive_smith(rows: list[list[int]]) -> list[int]:
@@ -157,14 +158,15 @@ def snf_homology(k: SimplicialComplex):
     return betti, torsion
 
 
-def link_sweep_failures(k: SimplicialComplex) -> list[tuple]:
+def link_sweep_failures(k) -> list[tuple]:
     """(simplex, target dimension, reason) of every failing link, each link
-    built by ``link`` and reduced, facets and codimension-1 faces included:
-    the generic Cohen-Macaulay sweep."""
+    cut from the facets by ``facet_link`` and reduced, facets and
+    codimension-1 faces included: the generic Cohen-Macaulay sweep."""
+    k = FacetComplex(k.vertices, k.facets)
     d = k.dim
     out = []
     for s in [()] + [t for j in range(d + 1) for t in k.simplices(j)]:
-        sub = k if s == () else link(k, s)
+        sub = k if s == () else facet_link(k, s)
         target = d - len(s)
         if target == -1:
             if not sub.is_empty():
@@ -318,17 +320,145 @@ def matching_is_acyclic(k: SimplicialComplex, mate: list[int], level=None) -> bo
     return done == len(cells)
 
 
-def facet_cut(k: SimplicialComplex, keep) -> SimplicialComplex:
+# -- complexes given by facets: the oracles of the order complexes' cuts -------
+
+
+def _maximalize(simps):
+    """Inclusion-maximal members of a collection of non-empty frozensets.
+    Distinct sets of equal size never contain each other, so a set is
+    compared only with the strictly larger kept sets through its least
+    element."""
+    through = {}  # vertex -> kept sets through it, all larger than the group
+    out = []
+    kept = []
+    for _, group in groupby(sorted(set(simps), key=len, reverse=True), key=len):
+        for t in kept:
+            for v in t:
+                through.setdefault(v, []).append(t)
+        kept = [s for s in group if not any(s <= t for t in through.get(min(s), ()))]
+        out.extend(kept)
+    return out
+
+
+class FacetComplex:
+    """A finite abstract simplicial complex given by arbitrary facets, on
+    the vertex indices 0..len(vertices)-1, ``vertices[i]`` the label of
+    vertex i: the generic complex that phangeo's order complexes are checked
+    against.  The constructor takes facets as iterables of indices, checks
+    them and keeps the inclusion-maximal ones, every uncovered vertex a
+    facet of its own; ``facets`` holds them as sorted index tuples, in
+    sorted order, and every simplex is listed from them.  It reads as an
+    order complex wherever phangeo reduces a complex by its simplices and
+    facets (``reduced_homology``, ``morse_complex``, ``boundary_matrices``)."""
+
+    def __init__(self, vertices, facets):
+        self.vertices = tuple(vertices)
+        n = len(self.vertices)
+        if len(set(self.vertices)) != n:
+            raise ValueError("duplicate vertices")
+        fs = [frozenset(f) for f in facets]
+        covered = set().union(*fs)
+        if not covered <= set(range(n)):
+            raise ValueError("facet uses unknown vertices")
+        fs = [f for f in fs if f] + [frozenset((v,)) for v in range(n) if v not in covered]
+        self.facets = tuple(sorted(tuple(sorted(f)) for f in _maximalize(fs)))
+
+    @property
+    def num_vertices(self) -> int:
+        return len(self.vertices)
+
+    def is_empty(self) -> bool:
+        return not self.vertices
+
+    @property
+    def dim(self) -> int:
+        return max((len(f) for f in self.facets), default=0) - 1
+
+    @cached_property
+    def facets_through(self) -> dict[int, list[int]]:
+        """Vertex index -> the positions in ``facets`` of the facets through
+        it, in increasing order."""
+        out: dict[int, list[int]] = {}
+        for i, f in enumerate(self.facets):
+            for v in f:
+                out.setdefault(v, []).append(i)
+        return out
+
+    @cached_property
+    def vertex_index(self) -> dict:
+        return {v: i for i, v in enumerate(self.vertices)}
+
+    def simplices(self, k: int) -> list[tuple[int, ...]]:
+        """All k-simplices as sorted index tuples, in sorted order."""
+        return sorted({c for f in self.facets if len(f) > k for c in combinations(f, k + 1)})
+
+    def face_counts(self) -> list[int]:
+        return [len(self.simplices(k)) for k in range(self.dim + 1)]
+
+    def euler_characteristic(self) -> int:
+        return sum((-1) ** k * c for k, c in enumerate(self.face_counts()))
+
+    def facet_sets(self) -> frozenset:
+        """The facets as sets of vertex labels."""
+        vs = self.vertices
+        return frozenset(frozenset(vs[i] for i in f) for f in self.facets)
+
+
+def _restrict(k, facets) -> FacetComplex:
+    """The complex with the given index sets of k as facets, on the vertices
+    of k that they cover, re-indexed in k's vertex order."""
+    used = sorted(set().union(*facets))
+    new = {v: i for i, v in enumerate(used)}
+    return FacetComplex([k.vertices[v] for v in used], [[new[v] for v in f] for f in facets])
+
+
+def facet_link(k: FacetComplex, s) -> FacetComplex:
+    """{t : t ∩ s = ∅ and t ∪ s ∈ K} for a simplex s given by vertex
+    indices, from the facets through s less s.  The oracle of
+    ``simplicial.link``."""
+    sv = frozenset(s)
+    if not sv:
+        return _restrict(k, k.facets)
+    facets, lists = k.facets, k.facets_through
+    through = [facets[i] for i in min((lists.get(v, ()) for v in sv), key=len)
+               if sv.issubset(facets[i])]
+    if not through:
+        raise ValueError("link of a non-simplex")
+    return _restrict(k, [[v for v in f if v not in sv] for f in through])
+
+
+def facet_star(k: FacetComplex, v: int) -> FacetComplex:
+    """The closed star of vertex index v, from the facets through it.  The
+    oracle of ``simplicial.star_closure``."""
+    facets = [k.facets[i] for i in k.facets_through.get(v, ())]
+    if not facets:
+        raise ValueError("star of a non-vertex")
+    return _restrict(k, facets)
+
+
+def facet_intersection(k1: FacetComplex, k2: FacetComplex) -> FacetComplex:
+    """The simplices common to both, vertices matched by label, on k1's
+    vertex order: each facet of k1 met with the facets of k2 through one of
+    its vertices.  The oracle of ``simplicial.intersect_complexes``."""
+    to2 = [k2.vertex_index.get(v) for v in k1.vertices]
+    inters = []
+    for f in k1.facets:
+        shared = {to2[v]: v for v in f if to2[v] is not None}  # k2 index -> k1 index
+        for g in {i for w in shared for i in k2.facets_through[w]}:
+            inters.append(frozenset(shared[w] for w in k2.facets[g] if w in shared))
+    return _restrict(k1, inters)
+
+
+def facet_cut(k, keep) -> FacetComplex:
     """The simplices of any complex k whose vertex labels all lie in the set
     ``keep``, on k's vertex order: each facet cut down to the kept
-    vertices, then maximalized by the validating constructor.  The oracle of
-    ``induced_subcomplex``, which walks an order complex's successor lists
-    instead."""
+    vertices, then maximalized.  The oracle of ``induced_subcomplex``, which
+    walks an order complex's successor lists instead."""
     vs = k.vertices
     cut = [[v for v in f if vs[v] in keep] for f in k.facets]
     used = sorted({v for f in cut for v in f})
     new = {v: i for i, v in enumerate(used)}
-    return SimplicialComplex([vs[v] for v in used], [[new[v] for v in f] for f in cut])
+    return FacetComplex([vs[v] for v in used], [[new[v] for v in f] for f in cut])
 
 
 def poset_complex(order, less) -> SimplicialComplex:
@@ -444,7 +574,7 @@ def multiply(a: IntegerMatrix, b: IntegerMatrix) -> IntegerMatrix:
     return IntegerMatrix(a.nrows, b.ncols, ents)
 
 
-def join(k1: SimplicialComplex, k2: SimplicialComplex) -> SimplicialComplex:
+def join(k1, k2) -> FacetComplex:
     """Join, kept disjoint by tagging each vertex label with its side (0 or 1);
     k2's vertex indices follow k1's."""
     shift = k1.num_vertices
@@ -455,8 +585,7 @@ def join(k1: SimplicialComplex, k2: SimplicialComplex) -> SimplicialComplex:
         facets = list(k1.facets)
     else:
         facets = [a + b for a in k1.facets for b in f2]
-    return SimplicialComplex([(0, v) for v in k1.vertices] + [(1, v) for v in k2.vertices],
-                             facets)
+    return FacetComplex([(0, v) for v in k1.vertices] + [(1, v) for v in k2.vertices], facets)
 
 
 # -- lattice oracles: vectors listed one by one, no point masks ---------------

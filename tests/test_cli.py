@@ -127,24 +127,39 @@ def test_cm_command(tmp_path, spec_q5):
 
 def test_certificates_build_no_complex_from_facets(monkeypatch, tmp_path):
     """``cm-check`` and ``filtration-verify``, the negative control included,
-    read every link, star and star boundary from the containment graph:
-    with the generic facet layer, the validating constructor included,
-    patched to raise in every phangeo module that holds it, they run to
-    their verdicts on every bundled spec and on F_3^4."""
+    read every link and star boundary from the containment graph as a cut
+    through ``induced_subcomplex``, and reduce it from its chains: with
+    ``facets`` patched to raise on any complex that ``induced_subcomplex``
+    made, they run to their verdicts on every bundled spec and on F_3^4.
+    ``simplicial`` defines no constructor that takes facets."""
     from phangeo import simplicial
     from phangeo.simplicial import SimplicialComplex
 
-    def refused(*args, **kwargs):
-        raise AssertionError("a complex cut from facets")
+    assert "__init__" not in vars(SimplicialComplex)
+    assert not {"_maximalize", "_of_maximal", "_restrict", "_faces",
+                "facets_through"} & (set(vars(simplicial)) | set(vars(SimplicialComplex)))
+    cut = set()  # ids of the complexes induced_subcomplex made, kept alive below
+    made = []
+    induced = simplicial.induced_subcomplex
 
-    generic = {simplicial.link, simplicial.star_closure, simplicial.intersect_complexes}
+    def recorded(k, keep):
+        sub = induced(k, keep)
+        cut.add(id(sub))
+        made.append(sub)
+        return sub
+
+    walked = SimplicialComplex.facets.func
+
+    def facets(self):
+        if id(self) in cut:
+            raise AssertionError("the maximal chains of a cut walked")
+        return walked(self)
+
+    monkeypatch.setattr(simplicial, "induced_subcomplex", recorded)
     for name, module in list(sys.modules.items()):
-        if name == "phangeo" or name.startswith("phangeo."):
-            for attr, value in list(vars(module).items()):
-                if any(value is f for f in generic):
-                    monkeypatch.setattr(module, attr, refused)
-    monkeypatch.setattr(SimplicialComplex, "facets_through", property(refused))
-    monkeypatch.setattr(SimplicialComplex, "__init__", refused)
+        if name.startswith("phangeo.") and getattr(module, "induced_subcomplex", None) is induced:
+            monkeypatch.setattr(module, "induced_subcomplex", recorded)
+    monkeypatch.setattr(SimplicialComplex, "facets", property(facets))
     f34 = tmp_path / "standard_q3_dim4.json"
     dump_family(PhanFamily((standard_spec(F3, 4),)), str(f34))
     out = tmp_path / "r.json"
@@ -153,6 +168,7 @@ def test_certificates_build_no_complex_from_facets(monkeypatch, tmp_path):
                      ["filtration-verify", "--negative-control"]):
             code = main([*argv, "--spec", str(spec), "--force", "--out", str(out)])
             assert code in (0, 1) and json.loads(out.read_text())["verdict"], (spec, argv)
+    assert made
 
 
 def test_cm_command_non_pure_is_a_verdict(tmp_path, capsys):
@@ -287,7 +303,7 @@ def test_build_lists_no_simplex_and_enumerates_no_point(tmp_path, monkeypatch):
     def refused(*args):
         raise AssertionError("faces listed or points enumerated")
 
-    monkeypatch.setattr(SimplicialComplex, "_faces", refused)
+    monkeypatch.setattr(SimplicialComplex, "simplices", refused)
     monkeypatch.setattr(masks, "listed_mask", refused)
     out = tmp_path / "r.json"
     assert main(["build", "--spec", str(path), "--out", str(out)]) == 0
@@ -295,24 +311,26 @@ def test_build_lists_no_simplex_and_enumerates_no_point(tmp_path, monkeypatch):
     assert geometry["simplex_counts"] == [400, 3072, 3840] and not geometry["pure"]
 
 
-@pytest.mark.milestone
-def test_milestone_f9_4(tmp_path):
-    """ROADMAP's ladder instance F_9^4 with t = 0 and identity sigma, the
-    smallest in-bound n = 3 case (2^3·1 = 8 < 9), through all four
-    commands.  The f-vector of the report is recounted from the facet export
-    by listing every face of every facet; b~ = (0, 0, 351,521) matches its
-    reduced Euler characteristic; cm-check visits 1 + sum of f simplices
-    (the empty simplex and every face); the filtration's levels are
-    pinned, and its predicted sphere count equals the direct one."""
-    path = tmp_path / "f94.json"
-    dump_family(PhanFamily((standard_spec(make_field(3, 2, 1), 4),)), str(path))
+def _ladder_instance(tmp_path, q, f_vector, levels):
+    """A standard-form F_q^4 ladder instance with t = 0 and identity sigma,
+    through all four commands.  The f-vector of the report is recounted
+    from the facet export by listing every face of every facet; b~ =
+    (0, 0, b~_2) matches its reduced Euler characteristic; cm-check visits
+    1 + sum of f simplices (the empty simplex and every face); the
+    filtration's levels are pinned, and its predicted sphere count equals
+    the direct one."""
+    field = make_field(3, 2, 1) if q == 9 else make_field(q, 1)
+    path = tmp_path / f"f{q}_4.json"
+    dump_family(PhanFamily((standard_spec(field, 4),)), str(path))
     docs = {}
     for command in ("build", "homology", "cm-check", "filtration-verify"):
         out = tmp_path / f"{command}.json"
         assert main([command, "--spec", str(path), "--out", str(out)]) == 0
         docs[command] = json.loads(out.read_text())
     header, *lines = docs["build"]["facet_export"].splitlines()
+    del docs["build"]["facet_export"]
     facets = [tuple(map(int, line.split())) for line in lines]
+    del lines
     faces = [set() for _ in range(max(map(len, facets)))]
     for f in facets:
         for j, listed in enumerate(faces):
@@ -320,16 +338,32 @@ def test_milestone_f9_4(tmp_path):
     recount = [len(listed) for listed in faces]
     del facets, faces
     assert int(header) == recount[0]
-    assert docs["build"]["geometry"]["simplex_counts"] == recount == [8082, 174_960, 518_400]
+    assert docs["build"]["geometry"]["simplex_counts"] == recount == list(f_vector)
     for command in ("homology", "cm-check", "filtration-verify"):
         assert docs[command]["verdict"] == "pass" and not docs[command]["bound"]["forced"]
-    betti = docs["homology"]["homology"]["betti"]
-    assert betti == [0, 0, 351_521] and betti[2] == -1 + 8082 - 174_960 + 518_400
+    chi = -1 + f_vector[0] - f_vector[1] + f_vector[2]
+    assert docs["homology"]["homology"]["betti"] == [0, 0, chi]
     cm = docs["cm-check"]["cm"]
-    assert cm["passed"] and not cm["failures"] and cm["simplices_checked"] == 701_443
+    assert cm["passed"] and not cm["failures"] and cm["simplices_checked"] == 1 + sum(f_vector)
     rep = docs["filtration-verify"]["filtration"]
-    assert rep["level_sizes"] == [6643, 7282, 8002, 8082]
-    assert rep["predicted_sphere_count"] == rep["direct_sphere_count"] == 351_521
+    assert rep["level_sizes"] == levels
+    assert rep["predicted_sphere_count"] == rep["direct_sphere_count"] == chi
+
+
+@pytest.mark.milestone
+def test_milestone_f9_4(tmp_path):
+    """ROADMAP's ladder instance F_9^4, the smallest in-bound n = 3 case
+    (2^3·1 = 8 < 9): f = (8082, 174,960, 518,400), b~ = (0, 0, 351,521),
+    701,443 simplices checked."""
+    _ladder_instance(tmp_path, 9, (8082, 174_960, 518_400), [6643, 7282, 8002, 8082])
+
+
+@pytest.mark.milestone_long
+def test_milestone_f11_4(tmp_path):
+    """The next ladder rung, F_11^4 (8 < 11), about three minutes: f =
+    (17,402, 479,160, 1,742,400), b~ = (0, 0, 1,280,641), 2,238,963
+    simplices checked."""
+    _ladder_instance(tmp_path, 11, (17_402, 479_160, 1_742_400), [14763, 15962, 17282, 17402])
 
 
 @pytest.mark.milestone

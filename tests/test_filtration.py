@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from phangeo import filtration
+from phangeo import filtration, residues
 from phangeo.field import make_field
 from phangeo.filtration import (
     FiltrationState,
@@ -22,7 +22,6 @@ from phangeo.homology import reduced_homology
 from phangeo.linalg import Subspace
 from phangeo.phan import PhanFamily, vertices
 from phangeo.simplicial import (
-    SimplicialComplex,
     induced_subcomplex,
     intersect_complexes,
     order_complex,
@@ -31,7 +30,7 @@ from phangeo.simplicial import (
 from phangeo.specfile import load_family
 from phangeo.suites import chamber_spec, diagonal_spec, random_phan_spec, standard_spec
 
-from conftest import facet_cut, oracle_below_above
+from conftest import FacetComplex, facet_cut, facet_intersection, facet_star, oracle_below_above
 
 F3 = make_field(3, 1)
 F5 = make_field(5, 1)
@@ -126,14 +125,16 @@ def test_stage_reports_all_checks_present():
 
 def _pairwise_meet_leaves_b(state, i):
     """Check (a) as the pairwise sweep: whether the stars of two new vertices
-    share a simplex with a vertex outside Y_(i-1)."""
+    share a simplex with a vertex outside Y_(i-1), stars and meets cut from
+    the facets of |Y_i|."""
     prev = set(state.levels[i - 1])
     k = order_complex(state.levels[i])
+    k = FacetComplex(k.vertices, k.facets)
     new = [j for j, u in enumerate(k.vertices) if u not in prev]
-    stars = [star_closure(k, j) for j in new]
+    stars = [facet_star(k, j) for j in new]
     for a in range(len(stars)):
         for b in range(a + 1, len(stars)):
-            meet = intersect_complexes(stars[a], stars[b])
+            meet = facet_intersection(stars[a], stars[b])
             if any(meet.vertices[v] not in prev for f in meet.facets for v in f):
                 return True
     return False
@@ -220,9 +221,10 @@ def test_f3_4_stage_set_checks():
 def test_star_restriction_equals_intersection_with_b(name):
     """Check (c) reads A_j ∩ B as the join |Y_(i-1)^<U * Y_(i-1)^>U|, the
     full subcomplex of |Y_n| on U's below and above sets in Y_(i-1).  The
-    star of U_j in |Y_i| cut down to the vertices of Y_(i-1) (the facet-cut
-    oracle) and the generic intersection of the star with |Y_(i-1)| are the
-    oracles.  Vertex order and facets must agree, so the homology reports
+    star of U_j in |Y_i| cut down to the vertices of Y_(i-1) and the
+    intersection of the star with |Y_(i-1)|, both from the facets, are the
+    oracles, and ``intersect_complexes`` of the graph's star with |Y_(i-1)|
+    agrees.  Vertex order and facets must agree, so the homology reports
     do too."""
     if name == "standard_q3_dim4":
         family = PhanFamily((standard_spec(F3, 4),))
@@ -235,16 +237,19 @@ def test_star_restriction_equals_intersection_with_b(name):
         prev = set(state.levels[i - 1])
         k = order_complex(state.levels[i])
         b = order_complex(state.levels[i - 1])
+        facets_k, facets_b = FacetComplex(k.vertices, k.facets), FacetComplex(b.vertices, b.facets)
         for j, u in enumerate(k.vertices):
             if u in prev:
                 continue
             below, above = state.around(u, i - 1)
             join = induced_subcomplex(top, below + above)
-            star = star_closure(k, j)
+            star = facet_star(facets_k, j)
             cut = facet_cut(star, prev)
-            meet = intersect_complexes(star, b)
-            assert (join.vertices, join.facets) == (cut.vertices, cut.facets) \
-                == (meet.vertices, meet.facets)
+            meet = facet_intersection(star, facets_b)
+            graph_meet = intersect_complexes(star_closure(k, j), b)
+            assert (join.vertices, tuple(join.facets)) == (cut.vertices, cut.facets) \
+                == (meet.vertices, meet.facets) \
+                == (graph_meet.vertices, tuple(graph_meet.facets))
             nonempty += not join.is_empty()
     assert nonempty or state.n == 1  # for n = 1, A_j ∩ B is the empty (-1)-sphere
 
@@ -261,7 +266,7 @@ def test_join_witness_names_the_first_failing_vertex(monkeypatch):
     prev = set(state.levels[stage - 1])
     new = [u for u in state.levels[stage] if u not in prev]
     assert len(new) >= 3
-    real = filtration.residue_above
+    real = residues.residue_above
     dropped = {}
 
     def short(spec, u):
@@ -272,7 +277,7 @@ def test_join_witness_names_the_first_failing_vertex(monkeypatch):
         dropped[u] = first.sum(u)
         return SimpleNamespace(members=lambda: rest)
 
-    monkeypatch.setattr(filtration, "residue_above", short)
+    monkeypatch.setattr(residues, "residue_above", short)
     checks = {c.name: c for c in verify_stage(state, stage).checks}
     join = checks["star_boundary_join_decomposition"]
     assert not join.passed
@@ -441,17 +446,17 @@ def test_graph_cut_equals_facet_cut_and_order_complex(name):
     |Y_(i-1)^<U * Y_(i-1)^>U| (its sets found by the containment sweep) it
     gives the complex of the facet-cut oracle and the order complex of the
     subset: the same vertices, facets and face counts, and the order
-    complex's successor lists.  The facet cut runs on a copy of |Γ| without
-    the lists, and for a join on U's star in that copy, which holds every
+    complex's successor lists.  The facet cut runs on |Γ| rebuilt from its
+    facets, and for a join on U's star in that copy, which holds every
     chain of members comparable with U."""
     family = _family(name)
     state = build_filtration(family, choose_pivot(family))
     gamma = order_complex(state.geometry.members)
-    facets_only = SimplicialComplex._of_maximal(gamma.vertices, gamma.facets)
+    facets_only = FacetComplex(gamma.vertices, gamma.facets)
     cuts = [(facets_only, set(level)) for level in state.levels]
     for i in range(1, state.n + 1):
         prev = set(state.levels[i - 1])
-        cuts += [(star_closure(facets_only, gamma.vertex_index[u]),
+        cuts += [(facet_star(facets_only, gamma.vertex_index[u]),
                   set.union(*oracle_below_above(prev, u)))
                  for u in state.levels[i] if u not in prev]
     assert len(cuts) > len(state.levels)
@@ -459,7 +464,7 @@ def test_graph_cut_equals_facet_cut_and_order_complex(name):
         graph_cut = induced_subcomplex(gamma, [gamma.vertex_index[w] for w in keep])
         cut = facet_cut(facets, keep)
         direct = order_complex(keep)
-        assert cut.succ is None and graph_cut.succ == direct.succ
-        assert (graph_cut.vertices, graph_cut.facets, graph_cut.face_counts()) \
+        assert graph_cut.succ == direct.succ
+        assert (graph_cut.vertices, tuple(graph_cut.facets), graph_cut.face_counts()) \
             == (cut.vertices, cut.facets, cut.face_counts()) \
-            == (direct.vertices, direct.facets, direct.face_counts())
+            == (direct.vertices, tuple(direct.facets), direct.face_counts())

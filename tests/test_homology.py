@@ -25,6 +25,7 @@ from phangeo.suites import chamber_spec, standard_spec
 from phangeo.phan import PhanFamily, vertices
 
 from conftest import (
+    FacetComplex,
     facet_cut,
     join,
     link_sweep_failures,
@@ -73,7 +74,7 @@ def _matrix(rows):
 
 
 def test_boundary_of_single_edge():
-    k = SimplicialComplex([0, 1], [(0, 1)])
+    k = FacetComplex([0, 1], [(0, 1)])
     d1 = boundary_matrices(k)[1]
     assert (d1.nrows, d1.ncols) == (2, 1)
     assert sorted(d1.entries) == [(0, 0, -1), (1, 0, 1)]
@@ -83,31 +84,31 @@ def test_boundary_squares_to_zero(rng):
     for _ in range(10):
         n = rng.randrange(4, 8)
         facets = [tuple(sorted(rng.sample(range(n), rng.randrange(2, 5)))) for _ in range(6)]
-        k = SimplicialComplex(range(n), facets)
+        k = FacetComplex(range(n), facets)
         mats = boundary_matrices(k)
         for a, b in zip(mats, mats[1:]):
             assert multiply(a, b).is_zero()
 
 
 def test_hollow_triangle():
-    k = SimplicialComplex([0, 1, 2], [(0, 1), (0, 2), (1, 2)])
+    k = FacetComplex([0, 1, 2], [(0, 1), (0, 2), (1, 2)])
     assert len(smith_invariant_factors(boundary_matrices(k)[1])) == 2
     rep = reduced_homology(k)
     assert rep.betti == (0, 1) and rep.torsion == ((), ())
 
 
 def test_isolated_points():
-    k = SimplicialComplex(range(5), [])
+    k = FacetComplex(range(5), [])
     rep = reduced_homology(k)
     assert rep.betti == (4,)
     assert rep.betti_number(0) == 4
-    empty = SimplicialComplex([], [])
+    empty = FacetComplex([], [])
     assert reduced_homology(empty).betti_number(-1) == 1
     assert rep.betti_number(-1) == 0
 
 
 def test_torsion_projective_plane():
-    k = SimplicialComplex(range(6), RP2)
+    k = FacetComplex(range(6), RP2)
     rep = reduced_homology(k)
     assert rep.betti == (0, 0, 0)
     assert rep.torsion[1] == (2,)
@@ -117,16 +118,16 @@ def test_torsion_projective_plane():
 
 
 def test_join_of_zero_spheres_is_circle():
-    s0a = SimplicialComplex(["a", "b"], [])
-    s0b = SimplicialComplex(["c", "d"], [])
+    s0a = FacetComplex(["a", "b"], [])
+    s0b = FacetComplex(["c", "d"], [])
     assert reduced_homology(join(s0a, s0b)).betti == (0, 1)
 
 
 def test_join_concentration_numerics():
     """Reduced homology of a join of homology wedges concentrates in the sum
     dimension plus one, with multiplicative rank."""
-    two_circles = SimplicialComplex(range(5), [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
-    three_points = SimplicialComplex(range(3), [])
+    two_circles = FacetComplex(range(5), [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
+    three_points = FacetComplex(range(3), [])
     j = join(two_circles, three_points)
     rep = reduced_homology(j)
     assert rep.betti[2] == 2 * 2  # b1 = 2 times b0 = 2
@@ -134,8 +135,8 @@ def test_join_concentration_numerics():
 
 
 def test_cone_is_acyclic():
-    base = SimplicialComplex(range(4), [(0, 1), (1, 2), (2, 3), (0, 3)])
-    cone = join(SimplicialComplex(["apex"], []), base)
+    base = FacetComplex(range(4), [(0, 1), (1, 2), (2, 3), (0, 3)])
+    cone = join(FacetComplex(["apex"], []), base)
     rep = reduced_homology(cone)
     assert rep.is_acyclic()
     v = sphericity_verdict(rep, 2)
@@ -147,27 +148,27 @@ def _verdict(k, d):
 
 
 def test_sphericity_flags():
-    empty = SimplicialComplex([], [])
+    empty = FacetComplex([], [])
     v = _verdict(empty, 1)
     assert not v.nonempty and not v.spherical
     with pytest.raises(ValueError):
-        _verdict(SimplicialComplex([0], []), -1)
+        _verdict(FacetComplex([0], []), -1)
     with pytest.raises(ValueError):
-        _verdict(SimplicialComplex([0, 1], [(0, 1)]), 0)  # dim 1 > 0
-    wedge = SimplicialComplex(range(5), [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
+        _verdict(FacetComplex([0, 1], [(0, 1)]), 0)  # dim 1 > 0
+    wedge = FacetComplex(range(5), [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
     vw = _verdict(wedge, 1)
     assert vw.spherical and vw.sphere_count == 2
 
 
 def test_pi1_examples():
-    tetra = SimplicialComplex(range(4), [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
+    tetra = FacetComplex(range(4), [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
     assert pi1_trivial(tetra) == "trivial"
     assert pi1_status(reduced_homology(tetra), 2) == "trivial"
     assert _verdict(tetra, 2).sphere_count == 1
-    disconnected = SimplicialComplex(range(4), [(0, 1), (2, 3)])
+    disconnected = FacetComplex(range(4), [(0, 1), (2, 3)])
     assert pi1_trivial(disconnected) == "unknown"
-    base = SimplicialComplex(range(4), [(0, 1), (1, 2), (2, 3), (0, 3)])
-    cone = join(SimplicialComplex(["apex"], []), base)
+    base = FacetComplex(range(4), [(0, 1), (1, 2), (2, 3), (0, 3)])
+    cone = join(FacetComplex(["apex"], []), base)
     assert pi1_trivial(cone) == "trivial"
 
 
@@ -175,21 +176,21 @@ def test_pi1_status_gate():
     """Not applicable below dimension 2 or on the empty complex; unknown
     while H~_0 or H~_1 is non-zero, which leaves a critical vertex or edge;
     a tree, whose spanning forest leaves neither, is trivial."""
-    circle = SimplicialComplex(range(3), [(0, 1), (1, 2), (0, 2)])
+    circle = FacetComplex(range(3), [(0, 1), (1, 2), (0, 2)])
     assert pi1_status(reduced_homology(circle), 1) == "not_applicable"
-    empty = SimplicialComplex([], [])
+    empty = FacetComplex([], [])
     assert pi1_status(reduced_homology(empty), 2) == "not_applicable"
     assert pi1_status(reduced_homology(circle), 2) == "unknown"
-    two_points = SimplicialComplex(range(2), [])
+    two_points = FacetComplex(range(2), [])
     assert pi1_status(reduced_homology(two_points), 2) == "unknown"
-    path = SimplicialComplex(range(3), [(0, 1), (1, 2)])
+    path = FacetComplex(range(3), [(0, 1), (1, 2)])
     assert pi1_status(reduced_homology(path), 2) == "trivial" == pi1_trivial(path)
 
 
 def test_pi1_disk_of_four_triangles():
     """Four triangles around vertex 3: the last relator reaches its root only
     through the two merges the relators before it made, and kills it."""
-    disk = SimplicialComplex(range(6), [(0, 3, 4), (1, 2, 3), (1, 3, 4), (2, 3, 5)])
+    disk = FacetComplex(range(6), [(0, 3, 4), (1, 2, 3), (1, 3, 4), (2, 3, 5)])
     assert reduced_homology(disk).is_acyclic()
     assert pi1_trivial(disk) == "trivial"
 
@@ -205,10 +206,10 @@ def test_pi1_chamber_f3_4_is_trivial():
 
 
 def test_pi1_stays_unknown_where_it_must():
-    rp2 = SimplicialComplex(range(6), RP2)
+    rp2 = FacetComplex(range(6), RP2)
     assert pi1_trivial(rp2) == "unknown"  # pi_1 = Z/2
     assert pi1_status(reduced_homology(rp2), 2) == "unknown"
-    edges = SimplicialComplex(range(4), [(0, 1), (2, 3)])
+    edges = FacetComplex(range(4), [(0, 1), (2, 3)])
     assert pi1_trivial(edges) == "unknown"
     f34 = order_complex(vertices(PhanFamily((standard_spec(F3, 4),))).members)
     assert pi1_trivial(f34) == "unknown"  # H~_1 = Z^4
@@ -221,7 +222,7 @@ def test_pi1_long_fan_needs_no_recursion():
     relators that chain the fan's spokes about 3000 deep in the union-find
     before the flap's relator lets the first triangle resolve."""
     n = 3000
-    fan = SimplicialComplex(range(n + 2), [(0, i, i + 1) for i in range(1, n)] + [(1, 2, n + 1)])
+    fan = FacetComplex(range(n + 2), [(0, i, i + 1) for i in range(1, n)] + [(1, 2, n + 1)])
     assert len(fan.simplices(1)) - fan.num_vertices + 1 == 3000
     assert pi1_trivial(fan) == "trivial"
 
@@ -237,7 +238,7 @@ def test_pi1_trivial_implies_vanishing_low_homology(drawn):
     library's "trivial", read from the Morse matching, implies the
     oracle's."""
     n, facets = drawn
-    k = SimplicialComplex(range(n), [tuple(sorted(f)) for f in facets])
+    k = FacetComplex(range(n), [tuple(sorted(f)) for f in facets])
     rep = reduced_homology(k)
     if pi1_trivial(k) == "trivial":
         assert all(rep.betti_number(i) == 0 and not rep.torsion_at(i) for i in (0, 1))
@@ -247,7 +248,7 @@ def test_pi1_trivial_implies_vanishing_low_homology(drawn):
 
 def test_cm_single_simplex():
     k = poset_complex("abcd", ["ab", "bc", "cd"])  # one chain, one 3-simplex
-    assert k.facets == ((0, 1, 2, 3),)
+    assert k.facets == [(0, 1, 2, 3)]
     rep = cohen_macaulay_check(k)
     assert rep.passed
 
@@ -257,7 +258,7 @@ def test_cm_non_pure_complex_fails():
     vertex is a facet below the top dimension, so its link is empty but must
     be 0-spherical, and the whole complex is disconnected."""
     k = poset_complex("abc", ["ab"])
-    assert k.facets == ((0, 1), (2,))
+    assert k.facets == [(0, 1), (2,)]
     rep = cohen_macaulay_check(k)
     assert not rep.passed and rep.dim == 1 and rep.simplices_checked == 5
     assert [(f.simplex, f.target_dim, f.reason) for f in rep.failures] == [
@@ -271,7 +272,7 @@ def test_cm_failure_set_is_precise():
     exactly at the middle vertex c, whose link is a pair of disjoint
     edges."""
     bowtie = poset_complex("abdec", ["ab", "bc", "de", "ec"])
-    assert bowtie.facets == ((0, 1, 4), (2, 3, 4))
+    assert bowtie.facets == [(0, 1, 4), (2, 3, 4)]
     rep = cohen_macaulay_check(bowtie)
     assert not rep.passed
     assert [f.simplex for f in rep.failures] == [(4,)]
@@ -310,8 +311,8 @@ def test_cm_lists_no_simplex_of_codimension_below_two(monkeypatch):
     """On F_3^4 (dimension 2) the sweep reduces the links of the empty
     simplex and of the vertices only: edges and triangles are settled by
     the facets and counted, never listed.  The whole complex's homology is
-    reduced beforehand, so any listing of edges or triangles would be the
-    sweep's own."""
+    reduced beforehand, so any listing of its edges or triangles would be
+    the sweep's own; the links list their own edges to count components."""
     import phangeo.homology
 
     k = order_complex(vertices(PhanFamily((standard_spec(F3, 4),))).members)
@@ -321,7 +322,7 @@ def test_cm_lists_no_simplex_of_codimension_below_two(monkeypatch):
     listed = SimplicialComplex.simplices
 
     def refused(self, j):
-        if j >= k.dim - 1:
+        if self is k and j >= k.dim - 1:
             raise AssertionError(f"{j}-simplices listed")
         return listed(self, j)
 
@@ -339,7 +340,7 @@ def test_cm_non_pure_failures_follow_the_link_sweep():
     is listed after every reduced link, in facet order, exactly where the
     generic sweep reports it."""
     k = poset_complex("abchijde", ["ab", "bc", "cd", "ce", "hi", "id", "je"])
-    assert k.facets == ((0, 1, 2, 6), (0, 1, 2, 7), (3, 4, 6), (5, 7))
+    assert k.facets == [(0, 1, 2, 6), (0, 1, 2, 7), (3, 4, 6), (5, 7)]
     rep = cohen_macaulay_check(k)
     got = [(f.simplex, f.target_dim, f.reason) for f in rep.failures]
     assert got == link_sweep_failures(k)
@@ -352,7 +353,7 @@ def test_cm_two_triangles_glued_along_edge_pass():
     # a < b < c and a < b < d: shellable, hence Cohen-Macaulay; all links
     # are contractible or spheres
     k = poset_complex("abcd", ["ab", "bc", "bd"])
-    assert k.facets == ((0, 1, 2), (0, 1, 3))
+    assert k.facets == [(0, 1, 2), (0, 1, 3)]
     assert cohen_macaulay_check(k).passed
 
 
@@ -397,7 +398,7 @@ def test_reduced_homology_matches_full_snf(drawn):
     the critical cells: ∂∂ = 0, it keeps the face counts, and its matching
     is acyclic, with the critical cells the report counts."""
     n, facets = drawn
-    k = SimplicialComplex(range(n), [tuple(sorted(f)) for f in facets])
+    k = FacetComplex(range(n), [tuple(sorted(f)) for f in facets])
     rep = reduced_homology(k)
     assert (rep.betti, rep.torsion) == snf_homology(k)
     if k.dim >= 2:
@@ -429,7 +430,7 @@ def test_filtered_homology_matches_each_level(drawn):
     matching is acyclic with each pair inside one level, the Morse
     boundaries compose to zero, and each stage counts K_i's faces."""
     n, facets, level = drawn
-    k = SimplicialComplex(range(n), [tuple(sorted(f)) for f in facets])
+    k = FacetComplex(range(n), [tuple(sorted(f)) for f in facets])
     reports = filtered_homology(k, level)
     stages, mats, mate = morse_complex(k, level)
     assert len(reports) == len(stages) == max(level) + 1
@@ -446,7 +447,7 @@ def test_matching_checker_rejects_a_pair_across_levels():
     middle vertex enters at level 1, the unfiltered matching pairs vertex 1
     (level 0) with the edge 12 (level 1), and fails; the filtered one
     leaves both critical, the second point of K_0 and the edge joining it."""
-    k = SimplicialComplex(range(3), [(0, 2), (1, 2)])
+    k = FacetComplex(range(3), [(0, 2), (1, 2)])
     level = [0, 0, 1]
     _, _, mate = morse_complex(k)
     assert mate == [1, 0, 5, 4, 3, 2]  # ids: empty, vertices 0-2, edges 02 12
@@ -461,7 +462,7 @@ def test_dunce_hat_keeps_critical_cells():
     critical edge and triangle, and the Smith form of the Morse ∂_2 cancels
     them.  The critical edge leaves the library's pi_1 status "unknown",
     which is sound; the edge-path oracle finds the group trivial."""
-    k = SimplicialComplex(range(13), DUNCE_HAT)
+    k = FacetComplex(range(13), DUNCE_HAT)
     assert k.face_counts() == [13, 39, 27]
     _, mats, mate = morse_complex(k)
     assert [m.ncols for m in mats] == [0, 1, 1]
@@ -489,7 +490,7 @@ def test_matching_checker_rejects_a_cycle():
     """The checker is not vacuous: on the hollow tetrahedron, matching the
     edges at vertex 0 with the triangles 012, 023, 013 closes the V-path
     01 < 012 > 02 < 023 > 03 < 013 > 01, and fails it."""
-    k = SimplicialComplex(range(4), [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
+    k = FacetComplex(range(4), [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
     _, _, mate = morse_complex(k)
     assert matching_is_acyclic(k, mate)
     # ids: 0 empty, 1-4 vertices, 5-10 edges 01 02 03 12 13 23, 11-14 triangles
@@ -506,7 +507,7 @@ def test_homology_reduces_no_full_boundary(monkeypatch):
         raise AssertionError("boundary_matrices called")
 
     monkeypatch.setattr(phangeo.morse, "boundary_matrices", refused)
-    k = SimplicialComplex(range(6), RP2)
+    k = FacetComplex(range(6), RP2)
     assert reduced_homology(k).torsion == ((), (2,), ())
     _, mats, _ = morse_complex(k)
     assert smith_invariant_factors(mats[2])[-1] == 2
@@ -519,7 +520,7 @@ def test_euler_consistency_random(rng):
         n = rng.randrange(3, 9)
         facets = [tuple(sorted(rng.sample(range(n), rng.randrange(1, min(n, 4) + 1))))
                   for _ in range(rng.randrange(1, 7))]
-        k = SimplicialComplex(range(n), facets)
+        k = FacetComplex(range(n), facets)
         rep = reduced_homology(k)  # raises internally if Euler books disagree
         assert rep.euler_characteristic == k.euler_characteristic()
 

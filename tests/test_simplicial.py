@@ -10,7 +10,6 @@ from phangeo.field import make_field
 from phangeo.homology import cohen_macaulay_check
 from phangeo.linalg import Subspace
 from phangeo.simplicial import (
-    SimplicialComplex,
     export_facets,
     intersect_complexes,
     link,
@@ -22,7 +21,16 @@ from phangeo.specfile import load_family
 from phangeo.suites import random_phan_spec, standard_spec
 from phangeo.phan import PhanFamily, vertices
 
-from conftest import chain_facets, facet_cut, join, poset_complex
+from conftest import (
+    FacetComplex,
+    chain_facets,
+    facet_cut,
+    facet_intersection,
+    facet_link,
+    facet_star,
+    join,
+    poset_complex,
+)
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
@@ -32,20 +40,22 @@ SPECS = Path(__file__).resolve().parent.parent / "specs"
 
 
 def test_constructor_maximalizes_and_covers_vertices():
-    k = SimplicialComplex([0, 1, 2, 3], [(0, 1), (0,), (1,)])
+    """The facet oracle keeps the maximal facets given and covers every
+    vertex."""
+    k = FacetComplex([0, 1, 2, 3], [(0, 1), (0,), (1,)])
     assert k.facet_sets() == frozenset(
         {frozenset({0, 1}), frozenset({2}), frozenset({3})}
     )
     assert k.dim == 1
     with pytest.raises(ValueError):
-        SimplicialComplex([0, 1], [(0, 2)])
+        FacetComplex([0, 1], [(0, 2)])
 
 
 def test_facet_representation_roundtrip():
     facets = [(0, 1, 2), (1, 2, 3), (3, 4)]
-    k = SimplicialComplex(range(5), facets)
+    k = FacetComplex(range(5), facets)
     all_simplices = [s for d in range(k.dim + 1) for s in k.simplices(d)]
-    again = SimplicialComplex(range(5), all_simplices)
+    again = FacetComplex(range(5), all_simplices)
     assert again.facet_sets() == k.facet_sets()
 
 
@@ -101,7 +111,6 @@ def test_order_complex_counts_its_chains(name):
     else:
         family, _ = load_family(str(SPECS / f"{name}.json"))
     k = order_complex(vertices(family).members)
-    assert k._chain_counts is not None
     assert k.face_counts() == _listed_counts(k)
     if name == "F4^4":
         assert purity_and_dimension(k) == (False, 2)
@@ -111,10 +120,10 @@ def test_order_complex_counts_its_chains(name):
 def _assert_simplices_listed(k):
     """``simplices(j)`` is the sorted listing of the (j+1)-subsets of the
     facets for every j up to one past the top, and the top simplices are
-    the top facets themselves, the very tuples."""
+    the top facets."""
     for j in range(k.dim + 2):
         assert k.simplices(j) == sorted({c for f in k.facets for c in combinations(f, j + 1)})
-    assert list(map(id, k.simplices(k.dim))) == [id(f) for f in k.facets if len(f) == k.dim + 1]
+    assert k.simplices(k.dim) == [f for f in k.facets if len(f) == k.dim + 1]
 
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in SPECS.glob("*.json"))
@@ -124,7 +133,7 @@ def test_simplices_are_the_sorted_listing(name):
     random form and of the non-pure F_4^4, and on a 0-dimensional and the
     empty complex."""
     if name in ("0-dimensional", "empty"):
-        k = SimplicialComplex("abc" if name == "0-dimensional" else "", [])
+        k = poset_complex("abc" if name == "0-dimensional" else "", [])
         assert k.dim == (0 if name == "0-dimensional" else -1)
     else:
         if name == "F3^4 seeded":
@@ -139,21 +148,21 @@ def test_simplices_are_the_sorted_listing(name):
 
 
 def test_generic_face_counts_match_the_listing():
-    """Links, stars and facet cuts of complexes without successor lists
-    count their faces from the facets.  A 0-dimensional complex counts
-    each vertex once; the empty complex has no faces."""
+    """Links and stars, graph cuts, count their chains; the facet oracle's
+    cuts count their faces from the facets, and both equal the listing.  A
+    0-dimensional complex counts each vertex once; the empty complex has no
+    faces."""
     k = order_complex(vertices(PhanFamily((standard_spec(F3, 4),))).members)
-    pieces = [link(k, ()), link(k, k.facets[0]), SimplicialComplex([], []),
-              SimplicialComplex("abc", []), facet_cut(link(k, ()), set(k.vertices[::3]))]
+    pieces = [link(k, ()), link(k, k.facets[0]), poset_complex("", []),
+              poset_complex("abc", []), facet_cut(k, set(k.vertices[::3]))]
     for v in range(0, k.num_vertices, 5):
         pieces += [link(k, (v,)), star_closure(k, v)]
     pieces += [link(k, f[:2]) for f in k.facets[::40]]
     for piece in pieces:
-        assert piece._chain_counts is None
         assert piece.face_counts() == _listed_counts(piece)
     assert {p.dim for p in pieces} == {-1, 0, 1, 2}
-    assert SimplicialComplex("abc", []).face_counts() == [3]
-    assert SimplicialComplex([], []).face_counts() == []
+    assert poset_complex("abc", []).face_counts() == [3]
+    assert poset_complex("", []).face_counts() == []
 
 
 def test_order_complex_with_zero_and_full_subspace():
@@ -190,13 +199,17 @@ def test_order_complex_of_phan_geometry_is_pure():
 
 
 def test_link_examples():
-    k = SimplicialComplex([0, 1, 2], [(0, 1, 2)])
+    """The link of a maximal chain is empty; in the circle a, b < c, d, the
+    link of a is the pair c, d.  The facet oracle refuses a non-simplex."""
+    k = poset_complex("abc", ["ab", "bc"])
     assert link(k, (0, 1, 2)).is_empty()
-    tri = SimplicialComplex([0, 1, 2], [(0, 1), (0, 2), (1, 2)])
-    lk = link(tri, (0,))
-    assert set(lk.vertices) == {1, 2} and lk.dim == 0
+    square = poset_complex("abcd", ["ac", "ad", "bc", "bd"])
+    lk = link(square, (0,))
+    assert lk.vertices == ("c", "d") and lk.dim == 0
+    tri = FacetComplex([0, 1, 2], [(0, 1), (0, 2), (1, 2)])
+    assert set(facet_link(tri, (0,)).vertices) == {1, 2}
     with pytest.raises(ValueError):
-        link(tri, (0, 1, 2))
+        facet_link(tri, (0, 1, 2))
 
 
 def test_link_of_vertex_is_below_join_above():
@@ -226,33 +239,34 @@ def test_star_closure_is_cone_over_link():
 
 
 def test_star_of_isolated_vertex():
-    k = SimplicialComplex([0, 1, 2], [(1, 2)])
+    k = poset_complex("abc", ["bc"])
     st = star_closure(k, 0)
-    assert st.facet_sets() == frozenset({frozenset({0})})
+    assert st.facet_sets() == frozenset({frozenset({"a"})})
 
 
 def test_join_identities():
-    pt = SimplicialComplex(["apex"], [])
-    tri = SimplicialComplex([0, 1, 2], [(0, 1), (0, 2), (1, 2)])
+    pt = FacetComplex(["apex"], [])
+    tri = FacetComplex([0, 1, 2], [(0, 1), (0, 2), (1, 2)])
     cone = join(pt, tri)
     assert cone.dim == tri.dim + 1
     assert all((0, "apex") in f for f in cone.facet_sets())
-    empty = SimplicialComplex([], [])
+    empty = FacetComplex([], [])
     assert join(empty, tri).facet_sets() == frozenset(
         frozenset((1, v) for v in f) for f in tri.facet_sets()
     )
 
 
 def test_intersect_complexes():
-    a = SimplicialComplex([0, 1, 2], [(0, 1, 2)])
-    b = SimplicialComplex([1, 2, 3], [(0, 1, 2)])
+    """The chains 0 < 1 < 2 and 1 < 2 < 3 share the edge 1 < 2."""
+    a = poset_complex([0, 1, 2], [(0, 1), (1, 2)])
+    b = poset_complex([1, 2, 3], [(1, 2), (2, 3)])
     inter = intersect_complexes(a, b)
     assert inter.facet_sets() == frozenset({frozenset({1, 2})})
-    assert inter.vertices == (1, 2) and inter.facets == ((0, 1),)
+    assert inter.vertices == (1, 2) and inter.facets == [(0, 1)]
 
 
 def test_export_format():
-    k = SimplicialComplex(["a", "b", "c"], [(0, 1), (2,)])
+    k = poset_complex("abc", ["ab"])
     text = export_facets(k)
     lines = text.strip().split("\n")
     assert lines[0] == "3"
@@ -297,8 +311,10 @@ def _labelled_complexes(draw, pool="abcdefg", max_facets=6):
 @given(_labelled_complexes(), _labelled_complexes(),
        _labelled_complexes(pool="fghijklmnop", max_facets=12), st.data())
 def test_operations_match_label_oracle(c1, c2, c3, data):
+    """The facet oracles (``FacetComplex``, ``facet_link``, ``facet_star``
+    and ``facet_intersection``) against the simplices listed by labels."""
     (labels, facets), (labels2, facets2), (labels3, facets3) = c1, c2, c3
-    k = SimplicialComplex(labels, facets)
+    k = FacetComplex(labels, facets)
     simps = _oracle(labels, facets)
     assert k.vertices == tuple(labels)
     assert k.facet_sets() == _maximal(simps)
@@ -313,33 +329,33 @@ def test_operations_match_label_oracle(c1, c2, c3, data):
         return
 
     s = data.draw(st.sampled_from(sorted(simps, key=sorted)))
-    lk = link(k, [labels.index(v) for v in s])
+    lk = facet_link(k, [labels.index(v) for v in s])
     expected = {t - s for t in simps if s < t}
     assert lk.facet_sets() == _maximal(expected)
     assert lk.vertices == _covered_in_order(labels, expected)
 
     v = data.draw(st.sampled_from(labels))
-    star = star_closure(k, labels.index(v))
+    star = facet_star(k, labels.index(v))
     expected = {t for t in simps if t | {v} in simps}
     assert star.facet_sets() == _maximal(expected)
     assert star.vertices == _covered_in_order(labels, expected)
 
-    other = SimplicialComplex(labels2, facets2)
+    other = FacetComplex(labels2, facets2)
     expected = simps & _oracle(labels2, facets2)
-    inter = intersect_complexes(k, other)
+    inter = facet_intersection(k, other)
     assert inter.facet_sets() == _maximal(expected)
     assert inter.vertices == _covered_in_order(labels, expected)
     # shares at most f and g with k, so most of its facets miss k
-    far = SimplicialComplex(labels3, facets3)
+    far = FacetComplex(labels3, facets3)
     expected = simps & _oracle(labels3, facets3)
-    inter = intersect_complexes(k, far)
+    inter = facet_intersection(k, far)
     assert inter.facet_sets() == _maximal(expected)
     assert inter.vertices == _covered_in_order(labels, expected)
 
     outside = frozenset(labels) - set().union(*(t for t in simps if s <= t))
     if outside:
         with pytest.raises(ValueError):
-            link(k, [labels.index(v) for v in s | {min(outside)}])
+            facet_link(k, [labels.index(v) for v in s | {min(outside)}])
 
 
 @settings(max_examples=20, deadline=None)
@@ -358,17 +374,17 @@ def test_bowtie_fails_at_labelled_middle_vertex(order):
 
 
 def _rebuilt_unchanged(k):
-    """The maximalizing constructor leaves the facets of k as they are."""
-    return SimplicialComplex(k.vertices, k.facets).facets == k.facets
+    """The maximalizing facet oracle leaves the facets of k as they are."""
+    return FacetComplex(k.vertices, k.facets).facets == tuple(k.facets)
 
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in SPECS.glob("*.json")) + ["F3^4"])
 def test_complexes_built_from_maximal_facets_need_no_maximalizing(name):
-    """order_complex, link and star_closure build their complexes from facets
-    that are maximal by construction, with no maximalizing: the constructor
-    that maximalizes returns the same facets.  Links of the empty simplex,
-    of every vertex, of some facets (empty complexes) and of faces of
-    each of those; stars of every vertex."""
+    """The maximal chains walked from the covers of order_complex, link and
+    star_closure are maximal, sorted and cover every vertex: the facet
+    oracle, which maximalizes, returns the same facets.  Links of the empty
+    simplex, of every vertex, of some facets (empty complexes) and of faces
+    of each of those; stars of every vertex."""
     if name == "F3^4":
         family = PhanFamily((standard_spec(F3, 4),))
     else:
@@ -381,6 +397,42 @@ def test_complexes_built_from_maximal_facets_need_no_maximalizing(name):
         assert _rebuilt_unchanged(star_closure(k, v))
     for f in k.facets[::max(1, len(k.facets) // 40)]:
         empty = link(k, f)
-        assert empty.is_empty() and empty.facets == ()
+        assert empty.is_empty() and empty.facets == []
         for s in {f[:2], f[1:], f[::2]}:
             assert _rebuilt_unchanged(link(k, s))
+
+
+def _labelled(k):
+    return k.vertices, k.facet_sets()
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in SPECS.glob("*.json"))
+                         + ["F3^4 seeded", "bowtie"])
+def test_graph_cuts_equal_the_facet_oracles(name):
+    """``link``, ``star_closure`` and ``intersect_complexes``, cut from the
+    successor lists, equal the facet oracles by labels: the link of every
+    chain, the star of every vertex, and the meet of each star with the
+    next vertex's star and with the link of its first facet's other
+    vertices."""
+    if name == "bowtie":
+        k = poset_complex("abdec", ["ab", "bc", "de", "ec"])
+    else:
+        if name == "F3^4 seeded":
+            family = PhanFamily((random_phan_spec(random.Random(2), F3, 4, 0),))
+        else:
+            family, _ = load_family(str(SPECS / f"{name}.json"))
+        k = order_complex(vertices(family).members)
+    fk = FacetComplex(k.vertices, k.facets)
+    for s in [t for j in range(k.dim + 1) for t in k.simplices(j)]:
+        assert _labelled(link(k, s)) == _labelled(facet_link(fk, s)), s
+    stars = [star_closure(k, v) for v in range(k.num_vertices)]
+    oracle_stars = [facet_star(fk, v) for v in range(k.num_vertices)]
+    for v, (star, oracle) in enumerate(zip(stars, oracle_stars)):
+        assert _labelled(star) == _labelled(oracle), v
+        w = (v + 1) % k.num_vertices
+        assert _labelled(intersect_complexes(star, stars[w])) \
+            == _labelled(facet_intersection(oracle, oracle_stars[w]))
+        f = next(f for f in k.facets if v in f)
+        rest = tuple(x for x in f if x != v)
+        assert _labelled(intersect_complexes(star, link(k, rest))) \
+            == _labelled(facet_intersection(oracle, facet_link(fk, rest)))

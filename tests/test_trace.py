@@ -26,9 +26,10 @@ FILTRATION = LOADED | {
     ("cm-check", "t0_q5_dim3",
      LOADED | {"cli.cm_check", "homology.cohen_macaulay_check", "homology.reduced_homology"}),
     ("filtration-verify", "t0_q5_dim3", FILTRATION),
+    # the vertex links are read through simplicial.link
     ("cm-check", "chamber_q5_dim4",
      LOADED | {"cli.cm_check", "homology.cohen_macaulay_check", "homology.reduced_homology",
-               "homology.snf"}),
+               "homology.snf", "simplicial.link"}),
     ("filtration-verify", "chamber_q5_dim4", FILTRATION),
 ])
 def test_traced_command_keeps_exit_code_and_report(command, spec, spans, tmp_path):
