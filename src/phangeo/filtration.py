@@ -11,18 +11,20 @@ identities, agreement of the below sets with the restricted family, and
 exact Mayer-Vietoris rank bookkeeping.  Checks report failures with
 witnesses instead of raising.
 
-Every |Y_i| is the full subcomplex of |Y_n| on the vertices of level <= i,
-so one filtered reduction of |Y_n| (``filtered_homology``) gives the
-homology of every level.  In an order complex the link of a vertex U is the
-order complex of the members comparable with U (Quillen, Adv. Math. 1978),
-so the star boundary A_j ∩ B is the join |Y_(i-1)^<U * Y_(i-1)^>U| of the
-restricted family below U and the residue above U, generalized Phan
-geometries of lower rank.  |Y_n| is built once, by ``order_complex``, and
-every neighbour, below and above set is read from its successor and
-predecessor lists (``succ``, ``pred``), every join cut from them
-(``induced_subcomplex``): no lower level, star or link is built.  Each
-graph reading is compared with a construction that shares no code with
-the graph: the point masks (b), the residues above U (c) and the
+The filtration is thus one level per vertex of |Γ| = |Y_n|: 0 on Y_0 and
+n+1-dim U elsewhere.  Every |Y_i| is the full subcomplex of |Γ| on the
+vertices of level <= i, so one filtered reduction of |Γ|
+(``filtered_homology``) gives the homology of every level.  In an order
+complex the link of a vertex U is the order complex of the members
+comparable with U (Quillen, Adv. Math. 1978), so the star boundary A_j ∩ B
+is the join |Y_(i-1)^<U * Y_(i-1)^>U| of the restricted family below U and
+the residue above U, generalized Phan geometries of lower rank.  |Γ| is
+built once, by ``order_complex``; every new vertex is read from the levels
+and every neighbour, below and above set from |Γ|'s successor and
+predecessor lists (``succ``, ``pred``) cut by level, every join cut from
+them (``induced_subcomplex``): no lower level, star or link is built.
+Each graph reading is compared with a construction that shares no code
+with the graph: the point masks (b), the residues above U (c) and the
 restricted families (d).
 """
 
@@ -34,7 +36,7 @@ from functools import cached_property
 from .homology import HomologyReport, reduced_homology, sphericity_verdict
 from .linalg import Subspace
 from .morse import filtered_homology
-from .phan import GeometryVertexSet, PhanFamily, vertices
+from .phan import PhanFamily, vertices
 from .residues import (DeltaConstructionError, EmptyResidueError, delta_restriction,
                        lifted_residue_above)
 from .simplicial import SimplicialComplex, induced_subcomplex, order_complex
@@ -94,48 +96,37 @@ class StageReport:
 
 
 class FiltrationState:
-    """The levels Y_0 .. Y_n (each sorted, each inside the next, Y_n = Γ) of
-    a family's geometry around a pivot, and what the checks read of them,
-    each computed once per state: the join <U, p> of every member, the
-    complex |Y_n| with the vertex indices of each level, and the homology of
-    every level, from one filtered reduction of |Y_n|; no lower level's
-    complex is built."""
+    """The filtration Y_0 .. Y_n of a family's geometry around a pivot, as
+    |Γ| = |Y_n| with one level per vertex: ``level[j]`` is the stage at
+    which vertex j enters, 0 on Y_0 and n+1-dim U_j elsewhere, so |Y_i| is
+    the full subcomplex on the vertices of level <= i; ``joins[j]`` is
+    <U_j, p>.  The homology of every level is computed once per state, from
+    one filtered reduction of |Γ|; no lower level's complex is built."""
 
-    def __init__(self, family: PhanFamily, pivot: Subspace, geometry: GeometryVertexSet,
-                 levels: tuple[tuple[Subspace, ...], ...], joins: dict | None = None):
+    def __init__(self, family: PhanFamily, pivot: Subspace, complex: SimplicialComplex,
+                 level: list[int], joins: list[Subspace]):
         self.family = family
         self.pivot = pivot
-        self.geometry = geometry
-        self.levels = levels
-        self.joins = _joins(geometry.members, pivot) if joins is None else joins
+        self.complex = complex
+        self.level = level
+        self.joins = joins
 
     @property
     def n(self) -> int:
         return self.family.n
 
-    @cached_property
-    def graph(self) -> tuple[SimplicialComplex, list[set[int]]]:
-        """|Y_n|, the order complex of Y_n, and the vertex indices of each
-        level."""
-        top = order_complex(self.levels[self.n])
-        at = top.vertex_index
-        return top, [{at[w] for w in level} for level in self.levels]
-
-    def around(self, u: Subspace, i: int) -> tuple[list[int], list[int]]:
-        """The members of Y_i strictly inside and strictly containing u, as
-        increasing vertex indices of |Y_n|."""
-        top, levels = self.graph
-        x, inside = top.vertex_index[u], levels[i]
-        return [j for j in top.pred[x] if j in inside], [j for j in top.succ[x] if j in inside]
+    def around(self, x: int, i: int) -> tuple[list[int], list[int]]:
+        """The members of Y_i strictly inside and strictly containing vertex
+        x of |Γ|, as increasing vertex indices."""
+        k, level = self.complex, self.level
+        return [j for j in k.pred[x] if level[j] <= i], [j for j in k.succ[x] if level[j] <= i]
 
     @cached_property
     def homology(self) -> list[HomologyReport]:
         """The reduced homology of each level |Y_i|, from one filtered
-        reduction of |Y_n| with each vertex at the level where it enters."""
-        top, levels = self.graph
-        reports = filtered_homology(top, [next(i for i, s in enumerate(levels) if j in s)
-                                          for j in range(top.num_vertices)])
-        return reports + reports[-1:] * (len(self.levels) - len(reports))
+        reduction of |Γ| with each vertex at its level."""
+        reports = filtered_homology(self.complex, self.level)
+        return reports + reports[-1:] * (self.n + 1 - len(reports))
 
 
 class FiltrationReport(namedtuple(
@@ -190,38 +181,34 @@ def find_degenerate_pivot(family: PhanFamily) -> Subspace:
     return _first_point(family, True, "every point is non-degenerate for every top form")
 
 
-def _joins(members, p: Subspace) -> dict[Subspace, Subspace]:
-    """<W, p> for each member W, which is W itself when W holds p."""
-    return {w: w if w.point_mask & p.point_mask else w.sum(p) for w in members}
-
-
 def build_filtration(family: PhanFamily, pivot: Subspace) -> FiltrationState:
-    geometry = vertices(family)
-    members = set(geometry.members)
-    nplus1 = family.ambient.dim
-    joins = _joins(geometry.members, pivot)
-    y0 = [w for w in geometry.members if joins[w] in members]
-    levels = [tuple(sorted(y0, key=Subspace.sort_key))]
-    for i in range(1, family.n + 1):
-        cur = set(levels[-1])
-        cur.update(w for w in geometry.members if w.dim == nplus1 - i)
-        levels.append(tuple(sorted(cur, key=Subspace.sort_key)))
-    return FiltrationState(family, pivot, geometry, tuple(levels), joins)
+    k = order_complex(vertices(family).members)
+    at, nplus1 = k.vertex_index, family.ambient.dim
+    joins = [u if u.point_mask & pivot.point_mask else u.sum(pivot) for u in k.vertices]
+    level = [0 if w in at else nplus1 - u.dim for u, w in zip(k.vertices, joins)]
+    return FiltrationState(family, pivot, k, level, joins)
 
 
 def verify_y0_contractible(state: FiltrationState) -> list[CheckResult]:
     """Homology-level acyclicity of |Y_0| plus the structural facts carried
     by the retraction U -> <U, p> -> p."""
-    y0, p, rep, joins = state.levels[0], state.pivot, state.homology[0], state.joins
-    y0set, top = set(y0), state.family.ambient.dim
+    k, level, joins, p = state.complex, state.level, state.joins, state.pivot
+    rep, at, top = state.homology[0], k.vertex_index, state.family.ambient.dim
+    y0 = [j for j, lv in enumerate(level) if lv == 0]
+
+    def in_y0(w: Subspace) -> bool:
+        return w in at and level[at[w]] == 0
+
     acyclic = rep.is_acyclic() and bool(y0)
-    leaves = next((u for u in y0 if joins[u].dim < top and joins[u] not in y0set), None)
-    misses = next((u for u in y0 if not joins[u].contains_subspace(p)), None)
+    leaves = next((k.vertices[j] for j in y0
+                   if joins[j].dim < top and not in_y0(joins[j])), None)
+    misses = next((k.vertices[j] for j in y0 if not joins[j].contains_subspace(p)), None)
+    pivot_in = in_y0(p)
     return [
         CheckResult("y0_acyclic", acyclic,
                     None if acyclic else f"reduced betti {rep.betti}, torsion {rep.torsion}"),
-        CheckResult("pivot_in_y0", p in y0set,
-                    None if p in y0set else f"pivot {p.basis} not in Y_0"),
+        CheckResult("pivot_in_y0", pivot_in,
+                    None if pivot_in else f"pivot {p.basis} not in Y_0"),
         CheckResult("join_map_into_y0", leaves is None,
                     None if leaves is None else f"<U,p> leaves Y_0 for U = {leaves.basis}"),
         CheckResult("join_image_in_star_of_p", misses is None,
@@ -229,13 +216,14 @@ def verify_y0_contractible(state: FiltrationState) -> list[CheckResult]:
     ]
 
 
-def _spherical_check(k: SimplicialComplex, report: HomologyReport,
-                     d: int) -> tuple[bool, str | None]:
+def _spherical_check(report: HomologyReport, d: int) -> tuple[bool, str | None]:
     """Homology-level d-sphericity with the (-1)-dimensional convention: the
-    empty complex is exactly the (-1)-sphere wedge."""
+    empty complex, the one of top dimension -1, is exactly the (-1)-sphere
+    wedge."""
+    empty = report.top_dim == -1
     if d == -1:
-        return (k.is_empty(), None if k.is_empty() else "expected empty complex")
-    if k.is_empty():
+        return (empty, None if empty else "expected empty complex")
+    if empty:
         return False, f"empty complex cannot be {d}-spherical"
     v = sphericity_verdict(report, d)
     if v.spherical:
@@ -266,25 +254,26 @@ def verify_stage(state: FiltrationState, i: int) -> StageReport:
     """
     if not 1 <= i <= state.n:
         raise ValueError(f"stage index must lie in 1..{state.n}")
-    prev_set = set(state.levels[i - 1])
-    new = [u for u in state.levels[i] if u not in prev_set]
+    level = state.level
+    new = [x for x, lv in enumerate(level) if lv == i]
     report = StageReport(stage=i, new_vertex_count=len(new))
     n = state.n
     if not new:
         report.checks.append(CheckResult("vacuous_stage", True))
         return report
 
-    homology = state.homology  # reduced before |Y_n|'s predecessor lists are built
-    top, levels = state.graph
-    vs, prev = top.vertices, levels[i - 1]
+    homology = state.homology  # reduced before |Γ|'s predecessor lists are built
+    top = state.complex
+    vs = top.vertices
     bad_pair = bad_cone = bad_join = bad_sphere = bad_above = bad_below = bad_delta = None
-    for u in new:
-        # U's neighbours in Y_i, below and above, as vertex indices of |Y_n|
-        near = [j for side in state.around(u, i) for j in side]
+    for x in new:
+        u = vs[x]
+        # U's neighbours in Y_i, below and above, as vertex indices of |Γ|
+        near = [j for side in state.around(x, i) for j in side]
 
         # (a) pairwise star intersections land in B: some A_j1 ∩ A_j2 holds
         # a simplex outside B iff some star holds a second new vertex
-        w = next((vs[j] for j in near if j not in prev), None)
+        w = next((vs[j] for j in near if level[j] == i), None)
         if w is not None:
             bad_pair = bad_pair or f"star({u.basis}) contains the new vertex {w.basis}"
 
@@ -299,8 +288,8 @@ def verify_stage(state: FiltrationState, i: int) -> StageReport:
         # (c) the star boundary: the join's above factor against the
         # residues, and (n-2)-sphericity; (d) the below/above set identities
         # and the restricted-family comparison
-        below, above = state.around(u, i - 1)
-        above_gamma = state.around(u, n)[1]
+        below, above = state.around(x, i - 1)
+        above_gamma = state.around(x, n)[1]
         if bad_join is None:  # Γ^>U from the residues
             diff = lifted_residue_above(state.family, u).symmetric_difference(
                 vs[j] for j in above_gamma)
@@ -308,13 +297,13 @@ def verify_stage(state: FiltrationState, i: int) -> StageReport:
                 bad_join = f"U = {u.basis}: above sets differ at {sorted(w.basis for w in diff)}"
         join = induced_subcomplex(top, below + above)
         join_homology = reduced_homology(join)
-        ok, why = _spherical_check(join, join_homology, n - 2)
+        ok, why = _spherical_check(join_homology, n - 2)
         report.boundary_rank_sum += join_homology.betti_number(n - 2)
         if not ok:
             bad_sphere = bad_sphere or f"U = {u.basis}: {why}"
         if above != above_gamma:
             bad_above = bad_above or _set_witness(u, top, above, above_gamma)
-        below_y0 = state.around(u, 0)[0]
+        below_y0 = state.around(x, 0)[0]
         if below != below_y0:
             bad_below = bad_below or _set_witness(u, top, below, below_y0)
         if bad_delta is None:
@@ -420,5 +409,5 @@ def run_verification(family: PhanFamily, negative_control: bool = False) -> Filt
         final_checks=final,
         predicted_spheres=predicted,
         direct_spheres=direct,
-        level_sizes=[len(l) for l in state.levels],
+        level_sizes=[sum(lv <= i for lv in state.level) for i in range(n + 1)],
     )

@@ -9,9 +9,9 @@ graph, and its face counts, the chain counts over those lists; everything
 else is read from them: ``pred`` turns them round, ``simplices(k)`` walks
 the chains of k + 1 members and ``facets``, the maximal chains, is walked
 from the covers on first read.  Labels are read only where a complex meets
-the outside: ``facet_sets``, equality and hashing compare labels, and
-``intersect_complexes`` matches vertices by label.  Complexes are
-immutable; operations return new complexes.
+the outside: ``facet_sets`` and equality compare labels, hashing reads the
+labels and the face counts, and ``intersect_complexes`` matches vertices by
+label.  Complexes are immutable; operations return new complexes.
 
 Every complex a command builds is an order complex: |Γ|, |Y_n|, each link
 and each star boundary.  The link of a chain is the full subcomplex on the
@@ -137,7 +137,9 @@ class SimplicialComplex:
         )
 
     def __hash__(self) -> int:
-        return hash((frozenset(self.vertices), self.facet_sets()))
+        """From the labels and the face counts, which equal complexes share,
+        so that no maximal chain is walked."""
+        return hash((frozenset(self.vertices), self._chain_counts))
 
     def __repr__(self) -> str:
         return f"SimplicialComplex({self.num_vertices} vertices, dim {self.dim})"
@@ -219,11 +221,11 @@ def star_closure(k: SimplicialComplex, v: int) -> SimplicialComplex:
 
 
 def purity_and_dimension(k: SimplicialComplex) -> tuple[bool, int]:
-    """(all maximal simplices share one cardinality, top dimension)."""
+    """(all maximal simplices share one cardinality, top dimension): pure
+    exactly when every maximal simplex is a top simplex."""
     if k.is_empty():
         return True, -1
-    sizes = {len(f) for f in k.facets}
-    return len(sizes) == 1, max(sizes) - 1
+    return len(k.facets) == k.face_counts()[-1], k.dim
 
 
 def intersect_complexes(k1: SimplicialComplex, k2: SimplicialComplex) -> SimplicialComplex:

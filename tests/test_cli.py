@@ -130,7 +130,8 @@ def test_certificates_build_no_complex_from_facets(monkeypatch, tmp_path):
     read every link and star boundary from the containment graph as a cut
     through ``induced_subcomplex``, and reduce it from its chains: with
     ``facets`` patched to raise on any complex that ``induced_subcomplex``
-    made, they run to their verdicts on every bundled spec and on F_3^4.
+    made, they run to their verdicts on every bundled spec, F_3^4
+    (t0_q3_dim4) among them.
     ``simplicial`` defines no constructor that takes facets."""
     from phangeo import simplicial
     from phangeo.simplicial import SimplicialComplex
@@ -160,10 +161,8 @@ def test_certificates_build_no_complex_from_facets(monkeypatch, tmp_path):
         if name.startswith("phangeo.") and getattr(module, "induced_subcomplex", None) is induced:
             monkeypatch.setattr(module, "induced_subcomplex", recorded)
     monkeypatch.setattr(SimplicialComplex, "facets", property(facets))
-    f34 = tmp_path / "standard_q3_dim4.json"
-    dump_family(PhanFamily((standard_spec(F3, 4),)), str(f34))
     out = tmp_path / "r.json"
-    for spec in [*sorted(SPECS.glob("*.json")), f34]:
+    for spec in sorted(SPECS.glob("*.json")):
         for argv in (["cm-check"], ["filtration-verify"],
                      ["filtration-verify", "--negative-control"]):
             code = main([*argv, "--spec", str(spec), "--force", "--out", str(out)])
@@ -354,8 +353,21 @@ def _ladder_instance(tmp_path, q, f_vector, levels):
 def test_milestone_f9_4(tmp_path):
     """ROADMAP's ladder instance F_9^4, the smallest in-bound n = 3 case
     (2^3·1 = 8 < 9): f = (8082, 174,960, 518,400), b~ = (0, 0, 351,521),
-    701,443 simplices checked."""
+    701,443 simplices checked.  The coreduction of |Γ| leaves critical
+    cells (0, 0, 351,521) only, and its matching is acyclic (the checker
+    of ``tests/conftest.py``), so by Forman (1998) |Γ| is homotopy
+    equivalent to a wedge of 351,521 2-spheres, the paper's claim."""
+    from conftest import matching_is_acyclic
+    from phangeo.homology import reduced_homology
+    from phangeo.morse import morse_complex
+    from phangeo.phan import vertices
+    from phangeo.simplicial import order_complex
+
     _ladder_instance(tmp_path, 9, (8082, 174_960, 518_400), [6643, 7282, 8002, 8082])
+    k = order_complex(vertices(PhanFamily((standard_spec(make_field(3, 2, 1), 4),))).members)
+    assert reduced_homology(k).critical == (0, 0, 351_521)
+    _, _, mate = morse_complex(k)
+    assert matching_is_acyclic(k, mate)
 
 
 @pytest.mark.milestone_long

@@ -1,12 +1,13 @@
 import gc
 import random
+import sys
 import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from phangeo import filtration, residues
+from phangeo import filtration, residues, simplicial
 from phangeo.field import make_field
 from phangeo.filtration import (
     FiltrationState,
@@ -40,6 +41,11 @@ BUNDLED_N2 = ["chamber_q3_dim3", "family2_q11_dim3", "family2_q7_dim2", "t0_q4_d
               "t0_q4h_dim2", "t0_q5_dim3", "t0_q9h_dim3"]
 
 
+def _members(state, i):
+    """The members of Y_i: the vertices of |Γ| of level <= i."""
+    return {u for u, lv in zip(state.complex.vertices, state.level) if lv <= i}
+
+
 def test_choose_pivot_first_hit():
     fam = PhanFamily((diagonal_spec(F5, (1, 1)),))
     assert choose_pivot(fam) == Subspace.span(F5, 2, [(1, 0)])
@@ -69,7 +75,7 @@ def test_filtration_level_structure():
     p = choose_pivot(fam)
     state = build_filtration(fam, p)
     gamma = set(vertices(fam).members)
-    levels = [set(l) for l in state.levels]
+    levels = [_members(state, i) for i in range(3)]
     # Y_0 subseteq Y_1 subseteq Y_2 = Gamma
     assert levels[0] <= levels[1] <= levels[2] == gamma
     # Y_0 contains every member through p
@@ -98,8 +104,8 @@ def test_y0_contractible_checks():
 def test_vacuous_stage_passes():
     fam = PhanFamily((standard_spec(F5, 3),))
     state = build_filtration(fam, choose_pivot(fam))
-    frozen = FiltrationState(fam, state.pivot, state.geometry,
-                             (state.levels[2], state.levels[2], state.levels[2]))
+    frozen = FiltrationState(fam, state.pivot, state.complex, [0] * len(state.level),
+                             state.joins)
     rep = verify_stage(frozen, 1)
     assert rep.passed and rep.new_vertex_count == 0
     assert rep.checks[0].name == "vacuous_stage"
@@ -127,8 +133,8 @@ def _pairwise_meet_leaves_b(state, i):
     """Check (a) as the pairwise sweep: whether the stars of two new vertices
     share a simplex with a vertex outside Y_(i-1), stars and meets cut from
     the facets of |Y_i|."""
-    prev = set(state.levels[i - 1])
-    k = order_complex(state.levels[i])
+    prev = _members(state, i - 1)
+    k = order_complex(_members(state, i))
     k = FacetComplex(k.vertices, k.facets)
     new = [j for j, u in enumerate(k.vertices) if u not in prev]
     stars = [facet_star(k, j) for j in new]
@@ -150,13 +156,12 @@ def test_star_vertex_test_agrees_with_pairwise_meet():
     for i in (1, 2):
         assert verify_stage(state, i).checks[0].passed
         assert not _pairwise_meet_leaves_b(state, i)
-    y0 = set(state.levels[0])
-    outside = [u for u in state.geometry.members if u not in y0]
+    vs = state.complex.vertices
+    outside = [u for u, lv in zip(vs, state.level) if lv]
     line, plane = next((ln, pl) for pl in outside if pl.dim == 2
                        for ln in outside if ln.dim == 1 and pl.contains_subspace(ln))
-    stage1 = tuple(sorted(y0 | {line, plane}, key=Subspace.sort_key))
-    hand = FiltrationState(fam, state.pivot, state.geometry,
-                           (state.levels[0], stage1, state.levels[2]))
+    level = [0 if not lv else 1 if u in (line, plane) else 2 for u, lv in zip(vs, state.level)]
+    hand = FiltrationState(fam, state.pivot, state.complex, level, state.joins)
     check = verify_stage(hand, 1).checks[0]
     assert check.name == "pairwise_star_intersections_in_B" and not check.passed
     assert str(line.basis) in check.witness and str(plane.basis) in check.witness
@@ -231,17 +236,17 @@ def test_star_restriction_equals_intersection_with_b(name):
     else:
         family, _ = load_family(str(SPECS / f"{name}.json"))
     state = build_filtration(family, choose_pivot(family))
-    top = state.graph[0]
+    top = state.complex
     nonempty = 0
     for i in range(1, state.n + 1):
-        prev = set(state.levels[i - 1])
-        k = order_complex(state.levels[i])
-        b = order_complex(state.levels[i - 1])
+        prev = _members(state, i - 1)
+        k = order_complex(_members(state, i))
+        b = order_complex(prev)
         facets_k, facets_b = FacetComplex(k.vertices, k.facets), FacetComplex(b.vertices, b.facets)
         for j, u in enumerate(k.vertices):
             if u in prev:
                 continue
-            below, above = state.around(u, i - 1)
+            below, above = state.around(top.vertex_index[u], i - 1)
             join = induced_subcomplex(top, below + above)
             star = facet_star(facets_k, j)
             cut = facet_cut(star, prev)
@@ -263,8 +268,7 @@ def test_join_witness_names_the_first_failing_vertex(monkeypatch):
     fam = PhanFamily((standard_spec(F5, 3),))
     state = build_filtration(fam, choose_pivot(fam))
     stage = 2
-    prev = set(state.levels[stage - 1])
-    new = [u for u in state.levels[stage] if u not in prev]
+    new = [u for u, lv in zip(state.complex.vertices, state.level) if lv == stage]
     assert len(new) >= 3
     real = residues.residue_above
     dropped = {}
@@ -294,8 +298,8 @@ def test_stage_keeps_nothing_it_built(monkeypatch):
     8.  |Y_n| is the state's own, the same object on every call."""
     family = PhanFamily((standard_spec(F3, 4),))
     state = build_filtration(family, choose_pivot(family))
-    top = state.graph[0]
-    assert state.homology and state.graph[0] is top
+    top = state.complex
+    assert state.homology and state.complex is top
     built = []
     real = filtration.induced_subcomplex
 
@@ -313,7 +317,7 @@ def test_stage_keeps_nothing_it_built(monkeypatch):
         counts.append(len(built))
         assert [ref for ref in built if ref() is not None] == []
     assert counts == [15, 24, 8]
-    assert state.graph[0] is top
+    assert state.complex is top
 
 
 def test_cone_check_names_the_first_star_that_is_not_the_cone_over_its_link():
@@ -325,9 +329,8 @@ def test_cone_check_names_the_first_star_that_is_not_the_cone_over_its_link():
     fam = PhanFamily((standard_spec(F5, 3),))
     state = build_filtration(fam, choose_pivot(fam))
     stage = 2
-    prev = set(state.levels[stage - 1])
-    first = next(u for u in state.levels[stage] if u not in prev)
-    top = state.graph[0]
+    top = state.complex
+    first = top.vertices[state.level.index(stage)]
     assert state.homology and top.pred  # built from the rows before the corruption
     x, p = top.vertex_index[first], top.vertex_index[state.pivot]
     assert first.dim == state.pivot.dim == 1 and p not in top.succ[x]
@@ -360,28 +363,51 @@ def test_programming_error_in_restricted_family_is_raised(monkeypatch):
 
 @pytest.mark.parametrize("side", ["above", "below"])
 def test_set_checks_name_a_member_dropped_from_the_previous_level(side):
-    """Check (d) reads the below and above sets in Y_(i-1) from an index of
-    Y_(i-1) alone.  With one member W dropped from Y_1 of F_3^4 and Γ and
-    Y_0 left whole, the comparison with Γ (W a hyperplane above a new
-    plane) or with Y_0 (W a member of Y_0 below one) fails and names W."""
+    """Check (d) reads the below and above sets in Y_(i-1) from the levels
+    alone.  With one member W of F_3^4 moved to a later level, the rest of
+    the levels left as they are, the comparison at stage 2 with Γ (W a
+    hyperplane above a new plane, moved from level 1 to level 2) or with
+    Y_0 (W a member of Y_0 below a new plane, moved from level 0 to level
+    1) fails and names W."""
     family = PhanFamily((standard_spec(F3, 4),))
     state = build_filtration(family, choose_pivot(family))
     stage = 2
-    y0, prev = set(state.levels[0]), state.levels[stage - 1]
-    new = [u for u in state.levels[stage] if u not in set(prev)]
+    vs, level = state.complex.vertices, state.level
+    new = [u for u, lv in zip(vs, level) if lv == stage]
     if side == "above":
-        dropped = next(w for w in prev if w not in y0 and any(
+        moved = next(x for x, w in enumerate(vs) if level[x] == 1 and any(
             w.dim > u.dim and w.contains_subspace(u) for u in new))
     else:
-        dropped = next(w for w in prev if w in y0 and any(
+        moved = next(x for x, w in enumerate(vs) if level[x] == 0 and any(
             w.dim < u.dim and u.contains_subspace(w) for u in new))
-    levels = list(state.levels)
-    levels[stage - 1] = tuple(w for w in prev if w != dropped)
-    cut = FiltrationState(family, state.pivot, state.geometry, tuple(levels))
+    dropped = vs[moved]
+    shifted = list(level)
+    shifted[moved] += 1
+    cut = FiltrationState(family, state.pivot, state.complex, shifted, state.joins)
     checks = {c.name: c for c in verify_stage(cut, stage).checks}
     name = {"above": "above_sets_equal_gamma_above", "below": "below_sets_equal_y0_below"}[side]
     assert not checks[name].passed and str(dropped.basis) in checks[name].witness
     assert {c.name for c in verify_stage(state, stage).checks if not c.passed} == set()
+
+
+@pytest.mark.parametrize("name", ["t0_q3_dim4", "chamber_q5_dim4"])
+def test_verification_builds_one_order_complex(name, monkeypatch):
+    """|Γ| is the one complex ``run_verification`` builds with
+    ``order_complex``: every level, new vertex and below or above set is
+    read from it."""
+    built = []
+    real = simplicial.order_complex
+
+    def counted(subspaces):
+        built.append(real(subspaces))
+        return built[-1]
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "order_complex", None) is real:
+            monkeypatch.setattr(module, "order_complex", counted)
+    family, _ = load_family(str(SPECS / f"{name}.json"))
+    rep = run_verification(family)
+    assert len(built) == 1 and rep.level_sizes[-1] == built[0].num_vertices
 
 
 def _family(name):
@@ -410,10 +436,11 @@ def test_level_homology_matches_each_level_complex(name, homology_calls):
         state = build_filtration(family, pivot)
         reports = state.homology
         assert list(homology_calls.values()) == [1]
-        assert next(iter(homology_calls)).vertices == state.graph[0].vertices
+        assert next(iter(homology_calls)).vertices == state.complex.vertices
         homology_calls.clear()
-        for level, rep in zip(state.levels, reports):
-            assert rep[:4] == reduced_homology(order_complex(level))[:4]
+        assert len(reports) == state.n + 1
+        for i, rep in enumerate(reports):
+            assert rep[:4] == reduced_homology(order_complex(_members(state, i)))[:4]
 
 
 GRAPH_SPECS = sorted(p.stem for p in SPECS.glob("*.json")) + ["standard_q3_dim4"]
@@ -427,16 +454,14 @@ def test_stage_sets_match_the_containment_sweep(name):
     sweep finds."""
     family = _family(name)
     state = build_filtration(family, choose_pivot(family))
-    vs = state.graph[0].vertices
+    vs = state.complex.vertices
     for i in range(1, state.n + 1):
-        prev = set(state.levels[i - 1])
-        for u in state.levels[i]:
-            if u in prev:
-                continue
+        for x in (x for x, lv in enumerate(state.level) if lv == i):
             for level, side in ((i - 1, 0), (i - 1, 1), (0, 0), (state.n, 1)):
-                got = state.around(u, level)[side]
+                got = state.around(x, level)[side]
                 assert got == sorted(got)
-                assert {vs[j] for j in got} == oracle_below_above(state.levels[level], u)[side]
+                assert {vs[j] for j in got} == oracle_below_above(_members(state, level),
+                                                                  vs[x])[side]
 
 
 @pytest.mark.parametrize("name", GRAPH_SPECS)
@@ -451,15 +476,15 @@ def test_graph_cut_equals_facet_cut_and_order_complex(name):
     chain of members comparable with U."""
     family = _family(name)
     state = build_filtration(family, choose_pivot(family))
-    gamma = order_complex(state.geometry.members)
+    gamma = state.complex
     facets_only = FacetComplex(gamma.vertices, gamma.facets)
-    cuts = [(facets_only, set(level)) for level in state.levels]
+    cuts = [(facets_only, _members(state, i)) for i in range(state.n + 1)]
     for i in range(1, state.n + 1):
-        prev = set(state.levels[i - 1])
-        cuts += [(facet_star(facets_only, gamma.vertex_index[u]),
-                  set.union(*oracle_below_above(prev, u)))
-                 for u in state.levels[i] if u not in prev]
-    assert len(cuts) > len(state.levels)
+        prev = _members(state, i - 1)
+        cuts += [(facet_star(facets_only, x),
+                  set.union(*oracle_below_above(prev, gamma.vertices[x])))
+                 for x, lv in enumerate(state.level) if lv == i]
+    assert len(cuts) > state.n + 1
     for facets, keep in cuts:
         graph_cut = induced_subcomplex(gamma, [gamma.vertex_index[w] for w in keep])
         cut = facet_cut(facets, keep)

@@ -5,12 +5,16 @@ A change that alters one of these reports on purpose updates its pin and
 says so in CHANGES.md; any other difference is a regression.  The runs
 cover every command on the bundled specs (``--force`` exactly where the
 sufficient bound fails), the negative control of ``filtration-verify`` on
-three specs (t0_q5_dim3, whose Y_0 has homology, and two with an empty
-Y_0), a bounds table and ``lemma-tests --seed 0``, which
+four specs (t0_q5_dim3, whose Y_0 has homology, two with an empty Y_0, and
+t0_q3_dim4), a bounds table and ``lemma-tests --seed 0``, which
 drives form extension, projection forms, residues and restricted families
 through perps, radicals and meets, in process, in a few seconds.  Each run
 goes through the test session's ``cli_report``, so ``tests/test_cli.py``
 checks the values of the chamber F_5^4 reports on the same runs.
+t0_q3_dim4, standard-form F_3^4 out of bound (2^3*1 = 8 < q = 3 fails),
+is the pinned n = 3 spec whose stages fail: ``star_boundary_sphericity``
+at stage 1 and ``mayer_vietoris_rank_balance`` at stage 3, and six checks
+across Y_0 and stages 1-3 under the negative control.
 """
 
 import hashlib
@@ -19,7 +23,7 @@ from pathlib import Path
 import pytest
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
-FORCED = {"t0_q4_dim3"}  # the bundled spec outside the sufficient bound
+FORCED = {"t0_q4_dim3", "t0_q3_dim4"}  # the bundled specs outside the sufficient bound
 
 PINS = {
     "build chamber_q3_dim3": (0, "ebbd5f96d3f6f0f1c7423641fc272b67792f16763ea5030121ce703208116977"),
@@ -54,9 +58,14 @@ PINS = {
     "homology chamber_q5_dim4": (0, "71cfb50409ac9d2c7839101c3224efbac44fbacbe218b06be100fc786c4f0009"),
     "cm-check chamber_q5_dim4": (0, "fa363fa463f2bb0a30d2ec99e5e443caa52b3affbe1a8b1bcb820771ba560f1f"),
     "filtration-verify chamber_q5_dim4": (0, "53e77d21528260bceb86092776c4172bb3b3f22e614e47277ddd57ccf49cd0bd"),
+    "build t0_q3_dim4": (0, "1bef7de0391ca1cfb17faded1c222187da04128765d336fc2497ce5aa5f700d8"),
+    "homology t0_q3_dim4": (0, "37750d85310ad07afce85398251e07f52fe43c532515fea6e772ee6e4437c918"),
+    "cm-check t0_q3_dim4": (0, "777e7f32a85a1f94204e9802b1086a036b3902b466c007a276bab92d12d6e50f"),
+    "filtration-verify t0_q3_dim4": (0, "7d656c15bbef1e728ff7afe43f3838ebb0bc0be849c5812b7c4fa825bafb471f"),
     "filtration-verify --negative-control t0_q5_dim3": (0, "a57baab739bf25f1e156cfbda6c146bd062d074c848cbf83ac3bcea1fa854538"),
     "filtration-verify --negative-control chamber_q3_dim3": (0, "91124b628800ad37486e58af5ac4ee33d36fbacc887235c63d6b51c3b88be5ad"),
     "filtration-verify --negative-control family2_q7_dim2": (0, "8f58fd917d98cdc7ee648a9f586b9f7114e141b4eddb1ab02d1e07e4b958e684"),
+    "filtration-verify --negative-control t0_q3_dim4": (0, "26be7c112a914fb452edb2ab7465bb8fe07e26114855506e89008b6beceabc6a"),
     "bounds-table": (0, "60efbad3eacb981e1f8adff2b6af15efde5730f5e4b0cb3bd0990ef138012856"),
     "lemma-tests": (0, "5c507c4a925360033991350341d69e714ed953ab15ec35be474f5cb695c58a57"),
 }

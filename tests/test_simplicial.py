@@ -10,6 +10,7 @@ from phangeo.field import make_field
 from phangeo.homology import cohen_macaulay_check
 from phangeo.linalg import Subspace
 from phangeo.simplicial import (
+    SimplicialComplex,
     export_facets,
     intersect_complexes,
     link,
@@ -104,14 +105,18 @@ def _listed_counts(k):
                          + ["F3^4", "F4^4"])
 def test_order_complex_counts_its_chains(name):
     """``order_complex`` counts its chains over the successor lists; the
-    counts equal the listed faces.  The complex of F_4^4 is not pure: its
-    maximal edges count as edges, not as top simplices."""
+    counts equal the listed faces.  ``purity_and_dimension`` calls a
+    complex pure when its maximal chains are as many as its top chains, as
+    the facet sizes say.  The complex of F_4^4 is not pure: its maximal
+    edges count as edges, not as top simplices."""
     if name in ("F3^4", "F4^4"):
         family = PhanFamily((standard_spec(F3 if name == "F3^4" else F4, 4),))
     else:
         family, _ = load_family(str(SPECS / f"{name}.json"))
     k = order_complex(vertices(family).members)
     assert k.face_counts() == _listed_counts(k)
+    sizes = {len(f) for f in k.facets}
+    assert purity_and_dimension(k) == (len(sizes) == 1, max(sizes) - 1)
     if name == "F4^4":
         assert purity_and_dimension(k) == (False, 2)
         assert k.face_counts() == [400, 3072, 3840] and len(k.facets) == 4032
@@ -135,6 +140,7 @@ def test_simplices_are_the_sorted_listing(name):
     if name in ("0-dimensional", "empty"):
         k = poset_complex("abc" if name == "0-dimensional" else "", [])
         assert k.dim == (0 if name == "0-dimensional" else -1)
+        assert purity_and_dimension(k) == (True, k.dim)
     else:
         if name == "F3^4 seeded":
             family = PhanFamily((random_phan_spec(random.Random(2), F3, 4, 0),))
@@ -196,6 +202,25 @@ def test_order_complex_of_phan_geometry_is_pure():
     for f in k.facets:
         a, b = (k.vertices[i] for i in f)
         assert a.dim == 1 and b.dim == 2 and b.contains_subspace(a)
+
+
+def test_hash_walks_no_maximal_chain(monkeypatch):
+    """A complex hashes from its labels and face counts, which equal
+    complexes share: with ``facets`` patched to raise, |Γ| of t0_q5_dim3
+    hashes, and a closed star cut from it hashes as the order complex of
+    the same members built directly, to which it is equal."""
+    family, _ = load_family(str(SPECS / "t0_q5_dim3.json"))
+    gamma = order_complex(vertices(family).members)
+    star = star_closure(gamma, 0)
+    direct = order_complex(reversed(star.vertices))
+
+    def refuse(self):
+        raise AssertionError("maximal chains walked for a hash")
+
+    monkeypatch.setattr(SimplicialComplex, "facets", property(refuse))
+    assert isinstance(hash(gamma), int) and hash(star) == hash(direct)
+    monkeypatch.undo()
+    assert star == direct and star != gamma
 
 
 def test_link_examples():
