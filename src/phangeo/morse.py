@@ -2,8 +2,9 @@
 complex a coreduction leaves, and Smith normal forms of sparse integer
 matrices.
 
-All arithmetic is exact over arbitrary-precision ints.  A complex is
-reduced by an acyclic matching of its augmented chain complex (Forman,
+All arithmetic is exact over arbitrary-precision ints.  An order
+complex, whose cells are numbered from its successor lists, is reduced by
+an acyclic matching of its augmented chain complex (Forman,
 *Morse theory for cell complexes*, 1998), which leaves a CW complex
 homotopy equivalent to K with one cell per critical cell.  The matching is
 a coreduction (Mrozek & Batko, DCG 2009), acyclic because each cell is
@@ -28,7 +29,6 @@ dimension >= 2, smaller ones taking its spanning-forest path, and
 from __future__ import annotations
 
 from collections import deque, namedtuple
-from itertools import combinations
 from math import gcd
 
 from .homology import HomologyReport, _report
@@ -55,7 +55,9 @@ class IntegerMatrix(namedtuple("IntegerMatrix", "nrows ncols entries")):
 
 def boundary_matrices(k: SimplicialComplex) -> list[IntegerMatrix]:
     """[d_0, d_1, ..., d_dim]: d_0 is the augmentation, d_j the usual
-    signed boundary from j-chains to (j-1)-chains; d_(j) . d_(j+1) = 0."""
+    signed boundary from j-chains to (j-1)-chains; d_(j) . d_(j+1) = 0.
+    Built from the simplex tuples of any complex that lists them; the
+    reductions never call it, only the tests and ``bench/trace_cli.py``."""
     if k.is_empty():
         return []
     out = [IntegerMatrix(1, k.num_vertices,
@@ -193,19 +195,65 @@ def smith_invariant_factors(mat: IntegerMatrix) -> list[int]:
 # -- Morse complex -------------------------------------------------------------
 
 
+def _cells(k: SimplicialComplex, vlevel: list[int]) -> tuple[list, list[int], list[int]]:
+    """(faces, levels, sizes) of the cells of the order complex k, numbered
+    from its successor lists: the empty chain is 0, vertex v is v + 1, and
+    the j-chains follow degree by degree in the order of ``k.simplices(j)``,
+    each (j-1)-chain c extended by the successors of its last vertex in
+    turn.  faces[t][i] is the id of t's face without its vertex i, so
+    [t : faces[t][i]] = (-1)^i; ``sizes`` counts the cells of each degree,
+    vertices first.
+
+    For t = c + (v,), the face without v is c, and the face without a vertex
+    of c is that face of c extended by v, since v succeeds every vertex of c
+    (containment is transitive).  The extensions of a chain have
+    consecutive ids, in the order of its last vertex's successors, so that
+    face's id is the id of its first extension plus v's position among
+    them.  A face of c that keeps c's last vertex u has u's successors as c
+    does, so its ids over c's extensions are one run; only the face without
+    u looks v's position up, in a dict per vertex.  The level of t is the
+    larger of c's and v's.  Every face entry is the one int of its cell;
+    the top cells, which are no face, get none and keep no last vertex."""
+    succ, n = k.succ, k.num_vertices
+    faces: list[tuple[int, ...]] = [()] + [(0,)] * n
+    level, sizes = [0] + vlevel, [n]
+    pos = [dict(zip(s, range(len(s)))) for s in succ]
+    # ids, last: the cells one degree down and their last vertices; below:
+    # each cell two degrees down -> (the offset in ids of its first extension,
+    # the positions among its last vertex's successors).  The empty chain
+    # extends to the vertices.
+    ids, last, below = list(range(1, n + 1)), list(range(n)), {0: (0, range(n))}
+    for d in range(1, k.dim + 1):
+        start, offsets = len(faces), []
+        for c, u in zip(ids, last):
+            ext = succ[u]
+            if d < k.dim:
+                offsets.append(len(faces) - start)
+            if ext:
+                *runs, (a, at) = map(below.__getitem__, faces[c])
+                faces.extend(zip(*[ids[r:r + len(ext)] for r, _ in runs],
+                                 [ids[a + at[v]] for v in ext], [c] * len(ext)))
+                lc = level[c]
+                level.extend([lc if lc >= lv else lv for lv in map(vlevel.__getitem__, ext)])
+        sizes.append(len(faces) - start)
+        if d < k.dim:
+            below = dict(zip(ids, zip(offsets, map(pos.__getitem__, last))))
+            ids, last = list(range(start, len(faces))), [v for u in last for v in succ[u]]
+    return faces, level, sizes
+
+
 def morse_complex(k: SimplicialComplex, level=None) -> tuple[list, list[IntegerMatrix], list[int]]:
     """(stages, [∂_0, ..., ∂_dim] of the Morse complex, matching) of a
     complex, by coreduction of its augmented chain complex (Mrozek & Batko,
     DCG 2009), filtered by the vertex levels ``level`` (default: one level).
 
-    Cells get integer ids by degree: the empty simplex is 0, vertex v is
-    v + 1, and the j-simplices follow in the order of ``k.simplices(j)``;
-    the top cells are the top facets, read from ``k.facets`` with no copy
-    when k is pure.  Faces are looked up in an index simplex -> id of the
-    degree below, never built for the top degree, whose cells share one
-    empty coface tuple.  A cell's level is the largest level of its
-    vertices, the level at which its last vertex enters; the empty simplex
-    has level 0.  A queue serves
+    Cells get integer ids by degree, numbered straight from the successor
+    lists of the order complex k (``_cells``), with no simplex listed and no
+    maximal chain walked: the empty simplex is 0, vertex v is v + 1, and
+    the j-simplices follow in the order of ``k.simplices(j)``.  The top
+    cells share one empty coface tuple.  A cell's level is the largest level
+    of its vertices, the level at which its last vertex enters; the empty
+    simplex has level 0.  A queue serves
     cells with exactly one free face left; such a cell t is paired with
     that face s, [t:s] = ±1, and both leave the complex by the elementary
     reduction of Kaczynski, Mrozek & Ślusarek: every other coface r of s
@@ -233,24 +281,9 @@ def morse_complex(k: SimplicialComplex, level=None) -> tuple[list, list[IntegerM
     partner, or -2 for a critical cell."""
     vlevel = [0] * k.num_vertices if level is None else list(level)
     levels = max(vlevel, default=0) + 1
-    faces: list[tuple[int, ...]] = [()] + [(0,)] * k.num_vertices
-    cell_level = [0] + vlevel
-    ids = {(v,): v + 1 for v in range(k.num_vertices)}  # (d-1)-simplex -> cell id
-    sizes = [k.num_vertices]
-    counts = k.face_counts()
-    for d in range(1, k.dim + 1):
-        simps = k.simplices(d) if d < k.dim else k.facets
-        if len(simps) != counts[d]:  # the top facets, when k is not pure
-            simps = [f for f in simps if len(f) == d + 1]
-        sizes.append(len(simps))
-        # faces[c][i] is the face without vertex i, so [c : faces[c][i]] = (-1)^i
-        faces.extend(tuple(map(ids.__getitem__, combinations(s, d)))[::-1] for s in simps)
-        if level is not None:
-            cell_level.extend(max(map(vlevel.__getitem__, s)) for s in simps)
-        ids = dict(zip(simps, range(len(faces) - len(simps), len(faces)))) if d < k.dim else None
+    faces, cell_level, sizes = _cells(k, vlevel)
     n = len(faces)
-    if level is None:
-        cell_level = [0] * n
+    if levels == 1:
         by_level = [range(n)]
     else:
         by_level = [[] for _ in range(levels)]  # cell ids of each level, by degree

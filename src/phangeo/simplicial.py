@@ -67,7 +67,9 @@ class SimplicialComplex:
         The covers of an element are the successors above no other
         successor, and the maximal chains run along covers from the minimal
         elements; the depth-first walk emits them in sorted order.  Walked
-        on first read and kept as walked."""
+        on first read and kept as walked.  Only the facet export, purity,
+        the Cohen-Macaulay sweep's codimension-1 facets and equality read
+        them; no reduction does."""
         succ = self.succ
         covers = []
         for si in succ:

@@ -160,8 +160,9 @@ def snf_homology(k: SimplicialComplex):
 
 def link_sweep_failures(k) -> list[tuple]:
     """(simplex, target dimension, reason) of every failing link, each link
-    cut from the facets by ``facet_link`` and reduced, facets and
-    codimension-1 faces included: the generic Cohen-Macaulay sweep."""
+    cut from the facets by ``facet_link`` and reduced through its face
+    poset, facets and codimension-1 faces included: the generic
+    Cohen-Macaulay sweep."""
     k = FacetComplex(k.vertices, k.facets)
     d = k.dim
     out = []
@@ -172,7 +173,7 @@ def link_sweep_failures(k) -> list[tuple]:
             if not sub.is_empty():
                 out.append((s, target, "link of a facet is non-empty"))
             continue
-        v = sphericity_verdict(reduced_homology(sub), target)
+        v = sphericity_verdict(reduced_homology(face_poset(sub)), target)
         if v.spherical:
             continue
         if not v.nonempty:
@@ -347,9 +348,10 @@ class FacetComplex:
     against.  The constructor takes facets as iterables of indices, checks
     them and keeps the inclusion-maximal ones, every uncovered vertex a
     facet of its own; ``facets`` holds them as sorted index tuples, in
-    sorted order, and every simplex is listed from them.  It reads as an
-    order complex wherever phangeo reduces a complex by its simplices and
-    facets (``reduced_homology``, ``morse_complex``, ``boundary_matrices``)."""
+    sorted order, and every simplex is listed from them.  It has no
+    successor lists, so phangeo's engine, which numbers its cells from them,
+    reduces it only through ``face_poset``; ``boundary_matrices`` and the
+    oracles read its simplices directly."""
 
     def __init__(self, vertices, facets):
         self.vertices = tuple(vertices)
@@ -474,6 +476,40 @@ def poset_complex(order, less) -> SimplicialComplex:
     for i in reversed(range(len(order))):  # every successor's set is closed
         succ[i].update(*(succ[j] for j in list(succ[i])))
     return _chain_complex(list(order), [sorted(si) for si in succ])
+
+
+def face_poset(k) -> SimplicialComplex:
+    """The order complex of the face poset of a complex given by facets, its
+    barycentric subdivision, homeomorphic to k: the tests' one way to reduce
+    a facet-given complex.  Each non-empty face is a vertex, labelled by its
+    index tuple and listed by size, an order that extends inclusion.  Under
+    vertex levels, a face is at the largest level of its vertices,
+    ``max(level[v] for v in face)``, so the full subcomplex on the faces of
+    level <= i is the face poset of k's on the vertices of level <= i."""
+    faces = [s for d in range(k.dim + 1) for s in k.simplices(d)]
+    return poset_complex(faces, [(t[:i] + t[i + 1:], t)
+                                 for t in faces if len(t) > 1 for i in range(len(t))])
+
+
+def tuple_cells(k: SimplicialComplex, level) -> tuple[list, list[int], list[int]]:
+    """(faces, levels, sizes) of k's cells as ``morse._cells`` numbers them,
+    built from the simplex tuples: the empty simplex is 0, vertex v is
+    v + 1, and the j-simplices follow in the order of ``k.simplices(j)``,
+    each face looked up in an index simplex -> id of the degree below, face
+    i the one without vertex i, and each cell at the largest level of its
+    vertices.  The oracle of the engine's numbering from the successor
+    lists."""
+    faces = [()] + [(0,)] * k.num_vertices
+    levels = [0] + list(level)
+    ids = {(v,): v + 1 for v in range(k.num_vertices)}  # (d-1)-simplex -> cell id
+    sizes = [k.num_vertices]
+    for d in range(1, k.dim + 1):
+        simps = k.simplices(d)
+        sizes.append(len(simps))
+        faces.extend(tuple(map(ids.__getitem__, combinations(s, d)))[::-1] for s in simps)
+        levels.extend(max(level[v] for v in s) for s in simps)
+        ids = dict(zip(simps, range(len(faces) - len(simps), len(faces))))
+    return faces, levels, sizes
 
 
 def oracle_below_above(members, u: Subspace) -> tuple[set, set]:

@@ -372,10 +372,22 @@ def test_milestone_f9_4(tmp_path):
 
 @pytest.mark.milestone_long
 def test_milestone_f11_4(tmp_path):
-    """The next ladder rung, F_11^4 (8 < 11), about three minutes: f =
+    """The next ladder rung, F_11^4 (8 < 11), a few minutes: f =
     (17,402, 479,160, 1,742,400), b~ = (0, 0, 1,280,641), 2,238,963
-    simplices checked."""
+    simplices checked.  The coreduction of |Γ| leaves critical cells
+    (0, 0, 1,280,641) only, and its matching is acyclic, so |Γ| is homotopy
+    equivalent to a wedge of 1,280,641 2-spheres (Forman 1998)."""
+    from conftest import matching_is_acyclic
+    from phangeo.homology import reduced_homology
+    from phangeo.morse import morse_complex
+    from phangeo.phan import vertices
+    from phangeo.simplicial import order_complex
+
     _ladder_instance(tmp_path, 11, (17_402, 479_160, 1_742_400), [14763, 15962, 17282, 17402])
+    k = order_complex(vertices(PhanFamily((standard_spec(make_field(11, 1), 4),))).members)
+    assert reduced_homology(k).critical == (0, 0, 1_280_641)
+    _, _, mate = morse_complex(k)
+    assert matching_is_acyclic(k, mate)
 
 
 @pytest.mark.milestone

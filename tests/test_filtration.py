@@ -493,3 +493,22 @@ def test_graph_cut_equals_facet_cut_and_order_complex(name):
         assert (graph_cut.vertices, tuple(graph_cut.facets), graph_cut.face_counts()) \
             == (cut.vertices, cut.facets, cut.face_counts()) \
             == (direct.vertices, tuple(direct.facets), direct.face_counts())
+
+
+@pytest.mark.parametrize("name", ["chamber_q2_dim5", "chamber_q5_dim4"])
+def test_run_verification_walks_no_maximal_chain(name, monkeypatch):
+    """The filtration reads |Γ|, every level and every star boundary from
+    the containment graph and reduces each from its chains: with ``facets``
+    patched to raise on every complex, the run reaches its ledger on
+    chamber F_2^5, of dimension 3 and out of bound (7 spheres predicted, 1
+    direct), and on chamber F_5^4, in bound."""
+    family, _ = load_family(str(SPECS / f"{name}.json"))
+
+    def refused(self):
+        raise AssertionError("a maximal chain walked")
+
+    monkeypatch.setattr(simplicial.SimplicialComplex, "facets", property(refused))
+    rep = run_verification(family)
+    assert (rep.level_sizes, rep.predicted_spheres, rep.direct_spheres, rep.passed) == {
+        "chamber_q2_dim5": ([105, 113, 129, 153, 160], 7, 1, False),
+        "chamber_q5_dim4": ([651, 751, 851, 875], 7124, 7124, True)}[name]

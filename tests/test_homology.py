@@ -14,6 +14,7 @@ from phangeo.homology import (
 )
 from phangeo.morse import (
     IntegerMatrix,
+    _cells,
     boundary_matrices,
     filtered_homology,
     morse_complex,
@@ -26,6 +27,7 @@ from phangeo.phan import PhanFamily, vertices
 
 from conftest import (
     FacetComplex,
+    face_poset,
     facet_cut,
     join,
     link_sweep_failures,
@@ -36,6 +38,7 @@ from conftest import (
     pi1_trivial,
     poset_complex,
     snf_homology,
+    tuple_cells,
 )
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
@@ -93,23 +96,23 @@ def test_boundary_squares_to_zero(rng):
 def test_hollow_triangle():
     k = FacetComplex([0, 1, 2], [(0, 1), (0, 2), (1, 2)])
     assert len(smith_invariant_factors(boundary_matrices(k)[1])) == 2
-    rep = reduced_homology(k)
+    rep = reduced_homology(face_poset(k))
     assert rep.betti == (0, 1) and rep.torsion == ((), ())
 
 
 def test_isolated_points():
     k = FacetComplex(range(5), [])
-    rep = reduced_homology(k)
+    rep = reduced_homology(face_poset(k))
     assert rep.betti == (4,)
     assert rep.betti_number(0) == 4
     empty = FacetComplex([], [])
-    assert reduced_homology(empty).betti_number(-1) == 1
+    assert reduced_homology(face_poset(empty)).betti_number(-1) == 1
     assert rep.betti_number(-1) == 0
 
 
 def test_torsion_projective_plane():
     k = FacetComplex(range(6), RP2)
-    rep = reduced_homology(k)
+    rep = reduced_homology(face_poset(k))
     assert rep.betti == (0, 0, 0)
     assert rep.torsion[1] == (2,)
     v = sphericity_verdict(rep, 2)
@@ -120,7 +123,7 @@ def test_torsion_projective_plane():
 def test_join_of_zero_spheres_is_circle():
     s0a = FacetComplex(["a", "b"], [])
     s0b = FacetComplex(["c", "d"], [])
-    assert reduced_homology(join(s0a, s0b)).betti == (0, 1)
+    assert reduced_homology(face_poset(join(s0a, s0b))).betti == (0, 1)
 
 
 def test_join_concentration_numerics():
@@ -129,7 +132,7 @@ def test_join_concentration_numerics():
     two_circles = FacetComplex(range(5), [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
     three_points = FacetComplex(range(3), [])
     j = join(two_circles, three_points)
-    rep = reduced_homology(j)
+    rep = reduced_homology(face_poset(j))
     assert rep.betti[2] == 2 * 2  # b1 = 2 times b0 = 2
     assert all(b == 0 for d, b in enumerate(rep.betti) if d != 2)
 
@@ -137,14 +140,14 @@ def test_join_concentration_numerics():
 def test_cone_is_acyclic():
     base = FacetComplex(range(4), [(0, 1), (1, 2), (2, 3), (0, 3)])
     cone = join(FacetComplex(["apex"], []), base)
-    rep = reduced_homology(cone)
+    rep = reduced_homology(face_poset(cone))
     assert rep.is_acyclic()
     v = sphericity_verdict(rep, 2)
     assert v.spherical and v.sphere_count == 0
 
 
 def _verdict(k, d):
-    return sphericity_verdict(reduced_homology(k), d)
+    return sphericity_verdict(reduced_homology(face_poset(k)), d)
 
 
 def test_sphericity_flags():
@@ -163,7 +166,8 @@ def test_sphericity_flags():
 def test_pi1_examples():
     tetra = FacetComplex(range(4), [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
     assert pi1_trivial(tetra) == "trivial"
-    assert pi1_status(reduced_homology(tetra), 2) == "trivial"
+    rep = reduced_homology(face_poset(tetra))
+    assert rep.critical == (0, 0, 1) and pi1_status(rep, 2) == "trivial"
     assert _verdict(tetra, 2).sphere_count == 1
     disconnected = FacetComplex(range(4), [(0, 1), (2, 3)])
     assert pi1_trivial(disconnected) == "unknown"
@@ -176,22 +180,23 @@ def test_pi1_status_gate():
     """Not applicable below dimension 2 or on the empty complex; unknown
     while H~_0 or H~_1 is non-zero, which leaves a critical vertex or edge;
     a tree, whose spanning forest leaves neither, is trivial."""
-    circle = FacetComplex(range(3), [(0, 1), (1, 2), (0, 2)])
-    assert pi1_status(reduced_homology(circle), 1) == "not_applicable"
+    circle = reduced_homology(face_poset(FacetComplex(range(3), [(0, 1), (1, 2), (0, 2)])))
+    assert pi1_status(circle, 1) == "not_applicable"
     empty = FacetComplex([], [])
-    assert pi1_status(reduced_homology(empty), 2) == "not_applicable"
-    assert pi1_status(reduced_homology(circle), 2) == "unknown"
+    assert pi1_status(reduced_homology(face_poset(empty)), 2) == "not_applicable"
+    assert pi1_status(circle, 2) == "unknown"
     two_points = FacetComplex(range(2), [])
-    assert pi1_status(reduced_homology(two_points), 2) == "unknown"
+    assert pi1_status(reduced_homology(face_poset(two_points)), 2) == "unknown"
     path = FacetComplex(range(3), [(0, 1), (1, 2)])
-    assert pi1_status(reduced_homology(path), 2) == "trivial" == pi1_trivial(path)
+    assert pi1_status(reduced_homology(face_poset(path)), 2) == "trivial" == pi1_trivial(path)
 
 
 def test_pi1_disk_of_four_triangles():
     """Four triangles around vertex 3: the last relator reaches its root only
     through the two merges the relators before it made, and kills it."""
     disk = FacetComplex(range(6), [(0, 3, 4), (1, 2, 3), (1, 3, 4), (2, 3, 5)])
-    assert reduced_homology(disk).is_acyclic()
+    rep = reduced_homology(face_poset(disk))
+    assert rep.is_acyclic() and rep.critical == (0, 0, 0)
     assert pi1_trivial(disk) == "trivial"
 
 
@@ -208,7 +213,8 @@ def test_pi1_chamber_f3_4_is_trivial():
 def test_pi1_stays_unknown_where_it_must():
     rp2 = FacetComplex(range(6), RP2)
     assert pi1_trivial(rp2) == "unknown"  # pi_1 = Z/2
-    assert pi1_status(reduced_homology(rp2), 2) == "unknown"
+    rep = reduced_homology(face_poset(rp2))
+    assert rep.critical == (0, 1, 1) and pi1_status(rep, 2) == "unknown"
     edges = FacetComplex(range(4), [(0, 1), (2, 3)])
     assert pi1_trivial(edges) == "unknown"
     f34 = order_complex(vertices(PhanFamily((standard_spec(F3, 4),))).members)
@@ -235,15 +241,16 @@ def test_pi1_long_fan_needs_no_recursion():
 def test_pi1_trivial_implies_vanishing_low_homology(drawn):
     """The oracle's "trivial" is sound: a simply connected complex is
     connected and has H_1 = 0, whatever the rule derived on the way.  The
-    library's "trivial", read from the Morse matching, implies the
-    oracle's."""
+    library's "trivial", read from the Morse matching of the face poset,
+    implies the oracle's on the face poset."""
     n, facets = drawn
     k = FacetComplex(range(n), [tuple(sorted(f)) for f in facets])
-    rep = reduced_homology(k)
+    sd = face_poset(k)
+    rep = reduced_homology(sd)
     if pi1_trivial(k) == "trivial":
         assert all(rep.betti_number(i) == 0 and not rep.torsion_at(i) for i in (0, 1))
     if pi1_status(rep, 2) == "trivial":
-        assert pi1_trivial(k) == "trivial"
+        assert pi1_trivial(sd) == "trivial"
 
 
 def test_cm_single_simplex():
@@ -394,20 +401,22 @@ def test_reduced_homology_matches_full_snf(drawn):
     """The spanning forest (dimension <= 1) and the Morse complex (dimension
     >= 2) agree with the Smith form of every boundary, on random complexes
     up to dimension 3, disconnected ones, isolated vertices and
-    0-dimensional ones included.  The Morse complex is a chain complex on
-    the critical cells: ∂∂ = 0, it keeps the face counts, and its matching
-    is acyclic, with the critical cells the report counts."""
+    0-dimensional ones included, each reduced through its face poset.  The
+    Morse complex is a chain complex on the critical cells: ∂∂ = 0, it
+    keeps the face counts, and its matching is acyclic, with the critical
+    cells the report counts."""
     n, facets = drawn
     k = FacetComplex(range(n), [tuple(sorted(f)) for f in facets])
-    rep = reduced_homology(k)
+    sd = face_poset(k)
+    rep = reduced_homology(sd)
     assert (rep.betti, rep.torsion) == snf_homology(k)
-    if k.dim >= 2:
-        [(counts, critical)], mats, mate = morse_complex(k)
-        assert counts == k.face_counts()
+    if sd.dim >= 2:
+        [(counts, critical)], mats, mate = morse_complex(sd)
+        assert counts == sd.face_counts()
         assert critical == [0] + [m.ncols for m in mats]
         assert [m.nrows for m in mats] == [0] + [m.ncols for m in mats[:-1]]
         assert all(multiply(a, b).is_zero() for a, b in zip(mats, mats[1:]))
-        assert matching_is_acyclic(k, mate)
+        assert matching_is_acyclic(sd, mate)
         assert rep.critical == tuple(m.ncols for m in mats)
 
 
@@ -426,19 +435,22 @@ def test_reduced_homology_matches_full_snf(drawn):
 def test_filtered_homology_matches_each_level(drawn):
     """One filtered reduction gives the homology of every full subcomplex
     K_i on the vertices of level <= i, as ``reduced_homology`` of K_i (the
-    oracle) reads it; empty levels and levels with homology included.  The
-    matching is acyclic with each pair inside one level, the Morse
-    boundaries compose to zero, and each stage counts K_i's faces."""
+    oracle) reads it; empty levels and levels with homology included.  Both
+    are read through the face posets, each face at the largest level of its
+    vertices.  The matching is acyclic with each pair inside one level, the
+    Morse boundaries compose to zero, and each stage counts K_i's faces."""
     n, facets, level = drawn
     k = FacetComplex(range(n), [tuple(sorted(f)) for f in facets])
-    reports = filtered_homology(k, level)
-    stages, mats, mate = morse_complex(k, level)
+    sd = face_poset(k)
+    sd_level = [max(level[v] for v in face) for face in sd.vertices]
+    reports = filtered_homology(sd, sd_level)
+    stages, mats, mate = morse_complex(sd, sd_level)
     assert len(reports) == len(stages) == max(level) + 1
     for i, (rep, (counts, _)) in enumerate(zip(reports, stages)):
-        k_i = facet_cut(k, {v for v in range(n) if level[v] <= i})
+        k_i = face_poset(facet_cut(k, {v for v in range(n) if level[v] <= i}))
         assert rep[:4] == reduced_homology(k_i)[:4]
         assert counts == k_i.face_counts()
-    assert matching_is_acyclic(k, mate, level)
+    assert matching_is_acyclic(sd, mate, sd_level)
     assert all(multiply(a, b).is_zero() for a, b in zip(mats, mats[1:]))
 
 
@@ -446,8 +458,9 @@ def test_matching_checker_rejects_a_pair_across_levels():
     """The checker's level test is not vacuous: on the path 0 - 2 - 1 whose
     middle vertex enters at level 1, the unfiltered matching pairs vertex 1
     (level 0) with the edge 12 (level 1), and fails; the filtered one
-    leaves both critical, the second point of K_0 and the edge joining it."""
-    k = FacetComplex(range(3), [(0, 2), (1, 2)])
+    leaves both critical, the second point of K_0 and the edge joining it.
+    The path is the order complex of the poset 0 < 2 > 1."""
+    k = poset_complex(range(3), [(0, 2), (1, 2)])
     level = [0, 0, 1]
     _, _, mate = morse_complex(k)
     assert mate == [1, 0, 5, 4, 3, 2]  # ids: empty, vertices 0-2, edges 02 12
@@ -461,14 +474,17 @@ def test_dunce_hat_keeps_critical_cells():
     matching leaves only the first vertex: the coreduction gets stuck with a
     critical edge and triangle, and the Smith form of the Morse ∂_2 cancels
     them.  The critical edge leaves the library's pi_1 status "unknown",
-    which is sound; the edge-path oracle finds the group trivial."""
+    which is sound; the edge-path oracle finds the group trivial.  The
+    complex is reduced through its face poset, whose matching gets stuck
+    the same way."""
     k = FacetComplex(range(13), DUNCE_HAT)
     assert k.face_counts() == [13, 39, 27]
-    _, mats, mate = morse_complex(k)
+    sd = face_poset(k)
+    _, mats, mate = morse_complex(sd)
     assert [m.ncols for m in mats] == [0, 1, 1]
     assert smith_invariant_factors(mats[2]) == [1]
-    assert matching_is_acyclic(k, mate)
-    rep = reduced_homology(k)
+    assert matching_is_acyclic(sd, mate)
+    rep = reduced_homology(sd)
     assert rep.is_acyclic() and snf_homology(k) == ((0, 0, 0), ((), (), ()))
     assert rep.critical == (0, 1, 1)
     assert pi1_status(rep, 2) == "unknown"
@@ -486,15 +502,69 @@ def test_morse_matching_is_acyclic_on_bundled_specs(name):
     assert reduced_homology(k).critical == tuple(m.ncols for m in mats)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 3)), max_size=10).flatmap(
+    lambda drawn: st.tuples(st.just(sorted(drawn)), st.lists(
+        st.booleans(), min_size=len(drawn) ** 2, max_size=len(drawn) ** 2))))
+@example(([], []))  # the empty complex
+@example(([(0, 0), (1, 1), (2, 0), (3, 2), (4, 1)], [True] * 25))  # a 4-simplex
+def test_cells_match_the_simplex_index(drawn):
+    """The engine numbers its cells from the successor lists; the simplex
+    tuples with an index per degree (``tuple_cells``) are the oracle: every
+    cell's faces and level agree, on random posets up to dimension 4 with
+    random vertex levels.  Each element has a rank 0-4, listed by rank,
+    and a pair of ranks r < s is related or not as drawn."""
+    ranked, related = drawn
+    n = len(ranked)
+    k = poset_complex(range(n), [(i, j) for i in range(n) for j in range(n)
+                                 if ranked[i][0] < ranked[j][0] and related[i * n + j]])
+    level = [lv for _, lv in ranked]
+    assert k.dim <= 4
+    assert _cells(k, level) == tuple_cells(k, level)
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in SPECS.glob("*.json")))
+def test_cells_match_the_simplex_index_on_bundled_specs(name, rng):
+    """The same agreement on the complex of every bundled spec, with one
+    level and with random levels."""
+    family, _ = load_family(str(SPECS / f"{name}.json"))
+    k = order_complex(vertices(family).members)
+    for level in ([0] * k.num_vertices, [rng.randrange(4) for _ in range(k.num_vertices)]):
+        assert _cells(k, level) == tuple_cells(k, level)
+
+
+def test_morse_complex_reads_only_the_successor_lists(monkeypatch):
+    """The engine reads neither the maximal chains nor the simplex lists:
+    with ``facets`` and ``simplices`` patched to raise, it reduces chamber
+    F_2^5, of dimension 3, filtered and unfiltered: b~ = (0, 0, 32, 1).
+    ``morse`` keeps no ``combinations``."""
+    import phangeo.morse
+
+    family, _ = load_family(str(SPECS / "chamber_q2_dim5.json"))
+    k = order_complex(vertices(family).members)
+    level = [min(v.dim, 3) - 1 for v in k.vertices]
+
+    def refused(*args):
+        raise AssertionError("a simplex listed or a maximal chain walked")
+
+    monkeypatch.setattr(SimplicialComplex, "facets", property(refused))
+    monkeypatch.setattr(SimplicialComplex, "simplices", refused)
+    assert "combinations" not in vars(phangeo.morse)
+    assert reduced_homology(k).betti == (0, 0, 32, 1)
+    assert filtered_homology(k, level)[-1].betti == (0, 0, 32, 1)
+
+
 def test_matching_checker_rejects_a_cycle():
-    """The checker is not vacuous: on the hollow tetrahedron, matching the
-    edges at vertex 0 with the triangles 012, 023, 013 closes the V-path
-    01 < 012 > 02 < 023 > 03 < 013 > 01, and fails it."""
-    k = FacetComplex(range(4), [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
+    """The checker is not vacuous: on the cone from 0 over the square
+    1, 2 < 3, 4 (the order complex of 0 < 1, 2 < 3, 4), matching the edges
+    at vertex 0 with the triangles 013, 023, 024, 014 closes the V-path
+    01 < 013 > 03 < 023 > 02 < 024 > 04 < 014 > 01, and fails it."""
+    k = poset_complex(range(5), [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4)])
     _, _, mate = morse_complex(k)
     assert matching_is_acyclic(k, mate)
-    # ids: 0 empty, 1-4 vertices, 5-10 edges 01 02 03 12 13 23, 11-14 triangles
-    cyclic = [1, 0, -2, -2, -2, 11, 13, 12, -2, -2, -2, 5, 7, 6, -2]
+    # ids: 0 empty, 1-5 vertices, 6-13 edges 01 02 03 04 13 14 23 24,
+    # 14-17 triangles 013 014 023 024
+    cyclic = [1, 0] + [-2] * 4 + [14, 17, 16, 15] + [-2] * 4 + [6, 9, 8, 7]
     assert not matching_is_acyclic(k, cyclic)
 
 
@@ -507,7 +577,7 @@ def test_homology_reduces_no_full_boundary(monkeypatch):
         raise AssertionError("boundary_matrices called")
 
     monkeypatch.setattr(phangeo.morse, "boundary_matrices", refused)
-    k = FacetComplex(range(6), RP2)
+    k = face_poset(FacetComplex(range(6), RP2))
     assert reduced_homology(k).torsion == ((), (2,), ())
     _, mats, _ = morse_complex(k)
     assert smith_invariant_factors(mats[2])[-1] == 2
@@ -521,7 +591,7 @@ def test_euler_consistency_random(rng):
         facets = [tuple(sorted(rng.sample(range(n), rng.randrange(1, min(n, 4) + 1))))
                   for _ in range(rng.randrange(1, 7))]
         k = FacetComplex(range(n), facets)
-        rep = reduced_homology(k)  # raises internally if Euler books disagree
+        rep = reduced_homology(face_poset(k))  # raises internally if Euler books disagree
         assert rep.euler_characteristic == k.euler_characteristic()
 
 

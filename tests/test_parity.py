@@ -5,8 +5,8 @@ A change that alters one of these reports on purpose updates its pin and
 says so in CHANGES.md; any other difference is a regression.  The runs
 cover every command on the bundled specs (``--force`` exactly where the
 sufficient bound fails), the negative control of ``filtration-verify`` on
-four specs (t0_q5_dim3, whose Y_0 has homology, two with an empty Y_0, and
-t0_q3_dim4), a bounds table and ``lemma-tests --seed 0``, which
+five specs (t0_q5_dim3, whose Y_0 has homology, two with an empty Y_0,
+t0_q3_dim4 and chamber_q2_dim5), a bounds table and ``lemma-tests --seed 0``, which
 drives form extension, projection forms, residues and restricted families
 through perps, radicals and meets, in process, in a few seconds.  Each run
 goes through the test session's ``cli_report``, so ``tests/test_cli.py``
@@ -14,7 +14,10 @@ checks the values of the chamber F_5^4 reports on the same runs.
 t0_q3_dim4, standard-form F_3^4 out of bound (2^3*1 = 8 < q = 3 fails),
 is the pinned n = 3 spec whose stages fail: ``star_boundary_sphericity``
 at stage 1 and ``mayer_vietoris_rank_balance`` at stage 3, and six checks
-across Y_0 and stages 1-3 under the negative control.
+across Y_0 and stages 1-3 under the negative control.  chamber_q2_dim5,
+chamber F_2^5 out of bound (2^3*1 = 8 < q = 2 fails), is the one bundled
+complex of dimension 3, so its reports are the pins that cover a 3-cell
+of a reduction, whose faces the engine reaches through two extensions.
 """
 
 import hashlib
@@ -23,7 +26,8 @@ from pathlib import Path
 import pytest
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
-FORCED = {"t0_q4_dim3", "t0_q3_dim4"}  # the bundled specs outside the sufficient bound
+# the bundled specs outside the sufficient bound
+FORCED = {"t0_q4_dim3", "t0_q3_dim4", "chamber_q2_dim5"}
 
 PINS = {
     "build chamber_q3_dim3": (0, "ebbd5f96d3f6f0f1c7423641fc272b67792f16763ea5030121ce703208116977"),
@@ -66,6 +70,11 @@ PINS = {
     "filtration-verify --negative-control chamber_q3_dim3": (0, "91124b628800ad37486e58af5ac4ee33d36fbacc887235c63d6b51c3b88be5ad"),
     "filtration-verify --negative-control family2_q7_dim2": (0, "8f58fd917d98cdc7ee648a9f586b9f7114e141b4eddb1ab02d1e07e4b958e684"),
     "filtration-verify --negative-control t0_q3_dim4": (0, "26be7c112a914fb452edb2ab7465bb8fe07e26114855506e89008b6beceabc6a"),
+    "build chamber_q2_dim5": (0, "18c0dfde183c2d0963c4f6edcbf370afc3fde5eb14e0c6eca25623e1d49c012a"),
+    "homology chamber_q2_dim5": (0, "fcc0ab17843a266a8da66539b5b40bd96d01c1fa7f61f86279a6e50adcf3ffee"),
+    "cm-check chamber_q2_dim5": (0, "748da3f4b9f782cc48fe0dc332d920b875a00d8a0ce8279bb1cbe4e9a1d1edad"),
+    "filtration-verify chamber_q2_dim5": (0, "2124b873c9b63beba36e419f3ace116c614877f1c2d0cdf95101ba9f349c7de8"),
+    "filtration-verify --negative-control chamber_q2_dim5": (0, "cf5365c40c4fca4d9ca2835a63973dcf597e028e875a2531f2540f622f0a5fd9"),
     "bounds-table": (0, "60efbad3eacb981e1f8adff2b6af15efde5730f5e4b0cb3bd0990ef138012856"),
     "lemma-tests": (0, "5c507c4a925360033991350341d69e714ed953ab15ec35be474f5cb695c58a57"),
 }
