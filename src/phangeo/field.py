@@ -247,10 +247,6 @@ class Field:
 
     # -- enumeration and encoding ------------------------------------------
 
-    def elements(self) -> range:
-        """All q elements, deterministic order, zero first."""
-        return range(self.q)
-
     def coeffs(self, a: int) -> tuple[int, ...]:
         """Coefficient vector of length e over F_p, constant term first."""
         return tuple(self._decode(a))

@@ -40,7 +40,6 @@ __all__ = [
     "HermitianForm",
     "HermitianSymmetryError",
     "RadicalConditionError",
-    "NoNonisotropicVectorError",
 ]
 
 
@@ -50,10 +49,6 @@ class HermitianSymmetryError(ValueError):
 
 class RadicalConditionError(ValueError):
     """Rad(omega_i) differs from the required flag member."""
-
-
-class NoNonisotropicVectorError(ValueError):
-    """A form required to admit a non-isotropic vector admits none."""
 
 
 class HermitianForm(Frozen):

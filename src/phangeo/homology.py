@@ -10,14 +10,14 @@ never loads it, and ``homology`` and ``cm-check`` on a complex of
 dimension <= 1 do not either.  The Cohen-Macaulay sweep of an order
 complex reads the links of simplices of codimension >= 2 through ``link``,
 each a full subcomplex, and reduces them; the others are settled by the
-facets.
+facet count, and only a non-pure complex lists its facets to name them.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .simplicial import SimplicialComplex, link
+from .simplicial import SimplicialComplex, link, purity_and_dimension
 
 __all__ = [
     "HomologyReport",
@@ -172,8 +172,10 @@ def cohen_macaulay_check(k: SimplicialComplex) -> CMReport:
     facet, and otherwise a non-empty set of points, which is 0-spherical.
     So the (d-1)-dimensional facets fail, in facet order, after the reduced
     links, and a facet of lower dimension fails by its empty link: a
-    non-pure complex always fails.  ``simplices_checked`` counts every
-    simplex and the empty one."""
+    non-pure complex always fails.  Only a non-pure complex has such facets
+    to name, so only then are its maximal chains listed; a pure one is
+    settled by its facet count.  ``simplices_checked`` counts every simplex
+    and the empty one."""
     d = k.dim
     if k.is_empty():
         return CMReport(True, d, 1, ())
@@ -193,8 +195,9 @@ def cohen_macaulay_check(k: SimplicialComplex) -> CMReport:
         else:
             reason = "torsion in top homology"
         failures.append(CMFailure(s, target, reason))
-    failures.extend(CMFailure(f, 0, "link is empty but must be 0-spherical")
-                    for f in k.facets if len(f) == d)
+    if not purity_and_dimension(k)[0]:
+        failures.extend(CMFailure(f, 0, "link is empty but must be 0-spherical")
+                        for f in k.facets if len(f) == d)
     return CMReport(not failures, d, 1 + sum(k.face_counts()), tuple(failures))
 
 

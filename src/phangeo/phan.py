@@ -23,7 +23,7 @@ only the filtration and the lemma suites load.
 from __future__ import annotations
 
 from .field import Field
-from .forms import HermitianForm, NoNonisotropicVectorError, RadicalConditionError
+from .forms import HermitianForm, RadicalConditionError
 from .linalg import Flag, Frozen, Subspace, enumerate_subspaces_of
 
 __all__ = [
@@ -47,17 +47,13 @@ def __getattr__(name: str):
 class PhanSpec(Frozen):
     """A generalized Phan geometry: a flag with forms pinned to its members.
 
-    ``require_nonisotropic`` controls the check that every form admits a
-    non-isotropic vector.  Specs built internally for residues relax it:
-    over a field of characteristic two with identity sigma a restriction of
-    a valid form may be alternating, while the membership predicate itself
-    never needs the existence of non-isotropic vectors.  The flag/radical
-    invariants are always enforced.  Two specs are equal iff their flags and
-    forms are; ``require_nonisotropic`` takes no part in equality or hashing.
+    The flag/radical invariants are enforced; whether each form admits a
+    non-isotropic vector is a condition on geometry files, which
+    ``specfile.parse_family`` checks.  Two specs are equal iff their flags
+    and forms are.
     """
 
-    def __init__(self, flag: Flag, forms: tuple[HermitianForm, ...],
-                 require_nonisotropic: bool = True):
+    def __init__(self, flag: Flag, forms: tuple[HermitianForm, ...]):
         t = len(flag.members) - 2
         if len(forms) != t + 1:
             raise ValueError(
@@ -70,15 +66,8 @@ class PhanSpec(Frozen):
                 raise RadicalConditionError(
                     f"Rad(omega_{i}) != V_{i}: radical condition fails at index {i}"
                 )
-        if require_nonisotropic:
-            for i, w in enumerate(forms):
-                if not w.admits_nonisotropic_vector():
-                    raise NoNonisotropicVectorError(
-                        f"omega_{i} admits no non-isotropic vector"
-                    )
         object.__setattr__(self, "flag", flag)
         object.__setattr__(self, "forms", forms)
-        object.__setattr__(self, "require_nonisotropic", require_nonisotropic)
         # for each flag member V_(i+1): its point mask, and by dim U the point
         # count that U ∩ V_(i+1) must have if it is not 0, that of dimension
         # dim U + dim V_(i+1) - dim V (transversality; none when that is <= 0)
@@ -250,21 +239,8 @@ class PhanFamily(Frozen):
 class GeometryVertexSet:
     """The vertex set of a family's geometry."""
 
-    def __init__(self, family: PhanFamily, members: tuple[Subspace, ...]):
-        self.family = family
+    def __init__(self, members: tuple[Subspace, ...]):
         self.members = members
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def by_dim(self) -> dict[int, list[Subspace]]:
-        out: dict[int, list[Subspace]] = {}
-        for u in self.members:
-            out.setdefault(u.dim, []).append(u)
-        return out
 
 
 def vertices(family: PhanFamily) -> GeometryVertexSet:
@@ -272,5 +248,5 @@ def vertices(family: PhanFamily) -> GeometryVertexSet:
     the first spec (enumerated exhaustively) that every other spec
     accepts."""
     first, *rest = family.specs
-    return GeometryVertexSet(family, tuple(u for u in first.members()
-                                           if all(s.is_member(u) for s in rest)))
+    return GeometryVertexSet(tuple(u for u in first.members()
+                                   if all(s.is_member(u) for s in rest)))

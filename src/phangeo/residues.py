@@ -155,7 +155,7 @@ def residue_below(spec: PhanSpec, u: Subspace) -> PhanSpec:
     forms = tuple(
         spec.forms[i].restrict(members[i - k + 1]) for i in range(k, spec.t + 1)
     )
-    return PhanSpec(flag, forms, require_nonisotropic=False)
+    return PhanSpec(flag, forms)
 
 
 def residue_above(spec: PhanSpec, u: Subspace) -> PhanSpec:
@@ -176,7 +176,7 @@ def residue_above(spec: PhanSpec, u: Subspace) -> PhanSpec:
     if members[-1] != section:
         members += (section,)
         forms += (spec.forms[k].restrict(section),)
-    return PhanSpec(Flag(members), forms, require_nonisotropic=False)
+    return PhanSpec(Flag(members), forms)
 
 
 def lifted_residue_above(family: PhanFamily, u: Subspace) -> set[Subspace]:
@@ -272,8 +272,7 @@ def _lemma49_spec(spec: PhanSpec, p: Subspace, u: Subspace,
             branches.append("hyperplane_l_t")
         if len(chain) > 1 and chain[1].dim == 1:
             branches.append("one_dim_first_entry")
-    return PhanSpec(Flag(tuple(flag_members)), tuple(step_forms),
-                    require_nonisotropic=False)
+    return PhanSpec(Flag(tuple(flag_members)), tuple(step_forms))
 
 
 def delta_restriction(family: PhanFamily, p: Subspace, u: Subspace,

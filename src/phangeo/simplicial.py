@@ -7,8 +7,11 @@ carries the label ``vertices[i]`` (a Subspace for ``order_complex``).  It
 holds ``succ``, the strict successors of each vertex in its containment
 graph, and its face counts, the chain counts over those lists; everything
 else is read from them: ``pred`` turns them round, ``simplices(k)`` walks
-the chains of k + 1 members and ``facets``, the maximal chains, is walked
-from the covers on first read.  Labels are read only where a complex meets
+the chains of k + 1 members, ``num_facets`` counts the maximal chains over
+the covers and ``facets`` walks them from the covers on first read.  Every
+count, purity included, is read without listing a maximal chain; only the
+facet export of ``build``, equality and the Cohen-Macaulay sweep of a
+non-pure complex list them.  Labels are read only where a complex meets
 the outside: ``facet_sets`` and equality compare labels, hashing reads the
 labels and the face counts, and ``intersect_complexes`` matches vertices by
 label.  Complexes are immutable; operations return new complexes.
@@ -61,21 +64,26 @@ class SimplicialComplex:
                 pred[j].append(i)
         return pred
 
-    @cached_property
-    def facets(self) -> list[tuple[int, ...]]:
-        """The maximal chains as increasing index tuples, in sorted order.
-        The covers of an element are the successors above no other
-        successor, and the maximal chains run along covers from the minimal
-        elements; the depth-first walk emits them in sorted order.  Walked
-        on first read and kept as walked.  Only the facet export, purity,
-        the Cohen-Macaulay sweep's codimension-1 facets and equality read
-        them; no reduction does."""
+    def _covers(self) -> tuple[list[list[int]], list[int]]:
+        """(covers, minimal): each vertex's covers, its successors above no
+        other successor, and the vertices above no other vertex."""
         succ = self.succ
         covers = []
         for si in succ:
             above = set().union(*(succ[k] for k in si))
             covers.append([j for j in si if j not in above])
         non_minimal = set().union(*succ)
+        return covers, [i for i in range(len(succ)) if i not in non_minimal]
+
+    @cached_property
+    def facets(self) -> list[tuple[int, ...]]:
+        """The maximal chains as increasing index tuples, in sorted order.
+        They run along covers from the minimal elements; the depth-first
+        walk emits them in sorted order.  Walked on first read and kept as
+        walked.  Only the facet export, equality and the Cohen-Macaulay
+        sweep of a non-pure complex list them: counts and purity read
+        ``num_facets``, and no reduction reads them."""
+        covers, minimal = self._covers()
         facets = []
 
         def extend(chain):
@@ -86,10 +94,24 @@ class SimplicialComplex:
             for j in covers[last]:
                 extend(chain + (j,))
 
-        for i in range(self.num_vertices):
-            if i not in non_minimal:
-                extend((i,))
+        for i in minimal:
+            extend((i,))
         return facets
+
+    @cached_property
+    def num_facets(self) -> int:
+        """The number of maximal chains, a chain count over the covers in
+        one reverse pass, as ``_chain_complex`` counts faces: the maximal
+        chains from a vertex without covers are itself alone, and from any
+        other vertex those from its covers, summed.  Read from ``facets``
+        when they are walked already; no chain is listed."""
+        if "facets" in vars(self):
+            return len(self.facets)
+        covers, minimal = self._covers()
+        chains = [0] * len(covers)  # maximal chains from each vertex
+        for i in reversed(range(len(covers))):
+            chains[i] = sum(map(chains.__getitem__, covers[i])) or 1
+        return sum(map(chains.__getitem__, minimal))
 
     # -- basic queries -------------------------------------------------------
 
@@ -224,10 +246,11 @@ def star_closure(k: SimplicialComplex, v: int) -> SimplicialComplex:
 
 def purity_and_dimension(k: SimplicialComplex) -> tuple[bool, int]:
     """(all maximal simplices share one cardinality, top dimension): pure
-    exactly when every maximal simplex is a top simplex."""
+    exactly when every maximal simplex is a top simplex, that is when the
+    facet count equals the top face count.  No maximal chain is listed."""
     if k.is_empty():
         return True, -1
-    return len(k.facets) == k.face_counts()[-1], k.dim
+    return k.num_facets == k._chain_counts[-1], k.dim
 
 
 def intersect_complexes(k1: SimplicialComplex, k2: SimplicialComplex) -> SimplicialComplex:

@@ -98,6 +98,15 @@ def _gram(field: Field, obj, k: int, where: str):
 
 
 def parse_family(doc: dict) -> PhanFamily:
+    """The family a geometry document describes, or ``SpecFileError``
+    naming the first offending location.
+
+    Beyond the flag/radical invariants that ``PhanSpec`` enforces, every
+    form of a geometry file must admit a non-isotropic vector; this is the
+    one place that checks it.  Specs built for residues and restricted
+    families do not need it: over a field of characteristic two with
+    identity sigma a restriction of a valid form may be alternating, while
+    the membership predicate never needs a non-isotropic vector."""
     if not isinstance(doc, dict):
         raise SpecFileError("top level: expected a JSON object")
     fblock = doc.get("field")
@@ -152,6 +161,9 @@ def parse_family(doc: dict) -> PhanFamily:
             specs.append(PhanSpec(flag, tuple(forms)))
         except ValueError as exc:
             raise SpecFileError(f"{where}: {exc}") from exc
+        for fi, w in enumerate(forms):
+            if not w.admits_nonisotropic_vector():
+                raise SpecFileError(f"{where}: omega_{fi} admits no non-isotropic vector")
     return PhanFamily(tuple(specs))
 
 

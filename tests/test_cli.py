@@ -190,6 +190,50 @@ def test_cm_command_non_pure_is_a_verdict(tmp_path, capsys):
     assert "cm-check: fail (93 simplices checked, 3 failures)" in capsys.readouterr().out
 
 
+def test_only_the_export_and_a_non_pure_sweep_list_maximal_chains(tmp_path, monkeypatch):
+    """The counts and purity of a report are read without listing a maximal
+    chain: with the walk of ``facets`` recorded, ``homology`` and a pure
+    ``cm-check`` walk none, on specs of dimension 1 to 3.  ``build`` walks
+    |Γ|'s once for its export, and ``cm-check`` on the non-pure t0_q4_dim3
+    walks them to name its codimension-1 facets."""
+    from phangeo.simplicial import SimplicialComplex
+
+    walk = SimplicialComplex.facets.func
+    walks = []
+
+    def facets(self):
+        walks.append(self.num_vertices)
+        return walk(self)
+
+    monkeypatch.setattr(SimplicialComplex, "facets", property(facets))
+    out = str(tmp_path / "r.json")
+    for name in ("t0_q5_dim3", "family2_q7_dim2", "chamber_q2_dim5"):
+        for command in ("homology", "cm-check"):
+            assert main([command, "--spec", str(SPECS / f"{name}.json"), "--force",
+                         "--out", out]) == 0
+            assert json.loads(Path(out).read_text())["geometry"]["pure"] is True
+            assert walks == [], (name, command)
+    spec = str(SPECS / "t0_q4_dim3.json")
+    assert main(["build", "--spec", spec, "--out", out]) == 0
+    assert main(["cm-check", "--spec", spec, "--force", "--out", out]) == 0
+    assert walks == [32, 32]
+
+
+@pytest.mark.parametrize("command", ["homology", "cm-check", "filtration-verify"])
+def test_a_forced_run_says_its_results_are_not_asserted(command, tmp_path, capsys):
+    """Every verification command run past a failing bound prints the same
+    note as its last line; in bound, --force changes nothing and no note
+    is printed."""
+    note = "note: bound not satisfied; results reported, not asserted"
+    out = str(tmp_path / "r.json")
+    assert main([command, "--spec", str(SPECS / "t0_q4_dim3.json"), "--force",
+                 "--out", out]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == note
+    assert main([command, "--spec", str(SPECS / "t0_q5_dim3.json"), "--force",
+                 "--out", out]) == 0
+    assert note not in capsys.readouterr().out
+
+
 def test_filtration_command_and_negative_control(tmp_path, spec_q5):
     out = tmp_path / "r.json"
     assert main(["filtration-verify", "--spec", spec_q5, "--out", str(out)]) == 0
@@ -630,6 +674,21 @@ def _alternating_plane_spec():
                        "forms": [[[[0], [1]], [[1], [0]]]]}]}
 
 
+def test_parse_family_checks_for_nonisotropic_vectors():
+    """Every form of a geometry file must admit a non-isotropic vector, and
+    the parser is what says so, after a spec's flag and radical checks and
+    before the next spec's."""
+    alternating = _alternating_plane_spec()
+    with pytest.raises(SpecFileError, match=r"^specs\[0\]: omega_0 admits no non-isotropic vector$"):
+        parse_family(alternating)
+    radical_fails = json.loads(json.dumps(alternating["specs"][0]))
+    radical_fails["forms"] = [[[[0], [0]], [[0], [0]]]]
+    with pytest.raises(SpecFileError, match=r"^specs\[0\]: Rad\(omega_0\) != V_0"):
+        parse_family({**alternating, "specs": [radical_fails, alternating["specs"][0]]})
+    with pytest.raises(SpecFileError, match=r"^specs\[0\]: omega_0 admits no"):
+        parse_family({**alternating, "specs": [alternating["specs"][0], radical_fails]})
+
+
 @pytest.mark.parametrize("argv, message", [
     (["build", "--spec", _edited_spec("coefficient", "1")], "coefficients must be integers"),
     (["build", "--spec", _edited_spec("coefficient", 1.5)], "coefficients must be integers"),
@@ -652,6 +711,10 @@ def _alternating_plane_spec():
     (["build", "--spec", b"\xff\xfe\xfa"], "not UTF-8, UTF-16 or UTF-32 text"),
     (["lemma-tests", "--count", "0"], "--count must be >= 1, got 0"),
     (["lemma-tests", "--count", "-3"], "--count must be >= 1, got -3"),
+    (["bounds-table", "--max-q", "1"], "--max-q must be >= 2, got 1"),
+    (["bounds-table", "--max-n", "0"], "--max-n must be >= 1, got 0"),
+    (["bounds-table", "--max-m", "0"], "--max-m must be >= 1, got 0"),
+    (["bounds-table", "--max-n", "-2"], "--max-n must be >= 1, got -2"),
     (["build", "--spec", str(SPECS / "t0_q5_dim3.json"), "--force"],
      "unrecognized arguments: --force"),
     (["filtration-verify", "--spec", str(SPECS / "t0_q5_dim3.json"), "--neg"],
@@ -669,7 +732,8 @@ def _alternating_plane_spec():
         "out-into-missing-directory", "spec-is-a-directory", "negative-target-dim",
         "target-dim-below-complex-dim", "negative-control-without-isotropic-point",
         "form-without-nonisotropic-vector", "spec-not-unicode-text", "zero-count",
-        "negative-count", "unrecognized-argument", "abbreviated-option", "missing-spec",
+        "negative-count", "bounds-table-no-q", "bounds-table-no-n", "bounds-table-no-m",
+        "bounds-table-negative-n", "unrecognized-argument", "abbreviated-option", "missing-spec",
         "invalid-int", "option-without-value", "unknown-command", "no-command"])
 def test_bad_input_exits_2_with_one_error_line(argv, message, capsys, tmp_path):
     """Bad input is exit 2 with one error line, never a traceback and exit

@@ -101,12 +101,12 @@ def test_chamber_membership_is_opposition():
 
 
 def test_vertex_counts():
-    assert len(vertices(PhanFamily((standard_spec(F4, 2),)))) == 2
-    assert len(vertices(PhanFamily((diagonal_spec(F5, (1, 1)),)))) == 4
-    assert len(vertices(PhanFamily((standard_spec(F5, 3),)))) == 50
+    assert len(vertices(PhanFamily((standard_spec(F4, 2),))).members) == 2
+    assert len(vertices(PhanFamily((diagonal_spec(F5, (1, 1)),))).members) == 4
+    assert len(vertices(PhanFamily((standard_spec(F5, 3),))).members) == 50
     # the bound 2^2 = 4 < 5 holds, so the geometry is non-empty in every dim
     vs = vertices(PhanFamily((standard_spec(F5, 3),)))
-    assert set(vs.by_dim()) == {1, 2}
+    assert {u.dim for u in vs.members} == {1, 2}
 
 
 def _every_subspace(field, dim):
@@ -231,7 +231,7 @@ def test_vertices_run_no_elimination(monkeypatch, tmp_path):
 
     monkeypatch.setattr(phangeo.linalg, "rref", refused)
     monkeypatch.setattr(HermitianForm, "restrict", refused)
-    assert len(vertices(family)) == 138
+    assert len(vertices(family).members) == 138
 
 
 def _transport(spec, rows):
@@ -339,6 +339,28 @@ def test_family_residues_match_intersections():
     assert result.passed, result.failures
 
 
+def test_residues_with_alternating_forms_build():
+    """Over F_2 with identity sigma, the identity form on F_2^4 restricts
+    to alternating non-degenerate forms on planes of even-weight vectors:
+    the residue below such a member and the residue above a member whose
+    perp is one are specs all the same, with no members, as their points
+    are isotropic.  A spec needs no non-isotropic vector; only a geometry
+    file does."""
+    f2 = make_field(2, 1)
+    spec = standard_spec(f2, 4)
+    even = Subspace.span(f2, 4, [(1, 1, 0, 0), (0, 1, 1, 0)])
+    odd = Subspace.span(f2, 4, [(1, 1, 1, 0), (0, 0, 0, 1)])
+    assert spec.is_member(even) and spec.is_member(odd)
+    below, above = residue_below(spec, even), residue_above(spec, odd)
+    assert above.ambient == even
+    for res in (below, above):
+        assert [w.admits_nonisotropic_vector() for w in res.forms] == [False]
+        assert res.members() == ()
+    plane = Flag((Subspace.zero(f2, 2), Subspace.full(f2, 2)))
+    alternating = HermitianForm(f2, plane.top, ((0, 1), (1, 0)))
+    assert vertices(PhanFamily((PhanSpec(plane, (alternating,)),))).members == ()
+
+
 def test_residue_radicals_validated():
     """Every residue spec passes its own constructor invariants; exercised
     across an entire geometry."""
@@ -417,7 +439,7 @@ def test_delta_unit_scalar_choice_is_irrelevant():
                     HermitianForm(F3, w.domain, ((F3.mul(c, w.gram[0][0]),),))
                     if w.domain.dim == 1 else w for w in s.forms)
                 scaled += forms != s.forms
-                specs.append(PhanSpec(s.flag, forms, require_nonisotropic=False))
+                specs.append(PhanSpec(s.flag, forms))
             assert set(vertices(PhanFamily(tuple(specs))).members) == base
     assert scaled
 

@@ -101,25 +101,57 @@ def _listed_counts(k):
     return [len(k.simplices(j)) for j in range(k.dim + 1)]
 
 
+def _counted_then_walked(k):
+    """(facet count, purity) as read before any maximal chain is listed,
+    and as read from the walked facets afterwards."""
+    assert "facets" not in vars(k)
+    counted = (k.num_facets, purity_and_dimension(k)[0])
+    assert "facets" not in vars(k)
+    walked = (len(k.facets), len({len(f) for f in k.facets}) <= 1)
+    return counted, walked
+
+
 @pytest.mark.parametrize("name", sorted(p.stem for p in SPECS.glob("*.json"))
-                         + ["F3^4", "F4^4"])
+                         + ["F3^4", "F3^4 seeded", "F4^4"])
 def test_order_complex_counts_its_chains(name):
     """``order_complex`` counts its chains over the successor lists; the
-    counts equal the listed faces.  ``purity_and_dimension`` calls a
-    complex pure when its maximal chains are as many as its top chains, as
-    the facet sizes say.  The complex of F_4^4 is not pure: its maximal
-    edges count as edges, not as top simplices."""
-    if name in ("F3^4", "F4^4"):
+    counts equal the listed faces.  ``num_facets`` counts the maximal
+    chains over the covers, and ``purity_and_dimension`` calls a complex
+    pure when they are as many as its top chains; both are read before any
+    maximal chain is listed and agree with the walked facets.  The
+    complexes of F_4^4 and t0_q4_dim3 are not pure: their maximal edges
+    resp. points are facets below the top."""
+    if name == "F3^4 seeded":
+        family = PhanFamily((random_phan_spec(random.Random(2), F3, 4, 0),))
+    elif name in ("F3^4", "F4^4"):
         family = PhanFamily((standard_spec(F3 if name == "F3^4" else F4, 4),))
     else:
         family, _ = load_family(str(SPECS / f"{name}.json"))
     k = order_complex(vertices(family).members)
     assert k.face_counts() == _listed_counts(k)
+    counted, walked = _counted_then_walked(k)
+    assert counted == walked and counted[1] is (name not in ("F4^4", "t0_q4_dim3"))
     sizes = {len(f) for f in k.facets}
     assert purity_and_dimension(k) == (len(sizes) == 1, max(sizes) - 1)
     if name == "F4^4":
         assert purity_and_dimension(k) == (False, 2)
         assert k.face_counts() == [400, 3072, 3840] and len(k.facets) == 4032
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 9).flatmap(lambda n: st.tuples(
+    st.just(n), st.sets(st.tuples(st.integers(0, max(n - 1, 0)),
+                                  st.integers(0, max(n - 1, 0))), max_size=20))))
+def test_facet_count_and_purity_match_the_walk_on_random_posets(poset):
+    """On the order complexes of random posets on up to 9 elements, the
+    count and purity equal the walk's, and the count equals the number of
+    chains that no longer chain contains, found by listing every chain."""
+    n, pairs = poset
+    k = poset_complex(range(n), [(x, y) for x, y in pairs if x < y])
+    counted, walked = _counted_then_walked(k)
+    assert counted == walked
+    chains = {frozenset(c) for j in range(k.dim + 1) for c in k.simplices(j)}
+    assert counted[0] == sum(not any(c < d for d in chains) for c in chains)
 
 
 def _assert_simplices_listed(k):

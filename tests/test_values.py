@@ -20,7 +20,7 @@ SPANNING = {
 }
 
 
-def _values(spanning: str, require_nonisotropic: bool = True) -> dict:
+def _values(spanning: str) -> dict:
     """A t = 1 spec on F_5^3 with V_1 = <e_0>, and the values it is made of,
     built from one of the spanning sets."""
     line_vectors, top_vectors = SPANNING[spanning]
@@ -28,7 +28,7 @@ def _values(spanning: str, require_nonisotropic: bool = True) -> dict:
     top = Subspace.span(F5, 3, top_vectors)
     flag = Flag((Subspace.zero(F5, 3), line, top))
     form = HermitianForm(F5, top, ((0, 0, 0), (0, 1, 0), (0, 0, 1)))
-    spec = PhanSpec(flag, (HermitianForm(F5, line, ((1,),)), form), require_nonisotropic)
+    spec = PhanSpec(flag, (HermitianForm(F5, line, ((1,),)), form))
     return {"Subspace": line, "Flag": flag, "HermitianForm": form, "PhanSpec": spec,
             "PhanFamily": PhanFamily((spec,))}
 
@@ -54,18 +54,11 @@ def test_unequal_values_differ():
             != HermitianForm(F5, top, ((2, 0, 0), (0, 1, 0), (0, 0, 1))))
 
 
-def test_require_nonisotropic_takes_no_part_in_equality():
-    strict = _values("echelon", require_nonisotropic=True)["PhanSpec"]
-    relaxed = _values("redundant", require_nonisotropic=False)["PhanSpec"]
-    assert strict.require_nonisotropic and not relaxed.require_nonisotropic
-    assert strict == relaxed and hash(strict) == hash(relaxed)
-
-
 def test_values_are_immutable():
     values = _values("echelon")
     fields = {"Subspace": ("field", "ambient", "basis", "point_mask"),
               "Flag": ("members",), "HermitianForm": ("field", "domain", "gram"),
-              "PhanSpec": ("flag", "forms", "require_nonisotropic"),
+              "PhanSpec": ("flag", "forms"),
               "PhanFamily": ("specs",)}
     for kind, names in fields.items():
         value = values[kind]
