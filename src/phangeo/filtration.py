@@ -37,7 +37,7 @@ from .homology import HomologyReport, reduced_homology, sphericity_verdict
 from .linalg import Subspace
 from .morse import filtered_homology
 from .phan import PhanFamily, vertices
-from .residues import (DeltaConstructionError, EmptyResidueError, delta_restriction,
+from .residues import (DeltaConstructionError, delta_restriction,
                        lifted_residue_above)
 from .simplicial import SimplicialComplex, induced_subcomplex, order_complex
 
@@ -341,16 +341,13 @@ def _delta_comparison(state: FiltrationState, u: Subspace, below_y0) -> str | No
     try:
         fam = delta_restriction(state.family, p, u)
         got = set(vertices(fam).members)
-    except EmptyResidueError:
-        # Lemma's hypothesis fails (empty residue); the literal set must
-        # then also be computable directly, nothing to compare against.
-        return None
     except (ValueError, DeltaConstructionError) as exc:
         # the construction's own errors are recorded, not raised: negative
         # controls land here; any other exception is a programming error.
-        # delta_restriction stops at the first failing spec, so the residues
-        # of the specs after it are still unchecked; an empty one waives the
-        # comparison as above
+        # An empty residue below U (EmptyResidueError, a ValueError) means
+        # the lemma's hypothesis fails, and there is nothing to compare
+        # against.  delta_restriction stops at the first failing spec, so
+        # the residues of the specs after it are checked here too
         if not all(s.has_member_below(u) for s in state.family.specs):
             return None
         return f"U = {u.basis}: delta_restriction failed: {exc}"

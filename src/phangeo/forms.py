@@ -1,12 +1,16 @@
-"""Sigma-hermitian forms: evaluation, radicals, perpendicular spaces and
-restriction.  The extension of a flag's forms around a pivot point and the
-projection form onto the perp of a non-degenerate point serve only the
-restricted families, and live with them in :mod:`phangeo.residues`.
+"""Sigma-hermitian forms: evaluation, Gram matrices, radicals,
+perpendicular spaces and restriction.  The extension of a flag's forms
+around a pivot point and the projection form onto the perp of a
+non-degenerate point serve only the restricted families, and live with them
+in :mod:`phangeo.residues`.
 
 A form is stored as the Gram matrix over the canonical (reduced-echelon)
-basis of its domain subspace, so restriction is Gram compression.  The
-Gram matrix of a restriction is evaluated on one triangle; the other is
-its image under sigma.
+basis of its domain subspace.  Every other Gram matrix of the form comes
+from ``gram_of``, [w(x_i, x_j)] for vectors x_i of the domain, evaluated on
+one triangle, the other being its image under sigma: a restriction is the
+Gram matrix of the canonical basis of its target, and the extended,
+projected and randomly drawn forms of :mod:`phangeo.residues` and
+:mod:`phangeo.suites` are Gram matrices of other vectors.
 
 Perps, radicals, isotropy and non-degeneracy on a subspace given by its
 point mask (``nondegenerate_on_mask``, the membership test of
@@ -104,27 +108,31 @@ class HermitianForm(Frozen):
             raise ValueError("vector outside the domain of the form")
         return self._eval_coords(cx, cy)
 
-    # -- restriction, radical, perp -------------------------------------------
+    # -- Gram matrices, restriction, radical, perp ---------------------------
 
-    def restrict(self, s: Subspace) -> "HermitianForm":
-        """The form on s, a subspace of the domain, as its Gram matrix over
-        the canonical basis of s: one triangle is evaluated, and the other is
-        its image under sigma, G[j][i] = sigma(G[i][j]).  Its perps read
-        this form's (``_RestrictedPerps``)."""
-        dom = self.domain
-        dom._check_compatible(s)
-        # the whole space's canonical basis is the unit vectors
-        coords = list(s.basis) if dom.is_full() else [dom.coordinates(r) for r in s.basis]
+    def gram_of(self, vectors) -> tuple[tuple[int, ...], ...]:
+        """The Gram matrix [w(x_i, x_j)] of vectors x_i of the domain.  Each
+        vector's coordinates are solved once; one triangle is evaluated and
+        the other is its image under sigma, w(x_j, x_i) = sigma(w(x_i, x_j)).
+        A vector outside the domain raises ValueError."""
+        coords = [self.domain.coordinates(v) for v in vectors]
         if None in coords:
-            raise ValueError("restriction target is not contained in the domain")
+            raise ValueError("vector outside the domain of the form")
         sigma = self.field.sigma_table
         gram = [[0] * len(coords) for _ in coords]
         for i, a in enumerate(coords):
-            gram[i][i] = self._eval_coords(a, a)
-            for j in range(i + 1, len(coords)):
-                gram[i][j] = self._eval_coords(a, coords[j])
-                gram[j][i] = sigma[gram[i][j]]
-        form = HermitianForm(self.field, s, tuple(map(tuple, gram)))
+            row = gram[i]
+            for j in range(i, len(coords)):
+                row[j] = self._eval_coords(a, coords[j])
+                gram[j][i] = sigma[row[j]]
+        return tuple(map(tuple, gram))
+
+    def restrict(self, s: Subspace) -> "HermitianForm":
+        """The form on s, a subspace of the domain, as the Gram matrix of
+        the canonical basis of s.  Its perps read this form's
+        (``_RestrictedPerps``)."""
+        self.domain._check_compatible(s)
+        form = HermitianForm(self.field, s, self.gram_of(s.basis))
         object.__setattr__(form, "_parent", self)
         return form
 

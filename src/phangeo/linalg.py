@@ -207,6 +207,8 @@ class Subspace(Frozen):
         the entries at the pivot columns, if they recombine to vec."""
         if len(vec) != self.ambient:
             raise ValueError("ambient dimension mismatch")
+        if self.is_full():  # the whole space's canonical basis is the unit vectors
+            return tuple(vec)
         coords = tuple(vec[j] for j in self.pivots)
         if combine(self.field, coords, self.basis, self.ambient) != tuple(vec):
             return None

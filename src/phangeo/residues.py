@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .forms import HermitianForm, RadicalConditionError
+from .forms import HermitianForm
 from .linalg import Flag, Subspace, combine, complement, rref, solve_coordinates
 from .phan import PhanFamily, PhanSpec
 
@@ -53,24 +53,18 @@ class DegeneratePivotError(ValueError):
     """A pivot point required to be non-degenerate is isotropic."""
 
 
-def extend_forms(flag: Flag, forms, p: Subspace, complement_policy=None):
-    """Extend the flag's forms to the whole space around a pivot point p.
+def extend_forms(spec: PhanSpec, p: Subspace, complement_policy=None):
+    """Extend the spec's forms to the whole space around a pivot point p.
 
-    Requires Rad(omega_i) = V_i for every i and p non-degenerate for the top
-    form.  Returns forms on all of V = flag.top such that each restricts to
-    the original on V_(i+1), keeps radical V_i, and makes p non-degenerate
-    with one common perp; the construction sums the original forms over the
-    projections onto a direct decomposition V = C_1 ⊕ ... ⊕ C_(t+1) ⊕ p.
+    Requires p non-degenerate for the top form.  Returns forms on all of
+    V = flag.top such that each restricts to the original on V_(i+1), keeps
+    radical V_i, and makes p non-degenerate with one common perp.  Over a
+    direct decomposition V = C_1 ⊕ ... ⊕ C_(t+1) ⊕ p with projections pr_j,
+    extended form i is w_t(pr_p, pr_p) + sum_(j >= i) w_j(pr_j, pr_j): the
+    Gram matrix of each summand is built once, and the sums run from the
+    top down.
     """
-    forms = tuple(forms)
-    t = len(flag.members) - 2
-    if len(forms) != t + 1:
-        raise ValueError(f"expected {t + 1} forms for a flag of length {t + 2}")
-    for i, w in enumerate(forms):
-        if w.domain != flag[i + 1]:
-            raise ValueError(f"form {i} is not defined on flag member {i + 1}")
-        if w.perp_mask(w.domain) != flag[i].point_mask:
-            raise RadicalConditionError(f"Rad(omega_{i}) != V_{i} on input")
+    flag, forms, t = spec.flag, spec.forms, spec.t
     if p.dim != 1:
         raise ValueError("pivot must be one-dimensional")
     pv = p.basis[0]
@@ -89,42 +83,30 @@ def extend_forms(flag: Flag, forms, p: Subspace, complement_policy=None):
 
     # the component of each top-space basis vector in each summand, from
     # its coordinates over the stacked bases
-    basis = flag.top.basis
     proj = [[] for _ in parts]
-    for d in basis:
+    for d in flag.top.basis:
         coords = solve_coordinates(f, stacked, d)
         offset = 0
         for comps, part in zip(proj, parts):
             comps.append(combine(f, coords[offset:offset + part.dim], part.basis, len(d)))
             offset += part.dim
 
+    add = f.add_table
+    gram = top.gram_of(proj[t + 1])
     out = []
-    for i in range(t + 1):
-        gram = []
-        for r in range(len(basis)):
-            row = []
-            for s in range(len(basis)):
-                total = 0
-                for j in range(i, t + 1):
-                    xr = proj[j][r]
-                    xs = proj[j][s]
-                    if any(xr) and any(xs):
-                        total = f.add(total, forms[j].evaluate(xr, xs))
-                xr = proj[t + 1][r]
-                xs = proj[t + 1][s]
-                if any(xr) and any(xs):
-                    total = f.add(total, forms[t].evaluate(xr, xs))
-                row.append(total)
-            gram.append(tuple(row))
-        out.append(HermitianForm(f, flag.top, tuple(gram)))
-    return tuple(out)
+    for j in range(t, -1, -1):
+        summand = forms[j].gram_of(proj[j])
+        gram = tuple(tuple(add[x][y] for x, y in zip(r, s)) for r, s in zip(gram, summand))
+        out.append(HermitianForm(f, flag.top, gram))
+    return tuple(reversed(out))
 
 
 def project_form(form: HermitianForm, p: Subspace) -> HermitianForm:
     """The form w^p(v, w) = w(pr(v), pr(w)) for the projection pr onto the
     perp of a non-degenerate point p in the decomposition D = p ⊕ p^perp:
     pr(v) = v - w(v, p) w(p, p)^-1 p, so that w(pr(v), p) = 0, w being
-    linear in its first argument."""
+    linear in its first argument.  Its Gram matrix is that of the projected
+    basis of D."""
     if p.dim != 1 or not form.domain.contains_subspace(p):
         raise ValueError("p must be a one-dimensional subspace of the domain")
     pv = p.basis[0]
@@ -133,16 +115,11 @@ def project_form(form: HermitianForm, p: Subspace) -> HermitianForm:
         raise DegeneratePivotError("projection pivot is degenerate for the form")
     f = form.field
     scale = f.inv(wpp)
-    basis = form.domain.basis
     projected = []
-    for d in basis:
+    for d in form.domain.basis:
         a = f.mul(form.evaluate(d, pv), scale)
         projected.append(tuple(f.sub(x, f.mul(a, y)) for x, y in zip(d, pv)))
-    gram = tuple(
-        tuple(form.evaluate(projected[r], projected[s]) for s in range(len(basis)))
-        for r in range(len(basis))
-    )
-    return HermitianForm(f, form.domain, gram)
+    return HermitianForm(f, form.domain, form.gram_of(projected))
 
 
 def residue_below(spec: PhanSpec, u: Subspace) -> PhanSpec:
@@ -200,22 +177,15 @@ def _distinct_chain(entries):
 
 
 @lru_cache(maxsize=64)
-def _extended_forms(spec: PhanSpec, p: Subspace) -> tuple[HermitianForm, ...]:
-    """The spec's forms extended around the pivot p.  They depend on (spec, p)
-    alone, so the restrictions to every member share them."""
-    return extend_forms(spec.flag, spec.forms, p)
-
-
-@lru_cache(maxsize=64)
-def _joined_flag(spec: PhanSpec, p: Subspace) -> tuple[Subspace, ...]:
-    """The flag members <V_i, p>, which depend on (spec, p) alone."""
-    return tuple(v.sum(p) for v in spec.flag.members)
-
-
-@lru_cache(maxsize=256)
-def _projected_form(spec: PhanSpec, p: Subspace, i: int) -> HermitianForm:
-    """The i-th extended form projected onto the perp of p."""
-    return project_form(_extended_forms(spec, p)[i], p)
+def _pivot_frame(spec: PhanSpec, p: Subspace
+                 ) -> tuple[tuple[Subspace, ...], tuple[HermitianForm, ...]]:
+    """The flag members <V_i, p> and the spec's forms extended around p and
+    projected onto the perp of p, which depend on (spec, p) alone, so the
+    restrictions to every member share them.  Once ``delta_restriction``
+    has found p non-degenerate for the top form, the extension cannot fail:
+    V_t = Rad(w_t) lies in p^perp, which misses p."""
+    joined = tuple(v.sum(p) for v in spec.flag.members)
+    return joined, tuple(project_form(w, p) for w in extend_forms(spec, p))
 
 
 def _lemma49_spec(spec: PhanSpec, p: Subspace, u: Subspace,
@@ -224,9 +194,10 @@ def _lemma49_spec(spec: PhanSpec, p: Subspace, u: Subspace,
     extended forms, including the collapsed one-dimensional and augmented
     radical branches."""
     f = spec.field
+    joined_flag, projected = _pivot_frame(spec, p)
     entries = []
     l_u = None
-    for i, joined in enumerate(_joined_flag(spec, p)):
+    for i, joined in enumerate(joined_flag):
         z = joined.intersect(u)
         entries.append(z)
         if z == u:
@@ -244,7 +215,7 @@ def _lemma49_spec(spec: PhanSpec, p: Subspace, u: Subspace,
     step_forms: list[HermitianForm] = []
     for j, (upper, cand) in enumerate(zip(chain[1:], cands)):
         lower = flag_members[-1]
-        candidate = _projected_form(spec, p, cand).restrict(upper)
+        candidate = projected[cand].restrict(upper)
         rad = candidate.radical()
         if rad == lower:
             flag_members.append(upper)

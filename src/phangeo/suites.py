@@ -118,38 +118,26 @@ def random_flag(rng: random.Random, field: Field, ambient: int, t: int) -> Flag:
     return Flag(tuple(members))
 
 
+_FORM_TRIES = 200  # random blocks drawn before _form_with_radical gives up
+
+
 def _form_with_radical(rng: random.Random, field: Field, lower: Subspace,
-                       upper: Subspace, tries: int = 200) -> HermitianForm:
+                       upper: Subspace) -> HermitianForm:
     """A sigma-hermitian form on ``upper`` with radical exactly ``lower``
-    that admits a non-isotropic vector."""
+    that admits a non-isotropic vector: a random block on the complement
+    part of a basis adapted to ``lower``, read on ``upper``'s basis through
+    its coordinates over the adapted basis."""
     comp = complement(lower, upper)
     adapted = list(lower.basis) + list(comp.basis)
     k = upper.dim
     r = lower.dim
     coords = [solve_coordinates(field, adapted, d) for d in upper.basis]
-    for _ in range(tries):
+    space = Subspace.full(field, k)
+    for _ in range(_FORM_TRIES):
         block = random_hermitian_gram(rng, field, k - r)
-        g_ad = [[0] * k for _ in range(k)]
-        for a in range(k - r):
-            for b in range(k - r):
-                g_ad[r + a][r + b] = block[a][b]
-        gram = [[0] * k for _ in range(k)]
-        for a in range(k):
-            ca = coords[a]
-            for b in range(k):
-                cb = coords[b]
-                tot = 0
-                for x in range(k):
-                    if ca[x] == 0:
-                        continue
-                    for y in range(k):
-                        if cb[y] == 0 or g_ad[x][y] == 0:
-                            continue
-                        tot = field.add(
-                            tot, field.mul(field.mul(ca[x], field.sigma(cb[y])), g_ad[x][y])
-                        )
-                gram[a][b] = tot
-        w = HermitianForm(field, upper, tuple(tuple(row) for row in gram))
+        g_ad = ((0,) * k,) * r + tuple((0,) * r + row for row in block)
+        gram = HermitianForm(field, space, g_ad).gram_of(coords)
+        w = HermitianForm(field, upper, gram)
         if w.radical() == lower and w.admits_nonisotropic_vector():
             return w
     raise RuntimeError("failed to draw a form with the requested radical")
@@ -181,9 +169,7 @@ def shuffled_complement_policy(rng: random.Random):
 
 def standard_spec(field: Field, dim: int) -> PhanSpec:
     """t = 0 with the identity Gram matrix on the full space."""
-    v = Subspace.full(field, dim)
-    gram = tuple(tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim))
-    return PhanSpec(Flag((Subspace.zero(field, dim), v)), (HermitianForm(field, v, gram),))
+    return diagonal_spec(field, (1,) * dim)
 
 
 def diagonal_spec(field: Field, diag) -> PhanSpec:
@@ -303,7 +289,7 @@ def run_extension_suite(seed: int = 0, count: int = 100) -> SuiteResult:
         for pname, policy in policies.items():
             tag = f"[{spec.field!r} dim={flag.top.dim} t={spec.t} policy={pname}]"
             try:
-                ext = extend_forms(flag, forms, pivot, complement_policy=policy)
+                ext = extend_forms(spec, pivot, complement_policy=policy)
             except Exception as exc:
                 res.failures.append(f"{tag} extend_forms raised: {exc}")
                 continue

@@ -693,6 +693,35 @@ def oracle_admits_nonisotropic_vector(form: HermitianForm) -> bool:
     return any(oracle_form_value(form, x, x) != 0 for x in form.domain.vectors())
 
 
+def oracle_extended_grams(spec, p: Subspace, complements) -> list:
+    """The Gram matrices of the spec's forms extended around the pivot p
+    over V = C_1 ⊕ ... ⊕ C_(t+1) ⊕ p, the C_j being the given complements,
+    one entry at a time: entry (r, s) of form i is the sum over j >= i of
+    w_j at the C_j-components of basis vectors r and s, plus w_t at their
+    p-components.  The components come from the one coefficient vector
+    over the stacked bases, found by trying them all."""
+    f, t, n = spec.field, spec.t, spec.ambient.ambient
+    parts = list(complements) + [p]
+    stacked = [row for part in parts for row in part.basis]
+
+    def combination(coeffs, rows):
+        return tuple(reduce(f.add, (f.mul(a, row[k]) for a, row in zip(coeffs, rows)), 0)
+                     for k in range(n))
+
+    coeffs = {combination(c, stacked): c for c in enumerate_vectors(f, len(stacked))}
+    comps = []
+    for d in spec.ambient.basis:
+        c, offset, split = coeffs[d], 0, []
+        for part in parts:
+            split.append(combination(c[offset:offset + part.dim], part.basis))
+            offset += part.dim
+        comps.append(split)
+    return [tuple(tuple(
+        reduce(f.add, [oracle_form_value(spec.forms[j], x[j], y[j]) for j in range(i, t + 1)]
+               + [oracle_form_value(spec.forms[t], x[t + 1], y[t + 1])])
+        for y in comps) for x in comps) for i in range(t + 1)]
+
+
 def oracle_normal(field: Field, h: Subspace) -> tuple[int, ...]:
     """The normalized normal of a hyperplane h of F_q^d: the first vector c,
     in the canonical order, with first nonzero coordinate 1 and

@@ -361,6 +361,33 @@ def test_programming_error_in_restricted_family_is_raised(monkeypatch):
         run_verification(family)
 
 
+def test_delta_comparison_waives_only_empty_residues(monkeypatch):
+    """Check (d) turns an error of delta_restriction into a witness unless a
+    spec has an empty residue below U, where the lemma's hypothesis fails:
+    on F_3^3 the plane U = <e_1, e_2> has members below it for the standard
+    form and none for the chamber spec.  An empty residue after the failing
+    spec waives the comparison too."""
+    u = Subspace.span(F3, 3, [(1, 0, 0), (0, 1, 0)])
+    p = Subspace.span(F3, 3, [(0, 0, 1)])
+    standard, chamber = standard_spec(F3, 3), chamber_spec(F3, 3)
+    assert standard.has_member_below(u) and not chamber.has_member_below(u)
+
+    def compare(specs, exc):
+        def failing(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(filtration, "delta_restriction", failing)
+        state = FiltrationState(PhanFamily(specs), p, None, [], [])
+        return filtration._delta_comparison(state, u, set())
+
+    empty = residues.EmptyResidueError("spec 1 has an empty residue below the member")
+    assert compare((standard, chamber), empty) is None
+    broken = residues.DeltaConstructionError("unexpected radical at step 0: dim 2")
+    assert compare((standard,), broken) == ("U = ((1, 0, 0), (0, 1, 0)): delta_restriction "
+                                            "failed: unexpected radical at step 0: dim 2")
+    assert compare((standard, chamber), broken) is None
+
+
 @pytest.mark.parametrize("side", ["above", "below"])
 def test_set_checks_name_a_member_dropped_from_the_previous_level(side):
     """Check (d) reads the below and above sets in Y_(i-1) from the levels

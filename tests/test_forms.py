@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from phangeo.field import make_field
 from phangeo.forms import HermitianForm, HermitianSymmetryError
 from phangeo.linalg import Flag, Subspace, complement
+from phangeo.phan import PhanSpec
 from phangeo.residues import DegeneratePivotError, extend_forms, project_form
 from phangeo.suites import (
     random_hermitian_gram,
@@ -21,6 +22,7 @@ from conftest import (
     enumerate_vectors,
     find_nonisotropic_pair,
     oracle_admits_nonisotropic_vector,
+    oracle_extended_grams,
     oracle_form_value,
     oracle_is_nondegenerate,
     oracle_nondegenerate_on,
@@ -150,6 +152,33 @@ def test_one_triangle_gram_matches_the_method_path(p, e, sigma, rng):
                 assert w.nondegenerate_on_mask(sub.point_mask) == got
             seen.add(got)
     assert seen == {True, False} or field.q > 25  # over F_2^9 nearly all are non-degenerate
+
+
+def test_gram_of_matches_pairwise_values(rng):
+    """gram_of is [w(x_i, x_j)] by the pairwise oracle on random vector
+    lists with zero, repeated and dependent vectors, on the whole space and
+    on a plane of it, for sigma of order 1 (F_3, F_5, F_9 with the identity)
+    and of order 2 (hermitian F_4 and F_9); a vector outside the domain
+    raises ValueError."""
+    for field in (F3, F5, make_field(3, 2, 1), F4, F9):
+        full = Subspace.full(field, 3)
+        for domain in (full, random_subspace(rng, field, 3, 2)):
+            w = HermitianForm(field, domain, random_hermitian_gram(rng, field, domain.dim))
+            vecs = list(domain.vectors())
+            for size in range(4):
+                xs = [rng.choice(vecs) for _ in range(size)] + [(0, 0, 0)]
+                a, b = rng.randrange(field.q), rng.randrange(field.q)
+                xs += [xs[0], tuple(field.add(field.mul(a, x), field.mul(b, y))
+                                    for x, y in zip(xs[0], xs[-1]))]
+                rng.shuffle(xs)
+                assert w.gram_of(xs) == tuple(tuple(oracle_form_value(w, x, y) for y in xs)
+                                              for x in xs)
+            assert w.gram_of([]) == ()
+            outside = [v for v in full.vectors() if domain.coordinates(v) is None]
+            assert len(outside) == (0 if domain is full else field.q**3 - field.q**2)
+            for bad in outside[:3] + [(1, 0)]:
+                with pytest.raises(ValueError):
+                    w.gram_of(vecs[:2] + [bad])
 
 
 def test_restrict_rejects_foreign_targets():
@@ -291,16 +320,18 @@ def test_pair_search_bound_hermitian_exhaustive():
 def test_extend_forms_t0_is_identity():
     v3 = Subspace.full(F5, 3)
     w = unit_form(v3)
-    flag = Flag((Subspace.zero(F5, 3), v3))
+    spec = PhanSpec(Flag((Subspace.zero(F5, 3), v3)), (w,))
     p = Subspace.span(F5, 3, [(1, 0, 0)])
-    (ext,) = extend_forms(flag, [w], p)
+    (ext,) = extend_forms(spec, p)
     assert ext.gram == w.gram
 
 
 def test_extend_forms_postconditions_random(rng):
     """Restriction, radical and common-perp postconditions under both
     complement policies on random flags (also exercised at scale by the
-    extension suite)."""
+    extension suite), and the exact Gram matrices: the oracle's
+    entry-by-entry sums of the original forms over the components of the
+    decomposition that the extension used."""
     for _ in range(12):
         field, dim = rng.choice([(F3, 3), (F5, 3), (F4, 3), (F3, 4)])
         t = rng.randrange(0, dim - 1)
@@ -311,8 +342,15 @@ def test_extend_forms_postconditions_random(rng):
             if any(v) and forms[-1].evaluate(v, v) != 0:
                 pivot = Subspace.span(field, dim, [v])
                 break
-        for policy in (None, shuffled_complement_policy(rng)):
-            ext = extend_forms(flag, forms, pivot, complement_policy=policy)
+        for base in (complement, shuffled_complement_policy(rng)):
+            complements = []
+
+            def policy(a, within, base=base):
+                complements.append(base(a, within))
+                return complements[-1]
+
+            ext = extend_forms(spec, pivot, complement_policy=policy)
+            assert [e.gram for e in ext] == oracle_extended_grams(spec, pivot, complements)
             for i, w in enumerate(forms):
                 assert ext[i].restrict(flag[i + 1]).gram == w.gram
                 assert ext[i].radical() == flag[i]
@@ -325,11 +363,11 @@ def test_extend_forms_postconditions_random(rng):
 def test_extend_forms_rejects_degenerate_pivot():
     v3 = Subspace.full(F5, 3)
     w = unit_form(v3)
-    flag = Flag((Subspace.zero(F5, 3), v3))
+    spec = PhanSpec(Flag((Subspace.zero(F5, 3), v3)), (w,))
     p = Subspace.span(F5, 3, [(1, 2, 0)])  # 1 + 4 = 0 mod 5
     assert w.evaluate((1, 2, 0), (1, 2, 0)) == 0
     with pytest.raises(DegeneratePivotError):
-        extend_forms(flag, [w], p)
+        extend_forms(spec, p)
 
 
 def test_extend_forms_rejects_a_non_complement():
@@ -338,14 +376,14 @@ def test_extend_forms_rejects_a_non_complement():
     complement, leaves no direct sum V = C_1 ⊕ ... ⊕ C_(t+1) ⊕ p: ValueError."""
     v3 = Subspace.full(F5, 3)
     line = Subspace.span(F5, 3, [(1, 0, 0)])
-    flag = Flag((Subspace.zero(F5, 3), line, v3))
-    forms = (unit_form(line), HermitianForm(F5, v3, ((0, 0, 0), (0, 1, 0), (0, 0, 1))))
+    spec = PhanSpec(Flag((Subspace.zero(F5, 3), line, v3)),
+                    (unit_form(line), HermitianForm(F5, v3, ((0, 0, 0), (0, 1, 0), (0, 0, 1)))))
     p = Subspace.span(F5, 3, [(0, 1, 0)])
-    assert extend_forms(flag, forms, p, complement_policy=complement)
+    assert extend_forms(spec, p, complement_policy=complement)
     for policy in (lambda a, within: within,
                    lambda a, within: a if a.dim else complement(a, within)):
         with pytest.raises(ValueError, match="direct-sum decomposition"):
-            extend_forms(flag, forms, p, complement_policy=policy)
+            extend_forms(spec, p, complement_policy=policy)
 
 
 def test_project_form_basics():
