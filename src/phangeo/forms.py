@@ -16,18 +16,20 @@ Perps, radicals, isotropy and non-degeneracy on a subspace given by its
 point mask (``nondegenerate_on_mask``, the membership test of
 :mod:`phangeo.phan`) are mask algebra only, from the point mask of x^perp
 for each point x of the domain D, computed when first asked for
-(``_PointPerps``).  A restriction to S reads them from the form it
-restricts: x^perp in S is x^perp in D cut by S's mask
-(``_RestrictedPerps``), so the restrictions of one form to many subspaces,
-such as the forms of the restricted families, share one table and evaluate
-no Gram row for it.  The perp of a subspace S of D is the AND of the perps
-of S's basis rows, which are points, the basis being reduced echelon; the
-radical is the perp of D.  A point x is isotropic iff it lies in its own
-perp, since w(ax, ax) = a sigma(a) w(x, x), and a subspace W of D is
-non-degenerate iff no point of W lies in the perps of all of W's points.
-The perps live as long as their form, and a restriction keeps the form
-it restricts; the forms of the internal specs of residues and restricted
-families go with those specs, which no cache keeps.
+(``_PointPerps``).  A restriction to a subspace S of D has no table of its
+own: on first use it takes its root's, the form that the chain of
+restrictions starts from, through the ``_parent`` link.  Every read cuts
+by a mask inside S (x^perp in S is x^perp in D cut by S), so the
+restrictions of one form to many subspaces, such as the forms of the
+restricted families, share one table and evaluate no Gram row for it.  The
+perp of a subspace S of D is D's mask cut by the perps of S's basis rows,
+which are points, the basis being reduced echelon; the radical is the perp
+of D.  A point x is isotropic iff it lies in its own perp, since
+w(ax, ax) = a sigma(a) w(x, x), and a subspace W of D is non-degenerate iff
+no point of W lies in the perps of all of W's points.  The perps live as
+long as their root form, which every restriction keeps; the forms of the
+internal specs of residues and restricted families go with those specs,
+which no cache keeps.
 Hermitian symmetry G[j][i] == sigma(G[i][j]) is enforced at construction,
 so left and right perps agree; evaluation is sigma-sesquilinear in the
 second argument: w(a*x, b*y) = a * sigma(b) * w(x, y).
@@ -129,8 +131,8 @@ class HermitianForm(Frozen):
 
     def restrict(self, s: Subspace) -> "HermitianForm":
         """The form on s, a subspace of the domain, as the Gram matrix of
-        the canonical basis of s.  Its perps read this form's
-        (``_RestrictedPerps``)."""
+        the canonical basis of s.  No perp table is built here: on first use
+        the restriction reads its root's (``_perps``)."""
         self.domain._check_compatible(s)
         form = HermitianForm(self.field, s, self.gram_of(s.basis))
         object.__setattr__(form, "_parent", self)
@@ -143,9 +145,11 @@ class HermitianForm(Frozen):
     _parent = None  # the form this one is a restriction of
 
     @cached_property
-    def _perps(self) -> dict:
+    def _perps(self) -> "_PointPerps":
+        """The perp table of the root form, this form's own if it restricts
+        none; a restriction reads it through its parent on first use."""
         if self._parent is not None:
-            return _RestrictedPerps(self._parent._perps, self.domain.point_mask)
+            return self._parent._perps
         return _PointPerps(self)
 
     def nondegenerate_on_mask(self, mask: int) -> bool:
@@ -168,7 +172,7 @@ class HermitianForm(Frozen):
         if not self.domain.contains_subspace(s):
             raise ValueError("perp target is not contained in the domain")
         perps, q = self._perps, self.field.q
-        mask = perps.whole
+        mask = self.domain.point_mask
         for row in s.basis:
             mask &= perps[sum(x * q**j for j, x in enumerate(row))]
         return mask
@@ -223,15 +227,3 @@ class _PointPerps(dict):
         self[bit] = mask
         return mask
 
-
-class _RestrictedPerps(dict):
-    """The perps of a restriction of a form to a subspace S of its domain D,
-    read from the perps of the form on D: for a point x of S, the perp of x
-    in S is its perp in D cut by S's mask."""
-
-    def __init__(self, parent: dict, whole: int):
-        self.parent, self.whole = parent, whole
-
-    def __missing__(self, bit: int) -> int:
-        mask = self[bit] = self.parent[bit] & self.whole
-        return mask

@@ -66,7 +66,9 @@ class HomologyReport(namedtuple("HomologyReport",
 
 
 def _components(k: SimplicialComplex) -> int:
-    """Number of connected components, by union-find over the edges."""
+    """Number of connected components, by union-find over the successor
+    lists: each vertex is joined to its strict successors, the other ends
+    of its edges, and no edge is listed."""
     parent = list(range(k.num_vertices))
 
     def find(x: int) -> int:
@@ -75,8 +77,10 @@ def _components(k: SimplicialComplex) -> int:
             x = parent[x]
         return x
 
-    for a, b in k.simplices(1):
-        parent[find(b)] = find(a)
+    for a, above in enumerate(k.succ):
+        root = find(a)
+        for b in above:
+            parent[find(b)] = root
     return sum(parent[v] == v for v in range(k.num_vertices))
 
 

@@ -287,9 +287,6 @@ class Flag(Frozen):
     def field(self) -> Field:
         return self.top.field
 
-    def __len__(self) -> int:
-        return len(self.members)
-
     def __getitem__(self, i: int) -> Subspace:
         return self.members[i]
 

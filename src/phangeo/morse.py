@@ -49,9 +49,6 @@ class IntegerMatrix(namedtuple("IntegerMatrix", "nrows ncols entries")):
 
     __slots__ = ()
 
-    def is_zero(self) -> bool:
-        return not self.entries
-
 
 def boundary_matrices(k: SimplicialComplex) -> list[IntegerMatrix]:
     """[d_0, d_1, ..., d_dim]: d_0 is the augmentation, d_j the usual

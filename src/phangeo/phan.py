@@ -98,10 +98,6 @@ class PhanSpec(Frozen):
     def t(self) -> int:
         return len(self.flag.members) - 2
 
-    @property
-    def n(self) -> int:
-        return self.ambient.dim - 1
-
     # -- membership ----------------------------------------------------------
 
     def k_of(self, u: Subspace) -> int:
@@ -140,10 +136,12 @@ class PhanSpec(Frozen):
         return k is not None and self.forms[k].nondegenerate_on_mask(governing)
 
     def members(self) -> tuple[Subspace, ...]:
-        """The members, sorted."""
-        return tuple(sorted((s for k in range(1, self.ambient.dim)
-                             for s in enumerate_subspaces_of(self.ambient, k)
-                             if self.is_member(s)), key=Subspace.sort_key))
+        """The members in subspace-table order: by dimension, then as
+        ``enumerate_subspaces_of`` lists them.  Callers read them as a set
+        or hand them to ``order_complex``, which orders the vertices."""
+        return tuple(s for k in range(1, self.ambient.dim)
+                     for s in enumerate_subspaces_of(self.ambient, k)
+                     if self.is_member(s))
 
     def has_member_below(self, u: Subspace) -> bool:
         """Whether some member lies strictly below u (a non-empty residue);
@@ -246,7 +244,7 @@ class GeometryVertexSet:
 def vertices(family: PhanFamily) -> GeometryVertexSet:
     """All subspaces belonging to every spec of the family: the members of
     the first spec (enumerated exhaustively) that every other spec
-    accepts."""
+    accepts, in the first spec's member order."""
     first, *rest = family.specs
     return GeometryVertexSet(tuple(u for u in first.members()
                                    if all(s.is_member(u) for s in rest)))

@@ -171,7 +171,9 @@ class SimplicialComplex:
 
 def order_complex(subspaces) -> SimplicialComplex:
     """The complex whose simplices are the inclusion-chains of the given
-    subspaces; facets are the maximal chains.
+    subspaces; facets are the maximal chains.  The subspaces may come in
+    any order: they are numbered here, by dimension and then basis
+    (``Subspace.sort_key``), the one place where vertices are ordered.
 
     Containment is read from the point masks (``Subspace.point_mask``).  The
     strict successors of a member are the other members whose masks hold its

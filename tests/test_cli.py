@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import random
 import subprocess
 import sys
 from itertools import combinations
@@ -12,7 +15,7 @@ from phangeo.forms import HermitianForm
 from phangeo.linalg import Flag, Subspace
 from phangeo.phan import PhanFamily, PhanSpec
 from phangeo.specfile import SpecFileError, dump_family, family_to_dict, load_family, parse_family
-from phangeo.suites import chamber_spec, diagonal_spec, standard_spec
+from phangeo.suites import chamber_spec, diagonal_spec, random_phan_spec, standard_spec
 
 F3 = make_field(3, 1)
 F4H = make_field(2, 2, 2)
@@ -168,6 +171,42 @@ def test_certificates_build_no_complex_from_facets(monkeypatch, tmp_path):
             code = main([*argv, "--spec", str(spec), "--force", "--out", str(out)])
             assert code in (0, 1) and json.loads(out.read_text())["verdict"], (spec, argv)
     assert made
+
+
+def test_no_reduction_lists_a_simplex_of_dimension_one_or_more(monkeypatch, tmp_path, cli_report):
+    """The union-find that counts the components of a complex of dimension
+    <= 1 walks its successor lists, and the Cohen-Macaulay sweep of a
+    complex of dimension <= 2 lists only vertices: with ``simplices``
+    patched to raise for k >= 1, ``homology``, ``cm-check`` and
+    ``filtration-verify`` give the unpatched reports and exit codes on every
+    bundled spec whose complex has dimension <= 2 (ambient dimension <= 4)
+    and on seeded F_3^4.  The unpatched runs go through ``cli_report``
+    before the patch, as ``tests/test_parity.py`` runs them."""
+    from phangeo.simplicial import SimplicialComplex
+
+    seeded = tmp_path / "f3_4_seeded.json"
+    dump_family(PhanFamily((random_phan_spec(random.Random(2), F3, 4, 0),)), str(seeded))
+    forced = {"t0_q4_dim3", "t0_q3_dim4"}  # the bundled ones outside the bound
+    runs = [[command, "--spec", str(spec)] + ["--force"] * (spec.stem in forced)
+            for spec in sorted(SPECS.glob("*.json"))
+            if load_family(str(spec))[0].ambient.dim <= 4
+            for command in ("homology", "cm-check", "filtration-verify")]
+    runs += [[command, "--spec", str(seeded), "--force"]
+             for command in ("homology", "cm-check", "filtration-verify")]
+    unpatched = [cli_report(argv) for argv in runs]
+    listed = SimplicialComplex.simplices
+
+    def simplices(self, k):
+        if k >= 1:
+            raise AssertionError(f"{k}-simplices listed")
+        return listed(self, k)
+
+    monkeypatch.setattr(SimplicialComplex, "simplices", simplices)
+    out = tmp_path / "r.json"
+    for argv, (code, report, _) in zip(runs, unpatched):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([*argv, "--out", str(out)]) == code, argv
+        assert out.read_bytes() == report, argv
 
 
 def test_cm_command_non_pure_is_a_verdict(tmp_path, capsys):

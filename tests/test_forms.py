@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from phangeo.field import make_field
 from phangeo.forms import HermitianForm, HermitianSymmetryError
-from phangeo.linalg import Flag, Subspace, complement
+from phangeo.linalg import Flag, Subspace, complement, enumerate_subspaces_of
 from phangeo.phan import PhanSpec
 from phangeo.residues import DegeneratePivotError, extend_forms, project_form
 from phangeo.suites import (
@@ -252,6 +252,37 @@ def test_perps_radicals_and_isotropy_match_the_vector_oracles(p, e, sigma_order,
                                                for _ in range(dim)])
             assert w.perp(s).basis == oracle_perp(w, s).basis
     assert radicals == {True, False} and isotropy == {True, False}
+
+
+@pytest.mark.parametrize("p,e,sigma_order", [(3, 1, 1), (2, 2, 1), (2, 2, 2), (3, 2, 2)])
+def test_a_restriction_of_a_restriction_reads_its_roots_perp_table(p, e, sigma_order, rng):
+    """A form on F_q^4 restricted to a random 3-space, and that restriction
+    to a random plane in it: ``restrict`` builds no perp table, and on
+    first use both restrictions read the root form's own table.  On every
+    subspace of the plane, perp_mask and nondegenerate_on_mask match the
+    vector oracles, as do the plane's radical and isotropy.  The second
+    root has its last basis vector in its radical."""
+    field = make_field(p, e, sigma_order)
+    verdicts = set()
+    for i in range(3):
+        gram = [list(r) for r in random_hermitian_gram(rng, field, 4)]
+        if i == 1:
+            for j in range(4):
+                gram[j][3] = gram[3][j] = 0
+        root = HermitianForm(field, Subspace.full(field, 4), tuple(map(tuple, gram)))
+        middle = root.restrict(random_subspace(rng, field, 4, 3))
+        w = middle.restrict(rng.choice(enumerate_subspaces_of(middle.domain, 2)))
+        assert all("_perps" not in vars(form) for form in (root, middle, w))
+        assert w._perps is root._perps and middle._perps is root._perps
+        assert w.radical() == oracle_radical(w)
+        assert w.admits_nonisotropic_vector() == oracle_admits_nonisotropic_vector(w)
+        for k in range(3):
+            for s in enumerate_subspaces_of(w.domain, k):
+                assert w.perp_mask(s) == oracle_perp(w, s).point_mask
+                verdict = w.nondegenerate_on_mask(s.point_mask)
+                assert verdict == oracle_is_nondegenerate(w, s)
+                verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_isotropic_point_counts():

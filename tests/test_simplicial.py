@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from phangeo.field import make_field
 from phangeo.homology import cohen_macaulay_check
-from phangeo.linalg import Subspace
+from phangeo.linalg import Subspace, enumerate_subspaces
 from phangeo.simplicial import (
     SimplicialComplex,
     export_facets,
@@ -30,6 +30,7 @@ from conftest import (
     facet_link,
     facet_star,
     join,
+    oracle_is_member,
     poset_complex,
 )
 
@@ -94,6 +95,33 @@ def test_order_complex_matches_chain_oracle_on_bundled_specs(path):
 def test_order_complex_matches_chain_oracle_on_f3_4():
     k = _check_against_chain_oracle(vertices(PhanFamily((standard_spec(F3, 4),))).members)
     assert k.face_counts() == [138, 648, 576]
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in SPECS.glob("*.json"))
+                         + ["F3^4 seeded"])
+def test_order_complex_orders_the_vertices_itself(name):
+    """``order_complex`` is the one place that orders vertices: fed the
+    members of |Γ| reversed or shuffled, it gives the same vertices,
+    successor lists and face counts as in the order ``vertices`` returns.
+    Each spec's ``members()``, in subspace-table order, lists no subspace
+    twice and is, as a set, the membership oracle's."""
+    if name == "F3^4 seeded":
+        family = PhanFamily((random_phan_spec(random.Random(2), F3, 4, 0),))
+    else:
+        family, _ = load_family(str(SPECS / f"{name}.json"))
+    members = vertices(family).members
+    k = order_complex(members)
+    for order in (members[::-1], random.Random(5).sample(members, len(members))):
+        other = order_complex(order)
+        assert (other.vertices, other.succ, other.face_counts()) == (
+            k.vertices, k.succ, k.face_counts())
+    amb = family.ambient
+    for spec in family.specs:
+        listed = spec.members()
+        assert len(set(listed)) == len(listed)
+        assert set(listed) == {u for d in range(1, amb.dim)
+                               for u in enumerate_subspaces(amb.field, amb.dim, d)
+                               if oracle_is_member(spec, u)}
 
 
 def _listed_counts(k):
