@@ -142,9 +142,6 @@ class Field:
         "add_table", "mul_table", "neg_table", "inv_table", "sigma_table",
     )
 
-    zero = 0
-    one = 1
-
     def __init__(self, p: int, e: int, sigma_order: int = 1):
         if not _is_prime(p):
             raise ValueError(f"characteristic {p} is not prime")
@@ -235,11 +232,6 @@ class Field:
         if a == 0:
             raise ZeroDivisionError(f"inversion of zero in F_{self.q}")
         return self.inv_table[a]
-
-    def pow(self, a: int, k: int) -> int:
-        if a == 0:
-            return 0 if k > 0 else 1
-        return self._exp[(self._log[a] * k) % (self.q - 1)]
 
     def sigma(self, a: int) -> int:
         """The designated automorphism: identity, or x -> x**sqrt(q)."""

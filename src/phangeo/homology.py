@@ -107,11 +107,12 @@ def reduced_homology(k: SimplicialComplex) -> HomologyReport:
     Morse complex only (``morse.morse_complex``), imported only then; the
     Euler characteristic of the full face counts must match either way.  The
     fork pays because most complexes reduced are small links and joins: of
-    the 1555 calls ``cm-check`` and ``filtration-verify --force`` make on the
-    bundled specs and F_3^4, 1553 are on complexes of dimension <= 1, and
-    the 1555 calls took 0.11-0.17 s with the fork against 0.47-0.52 s with
-    the Morse complex on every one (2.8-4.4x; time inside the calls, three
-    in-process rounds of all 18 runs)."""
+    the 3109 calls ``cm-check --force`` and ``filtration-verify --force``
+    make on the ten bundled specs and F_3^4 (``bench/instances.write_spec``,
+    seed 11), 2890 are on complexes of dimension <= 1, and the 3109 calls
+    took 0.12 s with the fork against 0.33 s with the Morse complex on
+    every one (2.6-2.7x; time inside the calls, three in-process rounds of
+    all 22 runs)."""
     if k.is_empty():
         return HomologyReport((), (), 0, -1, ())
     if k.dim >= 2:

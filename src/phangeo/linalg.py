@@ -14,9 +14,9 @@ vector, the one whose first nonzero coordinate is 1, and its bit is that
 vector's base-q value with coordinate 0 least significant, so masks of
 different subspaces of one ambient space agree bit for bit.  The points of
 a ∩ b are the common points of a and b, so ``intersect`` ANDs the two masks
-and looks the result up in a per-ambient index of every subspace by mask
-(``Subspace.from_mask``).  The whole membership predicate in
-:mod:`phangeo.phan`, transversality included, reads masks only.
+and finds the subspace with the result as its mask (``Subspace.from_mask``).
+The whole membership predicate in :mod:`phangeo.phan`, transversality
+included, reads masks only.
 ``hyperplane_masks`` keys the mask of each hyperplane by the point of its
 normal vector, so that a form (:mod:`phangeo.forms`) reads the mask of a
 perp from one linear functional.
@@ -27,13 +27,17 @@ hyperplane masks are swept over the coordinates, from one mask per
 bit, and a k-subspace the AND of the hyperplane masks of its d - k
 normals.
 
-The k-dimensional subspaces of each ambient F_q^n are enumerated once per
-process into a bounded table; ``enumerate_subspaces_of`` reads the entries
-whose lowest point lies in the subspace and filters them by point mask, and
-the mask index is built from the same tables.  Member
-enumeration, residue tests, meets and the vertices of every restricted
-family share those objects, so each one's mask, pivots and hash are
-computed once.  Eliminations read the field's lookup tables.
+Each ambient F_q^n has one record per process, in a bounded cache: its
+k-subspace tables, and for each k the table positions grouped by the
+lowest point of their entry, with the table's masks listed beside them,
+each built on its first use.  ``enumerate_subspaces_of`` reads the
+entries whose lowest point lies in the subspace and filters them by point
+mask; ``Subspace.from_mask`` takes the table of the mask's dimension and
+searches the entries whose lowest point is the mask's own.  The paper's
+complex, its residues and its restricted families all live in one ambient,
+so member enumeration, residue tests, meets and the vertices of every
+restricted family share those objects, and each one's mask, pivots and
+hash are computed once.  Eliminations read the field's lookup tables.
 """
 
 from __future__ import annotations
@@ -168,8 +172,15 @@ class Subspace(Frozen):
     @staticmethod
     def from_mask(field: Field, ambient: int, mask: int) -> "Subspace":
         """The subspace of F_q^ambient whose point mask is ``mask``, which
-        must be the mask of a subspace, from the per-ambient index."""
-        return _subspace_index(field, ambient)[mask]
+        must be the mask of a subspace: the entry of the ambient's table of
+        its dimension, read from the point count, among those whose lowest
+        point is the mask's own."""
+        record = _ambient(field, ambient)
+        k = record.dims[mask.bit_count()]
+        table = record[k]
+        by_lowest, meets = record.by_lowest(k)
+        return next(table[pos] for pos in by_lowest[(mask & -mask).bit_length()]
+                    if meets[pos] == mask)
 
     @classmethod
     def zero(cls, field: Field, ambient: int) -> "Subspace":
@@ -348,43 +359,49 @@ def enumerate_subspaces(field: Field, ambient_dim: int, k: int):
             yield Subspace(field, ambient_dim, tuple(tuple(r) for r in rows))
 
 
-@lru_cache(maxsize=32)
-def _subspace_table(field: Field, ambient_dim: int, k: int) -> tuple[Subspace, ...]:
-    """The k-dimensional subspaces of F_q^ambient_dim, built once per process:
-    every enumeration in that ambient shares these objects, so each
-    subspace's point mask, pivots and hash are computed once.  The masks
-    are filled in here, all at once, as hyperplane meets
-    (``masks.meet_masks``)."""
-    table = tuple(enumerate_subspaces(field, ambient_dim, k))
-    meets = masks.meet_masks(field, ambient_dim, [s.basis for s in table],
-                             hyperplane_masks(field, ambient_dim))
-    for s, mask in zip(table, meets):
-        _setattr(s, "point_mask", mask)  # the cached_property's slot
-    return table
+class _Ambient(dict):
+    """k -> the k-subspaces of one ambient F_q^d, in the order of
+    ``enumerate_subspaces``, their point masks filled in as hyperplane meets
+    (``masks.meet_masks``); each table is built on its first lookup, and so
+    is each ``by_lowest(k)``, which only ``enumerate_subspaces_of`` on a
+    proper subspace and ``Subspace.from_mask`` read.  ``dims`` maps a point
+    count to the dimension of the subspaces with that many points."""
+
+    def __init__(self, field: Field, ambient_dim: int):
+        self.field, self.ambient_dim = field, ambient_dim
+        self.dims = {(field.q**k - 1) // (field.q - 1): k for k in range(ambient_dim + 1)}
+        self.lowest: dict[int, tuple[dict[int, list[int]], list[int]]] = {}
+
+    def __missing__(self, k: int) -> tuple[Subspace, ...]:
+        f, d = self.field, self.ambient_dim
+        table = self[k] = tuple(enumerate_subspaces(f, d, k))
+        meets = masks.meet_masks(f, d, [s.basis for s in table], hyperplane_masks(f, d))
+        for s, mask in zip(table, meets):
+            _setattr(s, "point_mask", mask)  # the cached_property's slot
+        return table
+
+    def by_lowest(self, k: int) -> tuple[dict[int, list[int]], list[int]]:
+        """The positions in the k-table grouped by their entry's lowest
+        point (keyed by the bit length of its bit), in table order, and the
+        point masks of the table, listed apart so that a search reads ints
+        only."""
+        if k not in self.lowest:
+            meets = [s.point_mask for s in self[k]]
+            out = {}
+            for pos, m in enumerate(meets):
+                out.setdefault((m & -m).bit_length(), []).append(pos)
+            self.lowest[k] = out, meets
+        return self.lowest[k]
 
 
 @lru_cache(maxsize=16)
-def _subspace_index(field: Field, ambient_dim: int) -> dict[int, Subspace]:
-    """Point mask -> subspace, for every subspace of F_q^ambient_dim: the
-    entries of the subspace tables, the zero space and the whole space.
-    Table bases are reduced echelon, so a looked-up subspace equals the one
-    ``Subspace.span`` would build."""
-    whole = Subspace.full(field, ambient_dim)
-    index = {0: Subspace.zero(field, ambient_dim), whole.point_mask: whole}
-    for k in range(1, ambient_dim):
-        index.update((s.point_mask, s) for s in _subspace_table(field, ambient_dim, k))
-    return index
-
-
-@lru_cache(maxsize=32)
-def _by_lowest_point(field: Field, ambient_dim: int, k: int) -> dict[int, list[int]]:
-    """Point bit -> the positions in the k-subspace table of the entries
-    whose lowest point it is, in table order."""
-    out: dict[int, list[int]] = {}
-    for pos, s in enumerate(_subspace_table(field, ambient_dim, k)):
-        m = s.point_mask
-        out.setdefault((m & -m).bit_length(), []).append(pos)
-    return out
+def _ambient(field: Field, ambient_dim: int) -> _Ambient:
+    """The subspace tables of F_q^ambient_dim, built once per process: every
+    enumeration and every lookup by mask in that ambient share these
+    objects, so each subspace's point mask, pivots and hash are computed
+    once.  A certificate command reads one ambient and ``lemma-tests
+    --count 100`` eleven, so with room for 16 neither rebuilds a record."""
+    return _Ambient(field, ambient_dim)
 
 
 def enumerate_subspaces_of(space: Subspace, k: int) -> tuple[Subspace, ...]:
@@ -395,17 +412,18 @@ def enumerate_subspaces_of(space: Subspace, k: int) -> tuple[Subspace, ...]:
     is one of those are tested."""
     if not 0 <= k <= space.dim:
         raise ValueError(f"subspace dimension {k} outside [0, {space.dim}]")
-    table = _subspace_table(space.field, space.ambient, k)
+    record = _ambient(space.field, space.ambient)
+    table = record[k]
     if k == 0 or space.is_full():
         return table
-    by_lowest = _by_lowest_point(space.field, space.ambient, k)
+    by_lowest, meets = record.by_lowest(k)
     outside = ~space.point_mask
     found, rest = [], space.point_mask
     while rest:
         low = rest & -rest
         rest ^= low
         found.extend(pos for pos in by_lowest.get(low.bit_length(), ())
-                     if not table[pos].point_mask & outside)
+                     if not meets[pos] & outside)
     return tuple(table[pos] for pos in sorted(found))
 
 

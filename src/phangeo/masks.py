@@ -8,15 +8,15 @@ points.
 Masks are built without listing points: ``swept_hyperplanes`` builds
 every hyperplane's mask by a partial-sum sweep over the coordinates, from
 one mask per (coordinate, value), and ``meet_masks`` ANDs the hyperplane
-masks of a subspace's d - k normals.  :mod:`phangeo.linalg` caches the
-results.  ``listed_mask`` lists a subspace's points one by one; it is the
-arithmetic definition of a mask, which the tests hold the meets to, and
-no library path calls it.
+masks of a subspace's d - k normals.  The functions are pure and keep
+nothing; :mod:`phangeo.linalg` decides what is kept.  ``listed_mask``
+lists a subspace's points one by one; it is the arithmetic definition of
+a mask, which the tests hold the meets to, and no library path calls it.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import reduce
 from operator import and_, mul
 
 from .field import Field
@@ -78,19 +78,19 @@ def meet_masks(field: Field, ambient_dim: int, bases, hyperplanes: dict[int, int
     the AND of the masks in ``hyperplanes`` (keyed by normal, as
     ``swept_hyperplanes``) of its normals.  A point (k = 1) is its own bit,
     an echelon row being normalized; the whole space (k = d), with no
-    normal, is every point."""
+    normal, is every point, and every point is the normal of one
+    hyperplane."""
     k = len(bases[0]) if bases else 0
     if k == 1:
         weights = [field.q**j for j in range(ambient_dim)]
         return [1 << sum(map(mul, rows[0], weights)) for rows in bases]
     if k == ambient_dim:
-        return [sum(_coordinate_masks(field, ambient_dim)[0])] * len(bases)
+        return [sum(1 << key for key in hyperplanes)] * len(bases)
     hyperplane = hyperplanes.__getitem__
     return [reduce(and_, map(hyperplane, keys))
             for keys in _normal_keys(field, ambient_dim, bases)]
 
 
-@lru_cache(maxsize=32)
 def _coordinate_masks(field: Field, ambient_dim: int) -> tuple[tuple[int, ...], ...]:
     """masks[j][v]: the point mask of the points whose normalized vector has
     v at coordinate j.  For each j the q masks partition the points."""

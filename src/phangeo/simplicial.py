@@ -145,9 +145,6 @@ class SimplicialComplex:
         """Number of k-simplices for k = 0..dim, the chain counts."""
         return list(self._chain_counts)
 
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** k * c for k, c in enumerate(self._chain_counts))
-
     def facet_sets(self) -> frozenset:
         """The facets as sets of vertex labels."""
         vs = self.vertices

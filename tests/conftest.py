@@ -397,9 +397,6 @@ class FacetComplex:
     def face_counts(self) -> list[int]:
         return [len(self.simplices(k)) for k in range(self.dim + 1)]
 
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** k * c for k, c in enumerate(self.face_counts()))
-
     def facet_sets(self) -> frozenset:
         """The facets as sets of vertex labels."""
         vs = self.vertices

@@ -379,7 +379,7 @@ def test_build_lists_no_simplex_and_enumerates_no_point(tmp_path, monkeypatch):
 
     path = tmp_path / "f44.json"
     dump_family(PhanFamily((standard_spec(F4ID, 4),)), str(path))
-    for cache in (linalg._subspace_table, linalg.hyperplane_masks):
+    for cache in (linalg._ambient, linalg.hyperplane_masks):
         cache.cache_clear()
 
     def refused(*args):
@@ -576,6 +576,31 @@ def test_lemma_tests_command(tmp_path):
         "extension_lemma", "projection_lemma", "residue_lemma", "delta_lemma"
     }
     assert all(s["passed"] for s in doc["suites"])
+
+
+def test_each_command_reads_one_ambient(tmp_path):
+    """Every residue and restricted family lives in the spec's ambient, so
+    each certificate command on family2_q11_dim3 leaves exactly one ambient
+    record and one hyperplane table, ``bounds-table`` leaves none, and
+    ``lemma-tests --seed 7 --count 100`` builds fewer records than the cache
+    holds, so that none is evicted and rebuilt."""
+    from phangeo import linalg
+
+    caches = (linalg._ambient, linalg.hyperplane_masks)
+    spec = str(SPECS / "family2_q11_dim3.json")
+    runs = [([command, "--spec", spec], 1)
+            for command in ("build", "homology", "cm-check", "filtration-verify")]
+    runs += [(["bounds-table"], 0), (["lemma-tests", "--seed", "7", "--count", "100"], None)]
+    for argv, records in runs:
+        for cache in caches:
+            cache.cache_clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv + ["--out", str(tmp_path / "r.json")]) == 0
+        ambient, hyperplanes = (cache.cache_info() for cache in caches)
+        if records is None:
+            assert ambient.misses == ambient.currsize < ambient.maxsize
+        else:
+            assert ambient.currsize == hyperplanes.currsize == records, argv
 
 
 def test_malformed_spec_file(tmp_path, capsys):
@@ -800,15 +825,15 @@ def test_bound_refusal_builds_no_subspace_table(monkeypatch, capsys):
     perps of a few points, so a spec refused at the bound gate pays for no
     subspace table of its ambient: with building one made to raise,
     ``homology`` on t0_q4_dim3 without --force still exits 2 with the bound
-    message.  The mask index is dropped first, so that a meet would build
-    tables afresh."""
+    message.  The ambient records are dropped first, so that a lookup by
+    mask would build the tables afresh."""
     from phangeo import linalg
 
     def refused(*args):
         raise AssertionError("a subspace table was built")
 
-    linalg._subspace_index.cache_clear()
-    monkeypatch.setattr(linalg, "_subspace_table", refused)
+    linalg._ambient.cache_clear()
+    monkeypatch.setattr(linalg, "_ambient", refused)
     with pytest.raises(SystemExit) as exc:
         main(["homology", "--spec", str(SPECS / "t0_q4_dim3.json")])
     assert exc.value.code == 2

@@ -132,15 +132,6 @@ def test_enumeration_is_deterministic_zero_first():
     assert f9.coeffs(0) == (0, 0) and all(f9.add(a, 0) == a for a in range(f9.q))
 
 
-def test_pow_matches_repeated_multiplication():
-    f8 = make_field(2, 3)
-    for a in range(f8.q):
-        acc = 1
-        for k in range(7):
-            assert f8.pow(a, k) == acc
-            acc = f8.mul(acc, a)
-
-
 def test_prime_power():
     assert [q for q in range(1, 33) if prime_power(q)] == [
         2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32]

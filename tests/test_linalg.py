@@ -220,13 +220,32 @@ def test_subspaces_of_match_the_whole_table_filter(field, ambient):
     lies in the space; the oracle filters the whole table by containment.
     Same subspace objects, same table order, for every subspace and every
     k."""
-    tables = {k: la._subspace_table(field, ambient, k) for k in range(ambient + 1)}
+    record = la._ambient(field, ambient)
     spaces = [s for k in range(ambient + 1) for s in la.enumerate_subspaces(field, ambient, k)]
     for u in spaces:
         for k in range(u.dim + 1):
-            want = [s for s in tables[k] if oracle_contains_subspace(u, s)]
+            want = [s for s in record[k] if oracle_contains_subspace(u, s)]
             got = la.enumerate_subspaces_of(u, k)
             assert type(got) is tuple and list(map(id, got)) == list(map(id, want))
+
+
+def test_lookup_by_mask_returns_the_listed_objects_after_eviction():
+    """The subspace tables of more ambients than any cache holds are built,
+    F_2 to F_13 with d = 2..4 and q^d <= 3000, after F_3^3 has been read both
+    ways; then ``Subspace.from_mask`` of each point mask of F_3^3 is the
+    very object that ``enumerate_subspaces_of`` lists for it."""
+    whole = Subspace.full(F3, 3)
+    for point in la.enumerate_subspaces_of(whole, 1):
+        assert Subspace.from_mask(F3, 3, point.point_mask) is point
+    for p, e in [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1)]:
+        field = make_field(p, e)
+        for d in range(2, 5):
+            if field.q**d <= 3000:
+                full = Subspace.full(field, d)
+                for k in range(d + 1):
+                    la.enumerate_subspaces_of(full, k)
+    for point in la.enumerate_subspaces_of(whole, 1):
+        assert Subspace.from_mask(F3, 3, point.point_mask) is point
 
 
 @pytest.mark.parametrize("p,e,sigma", [(2, 2, 2), (3, 2, 2), (5, 2, 2), (2, 9, 1)])
@@ -304,7 +323,7 @@ def test_table_masks_match_the_listed_masks(p, e, sigma_order, ambient):
     mask, and so does the mask of a subspace outside the tables."""
     field = make_field(p, e, sigma_order)
     for k in range(ambient + 1):
-        for s in la._subspace_table(field, ambient, k):
+        for s in la._ambient(field, ambient)[k]:
             assert s.point_mask == masks.listed_mask(field, ambient, s.basis)
             assert Subspace(field, ambient, s.basis).point_mask == s.point_mask
 
@@ -317,7 +336,7 @@ def test_swept_hyperplanes_match_the_table(p, e, sigma_order, ambient):
     field = make_field(p, e, sigma_order)
     q = field.q
     expected = {}
-    for h in la._subspace_table(field, ambient, ambient - 1):
+    for h in la._ambient(field, ambient)[ambient - 1]:
         normal = oracle_normal(field, h)
         key = sum(c * q**j for j, c in enumerate(normal))
         expected[key] = masks.listed_mask(field, ambient, h.basis)
