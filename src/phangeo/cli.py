@@ -426,6 +426,8 @@ def _parse_args(argv: list[str]) -> tuple[str, SimpleNamespace]:
 def main(argv=None) -> int:
     command, args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     # a report that cannot be written is refused before the computation
+    if args.out == "":
+        _die("cannot write report: the --out path is empty")
     out_dir = os.path.dirname(args.out or "")
     if out_dir and not os.path.isdir(out_dir):
         _die(f"cannot write report {args.out}: no directory {out_dir}")

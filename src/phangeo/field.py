@@ -21,6 +21,7 @@ automorphisms are offered.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import isqrt
 
 __all__ = ["Field", "make_field", "prime_power"]
 
@@ -49,7 +50,8 @@ def prime_power(q: int) -> tuple[int, int] | None:
     orders for which a field F_q exists."""
     if q < 2:
         return None
-    p = next(d for d in range(2, q + 1) if q % d == 0)  # the least divisor is prime
+    # the least divisor is prime, and q is prime if none lies up to sqrt(q)
+    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
     e = 0
     while q % p == 0:
         q //= p

@@ -16,7 +16,9 @@ Perps, radicals, isotropy and non-degeneracy on a subspace given by its
 point mask (``nondegenerate_on_mask``, the membership test of
 :mod:`phangeo.phan`) are mask algebra only, from the point mask of x^perp
 for each point x of the domain D, computed when first asked for
-(``_PointPerps``).  A restriction to a subspace S of D has no table of its
+(``_PointPerps``) as D cut by one hyperplane mask, read from the
+ambient's record in :mod:`phangeo.linalg`, which owns the hyperplane
+masks.  A restriction to a subspace S of D has no table of its
 own: on first use it takes its root's, the form that the chain of
 restrictions starts from, through the ``_parent`` link.  Every read cuts
 by a mask inside S (x^perp in S is x^perp in D cut by S), so the
@@ -40,7 +42,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .field import Field
-from .linalg import Frozen, Subspace, hyperplane_masks
+from .linalg import Frozen, Subspace, _ambient
 
 __all__ = [
     "HermitianForm",
@@ -198,7 +200,8 @@ class _PointPerps(dict):
     form's domain D, each computed on its first lookup.  The coordinates of
     x are its entries at D's pivot columns, and w(y, x) = sum_a y_(pivot a)
     c_a with c = G sigma(x), so x^perp is D cut by the hyperplane with
-    normal c placed at the pivot columns (``linalg.hyperplane_masks``); a
+    normal c placed at the pivot columns, whose mask it reads from the
+    hyperplane masks of the ambient's record (``linalg._ambient``); a
     radical point (c = 0) is perpendicular to all of D.  It holds no
     reference to its form, so that the two make no cycle and are freed
     together, without the cycle collector."""
@@ -206,7 +209,7 @@ class _PointPerps(dict):
     def __init__(self, form: HermitianForm):
         f, dom = form.field, form.domain
         self.field, self.gram, self.pivots, self.whole = f, form.gram, dom.pivots, dom.point_mask
-        self.hyperplanes = hyperplane_masks(f, dom.ambient)
+        self.hyperplanes = _ambient(f, dom.ambient).hyperplanes
 
     def __missing__(self, bit: int) -> int:
         f, pivots = self.field, self.pivots

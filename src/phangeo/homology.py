@@ -189,7 +189,7 @@ def cohen_macaulay_check(k: SimplicialComplex) -> CMReport:
         target = d - len(s)
         # k's pred, which link reads, is built after k is reduced, so the
         # peak does not grow
-        sub = link(k, s) if s else k
+        sub = link(k, s)
         v = sphericity_verdict(reduced_homology(sub), target)
         if v.spherical:
             continue

@@ -17,9 +17,6 @@ a ∩ b are the common points of a and b, so ``intersect`` ANDs the two masks
 and finds the subspace with the result as its mask (``Subspace.from_mask``).
 The whole membership predicate in :mod:`phangeo.phan`, transversality
 included, reads masks only.
-``hyperplane_masks`` keys the mask of each hyperplane by the point of its
-normal vector, so that a form (:mod:`phangeo.forms`) reads the mask of a
-perp from one linear functional.
 
 No mask is built by listing points (:mod:`phangeo.masks`).  The
 hyperplane masks are swept over the coordinates, from one mask per
@@ -27,12 +24,14 @@ hyperplane masks are swept over the coordinates, from one mask per
 bit, and a k-subspace the AND of the hyperplane masks of its d - k
 normals.
 
-Each ambient F_q^n has one record per process, in a bounded cache: its
-k-subspace tables, and for each k the table positions grouped by the
-lowest point of their entry, with the table's masks listed beside them,
-each built on its first use.  ``enumerate_subspaces_of`` reads the
-entries whose lowest point lies in the subspace and filters them by point
-mask; ``Subspace.from_mask`` takes the table of the mask's dimension and
+Each ambient F_q^n has one record per process, in one bounded cache, and
+nothing else is kept per ambient: its hyperplane masks, keyed by the point
+of their normal vector so that a form (:mod:`phangeo.forms`) reads the
+mask of a perp from one linear functional, its k-subspace tables, and for
+each k the table positions grouped by the lowest point of their entry,
+with the table's masks listed beside them, each built on its first use.
+``enumerate_subspaces_of`` reads the entries whose lowest point lies in
+the subspace and filters them by point mask; ``Subspace.from_mask`` takes the table of the mask's dimension and
 searches the entries whose lowest point is the mask's own.  The paper's
 complex, its residues and its restricted families all live in one ambient,
 so member enumeration, residue tests, meets and the vertices of every
@@ -51,7 +50,6 @@ __all__ = [
     "Subspace", "Flag",
     "rref", "combine", "solve_coordinates", "complement",
     "enumerate_subspaces", "enumerate_subspaces_of",
-    "hyperplane_masks",
 ]
 
 
@@ -235,7 +233,7 @@ class Subspace(Frozen):
         of the hyperplanes through the subspace (``masks.meet_masks``); the
         subspaces of a table get theirs when the table is built."""
         f, d = self.field, self.ambient
-        return masks.meet_masks(f, d, (self.basis,), hyperplane_masks(f, d))[0]
+        return masks.meet_masks(f, d, (self.basis,), _ambient(f, d).hyperplanes)[0]
 
     def _check_compatible(self, other: "Subspace") -> None:
         if self.ambient != other.ambient or (self.field is not other.field
@@ -363,9 +361,10 @@ class _Ambient(dict):
     """k -> the k-subspaces of one ambient F_q^d, in the order of
     ``enumerate_subspaces``, their point masks filled in as hyperplane meets
     (``masks.meet_masks``); each table is built on its first lookup, and so
-    is each ``by_lowest(k)``, which only ``enumerate_subspaces_of`` on a
-    proper subspace and ``Subspace.from_mask`` read.  ``dims`` maps a point
-    count to the dimension of the subspaces with that many points."""
+    are ``hyperplanes``, from which every mask and perp of the ambient is
+    cut, and each ``by_lowest(k)``, which only ``enumerate_subspaces_of`` on
+    a proper subspace and ``Subspace.from_mask`` read.  ``dims`` maps a
+    point count to the dimension of the subspaces with that many points."""
 
     def __init__(self, field: Field, ambient_dim: int):
         self.field, self.ambient_dim = field, ambient_dim
@@ -375,10 +374,17 @@ class _Ambient(dict):
     def __missing__(self, k: int) -> tuple[Subspace, ...]:
         f, d = self.field, self.ambient_dim
         table = self[k] = tuple(enumerate_subspaces(f, d, k))
-        meets = masks.meet_masks(f, d, [s.basis for s in table], hyperplane_masks(f, d))
+        meets = masks.meet_masks(f, d, [s.basis for s in table], self.hyperplanes)
         for s, mask in zip(table, meets):
             _setattr(s, "point_mask", mask)  # the cached_property's slot
         return table
+
+    @cached_property
+    def hyperplanes(self) -> dict[int, int]:
+        """The point mask of each hyperplane {y : sum_j c_j y_j = 0}, keyed by
+        the point bit of its normal c (normalized, like every point), swept
+        over the coordinates (``masks.swept_hyperplanes``)."""
+        return masks.swept_hyperplanes(self.field, self.ambient_dim)
 
     def by_lowest(self, k: int) -> tuple[dict[int, list[int]], list[int]]:
         """The positions in the k-table grouped by their entry's lowest
@@ -396,11 +402,17 @@ class _Ambient(dict):
 
 @lru_cache(maxsize=16)
 def _ambient(field: Field, ambient_dim: int) -> _Ambient:
-    """The subspace tables of F_q^ambient_dim, built once per process: every
-    enumeration and every lookup by mask in that ambient share these
-    objects, so each subspace's point mask, pivots and hash are computed
-    once.  A certificate command reads one ambient and ``lemma-tests
-    --count 100`` eleven, so with room for 16 neither rebuilds a record."""
+    """The hyperplane masks and subspace tables of F_q^ambient_dim, built once
+    per process: every mask, enumeration and lookup by mask in that ambient
+    share these objects, so each subspace's point mask, pivots and hash are
+    computed once.  A certificate command reads one ambient and
+    ``lemma-tests --count 100`` eleven, so with room for 16 neither
+    rebuilds a record.
+
+    Loading a spec validates its flag by point masks, which sweeps the
+    whole hyperplane table before the bound gate, so even a refused spec
+    pays for N = (q^d - 1)/(q - 1) masks of N bits each; it builds no
+    k-table."""
     return _Ambient(field, ambient_dim)
 
 
@@ -426,11 +438,3 @@ def enumerate_subspaces_of(space: Subspace, k: int) -> tuple[Subspace, ...]:
                      if not meets[pos] & outside)
     return tuple(table[pos] for pos in sorted(found))
 
-
-@lru_cache(maxsize=32)
-def hyperplane_masks(field: Field, ambient_dim: int) -> dict[int, int]:
-    """The point mask of each hyperplane {y : sum_j c_j y_j = 0} of
-    F_q^ambient_dim, keyed by the point bit of its normal c (normalized, like
-    every point), built once per process by a sweep over the coordinates
-    (``masks.swept_hyperplanes``)."""
-    return masks.swept_hyperplanes(field, ambient_dim)

@@ -9,7 +9,8 @@ Masks are built without listing points: ``swept_hyperplanes`` builds
 every hyperplane's mask by a partial-sum sweep over the coordinates, from
 one mask per (coordinate, value), and ``meet_masks`` ANDs the hyperplane
 masks of a subspace's d - k normals.  The functions are pure and keep
-nothing; :mod:`phangeo.linalg` decides what is kept.  ``listed_mask``
+nothing: :mod:`phangeo.linalg` keeps each ambient's hyperplane masks and
+subspace tables in its one record of that ambient.  ``listed_mask``
 lists a subspace's points one by one; it is the arithmetic definition of
 a mask, which the tests hold the meets to, and no library path calls it.
 """

@@ -105,8 +105,8 @@ class PhanSpec(Frozen):
         mask meets U's."""
         if u.is_zero():
             raise ValueError("k_U is undefined for the zero subspace")
-        for i in range(self.t + 1):
-            if u.point_mask & self.flag[i + 1].point_mask:
+        for i, (mask, _) in enumerate(self._meets):
+            if u.point_mask & mask:
                 return i
         raise ValueError("subspace meets no flag member; is it inside the ambient?")
 

@@ -1,4 +1,6 @@
+import ast
 import contextlib
+import importlib
 import io
 import json
 import random
@@ -379,8 +381,7 @@ def test_build_lists_no_simplex_and_enumerates_no_point(tmp_path, monkeypatch):
 
     path = tmp_path / "f44.json"
     dump_family(PhanFamily((standard_spec(F4ID, 4),)), str(path))
-    for cache in (linalg._ambient, linalg.hyperplane_masks):
-        cache.cache_clear()
+    linalg._ambient.cache_clear()
 
     def refused(*args):
         raise AssertionError("faces listed or points enumerated")
@@ -578,29 +579,72 @@ def test_lemma_tests_command(tmp_path):
     assert all(s["passed"] for s in doc["suites"])
 
 
+# the process-wide caches of the package, as module.name
+CACHES = ("field.make_field", "linalg._ambient", "residues._pivot_frame")
+FAMILY2 = str(SPECS / "family2_q11_dim3.json")
+# argv, exit code, and the entries each cache above holds after the command
+# from cleared caches: fields, ambient records and pivot frames
+CACHE_TRAFFIC = [
+    (["build", "--spec", FAMILY2], 0, (1, 1, 0)),
+    (["homology", "--spec", FAMILY2], 0, (1, 1, 0)),
+    (["cm-check", "--spec", FAMILY2], 0, (1, 1, 0)),
+    (["filtration-verify", "--spec", FAMILY2], 0, (1, 1, 2)),
+    (["homology", "--spec", str(SPECS / "t0_q4_dim3.json")], 2, (1, 1, 0)),
+    (["bounds-table"], 0, (0, 0, 0)),
+    (["lemma-tests", "--seed", "7", "--count", "100"], 0, (4, 11, 20)),
+]
+
+
 def test_each_command_reads_one_ambient(tmp_path):
     """Every residue and restricted family lives in the spec's ambient, so
-    each certificate command on family2_q11_dim3 leaves exactly one ambient
-    record and one hyperplane table, ``bounds-table`` leaves none, and
-    ``lemma-tests --seed 7 --count 100`` builds fewer records than the cache
-    holds, so that none is evicted and rebuilt."""
+    each certificate command on family2_q11_dim3 leaves one field and one
+    ambient record, and ``filtration-verify`` one pivot frame per spec
+    (m = 2).  A spec refused at the bound leaves a record that holds its
+    hyperplane masks, swept when its flag was validated, and no subspace
+    table; ``bounds-table`` leaves nothing.  Every entry is one miss and
+    every bounded cache has room to spare, ``lemma-tests --seed 7 --count
+    100`` included, so that none is evicted and rebuilt."""
     from phangeo import linalg
 
-    caches = (linalg._ambient, linalg.hyperplane_masks)
-    spec = str(SPECS / "family2_q11_dim3.json")
-    runs = [([command, "--spec", spec], 1)
-            for command in ("build", "homology", "cm-check", "filtration-verify")]
-    runs += [(["bounds-table"], 0), (["lemma-tests", "--seed", "7", "--count", "100"], None)]
-    for argv, records in runs:
+    caches = [getattr(importlib.import_module(f"phangeo.{module}"), name)
+              for module, name in (cache.split(".") for cache in CACHES)]
+    for argv, code, entries in CACHE_TRAFFIC:
         for cache in caches:
             cache.cache_clear()
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert main(argv + ["--out", str(tmp_path / "r.json")]) == 0
-        ambient, hyperplanes = (cache.cache_info() for cache in caches)
-        if records is None:
-            assert ambient.misses == ambient.currsize < ambient.maxsize
-        else:
-            assert ambient.currsize == hyperplanes.currsize == records, argv
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                assert main(argv + ["--out", str(tmp_path / "r.json")]) == code, argv
+            except SystemExit as exc:
+                assert exc.code == code, argv
+        infos = [cache.cache_info() for cache in caches]
+        assert [(i.currsize, i.misses) for i in infos] == [(n, n) for n in entries], argv
+        assert all(i.maxsize is None or i.currsize < i.maxsize for i in infos), argv
+        if code == 2:  # t0_q4_dim3: F_4^3, identity sigma
+            record = linalg._ambient(F4ID, 3)
+            assert not record and "hyperplanes" in vars(record)
+
+
+def _is_functools_cache(decorator: ast.expr) -> bool:
+    """``lru_cache`` or ``cache``, called or not, by name or as an attribute."""
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    name = decorator.attr if isinstance(decorator, ast.Attribute) else getattr(decorator, "id", "")
+    return name in ("lru_cache", "cache")
+
+
+def test_every_process_wide_cache_has_pinned_traffic():
+    """The ``functools`` caches of the package are exactly those whose
+    entries ``test_each_command_reads_one_ambient`` pins per command, so a
+    new one fails here until its traffic is pinned too."""
+    package = Path(__file__).resolve().parent.parent / "src" / "phangeo"
+    found = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and any(map(_is_functools_cache, node.decorator_list))):
+                found.add(f"{path.stem}.{node.name}")
+    pinned = set(CACHES)
+    assert found == pinned, f"unpinned: {sorted(found - pinned)}, gone: {sorted(pinned - found)}"
 
 
 def test_malformed_spec_file(tmp_path, capsys):
@@ -762,6 +806,9 @@ def test_parse_family_checks_for_nonisotropic_vectors():
     (["build", "--spec", _edited_spec("p", True)], "field.p: expected an integer, got True"),
     (["build", "--spec", str(SPECS / "t0_q5_dim3.json"),
       "--out", "/nonexistent-directory/r.json"], "cannot write report"),
+    (["build", "--spec", str(SPECS / "t0_q5_dim3.json"), "--out="], "the --out path is empty"),
+    (["build", "--spec", str(SPECS / "t0_q5_dim3.json"), "--out", ""],
+     "the --out path is empty"),
     (["build", "--spec", str(SPECS)], "cannot read spec file"),
     (["homology", "--spec", str(SPECS / "t0_q5_dim3.json"), "--target-dim", "-1"],
      "--target-dim must be >= 0"),
@@ -793,7 +840,8 @@ def test_parse_family_checks_for_nonisotropic_vectors():
     ([], "the following arguments are required: command"),
 ], ids=["string-coefficient", "float-coefficient", "null-coefficient",
         "bool-coefficient", "float-characteristic", "bool-characteristic",
-        "out-into-missing-directory", "spec-is-a-directory", "negative-target-dim",
+        "out-into-missing-directory", "empty-out", "empty-out-value", "spec-is-a-directory",
+        "negative-target-dim",
         "target-dim-below-complex-dim", "negative-control-without-isotropic-point",
         "form-without-nonisotropic-vector", "spec-not-unicode-text", "zero-count",
         "negative-count", "bounds-table-no-q", "bounds-table-no-n", "bounds-table-no-m",
@@ -822,18 +870,18 @@ def test_bad_input_exits_2_with_one_error_line(argv, message, capsys, tmp_path):
 
 def test_bound_refusal_builds_no_subspace_table(monkeypatch, capsys):
     """Loading a spec validates its flag and forms by point masks and the
-    perps of a few points, so a spec refused at the bound gate pays for no
-    subspace table of its ambient: with building one made to raise,
-    ``homology`` on t0_q4_dim3 without --force still exits 2 with the bound
-    message.  The ambient records are dropped first, so that a lookup by
-    mask would build the tables afresh."""
+    perps of a few points, so a spec refused at the bound gate pays for its
+    ambient's hyperplane masks but for no subspace table: with building one
+    made to raise, ``homology`` on t0_q4_dim3 without --force still exits 2
+    with the bound message.  The ambient records are dropped first, so that
+    a lookup by mask would build the tables afresh."""
     from phangeo import linalg
 
     def refused(*args):
         raise AssertionError("a subspace table was built")
 
     linalg._ambient.cache_clear()
-    monkeypatch.setattr(linalg, "_ambient", refused)
+    monkeypatch.setattr(linalg._Ambient, "__missing__", refused)
     with pytest.raises(SystemExit) as exc:
         main(["homology", "--spec", str(SPECS / "t0_q4_dim3.json")])
     assert exc.value.code == 2

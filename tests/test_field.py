@@ -137,6 +137,11 @@ def test_prime_power():
         2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32]
     assert prime_power(1) is None and prime_power(36) is None
     assert prime_power(81) == (3, 4) and prime_power(49) == (7, 2)
+    primes = [p for p in range(2, 5001) if all(p % d for d in range(2, p))]
+    powers = {p**e: (p, e) for p in primes for e in range(1, 13) if p**e <= 5000}
+    assert all(prime_power(q) == powers.get(q) for q in range(5001))
+    assert prime_power(2**20) == (2, 20) and prime_power(3**12) == (3, 12)
+    assert prime_power(1_000_003) == (1_000_003, 1)
 
 
 def _poly_mul(field, a, b):

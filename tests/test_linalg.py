@@ -248,6 +248,22 @@ def test_lookup_by_mask_returns_the_listed_objects_after_eviction():
         assert Subspace.from_mask(F3, 3, point.point_mask) is point
 
 
+def test_dropping_the_ambient_records_drops_their_hyperplane_masks():
+    """The hyperplane masks belong to their ambient's record: once the
+    records are dropped, the perps of a new form read a hyperplane table
+    swept afresh, equal to the old one but not the same object."""
+    from phangeo.forms import HermitianForm
+
+    def hyperplanes():
+        form = HermitianForm(F3, Subspace.full(F3, 3), ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        return form._perps.hyperplanes
+
+    first = hyperplanes()
+    la._ambient.cache_clear()
+    again = hyperplanes()
+    assert again == first and again is not first
+
+
 @pytest.mark.parametrize("p,e,sigma", [(2, 2, 2), (3, 2, 2), (5, 2, 2), (2, 9, 1)])
 def test_rref_matches_the_method_path(p, e, sigma, rng):
     """The table-driven rref against elimination through the Field methods,
@@ -298,7 +314,7 @@ def test_hyperplane_masks_are_keyed_by_their_normals(p, e, ambient):
     encodings."""
     field = make_field(p, e)
     q = field.q
-    table = la.hyperplane_masks(field, ambient)
+    table = la._ambient(field, ambient).hyperplanes
     assert len(table) == (q**ambient - 1) // (q - 1)
     points = Subspace.full(field, ambient).point_mask
     for key, mask in table.items():
@@ -331,8 +347,8 @@ def test_table_masks_match_the_listed_masks(p, e, sigma_order, ambient):
 @pytest.mark.parametrize("p,e,sigma_order,ambient", MASK_AMBIENTS)
 def test_swept_hyperplanes_match_the_table(p, e, sigma_order, ambient):
     """The coordinate sweep gives each hyperplane of the table its listed
-    mask, under its normal found by a search over vectors; ``hyperplane_masks``
-    is the sweep."""
+    mask, under its normal found by a search over vectors; the ambient
+    record's ``hyperplanes`` are the sweep."""
     field = make_field(p, e, sigma_order)
     q = field.q
     expected = {}
@@ -341,4 +357,4 @@ def test_swept_hyperplanes_match_the_table(p, e, sigma_order, ambient):
         key = sum(c * q**j for j, c in enumerate(normal))
         expected[key] = masks.listed_mask(field, ambient, h.basis)
     assert masks.swept_hyperplanes(field, ambient) == expected
-    assert la.hyperplane_masks(field, ambient) == expected
+    assert la._ambient(field, ambient).hyperplanes == expected

@@ -22,9 +22,11 @@ FILTRATION = LOADED | {
 @pytest.mark.parametrize("command, spec, spans", [
     ("build", "t0_q5_dim3", LOADED | {"cli.build", "simplicial.export_facets"}),
     ("homology", "t0_q5_dim3", LOADED | {"cli.homology", "homology.reduced_homology"}),
-    # a 1-dimensional complex: no link is built, no matrix reduced
+    # a 1-dimensional complex: only the empty chain's link, the complex
+    # itself, is read, and no matrix is reduced
     ("cm-check", "t0_q5_dim3",
-     LOADED | {"cli.cm_check", "homology.cohen_macaulay_check", "homology.reduced_homology"}),
+     LOADED | {"cli.cm_check", "homology.cohen_macaulay_check", "homology.reduced_homology",
+               "simplicial.link"}),
     ("filtration-verify", "t0_q5_dim3", FILTRATION),
     # the vertex links are read through simplicial.link
     ("cm-check", "chamber_q5_dim4",
