@@ -33,6 +33,7 @@ from .simplicial import SimplicialComplex, export_facets, order_complex, purity_
 from .specfile import (
     REPORT_SCHEMA_VERSION,
     SpecFileError,
+    _spec_bound,
     load_family,
     write_canonical_json,
 )
@@ -43,15 +44,21 @@ EXIT_INPUT = 2
 EXIT_BROKEN_PIPE = 128 + 13  # as if killed by SIGPIPE
 
 
-def _load(args) -> tuple[PhanFamily, str]:
+def _read_spec(read, path: str):
+    """``read(path)``, with a missing, unreadable or malformed spec file an
+    input error."""
     try:
-        return load_family(args.spec)
+        return read(path)
     except FileNotFoundError:
-        _die(f"spec file not found: {args.spec}")
+        _die(f"spec file not found: {path}")
     except OSError as exc:
-        _die(f"cannot read spec file {args.spec}: {exc.strerror}")
+        _die(f"cannot read spec file {path}: {exc.strerror}")
     except SpecFileError as exc:
         _die(f"invalid spec file: {exc}")
+
+
+def _load(args) -> tuple[PhanFamily, str]:
+    return _read_spec(load_family, args.spec)
 
 
 def _die(msg: str) -> None:
@@ -59,10 +66,14 @@ def _die(msg: str) -> None:
     raise SystemExit(EXIT_INPUT)
 
 
-def _gate_bound(family: PhanFamily, force: bool) -> dict:
-    bound = family.bound()
-    bound["forced"] = bool(force and not bound["satisfied"])
-    if not bound["satisfied"] and not force:
+def _gate_bound(args) -> dict:
+    """The spec's bound, an input error if it fails and --force is not
+    given.  It is read from the decoded spec file (``_spec_bound``), before
+    ``_load`` validates the flags and forms by point masks, so that a
+    refused spec builds nothing of its ambient space."""
+    bound = _read_spec(_spec_bound, args.spec)
+    bound["forced"] = bool(args.force and not bound["satisfied"])
+    if not bound["satisfied"] and not args.force:
         _die(
             "sufficient bound violated: "
             f"{bound['inequality']} is false "
@@ -157,10 +168,10 @@ def cmd_build(args) -> int:
 def cmd_homology(args) -> int:
     from .homology import pi1_status, reduced_homology, sphericity_verdict
 
-    family, digest = _load(args)
     if args.target_dim is not None and args.target_dim < 0:
         _die(f"--target-dim must be >= 0, got {args.target_dim}")
-    bound = _gate_bound(family, args.force)
+    bound = _gate_bound(args)
+    family, digest = _load(args)
     t0 = time.perf_counter()
     complex_ = order_complex(vertices(family).members)
     stats = _geometry_stats(complex_)
@@ -190,8 +201,8 @@ def cmd_homology(args) -> int:
 def cmd_cm(args) -> int:
     from .homology import cohen_macaulay_check
 
+    bound = _gate_bound(args)
     family, digest = _load(args)
-    bound = _gate_bound(family, args.force)
     t0 = time.perf_counter()
     complex_ = order_complex(vertices(family).members)
     stats = _geometry_stats(complex_)
@@ -223,8 +234,8 @@ def cmd_cm(args) -> int:
 def cmd_filtration(args) -> int:
     from .filtration import PivotNotFoundError, run_verification
 
+    bound = _gate_bound(args)
     family, digest = _load(args)
-    bound = _gate_bound(family, args.force)
     t0 = time.perf_counter()
     try:
         rep = run_verification(family, negative_control=args.negative_control)

@@ -18,9 +18,11 @@ point mask (``nondegenerate_on_mask``, the membership test of
 for each point x of the domain D, computed when first asked for
 (``_PointPerps``) as D cut by one hyperplane mask, read from the
 ambient's record in :mod:`phangeo.linalg`, which owns the hyperplane
-masks.  A restriction to a subspace S of D has no table of its
-own: on first use it takes its root's, the form that the chain of
-restrictions starts from, through the ``_parent`` link.  Every read cuts
+masks; points and normals go to and from their bits through
+:mod:`phangeo.masks`, which owns the point format.  A restriction to a
+subspace S of D has no table of its own: on first use it takes its
+root's, the form that the chain of restrictions starts from, through the
+``_parent`` link.  Every read cuts
 by a mask inside S (x^perp in S is x^perp in D cut by S), so the
 restrictions of one form to many subspaces, such as the forms of the
 restricted families, share one table and evaluate no Gram row for it.  The
@@ -43,6 +45,7 @@ from functools import cached_property
 
 from .field import Field
 from .linalg import Frozen, Subspace, _ambient
+from .masks import _point_codec
 
 __all__ = [
     "HermitianForm",
@@ -173,10 +176,10 @@ class HermitianForm(Frozen):
         cut by the perp of each basis row of S."""
         if not self.domain.contains_subspace(s):
             raise ValueError("perp target is not contained in the domain")
-        perps, q = self._perps, self.field.q
+        perps = self._perps
         mask = self.domain.point_mask
         for row in s.basis:
-            mask &= perps[sum(x * q**j for j, x in enumerate(row))]
+            mask &= perps[perps.bit(row)]
         return mask
 
     def perp(self, s: Subspace) -> Subspace:
@@ -202,31 +205,33 @@ class _PointPerps(dict):
     c_a with c = G sigma(x), so x^perp is D cut by the hyperplane with
     normal c placed at the pivot columns, whose mask it reads from the
     hyperplane masks of the ambient's record (``linalg._ambient``); a
-    radical point (c = 0) is perpendicular to all of D.  It holds no
-    reference to its form, so that the two make no cycle and are freed
-    together, without the cycle collector."""
+    radical point (c = 0) is perpendicular to all of D.  Points and normals
+    go to and from their bits through :mod:`phangeo.masks` (``bit`` and
+    ``vector``).  It holds no reference to its form, so that the two make
+    no cycle and are freed together, without the cycle collector."""
 
     def __init__(self, form: HermitianForm):
         f, dom = form.field, form.domain
         self.field, self.gram, self.pivots, self.whole = f, form.gram, dom.pivots, dom.point_mask
         self.hyperplanes = _ambient(f, dom.ambient).hyperplanes
+        self.bit, self.vector = _point_codec(f, dom.ambient)
 
     def __missing__(self, bit: int) -> int:
         f, pivots = self.field, self.pivots
-        add, mul, inv, q = f.add_table, f.mul_table, f.inv_table, f.q
-        sx = [f.sigma_table[bit // q**j % q] for j in pivots]
-        normal = []
-        for row in self.gram:
+        add, mul, inv = f.add_table, f.mul_table, f.inv_table
+        x = self.vector(bit)
+        sx = [f.sigma_table[x[j]] for j in pivots]
+        normal = [0] * len(x)
+        for j, row in zip(pivots, self.gram):
             c = 0
             for g, b in zip(row, sx):
                 if g and b:
                     c = add[c][mul[g][b]]
-            normal.append(c)
+            normal[j] = c
         lead = next((c for c in normal if c), 0)
         mask = self.whole
         if lead:
             scale = mul[inv[lead]]
-            mask &= self.hyperplanes[sum(scale[c] * q**j for c, j in zip(normal, pivots))]
+            mask &= self.hyperplanes[self.bit([scale[c] for c in normal])]
         self[bit] = mask
         return mask
-

@@ -9,10 +9,12 @@ identical.  All values are immutable and all operations pure.
 Lattice questions are answered by point masks.  ``point_mask`` is the
 bitmask of a subspace's projective points, built once per subspace, so
 that a ⊆ b iff ``a.point_mask & ~b.point_mask == 0`` (``contains_subspace``,
-the one containment test).  A point is represented by its normalized
-vector, the one whose first nonzero coordinate is 1, and its bit is that
-vector's base-q value with coordinate 0 least significant, so masks of
-different subspaces of one ambient space agree bit for bit.  The points of
+the one containment test).  A point's bit is its position in the ambient's
+point table, the 1-subspaces in the order of ``enumerate_subspaces``, so
+masks of different subspaces of one ambient space agree bit for bit, and
+each of F_q^d's masks has at most N = (q^d - 1)/(q - 1) bits, the whole
+space's being 2^N - 1.  :mod:`phangeo.masks` alone turns normalized
+vectors into bits and back.  The points of
 a ∩ b are the common points of a and b, so ``intersect`` ANDs the two masks
 and finds the subspace with the result as its mask (``Subspace.from_mask``).
 The whole membership predicate in :mod:`phangeo.phan`, transversality
@@ -135,8 +137,9 @@ class Subspace(Frozen):
 
     Two subspaces are equal iff their field, ambient dimension and basis
     are.  ``point_mask`` holds one bit per projective point of the subspace:
-    bit sum(v_j * q**j) for the normalized vector v of the point (first
-    nonzero coordinate 1).  The zero subspace has mask 0.
+    bit i for the i-th point of the ambient's 1-subspace table, whose
+    echelon row is the point's normalized vector (first nonzero coordinate
+    1), encoded by :mod:`phangeo.masks`.  The zero subspace has mask 0.
     """
 
     def __init__(self, field: Field, ambient: int, basis: tuple[tuple[int, ...], ...]):
@@ -364,7 +367,9 @@ class _Ambient(dict):
     are ``hyperplanes``, from which every mask and perp of the ambient is
     cut, and each ``by_lowest(k)``, which only ``enumerate_subspaces_of`` on
     a proper subspace and ``Subspace.from_mask`` read.  ``dims`` maps a
-    point count to the dimension of the subspaces with that many points."""
+    point count to the dimension of the subspaces with that many points.
+    Bit i of every mask is the i-th entry of the 1-subspace table, so the
+    N hyperplane masks take N bits each."""
 
     def __init__(self, field: Field, ambient_dim: int):
         self.field, self.ambient_dim = field, ambient_dim
@@ -407,12 +412,8 @@ def _ambient(field: Field, ambient_dim: int) -> _Ambient:
     share these objects, so each subspace's point mask, pivots and hash are
     computed once.  A certificate command reads one ambient and
     ``lemma-tests --count 100`` eleven, so with room for 16 neither
-    rebuilds a record.
-
-    Loading a spec validates its flag by point masks, which sweeps the
-    whole hyperplane table before the bound gate, so even a refused spec
-    pays for N = (q^d - 1)/(q - 1) masks of N bits each; it builds no
-    k-table."""
+    rebuilds a record.  The first mask of an ambient sweeps its whole
+    hyperplane table, N = (q^d - 1)/(q - 1) masks of N bits each."""
     return _Ambient(field, ambient_dim)
 
 

@@ -1,9 +1,15 @@
 """Point masks of subspaces of F_q^d, from echelon bases.
 
 A point is represented by its normalized vector, the one whose first
-nonzero coordinate is 1, and its bit is that vector's base-q value with
-coordinate 0 least significant; a subspace's mask holds the bits of its
-points.
+nonzero coordinate is 1, and its bit is its position in the ambient's
+point table, in the order of ``linalg.enumerate_subspaces(field, d, 1)``:
+the points whose leading 1 is at coordinate l take the bits from
+(q^d - q^(d-l))/(q - 1) on, after those with an earlier leading 1, and
+within them the coordinates after l count base q, the first least
+significant.  The N = (q^d - 1)/(q - 1) points take the bits 0..N - 1, so
+every mask lies below 2^N, the whole space's is 2^N - 1, and a subspace's
+mask holds the bits of its points.  This module alone turns vectors into
+bits and bits into vectors (``_point_codec``).
 
 Masks are built without listing points: ``swept_hyperplanes`` builds
 every hyperplane's mask by a partial-sum sweep over the coordinates, from
@@ -25,6 +31,39 @@ from .field import Field
 __all__ = ["listed_mask", "meet_masks", "swept_hyperplanes"]
 
 
+def _weights(q: int, ambient_dim: int) -> list[list[int]]:
+    """weights[l][j]: the weight of coordinate j in the bit of a normalized
+    vector whose leading 1 is at l, the bit being sum_j v_j weights[l][j]:
+    0 before l, (q^d - q^(d-l))/(q - 1), the bit of the first such point,
+    at l, and q^(j-l-1) after it."""
+    d = ambient_dim
+    return [[0] * lead + [(q**d - q ** (d - lead)) // (q - 1)]
+            + [q**i for i in range(d - lead - 1)] for lead in range(d)]
+
+
+def _point_codec(field: Field, ambient_dim: int):
+    """The encoder and decoder of the points of F_q^ambient_dim: ``bit(v)``
+    of a normalized vector v, and ``vector(bit)``, the normalized vector of
+    a point bit, as a tuple."""
+    q, d = field.q, ambient_dim
+    weights = _weights(q, d)
+
+    def bit(v) -> int:
+        return sum(map(mul, v, weights[v.index(1)]))
+
+    def vector(b: int) -> tuple[int, ...]:
+        lead = d - 1
+        while weights[lead][lead] > b:  # the bit of the first point with this lead
+            lead -= 1
+        v = [0] * d
+        v[lead], tail = 1, b - weights[lead][lead]
+        for j in range(lead + 1, d):
+            tail, v[j] = divmod(tail, q)
+        return tuple(v)
+
+    return bit, vector
+
+
 def listed_mask(field: Field, ambient_dim: int, rows) -> int:
     """The point mask of the span of echelon rows, point by point.  The
     normalized vectors are the combinations of the rows whose first nonzero
@@ -32,13 +71,13 @@ def listed_mask(field: Field, ambient_dim: int, rows) -> int:
     vanish up to the leading 1 of row i."""
     q = field.q
     add, mul_table = field.add_table, field.mul_table
-    weights = [q**j for j in range(ambient_dim)]
+    bit = _point_codec(field, ambient_dim)[0]
     later = [(0,) * ambient_dim]  # the span of the rows after row i
     mask = 0
     for i in reversed(range(len(rows))):
         points = [tuple([add[x][y] for x, y in zip(rows[i], v)]) for v in later]
         for p in points:
-            mask |= 1 << sum(map(mul, p, weights))
+            mask |= 1 << bit(p)
         if i:
             multiples = [[mul_table[c][x] for x in rows[i]] for c in range(2, q)]
             later += points + [tuple([add[x][y] for x, y in zip(m, v)])
@@ -54,9 +93,8 @@ def _normal_keys(field: Field, ambient_dim: int, bases):
     so the leading entry is -row_i[f] for the first row with row_i[f] != 0,
     and scaling it to 1 gives row_i[f] / row_lead[f] at the pivots and
     -1 / row_lead[f] at f."""
-    q = field.q
     mul_table, inv, neg = field.mul_table, field.inv_table, field.neg_table
-    weights = [q**j for j in range(ambient_dim)]
+    weights = _weights(field.q, ambient_dim)
     for rows in bases:
         pivots = [row.index(1) for row in rows]  # the leading 1 of each row
         keys = []
@@ -67,10 +105,10 @@ def _normal_keys(field: Field, ambient_dim: int, bases):
             for row, pc in zip(rows, pivots):
                 c = row[f]
                 if c:
-                    if scale is None:
-                        scale = mul_table[inv[c]]
-                    key += scale[c] * weights[pc]
-            keys.append(key + (neg[scale[1]] if scale else 1) * weights[f])
+                    if scale is None:  # the normal's leading 1 is at pc
+                        scale, w = mul_table[inv[c]], weights[pc]
+                    key += scale[c] * w[pc]
+            keys.append((key + neg[scale[1]] * w[f]) if scale else weights[f][f])
         yield keys
 
 
@@ -83,10 +121,10 @@ def meet_masks(field: Field, ambient_dim: int, bases, hyperplanes: dict[int, int
     hyperplane."""
     k = len(bases[0]) if bases else 0
     if k == 1:
-        weights = [field.q**j for j in range(ambient_dim)]
-        return [1 << sum(map(mul, rows[0], weights)) for rows in bases]
+        bit = _point_codec(field, ambient_dim)[0]
+        return [1 << bit(rows[0]) for rows in bases]
     if k == ambient_dim:
-        return [sum(1 << key for key in hyperplanes)] * len(bases)
+        return [(1 << len(hyperplanes)) - 1] * len(bases)
     hyperplane = hyperplanes.__getitem__
     return [reduce(and_, map(hyperplane, keys))
             for keys in _normal_keys(field, ambient_dim, bases)]
@@ -96,12 +134,11 @@ def _coordinate_masks(field: Field, ambient_dim: int) -> tuple[tuple[int, ...], 
     """masks[j][v]: the point mask of the points whose normalized vector has
     v at coordinate j.  For each j the q masks partition the points."""
     q = field.q
+    vector = _point_codec(field, ambient_dim)[1]
     bits = [[[] for _ in range(q)] for _ in range(ambient_dim)]
-    for lead in range(ambient_dim):  # the points whose leading 1 is at lead
-        for tail in range(q ** (ambient_dim - lead - 1)):
-            bit = q**lead + tail * q ** (lead + 1)
-            for j in range(ambient_dim):
-                bits[j][bit // q**j % q].append(bit)
+    for bit in range((q**ambient_dim - 1) // (q - 1)):
+        for j, v in enumerate(vector(bit)):
+            bits[j][v].append(bit)
     return tuple(tuple(sum(1 << b for b in at) for at in row) for row in bits)
 
 
@@ -116,21 +153,24 @@ def swept_hyperplanes(field: Field, ambient_dim: int) -> dict[int, int]:
     ANDs, or q at the last coordinate, where only s = 0 is kept; c_i = 0
     leaves it as it is.  The normals run depth-first, first nonzero
     coordinate 1, so those that share leading coordinates share their
-    sweep: about 2q ANDs per hyperplane in all."""
+    sweep and the leading part of their bits: about 2q ANDs per
+    hyperplane in all."""
     q = field.q
     add, mul_table, neg = field.add_table, field.mul_table, field.neg_table
+    weights = _weights(q, ambient_dim)
     coords = _coordinate_masks(field, ambient_dim)
     last = ambient_dim - 1
     out = {}
 
-    def sweep(i, sums, key, started):
-        for c in range(q) if started else (0, 1):
-            at = key + c * q**i
+    def sweep(i, sums, key, w):
+        # w: the weights of the normal's bit once its leading 1 is placed
+        for c in range(q) if w else (0, 1):
+            at = key + c * (w or weights[i])[i]
             if i == last:
                 if c:
                     row = mul_table[c]
                     out[at] = sum(sums[neg[row[v]]] & m for v, m in enumerate(coords[i]))
-                elif started:
+                elif w:
                     out[at] = sums[0]
                 continue
             if c:
@@ -143,7 +183,7 @@ def swept_hyperplanes(field: Field, ambient_dim: int) -> dict[int, int]:
                             swept[add[s][cv]] |= sm & m
             else:
                 swept = sums
-            sweep(i + 1, swept, at, started or c != 0)
+            sweep(i + 1, swept, at, w or (weights[i] if c else None))
 
-    sweep(0, [sum(coords[0])] + [0] * (q - 1), 0, False)
+    sweep(0, [sum(coords[0])] + [0] * (q - 1), 0, None)
     return out

@@ -150,16 +150,16 @@ class PhanSpec(Frozen):
                    for k in range(1, u.dim) for s in enumerate_subspaces_of(u, k))
 
 
-def _spec_avoidance_cost(spec: PhanSpec) -> int:
-    """Per-spec constant in the sufficient bound: rank-one forms (the
-    opposite-chamber shape) only exclude a hyperplane of vectors, so their
-    constant improves from 2 resp. sqrt(q)+1 to 1."""
-    ranks = [spec.flag[i + 1].dim - spec.flag[i].dim for i in range(spec.t + 1)]
-    if all(r == 1 for r in ranks):
+def _spec_avoidance_cost(field: Field, members) -> int:
+    """Per-spec constant in the sufficient bound, read from the ranks of
+    its flag's steps: rank-one forms (the opposite-chamber shape) only
+    exclude a hyperplane of vectors, so their constant improves from 2 resp.
+    sqrt(q)+1 to 1."""
+    if all(b.dim - a.dim == 1 for a, b in zip(members, members[1:])):
         return 1
-    if spec.field.sigma_order == 1:
+    if field.sigma_order == 1:
         return 2
-    return spec.field.sqrt_q + 1
+    return field.sqrt_q + 1
 
 
 def _cost_bound(n: int, q: int, sigma_order: int, costs: list[int]) -> dict:
@@ -186,9 +186,16 @@ def bound_report(n: int, q: int, m: int, sigma_order: int) -> dict:
 
 
 def family_bound_report(family: "PhanFamily") -> dict:
-    costs = [_spec_avoidance_cost(s) for s in family.specs]
-    return {**_cost_bound(family.n, family.field.q, family.field.sigma_order, costs),
-            "form_costs": costs}
+    return _flags_bound(family.n, family.field, [s.flag.members for s in family.specs])
+
+
+def _flags_bound(n: int, field: Field, flags) -> dict:
+    """The bound row of a family of specs over F_q^(n+1) whose flags have
+    the given members: it reads only n, q, sigma, m and the members'
+    dimensions, so a geometry file is gated on it before its flags are
+    validated by point masks (``specfile._spec_bound``)."""
+    costs = [_spec_avoidance_cost(field, members) for members in flags]
+    return {**_cost_bound(n, field.q, field.sigma_order, costs), "form_costs": costs}
 
 
 class PhanFamily(Frozen):

@@ -36,7 +36,7 @@ except ImportError:
 from .field import Field, make_field
 from .forms import HermitianForm
 from .linalg import Flag, Subspace
-from .phan import PhanFamily, PhanSpec
+from .phan import PhanFamily, PhanSpec, _flags_bound
 
 __all__ = [
     "SpecFileError",
@@ -97,16 +97,12 @@ def _gram(field: Field, obj, k: int, where: str):
     )
 
 
-def parse_family(doc: dict) -> PhanFamily:
-    """The family a geometry document describes, or ``SpecFileError``
-    naming the first offending location.
-
-    Beyond the flag/radical invariants that ``PhanSpec`` enforces, every
-    form of a geometry file must admit a non-isotropic vector; this is the
-    one place that checks it.  Specs built for residues and restricted
-    families do not need it: over a field of characteristic two with
-    identity sigma a restriction of a valid form may be alternating, while
-    the membership predicate never needs a non-isotropic vector."""
+def _decode(doc: dict) -> tuple[Field, int, list]:
+    """The field, the ambient dimension and, for each spec, its location,
+    flag members and forms, decoded from a geometry document, or
+    ``SpecFileError`` naming the first malformed location.  No point mask
+    is read: the members are the spans of their decoded rows and the forms
+    are checked for hermitian symmetry only."""
     if not isinstance(doc, dict):
         raise SpecFileError("top level: expected a JSON object")
     fblock = doc.get("field")
@@ -138,12 +134,6 @@ def parse_family(doc: dict) -> PhanFamily:
             _subspace(field, m, ambient, f"{where}.flag[{i}]")
             for i, m in enumerate(raw_flag)
         ]
-        try:
-            flag = Flag(tuple(members))
-        except ValueError as exc:
-            raise SpecFileError(f"{where}.flag: {exc}") from exc
-        if not flag.top.is_full():
-            raise SpecFileError(f"{where}.flag: last member must be the full space")
         raw_forms = raw.get("forms")
         if not isinstance(raw_forms, list) or len(raw_forms) != len(members) - 1:
             raise SpecFileError(
@@ -157,6 +147,29 @@ def parse_family(doc: dict) -> PhanFamily:
                 forms.append(HermitianForm(field, dom, gram))
             except ValueError as exc:
                 raise SpecFileError(f"{where}.forms[{fi}]: {exc}") from exc
+        specs.append((where, members, forms))
+    return field, ambient, specs
+
+
+def parse_family(doc: dict) -> PhanFamily:
+    """The family a geometry document describes, or ``SpecFileError``
+    naming the first offending location: first any malformed location
+    (``_decode``), then each spec's flag, radicals and forms in turn.
+
+    Beyond the flag/radical invariants that ``PhanSpec`` enforces, every
+    form of a geometry file must admit a non-isotropic vector; this is the
+    one place that checks it.  Specs built for residues and restricted
+    families do not need it: over a field of characteristic two with
+    identity sigma a restriction of a valid form may be alternating, while
+    the membership predicate never needs a non-isotropic vector."""
+    specs = []
+    for where, members, forms in _decode(doc)[2]:
+        try:
+            flag = Flag(tuple(members))
+        except ValueError as exc:
+            raise SpecFileError(f"{where}.flag: {exc}") from exc
+        if not flag.top.is_full():
+            raise SpecFileError(f"{where}.flag: last member must be the full space")
         try:
             specs.append(PhanSpec(flag, tuple(forms)))
         except ValueError as exc:
@@ -167,8 +180,8 @@ def parse_family(doc: dict) -> PhanFamily:
     return PhanFamily(tuple(specs))
 
 
-def load_family(path: str) -> tuple[PhanFamily, str]:
-    """Parse a geometry file; returns the family and the input digest."""
+def _read(path: str):
+    """The JSON document of a geometry file and the digest of its bytes."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -177,7 +190,23 @@ def load_family(path: str) -> tuple[PhanFamily, str]:
         raise SpecFileError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
     except UnicodeDecodeError as exc:  # json.loads takes UTF-8, UTF-16 and UTF-32 bytes
         raise SpecFileError(f"not UTF-8, UTF-16 or UTF-32 text: {exc.reason} at byte {exc.start}")
-    return parse_family(doc), sha256(data).hexdigest()
+    return doc, sha256(data).hexdigest()
+
+
+def load_family(path: str) -> tuple[PhanFamily, str]:
+    """Parse a geometry file; returns the family and the input digest."""
+    doc, digest = _read(path)
+    return parse_family(doc), digest
+
+
+def _spec_bound(path: str) -> dict:
+    """The bound row of a geometry file's family, from its decoded document
+    alone: n, q, sigma, m and the flags' step ranks need no point mask, so
+    a command can refuse an out-of-bound file before ``load_family``
+    validates its flags and forms by point masks, which would build its
+    ambient's hyperplane masks."""
+    field, ambient, specs = _decode(_read(path)[0])
+    return _flags_bound(ambient - 1, field, [members for _, members, _ in specs])
 
 
 def _subspace_doc(field: Field, s: Subspace):

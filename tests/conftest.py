@@ -631,6 +631,16 @@ def enumerate_vectors(field: Field, dim: int):
         yield tuple((idx // q**i) % q for i in range(dim))
 
 
+def normalized_points(field: Field, dim: int) -> list[tuple[int, ...]]:
+    """The normalized vectors of F_q^dim (first nonzero coordinate 1) in the
+    order of the point table: by the place of the leading 1, then the
+    coordinates after it counted base q, the first least significant.  Bit i
+    of a point mask is the i-th."""
+    q = field.q
+    return [(0,) * lead + (1,) + tuple(idx // q**i % q for i in range(dim - lead - 1))
+            for lead in range(dim) for idx in range(q ** (dim - lead - 1))]
+
+
 def contains(a: Subspace, vec) -> bool:
     """Whether vec lies in a: whether it has coordinates over a's basis."""
     return a.coordinates(vec) is not None

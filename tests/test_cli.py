@@ -299,6 +299,8 @@ def test_filtration_without_a_pivot_is_a_failed_check(tmp_path, capsys, monkeypa
     exists.  That is a failing check whose witness is the search's message,
     not bad input: the verdict is unknown under --force (exit 0), and fail,
     exit 1, were the family in bound."""
+    import phangeo.cli
+
     v = Subspace.full(F3, 2)
     hyperbolic = PhanSpec(Flag((Subspace.zero(F3, 2), v)),
                           (HermitianForm(F3, v, ((0, 1), (1, 0))),))
@@ -315,7 +317,7 @@ def test_filtration_without_a_pivot_is_a_failed_check(tmp_path, capsys, monkeypa
         "witness": "no point is non-degenerate for all top forms "
                    "(bound violation or paper-bound slack)"}]
     assert capsys.readouterr().err == ""
-    monkeypatch.setattr(PhanFamily, "bound", lambda self: {"satisfied": True})
+    monkeypatch.setattr(phangeo.cli, "_spec_bound", lambda path: {"satisfied": True})
     assert main(["filtration-verify", "--spec", str(spec), "--out", str(out)]) == 1
     assert json.loads(out.read_text())["verdict"] == "fail"
 
@@ -589,7 +591,7 @@ CACHE_TRAFFIC = [
     (["homology", "--spec", FAMILY2], 0, (1, 1, 0)),
     (["cm-check", "--spec", FAMILY2], 0, (1, 1, 0)),
     (["filtration-verify", "--spec", FAMILY2], 0, (1, 1, 2)),
-    (["homology", "--spec", str(SPECS / "t0_q4_dim3.json")], 2, (1, 1, 0)),
+    (["homology", "--spec", str(SPECS / "t0_q4_dim3.json")], 2, (1, 0, 0)),
     (["bounds-table"], 0, (0, 0, 0)),
     (["lemma-tests", "--seed", "7", "--count", "100"], 0, (4, 11, 20)),
 ]
@@ -599,13 +601,11 @@ def test_each_command_reads_one_ambient(tmp_path):
     """Every residue and restricted family lives in the spec's ambient, so
     each certificate command on family2_q11_dim3 leaves one field and one
     ambient record, and ``filtration-verify`` one pivot frame per spec
-    (m = 2).  A spec refused at the bound leaves a record that holds its
-    hyperplane masks, swept when its flag was validated, and no subspace
-    table; ``bounds-table`` leaves nothing.  Every entry is one miss and
+    (m = 2).  A spec refused at the bound is refused before its flag is
+    validated by point masks, so it leaves its field and no ambient record;
+    ``bounds-table`` leaves nothing.  Every entry is one miss and
     every bounded cache has room to spare, ``lemma-tests --seed 7 --count
     100`` included, so that none is evicted and rebuilt."""
-    from phangeo import linalg
-
     caches = [getattr(importlib.import_module(f"phangeo.{module}"), name)
               for module, name in (cache.split(".") for cache in CACHES)]
     for argv, code, entries in CACHE_TRAFFIC:
@@ -619,9 +619,6 @@ def test_each_command_reads_one_ambient(tmp_path):
         infos = [cache.cache_info() for cache in caches]
         assert [(i.currsize, i.misses) for i in infos] == [(n, n) for n in entries], argv
         assert all(i.maxsize is None or i.currsize < i.maxsize for i in infos), argv
-        if code == 2:  # t0_q4_dim3: F_4^3, identity sigma
-            record = linalg._ambient(F4ID, 3)
-            assert not record and "hyperplanes" in vars(record)
 
 
 def _is_functools_cache(decorator: ast.expr) -> bool:
@@ -869,25 +866,70 @@ def test_bad_input_exits_2_with_one_error_line(argv, message, capsys, tmp_path):
 
 
 def test_bound_refusal_builds_no_subspace_table(monkeypatch, capsys):
-    """Loading a spec validates its flag and forms by point masks and the
-    perps of a few points, so a spec refused at the bound gate pays for its
-    ambient's hyperplane masks but for no subspace table: with building one
-    made to raise, ``homology`` on t0_q4_dim3 without --force still exits 2
-    with the bound message.  The ambient records are dropped first, so that
-    a lookup by mask would build the tables afresh."""
+    """The bound is gated on the decoded spec file, before its flag and
+    forms are validated by point masks, so a spec refused at the bound
+    builds no ambient record, let alone a subspace table: with building a
+    record made to raise, ``homology`` on t0_q4_dim3 without --force still
+    exits 2 with the bound message.  The ambient records are dropped first,
+    so that any lookup would build one afresh."""
     from phangeo import linalg
 
     def refused(*args):
-        raise AssertionError("a subspace table was built")
+        raise AssertionError("an ambient record was built")
 
     linalg._ambient.cache_clear()
-    monkeypatch.setattr(linalg._Ambient, "__missing__", refused)
+    monkeypatch.setattr(linalg._Ambient, "__init__", refused)
     with pytest.raises(SystemExit) as exc:
         main(["homology", "--spec", str(SPECS / "t0_q4_dim3.json")])
     assert exc.value.code == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(
         "error: sufficient bound violated: 2^2*1 = 4 < q = 4 is false")
+
+
+def _identity_spec_doc(p, e, sigma_order, ambient):
+    """The t = 0 spec on F_q^ambient with the identity Gram matrix, written
+    as a document: building it as a spec would build its ambient's point
+    masks."""
+    one, zero = [1] + [0] * (e - 1), [0] * e
+    eye = [[one if i == j else zero for j in range(ambient)] for i in range(ambient)]
+    return {"field": {"p": p, "e": e, "sigma_order": sigma_order}, "ambient_dim": ambient,
+            "specs": [{"flag": [[], eye], "forms": [eye]}]}
+
+
+# starts the CLI with the arguments it is given, under 1 GB of address space
+# and 20 s of CPU, so that a spec that builds its masks fails fast, and
+# prints its exit code, wall seconds and peak RSS in KiB; run as a fresh
+# process, since a child's ru_maxrss counts its parent's RSS at the spawn
+LEAN_LAUNCHER = """\
+import os, resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+resource.setrlimit(resource.RLIMIT_CPU, (20, 20))
+t0 = time.perf_counter()
+pid = os.posix_spawn(sys.executable, [sys.executable, "-m", "phangeo.cli", *sys.argv[1:]],
+                     os.environ)
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), time.perf_counter() - t0, usage.ru_maxrss)
+"""
+
+
+@pytest.mark.parametrize("p, e, sigma_order", [(2, 4, 1), (5, 2, 2)],
+                         ids=["F16^5", "hermitian F25^5"])
+def test_refused_large_spec_exits_at_once(p, e, sigma_order, tmp_path):
+    """Out of bound, F_16^5 (2^4*1 = 16 < 16 is false) and hermitian F_25^5
+    (2^3*(sqrt(q)+1) = 48 < 25 is false) are refused before anything is
+    built: ``homology`` exits 2 with the one bound line within 1 s and
+    100 MB, where their hyperplane masks alone would take 0.61 GB and
+    20.7 GB."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(_identity_spec_doc(p, e, sigma_order, 5)))
+    proc = subprocess.run([sys.executable, "-c", LEAN_LAUNCHER, "homology", "--spec", str(path)],
+                          capture_output=True, text=True, timeout=300)
+    code, seconds, peak_kib = proc.stdout.split()
+    err = proc.stderr.splitlines()
+    assert int(code) == 2, proc.stderr[-2000:]
+    assert len(err) == 1 and err[0].startswith("error: sufficient bound violated")
+    assert float(seconds) < 1 and int(peak_kib) < 100 * 1024
 
 
 def test_report_path_that_is_a_directory_exits_2(tmp_path, capsys, monkeypatch):

@@ -10,6 +10,7 @@ from phangeo.linalg import Flag, Subspace
 from conftest import (
     enumerate_vectors,
     gaussian_binomial,
+    normalized_points,
     oracle_contains_subspace,
     oracle_intersect,
     oracle_is_opposite,
@@ -283,17 +284,19 @@ def _subspaces_of_f_q_3(field):
 
 @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (3, 2)])
 def test_point_mask_is_the_set_of_normalized_points(p, e):
-    """Bit sum(v_j q^j) for each nonzero vector whose first nonzero
-    coordinate is 1; q = 4 and q = 9 exercise the non-prime encodings."""
+    """Bit i for each nonzero vector whose first nonzero coordinate is 1,
+    the i-th in the order of the point table; q = 4 and q = 9 exercise the
+    non-prime encodings."""
     field = make_field(p, e)
     q = field.q
+    position = {v: i for i, v in enumerate(normalized_points(field, 3))}
     subs = _subspaces_of_f_q_3(field)
     assert len(subs) == 2 + 2 * (q**2 + q + 1)
     for s in subs:
         expected = 0
         for v in s.vectors():
             if any(v) and next(x for x in v if x) == 1:
-                expected |= 1 << sum(x * q**j for j, x in enumerate(v))
+                expected |= 1 << position[v]
         assert s.point_mask == expected
         assert bin(s.point_mask).count("1") == (q**s.dim - 1) // (q - 1)
 
@@ -314,19 +317,17 @@ def test_hyperplane_masks_are_keyed_by_their_normals(p, e, ambient):
     encodings."""
     field = make_field(p, e)
     q = field.q
+    points = normalized_points(field, ambient)
     table = la._ambient(field, ambient).hyperplanes
     assert len(table) == (q**ambient - 1) // (q - 1)
-    points = Subspace.full(field, ambient).point_mask
     for key, mask in table.items():
-        normal = [key // q**j % q for j in range(ambient)]
-        assert points >> key & 1  # the key is a normalized vector
-        for bit in range(q**ambient):
-            if points >> bit & 1:
-                y = [bit // q**j % q for j in range(ambient)]
-                dot = 0
-                for c, x in zip(normal, y):
-                    dot = field.add(dot, field.mul(c, x))
-                assert (mask >> bit & 1) == (dot == 0)
+        assert 0 <= key < len(points)  # the key is a normalized vector
+        normal = points[key]
+        for bit, y in enumerate(points):
+            dot = 0
+            for c, x in zip(normal, y):
+                dot = field.add(dot, field.mul(c, x))
+            assert (mask >> bit & 1) == (dot == 0)
 
 
 MASK_AMBIENTS = [(2, 1, 1, 5), (3, 1, 1, 4), (2, 2, 1, 4), (2, 2, 2, 4), (5, 1, 1, 4),
@@ -350,11 +351,31 @@ def test_swept_hyperplanes_match_the_table(p, e, sigma_order, ambient):
     mask, under its normal found by a search over vectors; the ambient
     record's ``hyperplanes`` are the sweep."""
     field = make_field(p, e, sigma_order)
-    q = field.q
+    position = {v: i for i, v in enumerate(normalized_points(field, ambient))}
     expected = {}
     for h in la._ambient(field, ambient)[ambient - 1]:
-        normal = oracle_normal(field, h)
-        key = sum(c * q**j for j, c in enumerate(normal))
-        expected[key] = masks.listed_mask(field, ambient, h.basis)
+        expected[position[oracle_normal(field, h)]] = masks.listed_mask(field, ambient, h.basis)
     assert masks.swept_hyperplanes(field, ambient) == expected
     assert la._ambient(field, ambient).hyperplanes == expected
+
+
+@pytest.mark.parametrize("p,e,sigma_order,ambient", MASK_AMBIENTS)
+def test_masks_are_as_wide_as_the_point_table(p, e, sigma_order, ambient):
+    """Bit i is the i-th point of the k = 1 table, which lists the
+    normalized vectors in the order of ``normalized_points``, so the whole
+    space is 2^N - 1 for N points, and every hyperplane mask, table mask
+    and point perp lies below 2^N."""
+    from phangeo.forms import HermitianForm
+
+    field = make_field(p, e, sigma_order)
+    record = la._ambient(field, ambient)
+    points = record[1]
+    n = len(points)
+    assert [s.basis[0] for s in points] == normalized_points(field, ambient)
+    assert all(s.point_mask == 1 << i for i, s in enumerate(points))
+    assert Subspace.full(field, ambient).point_mask == (1 << n) - 1
+    assert all(mask >> n == 0 for mask in record.hyperplanes.values())
+    assert all(s.point_mask >> n == 0 for k in range(ambient + 1) for s in record[k])
+    identity = tuple(tuple(int(i == j) for j in range(ambient)) for i in range(ambient))
+    perps = HermitianForm(field, Subspace.full(field, ambient), identity)._perps
+    assert all(perps[i] >> n == 0 for i in range(n))
