@@ -17,6 +17,12 @@ words.
 Reports are written as canonical JSON (sorted keys, schema version) so an
 identical input file and flags produce a byte-identical report; wall-clock
 timings are printed to standard output only, never into the report file.
+Each report section is the record the layer returns, its fields the
+section's keys: ``homology`` is the ``HomologyReport`` without its
+critical-cell counts, ``sphericity`` the ``SphericityVerdict`` with the
+pi_1 status and the verdict, ``cm`` the ``CMReport`` with each failing
+simplex given by its vertices' bases, and ``filtration`` the
+``FiltrationReport``'s own ``as_dict``.
 """
 
 from __future__ import annotations
@@ -128,27 +134,6 @@ def _base_report(command: str, digest: str, bound: dict | None) -> dict:
     return doc
 
 
-def _homology_doc(report) -> dict:
-    return {
-        "betti": list(report.betti),
-        "torsion": [list(t) for t in report.torsion],
-        "euler_characteristic": report.euler_characteristic,
-        "top_dim": report.top_dim,
-    }
-
-
-def _verdict_doc(v, pi1_status: str) -> dict:
-    return {
-        "target_dim": v.target_dim,
-        "homology_concentrated": v.homology_concentrated,
-        "torsion_free_top": v.torsion_free_top,
-        "nonempty": v.nonempty,
-        "sphere_count": v.sphere_count,
-        "pi1_status": pi1_status,
-        "spherical": v.spherical,
-    }
-
-
 def cmd_build(args) -> int:
     family, digest = _load(args)
     t0 = time.perf_counter()
@@ -183,8 +168,9 @@ def cmd_homology(args) -> int:
     verdict = sphericity_verdict(rep, target)
     doc = _base_report("homology", digest, bound)
     doc["geometry"] = stats
-    doc["homology"] = _homology_doc(rep)
-    doc["sphericity"] = _verdict_doc(verdict, pi1_status(rep, target))
+    doc["homology"] = {k: v for k, v in rep._asdict().items() if k != "critical"}
+    doc["sphericity"] = {**verdict._asdict(), "pi1_status": pi1_status(rep, target),
+                         "spherical": verdict.spherical}
     asserted = bound["satisfied"]
     ok = verdict.spherical and verdict.sphere_count >= 1
     doc["verdict"] = ("pass" if ok else "fail") if asserted else "unknown"
@@ -209,16 +195,9 @@ def cmd_cm(args) -> int:
     cm = cohen_macaulay_check(complex_)
     doc = _base_report("cm-check", digest, bound)
     doc["geometry"] = stats
-    doc["cm"] = {
-        "passed": cm.passed,
-        "dim": cm.dim,
-        "simplices_checked": cm.simplices_checked,
-        "failures": [
-            {"simplex": [[list(r) for r in complex_.vertices[i].basis] for i in f.simplex],
-             "target_dim": f.target_dim, "reason": f.reason}
-            for f in cm.failures
-        ],
-    }
+    doc["cm"] = {**cm._asdict(), "failures": [
+        {**f._asdict(), "simplex": [complex_.vertices[i].basis for i in f.simplex]}
+        for f in cm.failures]}
     asserted = bound["satisfied"]
     doc["verdict"] = ("pass" if cm.passed else "fail") if asserted else "unknown"
     _write_report(args, doc)

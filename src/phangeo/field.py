@@ -30,21 +30,6 @@ __all__ = ["Field", "make_field", "prime_power"]
 _ADD_TABLE_LIMIT = 256
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def prime_power(q: int) -> tuple[int, int] | None:
     """(p, e) with q = p**e and p prime, or None if q is no prime power: the
     orders for which a field F_q exists."""
@@ -145,7 +130,7 @@ class Field:
     )
 
     def __init__(self, p: int, e: int, sigma_order: int = 1):
-        if not _is_prime(p):
+        if prime_power(p) != (p, 1):
             raise ValueError(f"characteristic {p} is not prime")
         if e < 1:
             raise ValueError(f"extension degree must be >= 1, got {e}")

@@ -72,27 +72,20 @@ class CheckResult(namedtuple("CheckResult", "name passed witness", defaults=(Non
         return out
 
 
-class StageReport:
-    """The checks of one stage, as ``verify_stage`` records them."""
+class StageReport(namedtuple("StageReport", "stage new_vertices boundary_rank_sum checks")):
+    """The outcome of ``verify_stage`` for stage i: the number of new
+    vertices, the sum over them of rank H~_(n-2)(A_j ∩ B) and the checks.
+    Its fields are its report keys."""
 
-    def __init__(self, stage: int, new_vertex_count: int):
-        self.stage = stage
-        self.new_vertex_count = new_vertex_count
-        self.checks: list[CheckResult] = []
-        self.boundary_rank_sum = 0  # sum over new vertices of rank H~_(n-2)(A_j ∩ B)
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
     def as_dict(self) -> dict:
-        return {
-            "stage": self.stage,
-            "new_vertices": self.new_vertex_count,
-            "passed": self.passed,
-            "boundary_rank_sum": self.boundary_rank_sum,
-            "checks": [c.as_dict() for c in self.checks],
-        }
+        return {**self._asdict(), "passed": self.passed,
+                "checks": [c.as_dict() for c in self.checks]}
 
 
 class FiltrationState:
@@ -250,22 +243,22 @@ def verify_stage(state: FiltrationState, i: int) -> StageReport:
     family; plus exact Mayer-Vietoris rank bookkeeping.  One pass over the
     new vertices, in level order, lets each one's join go before the next.
     Each failing check is recorded with the witness of its first failing
-    vertex, never raised.
+    vertex, never raised.  The ``StageReport`` is built once, after the
+    pass, from the new-vertex count, the boundary rank sum and the checks.
     """
     if not 1 <= i <= state.n:
         raise ValueError(f"stage index must lie in 1..{state.n}")
     level = state.level
     new = [x for x, lv in enumerate(level) if lv == i]
-    report = StageReport(stage=i, new_vertex_count=len(new))
     n = state.n
     if not new:
-        report.checks.append(CheckResult("vacuous_stage", True))
-        return report
+        return StageReport(i, 0, 0, [CheckResult("vacuous_stage", True)])
 
     homology = state.homology  # reduced before |Γ|'s predecessor lists are built
     top = state.complex
     vs = top.vertices
     bad_pair = bad_cone = bad_join = bad_sphere = bad_above = bad_below = bad_delta = None
+    rank_sum = 0  # sum over new vertices of rank H~_(n-2)(A_j ∩ B)
     for x in new:
         u = vs[x]
         # U's neighbours in Y_i, below and above, as vertex indices of |Γ|
@@ -298,7 +291,7 @@ def verify_stage(state: FiltrationState, i: int) -> StageReport:
         join = induced_subcomplex(top, below + above)
         join_homology = reduced_homology(join)
         ok, why = _spherical_check(join_homology, n - 2)
-        report.boundary_rank_sum += join_homology.betti_number(n - 2)
+        rank_sum += join_homology.betti_number(n - 2)
         if not ok:
             bad_sphere = bad_sphere or f"U = {u.basis}: {why}"
         if above != above_gamma:
@@ -311,8 +304,8 @@ def verify_stage(state: FiltrationState, i: int) -> StageReport:
 
     # Mayer-Vietoris rank bookkeeping at degree n-1
     lhs = homology[i].betti_number(n - 1)
-    rhs = homology[i - 1].betti_number(n - 1) + report.boundary_rank_sum
-    report.checks = [CheckResult(name, witness is None, witness) for name, witness in (
+    rhs = homology[i - 1].betti_number(n - 1) + rank_sum
+    checks = [CheckResult(name, witness is None, witness) for name, witness in (
         ("pairwise_star_intersections_in_B", bad_pair),
         ("stars_are_cones", bad_cone),
         ("star_boundary_join_decomposition", bad_join),
@@ -322,7 +315,7 @@ def verify_stage(state: FiltrationState, i: int) -> StageReport:
         ("below_sets_match_restricted_family", bad_delta),
         ("mayer_vietoris_rank_balance",
          None if lhs == rhs else f"rank H~_{n-1}(Y_{i}) = {lhs} != {rhs}"))]
-    return report
+    return StageReport(i, len(new), rank_sum, checks)
 
 
 def _set_witness(u: Subspace, k: SimplicialComplex, a, b) -> str:

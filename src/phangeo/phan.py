@@ -32,7 +32,6 @@ __all__ = [
     "GeometryVertexSet",
     "vertices",
     "bound_report",
-    "family_bound_report",
 ]
 
 
@@ -185,10 +184,6 @@ def bound_report(n: int, q: int, m: int, sigma_order: int) -> dict:
     return _cost_bound(n, q, sigma_order, [cost] * m)
 
 
-def family_bound_report(family: "PhanFamily") -> dict:
-    return _flags_bound(family.n, family.field, [s.flag.members for s in family.specs])
-
-
 def _flags_bound(n: int, field: Field, flags) -> dict:
     """The bound row of a family of specs over F_q^(n+1) whose flags have
     the given members: it reads only n, q, sigma, m and the members'
@@ -235,7 +230,7 @@ class PhanFamily(Frozen):
         return self.ambient.dim - 1
 
     def bound(self) -> dict:
-        return family_bound_report(self)
+        return _flags_bound(self.n, self.field, [s.flag.members for s in self.specs])
 
     def is_member(self, u: Subspace) -> bool:
         return all(s.is_member(u) for s in self.specs)

@@ -1,6 +1,6 @@
 import pytest
 
-from phangeo.field import _modulus, make_field, prime_power
+from phangeo.field import Field, _modulus, make_field, prime_power
 
 
 def test_make_field_errors():
@@ -12,6 +12,15 @@ def test_make_field_errors():
         make_field(2, 3, 2)  # odd degree
     with pytest.raises(ValueError):
         make_field(5, 0)
+
+
+def test_characteristic_must_be_prime():
+    for p in range(-2, 61):
+        if p > 1 and all(p % d for d in range(2, p)):
+            assert Field(p, 1).q == p
+        else:
+            with pytest.raises(ValueError, match=f"^characteristic {p} is not prime$"):
+                Field(p, 1)
 
 
 def test_prime_field_basics():

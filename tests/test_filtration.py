@@ -107,7 +107,7 @@ def test_vacuous_stage_passes():
     frozen = FiltrationState(fam, state.pivot, state.complex, [0] * len(state.level),
                              state.joins)
     rep = verify_stage(frozen, 1)
-    assert rep.passed and rep.new_vertex_count == 0
+    assert rep.passed and rep.new_vertices == 0
     assert rep.checks[0].name == "vacuous_stage"
 
 
@@ -185,7 +185,7 @@ def test_negative_control_fails_with_witness():
     # empty residue waives the restricted-family comparison, although
     # delta_restriction refuses the degenerate pivot before it looks
     last = {c.name: c.passed for c in rep.stages[-1].checks}
-    assert rep.stages[-1].new_vertex_count and last["below_sets_match_restricted_family"]
+    assert rep.stages[-1].new_vertices and last["below_sets_match_restricted_family"]
 
 
 def test_verification_matches_direct_homology_chamber():
