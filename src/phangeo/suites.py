@@ -11,6 +11,7 @@ the construction under test.
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 
 from .field import Field, make_field
 from .forms import HermitianForm
@@ -38,6 +39,7 @@ __all__ = [
     "random_flag",
     "random_phan_spec",
     "shuffled_complement_policy",
+    "coordinate_spec",
     "standard_spec",
     "chamber_spec",
     "diagonal_spec",
@@ -51,27 +53,18 @@ __all__ = [
 ]
 
 
-class SuiteResult:
-    """The instances, failures and notes of one suite, filled in as it runs."""
+class SuiteResult(namedtuple("SuiteResult", "name instances failures notes")):
+    """The instances, failures and notes of one suite, built once it has
+    run.  Its fields are its report keys."""
 
-    def __init__(self, name: str):
-        self.name = name
-        self.instances = 0
-        self.failures: list[str] = []
-        self.notes: dict = {}
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
         return not self.failures
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "instances": self.instances,
-            "passed": self.passed,
-            "failures": self.failures,
-            "notes": self.notes,
-        }
+        return {**self._asdict(), "passed": self.passed}
 
 
 # -- random generators ---------------------------------------------------------
@@ -97,23 +90,15 @@ def random_subspace(rng: random.Random, field: Field, ambient: int, dim: int) ->
 
 
 def random_flag(rng: random.Random, field: Field, ambient: int, t: int) -> Flag:
-    """A flag 0 = V_0 < ... < V_(t+1) = V with random intermediate dims."""
-    dims = sorted(rng.sample(range(1, ambient), t))
+    """A flag 0 = V_0 < ... < V_(t+1) = V with random intermediate dims,
+    each member the previous one extended by random vectors."""
     members = [Subspace.zero(field, ambient)]
-    for d in dims:
-        while True:
-            s = random_subspace(rng, field, ambient, d)
-            if s.contains_subspace(members[-1]) and s.dim > members[-1].dim:
-                members.append(s)
-                break
-            # force the chain by extending the previous member
-            ext = [list(r) for r in members[-1].basis]
-            while len(ext) < d:
-                ext.append([rng.randrange(field.q) for _ in range(ambient)])
-            s = Subspace.span(field, ambient, ext)
-            if s.dim == d:
-                members.append(s)
-                break
+    for d in sorted(rng.sample(range(1, ambient), t)):
+        s = members[-1]
+        while s.dim < d:
+            s = Subspace.span(field, ambient, s.basis + tuple(
+                tuple(rng.randrange(field.q) for _ in range(ambient)) for _ in range(d - s.dim)))
+        members.append(s)
     members.append(Subspace.full(field, ambient))
     return Flag(tuple(members))
 
@@ -167,53 +152,41 @@ def shuffled_complement_policy(rng: random.Random):
 # -- named instances -------------------------------------------------------------
 
 
+def coordinate_spec(field: Field, dims, diag) -> PhanSpec:
+    """The spec on the coordinate flag: its members are <e_0, ..., e_(k-1)>,
+    one for each k in ``dims`` (0 first, d = len(diag) last), and its form
+    on V_(i+1) is diagonal, diag[j] at each coordinate j >= dim V_i and 0 on
+    V_i, so that its radical is V_i."""
+    eye = Subspace.full(field, len(diag)).basis
+    flag = Flag(tuple(Subspace(field, len(diag), eye[:k]) for k in dims))
+    forms = tuple(
+        HermitianForm(field, flag[i + 1], tuple(
+            tuple(diag[a] if a == b >= lo else 0 for b in range(hi)) for a in range(hi)))
+        for i, (lo, hi) in enumerate(zip(dims, dims[1:])))
+    return PhanSpec(flag, forms)
+
+
 def standard_spec(field: Field, dim: int) -> PhanSpec:
     """t = 0 with the identity Gram matrix on the full space."""
-    return diagonal_spec(field, (1,) * dim)
+    return coordinate_spec(field, (0, dim), (1,) * dim)
 
 
 def diagonal_spec(field: Field, diag) -> PhanSpec:
     """t = 0 with a diagonal Gram matrix on the full space."""
-    dim = len(diag)
-    v = Subspace.full(field, dim)
-    gram = tuple(tuple(diag[i] if i == j else 0 for j in range(dim)) for i in range(dim))
-    return PhanSpec(Flag((Subspace.zero(field, dim), v)), (HermitianForm(field, v, gram),))
+    return coordinate_spec(field, (0, len(diag)), diag)
 
 
 def chamber_spec(field: Field, dim: int) -> PhanSpec:
     """t = n: the full coordinate flag with rank-one forms, which carves out
     the geometry opposite a chamber."""
-    subs = [
-        Subspace.span(
-            field, dim,
-            [tuple(1 if j == i else 0 for j in range(dim)) for i in range(k)],
-        )
-        for k in range(dim + 1)
-    ]
-    forms = []
-    for i in range(dim):
-        k = i + 1
-        gram = tuple(tuple(1 if a == b == k - 1 else 0 for b in range(k)) for a in range(k))
-        forms.append(HermitianForm(field, subs[k], gram))
-    return PhanSpec(Flag(tuple(subs)), tuple(forms))
+    return coordinate_spec(field, range(dim + 1), (1,) * dim)
 
 
 def mixed_t1_spec(field: Field, dim: int, v1_dim: int) -> PhanSpec:
     """t = 1 with a coordinate flag member: identity form on V_1, rank
     dim - v1_dim form on V with radical V_1 (the hyperplane-residue pattern
     when v1_dim = dim - 1)."""
-    v1 = Subspace.span(
-        field, dim, [tuple(1 if j == i else 0 for j in range(dim)) for i in range(v1_dim)]
-    )
-    v = Subspace.full(field, dim)
-    g0 = tuple(tuple(1 if i == j else 0 for j in range(v1_dim)) for i in range(v1_dim))
-    g1 = tuple(
-        tuple(1 if (i == j and i >= v1_dim) else 0 for j in range(dim)) for i in range(dim)
-    )
-    return PhanSpec(
-        Flag((Subspace.zero(field, dim), v1, v)),
-        (HermitianForm(field, v1, g0), HermitianForm(field, v, g1)),
-    )
+    return coordinate_spec(field, (0, v1_dim, dim), (1,) * dim)
 
 
 def desk_geometries() -> list[tuple[str, PhanSpec]]:
@@ -272,47 +245,42 @@ def run_extension_suite(seed: int = 0, count: int = 100) -> SuiteResult:
     restriction equality, radical preservation, pivot non-degeneracy with a
     common perp."""
     rng = random.Random(seed)
-    res = SuiteResult("extension_lemma")
+    failures = []
     for spec in _spec_pool(rng, count):
         flag, forms = spec.flag, spec.forms
         top = forms[-1]
-        pivot = None
         vecs = list(flag.top.vectors())
         rng.shuffle(vecs)
-        for v in vecs:
-            if any(v) and top.evaluate(v, v) != 0:
-                pivot = Subspace.span(spec.field, flag.top.ambient, [v])
-                break
-        if pivot is None:
-            continue
+        # _form_with_radical drew top to admit a non-isotropic vector
+        v = next(v for v in vecs if any(v) and top.evaluate(v, v) != 0)
+        pivot = Subspace.span(spec.field, flag.top.ambient, [v])
         policies = {"canonical": None, "shuffled": shuffled_complement_policy(rng)}
         for pname, policy in policies.items():
             tag = f"[{spec.field!r} dim={flag.top.dim} t={spec.t} policy={pname}]"
             try:
                 ext = extend_forms(spec, pivot, complement_policy=policy)
             except Exception as exc:
-                res.failures.append(f"{tag} extend_forms raised: {exc}")
+                failures.append(f"{tag} extend_forms raised: {exc}")
                 continue
             for i, w in enumerate(forms):
                 if ext[i].restrict(flag[i + 1]).gram != w.gram:
-                    res.failures.append(f"{tag} restriction differs at {i}")
+                    failures.append(f"{tag} restriction differs at {i}")
                 if ext[i].radical() != flag[i]:
-                    res.failures.append(f"{tag} radical differs at {i}")
+                    failures.append(f"{tag} radical differs at {i}")
             pv = pivot.basis[0]
             if any(e.evaluate(pv, pv) == 0 for e in ext):
-                res.failures.append(f"{tag} pivot degenerate for an extended form")
+                failures.append(f"{tag} pivot degenerate for an extended form")
             perps = [e.perp(pivot) for e in ext]
             if any(pp != perps[0] for pp in perps):
-                res.failures.append(f"{tag} perps of the pivot differ")
-        res.instances += 1
-    return res
+                failures.append(f"{tag} perps of the pivot differ")
+    return SuiteResult("extension_lemma", count, failures, {})
 
 
 def run_projection_suite(seed: int = 0, count: int = 100) -> SuiteResult:
     """Projection-form radical identity on random (form, W, p) triples over
     F_3^4 and F_4^4 (hermitian), as exact subspace equality."""
     rng = random.Random(seed)
-    res = SuiteResult("projection_lemma")
+    failures = []
     fields = [make_field(3, 1), make_field(2, 2, 2)]
     per_field = (count + 1) // 2
     for field in fields:
@@ -338,12 +306,11 @@ def run_projection_suite(seed: int = 0, count: int = 100) -> SuiteResult:
                 for r in lhs_rad.basis])
             rhs = project_form(w, p).restrict(cand).radical()
             if lhs != rhs:
-                res.failures.append(
+                failures.append(
                     f"[{field!r}] gram={w.gram} p={p.basis} W={cand.basis}: {lhs.basis} != {rhs.basis}"
                 )
             done += 1
-            res.instances += 1
-    return res
+    return SuiteResult("projection_lemma", len(fields) * per_field, failures, {})
 
 
 def _jobs(geometries, families) -> list[tuple[str, PhanFamily]]:
@@ -359,22 +326,22 @@ def run_residue_suite(geometries=None, families=None) -> SuiteResult:
     """Residues below/above every member of every test geometry equal the
     literal below/above sets; a family's residues intersect over its specs,
     a single spec running as a one-spec family."""
-    res = SuiteResult("residue_lemma")
+    instances, failures = 0, []
     for name, family in _jobs(geometries, families):
         members = set(vertices(family).members)
+        instances += len(members)
         for u in sorted(members, key=Subspace.sort_key):
             below_lit = {x for x in members
                          if x.dim < u.dim and x.point_mask & ~u.point_mask == 0}
             below = set.intersection(*(set(residue_below(spec, u).members())
                                        for spec in family.specs))
             if below != below_lit:
-                res.failures.append(f"[{name}] below mismatch at U={u.basis}")
+                failures.append(f"[{name}] below mismatch at U={u.basis}")
             above_lit = {x for x in members
                          if x.dim > u.dim and u.point_mask & ~x.point_mask == 0}
             if lifted_residue_above(family, u) != above_lit:
-                res.failures.append(f"[{name}] above mismatch at U={u.basis}")
-            res.instances += 1
-    return res
+                failures.append(f"[{name}] above mismatch at U={u.basis}")
+    return SuiteResult("residue_lemma", instances, failures, {})
 
 
 def _delta_oracle(family: PhanFamily, p: Subspace, u: Subspace) -> set[Subspace]:
@@ -397,7 +364,7 @@ def run_delta_suite(geometries=None, families=None,
     """Restricted-family vertex sets against the direct oracle, for the
     canonical pivot plus seeded extra pivots, on every admissible member."""
     rng = random.Random(seed)
-    res = SuiteResult("delta_lemma")
+    instances, failures = 0, []
     branch_hits: dict[str, int] = {}
     for name, family in _jobs(geometries, families):
         tops = [s.forms[-1] for s in family.specs]
@@ -421,24 +388,24 @@ def run_delta_suite(geometries=None, families=None,
                 try:
                     fam_u = delta_restriction(family, p, u, branches=branches)
                 except Exception as exc:
-                    res.failures.append(f"[{name}] U={u.basis} p={p.basis}: raised {exc}")
+                    failures.append(f"[{name}] U={u.basis} p={p.basis}: raised {exc}")
                     continue
                 got = set(vertices(fam_u).members)
                 expected = _delta_oracle(family, p, u)
                 if got != expected:
-                    res.failures.append(
+                    failures.append(
                         f"[{name}] U={u.basis} p={p.basis}: "
                         f"{sorted(x.basis for x in got ^ expected)}"
                     )
                 for b in branches:
                     branch_hits[b] = branch_hits.get(b, 0) + 1
                 if len(fam_u.specs) > 2 * family.m:
-                    res.failures.append(
+                    failures.append(
                         f"[{name}] U={u.basis}: {len(fam_u.specs)} specs exceed 2m"
                     )
-                res.instances += 1
-    res.notes["branch_hits"] = dict(sorted(branch_hits.items()))
-    return res
+                instances += 1
+    return SuiteResult("delta_lemma", instances, failures,
+                       {"branch_hits": dict(sorted(branch_hits.items()))})
 
 
 def run_all_suites(seed: int = 0, count: int = 100) -> list[SuiteResult]:

@@ -152,9 +152,11 @@ def _membership_oracle_specs():
         for u in spec.members()[::7]:
             residues.append(residue_below(spec, u))
             residues.append(residue_above(spec, u))
-    # F_2^5, the one ambient here where U ∩ V_(k+1) can reach dimension 3;
+    # F_2^5, the one ambient here where U ∩ V_(k+1) can reach dimension 3, as
+    # it does for every 4-dimensional member of mixed_t1_spec(F2, 5, 4) and V_1;
     # their residues have ambients of dimension at most 4, so they are left out
     specs += [random_phan_spec(rng, F2, 5, t) for _ in range(2) for t in (1, 2, 3)]
+    specs += [mixed_t1_spec(F2, 5, 4)]
     return specs + residues, _recorded_delta_specs(PhanFamily((standard_spec(F5, 3),)))
 
 
