@@ -285,10 +285,10 @@ def run_projection_suite(seed: int = 0, count: int = 100) -> SuiteResult:
     per_field = (count + 1) // 2
     for field in fields:
         v4 = Subspace.full(field, 4)
+        vecs = [v for v in v4.vectors() if any(v)]
         done = 0
         while done < per_field:
             w = HermitianForm(field, v4, random_hermitian_gram(rng, field, 4))
-            vecs = [v for v in v4.vectors() if any(v)]
             pv = rng.choice(vecs)
             if w.evaluate(pv, pv) == 0:
                 continue
@@ -359,10 +359,13 @@ def _delta_oracle(family: PhanFamily, p: Subspace, u: Subspace) -> set[Subspace]
     return out
 
 
-def run_delta_suite(geometries=None, families=None,
-                    extra_pivots: int = 1, seed: int = 0) -> SuiteResult:
+_EXTRA_PIVOTS = 1  # seeded pivots the delta suite draws beside the canonical one
+
+
+def run_delta_suite(geometries=None, families=None, seed: int = 0) -> SuiteResult:
     """Restricted-family vertex sets against the direct oracle, for the
-    canonical pivot plus seeded extra pivots, on every admissible member."""
+    canonical pivot plus seeded extra pivots, other points than it, on every
+    admissible member."""
     rng = random.Random(seed)
     instances, failures = 0, []
     branch_hits: dict[str, int] = {}
@@ -371,12 +374,14 @@ def run_delta_suite(geometries=None, families=None,
         pivots = []
         for v in family.ambient.vectors():
             if any(v) and all(w.evaluate(v, v) != 0 for w in tops):
-                pivots.append(Subspace.span(family.field, family.ambient.ambient, [v]))
-                if len(pivots) > 4 * (extra_pivots + 1):
-                    break
+                p = Subspace.span(family.field, family.ambient.ambient, [v])
+                if p not in pivots:
+                    pivots.append(p)
+                    if len(pivots) > 4 * (_EXTRA_PIVOTS + 1):
+                        break
         if not pivots:
             continue
-        chosen = [pivots[0]] + rng.sample(pivots[1:], min(extra_pivots, len(pivots) - 1))
+        chosen = [pivots[0]] + rng.sample(pivots[1:], min(_EXTRA_PIVOTS, len(pivots) - 1))
         gamma = vertices(family).members
         for p in chosen:
             for u in gamma:

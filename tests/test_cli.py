@@ -593,7 +593,7 @@ CACHE_TRAFFIC = [
     (["filtration-verify", "--spec", FAMILY2], 0, (1, 1, 2)),
     (["homology", "--spec", str(SPECS / "t0_q4_dim3.json")], 2, (1, 0, 0)),
     (["bounds-table"], 0, (0, 0, 0)),
-    (["lemma-tests", "--seed", "7", "--count", "100"], 0, (4, 11, 20)),
+    (["lemma-tests", "--seed", "7", "--count", "100"], 0, (4, 11, 24)),
 ]
 
 

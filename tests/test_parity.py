@@ -76,7 +76,7 @@ PINS = {
     "filtration-verify chamber_q2_dim5": (0, "2124b873c9b63beba36e419f3ace116c614877f1c2d0cdf95101ba9f349c7de8"),
     "filtration-verify --negative-control chamber_q2_dim5": (0, "cf5365c40c4fca4d9ca2835a63973dcf597e028e875a2531f2540f622f0a5fd9"),
     "bounds-table": (0, "60efbad3eacb981e1f8adff2b6af15efde5730f5e4b0cb3bd0990ef138012856"),
-    "lemma-tests": (0, "5c507c4a925360033991350341d69e714ed953ab15ec35be474f5cb695c58a57"),
+    "lemma-tests": (0, "2e31f9fbebf2af80b5d99d612b007af3e67c07fe1c7200f7a745e63598b26731"),
 }
 
 

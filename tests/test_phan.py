@@ -14,7 +14,7 @@ from phangeo.linalg import (
     enumerate_subspaces_of,
     rref,
 )
-from phangeo import residues
+from phangeo import residues, suites
 from phangeo.phan import PhanFamily, PhanSpec, vertices
 from phangeo.residues import (
     EmptyResidueError,
@@ -405,7 +405,6 @@ def test_delta_restriction_matches_oracle_everywhere():
         geometries=[("t0_q3_dim3", standard_spec(F3, 3)),
                     ("chamber_q3_dim3", chamber_spec(F3, 3))],
         families=[],
-        extra_pivots=0,
     )
     assert result.passed, result.failures
     assert result.notes["branch_hits"].get("hyperplane_l_t", 0) > 0
@@ -415,10 +414,29 @@ def test_delta_radical_branch_is_reachable_and_correct():
     result = run_delta_suite(
         geometries=[("t0_q3_dim4", standard_spec(F3, 4))],
         families=[],
-        extra_pivots=0,
     )
     assert result.passed, result.failures
     assert result.notes["branch_hits"].get("radical_augmented", 0) > 0
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2026])
+def test_delta_suite_draws_a_second_pivot(seed, monkeypatch):
+    """Each job of the delta suite runs at its canonical pivot and at one
+    other point; a multiple of the canonical vector is the same point, so
+    it is never drawn as the second.  A job on a plane has no member with a
+    member below, so the suite restricts nothing there."""
+    pivots = {}
+
+    def recording(family, p, u, branches=None):
+        pivots.setdefault(family, set()).add(p)
+        return delta_restriction(family, p, u, branches=branches)
+
+    monkeypatch.setattr(suites, "delta_restriction", recording)
+    assert run_delta_suite(seed=seed).passed
+    jobs = [PhanFamily((spec,)) for _, spec in desk_geometries()]
+    jobs += [family for _, family in family_geometries()]
+    assert set(pivots) == {family for family in jobs if family.ambient.dim > 2}
+    assert all(len(points) == 2 for points in pivots.values())
 
 
 def test_delta_unit_scalar_choice_is_irrelevant():
