@@ -5,7 +5,13 @@ radical identity, and the restricted-family vertex-set equality.
 The suites are callable from the command line (lemma-tests) and from the
 test suite; all randomness flows through an explicit seed.  Comparison sets
 are always computed directly from the membership predicate, independently of
-the construction under test.
+the construction under test.  Each suite returns one immutable
+``SuiteResult``.
+
+The named instances are the paper's instance families on coordinate flags,
+all built by ``coordinate_spec``: the complex of non-degenerate subspaces
+(t = 0, ``standard_spec`` and ``diagonal_spec``), the geometry opposite a
+chamber (t = n, ``chamber_spec``) and a t = 1 mixture (``mixed_t1_spec``).
 """
 
 from __future__ import annotations
@@ -252,8 +258,8 @@ def run_extension_suite(seed: int = 0, count: int = 100) -> SuiteResult:
         vecs = list(flag.top.vectors())
         rng.shuffle(vecs)
         # _form_with_radical drew top to admit a non-isotropic vector
-        v = next(v for v in vecs if any(v) and top.evaluate(v, v) != 0)
-        pivot = Subspace.span(spec.field, flag.top.ambient, [v])
+        pivot = Subspace.span(spec.field, flag.top.ambient,
+                              [next(v for v in vecs if any(v) and top.evaluate(v, v) != 0)])
         policies = {"canonical": None, "shuffled": shuffled_complement_policy(rng)}
         for pname, policy in policies.items():
             tag = f"[{spec.field!r} dim={flag.top.dim} t={spec.t} policy={pname}]"
@@ -374,9 +380,9 @@ def run_delta_suite(geometries=None, families=None, seed: int = 0) -> SuiteResul
         pivots = []
         for v in family.ambient.vectors():
             if any(v) and all(w.evaluate(v, v) != 0 for w in tops):
-                p = Subspace.span(family.field, family.ambient.ambient, [v])
-                if p not in pivots:
-                    pivots.append(p)
+                point = Subspace.span(family.field, family.ambient.ambient, [v])
+                if point not in pivots:
+                    pivots.append(point)
                     if len(pivots) > 4 * (_EXTRA_PIVOTS + 1):
                         break
         if not pivots:

@@ -49,6 +49,28 @@ def test_specfile_roundtrip(tmp_path):
     assert len(digest) == 64
 
 
+# the specs of each bundled spec file, as the suites' coordinate builders make them
+BUNDLED_SPECS = {
+    "chamber_q2_dim5": lambda: (chamber_spec(make_field(2, 1), 5),),
+    "chamber_q3_dim3": lambda: (chamber_spec(F3, 3),),
+    "chamber_q5_dim4": lambda: (chamber_spec(F5, 4),),
+    "t0_q3_dim4": lambda: (standard_spec(F3, 4),),
+    "t0_q4_dim3": lambda: (standard_spec(F4ID, 3),),
+    "t0_q4h_dim2": lambda: (standard_spec(F4H, 2),),
+    "t0_q5_dim3": lambda: (standard_spec(F5, 3),),
+    "t0_q9h_dim3": lambda: (standard_spec(make_field(3, 2, 2), 3),),
+    "family2_q11_dim3": lambda: (standard_spec(make_field(11, 1), 3),
+                                 diagonal_spec(make_field(11, 1), (1, 1, 2))),
+    "family2_q7_dim2": lambda: (standard_spec(make_field(7, 1), 2),
+                                diagonal_spec(make_field(7, 1), (1, 3))),
+}
+
+
+@pytest.mark.parametrize("path", sorted(SPECS.glob("*.json")), ids=lambda path: path.stem)
+def test_bundled_spec_is_its_builders_family(path):
+    assert load_family(str(path))[0] == PhanFamily(BUNDLED_SPECS[path.stem]())
+
+
 def test_specfile_errors():
     with pytest.raises(SpecFileError):
         parse_family([])
