@@ -26,6 +26,12 @@ them (``induced_subcomplex``): no lower level, star or link is built.
 Each graph reading is compared with a construction that shares no code
 with the graph: the point masks (b), the residues above U (c) and the
 restricted families (d).
+
+Pivots come from one walk of the ambient, ``PhanFamily.pivot_points``,
+which ``choose_pivot``, ``find_degenerate_pivot`` and the delta suite's
+pivot pool all read.  Check (d) leaves the restricted family's hypothesis,
+a member below U in every spec, to ``delta_restriction``: its
+``EmptyResidueError`` waives the comparison, and no other error does.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from .homology import HomologyReport, reduced_homology, sphericity_verdict
 from .linalg import Subspace
 from .morse import filtered_homology
 from .phan import PhanFamily, vertices
-from .residues import (DeltaConstructionError, delta_restriction,
+from .residues import (DeltaConstructionError, EmptyResidueError, delta_restriction,
                        lifted_residue_above)
 from .simplicial import SimplicialComplex, induced_subcomplex, order_complex
 
@@ -151,27 +157,21 @@ class FiltrationReport(namedtuple(
         }
 
 
-def _first_point(family: PhanFamily, degenerate: bool, message: str) -> Subspace:
-    """First point (canonical vector order) that is isotropic for some top
-    form when ``degenerate``, and non-degenerate for every top form when not."""
-    tops = [spec.forms[-1] for spec in family.specs]
-    for v in family.ambient.vectors():
-        if any(v) and any(w.evaluate(v, v) == 0 for w in tops) == degenerate:
-            return Subspace.span(family.field, family.ambient.ambient, [v])
-    raise PivotNotFoundError(message)
-
-
 def choose_pivot(family: PhanFamily) -> Subspace:
     """First point non-degenerate for the top form of every spec in the
     family."""
-    return _first_point(family, False, "no point is non-degenerate for all top forms "
-                        "(bound violation or paper-bound slack)")
+    for p in family.pivot_points():
+        return p
+    raise PivotNotFoundError("no point is non-degenerate for all top forms "
+                             "(bound violation or paper-bound slack)")
 
 
 def find_degenerate_pivot(family: PhanFamily) -> Subspace:
     """First point isotropic for at least one top form: a deliberate
     hypothesis violation for negative-control runs."""
-    return _first_point(family, True, "every point is non-degenerate for every top form")
+    for p in family.pivot_points(isotropic=True):
+        return p
+    raise PivotNotFoundError("every point is non-degenerate for every top form")
 
 
 def build_filtration(family: PhanFamily, pivot: Subspace) -> FiltrationState:
@@ -334,15 +334,11 @@ def _delta_comparison(state: FiltrationState, u: Subspace, below_y0) -> str | No
     try:
         fam = delta_restriction(state.family, p, u)
         got = set(vertices(fam).members)
+    except EmptyResidueError:  # a ValueError, so caught first
+        return None  # the lemma's hypothesis fails: nothing to compare against
     except (ValueError, DeltaConstructionError) as exc:
         # the construction's own errors are recorded, not raised: negative
-        # controls land here; any other exception is a programming error.
-        # An empty residue below U (EmptyResidueError, a ValueError) means
-        # the lemma's hypothesis fails, and there is nothing to compare
-        # against.  delta_restriction stops at the first failing spec, so
-        # the residues of the specs after it are checked here too
-        if not all(s.has_member_below(u) for s in state.family.specs):
-            return None
+        # controls land here; any other exception is a programming error
         return f"U = {u.basis}: delta_restriction failed: {exc}"
     if got != below_y0:
         diff = {w.basis for w in got ^ below_y0}

@@ -235,6 +235,21 @@ class PhanFamily(Frozen):
     def is_member(self, u: Subspace) -> bool:
         return all(s.is_member(u) for s in self.specs)
 
+    def pivot_points(self, isotropic: bool = False):
+        """The ambient's points, each once, in canonical vector order: those
+        non-degenerate for every top form or, when ``isotropic``, those
+        isotropic for at least one.  Each point is read at its one vector
+        whose last nonzero coordinate is 1, which in the canonical order of
+        F_q^d (last coordinate most significant) comes before its other
+        multiples.  The one walk of the ambient for pivots: the filtration's
+        ``choose_pivot`` and ``find_degenerate_pivot`` and the delta suite's
+        pivot pool read it."""
+        tops = [spec.forms[-1] for spec in self.specs]
+        for v in self.ambient.vectors():
+            if next((x for x in reversed(v) if x), 0) == 1 and any(
+                    w.evaluate(v, v) == 0 for w in tops) == isotropic:
+                yield Subspace.span(self.field, self.ambient.ambient, [v])
+
 
 class GeometryVertexSet:
     """The vertex set of a family's geometry."""

@@ -10,6 +10,11 @@ relative to a pivot point p (``delta_restriction``) carries, per spec, the
 residue below u and a spec on u built from the flag <V_i, p> ∩ u with the
 extended forms projected onto the perp of p.
 
+``delta_restriction`` owns the restricted family's hypothesis, that every
+spec has a member below u: it is the one caller of ``has_member_below`` in
+the package, and its ``EmptyResidueError`` is how check (d) of the
+filtration and the delta suite of ``suites`` learn that the hypothesis fails.
+
 Only ``filtration`` and ``suites`` import this module, so ``build``,
 ``homology`` and ``cm-check`` never compile it.
 """
@@ -254,7 +259,9 @@ def delta_restriction(family: PhanFamily, p: Subspace, u: Subspace,
     {W < u : W and <W, p> both belong to the family intersection}.  Per spec
     the output carries the residue below u and a spec built from the flag
     <V_i, p> ∩ u with projected extended forms; structurally equal specs are
-    emitted once.
+    emitted once.  Right after its argument checks, before any pivot test or
+    construction, it raises ``EmptyResidueError`` when some spec has no
+    member below u, so that error alone means the lemma's hypothesis fails.
     """
     if p.dim != 1:
         raise ValueError("pivot must be one-dimensional")
@@ -262,15 +269,13 @@ def delta_restriction(family: PhanFamily, p: Subspace, u: Subspace,
         raise ValueError("pivot lies inside the member subspace")
     if not family.is_member(u):
         raise MembershipError("delta_restriction requires a member of the family")
+    if not all(spec.has_member_below(u) for spec in family.specs):
+        raise EmptyResidueError("a spec has an empty residue below the member")
     out: list[PhanSpec] = []
+    pv = p.basis[0]
     for j, spec in enumerate(family.specs):
-        pv = p.basis[0]
         if spec.forms[-1].evaluate(pv, pv) == 0:
-            raise DegeneratePivotError(
-                f"pivot is degenerate for the top form of spec {j}"
-            )
-        if not spec.has_member_below(u):
-            raise EmptyResidueError(f"spec {j} has an empty residue below the member")
+            raise DegeneratePivotError(f"pivot is degenerate for the top form of spec {j}")
         for candidate in (residue_below(spec, u),
                           _lemma49_spec(spec, p, u, branches)):
             if candidate not in out:

@@ -12,12 +12,19 @@ The named instances are the paper's instance families on coordinate flags,
 all built by ``coordinate_spec``: the complex of non-degenerate subspaces
 (t = 0, ``standard_spec`` and ``diagonal_spec``), the geometry opposite a
 chamber (t = n, ``chamber_spec``) and a t = 1 mixture (``mixed_t1_spec``).
+
+The delta suite owns none of the rules it sweeps: its pivots come from
+``PhanFamily.pivot_points`` and the empty-residue test from
+``delta_restriction``, whose ``EmptyResidueError`` skips a member.  It skips
+a job with n < 2 before its seeded draw, since a plane's members are points
+and nothing lies below them.
 """
 
 from __future__ import annotations
 
 import random
 from collections import namedtuple
+from itertools import islice
 
 from .field import Field, make_field
 from .forms import HermitianForm
@@ -31,6 +38,7 @@ from .linalg import (
 )
 from .phan import PhanFamily, PhanSpec, vertices
 from .residues import (
+    EmptyResidueError,
     delta_restriction,
     extend_forms,
     lifted_residue_above,
@@ -376,28 +384,20 @@ def run_delta_suite(geometries=None, families=None, seed: int = 0) -> SuiteResul
     instances, failures = 0, []
     branch_hits: dict[str, int] = {}
     for name, family in _jobs(geometries, families):
-        tops = [s.forms[-1] for s in family.specs]
-        pivots = []
-        for v in family.ambient.vectors():
-            if any(v) and all(w.evaluate(v, v) != 0 for w in tops):
-                point = Subspace.span(family.field, family.ambient.ambient, [v])
-                if point not in pivots:
-                    pivots.append(point)
-                    if len(pivots) > 4 * (_EXTRA_PIVOTS + 1):
-                        break
-        if not pivots:
-            continue
+        pivots = list(islice(family.pivot_points(), 4 * (_EXTRA_PIVOTS + 1) + 1))
+        if family.n < 2 or not pivots:
+            continue  # a plane's members are points: nothing lies below them
         chosen = [pivots[0]] + rng.sample(pivots[1:], min(_EXTRA_PIVOTS, len(pivots) - 1))
         gamma = vertices(family).members
         for p in chosen:
             for u in gamma:
                 if u.contains_subspace(p):
                     continue
-                if not all(s.has_member_below(u) for s in family.specs):
-                    continue
                 branches: list[str] = []
                 try:
                     fam_u = delta_restriction(family, p, u, branches=branches)
+                except EmptyResidueError:
+                    continue  # the lemma's hypothesis fails at U
                 except Exception as exc:
                     failures.append(f"[{name}] U={u.basis} p={p.basis}: raised {exc}")
                     continue

@@ -631,6 +631,21 @@ def enumerate_vectors(field: Field, dim: int):
         yield tuple((idx // q**i) % q for i in range(dim))
 
 
+def oracle_pivot_walk(family, isotropic: bool = False) -> list[Subspace]:
+    """The points of a family's ambient F_q^d that are non-degenerate for
+    every top form, or isotropic for at least one when ``isotropic``: every
+    vector of ``enumerate_vectors`` is tested, and a point is kept at its
+    first hit."""
+    tops = [spec.forms[-1] for spec in family.specs]
+    points = []
+    for v in enumerate_vectors(family.field, family.ambient.dim):
+        if any(v) and any(oracle_form_value(w, v, v) == 0 for w in tops) == isotropic:
+            point = Subspace.span(family.field, len(v), [v])
+            if point not in points:
+                points.append(point)
+    return points
+
+
 def normalized_points(field: Field, dim: int) -> list[tuple[int, ...]]:
     """The normalized vectors of F_q^dim (first nonzero coordinate 1) in the
     order of the point table: by the place of the leading 1, then the

@@ -421,11 +421,15 @@ def test_build_lists_no_simplex_and_enumerates_no_point(tmp_path, monkeypatch):
 def _ladder_instance(tmp_path, q, f_vector, levels):
     """A standard-form F_q^4 ladder instance with t = 0 and identity sigma,
     through all four commands.  The f-vector of the report is recounted
-    from the facet export by listing every face of every facet; b~ =
-    (0, 0, b~_2) matches its reduced Euler characteristic; cm-check visits
-    1 + sum of f simplices (the empty simplex and every face); the
-    filtration's levels are pinned, and its predicted sphere count equals
-    the direct one."""
+    from the facet export by listing every face of every facet, and equals
+    the closed form ``t0_counts`` of ``tests/test_counts.py``; b~ =
+    (0, 0, b~_2), so b~_2 is the reduced Euler characteristic of that
+    closed form, and |chi~| with it; cm-check visits 1 + sum of f simplices (the empty simplex and
+    every face); the filtration's levels are pinned, and its predicted
+    sphere count equals the direct one."""
+    from test_counts import _reduced_euler, t0_counts
+
+    assert t0_counts(q, 4, 1)[0] == list(f_vector)
     field = make_field(3, 2, 1) if q == 9 else make_field(q, 1)
     path = tmp_path / f"f{q}_4.json"
     dump_family(PhanFamily((standard_spec(field, 4),)), str(path))
@@ -448,7 +452,7 @@ def _ladder_instance(tmp_path, q, f_vector, levels):
     assert docs["build"]["geometry"]["simplex_counts"] == recount == list(f_vector)
     for command in ("homology", "cm-check", "filtration-verify"):
         assert docs[command]["verdict"] == "pass" and not docs[command]["bound"]["forced"]
-    chi = -1 + f_vector[0] - f_vector[1] + f_vector[2]
+    chi = _reduced_euler(list(f_vector))
     assert docs["homology"]["homology"]["betti"] == [0, 0, chi]
     cm = docs["cm-check"]["cm"]
     assert cm["passed"] and not cm["failures"] and cm["simplices_checked"] == 1 + sum(f_vector)

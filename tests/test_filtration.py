@@ -31,7 +31,8 @@ from phangeo.simplicial import (
 from phangeo.specfile import load_family
 from phangeo.suites import chamber_spec, diagonal_spec, random_phan_spec, standard_spec
 
-from conftest import FacetComplex, facet_cut, facet_intersection, facet_star, oracle_below_above
+from conftest import (FacetComplex, facet_cut, facet_intersection, facet_star,
+                      oracle_below_above, oracle_pivot_walk)
 
 F3 = make_field(3, 1)
 F5 = make_field(5, 1)
@@ -68,6 +69,33 @@ def test_degenerate_pivot_search():
     f7 = make_field(7, 1)
     with pytest.raises(PivotNotFoundError):
         find_degenerate_pivot(PhanFamily((diagonal_spec(f7, (1, 1)),)))
+
+
+def test_pivot_points_walk_each_point_once_in_vector_order():
+    """The one walk of the ambient for pivots: in each mode it yields the
+    points of the oracle's walk, each once and in the order of their first
+    vectors, the two modes together every point of the ambient, and its
+    first point is the pivot that ``choose_pivot`` or
+    ``find_degenerate_pivot`` returns on the cases above and on the m = 2
+    family2_q11_dim3."""
+    f7 = make_field(7, 1)
+    families = [PhanFamily((spec,)) for spec in (
+        diagonal_spec(F5, (1, 1)), standard_spec(F5, 3), standard_spec(F9, 3),
+        diagonal_spec(f7, (1, 1)))]
+    families.append(load_family(str(SPECS / "family2_q11_dim3.json"))[0])
+    for family in families:
+        q, d = family.field.q, family.ambient.dim
+        walks = []
+        for isotropic, first in ((False, choose_pivot), (True, find_degenerate_pivot)):
+            points = list(family.pivot_points(isotropic))
+            assert points == oracle_pivot_walk(family, isotropic)
+            if points:
+                assert first(family) == points[0]
+            else:
+                with pytest.raises(PivotNotFoundError):
+                    first(family)
+            walks += points
+        assert len(set(walks)) == len(walks) == (q**d - 1) // (q - 1)
 
 
 def test_filtration_level_structure():
@@ -363,29 +391,34 @@ def test_programming_error_in_restricted_family_is_raised(monkeypatch):
 
 def test_delta_comparison_waives_only_empty_residues(monkeypatch):
     """Check (d) turns an error of delta_restriction into a witness unless a
-    spec has an empty residue below U, where the lemma's hypothesis fails:
-    on F_3^3 the plane U = <e_1, e_2> has members below it for the standard
-    form and none for the chamber spec.  An empty residue after the failing
-    spec waives the comparison too."""
-    u = Subspace.span(F3, 3, [(1, 0, 0), (0, 1, 0)])
-    p = Subspace.span(F3, 3, [(0, 0, 1)])
+    spec has an empty residue below U, where the lemma's hypothesis fails.
+    delta_restriction tests every spec's residue before any pivot: on F_3^3
+    the point U = <e_3> belongs to the geometries of the standard form and
+    of the chamber spec, neither has a member below it, and the pivot
+    <(1, 1, 1)> is isotropic for the standard form, spec 0.  So
+    delta_restriction raises EmptyResidueError, not DegeneratePivotError,
+    and check (d) gives no witness.  A construction error, patched in, is a
+    witness."""
     standard, chamber = standard_spec(F3, 3), chamber_spec(F3, 3)
-    assert standard.has_member_below(u) and not chamber.has_member_below(u)
+    family = PhanFamily((standard, chamber))
+    e3 = Subspace.span(F3, 3, [(0, 0, 1)])
+    p = Subspace.span(F3, 3, [(1, 1, 1)])
+    assert family.is_member(e3) and not chamber.has_member_below(e3)
+    assert standard.forms[-1].evaluate(p.basis[0], p.basis[0]) == 0
+    with pytest.raises(residues.EmptyResidueError):
+        residues.delta_restriction(family, p, e3)
+    assert filtration._delta_comparison(FiltrationState(family, p, None, [], []), e3,
+                                        set()) is None
 
-    def compare(specs, exc):
-        def failing(*args, **kwargs):
-            raise exc
+    def failing(*args, **kwargs):
+        raise residues.DeltaConstructionError("unexpected radical at step 0: dim 2")
 
-        monkeypatch.setattr(filtration, "delta_restriction", failing)
-        state = FiltrationState(PhanFamily(specs), p, None, [], [])
-        return filtration._delta_comparison(state, u, set())
-
-    empty = residues.EmptyResidueError("spec 1 has an empty residue below the member")
-    assert compare((standard, chamber), empty) is None
-    broken = residues.DeltaConstructionError("unexpected radical at step 0: dim 2")
-    assert compare((standard,), broken) == ("U = ((1, 0, 0), (0, 1, 0)): delta_restriction "
-                                            "failed: unexpected radical at step 0: dim 2")
-    assert compare((standard, chamber), broken) is None
+    monkeypatch.setattr(filtration, "delta_restriction", failing)
+    plane = Subspace.span(F3, 3, [(1, 0, 0), (0, 1, 0)])
+    state = FiltrationState(PhanFamily((standard,)), e3, None, [], [])
+    assert filtration._delta_comparison(state, plane, set()) == (
+        "U = ((1, 0, 0), (0, 1, 0)): delta_restriction failed: unexpected radical at step 0: "
+        "dim 2")
 
 
 @pytest.mark.parametrize("side", ["above", "below"])

@@ -5,8 +5,8 @@ A change that alters one of these reports on purpose updates its pin and
 says so in CHANGES.md; any other difference is a regression.  The runs
 cover every command on the bundled specs (``--force`` exactly where the
 sufficient bound fails), the negative control of ``filtration-verify`` on
-five specs (t0_q5_dim3, whose Y_0 has homology, two with an empty Y_0,
-t0_q3_dim4 and chamber_q2_dim5), a bounds table and ``lemma-tests --seed 0``, which
+six specs (t0_q5_dim3, whose Y_0 has homology, two with an empty Y_0,
+t0_q3_dim4, chamber_q2_dim5 and family2_q11_dim3), a bounds table and ``lemma-tests --seed 0``, which
 drives form extension, projection forms, residues and restricted families
 through perps, radicals and meets, in process, in a few seconds.  Each run
 goes through the test session's ``cli_report``, so ``tests/test_cli.py``
@@ -18,6 +18,11 @@ across Y_0 and stages 1-3 under the negative control.  chamber_q2_dim5,
 chamber F_2^5 out of bound (2^3*1 = 8 < q = 2 fails), is the one bundled
 complex of dimension 3, so its reports are the pins that cover a 3-cell
 of a reduction, whose faces the engine reaches through two extensions.
+The negative control of family2_q11_dim3 is the one pinned run whose
+check (d) gives a witness on a family of two specs: its pivot is
+degenerate for spec 1 alone, and the witness names spec 1, so the pin
+covers the order in which ``delta_restriction`` tests the residues below U
+and the pivot.
 """
 
 import hashlib
@@ -75,6 +80,7 @@ PINS = {
     "cm-check chamber_q2_dim5": (0, "748da3f4b9f782cc48fe0dc332d920b875a00d8a0ce8279bb1cbe4e9a1d1edad"),
     "filtration-verify chamber_q2_dim5": (0, "2124b873c9b63beba36e419f3ace116c614877f1c2d0cdf95101ba9f349c7de8"),
     "filtration-verify --negative-control chamber_q2_dim5": (0, "cf5365c40c4fca4d9ca2835a63973dcf597e028e875a2531f2540f622f0a5fd9"),
+    "filtration-verify --negative-control family2_q11_dim3": (0, "5d8b12e94331a84d08c8dbe65e1de3c1c225ba344be844446ca6595b4e238ae5"),
     "bounds-table": (0, "60efbad3eacb981e1f8adff2b6af15efde5730f5e4b0cb3bd0990ef138012856"),
     "lemma-tests": (0, "2e31f9fbebf2af80b5d99d612b007af3e67c07fe1c7200f7a745e63598b26731"),
 }

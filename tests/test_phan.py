@@ -43,6 +43,7 @@ from conftest import (
     oracle_perp,
     oracle_is_transversal,
     oracle_k_of,
+    oracle_pivot_walk,
     unit_form,
 )
 
@@ -423,20 +424,38 @@ def test_delta_radical_branch_is_reachable_and_correct():
 def test_delta_suite_draws_a_second_pivot(seed, monkeypatch):
     """Each job of the delta suite runs at its canonical pivot and at one
     other point; a multiple of the canonical vector is the same point, so
-    it is never drawn as the second.  A job on a plane has no member with a
-    member below, so the suite restricts nothing there."""
-    pivots = {}
+    it is never drawn as the second.  The draw is from the job's first
+    4 (_EXTRA_PIVOTS + 1) + 1 pivot points, those of the oracle's walk.  A
+    job on a plane (n = 1) has no member with a member below, so the suite
+    skips it before the draw: it neither lists its members nor restricts
+    them."""
+    pivots, pools, listed = {}, {}, []
+    walk = PhanFamily.pivot_points
 
     def recording(family, p, u, branches=None):
         pivots.setdefault(family, set()).add(p)
         return delta_restriction(family, p, u, branches=branches)
 
+    def recording_walk(family, isotropic=False):
+        for p in walk(family, isotropic):
+            pools.setdefault(family, []).append(p)
+            yield p
+
+    def recording_vertices(family):
+        listed.append(family)
+        return vertices(family)
+
     monkeypatch.setattr(suites, "delta_restriction", recording)
+    monkeypatch.setattr(suites, "vertices", recording_vertices)
+    monkeypatch.setattr(PhanFamily, "pivot_points", recording_walk)
     assert run_delta_suite(seed=seed).passed
     jobs = [PhanFamily((spec,)) for _, spec in desk_geometries()]
     jobs += [family for _, family in family_geometries()]
-    assert set(pivots) == {family for family in jobs if family.ambient.dim > 2}
+    assert set(pivots) == {family for family in jobs if family.n > 1}
     assert all(len(points) == 2 for points in pivots.values())
+    assert {family for family in jobs if family.n == 1}.isdisjoint(listed)
+    size = 4 * (suites._EXTRA_PIVOTS + 1) + 1
+    assert pools == {family: oracle_pivot_walk(family)[:size] for family in jobs}
 
 
 def test_delta_unit_scalar_choice_is_irrelevant():
