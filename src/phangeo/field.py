@@ -264,7 +264,12 @@ class Field:
         return f"Field(q={self.q}, sigma={sig})"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def make_field(p: int, e: int, sigma_order: int = 1) -> Field:
-    """Construct (and cache) the field F_{p**e} with the requested sigma."""
+    """Construct (and cache) the field F_{p**e} with the requested sigma.
+
+    A command reads one field and ``lemma-tests`` four, so with room for 16
+    neither rebuilds one.  Fields compare and hash by (p, e, sigma order),
+    so whatever was built over an evicted field equals its rebuild over the
+    field made next."""
     return Field(p, e, sigma_order)

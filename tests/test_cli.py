@@ -3,7 +3,9 @@ import contextlib
 import importlib
 import io
 import json
+import os
 import random
+import re
 import subprocess
 import sys
 from itertools import combinations
@@ -679,15 +681,50 @@ def test_malformed_spec_file(tmp_path, capsys):
     assert "line" in capsys.readouterr().err
 
 
+# the wrapper an installer writes for a console script, with a probe ahead
+# of it that writes "teardown" to standard error if the interpreter's
+# module teardown reaches it
+CONSOLE_SCRIPT = """\
+import os
+
+
+class _Teardown:
+    def __del__(self, write=os.write):
+        write(2, b"teardown\\n")
+
+
+_probe = _Teardown()
+
+import re
+import sys
+from {module} import {name}
+if __name__ == "__main__":
+    sys.argv[0] = re.sub(r"(-script\\.pyw|\\.exe)?$", "", sys.argv[0])
+    sys.exit({name}())
+"""
+
+
 def test_console_script_entry_point(spec_q5, tmp_path):
-    out = tmp_path / "r.json"
+    """The ``phangeo`` script declared in pyproject.toml, called the way
+    its generated wrapper calls it, runs the command, keeps its exit code
+    and ends the process without the interpreter's teardown."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    entry = tomllib.loads(pyproject.read_text())["project"]["scripts"]["phangeo"]
+    module, name = entry.split(":")
+    script = CONSOLE_SCRIPT.format(module=module, name=name)
     proc = subprocess.run(
-        [sys.executable, "-m", "phangeo.cli", "homology", "--spec", spec_q5,
-         "--out", str(out)],
+        [sys.executable, "-c", script, "homology", "--spec", spec_q5,
+         "--out", str(tmp_path / "r.json")],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
     assert "verdict=pass" in proc.stdout
+    assert proc.stderr == ""
+    proc = subprocess.run([sys.executable, "-c", script, "homology", "--spec", "missing.json"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: spec file not found: missing.json\n"
 
 
 def test_subcommands_register_only_their_flags(tmp_path, spec_q5, capsys):
@@ -750,6 +787,110 @@ def test_broken_pipe_is_not_an_input_error():
     err = proc.stderr.read().decode()
     assert proc.wait() == EXIT_BROKEN_PIPE
     assert "Traceback" not in err and "Exception ignored" not in err
+
+
+def test_broken_pipe_at_the_final_flush_exits_141():
+    """With standard output buffered, a short table reaches the pipe only
+    when ``run()`` flushes it, after the reader has gone: exit 141 with
+    no traceback, as when the pipe breaks during the command."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "phangeo.cli", "bounds-table", "--max-n", "1",
+         "--max-q", "3", "--max-m", "1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()  # the reader goes away before the command starts
+    err = proc.stderr.read().decode()
+    assert proc.wait() == EXIT_BROKEN_PIPE
+    assert err == ""
+
+
+def _stamps_out(text: str) -> str:
+    return re.sub(r"\[\d+\.\d\ds\]", "[x.xxs]", text)
+
+
+def test_process_entry_matches_main(tmp_path):
+    """``python -m phangeo.cli`` (``run()``) and ``main()`` in process give
+    the same exit code, report bytes and standard error, and the same
+    standard output apart from the wall-time stamps: every command on
+    t0_q5_dim3 and family2_q11_dim3, a negative control, an input error
+    and the help."""
+    out = str(tmp_path / "r.json")
+    runs = [[command, "--spec", str(SPECS / f"{spec}.json"), "--out", out]
+            for spec in ("t0_q5_dim3", "family2_q11_dim3")
+            for command in ("build", "homology", "cm-check", "filtration-verify")]
+    runs += [["filtration-verify", "--spec", str(SPECS / "t0_q5_dim3.json"),
+              "--negative-control", "--out", out],
+             ["homology", "--spec", str(tmp_path / "missing.json"), "--out", out],
+             ["-h"]]
+
+    def report() -> bytes | None:
+        path = Path(out)
+        data = path.read_bytes() if path.exists() else None
+        path.unlink(missing_ok=True)
+        return data
+
+    for argv in runs:
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        in_process = (code, report(), stderr.getvalue(), _stamps_out(stdout.getvalue()))
+        proc = subprocess.run([sys.executable, "-m", "phangeo.cli", *argv],
+                              capture_output=True, text=True)
+        assert (proc.returncode, report(), proc.stderr, _stamps_out(proc.stdout)) == in_process
+
+
+def test_profiler_sees_the_command_exit(tmp_path):
+    """Under ``python -m cProfile`` the command exits through ``sys.exit``,
+    so the profiler still prints its table."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "cProfile", "-m", "phangeo.cli", "build",
+         "--spec", str(SPECS / "t0_q5_dim3.json"), "--out", str(tmp_path / "r.json")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "build: 50 vertices" in proc.stdout
+    assert "function calls" in proc.stdout and "Ordered by" in proc.stdout
+
+
+# registers an atexit handler, then runs the CLI as ``python -m`` would
+ATEXIT_LAUNCHER = """\
+import atexit, runpy, sys
+atexit.register(print, "launcher handler ran")
+sys.argv = ["phangeo", *sys.argv[1:]]
+runpy.run_module("phangeo.cli", run_name="__main__")
+"""
+
+
+def test_atexit_handlers_still_run(tmp_path):
+    """An ``atexit`` handler registered before the CLI starts runs after
+    the command, and what it prints is not lost to the fast exit."""
+    proc = subprocess.run(
+        [sys.executable, "-c", ATEXIT_LAUNCHER, "build", "--spec",
+         str(SPECS / "t0_q5_dim3.json"), "--out", str(tmp_path / "r.json")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert _stamps_out(proc.stdout).splitlines()[-2:] == [
+        "build: 50 vertices, 120 facets, dim 1  [x.xxs]", "launcher handler ran"]
+
+
+def test_an_uncaught_exception_keeps_its_traceback_and_exit_1():
+    """A command that raises ends the process as an uncaught exception
+    always has: its traceback on standard error and exit 1."""
+    script = ("import phangeo.cli\n"
+              "def broken(args):\n"
+              "    raise RuntimeError('handler broke')\n"
+              "phangeo.cli.cmd_bounds_table = broken\n"
+              "phangeo.cli.run()\n")
+    proc = subprocess.run([sys.executable, "-c", script, "bounds-table"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("Traceback (most recent call last):")
+    assert proc.stderr.endswith("RuntimeError: handler broke\n")
 
 
 STDLIB = ("dataclasses", "inspect", "argparse", "gettext", "locale")

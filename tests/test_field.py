@@ -193,3 +193,37 @@ def test_lookup_tables_match_the_methods(p, e, sigma):
         assert field.neg_table[a] == field.neg(a) and field.sigma_table[a] == field.sigma(a)
         if a:
             assert field.inv_table[a] == field.inv(a)
+
+
+def test_subspaces_and_forms_outlive_their_fields_eviction():
+    """make_field holds 16 fields.  Once a field is evicted and made anew,
+    the subspaces and forms built over the evicted copy equal, hash like and
+    mix with those built from scratch over the new one."""
+    from phangeo.forms import HermitianForm
+    from phangeo.linalg import Subspace, _ambient, enumerate_subspaces
+
+    def built_over(field):
+        space = Subspace.full(field, 3)
+        form = HermitianForm(field, space, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        lines = list(enumerate_subspaces(field, 3, 1))
+        return form, lines, [form.perp(line) for line in lines]
+
+    make_field.cache_clear()
+    old = make_field(3, 2, 2)
+    old_form, old_lines, old_perps = built_over(old)
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53):
+        make_field(p, 1)
+    assert make_field.cache_info().currsize == make_field.cache_info().maxsize == 16
+    _ambient.cache_clear()  # so that the new field's tables are built anew too
+    new = make_field(3, 2, 2)
+    assert new is not old and new == old and hash(new) == hash(old)
+    new_form, new_lines, new_perps = built_over(new)
+    assert all(line.field is new for line in new_lines + new_perps)
+    assert new_form == old_form and hash(new_form) == hash(old_form)
+    assert new_lines == old_lines and new_perps == old_perps
+    assert set(new_lines + new_perps) == set(old_lines + old_perps)
+    assert [line.point_mask for line in new_lines] == [line.point_mask for line in old_lines]
+    for a, b in zip(old_lines, new_perps):
+        assert a.sum(b) == b.sum(a) and a.intersect(b) == b.intersect(a)
+    assert [old_form.perp(line) for line in new_lines] == new_perps
+    assert [new_form.perp(line) for line in old_lines] == old_perps
